@@ -64,11 +64,8 @@ def main() -> None:
         "hybrid": HeteroPlatform({"cpu": CPU_CORES, "gpu": GPUS}),
     }
     print(f"\n{'platform':>10s} {'policy':>7s} {'AVEbsld':>9s} {'gpu jobs':>9s}")
-    for plat_name, make_platform in platforms.items():
+    for plat_name, platform in platforms.items():
         for policy_name in ("FCFS", "F1"):
-            platform = HeteroPlatform(
-                {a: c.nmax for a, c in make_platform.pools.items()}
-            )
             result = hetero_simulate(jobs, get_policy(policy_name), platform)
             print(
                 f"{plat_name:>10s} {policy_name:>7s} {result.ave_bsld:>9.2f} "

@@ -31,7 +31,6 @@ import argparse
 import json
 import sys
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -321,23 +320,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return _dispatch(spec, args, command="train")
 
 
-def _resolve_backfill_flag(value) -> str:
-    """Map the ``--backfill`` flag value to a canonical mode token.
-
-    The historical bare flag (``--backfill`` with no mode) is kept as a
-    deprecated alias for ``--backfill easy``.
-    """
-    if value is True:  # bare flag, no mode argument
-        warnings.warn(
-            "a bare --backfill flag is deprecated; pass a mode from "
-            f"{'/'.join(BACKFILL_TOKENS)} (bare --backfill means 'easy')",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return "easy"
-    return value
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     try:
         spec = SimulateSpec(
@@ -348,7 +330,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             swf=args.swf,
             trace=args.trace,
             estimates=args.estimates,
-            backfill=_resolve_backfill_flag(args.backfill),
+            backfill=args.backfill,
             topology=args.topology,
             distribution=args.distribution,
             hetero=tuple(args.hetero_archs) if args.hetero_archs else None,
@@ -690,12 +672,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--estimates", action="store_true")
     p.add_argument(
         "--backfill",
-        nargs="?",
-        const=True,
         default="none",
         metavar="MODE",
-        help=f"backfill mode from {'/'.join(BACKFILL_TOKENS)} (default none;"
-        " a bare --backfill is a deprecated alias for 'easy')",
+        help=f"backfill mode from {'/'.join(BACKFILL_TOKENS)} (default none)",
     )
     add_platform_args(p)
     p.add_argument(

@@ -4,120 +4,27 @@ Public surface:
 
 * :class:`~repro.sim.job.Job` / :class:`~repro.sim.job.Workload` — job data.
 * :func:`~repro.sim.engine.simulate` — online scheduling under a policy,
-  with optional user estimates and EASY backfilling.
-* :func:`~repro.sim.listsched.simulate_fixed_priority` — the fixed-priority
-  trial simulator used by the training phase (and its batched form,
-  :func:`~repro.sim.listsched.simulate_fixed_priority_batch`).
-* :mod:`~repro.sim.metrics` — bounded slowdown (Eq. 1/2) and friends.
+  with optional user estimates, backfilling and a partitioned platform.
+* :func:`~repro.sim.metrics.bounded_slowdown` (Eq. 1) and
+  :func:`~repro.sim.metrics.average_bounded_slowdown` (Eq. 2).
 
-Both simulators are thin configurations of the unified event-heap
-kernel in :mod:`~repro.sim.kernel` (``REPRO_SIM_KERNEL`` selects the
-compiled or pure-Python backend; results are bit-identical).  The
-resource model is pluggable (:mod:`~repro.sim.platform`): the paper's
-flat machine, topology-partitioned per-leaf schedulers, and the
-heterogeneous prototype all account cores through the shared
-:class:`~repro.sim.cluster.Cluster` leaf allocator.  The
-:mod:`~repro.sim.backfill`, :mod:`~repro.sim.conservative` and
-:mod:`~repro.sim.events` modules remain the property-tested reference
-pieces the kernel's semantics are defined against.
+Every simulator — the engine, the training trial simulator
+(:mod:`~repro.sim.listsched`) and the heterogeneous dispatcher
+(:mod:`~repro.sim.hetero`) — is a thin configuration of the one
+event-heap loop in :mod:`~repro.sim.kernel` (``REPRO_SIM_KERNEL``
+selects the compiled or pure-Python backend; results are
+bit-identical).  Import anything else from its submodule.
 """
 
-from repro.sim.backfill import (
-    HYBRID_RESERVATION_DEPTH,
-    easy_backfill,
-    hybrid_starts,
-    shadow_schedule,
-)
-from repro.sim.conservative import AvailabilityProfile, conservative_starts
-from repro.sim.cluster import Cluster
-from repro.sim.engine import ScheduleResult, SimulationConfig, simulate
-from repro.sim.events import CompletionQueue
-from repro.sim.hetero import (
-    ArchSpec,
-    HeteroJob,
-    HeteroPlatform,
-    HeteroResult,
-    Variant,
-    hetero_simulate,
-    parse_arch_specs,
-    workload_to_hetero_jobs,
-)
-from repro.sim.platform import (
-    DISTRIBUTIONS,
-    FlatPlatform,
-    PartitionedPlatform,
-    Platform,
-    distribute_jobs,
-    normalize_topology,
-    platform_identity,
-    simulate_partitioned,
-)
-from repro.sim.job import Job, Workload, concat_workloads
-from repro.sim.kernel import KernelResult, fixed_priority_batch, simulate_events
-from repro.sim.listsched import simulate_fixed_priority, simulate_fixed_priority_batch
-from repro.sim.timeline import (
-    StepProfile,
-    busy_cores_profile,
-    profile_average,
-    queue_length_profile,
-    to_gantt_csv,
-)
-from repro.sim.metrics import (
-    DEFAULT_TAU,
-    average_bounded_slowdown,
-    bounded_slowdown,
-    makespan,
-    per_job_flow,
-    utilization,
-    waiting_times,
-)
+from repro.sim.engine import ScheduleResult, simulate
+from repro.sim.job import Job, Workload
+from repro.sim.metrics import average_bounded_slowdown, bounded_slowdown
 
 __all__ = [
-    "ArchSpec",
-    "AvailabilityProfile",
-    "Cluster",
-    "CompletionQueue",
-    "DEFAULT_TAU",
-    "DISTRIBUTIONS",
-    "FlatPlatform",
-    "HYBRID_RESERVATION_DEPTH",
-    "HeteroJob",
-    "HeteroPlatform",
-    "HeteroResult",
     "Job",
-    "KernelResult",
-    "PartitionedPlatform",
-    "Platform",
     "ScheduleResult",
-    "SimulationConfig",
     "Workload",
     "average_bounded_slowdown",
     "bounded_slowdown",
-    "concat_workloads",
-    "distribute_jobs",
-    "easy_backfill",
-    "fixed_priority_batch",
-    "hetero_simulate",
-    "hybrid_starts",
-    "makespan",
-    "normalize_topology",
-    "parse_arch_specs",
-    "per_job_flow",
-    "platform_identity",
-    "shadow_schedule",
-    "simulate_partitioned",
-    "StepProfile",
-    "Variant",
-    "busy_cores_profile",
-    "conservative_starts",
-    "profile_average",
-    "queue_length_profile",
     "simulate",
-    "simulate_events",
-    "simulate_fixed_priority",
-    "simulate_fixed_priority_batch",
-    "to_gantt_csv",
-    "utilization",
-    "waiting_times",
-    "workload_to_hetero_jobs",
 ]

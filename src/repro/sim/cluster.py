@@ -8,11 +8,11 @@ all times).
 
 It is the *single* free-core accounting implementation: the unified
 kernel's Python event loop (:mod:`repro.sim.kernel`) allocates and
-releases through a ``Cluster`` instance, and every
-:class:`~repro.sim.platform.Platform` pool — the flat machine, each
-topology leaf, each heterogeneous architecture — is one ``Cluster``.
-(The C backend transcribes the same counter arithmetic; the parity suite
-pins the two bit for bit.)
+releases through one ``Cluster`` per run, and the heterogeneous
+dispatcher (:mod:`repro.sim.hetero`) through one per architecture pool.
+Platforms themselves only describe capacity, so no ``Cluster`` outlives
+the run that built it.  (The C backend transcribes the same counter
+arithmetic; the parity suite pins the two bit for bit.)
 """
 
 from __future__ import annotations

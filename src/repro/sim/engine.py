@@ -238,26 +238,16 @@ def simulate(
 
     leaf = None
     if config.topology is None:
-        if policy.dynamic:
-            outcome = simulate_events(
-                subs,
-                workload.runtime,
-                procs,
-                workload.size,
-                nmax,
-                scorer=scorer,
-                backfill=config.backfill_mode,
-            )
-        else:
-            outcome = simulate_events(
-                subs,
-                workload.runtime,
-                procs,
-                workload.size,
-                nmax,
-                static_scores=scores,
-                backfill=config.backfill_mode,
-            )
+        outcome = simulate_events(
+            subs,
+            workload.runtime,
+            procs,
+            workload.size,
+            nmax,
+            static_scores=scores,
+            scorer=scorer,
+            backfill=config.backfill_mode,
+        )
     else:
         from repro.sim.platform import PartitionedPlatform, simulate_partitioned
 

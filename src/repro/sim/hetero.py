@@ -9,7 +9,7 @@ select one of these implementations to be executed".
 This module is a working prototype of that setting, built on the same
 abstractions as the homogeneous engine:
 
-* a :class:`HeteroPlatform` holds one core pool per architecture,
+* a :class:`HeteroPlatform` declares one core pool per architecture,
 * a :class:`HeteroJob` carries one :class:`Variant` (runtime + resource
   requirement) per architecture it has an implementation for,
 * :func:`hetero_simulate` runs the paper's online algorithm where the
@@ -19,10 +19,13 @@ abstractions as the homogeneous engine:
   (minimum of ``now + runtime_variant`` over architectures with free
   capacity).
 
-The prototype keeps head-blocking semantics: if no variant of the head
-fits, nothing overtakes it (no backfilling), which makes its behaviour
-directly comparable with the homogeneous engine's no-backfill mode —
-tests assert exact equivalence on single-architecture platforms.
+The dispatcher is a configuration of the unified kernel's head-blocking
+event loop (:mod:`repro.sim.kernel`, no backfilling): the only
+heterogeneous logic is the placement rule above, which replaces the
+single-pool fit test.  If no variant of the head fits, nothing overtakes
+it, which makes its behaviour directly comparable with the homogeneous
+engine's no-backfill mode — tests assert exact equivalence on
+single-architecture platforms.
 """
 
 from __future__ import annotations
@@ -32,7 +35,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.sim.events import CompletionQueue
+from repro.sim.cluster import Cluster
+from repro.sim.kernel import _simulate_py, validate_scores
 from repro.sim.metrics import DEFAULT_TAU, average_bounded_slowdown, bounded_slowdown
 from repro.sim.platform import Platform
 
@@ -153,10 +157,10 @@ class HeteroJob:
 class HeteroPlatform(Platform):
     """A set of named homogeneous pools (one per architecture).
 
-    Pool construction, free-unit lookup and the conservation invariant
-    come from the shared :class:`~repro.sim.platform.Platform` base —
-    the same per-pool :class:`~repro.sim.cluster.Cluster` accounting the
-    partitioned platform's leaves use.
+    Like every :class:`~repro.sim.platform.Platform` it only describes
+    capacity (``pools`` maps architecture to core count); each
+    :func:`hetero_simulate` call allocates on its own per-run pools, so
+    one platform can serve any number of runs.
     """
 
     def validate(self, jobs: list[HeteroJob]) -> None:
@@ -165,7 +169,7 @@ class HeteroPlatform(Platform):
             runnable = [
                 a
                 for a, v in job.variants.items()
-                if a in self.pools and v.size <= self.pools[a].nmax
+                if a in self.pools and v.size <= self.pools[a]
             ]
             if not runnable:
                 raise ValueError(
@@ -208,28 +212,47 @@ class HeteroResult:
         return average_bounded_slowdown(self.wait, self.executed_runtime, self.tau)
 
 
-def _best_variant_now(
-    job: HeteroJob, platform: HeteroPlatform, now: float
-) -> str | None:
-    """Earliest-finishing variant that fits right now (None if none)."""
-    best: tuple[float, str] | None = None
-    for arch in sorted(job.variants):
-        if arch not in platform.pools:
-            continue
-        variant = job.variants[arch]
-        if platform.pools[arch].fits(variant.size):
-            key = (now + variant.runtime, arch)
-            if best is None or key < best:
-                best = key
-    return best[1] if best else None
+class _Placement:
+    """Per-run allocation state: one :class:`Cluster` per architecture.
 
+    Implements the kernel's placement protocol (``free``, ``place``,
+    ``release``) and records each job's chosen architecture.
+    """
 
-def _could_ever_fit_on_idle(job: HeteroJob, platform: HeteroPlatform) -> bool:
-    """Whether some variant fits on a fully idle machine."""
-    return any(
-        arch in platform.pools and v.size <= platform.pools[arch].nmax
-        for arch, v in job.variants.items()
-    )
+    def __init__(self, jobs: list[HeteroJob], platform: HeteroPlatform) -> None:
+        self.pools = {arch: Cluster(cores) for arch, cores in platform.pools.items()}
+        self.free = platform.total_cores
+        # per job: (arch, runtime, size) of every variant the platform can host
+        self.options = [
+            [
+                (arch, job.variants[arch].runtime, job.variants[arch].size)
+                for arch in sorted(job.variants)
+                if arch in self.pools
+            ]
+            for job in jobs
+        ]
+        self.chosen = [""] * len(jobs)
+        self.dispatch = {arch: 0 for arch in platform.pools}
+
+    def place(self, idx: int, now: float) -> float | None:
+        """Start job *idx* on its earliest-finishing variant that fits now."""
+        best = None
+        for arch, runtime, size in self.options[idx]:
+            if self.pools[arch].fits(size):
+                key = (now + runtime, arch)
+                if best is None or key < best[0]:
+                    best = (key, runtime, size)
+        if best is None:
+            return None
+        (_, arch), runtime, size = best
+        self.pools[arch].allocate(idx, size)
+        self.free -= size
+        self.chosen[idx] = arch
+        self.dispatch[arch] += 1
+        return runtime
+
+    def release(self, idx: int) -> None:
+        self.free += self.pools[self.chosen[idx]].release(idx)
 
 
 def hetero_simulate(
@@ -244,65 +267,38 @@ def hetero_simulate(
     Queue order: *policy* scores each job's reference variant
     ``(submit, runtime_ref, size_ref)``; lower runs first.  Dispatch: the
     queue head takes the earliest-finishing variant that fits now; if no
-    variant fits, the head blocks (no overtaking).
+    variant fits, the head blocks (no overtaking).  Static policies are
+    scored once for the whole workload, dynamic ones once per scheduling
+    pass — the kernel's scoring contract.
     """
     platform.validate(jobs)
+    placement = _Placement(jobs, platform)
     n = len(jobs)
-    start = np.full(n, np.nan)
-    chosen: list[str] = [""] * n
-    dispatch: dict[str, int] = {a: 0 for a in platform.pools}
     if n == 0:
-        return HeteroResult(jobs, start, chosen, policy.name, tau, dispatch)
+        start = np.full(0, np.nan)
+        return HeteroResult(jobs, start, [], policy.name, tau, placement.dispatch)
 
-    order = sorted(range(n), key=lambda i: (jobs[i].submit, i))
     submits = np.array([j.submit for j in jobs])
     ref_runtime = np.array([j.ref.runtime for j in jobs])
+    # with a placement the kernel reads sizes only to score them; float
+    # reference sizes keep the score bits of the pre-kernel loop
     ref_size = np.array([float(j.ref.size) for j in jobs])
-
-    completions = CompletionQueue()
-    arch_of_running: dict[int, str] = {}
-    queue: list[int] = []
-    ai = 0
-    started = 0
-    now = jobs[order[0]].submit
-
-    def schedule_pass(at: float) -> None:
-        nonlocal started
-        while queue:
-            q = np.asarray(queue)
-            scores = policy.scores(at, submits[q], ref_runtime[q], ref_size[q])
-            ranked = [int(q[i]) for i in np.lexsort((q, submits[q], scores))]
-            head = ranked[0]
-            arch = _best_variant_now(jobs[head], platform, at)
-            if arch is None:
-                return  # head blocks
-            variant = jobs[head].variants[arch]
-            platform.pools[arch].allocate(head, variant.size)
-            arch_of_running[head] = arch
-            start[head] = at
-            chosen[head] = arch
-            dispatch[arch] += 1
-            completions.push(at + variant.runtime, head)
-            queue.remove(head)
-            started += 1
-
-    while started < n:
-        next_arrival = jobs[order[ai]].submit if ai < n else np.inf
-        next_completion = completions.peek_time()
-        if not queue and not arch_of_running:
-            event_time = next_arrival
-        else:
-            event_time = min(next_arrival, next_completion)
-        now = max(now, event_time)
-
-        for idx in completions.pop_until(now):
-            platform.pools[arch_of_running.pop(idx)].release(idx)
-        while ai < n and jobs[order[ai]].submit <= now:
-            queue.append(order[ai])
-            ai += 1
-        schedule_pass(now)
-
-    return HeteroResult(jobs, start, chosen, policy.name, tau, dispatch)
+    order = np.argsort(submits, kind="stable")
+    scorer = policy.scores if policy.dynamic else None
+    scores = None
+    if scorer is None:
+        scores = np.ascontiguousarray(
+            policy.scores(float(submits[order[0]]), submits, ref_runtime, ref_size),
+            dtype=np.float64,
+        )
+        validate_scores(scores)
+    result = _simulate_py(
+        submits, ref_runtime, ref_runtime, ref_size, platform.total_cores,
+        0, scores, scorer, order, placement,
+    )
+    return HeteroResult(
+        jobs, result.start, placement.chosen, policy.name, tau, placement.dispatch
+    )
 
 
 def workload_to_hetero_jobs(

@@ -1,13 +1,14 @@
 """Unified event-heap simulation kernel.
 
-Both public simulators — :func:`repro.sim.engine.simulate` (the online
-evaluation engine) and
+All three public simulators — :func:`repro.sim.engine.simulate` (the
+online evaluation engine),
 :func:`repro.sim.listsched.simulate_fixed_priority` (the training trial
-simulator) — are thin configurations of the single event loop in this
-module.  One arrival/completion heap drives every mode; per-event state
-lives in preallocated arrays (start times, the running set's
-expected-end/size timeline, the sorted waiting queue) instead of the
-per-event dicts and list comprehensions of the pre-kernel loops.
+simulator) and :func:`repro.sim.hetero.hetero_simulate` (the
+heterogeneous dispatcher) — are thin configurations of the single event
+loop in this module.  One arrival/completion heap drives every mode;
+per-event state lives in preallocated arrays (start times, the running
+set's expected-end/size timeline, the sorted waiting queue) instead of
+the per-event dicts and list comprehensions of the pre-kernel loops.
 
 Event loop contract (the exact semantics of the original loops — the
 parity suite pins them bit-for-bit against ``tests/oracle_sim.py``):
@@ -257,8 +258,17 @@ def _simulate_py(
     static_scores: np.ndarray | None,
     scorer,
     order: np.ndarray,
+    placement=None,
 ) -> KernelResult:
-    """The pure-Python event loop (dynamic policies and C-less hosts)."""
+    """The pure-Python event loop (dynamic policies and C-less hosts).
+
+    *placement* replaces the single ``nmax``-core pool with per-job
+    placement across several pools (the heterogeneous dispatcher,
+    :mod:`repro.sim.hetero`; head-blocking mode 0 only).  It is a
+    per-run allocator with ``free`` (idle units over all pools),
+    ``place(idx, now)`` — allocate a variant for job *idx* and return
+    its runtime, or ``None`` when none fits — and ``release(idx)``.
+    """
     from repro.sim.backfill import hybrid_starts
     from repro.sim.cluster import Cluster
     from repro.sim.conservative import conservative_starts
@@ -282,11 +292,11 @@ def _simulate_py(
     run_pos: dict[int, int] = {}
     rn = 0
 
-    # Free/busy cores go through the shared Cluster allocator — the same
-    # code path as the per-leaf platform model — so the conservation
-    # invariant (free + busy == nmax) is asserted inside the kernel
-    # instead of being a drift-prone parallel implementation.
-    cluster = Cluster(nmax)
+    # Free/busy cores go through the Cluster allocator (one per run, so
+    # no allocation state outlives it), which asserts the conservation
+    # invariant (free + busy == nmax) inside the kernel.  A placement
+    # stands in for it through the same ``free``/``release`` surface.
+    cluster = Cluster(nmax) if placement is None else placement
     completions: list[tuple[float, int]] = []
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -397,11 +407,26 @@ def _simulate_py(
         else:
             pos = 0
             L = len(ord_list)
-            while pos < L and sizes_l[ord_list[pos]] <= cluster.free:
-                idx = ord_list[pos]
-                _start(idx, False)
-                started.add(idx)
-                pos += 1
+            if placement is None:
+                while pos < L and sizes_l[ord_list[pos]] <= cluster.free:
+                    idx = ord_list[pos]
+                    _start(idx, False)
+                    started.add(idx)
+                    pos += 1
+            else:
+                # The placement picks (and allocates) the variant, whose
+                # runtime drives the completion; the head blocks when no
+                # variant fits.
+                while pos < L:
+                    idx = ord_list[pos]
+                    run = placement.place(idx, now)
+                    if run is None:
+                        break
+                    start_arr[idx] = now
+                    heappush(completions, (now + run, idx))
+                    started_count += 1
+                    started.add(idx)
+                    pos += 1
             if mode == 1 and pos < L and cluster.free > 0 and L - pos >= 2:
                 n_passes += 1
                 head_size = sizes_l[ord_list[pos]]
@@ -411,8 +436,8 @@ def _simulate_py(
                     )
                 # Vectorised shadow: sort running (clamped end, size)
                 # pairs, then the first prefix-sum crossing head_size is
-                # the reservation — same arithmetic as
-                # repro.sim.backfill.shadow_schedule.
+                # the reservation — same arithmetic as the reference
+                # shadow_schedule in tests/easy_reference.py.
                 ends = np.maximum(run_end[:rn], now)
                 ordr = np.lexsort((run_size[:rn], ends))
                 csum = np.cumsum(run_size[:rn][ordr])

@@ -14,7 +14,7 @@ through :func:`simulate_fixed_priority_batch`, which amortises
 per-trial setup (arrival order, scratch allocation) across the batch.
 
 The semantics are deliberately identical to the online engine running a
-static "priority" policy — ``tests/sim/test_listsched.py`` cross-checks
+static "priority" policy — ``tests/test_sim_engine_properties.py`` cross-checks
 the two implementations on random instances, and
 ``tests/test_sim_kernel_parity.py`` pins the kernel against the retained
 pre-kernel loop bit for bit.

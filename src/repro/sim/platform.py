@@ -4,13 +4,15 @@ The paper's platform model (§3.1) is deliberately flat — ``nmax``
 homogeneous cores where the interconnection topology never constrains
 placement — and its conclusion names partitioned/heterogeneous platforms
 as the open research direction.  This module makes the resource model a
-first-class abstraction so the evaluation matrix can sweep it:
+first-class abstraction so the evaluation matrix can sweep it.
 
-* :class:`FlatPlatform` — the paper's machine.  One :class:`Cluster`
-  pool; the engine keeps its original bare kernel invocation for this
-  case, so flat runs stay **bit-identical** to the pre-platform code
-  path (including ``REPRO_SIM_KERNEL`` C-backend eligibility).  The CI
-  topology-smoke job byte-compares the two.
+A :class:`Platform` is an immutable capacity description (named pools
+of cores); allocation state lives only inside one simulation run, so a
+platform can be reused across runs.
+
+* The paper's flat machine needs no platform object: the engine runs it
+  through the bare kernel invocation, so flat runs keep their
+  ``REPRO_SIM_KERNEL`` C-backend eligibility.
 * :class:`PartitionedPlatform` — a topology tuple (e.g. ``(2, 4)`` → 8
   leaves) splits ``nmax`` cores into equal leaves; each leaf runs its
   own scheduler instance (one kernel event loop per leaf) over the jobs
@@ -18,7 +20,7 @@ first-class abstraction so the evaluation matrix can sweep it:
   :func:`simulate_partitioned` merges the per-leaf completion streams
   back into one global result.
 * :class:`~repro.sim.hetero.HeteroPlatform` — named per-architecture
-  pools, rebased onto the same :class:`Platform` base.
+  pools, scheduled by the kernel with a per-job placement rule.
 
 Distribution strategies (:data:`DISTRIBUTIONS`) are deterministic given
 the spec: ``round_robin`` deals jobs to leaves in arrival order,
@@ -41,17 +43,17 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from repro.sim.cluster import Cluster
 from repro.sim.kernel import KernelResult, simulate_events
 from repro.util.rng import RngFactory
+from repro.util.validation import check_positive_int
 
 __all__ = [
     "DISTRIBUTIONS",
-    "FlatPlatform",
     "PartitionedPlatform",
     "PartitionedOutcome",
     "Platform",
@@ -136,59 +138,27 @@ def platform_identity(
 
 
 class Platform:
-    """Base resource model: one named :class:`Cluster` pool per leaf.
+    """Immutable capacity description: named pools of interchangeable cores.
 
-    Subclasses decide the pool layout (a single pool, equal topology
-    leaves, per-architecture pools); this base owns the shared
-    accounting surface — pool lookup, total capacity and the
-    conservation invariant each :class:`Cluster` enforces.
+    ``pools`` maps each pool name (a topology leaf, an architecture) to
+    its core count.  A platform holds no allocation state — every
+    simulation allocates on its own per-run pools.
     """
 
     def __init__(self, pools: dict[str, int]) -> None:
         if not pools:
             raise ValueError("platform needs at least one pool")
-        self.pools = {name: Cluster(n) for name, n in pools.items()}
+        self.pools = MappingProxyType(
+            {
+                name: check_positive_int(f"pool {name!r} cores", cores)
+                for name, cores in pools.items()
+            }
+        )
 
     @property
     def total_cores(self) -> int:
         """Capacity summed over every pool."""
-        return sum(c.nmax for c in sorted_pools(self.pools))
-
-    def free(self, name: str) -> int:
-        """Idle units in pool *name*."""
-        return self.pools[name].free
-
-    def reset(self) -> None:
-        """Drop all allocations in every pool (fresh simulation)."""
-        for cluster in sorted_pools(self.pools):
-            cluster.reset()
-
-    @property
-    def is_partitioned(self) -> bool:
-        """Whether placement is constrained to per-leaf sub-machines."""
-        return len(self.pools) > 1
-
-
-def sorted_pools(pools: dict[str, Cluster]) -> list[Cluster]:
-    """Pools in deterministic (name-sorted) order."""
-    return [pools[name] for name in sorted(pools)]
-
-
-class FlatPlatform(Platform):
-    """The paper's machine: one pool of ``nmax`` interchangeable cores.
-
-    Contract: the engine simulates flat platforms through the original
-    kernel invocation (one ``simulate_events`` call over the whole
-    workload), so results are bit-identical to the pre-platform code and
-    static-score runs keep their C-backend eligibility.
-    """
-
-    def __init__(self, nmax: int) -> None:
-        super().__init__({"0": nmax})
-        self.nmax = nmax
-        self.topology: tuple[int, ...] | None = None
-        self.n_leaves = 1
-        self.leaf_cores = nmax
+        return sum(self.pools.values())
 
 
 class PartitionedPlatform(Platform):
@@ -203,7 +173,7 @@ class PartitionedPlatform(Platform):
     def __init__(self, nmax: int, topology) -> None:
         topo = normalize_topology(topology)
         if topo is None:
-            raise ValueError("PartitionedPlatform needs a topology; use FlatPlatform")
+            raise ValueError("PartitionedPlatform needs a topology")
         n_leaves = math.prod(topo)
         leaf_cores, remainder = divmod(nmax, n_leaves)
         if remainder != 0:

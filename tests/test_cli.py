@@ -57,6 +57,7 @@ class TestSimulate:
                 "64",
                 "--estimates",
                 "--backfill",
+                "easy",
             ]
         )
         assert code == 0
@@ -386,12 +387,11 @@ class TestSimulateBackfillModes:
             assert main([*self.BASE, "--backfill", mode]) == 0
             assert "backfilled=" in capsys.readouterr().out
 
-    def test_bare_flag_is_deprecated_easy_alias(self, capsys):
-        with pytest.warns(DeprecationWarning, match="bare --backfill"):
-            assert main([*self.BASE, "--backfill"]) == 0
-        bare = capsys.readouterr().out
-        assert main([*self.BASE, "--backfill", "easy"]) == 0
-        assert bare == capsys.readouterr().out
+    def test_bare_flag_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*self.BASE, "--backfill"])
+        assert exc.value.code == 2
+        assert "--backfill: expected one argument" in capsys.readouterr().err
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(SystemExit, match="backfill"):

@@ -1,11 +1,11 @@
-"""Tests for repro.sim.backfill (EASY aggressive backfilling)."""
+"""Tests for the EASY aggressive-backfilling reference (tests/easy_reference.py)."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.backfill import easy_backfill, shadow_schedule
+from easy_reference import easy_backfill, shadow_schedule
 
 
 class TestShadowSchedule:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from oracle_hetero import oracle_hetero_simulate
 from repro.policies.classic import FCFS, SPT
+from repro.policies.registry import get_policy
 from repro.sim.engine import simulate
 from repro.sim.hetero import (
     HeteroJob,
@@ -169,3 +171,59 @@ class TestHeteroSpeedup:
         )
         assert hybrid.ave_bsld < base.ave_bsld
         assert hybrid.dispatch_counts["gpu"] > 0
+
+
+class TestPlatformReuse:
+    def test_two_runs_on_one_platform_are_identical(self):
+        """A platform is a capacity description: a run leaves no cores
+        allocated on it, so a second run sees the same idle machine."""
+        platform = HeteroPlatform({"cpu": 4})
+        jobs = [cpu_job(i, float(i), 5.0, 4) for i in range(4)]
+        first = hetero_simulate(jobs, FCFS(), platform)
+        second = hetero_simulate(jobs, FCFS(), platform)
+        assert first.start.tolist() == [0.0, 5.0, 10.0, 15.0]
+        assert second.start.tobytes() == first.start.tobytes()
+        assert second.chosen_arch == first.chosen_arch
+        assert second.dispatch_counts == first.dispatch_counts
+
+
+# static and dynamic queue orders
+PARITY_POLICIES = ["FCFS", "SPT", "LAF", "F1", "F2", "WFP3", "UNICEF"]
+ARCHS = ("cpu", "gpu", "mic")
+
+
+def _random_case(rng: np.random.Generator):
+    """1-3 pools; jobs whose variants may be missing from some pools or
+    name an architecture the platform does not have."""
+    n_pools = int(rng.integers(1, 4))
+    capacity = {a: int(rng.integers(1, 9)) for a in ARCHS[:n_pools]}
+    n = int(rng.integers(1, 40))
+    # coarse grids make equal submits and equal finish times common
+    submit = np.round(rng.uniform(0.0, 2.0 * n, n))
+    jobs = []
+    for i in range(n):
+        runtime = float(rng.integers(1, 30))
+        variants = {"cpu": Variant(runtime, int(rng.integers(1, capacity["cpu"] + 1)))}
+        for arch in ARCHS[1:] + ("fpga",):
+            if rng.random() < 0.5:
+                size = int(rng.integers(1, capacity.get(arch, 4) + 1))
+                variants[arch] = Variant(runtime / float(rng.integers(1, 5)), size)
+        jobs.append(HeteroJob(job_id=i, submit=float(submit[i]), variants=variants))
+    return jobs, capacity
+
+
+class TestFrozenLoopParity:
+    """The kernel-hosted dispatcher reproduces the frozen pre-kernel
+    loop (``tests/oracle_hetero.py``) bit for bit."""
+
+    @pytest.mark.parametrize("policy_name", PARITY_POLICIES)
+    def test_randomized_cases_match_oracle(self, policy_name):
+        policy = get_policy(policy_name)
+        rng = np.random.default_rng(sum(map(ord, policy_name)))
+        for _ in range(40):
+            jobs, capacity = _random_case(rng)
+            got = hetero_simulate(jobs, policy, HeteroPlatform(capacity))
+            start, chosen, dispatch = oracle_hetero_simulate(jobs, policy, capacity)
+            assert got.start.tobytes() == start.tobytes()
+            assert got.chosen_arch == chosen
+            assert list(got.dispatch_counts.items()) == list(dispatch.items())

@@ -14,13 +14,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from easy_reference import easy_backfill
 from repro.policies.registry import get_policy
 from repro.sim import _cbackend
-from repro.sim.backfill import (
-    HYBRID_RESERVATION_DEPTH,
-    easy_backfill,
-    hybrid_starts,
-)
+from repro.sim.backfill import HYBRID_RESERVATION_DEPTH, hybrid_starts
 from repro.sim.conservative import conservative_starts
 from repro.sim.engine import normalize_backfill, simulate
 from repro.sim.job import Workload

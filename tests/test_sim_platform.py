@@ -16,12 +16,10 @@ from repro.api import run
 from repro.eval.report import matrix_to_json
 from repro.policies.registry import get_policy
 from repro.sim import _cbackend
-from repro.sim.cluster import Cluster
 from repro.sim.engine import simulate
 from repro.sim.job import Workload
 from repro.sim.platform import (
     DISTRIBUTIONS,
-    FlatPlatform,
     PartitionedPlatform,
     distribute_jobs,
     normalize_distribution,
@@ -103,14 +101,6 @@ class TestPartitionedPlatform:
         assert platform.leaf_cores == 16
         assert platform.leaf_labels == ("0.0", "0.1", "1.0", "1.1")
         assert platform.total_cores == 64
-        assert platform.is_partitioned
-
-    def test_flat_platform_single_pool(self):
-        platform = FlatPlatform(32)
-        assert platform.n_leaves == 1
-        assert platform.total_cores == 32
-        assert not platform.is_partitioned
-        assert isinstance(platform.pools["0"], Cluster)
 
     def test_uneven_division_rejected(self):
         with pytest.raises(ValueError, match="does not divide evenly"):
