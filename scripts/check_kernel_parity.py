@@ -37,7 +37,7 @@ EVALUATE_ARGS = [
     "--trace",
     str(TRACE),
     "--policies",
-    "fcfs,spt,f1",
+    "fcfs,spt,f1,wfp3,unicef",
     "--backfill",
     "none,easy,conservative",
     "--window-jobs",

@@ -4,9 +4,9 @@ The simulation kernel ships a C transcription (``sim/_cbackend.py``)
 that must reproduce the Python path *bit for bit*.  Most arithmetic is
 exactly transcribable, but ``x ** y`` on floats is not: numpy lowers
 small integer exponents to repeated multiplication while C's ``pow``
-goes through libm, and the two can differ in the last ulp — the exact
-hazard PR 7 documented for the WFP3/UNICEF cube, which is why those
-dynamic policies deliberately stay on the Python path.  This rule flags
+goes through libm, and the two can differ in the last ulp — which is
+why WFP3 spells its cube ``x * x * x``, the form the C kernel's
+dynamic scoring reproduces exactly.  This rule flags
 ``**`` (unless both operands are integer literals, which constant-fold
 identically), ``math.pow`` and ``np.power`` inside the kernel-parity
 modules (``sim/``, ``policies/``), so a casually added power expression

@@ -10,6 +10,13 @@ Table 2 of the paper:
 
 Both depend on the waiting time ``w = now - submit`` and are therefore
 *dynamic*: their scores must be recomputed at every rescheduling event.
+Everything else in the formulas is now-independent, so each policy
+splits it out once per workload in :meth:`kernel_terms` (``a`` divides
+the wait; WFP3's ``b`` multiplies the cube) and :meth:`scores` is
+written over the same arrays.  What is left per pass uses only
+``- / * max``, which the compiled kernel (:mod:`repro.sim._cbackend`)
+reproduces bit for bit; the cube is ``x * x * x``, not ``x ** 3``, for
+the same reason.
 
 Numerical guards: runtimes/estimates are clamped to >= 1 s and ``log2(n)``
 to >= 1 (serial jobs would otherwise divide by zero), mirroring the
@@ -20,11 +27,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.policies.base import Policy
+from repro.policies.base import KERNEL_UNICEF, KERNEL_WFP3, KernelTerms, Policy
 
 __all__ = ["WFP3", "UNICEF"]
 
 _MIN_PROC = 1.0  # avoid division blow-ups on sub-second runtimes
+
+
+def _wait(now, submit) -> np.ndarray:
+    return np.maximum(float(now) - np.asarray(submit, dtype=float), 0.0)
+
+
+def _clamped_proc(proc) -> np.ndarray:
+    return np.maximum(np.asarray(proc, dtype=float), _MIN_PROC)
 
 
 class WFP3(Policy):
@@ -33,11 +48,13 @@ class WFP3(Policy):
     name = "WFP"
     dynamic = True
 
+    def kernel_terms(self, proc, size) -> KernelTerms:
+        return KernelTerms(KERNEL_WFP3, _clamped_proc(proc), np.asarray(size, dtype=float))
+
     def scores(self, now, submit, proc, size):
-        wait = np.maximum(float(now) - np.asarray(submit, dtype=float), 0.0)
-        proc = np.maximum(np.asarray(proc, dtype=float), _MIN_PROC)
-        size = np.asarray(size, dtype=float)
-        return -((wait / proc) ** 3) * size  # repro: allow[REP007] dynamic policy, Python-kernel path only; cube matches paper formula and never reaches the C backend
+        _, a, b = self.kernel_terms(proc, size)
+        x = _wait(now, submit) / a
+        return -(x * x * x) * b
 
 
 class UNICEF(Policy):
@@ -46,8 +63,11 @@ class UNICEF(Policy):
     name = "UNI"
     dynamic = True
 
-    def scores(self, now, submit, proc, size):
-        wait = np.maximum(float(now) - np.asarray(submit, dtype=float), 0.0)
-        proc = np.maximum(np.asarray(proc, dtype=float), _MIN_PROC)
+    def kernel_terms(self, proc, size) -> KernelTerms:
         denom = np.maximum(np.log2(np.maximum(np.asarray(size, dtype=float), 2.0)), 1.0)
-        return -wait / (denom * proc)
+        a = denom * _clamped_proc(proc)
+        return KernelTerms(KERNEL_UNICEF, a, a)
+
+    def scores(self, now, submit, proc, size):
+        _, a, _ = self.kernel_terms(proc, size)
+        return -_wait(now, submit) / a

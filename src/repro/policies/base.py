@@ -33,10 +33,28 @@ registry is held to this contract by ``tests/test_policy_batch_contract.py``.
 from __future__ import annotations
 
 import abc
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["Policy"]
+__all__ = ["KERNEL_UNICEF", "KERNEL_WFP3", "KernelTerms", "Policy"]
+
+#: Formula codes of the compiled kernel's dynamic scoring mode.
+KERNEL_WFP3 = 1
+KERNEL_UNICEF = 2
+
+
+class KernelTerms(NamedTuple):
+    """Now-independent per-job terms of a compiled dynamic score.
+
+    ``a`` must be finite and positive; ``b`` finite (formulas that do
+    not use it may pass ``a`` again).  Both are elementwise per job, so
+    slicing them by job index gives the terms of the job subset.
+    """
+
+    code: int
+    a: np.ndarray
+    b: np.ndarray
 
 
 class Policy(abc.ABC):
@@ -84,6 +102,14 @@ class Policy(abc.ABC):
             np.asarray([size], dtype=float),
         )
         return float(out[0])
+
+    def kernel_terms(self, proc: np.ndarray, size: np.ndarray) -> KernelTerms | None:
+        """Now-independent terms for compiled dynamic scoring, or ``None``.
+
+        ``None`` (the default) keeps a dynamic policy on the kernel's
+        Python loop, which calls :meth:`scores` once per scheduling pass.
+        """
+        return None
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r}, dynamic={self.dynamic})"

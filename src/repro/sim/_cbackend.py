@@ -10,10 +10,14 @@ floating-point operation it performs (additions, comparisons, the
 ``1e-9``/``1e-12`` epsilons of the backfill helpers) exists identically
 in the Python path, so results are **bit-identical** — the parity suite
 (``tests/test_sim_kernel_parity.py``) enforces this against the frozen
-pre-kernel oracle for both backends.  Dynamic policies never reach C:
-their scores come from numpy ufunc kernels whose bit patterns a libm
-reimplementation cannot reproduce, so they stay on the vectorised
-Python path.
+pre-kernel oracle for both backends.  Dynamic policies with kernel
+terms (WFP3, UNICEF) run here too: their now-independent parts (the
+``proc`` clamp, UNICEF's ``log2`` denominator) are computed once in
+numpy and passed in as arrays, so each pass scores with ``- / * max``
+alone, which C reproduces bit for bit when built without FMA
+contraction (``-ffp-contract=off``).  Custom dynamic policies without
+terms, hybrid backfill, the heterogeneous dispatcher and every run
+under ``REPRO_SIM_KERNEL=python`` stay on the Python loop.
 
 Selection and caching:
 
@@ -67,23 +71,38 @@ static int ev_cmp(const void *a, const void *b)
     return 0;
 }
 
+/* waiting-queue entry; the queue is ordered by (score, submit, job) */
+typedef struct { double s, sub; i64 i; } Qe;
+
+static int qe_cmp(const void *a, const void *b)
+{
+    const Qe *x = (const Qe *)a, *y = (const Qe *)b;
+    if (x->s != y->s) return (x->s < y->s) ? -1 : 1;
+    if (x->sub != y->sub) return (x->sub < y->sub) ? -1 : 1;
+    return (x->i < y->i) ? -1 : (x->i > y->i);
+}
+
 typedef struct {
     i64 n, nmax;
     int mode; /* 0 none, 1 easy, 2 conservative */
-    const double *subs, *runs, *procs, *scores;
+    /* 0: static scores; 1 WFP3, 2 UNICEF: rescored per pass from the
+     * now-independent terms ta/tb */
+    int score_code;
+    const double *subs, *runs, *procs, *scores, *ta, *tb;
     const i64 *sizes, *order;
     double *start;
     unsigned char *backfilled;
     /* completion min-heap ordered by (time, job) like heapq tuples */
     double *h_t; i64 *h_i; i64 hn;
-    /* waiting queue kept sorted by (score, submit, job); qh = front */
-    double *q_s, *q_sub; i64 *q_i; i64 qh, qn;
+    /* waiting queue: sorted on insert (static) or per pass (dynamic);
+     * qh = front */
+    Qe *q; i64 qh, qn;
     /* running set, unordered with swap-removal (order never observable:
      * both backfill helpers sort or sum over it) */
     double *r_end; i64 *r_size, *r_job, *r_pos; i64 rn;
     /* scratch: event pairs + availability-profile breakpoints */
     Ev *ev; double *p_t; i64 *p_f; i64 pn;
-    i64 free_cores, started, n_events, n_passes;
+    i64 free_cores, started, n_events, n_passes, nan_job;
     double now;
 } Sim;
 
@@ -123,35 +142,57 @@ static i64 h_pop(Sim *S)
     return top;
 }
 
-/* bisect_left on (score, submit, job) keys — keys are unique (job is). */
+/* Arrival.  Static scores: bisect_left on (score, submit, job) keys —
+ * keys are unique (job is).  Dynamic scores: append; the pass sorts. */
 static void q_insert(Sim *S, i64 idx)
 {
-    double sc = S->scores[idx], sb = S->subs[idx];
-    i64 lo = S->qh, hi = S->qh + S->qn;
-    while (lo < hi) {
-        i64 mid = (lo + hi) >> 1;
-        int less;
-        if (S->q_s[mid] != sc) less = S->q_s[mid] < sc;
-        else if (S->q_sub[mid] != sb) less = S->q_sub[mid] < sb;
-        else less = S->q_i[mid] < idx;
-        if (less) lo = mid + 1; else hi = mid;
+    Qe e = { 0.0, S->subs[idx], idx };
+    i64 lo = S->qh + S->qn, end = lo;
+    if (S->score_code == 0) {
+        e.s = S->scores[idx];
+        i64 hi = lo;
+        lo = S->qh;
+        while (lo < hi) {
+            i64 mid = (lo + hi) >> 1;
+            if (qe_cmp(S->q + mid, &e) < 0) lo = mid + 1; else hi = mid;
+        }
+        memmove(S->q + lo + 1, S->q + lo, (size_t)(end - lo) * sizeof(Qe));
     }
-    i64 end = S->qh + S->qn;
-    memmove(S->q_s + lo + 1, S->q_s + lo, (size_t)(end - lo) * sizeof(double));
-    memmove(S->q_sub + lo + 1, S->q_sub + lo, (size_t)(end - lo) * sizeof(double));
-    memmove(S->q_i + lo + 1, S->q_i + lo, (size_t)(end - lo) * sizeof(i64));
-    S->q_s[lo] = sc; S->q_sub[lo] = sb; S->q_i[lo] = idx;
+    S->q[lo] = e;
     S->qn++;
+}
+
+/* Dynamic scoring, run where the Python loop calls policy.scores:
+ * w = max(now - submit, 0) over the precomputed terms, using only
+ * - / * max so the bits equal numpy's (built with -ffp-contract=off).
+ * The keys are unique, so qsort gives the lexsort order. */
+static int rescore(Sim *S)
+{
+    Qe *q = S->q + S->qh;
+    for (i64 p = 0; p < S->qn; p++) {
+        i64 idx = q[p].i;
+        double w = S->now - q[p].sub;
+        if (w < 0.0) w = 0.0;
+        double sc;
+        if (S->score_code == 1) {
+            double x = w / S->ta[idx];
+            sc = -(x * x * x) * S->tb[idx];
+        } else {
+            sc = -w / S->ta[idx];
+        }
+        if (isnan(sc)) { S->nan_job = idx; return 5; }
+        q[p].s = sc;
+    }
+    qsort(q, (size_t)S->qn, sizeof(Qe), qe_cmp);
+    return 0;
 }
 
 static void compact_queue(Sim *S)
 {
     i64 w = S->qh, end = S->qh + S->qn;
     for (i64 p = S->qh; p < end; p++) {
-        i64 idx = S->q_i[p];
-        if (!isnan(S->start[idx])) continue; /* started this pass */
-        S->q_s[w] = S->q_s[p]; S->q_sub[w] = S->q_sub[p]; S->q_i[w] = idx;
-        w++;
+        if (!isnan(S->start[S->q[p].i])) continue; /* started this pass */
+        S->q[w++] = S->q[p];
     }
     S->qn = w - S->qh;
 }
@@ -195,7 +236,7 @@ static void complete(Sim *S, i64 idx)
 static int easy_pass(Sim *S)
 {
     double now = S->now;
-    i64 head = S->q_i[S->qh];
+    i64 head = S->q[S->qh].i;
     i64 head_size = S->sizes[head];
     S->n_passes++;
     for (i64 k = 0; k < S->rn; k++) {
@@ -219,7 +260,7 @@ static int easy_pass(Sim *S)
     if (!found) return 3;
     i64 end_pos = S->qh + S->qn, n_started = 0;
     for (i64 p = S->qh + 1; p < end_pos; p++) {
-        i64 idx = S->q_i[p];
+        i64 idx = S->q[p].i;
         i64 sz = S->sizes[idx];
         if (sz > S->free_cores) continue;
         if (now + S->procs[idx] <= shadow + 1e-9) {
@@ -265,7 +306,7 @@ static int conservative_pass(Sim *S)
 {
     double now = S->now;
     S->n_passes++;
-    i64 head = S->q_i[S->qh];
+    i64 head = S->q[S->qh].i;
     i64 used_now = 0;
     for (i64 k = 0; k < S->rn; k++) {
         double e = S->r_end[k];
@@ -289,7 +330,7 @@ static int conservative_pass(Sim *S)
     }
     i64 end_pos = S->qh + S->qn, n_started = 0;
     for (i64 p = S->qh; p < end_pos; p++) {
-        i64 idx = S->q_i[p];
+        i64 idx = S->q[p].i;
         i64 sz = S->sizes[idx];
         double dur = S->procs[idx];
         if (dur < 1e-9) dur = 1e-9;
@@ -357,7 +398,8 @@ static int sim_run(Sim *S)
         }
         if (S->qn == 0) continue;
         if (S->mode == 2) {
-            int rc = conservative_pass(S);
+            int rc = S->score_code ? rescore(S) : 0;
+            if (!rc) rc = conservative_pass(S);
             if (rc) return rc;
             continue;
         }
@@ -365,8 +407,12 @@ static int sim_run(Sim *S)
          * and skipping the pass changes no counters (n_events already
          * counted; backfill passes require free > 0) */
         if (S->free_cores == 0) continue;
+        if (S->score_code) {
+            int rc = rescore(S);
+            if (rc) return rc;
+        }
         while (S->qn > 0) {
-            i64 idx = S->q_i[S->qh];
+            i64 idx = S->q[S->qh].i;
             if (S->sizes[idx] > S->free_cores) break;
             int rc = start_job(S, idx, 0);
             if (rc) return rc;
@@ -383,18 +429,22 @@ static int sim_run(Sim *S)
 
 int repro_sim(i64 n, i64 nmax, int mode,
               const double *subs, const double *runs, const double *procs,
-              const i64 *sizes, const double *scores, const i64 *order,
+              const i64 *sizes, const double *scores,
+              int score_code, const double *ta, const double *tb,
+              const i64 *order,
               double *start, unsigned char *backfilled, i64 *counters)
 {
     counters[0] = 0;
     counters[1] = 0;
+    counters[2] = -1;
     if (n <= 0) return 0;
     size_t nd = (size_t)n;
-    double *dbuf = (double *)malloc((nd + 4 * nd + nd + (3 * nd + 4)) * sizeof(double));
-    i64 *ibuf = (i64 *)malloc((nd + 2 * nd + 3 * nd + (3 * nd + 4)) * sizeof(i64));
+    double *dbuf = (double *)malloc((2 * nd + (3 * nd + 4)) * sizeof(double));
+    i64 *ibuf = (i64 *)malloc((4 * nd + (3 * nd + 4)) * sizeof(i64));
+    Qe *q = (Qe *)malloc(2 * nd * sizeof(Qe));
     Ev *ev = (Ev *)malloc(nd * sizeof(Ev));
-    if (!dbuf || !ibuf || !ev) {
-        free(dbuf); free(ibuf); free(ev);
+    if (!dbuf || !ibuf || !q || !ev) {
+        free(dbuf); free(ibuf); free(q); free(ev);
         return 1;
     }
     Sim S;
@@ -402,23 +452,23 @@ int repro_sim(i64 n, i64 nmax, int mode,
     S.n = n; S.nmax = nmax; S.mode = mode;
     S.subs = subs; S.runs = runs; S.procs = procs;
     S.sizes = sizes; S.scores = scores; S.order = order;
+    S.score_code = score_code; S.ta = ta; S.tb = tb;
     S.start = start; S.backfilled = backfilled;
     S.h_t = dbuf;
-    S.q_s = dbuf + nd;
-    S.q_sub = dbuf + nd + 2 * nd;
-    S.r_end = dbuf + nd + 4 * nd;
-    S.p_t = dbuf + nd + 4 * nd + nd;
+    S.r_end = dbuf + nd;
+    S.p_t = dbuf + 2 * nd;
     S.h_i = ibuf;
-    S.q_i = ibuf + nd;
-    S.r_size = ibuf + nd + 2 * nd;
-    S.r_job = ibuf + nd + 3 * nd;
-    S.r_pos = ibuf + nd + 4 * nd;
-    S.p_f = ibuf + nd + 5 * nd;
+    S.r_size = ibuf + nd;
+    S.r_job = ibuf + 2 * nd;
+    S.r_pos = ibuf + 3 * nd;
+    S.p_f = ibuf + 4 * nd;
+    S.q = q;
     S.ev = ev;
     int rc = sim_run(&S);
     counters[0] = S.n_events;
     counters[1] = S.n_passes;
-    free(dbuf); free(ibuf); free(ev);
+    counters[2] = S.nan_job;
+    free(dbuf); free(ibuf); free(q); free(ev);
     return rc;
 }
 
@@ -428,11 +478,12 @@ int repro_fixed_batch(i64 n_trials, i64 m, i64 nmax,
 {
     if (m <= 0 || n_trials <= 0) return 0;
     size_t md = (size_t)m;
-    double *dbuf = (double *)malloc((md + 4 * md) * sizeof(double));
-    i64 *ibuf = (i64 *)malloc((md + 2 * md) * sizeof(i64));
+    double *dbuf = (double *)malloc(md * sizeof(double));
+    i64 *ibuf = (i64 *)malloc(md * sizeof(i64));
+    Qe *q = (Qe *)malloc(2 * md * sizeof(Qe));
     unsigned char *bf = (unsigned char *)malloc(md);
-    if (!dbuf || !ibuf || !bf) {
-        free(dbuf); free(ibuf); free(bf);
+    if (!dbuf || !ibuf || !q || !bf) {
+        free(dbuf); free(ibuf); free(q); free(bf);
         return 1;
     }
     Sim S;
@@ -442,10 +493,8 @@ int repro_fixed_batch(i64 n_trials, i64 m, i64 nmax,
     S.sizes = sizes; S.order = order;
     S.backfilled = bf;
     S.h_t = dbuf;
-    S.q_s = dbuf + md;
-    S.q_sub = dbuf + md + 2 * md;
     S.h_i = ibuf;
-    S.q_i = ibuf + md;
+    S.q = q;
     int rc = 0;
     for (i64 t = 0; t < n_trials; t++) {
         S.scores = prios + t * m;
@@ -453,7 +502,7 @@ int repro_fixed_batch(i64 n_trials, i64 m, i64 nmax,
         rc = sim_run(&S);
         if (rc) break;
     }
-    free(dbuf); free(ibuf); free(bf);
+    free(dbuf); free(ibuf); free(q); free(bf);
     return rc;
 }
 """
@@ -467,6 +516,10 @@ _ERRORS = {
     3: "EASY shadow computation found no feasible reservation",
     4: "availability profile oversubscribed",
 }
+
+#: Compiler flags.  ``-ffp-contract=off`` forbids fused multiply-adds,
+#: so every floating-point operation rounds exactly like numpy's.
+_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 def requested_mode() -> str:
@@ -505,7 +558,7 @@ def _build(so_path: Path) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(_C_SOURCE)
-        cmd = [cc, "-O2", "-fPIC", "-shared", "-o", tmp_so, tmp_c, "-lm"]
+        cmd = [cc, *_CFLAGS, "-o", tmp_so, tmp_c, "-lm"]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             raise CBackendUnavailable(
@@ -528,7 +581,9 @@ class CKernel:
         self._sim.restype = ctypes.c_int
         self._sim.argtypes = (
             [ctypes.c_longlong, ctypes.c_longlong, ctypes.c_int]
-            + [ctypes.c_void_p] * 9
+            + [ctypes.c_void_p] * 5
+            + [ctypes.c_int]
+            + [ctypes.c_void_p] * 6
         )
         self._batch = lib.repro_fixed_batch
         self._batch.restype = ctypes.c_int
@@ -544,15 +599,19 @@ class CKernel:
         runs: np.ndarray,
         procs: np.ndarray,
         sizes: np.ndarray,
-        scores: np.ndarray,
+        scores: np.ndarray | None,
         order: np.ndarray,
         nmax: int,
         mode: int,
+        terms=None,
     ) -> tuple[np.ndarray, np.ndarray, int, int]:
+        """One run; *terms* (code, a, b) selects dynamic scoring instead
+        of the static *scores*."""
         n = subs.shape[0]
         start = np.empty(n, dtype=np.float64)
         backfilled = np.zeros(n, dtype=np.uint8)
-        counters = np.zeros(2, dtype=np.int64)
+        counters = np.zeros(3, dtype=np.int64)
+        code, ta, tb = (0, None, None) if terms is None else terms
         rc = self._sim(
             n,
             nmax,
@@ -561,12 +620,20 @@ class CKernel:
             runs.ctypes.data,
             procs.ctypes.data,
             sizes.ctypes.data,
-            scores.ctypes.data,
+            None if scores is None else scores.ctypes.data,
+            code,
+            None if ta is None else ta.ctypes.data,
+            None if tb is None else tb.ctypes.data,
             order.ctypes.data,
             start.ctypes.data,
             backfilled.ctypes.data,
             counters.ctypes.data,
         )
+        if rc == 5:
+            raise ValueError(
+                f"score for job {int(counters[2])} is NaN; NaN never sorts,"
+                " so the waiting-queue order would be silently corrupted"
+            )
         if rc:
             raise RuntimeError(
                 f"C simulation kernel failed: {_ERRORS.get(rc, f'code {rc}')}"
@@ -619,7 +686,8 @@ def load() -> CKernel | None:
             raise CBackendUnavailable("C kernel unavailable (earlier build failed)")
         return _cached  # type: ignore[return-value]
     try:
-        digest = hashlib.sha256(_C_SOURCE.encode()).hexdigest()[:16]
+        key = _C_SOURCE + " ".join(_CFLAGS)
+        digest = hashlib.sha256(key.encode()).hexdigest()[:16]
         so_path = cache_dir() / f"simkernel-{digest}.so"
         if not so_path.is_file():
             _build(so_path)

@@ -17,13 +17,20 @@ Design notes
   the **whole workload in one** ``policy.scores`` call before the event
   loop starts; the kernel keeps the queue sorted by
   ``(score, submit, index)``.  Dynamic policies are rescored per
-  scheduling pass with one array call over the entire queue.  Both paths
-  are bit-identical to the retained legacy loop (``tests/oracle_sim.py``).
+  scheduling pass: WFP3 and UNICEF inside the C kernel from
+  now-independent terms computed here once
+  (:meth:`~repro.policies.base.Policy.kernel_terms`); custom dynamic
+  policies without terms, hybrid backfill and ``REPRO_SIM_KERNEL=python``
+  with one ``policy.scores`` call over the queue on the Python loop (the
+  heterogeneous dispatcher, :mod:`repro.sim.hetero`, always uses that
+  loop).  Every path is bit-identical to the retained legacy loop
+  (``tests/oracle_sim.py``).
 * Scheduling decisions use the user estimate ``e`` when
   ``use_estimates=True`` (§4.2.2); execution always uses the actual
   runtime ``r``.
 * NaN policy scores raise :class:`ValueError` at the kernel boundary
-  (they would silently corrupt the queue order otherwise).
+  and on every dynamic rescoring, and non-finite kernel terms before
+  entering C (they would silently corrupt the queue order otherwise).
 """
 
 from __future__ import annotations
@@ -228,8 +235,10 @@ def simulate(
     # one whole-workload call (at any reference time) reproduces the
     # per-arrival-batch scores bit for bit — and any subset of them the
     # per-leaf scheduler instances see.  The contract is enforced
-    # registry-wide by tests/test_policy_batch_contract.py.
+    # registry-wide by tests/test_policy_batch_contract.py.  Dynamic
+    # policies' now-independent kernel terms are likewise computed once.
     scorer = policy.scores if policy.dynamic else None
+    terms = policy.kernel_terms(procs, workload.size) if policy.dynamic else None
     scores = (
         None
         if policy.dynamic
@@ -246,6 +255,7 @@ def simulate(
             nmax,
             static_scores=scores,
             scorer=scorer,
+            terms=terms,
             backfill=config.backfill_mode,
         )
     else:
@@ -260,6 +270,7 @@ def simulate(
             workload.size,
             static_scores=scores,
             scorer=scorer,
+            terms=terms,
             backfill=config.backfill_mode,
             distribution=config.distribution,
             seed=config.platform_seed,

@@ -30,11 +30,14 @@ Scoring is vectorised at the batch level: *static* scores (policies
 whose score is independent of ``now``) are computed for the whole
 workload in **one** ``policy.scores`` call before the loop starts, and
 *dynamic* policies are rescored per pass with one array call over the
-entire queue — never per job.  Static-score simulations additionally
-dispatch to a compiled C transcription of the same loop
-(:mod:`repro.sim._cbackend`, ``REPRO_SIM_KERNEL`` selects the backend);
-dynamic ones stay on the Python path because their numpy score bits are
-not reproducible from libm.
+entire queue — never per job.  Static-score simulations dispatch to a
+compiled C transcription of the same loop (:mod:`repro.sim._cbackend`,
+``REPRO_SIM_KERNEL`` selects the backend), and so do dynamic ones that
+come with now-independent kernel *terms* (WFP3, UNICEF): C rescores
+each pass from them with the bits numpy would produce.  The Python loop
+still runs custom dynamic policies without terms, hybrid backfill, the
+heterogeneous dispatcher, and everything under
+``REPRO_SIM_KERNEL=python`` or on hosts without a C compiler.
 
 The kernel records no telemetry itself: the engine and trial wrappers
 increment the same counters (``sim.*``, ``listsched.*``) with the same
@@ -50,6 +53,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from repro.policies.base import KERNEL_UNICEF, KERNEL_WFP3
 from repro.sim import _cbackend
 
 __all__ = [
@@ -65,6 +69,10 @@ __all__ = [
 #: on the Python path, even under ``REPRO_SIM_KERNEL=c``.
 _MODE_CODES = {None: 0, "easy": 1, "conservative": 2, "hybrid": 3}
 
+#: Dynamic-score formulas the C backend implements
+#: (:class:`repro.policies.base.KernelTerms` codes).
+_TERM_CODES = (KERNEL_WFP3, KERNEL_UNICEF)
+
 
 class KernelResult(NamedTuple):
     """Everything one kernel run produces."""
@@ -75,23 +83,48 @@ class KernelResult(NamedTuple):
     n_backfill_passes: int
 
 
-def validate_scores(scores: np.ndarray, label: str = "score") -> None:
+def validate_scores(
+    scores: np.ndarray, label: str = "score", jobs: np.ndarray | None = None
+) -> None:
     """Reject NaN scores/priorities at the kernel boundary.
 
     NaN compares false against everything, so a NaN key would silently
     corrupt the waiting-queue order (historically: undefined queue
     positions rather than an error).  Raises :class:`ValueError` naming
-    the first offending job index.
+    the first offending job index; *jobs* maps the positions of a
+    queue-subset score vector back to job indices.
     """
     isnan = np.isnan(scores)
     if isnan.any():
         where = np.argwhere(isnan)[0]
-        job = int(where[-1])
+        job = int(where[-1] if jobs is None else jobs[where[-1]])
         trial = f" (trial {int(where[0])})" if scores.ndim > 1 else ""
         raise ValueError(
             f"{label} for job {job}{trial} is NaN; NaN never sorts, so the"
             " waiting-queue order would be silently corrupted"
         )
+
+
+def _validated_terms(terms, n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Check precomputed dynamic-score terms before they enter C."""
+    code, a, b = terms
+    if code not in _TERM_CODES:
+        raise ValueError(f"unknown kernel score code {code!r}")
+    a = _as_f64(a)
+    b = _as_f64(b)
+    if a.shape != (n,) or b.shape != (n,):
+        raise ValueError(f"kernel terms must have shape ({n},)")
+    for name, arr, ok, need in (
+        ("a", a, np.isfinite(a) & (a > 0), "finite and > 0"),
+        ("b", b, np.isfinite(b), "finite"),
+    ):
+        if not ok.all():
+            job = int(np.argmin(ok))
+            raise ValueError(
+                f"kernel term {name} for job {job} is {float(arr[job])!r};"
+                f" it must be {need}"
+            )
+    return code, a, b
 
 
 def _as_f64(arr) -> np.ndarray:
@@ -112,6 +145,7 @@ def simulate_events(
     static_scores: np.ndarray | None = None,
     scorer: Callable[[float, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
     | None = None,
+    terms: tuple[int, np.ndarray, np.ndarray] | None = None,
     backfill: str | None = None,
     arrival_order: np.ndarray | None = None,
     score_label: str = "score",
@@ -134,6 +168,12 @@ def simulate_events(
         Batch scoring callable ``scorer(now, submit, proc, size)`` for
         dynamic policies, applied to the entire queue once per
         scheduling pass.
+    terms:
+        ``(code, a, b)`` — the scorer's formula code and now-independent
+        per-job terms (:meth:`repro.policies.base.Policy.kernel_terms`).
+        With them the C backend scores every pass itself; *scorer* stays
+        the Python path's (hybrid, ``REPRO_SIM_KERNEL=python``, C-less
+        hosts), with the same bits.
     backfill:
         ``None``, ``"easy"``, ``"conservative"`` or ``"hybrid"``
         (canonical spellings only — use
@@ -148,6 +188,8 @@ def simulate_events(
     """
     if (static_scores is None) == (scorer is None):
         raise ValueError("exactly one of static_scores/scorer must be given")
+    if terms is not None and scorer is None:
+        raise ValueError("terms need the scorer they stand for")
     mode = _MODE_CODES[backfill]
     submit = _as_f64(submit)
     runtime = _as_f64(runtime)
@@ -163,6 +205,9 @@ def simulate_events(
     if static_scores is not None:
         static_scores = _as_f64(static_scores)
         validate_scores(static_scores, score_label)
+    if terms is not None:
+        terms = _validated_terms(terms, n)
+    if static_scores is not None or terms is not None:
         backend = (
             None
             if mode == 3 or _cbackend.requested_mode() == "python"
@@ -170,7 +215,8 @@ def simulate_events(
         )
         if backend is not None:
             start, backfilled, n_events, n_passes = backend.sim(
-                submit, runtime, proc, size, static_scores, arrival_order, nmax, mode
+                submit, runtime, proc, size, static_scores, arrival_order, nmax,
+                mode, terms,
             )
             return KernelResult(start, backfilled, n_events, n_passes)
     return _simulate_py(
@@ -260,7 +306,8 @@ def _simulate_py(
     order: np.ndarray,
     placement=None,
 ) -> KernelResult:
-    """The pure-Python event loop (dynamic policies and C-less hosts).
+    """The pure-Python event loop (custom dynamic policies, hybrid,
+    hetero placement, ``REPRO_SIM_KERNEL=python`` and C-less hosts).
 
     *placement* replaces the single ``nmax``-core pool with per-job
     placement across several pools (the heterogeneous dispatcher,
@@ -383,6 +430,7 @@ def _simulate_py(
             q = np.fromiter(items, dtype=np.int64, count=len(items))
             sq = subs[q]
             sc = scorer(now, sq, procs[q], sizes[q])
+            validate_scores(sc, "score", q)
             ord_list = q[np.lexsort((q, sq, sc))].tolist()
         else:
             ord_list = witems

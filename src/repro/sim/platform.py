@@ -277,6 +277,7 @@ def simulate_partitioned(
     *,
     static_scores: np.ndarray | None = None,
     scorer: Callable | None = None,
+    terms: tuple[int, np.ndarray, np.ndarray] | None = None,
     backfill: str | None = None,
     distribution: str = "round_robin",
     seed: int = 0,
@@ -285,11 +286,13 @@ def simulate_partitioned(
 
     Each leaf receives its assigned job subset and runs the unified
     kernel (:func:`~repro.sim.kernel.simulate_events`) against
-    ``leaf_cores``; per-leaf static-score runs keep the C-backend fast
-    path.  Start times and backfill flags are scattered back to the
-    original job indices, and event/pass counters are summed — the
-    cross-leaf completion-event merge (see the module docstring for why
-    this is exactly the interleaved loop).
+    ``leaf_cores``; per-leaf static-score runs, and dynamic ones with
+    kernel *terms* (elementwise, so sliced per leaf like every other
+    per-job array), keep the C-backend fast path.  Start times and
+    backfill flags are scattered back to the original job indices, and
+    event/pass counters are summed — the cross-leaf completion-event
+    merge (see the module docstring for why this is exactly the
+    interleaved loop).
     """
     submit = np.ascontiguousarray(submit, dtype=np.float64)
     runtime = np.ascontiguousarray(runtime, dtype=np.float64)
@@ -315,6 +318,7 @@ def simulate_partitioned(
             platform.leaf_cores,
             static_scores=None if static_scores is None else static_scores[idx],
             scorer=scorer,
+            terms=None if terms is None else (terms[0], terms[1][idx], terms[2][idx]),
             backfill=backfill,
         )
         start[idx] = result.start

@@ -14,15 +14,19 @@ the compiled C backend when a toolchain is present).
 
 from __future__ import annotations
 
+import re
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from oracle_sim import oracle_fixed_priority, oracle_simulate
 
 from repro.obs import MetricsRegistry, use_registry
+from repro.policies.adhoc import UNICEF, WFP3
+from repro.policies.base import KERNEL_WFP3, Policy
 from repro.policies.registry import get_policy
-from repro.sim import _cbackend
+from repro.sim import _cbackend, kernel
 from repro.sim.engine import simulate
 from repro.sim.job import Workload
 from repro.sim.kernel import fixed_priority_batch, simulate_events
@@ -66,6 +70,7 @@ def _kernel_outcome(workload, policy, nmax, *, use_estimates, backfill):
             workload.size,
             nmax,
             scorer=policy.scores,
+            terms=policy.kernel_terms(procs, workload.size),
             backfill=normalize_backfill(backfill),
         )
     scores = policy.scores(
@@ -260,6 +265,47 @@ class TestNaNValidation:
         with pytest.raises(ValueError, match="is NaN"):
             simulate(tiny_workload, TablePolicy(table), 4)
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_engine_rejects_nan_dynamic_policy(self, monkeypatch, backend):
+        """A dynamic policy's NaN scores are rejected on every rescoring,
+        naming a job whose score was NaN (they used to be sorted
+        silently)."""
+        from repro.workloads.lublin import lublin_workload
+
+        monkeypatch.setenv("REPRO_SIM_KERNEL", backend)
+        w = lublin_workload(200, 64, seed=3)
+        nan_submits = w.submit[2::3]
+
+        class EveryThirdNaN(Policy):
+            name = "NAN3"
+            dynamic = True
+
+            def scores(self, now, submit, proc, size):
+                return np.where(np.isin(submit, nan_submits), np.nan, submit - now)
+
+        with pytest.raises(ValueError, match=r"score for job \d+ is NaN") as err:
+            simulate(w, EveryThirdNaN(), 64)
+        job = int(re.search(r"job (\d+)", str(err.value)).group(1))
+        assert w.submit[job] in nan_submits
+
+    @pytest.mark.parametrize(
+        "a, b, match",
+        [
+            ([1.0, np.nan, 1.0], [1.0, 1.0, 1.0], "term a for job 1 is nan"),
+            ([1.0, 1.0, 0.0], [1.0, 1.0, 1.0], "term a for job 2 is 0.0"),
+            ([1.0, 1.0, 1.0], [np.inf, 1.0, 1.0], "term b for job 0 is inf"),
+        ],
+    )
+    def test_kernel_terms_validated(self, a, b, match):
+        submit = np.array([0.0, 1.0, 2.0])
+        runtime = np.ones(3)
+        size = np.ones(3, dtype=np.int64)
+        with pytest.raises(ValueError, match=match):
+            simulate_events(
+                submit, runtime, runtime, size, 4, scorer=WFP3().scores,
+                terms=(KERNEL_WFP3, np.array(a), np.array(b)),
+            )
+
 
 class TestBackfillPassCost:
     """Satellite: the per-pass Python list rebuilds are gone.
@@ -334,6 +380,78 @@ class TestCBackendGate:
             1,
         )
         assert out.tolist() == [[0.0, 2.0]]
+
+
+@pytest.mark.skipif(not HAVE_C, reason="no C toolchain on this host")
+class TestDynamicPoliciesRunInC:
+    """WFP3/UNICEF are scored inside the C loop, not by Python callbacks."""
+
+    @staticmethod
+    def _workload(seed: int) -> Workload:
+        # sizes fit one 8-core leaf of the 2x2 topology on 32 cores
+        rng = np.random.default_rng(seed)
+        w = _random_workload(rng, 80, 8)
+        return Workload.from_arrays(
+            submit=w.submit, runtime=w.runtime, size=w.size,
+            estimate=w.estimate, nmax=32,
+        )
+
+    @staticmethod
+    def _count_scores(monkeypatch) -> Counter:
+        calls: Counter = Counter()
+        for cls in (WFP3, UNICEF):
+            def counted(self, *args, _real=cls.scores, **kwargs):
+                calls[type(self).__name__] += 1
+                return _real(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "scores", counted)
+        return calls
+
+    @pytest.mark.parametrize("topology", [None, (2, 2)])
+    @pytest.mark.parametrize("backfill", MODES)
+    @pytest.mark.parametrize("policy_name", ["wfp3", "unicef"])
+    def test_no_python_scoring(self, monkeypatch, policy_name, backfill, topology):
+        w = self._workload(len(policy_name) + len(str(backfill)))
+        policy = get_policy(policy_name)
+        kwargs = dict(backfill=backfill, topology=topology, use_estimates=True)
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
+        want = simulate(w, policy, 32, **kwargs)
+
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "c")
+        calls = self._count_scores(monkeypatch)
+
+        def no_python_loop(*args, **kwargs):
+            raise AssertionError("dynamic run fell back to the Python loop")
+
+        monkeypatch.setattr(kernel, "_simulate_py", no_python_loop)
+        got = simulate(w, policy, 32, **kwargs)
+        assert sum(calls.values()) == 0
+        assert got.start.tobytes() == want.start.tobytes()
+        assert got.backfilled.tobytes() == want.backfilled.tobytes()
+        assert got.n_events == want.n_events
+
+    def test_hybrid_falls_back_to_python(self, monkeypatch):
+        w = self._workload(5)
+        policy = get_policy("unicef")
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
+        want = simulate(w, policy, 32, backfill="hybrid")
+
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "c")
+        calls = self._count_scores(monkeypatch)
+        loops = Counter()
+        real_loop = kernel._simulate_py
+
+        def counted_loop(*args, **kwargs):
+            loops["python"] += 1
+            return real_loop(*args, **kwargs)
+
+        monkeypatch.setattr(kernel, "_simulate_py", counted_loop)
+        got = simulate(w, policy, 32, backfill="hybrid")
+        assert loops["python"] == 1
+        assert calls["UNICEF"] > 0
+        assert got.start.tobytes() == want.start.tobytes()
+        assert got.backfilled.tobytes() == want.backfilled.tobytes()
+        assert got.n_events == want.n_events
 
 
 class TestProfileDustRegression:
