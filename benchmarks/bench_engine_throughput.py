@@ -44,6 +44,27 @@ def bench_engine_backfill(benchmark, stream):
     benchmark.extra_info["backfilled"] = result.backfill_count
 
 
+def bench_engine_conservative(benchmark, stream):
+    """FCFS + conservative backfilling with user estimates (full replan)."""
+    result = benchmark(
+        simulate,
+        stream,
+        get_policy("FCFS"),
+        NMAX,
+        use_estimates=True,
+        backfill="conservative",
+    )
+    benchmark.extra_info["backfilled"] = result.backfill_count
+
+
+def bench_engine_hybrid(benchmark, stream):
+    """FCFS + hybrid backfilling with user estimates (depth-limited replan)."""
+    result = benchmark(
+        simulate, stream, get_policy("FCFS"), NMAX, use_estimates=True, backfill="hybrid"
+    )
+    benchmark.extra_info["backfilled"] = result.backfill_count
+
+
 def bench_trial_simulator(benchmark):
     """One |S|=16, |Q|=32 permutation trial (the training inner loop)."""
     import numpy as np

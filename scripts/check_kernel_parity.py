@@ -15,7 +15,10 @@ counts, seeding, window accounting — shows up as a byte difference.
 
 When a C toolchain is available the kernel run is additionally repeated
 with ``REPRO_SIM_KERNEL=c`` and ``=python`` and both must match, so the
-compiled backend is held to the same bar as the pure-Python loop.
+compiled backend is held to the same bar as the pure-Python loop.  A
+``hybrid`` leg then runs the same matrix under hybrid backfilling on both
+backends and byte-compares C against Python: the frozen loop predates
+hybrid, so the Python kernel is that leg's reference.
 
 Usage: ``python scripts/check_kernel_parity.py`` (exit 0 on parity).
 """
@@ -49,13 +52,22 @@ EVALUATE_ARGS = [
 ]
 
 
-def run_matrix_json(output_dir: Path, *, use_oracle: bool, backend: str) -> bytes:
+#: The hybrid leg's flags.  On the trace's 338-core header the queue
+#: seldom outgrows the reservation depth; 256 cores and user estimates
+#: make it do so.
+HYBRID_ARGS = ["--backfill", "hybrid", "--nmax", "256", "--estimates"]
+
+
+def run_matrix_json(
+    output_dir: Path, *, use_oracle: bool, backend: str, hybrid: bool = False
+) -> bytes:
     import oracle_sim
 
     import repro.eval.matrix as matrix_mod
     import repro.sim.engine as engine_mod
     from repro.cli import main
 
+    args = EVALUATE_ARGS + (HYBRID_ARGS if hybrid else [])
     real = engine_mod.simulate
     os.environ["REPRO_SIM_KERNEL"] = backend
     if use_oracle:
@@ -63,10 +75,7 @@ def run_matrix_json(output_dir: Path, *, use_oracle: bool, backend: str) -> byte
         engine_mod.simulate = oracle_sim.oracle_schedule_result
     try:
         with tempfile.TemporaryDirectory() as cache:
-            rc = main(
-                EVALUATE_ARGS
-                + ["--cache", cache, "--output-dir", str(output_dir)]
-            )
+            rc = main(args + ["--cache", cache, "--output-dir", str(output_dir)])
     finally:
         matrix_mod.simulate = real
         engine_mod.simulate = real
@@ -87,20 +96,37 @@ def main_check() -> int:
         runs = {"kernel[python]": run_matrix_json(
             tmp_path / "kernel-py", use_oracle=False, backend="python"
         )}
+        hybrid = {}
         if _cbackend.load() is not None:
             runs["kernel[c]"] = run_matrix_json(
                 tmp_path / "kernel-c", use_oracle=False, backend="c"
             )
+            for backend in ("python", "c"):
+                hybrid[backend] = run_matrix_json(
+                    tmp_path / f"hybrid-{backend}", use_oracle=False,
+                    backend=backend, hybrid=True,
+                )
         else:
             print("note: no C toolchain; compiled backend not exercised")
         failed = [name for name, data in runs.items() if data != oracle]
         for name, data in runs.items():
             status = "MATCH" if data == oracle else "DIFFERS"
             print(f"{name}: {len(data)} bytes vs legacy loop -> {status}")
+        if hybrid:
+            same = hybrid["c"] == hybrid["python"]
+            print(
+                f"hybrid kernel[c]: {len(hybrid['c'])} bytes vs kernel[python]"
+                f" -> {'MATCH' if same else 'DIFFERS'}"
+            )
+            if not same:
+                failed.append("hybrid kernel[c]")
     if failed:
         print(f"kernel parity FAILED for: {', '.join(failed)}", file=sys.stderr)
         return 1
-    print("kernel parity OK: eval_matrix.json byte-identical to the legacy loop")
+    print(
+        "kernel parity OK: eval_matrix.json byte-identical to the legacy loop"
+        + (" (hybrid: C == Python)" if hybrid else "")
+    )
     return 0
 
 

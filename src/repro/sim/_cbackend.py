@@ -1,7 +1,7 @@
 """Compiled C fast path for the event-heap simulation kernel.
 
 :mod:`repro.sim.kernel` runs every *static-score* simulation — classic
-and learned policies, EASY/conservative backfilling, and the
+and learned policies, EASY/conservative/hybrid backfilling, and the
 fixed-priority trial simulator — through one C event loop compiled at
 first use with the system C compiler and loaded via :mod:`ctypes`
 (stdlib only; no build-time or install-time dependency is added).  The
@@ -15,9 +15,12 @@ terms (WFP3, UNICEF) run here too: their now-independent parts (the
 ``proc`` clamp, UNICEF's ``log2`` denominator) are computed once in
 numpy and passed in as arrays, so each pass scores with ``- / * max``
 alone, which C reproduces bit for bit when built without FMA
-contraction (``-ffp-contract=off``).  Custom dynamic policies without
-terms, hybrid backfill, the heterogeneous dispatcher and every run
-under ``REPRO_SIM_KERNEL=python`` stay on the Python loop.
+contraction (``-ffp-contract=off``).  Conservative and hybrid share one
+replan pass with a reservation depth; it stops as soon as no queued job
+fits the free cores, because the jobs that start now are its only
+output.  Custom dynamic policies without terms, the heterogeneous
+dispatcher and every run under ``REPRO_SIM_KERNEL=python`` stay on the
+Python loop.
 
 Selection and caching:
 
@@ -84,7 +87,9 @@ static int qe_cmp(const void *a, const void *b)
 
 typedef struct {
     i64 n, nmax;
-    int mode; /* 0 none, 1 easy, 2 conservative */
+    int mode; /* 0 none, 1 easy, 2 conservative, 3 hybrid */
+    /* queue positions below depth hold a reservation (modes 2 and 3) */
+    i64 depth;
     /* 0: static scores; 1 WFP3, 2 UNICEF: rescored per pass from the
      * now-independent terms ta/tb */
     int score_code;
@@ -102,6 +107,8 @@ typedef struct {
     double *r_end; i64 *r_size, *r_job, *r_pos; i64 rn;
     /* scratch: event pairs + availability-profile breakpoints */
     Ev *ev; double *p_t; i64 *p_f; i64 pn;
+    /* replan scratch: suffix minimum of queued sizes */
+    i64 *q_min;
     i64 free_cores, started, n_events, n_passes, nan_job;
     double now;
 } Sim;
@@ -280,19 +287,20 @@ static int easy_pass(Sim *S)
 }
 
 /* Availability-profile breakpoint insertion — mirrors
- * AvailabilityProfile._ensure_breakpoint including its epsilons and its
- * Python-negative-index level lookup for a front insertion. */
-static void ensure_bp(Sim *S, double t)
+ * AvailabilityProfile._ensure_breakpoint including its epsilons.  The
+ * only caller inserts a reservation end t >= p_t[lo], so the scan starts
+ * at lo: a breakpoint before lo within 1e-12 of t would put p_t[lo]
+ * within 1e-12 too, and the insertion point is never the front. */
+static void ensure_bp(Sim *S, double t, i64 lo)
 {
     if (isinf(t)) return;
     i64 pn = S->pn;
-    for (i64 i = 0; i < pn; i++) {
+    for (i64 i = lo; i < pn; i++) {
         if (fabs(S->p_t[i] - t) <= 1e-12) return;
         if (S->p_t[i] > t) {
-            i64 level = (i == 0) ? S->p_f[pn - 1] : S->p_f[i - 1];
             memmove(S->p_t + i + 1, S->p_t + i, (size_t)(pn - i) * sizeof(double));
             memmove(S->p_f + i + 1, S->p_f + i, (size_t)(pn - i) * sizeof(i64));
-            S->p_t[i] = t; S->p_f[i] = level;
+            S->p_t[i] = t; S->p_f[i] = S->p_f[i - 1];
             S->pn++;
             return;
         }
@@ -302,15 +310,47 @@ static void ensure_bp(Sim *S, double t)
     S->pn++;
 }
 
+/* First breakpoint after i, inside [p_t[i], end), with fewer than sz
+ * free cores; -1 when the window is clear. */
+static i64 blocker(const Sim *S, i64 i, i64 sz, double end)
+{
+    for (i64 j = i + 1; j < S->pn; j++) {
+        if (S->p_t[j] >= end - 1e-12) break;
+        if (S->p_f[j] < sz) return j;
+    }
+    return -1;
+}
+
+/* Index of AvailabilityProfile.earliest_start's answer.  A start before
+ * a blocker has a window at least as long, which reaches the blocker
+ * too, so the scan resumes past it. */
+static i64 earliest(const Sim *S, i64 sz, double dur)
+{
+    for (i64 i = 0; i < S->pn; i++) {
+        if (S->p_f[i] < sz) continue;
+        i64 j = blocker(S, i, sz, S->p_t[i] + dur);
+        if (j < 0) return i;
+        i = j;
+    }
+    return S->pn - 1;
+}
+
+/* Conservative (depth >= queue length) and hybrid replan, mirroring
+ * repro.sim.conservative.conservative_starts.  The pass's one output is
+ * the set of jobs that start now; reservations are rebuilt on the next
+ * pass.  So the loop stops once no remaining job fits the free cores —
+ * exact, because the profile level at now is the actual free cores. */
 static int conservative_pass(Sim *S)
 {
     double now = S->now;
+    double after = nextafter(now, INFINITY);
     S->n_passes++;
     i64 head = S->q[S->qh].i;
     i64 used_now = 0;
     for (i64 k = 0; k < S->rn; k++) {
         double e = S->r_end[k];
-        S->ev[k].t = (e < now) ? now : e;
+        /* an overdue job frees its cores just after now, never at now */
+        S->ev[k].t = (e <= now) ? after : e;
         S->ev[k].s = S->r_size[k];
         used_now += S->r_size[k];
     }
@@ -328,37 +368,33 @@ static int conservative_pass(Sim *S)
         S->p_f[S->pn] = level;
         S->pn++;
     }
-    i64 end_pos = S->qh + S->qn, n_started = 0;
-    for (i64 p = S->qh; p < end_pos; p++) {
-        i64 idx = S->q[p].i;
+    i64 *smin = S->q_min;
+    i64 m = INT64_MAX;
+    for (i64 p = S->qn - 1; p >= 0; p--) {
+        i64 sz = S->sizes[S->q[S->qh + p].i];
+        if (sz < m) m = sz;
+        smin[p] = m;
+    }
+    i64 n_started = 0;
+    for (i64 p = 0; p < S->qn; p++) {
+        if (smin[p] > S->free_cores) break;
+        i64 idx = S->q[S->qh + p].i;
         i64 sz = S->sizes[idx];
         double dur = S->procs[idx];
         if (dur < 1e-9) dur = 1e-9;
-        double t0r = S->p_t[S->pn - 1];
-        for (i64 i = 0; i < S->pn; i++) {
-            if (S->p_f[i] < sz) continue;
-            double t0 = S->p_t[i];
-            double end = t0 + dur;
-            int feas = 1;
-            for (i64 j = i + 1; j < S->pn; j++) {
-                if (S->p_t[j] >= end - 1e-12) break;
-                if (S->p_f[j] < sz) { feas = 0; break; }
-            }
-            if (feas) { t0r = t0; break; }
+        i64 i0;
+        if (p < S->depth) {
+            i0 = earliest(S, sz, dur);
+        } else {
+            /* beyond the depth a job reserves only if it starts now */
+            if (S->p_f[0] < sz || blocker(S, 0, sz, now + dur) >= 0) continue;
+            i0 = 0;
         }
+        double t0r = S->p_t[i0];
         double endr = t0r + dur;
-        ensure_bp(S, t0r);
-        ensure_bp(S, endr);
+        ensure_bp(S, endr, i0);
         /* decrement from the exact start breakpoint forward (mirrors
-         * AvailabilityProfile.reserve): an epsilon lower bound could
-         * also catch a distinct breakpoint within 1e-12 *before* t0r
-         * that the earliest-start scan never vetted */
-        i64 i0 = -1;
-        for (i64 i = 0; i < S->pn; i++)
-            if (S->p_t[i] == t0r) { i0 = i; break; }
-        if (i0 < 0)
-            for (i64 i = 0; i < S->pn; i++)
-                if (fabs(S->p_t[i] - t0r) <= 1e-12) { i0 = i; break; }
+         * AvailabilityProfile.reserve) */
         for (i64 i = i0; i < S->pn; i++) {
             if (S->p_t[i] >= endr - 1e-12) break;
             S->p_f[i] -= sz;
@@ -397,7 +433,7 @@ static int sim_run(Sim *S)
             ai++;
         }
         if (S->qn == 0) continue;
-        if (S->mode == 2) {
+        if (S->mode >= 2) {
             int rc = S->score_code ? rescore(S) : 0;
             if (!rc) rc = conservative_pass(S);
             if (rc) return rc;
@@ -427,7 +463,7 @@ static int sim_run(Sim *S)
     return 0;
 }
 
-int repro_sim(i64 n, i64 nmax, int mode,
+int repro_sim(i64 n, i64 nmax, int mode, i64 depth,
               const double *subs, const double *runs, const double *procs,
               const i64 *sizes, const double *scores,
               int score_code, const double *ta, const double *tb,
@@ -440,7 +476,7 @@ int repro_sim(i64 n, i64 nmax, int mode,
     if (n <= 0) return 0;
     size_t nd = (size_t)n;
     double *dbuf = (double *)malloc((2 * nd + (3 * nd + 4)) * sizeof(double));
-    i64 *ibuf = (i64 *)malloc((4 * nd + (3 * nd + 4)) * sizeof(i64));
+    i64 *ibuf = (i64 *)malloc((5 * nd + (3 * nd + 4)) * sizeof(i64));
     Qe *q = (Qe *)malloc(2 * nd * sizeof(Qe));
     Ev *ev = (Ev *)malloc(nd * sizeof(Ev));
     if (!dbuf || !ibuf || !q || !ev) {
@@ -449,7 +485,7 @@ int repro_sim(i64 n, i64 nmax, int mode,
     }
     Sim S;
     memset(&S, 0, sizeof(S));
-    S.n = n; S.nmax = nmax; S.mode = mode;
+    S.n = n; S.nmax = nmax; S.mode = mode; S.depth = depth;
     S.subs = subs; S.runs = runs; S.procs = procs;
     S.sizes = sizes; S.scores = scores; S.order = order;
     S.score_code = score_code; S.ta = ta; S.tb = tb;
@@ -461,7 +497,8 @@ int repro_sim(i64 n, i64 nmax, int mode,
     S.r_size = ibuf + nd;
     S.r_job = ibuf + 2 * nd;
     S.r_pos = ibuf + 3 * nd;
-    S.p_f = ibuf + 4 * nd;
+    S.q_min = ibuf + 4 * nd;
+    S.p_f = ibuf + 5 * nd;
     S.q = q;
     S.ev = ev;
     int rc = sim_run(&S);
@@ -580,7 +617,7 @@ class CKernel:
         self._sim = lib.repro_sim
         self._sim.restype = ctypes.c_int
         self._sim.argtypes = (
-            [ctypes.c_longlong, ctypes.c_longlong, ctypes.c_int]
+            [ctypes.c_longlong, ctypes.c_longlong, ctypes.c_int, ctypes.c_longlong]
             + [ctypes.c_void_p] * 5
             + [ctypes.c_int]
             + [ctypes.c_void_p] * 6
@@ -603,10 +640,12 @@ class CKernel:
         order: np.ndarray,
         nmax: int,
         mode: int,
+        depth: int,
         terms=None,
     ) -> tuple[np.ndarray, np.ndarray, int, int]:
         """One run; *terms* (code, a, b) selects dynamic scoring instead
-        of the static *scores*."""
+        of the static *scores*, and *depth* is the replan modes'
+        reservation depth."""
         n = subs.shape[0]
         start = np.empty(n, dtype=np.float64)
         backfilled = np.zeros(n, dtype=np.uint8)
@@ -616,6 +655,7 @@ class CKernel:
             n,
             nmax,
             mode,
+            depth,
             subs.ctypes.data,
             runs.ctypes.data,
             procs.ctypes.data,

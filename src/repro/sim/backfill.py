@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.sim.conservative import AvailabilityProfile
+from repro.sim.conservative import conservative_starts
 
 __all__ = ["HYBRID_RESERVATION_DEPTH", "hybrid_starts"]
 
@@ -50,32 +50,14 @@ def hybrid_starts(
 ) -> list[int]:
     """Jobs (identifiers from *queue*) that start now under hybrid backfilling.
 
-    A replan-from-scratch pass like
-    :func:`~repro.sim.conservative.conservative_starts`, with one
-    difference: only the first *depth* jobs in priority order reserve
-    their earliest feasible slot.  Jobs beyond the depth either start
-    immediately (committing their cores so later candidates cannot
-    oversubscribe) or wait with **no** reservation — so a deep candidate
-    may leapfrog an unreserved middle job, but never one of the *depth*
-    protected reservations.
-
-    ``depth >= len(queue)`` reproduces ``conservative_starts`` exactly
-    (same profile arithmetic, epsilon for epsilon); the oracle suite
-    pins that identity and the cases where the three variants diverge.
+    The replan pass of
+    :func:`~repro.sim.conservative.conservative_starts` with only the
+    first *depth* jobs in priority order reserving their earliest
+    feasible slot — so a deep candidate may leapfrog an unreserved
+    middle job, but never one of the *depth* protected reservations.
+    ``depth >= len(queue)`` is conservative backfilling; the oracle
+    suite pins that identity and the cases where the variants diverge.
     """
-    if depth < 1:
-        raise ValueError(f"reservation depth must be >= 1, got {depth}")
-    profile = AvailabilityProfile(now, nmax, running_end, running_size)
-    started: list[int] = []
-    for pos, (ident, size, proc) in enumerate(zip(queue, q_size, q_proc)):
-        size = int(size)
-        proc = max(float(proc), 1e-9)
-        t = profile.earliest_start(size, proc)
-        # exact match with conservative_starts: a slot strictly after
-        # now is behind a release event that has not happened yet
-        starts_now = t == now
-        if pos < depth or starts_now:
-            profile.reserve(t, proc, size)
-        if starts_now:
-            started.append(ident)
-    return started
+    return conservative_starts(
+        now, nmax, queue, q_size, q_proc, running_end, running_size, depth=depth
+    )

@@ -16,10 +16,12 @@ head and any backfill candidate that slots into a hole without moving an
 earlier reservation (earlier-priority jobs reserved first, so later
 reservations can never displace them).
 
-:func:`conservative_starts` is called per event by the unified kernel's
-Python path (:mod:`repro.sim.kernel`); the C backend carries a literal
-transcription of the same profile arithmetic, epsilon for epsilon, so
-both backends reproduce these semantics bit for bit.
+:func:`conservative_starts` is the one replan pass: with a reservation
+*depth* it is hybrid backfilling (:mod:`repro.sim.backfill`).  The
+unified kernel's Python path (:mod:`repro.sim.kernel`) calls it per
+event; the C backend carries a transcription of the same profile
+arithmetic, epsilon for epsilon, that stops each pass once no queued
+job fits the free cores, so both backends produce the same bits.
 """
 
 from __future__ import annotations
@@ -52,8 +54,14 @@ class AvailabilityProfile:
         self.nmax = nmax
         events: dict[float, int] = {}
         used_now = 0
+        after = math.nextafter(now, math.inf)
         for end, size in zip(running_end, running_size):
-            end = max(float(end), now)
+            end = float(end)
+            # A job running past its estimate frees its cores just after
+            # now, never at now: the level at now stays the actual free
+            # cores, and no second breakpoint at now can offer them.
+            if end <= now:
+                end = after
             used_now += int(size)
             events[end] = events.get(end, 0) + int(size)
         if used_now > nmax:
@@ -153,26 +161,37 @@ def conservative_starts(
     q_proc: Sequence[float],
     running_end: Sequence[float],
     running_size: Sequence[int],
+    *,
+    depth: int | None = None,
 ) -> list[int]:
-    """Jobs (indices into *queue* order) that start now under conservative
-    backfilling.
+    """Jobs (identifiers from *queue*) that start now under conservative
+    backfilling, or hybrid backfilling when *depth* is given.
 
     *queue* lists job identifiers in priority order; ``q_size``/``q_proc``
-    align with it.  Every queued job receives a reservation at its
-    earliest feasible slot given all earlier-priority reservations; the
-    returned identifiers are those whose slot begins at *now*.
+    align with it.  The first *depth* jobs (default: every job) reserve
+    their earliest feasible slot given all earlier-priority reservations.
+    Jobs beyond the depth either start now (committing their cores so
+    later candidates cannot oversubscribe) or wait with **no**
+    reservation.  The returned identifiers are those whose slot begins
+    at *now*.
     """
+    if depth is None:
+        depth = len(queue)
+    elif depth < 1:
+        raise ValueError(f"reservation depth must be >= 1, got {depth}")
     profile = AvailabilityProfile(now, nmax, running_end, running_size)
     started: list[int] = []
-    for ident, size, proc in zip(queue, q_size, q_proc):
+    for pos, (ident, size, proc) in enumerate(zip(queue, q_size, q_proc)):
         size = int(size)
         proc = max(float(proc), 1e-9)
         t = profile.earliest_start(size, proc)
-        profile.reserve(t, proc, size)
         # exact: a starts-now reservation sits at the `now` breakpoint
         # itself.  Any slot strictly after now — however close — is
         # behind a release event that has not happened yet, so starting
         # such a job would oversubscribe the actual free cores.
-        if t == now:
+        starts_now = t == now
+        if pos < depth or starts_now:
+            profile.reserve(t, proc, size)
+        if starts_now:
             started.append(ident)
     return started

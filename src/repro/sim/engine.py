@@ -19,11 +19,11 @@ Design notes
   ``(score, submit, index)``.  Dynamic policies are rescored per
   scheduling pass: WFP3 and UNICEF inside the C kernel from
   now-independent terms computed here once
-  (:meth:`~repro.policies.base.Policy.kernel_terms`); custom dynamic
-  policies without terms, hybrid backfill and ``REPRO_SIM_KERNEL=python``
-  with one ``policy.scores`` call over the queue on the Python loop (the
-  heterogeneous dispatcher, :mod:`repro.sim.hetero`, always uses that
-  loop).  Every path is bit-identical to the retained legacy loop
+  (:meth:`~repro.policies.base.Policy.kernel_terms`), under every
+  backfill mode; custom dynamic policies without terms and
+  ``REPRO_SIM_KERNEL=python`` with one ``policy.scores`` call over the
+  queue on the Python loop (the heterogeneous dispatcher,
+  :mod:`repro.sim.hetero`, always uses that loop).  Every path is bit-identical to the retained legacy loop
   (``tests/oracle_sim.py``).
 * Scheduling decisions use the user estimate ``e`` when
   ``use_estimates=True`` (§4.2.2); execution always uses the actual

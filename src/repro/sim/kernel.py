@@ -24,7 +24,7 @@ parity suite pins them bit-for-bit against ``tests/oracle_sim.py``):
    head triggers the EASY pass over the remaining queue; with
    ``backfill="conservative"`` the whole queue is replanned against an
    availability profile and every job whose reservation begins now
-   starts.
+   starts (``"hybrid"``: only the queue front reserves).
 
 Scoring is vectorised at the batch level: *static* scores (policies
 whose score is independent of ``now``) are computed for the whole
@@ -34,10 +34,11 @@ entire queue — never per job.  Static-score simulations dispatch to a
 compiled C transcription of the same loop (:mod:`repro.sim._cbackend`,
 ``REPRO_SIM_KERNEL`` selects the backend), and so do dynamic ones that
 come with now-independent kernel *terms* (WFP3, UNICEF): C rescores
-each pass from them with the bits numpy would produce.  The Python loop
-still runs custom dynamic policies without terms, hybrid backfill, the
-heterogeneous dispatcher, and everything under
-``REPRO_SIM_KERNEL=python`` or on hosts without a C compiler.
+each pass from them with the bits numpy would produce.  Every backfill
+mode, hybrid included, runs in C.  The Python loop still runs custom
+dynamic policies without terms, the heterogeneous dispatcher, and
+everything under ``REPRO_SIM_KERNEL=python`` or on hosts without a C
+compiler; it stays the full-replan reference the C passes are pinned to.
 
 The kernel records no telemetry itself: the engine and trial wrappers
 increment the same counters (``sim.*``, ``listsched.*``) with the same
@@ -55,6 +56,8 @@ import numpy as np
 
 from repro.policies.base import KERNEL_UNICEF, KERNEL_WFP3
 from repro.sim import _cbackend
+from repro.sim.backfill import HYBRID_RESERVATION_DEPTH
+from repro.sim.conservative import conservative_starts
 
 __all__ = [
     "KernelResult",
@@ -64,9 +67,9 @@ __all__ = [
     "validate_scores",
 ]
 
-#: Canonical backfill mode -> integer code shared with the C backend.
-#: The C transcription implements codes 0-2; ``hybrid`` (3) always runs
-#: on the Python path, even under ``REPRO_SIM_KERNEL=c``.
+#: Canonical backfill mode -> integer code shared with the C backend,
+#: which implements all four; ``conservative`` and ``hybrid`` share one
+#: replan pass that differs only in its reservation depth.
 _MODE_CODES = {None: 0, "easy": 1, "conservative": 2, "hybrid": 3}
 
 #: Dynamic-score formulas the C backend implements
@@ -172,16 +175,14 @@ def simulate_events(
         ``(code, a, b)`` — the scorer's formula code and now-independent
         per-job terms (:meth:`repro.policies.base.Policy.kernel_terms`).
         With them the C backend scores every pass itself; *scorer* stays
-        the Python path's (hybrid, ``REPRO_SIM_KERNEL=python``, C-less
-        hosts), with the same bits.
+        the Python path's (``REPRO_SIM_KERNEL=python``, C-less hosts),
+        with the same bits.
     backfill:
         ``None``, ``"easy"``, ``"conservative"`` or ``"hybrid"``
         (canonical spellings only — use
         :func:`repro.sim.engine.normalize_backfill`).  Hybrid replans
         like conservative but reserves only the queue front
-        (:data:`repro.sim.backfill.HYBRID_RESERVATION_DEPTH` jobs); it
-        has no C transcription, so it runs the Python path regardless
-        of ``REPRO_SIM_KERNEL``.
+        (:data:`repro.sim.backfill.HYBRID_RESERVATION_DEPTH` jobs).
     arrival_order:
         Indices sorted by ``(submit, index)``.  Defaults to ``0..n-1``
         (correct for submit-sorted workloads).
@@ -209,19 +210,23 @@ def simulate_events(
         terms = _validated_terms(terms, n)
     if static_scores is not None or terms is not None:
         backend = (
-            None
-            if mode == 3 or _cbackend.requested_mode() == "python"
-            else _cbackend.load()
+            None if _cbackend.requested_mode() == "python" else _cbackend.load()
         )
         if backend is not None:
             start, backfilled, n_events, n_passes = backend.sim(
                 submit, runtime, proc, size, static_scores, arrival_order, nmax,
-                mode, terms,
+                mode, _reservation_depth(mode, n), terms,
             )
             return KernelResult(start, backfilled, n_events, n_passes)
     return _simulate_py(
         submit, runtime, proc, size, nmax, mode, static_scores, scorer, arrival_order
     )
+
+
+def _reservation_depth(mode: int, n_queued: int) -> int:
+    """How many queue-front jobs hold a reservation in a replan pass:
+    all of them under conservative, the hybrid depth under hybrid."""
+    return HYBRID_RESERVATION_DEPTH if mode == 3 else n_queued
 
 
 def fixed_priority_starts(
@@ -306,8 +311,9 @@ def _simulate_py(
     order: np.ndarray,
     placement=None,
 ) -> KernelResult:
-    """The pure-Python event loop (custom dynamic policies, hybrid,
-    hetero placement, ``REPRO_SIM_KERNEL=python`` and C-less hosts).
+    """The pure-Python event loop (custom dynamic policies, hetero
+    placement, ``REPRO_SIM_KERNEL=python`` and C-less hosts), and the
+    full-replan reference for the C backend's replan passes.
 
     *placement* replaces the single ``nmax``-core pool with per-job
     placement across several pools (the heterogeneous dispatcher,
@@ -316,9 +322,7 @@ def _simulate_py(
     ``place(idx, now)`` — allocate a variant for job *idx* and return
     its runtime, or ``None`` when none fits — and ``release(idx)``.
     """
-    from repro.sim.backfill import hybrid_starts
     from repro.sim.cluster import Cluster
-    from repro.sim.conservative import conservative_starts
 
     n = subs.shape[0]
     subs_l = subs.tolist()
@@ -438,8 +442,7 @@ def _simulate_py(
         started: set[int] = set()
         if mode >= 2:
             n_passes += 1
-            starter = conservative_starts if mode == 2 else hybrid_starts
-            chosen = starter(
+            chosen = conservative_starts(
                 now,
                 nmax,
                 ord_list,
@@ -447,6 +450,7 @@ def _simulate_py(
                 [procs_l[i] for i in ord_list],
                 run_end[:rn].tolist(),
                 run_size[:rn].tolist(),
+                depth=_reservation_depth(mode, len(ord_list)),
             )
             head = ord_list[0]
             for idx in chosen:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.policies.classic import FCFS
+from repro.sim import _cbackend
 from repro.sim.conservative import AvailabilityProfile, conservative_starts
 from repro.sim.engine import simulate
 from repro.sim.job import Workload
@@ -151,3 +152,59 @@ class TestEngineConservativeMode:
         wl = Workload.from_arrays([0.0], [1.0], [1])
         r = simulate(wl, FCFS(), 4, backfill=True)
         assert r.config.backfill_mode == "easy"
+
+
+BACKENDS = ["python"] + (["c"] if _cbackend.load() is not None else [])
+
+
+class TestOverrunningJobs:
+    """A running job past its estimate must not crash a replan pass.
+
+    Its expected end lies before ``now``; the profile releases its cores
+    just after ``now``, so the level at ``now`` stays the real free
+    cores.  (Clamping the end to ``now`` put a second breakpoint at
+    ``now`` that offered the overdue cores, and the reservation then
+    oversubscribed the first one.)  ``tests/oracle_sim.py`` keeps that
+    clamp frozen, so it is no reference here.
+    """
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("mode", ["easy", "conservative", "hybrid"])
+    def test_reproduction(self, monkeypatch, mode, backend):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", backend)
+        wl = Workload.from_arrays(
+            submit=[0.0, 60.0, 61.0],
+            runtime=[100.0, 10.0, 10.0],
+            size=[2, 4, 1],
+            estimate=[50.0, 10.0, 10.0],
+            nmax=4,
+        )
+        result = simulate(wl, FCFS(), 4, use_estimates=True, backfill=mode)
+        assert result.start.tolist() == [0.0, 100.0, 110.0]
+
+    def test_overdue_cores_free_just_after_now(self):
+        p = AvailabilityProfile(60.0, 4, [50.0, 70.0], [2, 1])
+        assert p.earliest_start(1, 5.0) == 60.0
+        assert p.earliest_start(2, 5.0) == np.nextafter(60.0, np.inf)
+
+    @pytest.mark.parametrize("mode", ["conservative", "hybrid"])
+    def test_random_overruns(self, monkeypatch, mode):
+        rng = np.random.default_rng([41, len(mode)])
+        for _ in range(40):
+            nmax = int(rng.choice([4, 16]))
+            n = int(rng.integers(20, 80))
+            submit = np.sort(np.round(rng.uniform(0.0, n * 2.0, n), 1))
+            runtime = np.round(rng.uniform(1.0, 60.0, n), 2)
+            # about half the jobs run past their estimate
+            estimate = np.round(runtime * rng.uniform(0.3, 2.0, n), 2)
+            wl = Workload.from_arrays(
+                submit=submit, runtime=runtime,
+                size=rng.integers(1, nmax + 1, n), estimate=estimate, nmax=nmax,
+            )
+            outs = []
+            for backend in BACKENDS:
+                monkeypatch.setenv("REPRO_SIM_KERNEL", backend)
+                result = simulate(wl, FCFS(), nmax, use_estimates=True, backfill=mode)
+                assert_valid_schedule(result)
+                outs.append((result.start.tobytes(), result.backfilled.tobytes()))
+            assert len(set(outs)) == 1

@@ -5,8 +5,8 @@ Hybrid sits between EASY and conservative: the first
 reservations, deeper jobs backfill opportunistically with none.  The
 tests pin the algebra — ``depth >= len(queue)`` *is* conservative, and a
 hand-computed scenario separates all three modes — plus the engine
-integration (the hybrid mode always runs the Python kernel, even when
-``REPRO_SIM_KERNEL=c``).
+integration (under ``REPRO_SIM_KERNEL=c`` hybrid runs in the C kernel,
+byte-identical to the Python loop).
 """
 
 from __future__ import annotations
@@ -174,10 +174,12 @@ class TestEngineIntegration:
         assert outs["hybrid"] != outs["conservative"]
 
     @pytest.mark.skipif(not HAVE_C, reason="no C toolchain on this host")
-    def test_c_backend_request_falls_back_to_python(self, monkeypatch):
-        """The C kernel implements modes 0-2 only; hybrid must run the
-        Python path under REPRO_SIM_KERNEL=c, byte-identical to an
-        explicit python run."""
+    def test_c_backend_runs_hybrid(self, monkeypatch):
+        """Under REPRO_SIM_KERNEL=c hybrid runs in the C kernel (the
+        Python loop is never entered), byte-identical to an explicit
+        python run."""
+        from repro.sim import kernel
+
         rng = np.random.default_rng(3)
         w = Workload.from_arrays(
             submit=np.sort(np.round(rng.uniform(0, 20, 60), 1)),
@@ -188,6 +190,12 @@ class TestEngineIntegration:
         monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
         want = simulate(w, policy, 8, backfill="hybrid")
         monkeypatch.setenv("REPRO_SIM_KERNEL", "c")
+
+        def no_python_loop(*args, **kwargs):
+            raise AssertionError("hybrid run fell back to the Python loop")
+
+        monkeypatch.setattr(kernel, "_simulate_py", no_python_loop)
         got = simulate(w, policy, 8, backfill="hybrid")
         assert got.start.tobytes() == want.start.tobytes()
+        assert got.backfilled.tobytes() == want.backfilled.tobytes()
         assert got.n_events == want.n_events

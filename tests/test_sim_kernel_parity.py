@@ -407,13 +407,9 @@ class TestDynamicPoliciesRunInC:
             monkeypatch.setattr(cls, "scores", counted)
         return calls
 
-    @pytest.mark.parametrize("topology", [None, (2, 2)])
-    @pytest.mark.parametrize("backfill", MODES)
-    @pytest.mark.parametrize("policy_name", ["wfp3", "unicef"])
-    def test_no_python_scoring(self, monkeypatch, policy_name, backfill, topology):
-        w = self._workload(len(policy_name) + len(str(backfill)))
-        policy = get_policy(policy_name)
-        kwargs = dict(backfill=backfill, topology=topology, use_estimates=True)
+    def _assert_c_matches_python(self, monkeypatch, w, policy, **kwargs):
+        """The C run never enters the Python loop or Python scoring, and
+        its bytes equal the Python backend's."""
         monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
         want = simulate(w, policy, 32, **kwargs)
 
@@ -421,7 +417,7 @@ class TestDynamicPoliciesRunInC:
         calls = self._count_scores(monkeypatch)
 
         def no_python_loop(*args, **kwargs):
-            raise AssertionError("dynamic run fell back to the Python loop")
+            raise AssertionError("run fell back to the Python loop")
 
         monkeypatch.setattr(kernel, "_simulate_py", no_python_loop)
         got = simulate(w, policy, 32, **kwargs)
@@ -430,28 +426,62 @@ class TestDynamicPoliciesRunInC:
         assert got.backfilled.tobytes() == want.backfilled.tobytes()
         assert got.n_events == want.n_events
 
-    def test_hybrid_falls_back_to_python(self, monkeypatch):
-        w = self._workload(5)
-        policy = get_policy("unicef")
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
-        want = simulate(w, policy, 32, backfill="hybrid")
+    @pytest.mark.parametrize("topology", [None, (2, 2)])
+    @pytest.mark.parametrize("backfill", MODES)
+    @pytest.mark.parametrize("policy_name", ["wfp3", "unicef"])
+    def test_no_python_scoring(self, monkeypatch, policy_name, backfill, topology):
+        self._assert_c_matches_python(
+            monkeypatch,
+            self._workload(len(policy_name) + len(str(backfill))),
+            get_policy(policy_name),
+            backfill=backfill, topology=topology, use_estimates=True,
+        )
 
-        monkeypatch.setenv("REPRO_SIM_KERNEL", "c")
-        calls = self._count_scores(monkeypatch)
-        loops = Counter()
-        real_loop = kernel._simulate_py
+    @pytest.mark.parametrize("topology", [None, (2, 2)])
+    @pytest.mark.parametrize("policy_name", ["fcfs", "f1", "wfp3", "unicef"])
+    def test_hybrid_runs_in_c(self, monkeypatch, policy_name, topology):
+        self._assert_c_matches_python(
+            monkeypatch, self._workload(5), get_policy(policy_name),
+            backfill="hybrid", topology=topology, use_estimates=True,
+        )
 
-        def counted_loop(*args, **kwargs):
-            loops["python"] += 1
-            return real_loop(*args, **kwargs)
 
-        monkeypatch.setattr(kernel, "_simulate_py", counted_loop)
-        got = simulate(w, policy, 32, backfill="hybrid")
-        assert loops["python"] == 1
-        assert calls["UNICEF"] > 0
-        assert got.start.tobytes() == want.start.tobytes()
-        assert got.backfilled.tobytes() == want.backfilled.tobytes()
-        assert got.n_events == want.n_events
+@pytest.mark.skipif(not HAVE_C, reason="no C toolchain on this host")
+class TestReplanParity:
+    """C replan passes vs the Python full-replan reference.
+
+    The C pass stops once no queued job fits the free cores, and under
+    hybrid tests jobs beyond the reservation depth only at ``now``.
+    Congested workloads keep queues far longer than the depth, so both
+    shortcuts fire on most passes.
+    """
+
+    @pytest.mark.parametrize("use_estimates", [False, True])
+    @pytest.mark.parametrize("backfill", ["conservative", "hybrid"])
+    @pytest.mark.parametrize("policy_name", ["fcfs", "spt", "f1", "wfp3"])
+    def test_congested_sweep(self, monkeypatch, policy_name, backfill, use_estimates):
+        policy = get_policy(policy_name)
+        rng = np.random.default_rng(
+            [len(policy_name), len(backfill), int(use_estimates)]
+        )
+        for nmax in (8, 64):
+            n = int(rng.integers(100, 200))
+            w = _random_workload(rng, n, nmax)
+            # arrivals five times faster than _random_workload's
+            w = Workload.from_arrays(
+                submit=np.round(w.submit / 5.0, 1), runtime=w.runtime,
+                size=w.size, estimate=w.estimate, nmax=nmax,
+            )
+            kwargs = dict(use_estimates=use_estimates, backfill=backfill)
+            monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
+            want = _kernel_outcome(w, policy, nmax, **kwargs)
+            monkeypatch.setenv("REPRO_SIM_KERNEL", "c")
+            with monkeypatch.context() as m:
+                # a fall-back to the reference must not pass as parity
+                m.setattr(kernel, "_simulate_py", None)
+                got = _kernel_outcome(w, policy, nmax, **kwargs)
+            _assert_bit_identical(got, want)
+            assert got.backfilled.any()
 
 
 class TestProfileDustRegression:
