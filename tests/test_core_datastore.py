@@ -90,6 +90,6 @@ class TestRoundTrip:
         fit = fit_function(
             FunctionSpec("id", "id", "log", "*", "+"),
             dist,
-            RegressionConfig(max_points=100, x0_magnitudes=(1e-3,)),
+            RegressionConfig(max_points=100),
         )
         assert np.isfinite(fit.rank_error)

@@ -11,7 +11,7 @@ SMALL = PipelineConfig(
     n_tuples=2,
     trials_per_tuple=32,
     seed=0,
-    regression=RegressionConfig(max_points=200, x0_magnitudes=(1e-3,), max_nfev=60),
+    regression=RegressionConfig(max_points=200),
 )
 
 

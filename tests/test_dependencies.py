@@ -1,0 +1,23 @@
+"""The library runs on what requirements.txt declares: numpy, no scipy."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_import_repro_loads_no_scipy():
+    code = (
+        "import sys, repro; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert out.stdout.strip() == "[]"

@@ -21,9 +21,7 @@ def trained():
         n_tuples=6,
         trials_per_tuple=192,
         seed=2024,
-        regression=RegressionConfig(
-            max_points=2000, x0_magnitudes=(1e-3, 1.0), max_nfev=120
-        ),
+        regression=RegressionConfig(max_points=2000),
     )
     return obtain_policies(config)
 
