@@ -13,10 +13,11 @@ telemetry: in-worker compute (the ``runtime.chunk`` timer the workers
 report back), queue dispatch (``runtime.queue.dispatch`` — task-file
 writing, zero off the workqueue backend), and everything else (spawn,
 pickling, lease polling — wall minus the other two).  The workers=1
-point on the ``process`` and ``local`` backends runs in process (the
-serial shortcut), so its overhead columns are structurally zero; the
-``workqueue`` backend always runs the queue protocol, so its workers=1
-point prices the protocol itself.
+point on the ``local`` backend runs in process (the serial shortcut) and
+is the serial reference every speedup divides; the ``workqueue`` backend
+always runs the queue protocol, so its workers=1 point prices the
+protocol itself.  On a host with fewer cores than workers the curve
+shows dispatch overhead, not speedup.
 """
 
 import os
@@ -75,7 +76,7 @@ def bench_runtime_scaling(benchmark, record, scale):
         seed=BENCH_SEED,
     )
     timings = run_once(benchmark, _sweep, config)
-    serial = timings[("process", 1)][0]
+    serial = timings[("local", 1)][0]
     lines = [
         f"cores available: {os.cpu_count()}",
         f"config: n_tuples={config.n_tuples} "

@@ -1,7 +1,7 @@
 """REP008 — cross-process picklability at executor submission sites.
 
 Everything handed to an executor backend crosses a process boundary:
-``process`` and ``local`` pickle the chunk function and its arguments,
+``local`` pickles the chunk function and its arguments onto a queue,
 and ``workqueue`` durably pickles them to disk where *another machine*
 may load them.  Lambdas and functions defined inside another function
 cannot be pickled at all — and the failure surfaces only on the first

@@ -37,7 +37,7 @@ from repro.eval.windows import Window, stream_windows, workload_fingerprint
 from repro.experiments.table4 import run_rows
 from repro.policies.registry import get_policy
 from repro.runtime.cache import ArtifactCache, coerce_cache
-from repro.runtime.config import resolve_backend
+from repro.runtime.config import resolve_backend, resolve_workers
 from repro.sim.engine import simulate
 from repro.sim.hetero import (
     HeteroPlatform,
@@ -582,8 +582,8 @@ _RUNNERS: dict[str, Callable[..., Any]] = {
 def run(
     spec: Spec,
     *,
-    workers: int | str = 1,
-    backend: str = "process",
+    workers: int | str | None = None,
+    backend: str | None = None,
     cache: str | Path | ArtifactCache | None = None,
     progress: ProgressFn | None = None,
 ) -> Any:
@@ -595,13 +595,15 @@ def run(
         Any registered spec.  Use :func:`repro.specs.load_spec` (or
         :func:`run_file`) for TOML/JSON documents.
     workers:
-        Worker-process count (or ``"auto"``) for the parallel phases.
-        Results are bit-identical for every value.
+        Worker-process count (or ``"auto"``) for the parallel phases;
+        ``None`` resolves ``$REPRO_WORKERS``, then 1.  Results are
+        bit-identical for every value.
     backend:
         Executor backend for the parallel phases — one of
-        :data:`repro.runtime.BACKEND_NAMES` (``process``, ``local``,
-        ``workqueue``).  An execution knob like ``workers``: results
-        are bit-identical for every backend.
+        :data:`repro.runtime.BACKEND_NAMES` (``local``, ``workqueue``);
+        ``None`` resolves ``$REPRO_BACKEND``, then ``local``.  An
+        execution knob like ``workers``: results are bit-identical for
+        every backend.
     cache:
         An :class:`~repro.runtime.ArtifactCache` or a directory path for
         one; every content-addressed artifact below the spec is loaded
@@ -620,7 +622,7 @@ def run(
         raise SpecError(f"no runner registered for spec kind {spec.kind!r}")
     return runner(
         spec,
-        workers=workers,
+        workers=resolve_workers(workers),
         backend=resolve_backend(backend),
         cache=coerce_cache(cache),
         progress=progress,
@@ -630,8 +632,8 @@ def run(
 def run_file(
     path: str | Path,
     *,
-    workers: int | str = 1,
-    backend: str = "process",
+    workers: int | str | None = None,
+    backend: str | None = None,
     cache: str | Path | ArtifactCache | None = None,
     progress: ProgressFn | None = None,
 ) -> Any:

@@ -49,13 +49,13 @@ from repro.cli_options import (
     split_csv,
     telemetry_dir_from,
     trace_source_type,
-    backend_from,
-    workers_from,
 )
 from repro.obs import (
     MetricsRegistry,
     Tracer,
     build_manifest,
+    current_registry,
+    current_tracer,
     read_manifest,
     render_manifest,
     use_registry,
@@ -75,10 +75,16 @@ from repro.experiments.figures import (
 )
 from repro.experiments.paper_data import paper_row
 from repro.experiments.report import render_comparison, render_statistics
-from repro.experiments.scale import SCALES, current_scale, get_scale
+from repro.experiments.scale import SCALES, current_scale
 from repro.experiments.table4 import row_ids
 from repro.policies.registry import available_policies, get_policy
 from repro.runtime.cache import coerce_cache
+from repro.runtime.config import (
+    resolve_backend,
+    resolve_scale,
+    resolve_sim_kernel,
+    resolve_workers,
+)
 from repro.specs import (
     EvaluateSpec,
     SimulateSpec,
@@ -105,10 +111,6 @@ from repro.traces import (
 )
 from repro.workloads.swf import read_swf, write_swf
 from repro.workloads.traces import synthetic_trace, trace_names
-
-
-def _scale_from(args: argparse.Namespace):
-    return get_scale(args.scale) if args.scale else current_scale()
 
 
 # ----------------------------------------------------------------------
@@ -146,6 +148,20 @@ def _progress_for(spec: Spec):
     return _standard_progress
 
 
+def _run_knobs(spec: Spec, args: argparse.Namespace, command: str) -> dict:
+    """The four run knobs, resolved once: flag (or spec field), else
+    environment, else default.  A bad value exits naming its source."""
+    try:
+        return {
+            "workers": resolve_workers(getattr(args, "workers", None)),
+            "backend": resolve_backend(getattr(args, "backend", None)),
+            "scale": resolve_scale(getattr(spec, "scale", None) or None),
+            "sim_kernel": resolve_sim_kernel(),
+        }
+    except (KeyError, ValueError) as exc:
+        raise SystemExit(f"repro-sched {command}: {exc}") from None
+
+
 def _dispatch(spec: Spec, args: argparse.Namespace, *, command: str) -> int:
     """Run *spec* through the facade and emit its result.
 
@@ -161,37 +177,22 @@ def _dispatch(spec: Spec, args: argparse.Namespace, *, command: str) -> int:
             f" ({spec.jobs} jobs)",
             file=sys.stderr,
         )
-    workers = workers_from(args)
-    backend = backend_from(args)
+    knobs = _run_knobs(spec, args, command)
     telemetry_dir = telemetry_dir_from(args)
-    if telemetry_dir is None:
-        try:
-            result = api.run(
-                spec,
-                workers=workers,
-                backend=backend,
-                cache=getattr(args, "cache", None),
-                progress=_progress_for(spec),
-            )
-        except (SpecError, KeyError, ValueError) as exc:
-            raise SystemExit(f"repro-sched {command}: {exc}") from None
-        _EMITTERS[spec.kind](spec, result, args)
-        return 0
-
-    # Instrumented path: same facade call, ambient sinks installed.  The
-    # cache is coerced *here* so its per-instance counters can be merged
-    # into the manifest after the run.
+    # Without --telemetry the ambient sinks stay as they are (no-ops by
+    # default).  The cache is coerced *here* so its per-instance counters
+    # can be merged into the manifest after the run.
     cache = coerce_cache(getattr(args, "cache", None))
-    registry = MetricsRegistry()
-    tracer = Tracer()
+    registry = current_registry() if telemetry_dir is None else MetricsRegistry()
+    tracer = current_tracer() if telemetry_dir is None else Tracer()
     t_start = time.perf_counter()
     with use_registry(registry), use_tracer(tracer):
         try:
             with tracer.span("execute", kind=spec.kind):
                 result = api.run(
                     spec,
-                    workers=workers,
-                    backend=backend,
+                    workers=knobs["workers"],
+                    backend=knobs["backend"],
                     cache=cache,
                     progress=_progress_for(spec),
                 )
@@ -199,6 +200,8 @@ def _dispatch(spec: Spec, args: argparse.Namespace, *, command: str) -> int:
             raise SystemExit(f"repro-sched {command}: {exc}") from None
         with tracer.span("report"):
             _EMITTERS[spec.kind](spec, result, args)
+    if telemetry_dir is None:
+        return 0
     wall = time.perf_counter() - t_start
     if cache is not None:
         registry.merge(cache.metrics)
@@ -210,9 +213,8 @@ def _dispatch(spec: Spec, args: argparse.Namespace, *, command: str) -> int:
             tracer=tracer,
             spec=spec,
             command=command,
-            workers=workers,
-            backend=backend,
             wall_seconds=wall,
+            **knobs,
         ),
     )
     tracer.write_jsonl(directory / "spans.jsonl")
@@ -413,7 +415,8 @@ def _cmd_table4(args: argparse.Namespace) -> int:
         )
     except SpecError as exc:
         raise SystemExit(f"repro-sched table4: {exc}") from None
-    if workers_from(args) == 1 and telemetry_dir_from(args) is None:
+    workers = _run_knobs(spec, args, "table4")["workers"]
+    if workers == 1 and telemetry_dir_from(args) is None:
         # Serial: run one single-row spec at a time so a long regeneration
         # shows results (and survives interruption) row by row — same
         # results, still routed through the facade.  With --telemetry the
@@ -496,7 +499,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.experiments.export import write_all
 
-    scale = _scale_from(args)
+    scale = current_scale(args.scale)
     fig1 = fig2 = None
     fig3_panels = []
     if args.figure in ("1", "all"):

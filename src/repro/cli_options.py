@@ -12,11 +12,9 @@ spellings (and error messages) for the same concepts:
 * flag groups — :func:`add_workers_arg`, :func:`add_backend_arg`,
   :func:`add_cache_arg`, :func:`add_scale_arg` attach the ``--workers``
   / ``--backend`` / ``--cache`` / ``--scale`` flags with one shared
-  help text;
-* environment resolution — :func:`workers_from` applies the
-  ``$REPRO_WORKERS`` default, :func:`backend_from` the
-  ``$REPRO_BACKEND`` default, :func:`scale_name_from` keeps the chosen
-  preset *name* (specs resolve names to numbers themselves).
+  help text.  Their default is ``None``: an absent flag falls through
+  to the environment in :mod:`repro.runtime.config`, the same resolvers
+  :func:`repro.api.run` uses.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from __future__ import annotations
 import argparse
 import os
 
-from repro.experiments.scale import SCALES, current_workers
-from repro.runtime import BACKEND_NAMES, resolve_backend, resolve_workers
+from repro.experiments.scale import SCALES
+from repro.runtime import BACKEND_NAMES, resolve_workers
 
 __all__ = [
     "add_backend_arg",
@@ -34,7 +32,6 @@ __all__ = [
     "add_scale_arg",
     "add_telemetry_arg",
     "add_workers_arg",
-    "backend_from",
     "bootstrap_type",
     "cache_dir_type",
     "ci_level_type",
@@ -42,7 +39,6 @@ __all__ = [
     "telemetry_dir_from",
     "topology_type",
     "trace_source_type",
-    "workers_from",
     "workers_type",
 ]
 
@@ -159,11 +155,10 @@ def add_backend_arg(p: argparse.ArgumentParser) -> None:
         "--backend",
         choices=BACKEND_NAMES,
         default=None,
-        help="executor backend for parallel phases: 'process' (pool per"
-        " run), 'local' (persistent work-stealing workers) or 'workqueue'"
-        " (filesystem queue with crash retry; see $REPRO_QUEUE_DIR)"
-        " (default: $REPRO_BACKEND or 'process'; results are bit-identical"
-        " on every backend)",
+        help="executor backend for parallel phases: 'local' (persistent"
+        " work-stealing workers) or 'workqueue' (filesystem queue with"
+        " crash retry; see $REPRO_QUEUE_DIR) (default: $REPRO_BACKEND or"
+        " 'local'; results are bit-identical on every backend)",
     )
 
 
@@ -233,7 +228,7 @@ def add_scale_arg(p: argparse.ArgumentParser) -> None:
 
 
 # ----------------------------------------------------------------------
-# environment resolution
+# flag resolution
 # ----------------------------------------------------------------------
 def telemetry_dir_from(args: argparse.Namespace) -> str | None:
     """The telemetry output directory, or ``None`` when not requested.
@@ -249,21 +244,3 @@ def telemetry_dir_from(args: argparse.Namespace) -> str | None:
         return value
     return getattr(args, "output_dir", None) or "telemetry"
 
-
-def workers_from(args: argparse.Namespace) -> int:
-    """``--workers`` if given, else the ``$REPRO_WORKERS`` default."""
-    workers = getattr(args, "workers", None)
-    if workers is not None:
-        return workers
-    try:
-        return current_workers()
-    except ValueError as exc:
-        raise SystemExit(f"repro-sched: bad $REPRO_WORKERS: {exc}") from None
-
-
-def backend_from(args: argparse.Namespace) -> str:
-    """``--backend`` if given, else the ``$REPRO_BACKEND`` default."""
-    try:
-        return resolve_backend(getattr(args, "backend", None))
-    except ValueError as exc:
-        raise SystemExit(f"repro-sched: bad $REPRO_BACKEND: {exc}") from None

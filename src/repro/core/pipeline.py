@@ -14,7 +14,7 @@ This is the library's "train your own policies for your own platform"
 entry point, the customisation the paper's conclusion proposes.
 
 The simulation phase dispatches through :mod:`repro.runtime`: pass
-``workers`` to fan the per-tuple trials over a process pool (results are
+``workers`` to fan the per-tuple trials over worker processes (results are
 bit-identical to the serial run for any worker count), and ``cache`` to
 memoise the pooled distribution on disk keyed by a fingerprint of the
 result-relevant config fields.  Inside each worker the trials
@@ -132,9 +132,9 @@ def build_distribution(
     config: PipelineConfig,
     progress: Callable[[str, int, int], None] | None = None,
     *,
-    workers: int | str = 1,
+    workers: int | str | None = None,
     chunk_size: int | None = None,
-    backend: str = "process",
+    backend: str | None = None,
     cache: str | Path | ArtifactCache | None = None,
 ) -> tuple[list[TaskSetTuple], list[TrialScoreResult], ScoreDistribution]:
     """Phases 1–2: tuples, trials, pooled score distribution.
@@ -143,7 +143,8 @@ def build_distribution(
     ----------
     workers, chunk_size, backend:
         Dispatch policy for the trial simulations (see
-        :class:`repro.runtime.ExecutorConfig`).  Results are identical
+        :class:`repro.runtime.ExecutorConfig`; ``None`` resolves
+        ``$REPRO_WORKERS`` / ``$REPRO_BACKEND``).  Results are identical
         for every setting; ``workers=1`` runs in-process.
     cache:
         An :class:`repro.runtime.ArtifactCache` (or a directory path for
@@ -191,9 +192,9 @@ def obtain_policies(
     config: PipelineConfig | None = None,
     progress: Callable[[str, int, int], None] | None = None,
     *,
-    workers: int | str = 1,
+    workers: int | str | None = None,
     chunk_size: int | None = None,
-    backend: str = "process",
+    backend: str | None = None,
     cache: str | Path | ArtifactCache | None = None,
 ) -> PipelineResult:
     """Run the full §3 procedure and return ranked policies.

@@ -424,9 +424,9 @@ def run_matrix(
     source: Workload | Iterable[Window],
     config: MatrixConfig,
     *,
-    workers: int | str = 1,
+    workers: int | str | None = None,
     chunk_size: int | None = None,
-    backend: str = "process",
+    backend: str | None = None,
     cache: str | ArtifactCache | None = None,
     progress: ProgressCallback | None = None,
     trace_name: str | None = None,
@@ -572,9 +572,9 @@ def _run_matrix_streaming(
     windows: Iterable[Window],
     config: MatrixConfig,
     *,
-    workers: int | str,
+    workers: int | str | None,
     chunk_size: int | None,
-    backend: str,
+    backend: str | None,
     cache: str | ArtifactCache | None,
     progress: ProgressCallback | None,
     trace_name: str | None,
@@ -601,12 +601,11 @@ def _run_matrix_streaming(
     cells: list[CellResult | None] = []
     # (slot, task, cache key) triples awaiting dispatch.
     pending: list[tuple[int, _CellTask, str | None]] = []
-    # On the "process" backend each flush pays a pool spin-up (a fresh
-    # ProcessPoolExecutor per map call), so batches are sized to amortise
-    # it: large enough that worker startup is noise, small enough to
-    # bound memory at a few hundred windows' arrays.  The "local" backend
-    # keeps one worker pool alive across flushes, which is exactly why
-    # one runner spans the whole stream.  Cannot affect results.
+    # Pending cells hold their windows' arrays until the flush, so the
+    # batch bounds memory at a few hundred windows while still giving
+    # every worker dozens of cells per dispatch.  One runner spans the
+    # whole stream, so the local backend's workers stay alive across
+    # flushes.  Cannot affect results.
     dispatch_batch = max(256, 32 * runner.config.n_workers * (chunk_size or 1))
     n_windows = 0
     n_simulated = 0

@@ -4,26 +4,24 @@ The paper's full experimental scale — 256 k trials per tuple, ten 15-day
 sequences per experiment, machines up to 163 840 cores — was run on a Xeon
 with a C simulation core.  A pure-Python single-core session reproduces
 the same *shapes* at reduced scale; every harness therefore takes a
-:class:`Scale`, and the ``REPRO_SCALE`` environment variable picks the
-preset (``smoke`` < ``small`` < ``medium`` < ``paper``).
+:class:`Scale`, and :func:`current_scale` picks the preset (``smoke`` <
+``small`` < ``medium`` < ``paper``): a named one, else ``REPRO_SCALE``,
+else ``small`` (resolved by :func:`repro.runtime.config.resolve_scale`).
 
-Execution width is orthogonal to scale: ``REPRO_WORKERS`` (an integer
-or ``auto``) sets the default worker-pool size used by the CLI and
-harnesses that dispatch through :mod:`repro.runtime`.  Results never
-depend on it — the runtime guarantees bit-identical output for any
-worker count — so it is an environment knob, not a :class:`Scale` field.
+Execution width is orthogonal to scale: ``REPRO_WORKERS`` sets the
+default worker count (see :mod:`repro.runtime.config`).  Results never
+depend on it, so it is a run knob, not a :class:`Scale` field.
 
 EXPERIMENTS.md records which preset produced the checked-in numbers.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from repro.runtime.config import resolve_workers
+from repro.runtime.config import resolve_scale
 
-__all__ = ["Scale", "SCALES", "current_scale", "current_workers", "get_scale"]
+__all__ = ["Scale", "SCALES", "current_scale", "get_scale"]
 
 
 @dataclass(frozen=True)
@@ -121,15 +119,6 @@ def get_scale(name: str) -> Scale:
         ) from None
 
 
-def current_scale(default: str = "small") -> Scale:
-    """The preset selected by ``REPRO_SCALE`` (default ``small``)."""
-    return get_scale(os.environ.get("REPRO_SCALE", default))
-
-
-def current_workers(default: int | str = 1) -> int:
-    """The worker count selected by ``REPRO_WORKERS`` (default serial).
-
-    Accepts an integer or ``auto`` (one worker per CPU); this is the
-    default behind the CLI's ``--workers`` flags.
-    """
-    return resolve_workers(os.environ.get("REPRO_WORKERS", default))
+def current_scale(name: str | None = None) -> Scale:
+    """The preset *name*, else ``$REPRO_SCALE``'s, else ``small``."""
+    return SCALES[resolve_scale(name)]

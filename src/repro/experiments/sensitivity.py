@@ -77,8 +77,8 @@ def seed_sweep(
     seeds: Sequence[int],
     *,
     policies: tuple[str, ...] = ("FCFS", "SPT", "F1"),
-    workers: int | str = 1,
-    backend: str = "process",
+    workers: int | str | None = None,
+    backend: str | None = None,
 ) -> SeedSweepResult:
     """Re-run one Table 4 row under several workload seeds.
 

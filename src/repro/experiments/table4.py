@@ -221,8 +221,8 @@ def run_rows(
     *,
     seed: int = 0,
     policies: tuple[str, ...] = POLICY_COLUMNS,
-    workers: int | str = 1,
-    backend: str = "process",
+    workers: int | str | None = None,
+    backend: str | None = None,
     progress: Callable[[str, int, int], None] | None = None,
 ) -> list[DynamicExperimentResult]:
     """Run several Table 4 rows, optionally fanned over worker processes.

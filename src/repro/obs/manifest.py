@@ -3,11 +3,12 @@
 A *run manifest* (``run_manifest.json``) is written beside every report
 when telemetry is enabled (``--telemetry``): the spec identity
 (canonical fingerprint plus, for ``pwa:<name>`` traces, the registry's
-pinned content hash), the execution knobs (workers, backend, seed), cache
-hit/miss/byte accounting, per-phase wall-time durations (from the
-tracer's top-level spans), jobs/events simulated and the resulting
-jobs/sec.  ``repro-sched stats RUN_DIR`` renders it back as a terminal
-breakdown (:func:`render_manifest`).
+pinned content hash), the execution knobs (the resolved workers,
+backend, scale and simulation kernel of :mod:`repro.runtime.config`,
+plus the seed), cache hit/miss/byte accounting, per-phase wall-time
+durations (from the tracer's top-level spans), jobs/events simulated
+and the resulting jobs/sec.  ``repro-sched stats RUN_DIR`` renders it
+back as a terminal breakdown (:func:`render_manifest`).
 
 Manifests are *observations*, never inputs: nothing in a manifest feeds
 a cache key, a fingerprint or an RNG draw, and writing one is atomic
@@ -116,6 +117,8 @@ def build_manifest(
     workers: int | str | None = None,
     chunk_size: int | None = None,
     backend: str | None = None,
+    scale: str | None = None,
+    sim_kernel: str | None = None,
     wall_seconds: float | None = None,
 ) -> dict:
     """Assemble the manifest document from one run's telemetry.
@@ -140,6 +143,8 @@ def build_manifest(
             "workers": workers,
             "chunk_size": chunk_size,
             "backend": backend,
+            "scale": scale,
+            "sim_kernel": sim_kernel,
             "argv": list(sys.argv[1:]) if sys.argv else [],
         },
         "runtime": {
@@ -254,9 +259,11 @@ def render_manifest(doc: dict) -> str:
             )
         )
     lines.append(
-        "  execution: workers={} backend={} seed={}".format(
+        "  execution: workers={} backend={} scale={} kernel={} seed={}".format(
             execution.get("workers"),
             execution.get("backend"),
+            execution.get("scale"),
+            execution.get("sim_kernel"),
             execution.get("seed"),
         )
     )

@@ -8,12 +8,14 @@ package:
 
 * :class:`ExecutorConfig` — declarative dispatch policy: ``workers``
   (int or ``"auto"``), ``chunk_size``, multiprocessing start method,
-  and ``backend`` (one of :data:`BACKEND_NAMES`).
+  and ``backend`` (one of :data:`BACKEND_NAMES`); unset fields resolve
+  through :mod:`repro.runtime.config`, where every ``REPRO_*`` run knob
+  is read.
 * :class:`TrialRunner` — shards a work-list deterministically
   (:mod:`repro.runtime.sharding`), builds picklable pure chunk calls
   (:mod:`repro.runtime.worker`), hands them to the configured
-  :class:`ExecutorBackend` (:mod:`repro.runtime.backends` — a per-run
-  process pool, the persistent work-stealing ``local`` pool, or the
+  :class:`ExecutorBackend` (:mod:`repro.runtime.backends` — the
+  persistent work-stealing ``local`` pool, the default, or the
   crash-resumable filesystem ``workqueue``), and reassembles results by
   item index.  ``workers=1`` is a plain in-process loop.  Serial and
   parallel runs are **bit-identical** for any worker count, chunk size
@@ -36,6 +38,8 @@ from repro.runtime.config import (
     BACKEND_NAMES,
     ExecutorConfig,
     resolve_backend,
+    resolve_scale,
+    resolve_sim_kernel,
     resolve_workers,
 )
 from repro.runtime.executor import TrialRunner
@@ -55,5 +59,7 @@ __all__ = [
     "create_backend",
     "plan_shards",
     "resolve_backend",
+    "resolve_scale",
+    "resolve_sim_kernel",
     "resolve_workers",
 ]

@@ -1,4 +1,4 @@
-"""Pluggable executor backends: the contract behind :class:`TrialRunner`.
+"""Executor backends: the contract behind :class:`TrialRunner`.
 
 :class:`~repro.runtime.executor.TrialRunner` turns a work-list into a
 deterministic shard plan and a list of :class:`ChunkCall`\\ s — picklable
@@ -6,12 +6,9 @@ deterministic shard plan and a list of :class:`ChunkCall`\\ s — picklable
 plus an optional worker-metrics snapshot.  *How* those calls become
 running processes is the backend's business, and only the backend's:
 
-* :class:`ProcessPoolBackend` (``"process"``) — a fresh
-  ``ProcessPoolExecutor`` per fan-out; the historical default.
-* :class:`~repro.runtime.localpool.LocalPoolBackend` (``"local"``) —
-  persistent workers pulling from one shared queue (work-stealing), so
-  repeated fan-outs (streamed evaluation batches) pay the spawn cost
-  once.
+* :class:`LocalPoolBackend` (``"local"``, the default) — persistent
+  workers pulling from one shared queue (work-stealing), so repeated
+  fan-outs (streamed evaluation batches) pay the spawn cost once.
 * :class:`~repro.runtime.workqueue.WorkQueueBackend` (``"workqueue"``) —
   a filesystem task queue with lease/heartbeat retry, so a killed
   worker's chunks are re-dispatched and a resumed run loses nothing.
@@ -32,32 +29,37 @@ Backend contract
    ``runtime.worker_utilization``) mean the same thing everywhere.
    Each completed chunk's worker-metrics snapshot is merged exactly
    once, so merged parallel counters equal serial counters.
-3. **Errors.**  A failing chunk raises out of ``execute`` promptly; a
-   backend must not silently swallow work (the work-queue backend
-   retries dead *workers*, not failing *calls* — an exception raised by
-   the chunk function itself is fatal on every backend).
+3. **Errors.**  A chunk that raises fails its fan-out at once, and the
+   parent re-raises the *same exception type* the serial loop would
+   have raised (:func:`shippable_error` packs it in the worker).  A
+   backend must not silently swallow work, and must not retry a failing
+   *call*: the work-queue backend retries dead *workers* only.
 """
 
 from __future__ import annotations
 
+import atexit
 import multiprocessing
+import pickle
+import queue as queue_mod
 import time
+import traceback
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import ClassVar
 
 from repro.obs.metrics import current_registry
-from repro.runtime.config import BACKEND_NAMES, ExecutorConfig
+from repro.runtime.config import ExecutorConfig
 from repro.runtime.progress import ProgressAggregator
 
 __all__ = [
     "ChunkCall",
     "ExecutorBackend",
-    "ProcessPoolBackend",
+    "LocalPoolBackend",
     "ShardAccounting",
     "create_backend",
+    "shippable_error",
 ]
 
 
@@ -162,15 +164,133 @@ class ExecutorBackend(ABC):
         """Release any persistent resources (idempotent; default no-op)."""
 
 
-class ProcessPoolBackend(ExecutorBackend):
-    """The historical default: one ``ProcessPoolExecutor`` per fan-out.
+def shippable_error(exc: Exception) -> Exception:
+    """What a worker sends its parent when a chunk raises *exc*.
 
-    Simple and robust — every fan-out gets a fresh pool sized
-    ``min(workers, n_calls)`` — but pays process spawn + import cost per
-    fan-out, which is what the ``local`` backend exists to amortise.
+    *exc* itself when it survives a pickle round trip, so the parent
+    re-raises the type the serial loop would have raised; the worker's
+    traceback rides along as a note.  Otherwise a ``RuntimeError``
+    carrying the traceback text.
+    """
+    detail = "".join(traceback.format_exception(exc))
+    try:
+        shipped = pickle.loads(pickle.dumps(exc))
+    except Exception:  # noqa: BLE001 - any pickling failure means "fall back"
+        return RuntimeError(
+            f"chunk failed with an unpicklable {type(exc).__name__}:\n{detail}"
+        )
+    shipped.add_note(f"raised in worker process:\n{detail}")
+    return shipped
+
+
+#: How long the local dispatcher waits on the result queue before
+#: checking worker liveness.  Only affects crash-detection latency.
+_POLL_SECONDS = 0.2
+
+
+def _local_worker_main(task_queue, result_queue) -> None:
+    """Local worker loop: pull ``(gen, call_id, fn, args)``, run, reply.
+
+    A ``None`` task is the shutdown pill.  A chunk's exception is
+    shipped back as the payload (:func:`shippable_error`) rather than
+    crashing the worker, so one bad chunk fails its fan-out without
+    killing the pool.
+    """
+    while True:
+        task = task_queue.get()
+        if task is None:
+            return
+        gen, call_id, fn, args = task
+        try:
+            payload = fn(*args)
+        except Exception as exc:  # noqa: BLE001 - shipped to parent
+            payload = shippable_error(exc)
+        result_queue.put((gen, call_id, payload))
+
+
+class LocalPoolBackend(ExecutorBackend):
+    """Persistent shared-queue worker pool.
+
+    Workers start **once**, lazily on the first :meth:`execute`, and
+    stay alive across fan-outs: streamed evaluation batches and repeated
+    sweep phases reuse the same processes, so only the first dispatch
+    pays the spawn.  All workers pull from one shared task queue, so a
+    worker that finishes early takes the next chunk instead of idling
+    behind a static partition.  Results come back on a shared result
+    queue tagged ``(generation, call_id)``; the generation counter
+    discards anything a worker produces for an aborted earlier
+    ``execute``.
+
+    Failure semantics are fail-fast: a chunk that raises re-raises in
+    the parent (contract 3), and a worker that dies aborts the fan-out
+    with a ``RuntimeError``.  Retry/resume is the ``workqueue``
+    backend's job.
     """
 
-    name = "process"
+    name = "local"
+
+    def __init__(self, config: ExecutorConfig) -> None:
+        super().__init__(config)
+        self._workers: list = []
+        self._task_queue = None
+        self._result_queue = None
+        self._generation = 0
+
+    def _ensure_started(self) -> None:
+        if self._workers:
+            return
+        ctx = self.mp_context()
+        self._task_queue = ctx.Queue()
+        self._result_queue = ctx.Queue()
+        self._workers = [
+            ctx.Process(
+                target=_local_worker_main,
+                args=(self._task_queue, self._result_queue),
+                daemon=True,
+                name=f"repro-local-{i}",
+            )
+            for i in range(self.config.n_workers)
+        ]
+        for proc in self._workers:
+            proc.start()
+        # Workers are daemons (they die with the parent), but close them
+        # politely at interpreter exit so queues flush.
+        atexit.register(self.close)
+
+    def _check_workers(self) -> None:
+        dead = [p for p in self._workers if not p.is_alive()]
+        if dead:
+            codes = ", ".join(f"{p.name} exit {p.exitcode}" for p in dead)
+            self.close()
+            raise RuntimeError(
+                f"local backend worker died mid-fan-out ({codes}); "
+                "results cannot be trusted to arrive — use the workqueue "
+                "backend for crash retry"
+            )
+
+    def close(self) -> None:
+        workers, self._workers = self._workers, []
+        if not workers:
+            return
+        atexit.unregister(self.close)
+        for proc in workers:
+            if proc.is_alive():
+                try:
+                    self._task_queue.put(None)
+                except (OSError, ValueError):  # queue already torn down
+                    break
+        deadline = time.monotonic() + 2.0
+        for proc in workers:
+            proc.join(timeout=max(0.0, deadline - time.monotonic()))
+            if proc.is_alive():
+                proc.terminate()
+                proc.join(timeout=1.0)
+        for q in (self._task_queue, self._result_queue):
+            if q is not None:
+                q.cancel_join_thread()
+                q.close()
+        self._task_queue = None
+        self._result_queue = None
 
     def execute(
         self,
@@ -178,52 +298,49 @@ class ProcessPoolBackend(ExecutorBackend):
         n_items: int,
         aggregator: ProgressAggregator,
     ) -> list:
+        self._ensure_started()
+        self._generation += 1
+        gen = self._generation
         slots: list = [None] * n_items
-        n_workers = min(self.config.n_workers, max(len(calls), 1))
         acct = ShardAccounting()
         t_pool = time.perf_counter()
-        context = (
-            self.mp_context() if self.config.mp_start_method is not None else None
-        )
-        with ProcessPoolExecutor(
-            max_workers=n_workers, mp_context=context
-        ) as pool:
-            futures = {
-                pool.submit(call.fn, *call.args): (call, time.perf_counter())
-                for call in calls
-            }
+        submitted = {}
+        for call_id, call in enumerate(calls):
+            self._task_queue.put((gen, call_id, call.fn, call.args))
+            submitted[call_id] = time.perf_counter()
+        done = 0
+        while done < len(calls):
             try:
-                for future in as_completed(futures):
-                    pairs, worker_metrics = future.result()
-                    call, t_submit = futures[future]
-                    acct.record_shard(
-                        time.perf_counter() - t_submit, worker_metrics
-                    )
-                    for index, result in pairs:
-                        slots[index] = result
-                    aggregator.advance(call.size)
-            except BaseException:
-                # Don't let queued chunks run to completion behind a
-                # fatal error — surface it as soon as it happens.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-        acct.finish(time.perf_counter() - t_pool, n_workers)
+                r_gen, call_id, payload = self._result_queue.get(
+                    timeout=_POLL_SECONDS
+                )
+            except queue_mod.Empty:
+                self._check_workers()
+                continue
+            if r_gen != gen:
+                # Straggler from an earlier, aborted dispatch.
+                continue
+            if isinstance(payload, Exception):
+                raise payload
+            pairs, worker_metrics = payload
+            acct.record_shard(
+                time.perf_counter() - submitted[call_id], worker_metrics
+            )
+            for index, result in pairs:
+                slots[index] = result
+            aggregator.advance(calls[call_id].size)
+            done += 1
+        acct.finish(
+            time.perf_counter() - t_pool,
+            min(self.config.n_workers, max(len(calls), 1)),
+        )
         return slots
 
 
 def create_backend(config: ExecutorConfig) -> ExecutorBackend:
-    """Instantiate the backend *config* names (lazy imports, no cycles)."""
-    if config.backend == "process":
-        return ProcessPoolBackend(config)
-    if config.backend == "local":
-        from repro.runtime.localpool import LocalPoolBackend
-
-        return LocalPoolBackend(config)
+    """Instantiate the backend *config* names (validated by the config)."""
     if config.backend == "workqueue":
-        from repro.runtime.workqueue import WorkQueueBackend
+        from repro.runtime.workqueue import WorkQueueBackend  # imports this module
 
         return WorkQueueBackend(config)
-    raise ValueError(  # pragma: no cover - config validation catches this
-        f"unknown executor backend {config.backend!r}; "
-        f"valid backends: {', '.join(BACKEND_NAMES)}"
-    )
+    return LocalPoolBackend(config)

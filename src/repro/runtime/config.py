@@ -1,18 +1,24 @@
-"""Executor configuration for the parallel runtime.
+"""Executor configuration and the run knobs it resolves.
 
 :class:`ExecutorConfig` is the single declarative knob set every parallel
 entry point accepts: how many worker processes, how the work-list is cut
 into chunks, which multiprocessing start method to use, and which
 :mod:`executor backend <repro.runtime.backends>` dispatches the chunks.
-Worker counts accept the literal string ``"auto"`` (one worker per CPU),
-so CLI flags and environment variables can pass user input straight
-through.
 
-Determinism note: nothing in this module influences *results* — workers,
-chunk sizes and backends only change how the deterministic work-list is
-dispatched (see :mod:`repro.runtime.sharding`), never the per-item
-random streams.  None of these fields may ever enter a fingerprint or
-cache key.
+It is also the one place the four run knobs are read, each by one
+resolver — :func:`resolve_workers` (``REPRO_WORKERS``),
+:func:`resolve_backend` (``REPRO_BACKEND``), :func:`resolve_scale`
+(``REPRO_SCALE``) and :func:`resolve_sim_kernel` (``REPRO_SIM_KERNEL``).
+Each takes an explicit argument first, then the environment (read at
+call time), then its default.  A bad value raises with the valid
+choices and, when it came from the environment, the variable's name.
+
+Determinism note: workers, chunk sizes, backends and the kernel choice
+only change how the deterministic work-list is dispatched and run (see
+:mod:`repro.runtime.sharding` and the kernel parity suites), never the
+per-item random streams.  None of them may ever enter a fingerprint or
+cache key; the scale preset reaches one only through the spec fields
+it fills in.
 """
 
 from __future__ import annotations
@@ -25,43 +31,40 @@ __all__ = [
     "DEFAULT_BACKEND",
     "ExecutorConfig",
     "resolve_backend",
+    "resolve_scale",
+    "resolve_sim_kernel",
     "resolve_workers",
 ]
 
 #: Registered executor backend names, in documentation order.  The
-#: implementations live in :mod:`repro.runtime.backends` (process),
-#: :mod:`repro.runtime.localpool` (local) and
+#: implementations live in :mod:`repro.runtime.backends` (local) and
 #: :mod:`repro.runtime.workqueue` (workqueue); this tuple lives here so
 #: config validation does not import them.
-BACKEND_NAMES = ("process", "local", "workqueue")
+BACKEND_NAMES = ("local", "workqueue")
 
-DEFAULT_BACKEND = "process"
+DEFAULT_BACKEND = "local"
 
 
-def resolve_backend(backend: str | None) -> str:
-    """Coerce a backend spec to a registered backend name.
+def _pick(value, var: str, default) -> tuple[object, str]:
+    """``(value, source)``: *value*, else ``$var``, else *default*;
+    *source* names the variable for error messages when it was used."""
+    if value is not None:
+        return value, ""
+    env = os.environ.get(var, "").strip()
+    if env:
+        return env, f" (from ${var})"
+    return default, ""
 
-    ``None`` falls back to ``$REPRO_BACKEND`` and then to
-    :data:`DEFAULT_BACKEND`.  Unknown names raise ``ValueError`` naming
-    the valid choices.
+
+def resolve_workers(workers: int | str | None = None) -> int:
+    """The worker count: *workers*, else ``$REPRO_WORKERS``, else 1.
+
+    Accepts an ``int``, a numeric string or ``"auto"``, which resolves
+    to the CPUs this process may run on (at least 1).
     """
-    if backend is None:
-        backend = os.environ.get("REPRO_BACKEND") or DEFAULT_BACKEND
-    if backend not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown executor backend {backend!r}; "
-            f"valid backends: {', '.join(BACKEND_NAMES)}"
-        )
-    return backend
-
-
-def resolve_workers(workers: int | str) -> int:
-    """Coerce a worker-count spec (``int``, numeric string or ``"auto"``).
-
-    ``"auto"`` resolves to the machine's CPU count (at least 1).
-    """
-    if isinstance(workers, str):
-        if workers == "auto":
+    value, source = _pick(workers, "REPRO_WORKERS", 1)
+    if isinstance(value, str):
+        if value == "auto":
             try:
                 # Respect CPU affinity / cgroup limits where the OS
                 # exposes them; plain cpu_count() oversubscribes
@@ -70,15 +73,59 @@ def resolve_workers(workers: int | str) -> int:
             except AttributeError:  # platforms without sched_getaffinity
                 return max(os.cpu_count() or 1, 1)
         try:
-            workers = int(workers)
+            value = int(value)
         except ValueError:
             raise ValueError(
-                f"workers must be a positive integer or 'auto', got {workers!r}"
+                f"workers must be a positive integer or 'auto', got"
+                f" {value!r}{source}"
             ) from None
-    count = int(workers)
+    count = int(value)
     if count < 1:
-        raise ValueError(f"workers must be >= 1, got {count}")
+        raise ValueError(f"workers must be >= 1, got {count}{source}")
     return count
+
+
+def resolve_backend(backend: str | None = None) -> str:
+    """The executor backend: *backend*, else ``$REPRO_BACKEND``, else ``local``."""
+    value, source = _pick(backend, "REPRO_BACKEND", DEFAULT_BACKEND)
+    if value not in BACKEND_NAMES:
+        raise ValueError(
+            f"unknown executor backend {value!r}{source}; "
+            f"valid backends: {', '.join(BACKEND_NAMES)}"
+        )
+    return value
+
+
+def resolve_scale(scale: str | None = None) -> str:
+    """The scale preset name: *scale*, else ``$REPRO_SCALE``, else ``small``.
+
+    Unknown names raise ``KeyError``, like
+    :func:`repro.experiments.scale.get_scale`.
+    """
+    from repro.experiments.scale import SCALES  # that module imports this one
+
+    value, source = _pick(scale, "REPRO_SCALE", "small")
+    if value not in SCALES:
+        raise KeyError(
+            f"unknown scale {value!r}{source}; available: {', '.join(SCALES)}"
+        )
+    return value
+
+
+def resolve_sim_kernel(mode: str | None = None) -> str:
+    """The simulation kernel: *mode*, else ``$REPRO_SIM_KERNEL``, else ``auto``.
+
+    ``auto`` uses the C kernel when it builds, ``c`` requires it and
+    ``python`` never uses it.
+    """
+    value, source = _pick(mode, "REPRO_SIM_KERNEL", "auto")
+    value = value.lower()
+    if value not in ("auto", "c", "python"):
+        raise ValueError(
+            f"unknown simulation kernel {value!r}{source}; "
+            "choose from auto, c, python"
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -89,8 +136,9 @@ class ExecutorConfig:
     ----------
     workers:
         Number of worker processes, or ``"auto"`` for one per CPU.
-        ``1`` (the default) runs everything serially in-process — no
-        pool, no pickling, byte-for-byte the historical code path.
+        ``None`` (the default) resolves through :func:`resolve_workers`,
+        and construction stores the resolved count.  ``1`` runs
+        everything serially in-process — no pool, no pickling.
     chunk_size:
         Items per dispatched chunk.  ``None`` picks ``ceil(n / (4 *
         workers))`` so each worker sees ~4 chunks (good load balancing
@@ -100,9 +148,9 @@ class ExecutorConfig:
         ``"spawn"``, ...).  ``None`` uses the platform default.
     backend:
         Which :class:`~repro.runtime.backends.ExecutorBackend` runs the
-        chunks — one of :data:`BACKEND_NAMES`.  ``"process"`` (default)
-        is a per-fan-out ``ProcessPoolExecutor``; ``"local"`` keeps
-        persistent workers pulling from a shared queue (work-stealing);
+        chunks — one of :data:`BACKEND_NAMES`, or ``None`` to resolve
+        through :func:`resolve_backend`.  ``"local"`` keeps persistent
+        workers pulling from a shared queue (work-stealing);
         ``"workqueue"`` dispatches through a filesystem queue with
         lease/heartbeat retry.  Like every other field here, the backend
         can never change a result.
@@ -116,16 +164,16 @@ class ExecutorConfig:
         uses ``$REPRO_QUEUE_LEASE_TIMEOUT`` or 30 seconds.
     """
 
-    workers: int | str = 1
+    workers: int | str | None = None
     chunk_size: int | None = None
     mp_start_method: str | None = None
-    backend: str = DEFAULT_BACKEND
+    backend: str | None = None
     queue_dir: str | None = None
     lease_timeout: float | None = None
 
     def __post_init__(self) -> None:
-        resolve_workers(self.workers)  # fail fast on bad specs
-        resolve_backend(self.backend)
+        object.__setattr__(self, "workers", resolve_workers(self.workers))
+        object.__setattr__(self, "backend", resolve_backend(self.backend))
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         if self.lease_timeout is not None and self.lease_timeout <= 0:
@@ -135,8 +183,8 @@ class ExecutorConfig:
 
     @property
     def n_workers(self) -> int:
-        """The resolved worker count (``"auto"`` -> CPU count)."""
-        return resolve_workers(self.workers)
+        """The resolved worker count."""
+        return self.workers
 
     def chunk_for(self, n_items: int) -> int:
         """The chunk size used for a work-list of *n_items*."""

@@ -7,8 +7,8 @@ the per-tuple permutation trials of the training pipeline
 sensitivity sweeps).  It turns a work-list into a deterministic shard
 plan and a list of picklable :class:`~repro.runtime.backends.ChunkCall`\\ s,
 then hands execution to the configured
-:class:`~repro.runtime.backends.ExecutorBackend` (``process``, ``local``
-or ``workqueue`` — see :mod:`repro.runtime.backends`).
+:class:`~repro.runtime.backends.ExecutorBackend` (``local`` or
+``workqueue`` — see :mod:`repro.runtime.backends`).
 
 Determinism contract
 --------------------
@@ -30,9 +30,10 @@ backend)``:
 Lifecycle: backends may hold persistent resources (the ``local``
 backend keeps its worker processes alive between fan-outs), so runners
 are context managers — ``with TrialRunner(cfg) as runner: ...`` — or
-call :meth:`TrialRunner.close` when done.  The serial path and the
-``process`` backend hold nothing, so forgetting to close is harmless
-there.
+call :meth:`TrialRunner.close` when done.  The serial path starts no
+workers, so forgetting to close is harmless there.  A work item that
+raises surfaces as the same exception type on every path (contract 3 in
+:mod:`repro.runtime.backends`).
 """
 
 from __future__ import annotations

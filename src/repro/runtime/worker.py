@@ -1,7 +1,7 @@
 """Picklable worker-process entry points.
 
-Everything a :class:`~concurrent.futures.ProcessPoolExecutor` executes
-must be importable by name in the child process, so the chunk runners
+Everything a backend's worker process executes must be importable by
+name in the child process, so the chunk runners
 live here as plain module-level functions of plain picklable arguments
 (dataclasses of numpy arrays, :class:`~numpy.random.SeedSequence`\\ s,
 ints, floats).  They are *pure* with respect to results: the

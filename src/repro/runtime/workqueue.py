@@ -1,7 +1,7 @@
 """The ``workqueue`` executor backend: filesystem queue with lease retry.
 
-Where the ``process`` and ``local`` backends are fail-fast, this backend
-is *crash-resumable*: every chunk becomes a durable task file in a run
+Where the ``local`` backend is fail-fast, this backend is
+*crash-resumable*: every chunk becomes a durable task file in a run
 directory, workers claim tasks by taking a **lease**, heartbeat the
 lease while computing, and write results atomically.  If a worker is
 SIGKILLed mid-chunk its lease goes stale (no heartbeat), another worker
@@ -33,7 +33,10 @@ Protocol (all under ``<run_dir>/``)
     The pickled result document, written to a ``tmp-<pid>`` sibling and
     ``os.replace``\\ d into place — so a result file either exists
     complete or not at all, and double completion (two workers finishing
-    the same task) is idempotent by construction.
+    the same task) is idempotent by construction.  A chunk that raises
+    publishes its exception as the payload (see
+    :func:`~repro.runtime.backends.shippable_error`), which the
+    dispatcher re-raises at once instead of retrying the call.
 
 Fault injection (test-only)
 ---------------------------
@@ -65,7 +68,12 @@ import time
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.runtime.backends import ChunkCall, ExecutorBackend, ShardAccounting
+from repro.runtime.backends import (
+    ChunkCall,
+    ExecutorBackend,
+    ShardAccounting,
+    shippable_error,
+)
 from repro.runtime.progress import ProgressAggregator
 
 __all__ = [
@@ -280,8 +288,9 @@ def work_loop(
     Runs as the child-process entry point of
     :class:`WorkQueueBackend`, but is equally launchable by hand on
     another machine against a shared ``run_dir``.  Returns the number of
-    tasks this worker completed.  Exceptions raised by a chunk function
-    propagate (the worker dies nonzero and the dispatcher reports it).
+    tasks this worker completed.  A chunk function that raises publishes
+    its exception as the task's payload and the worker moves on; only a
+    dead worker leaves a task to retry.
     """
     if lease_timeout is None:
         lease_timeout = _lease_timeout_default()
@@ -309,8 +318,11 @@ def work_loop(
             _maybe_die(fault, claims, run_dir)
             with open(_task_path(run_dir, task_id), "rb") as fh:
                 fn, args = pickle.load(fh)
-            with _Heartbeat(claim.lease_path, lease_timeout):
-                payload = fn(*args)
+            try:
+                with _Heartbeat(claim.lease_path, lease_timeout):
+                    payload = fn(*args)
+            except Exception as exc:  # noqa: BLE001 - the dispatcher re-raises it
+                payload = shippable_error(exc)
             store_result(run_dir, task_id, payload, takeover=claim.takeover)
             completed += 1
             progressed = True
@@ -433,6 +445,8 @@ class WorkQueueBackend(ExecutorBackend):
                     doc = load_result(run_dir, task_id)
                     if doc is None:
                         continue
+                    if isinstance(doc["payload"], Exception):
+                        raise doc["payload"]
                     pairs, worker_metrics = doc["payload"]
                     acct.record_shard(
                         time.perf_counter() - t_submit, worker_metrics

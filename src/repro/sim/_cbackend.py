@@ -45,7 +45,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["CBackendUnavailable", "requested_mode", "load", "cache_dir"]
+__all__ = ["CBackendUnavailable", "cache_dir", "load", "selected"]
 
 
 class CBackendUnavailable(RuntimeError):
@@ -559,14 +559,11 @@ _ERRORS = {
 _CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
-def requested_mode() -> str:
-    """The backend selection from ``REPRO_SIM_KERNEL`` (validated)."""
-    mode = os.environ.get("REPRO_SIM_KERNEL", "auto").strip().lower() or "auto"
-    if mode not in ("auto", "c", "python"):
-        raise ValueError(
-            f"REPRO_SIM_KERNEL={mode!r}; choose from 'auto', 'c', 'python'"
-        )
-    return mode
+def _mode() -> str:
+    # Imported at call time: repro.runtime imports this package.
+    from repro.runtime.config import resolve_sim_kernel
+
+    return resolve_sim_kernel()
 
 
 def cache_dir() -> Path:
@@ -722,7 +719,7 @@ def load() -> CKernel | None:
     """
     global _cached
     if _cached is not _UNSET:
-        if _cached is None and requested_mode() == "c":
+        if _cached is None and _mode() == "c":
             raise CBackendUnavailable("C kernel unavailable (earlier build failed)")
         return _cached  # type: ignore[return-value]
     try:
@@ -734,8 +731,14 @@ def load() -> CKernel | None:
         _cached = CKernel(ctypes.CDLL(str(so_path)))
     except Exception as exc:
         _cached = None
-        if requested_mode() == "c":
+        if _mode() == "c":
             if isinstance(exc, CBackendUnavailable):
                 raise
             raise CBackendUnavailable(f"C kernel unavailable: {exc}") from exc
     return _cached  # type: ignore[return-value]
+
+
+def selected() -> CKernel | None:
+    """The C kernel, or ``None`` under ``REPRO_SIM_KERNEL=python`` (and
+    under ``auto`` when it is unavailable)."""
+    return None if _mode() == "python" else load()

@@ -209,9 +209,7 @@ def simulate_events(
     if terms is not None:
         terms = _validated_terms(terms, n)
     if static_scores is not None or terms is not None:
-        backend = (
-            None if _cbackend.requested_mode() == "python" else _cbackend.load()
-        )
+        backend = _cbackend.selected()
         if backend is not None:
             start, backfilled, n_events, n_passes = backend.sim(
                 submit, runtime, proc, size, static_scores, arrival_order, nmax,
@@ -286,7 +284,7 @@ def fixed_priority_batch(
     if m == 0 or n_trials == 0:
         return out
     arrival_order = np.argsort(submit, kind="stable")
-    backend = None if _cbackend.requested_mode() == "python" else _cbackend.load()
+    backend = _cbackend.selected()
     if backend is not None:
         return backend.fixed_batch(
             submit, runtime, size, prios, arrival_order, nmax, out

@@ -77,9 +77,9 @@ class Table4Spec(Spec):
 
     def resolve_scale(self) -> "Scale":
         """The scale preset (``$REPRO_SCALE`` if unnamed)."""
-        from repro.experiments.scale import current_scale, get_scale
+        from repro.experiments.scale import current_scale
 
-        return get_scale(self.scale) if self.scale else current_scale()
+        return current_scale(self.scale or None)
 
     def _fingerprint_payload(self) -> dict[str, Any]:
         scale = self.resolve_scale()

@@ -87,9 +87,9 @@ class TrainSpec(Spec):
 
     def resolve_scale(self) -> "Scale":
         """The preset backing unset fields (``$REPRO_SCALE`` if unnamed)."""
-        from repro.experiments.scale import current_scale, get_scale
+        from repro.experiments.scale import current_scale
 
-        return get_scale(self.scale) if self.scale else current_scale()
+        return current_scale(self.scale or None)
 
     def to_pipeline_config(self) -> "PipelineConfig":
         """Resolve presets into a concrete, validated pipeline config."""

@@ -14,10 +14,16 @@ The claims under test, from strongest to weakest:
 3. **Honest failure** — when workers die faster than the respawn budget
    allows, the dispatcher raises instead of hanging or returning a
    partial result.
+4. **One failure contract** — on every backend, a chunk function that
+   raises fails the fan-out at once with the same exception type the
+   serial loop raises; the work queue runs the failing call once and
+   respawns nothing, because a raising call is not a dead worker.
 """
 
+import functools
 import json
 import os
+import pickle
 import time
 
 import pytest
@@ -25,7 +31,8 @@ import pytest
 from repro.eval.matrix import MatrixConfig, run_matrix
 from repro.eval.report import write_matrix_report
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.runtime import ExecutorConfig, TrialRunner
+from repro.runtime import BACKEND_NAMES, ExecutorConfig, TrialRunner
+from repro.runtime.backends import shippable_error
 from repro.runtime.workqueue import (
     FaultSpec,
     claim_task,
@@ -115,6 +122,72 @@ class TestKillResume:
         )
         with pytest.raises(RuntimeError, match="respawn budget"):
             runner.map(abs, [1, -2, 3])
+
+
+def _fail_on_two(log_dir, x):
+    """Log each call, then raise ``ValueError`` on item 2."""
+    with open(os.path.join(log_dir, f"calls-{x}"), "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\n")
+    if x == 2:
+        raise ValueError(f"bad item {x}")
+    return x
+
+
+class _Unpicklable(Exception):
+    """Pickles, but cannot be rebuilt: ``__init__`` takes two arguments."""
+
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+def _raise_unpicklable(x):
+    raise _Unpicklable(x, "two-argument exception")
+
+
+class TestChunkFailure:
+    LEASE = 5.0
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_raising_chunk_reraises_its_type_at_once(
+        self, backend, tmp_path, monkeypatch
+    ):
+        _queue_env(monkeypatch, tmp_path, lease=str(self.LEASE))
+        log_dir = tmp_path / "calls"
+        log_dir.mkdir()
+        registry = MetricsRegistry()
+        config = ExecutorConfig(workers=2, chunk_size=1, backend=backend)
+        with use_registry(registry), TrialRunner(config) as runner:
+            start = time.monotonic()
+            with pytest.raises(ValueError, match="bad item 2") as info:
+                runner.map(functools.partial(_fail_on_two, str(log_dir)), [1, 2, 3])
+            elapsed = time.monotonic() - start
+        assert elapsed < self.LEASE
+        assert registry.value("runtime.queue.respawns") == 0
+        assert registry.value("runtime.queue.worker_deaths") == 0
+        # The failing call ran exactly once: nothing retried it.
+        assert len((log_dir / "calls-2").read_text().split()) == 1
+        # The worker's traceback rides along for debugging.
+        assert any("_fail_on_two" in note for note in info.value.__notes__)
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_unpicklable_error_falls_back_to_runtime_error(
+        self, backend, tmp_path, monkeypatch
+    ):
+        _queue_env(monkeypatch, tmp_path, lease=str(self.LEASE))
+        config = ExecutorConfig(workers=2, chunk_size=1, backend=backend)
+        with TrialRunner(config) as runner:
+            with pytest.raises(RuntimeError, match="unpicklable _Unpicklable") as info:
+                runner.map(_raise_unpicklable, [1, 2])
+        assert "two-argument exception" in str(info.value)
+
+    def test_shippable_error_round_trips(self):
+        try:
+            raise ValueError("boom")
+        except ValueError as exc:
+            shipped = shippable_error(exc)
+        back = pickle.loads(pickle.dumps(shipped))
+        assert type(back) is ValueError and str(back) == "boom"
+        assert "raised in worker process" in back.__notes__[0]
 
 
 class TestLeaseProtocol:

@@ -353,6 +353,28 @@ class TestStatsVerb:
         assert "fingerprint=" in out
         assert "jobs/sec" in out
 
+    def test_manifest_records_the_resolved_run_knobs(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        monkeypatch.setenv("REPRO_BACKEND", "workqueue")
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
+        monkeypatch.setenv("REPRO_QUEUE_DIR", str(tmp_path / "queue"))
+        tele = tmp_path / "tele"
+        _evaluate_cli(tmp_path, "run", "--telemetry", str(tele))
+        execution = read_manifest(tele)["execution"]
+        assert (
+            execution["workers"],
+            execution["backend"],
+            execution["scale"],
+            execution["sim_kernel"],
+        ) == (2, "workqueue", "smoke", "python")
+        capsys.readouterr()
+        assert main(["stats", str(tele)]) == 0
+        out = capsys.readouterr().out
+        assert "workers=2 backend=workqueue scale=smoke kernel=python" in out
+
     def test_stats_without_manifest_names_the_flag(self, tmp_path):
         with pytest.raises(SystemExit, match="--telemetry"):
             main(["stats", str(tmp_path)])
