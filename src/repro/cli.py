@@ -17,39 +17,29 @@ Mirrors the three artifact workflows plus convenience commands::
     repro-sched lint       # static analysis: enforce the repro contracts
 
 Every experiment verb (``train`` / ``simulate`` / ``evaluate`` /
-``table4``) is a thin adapter: it builds the matching
-:mod:`repro.specs` spec from its flags and dispatches through
+``table4``) is a thin adapter: its flags are derived from the fields of
+the matching :mod:`repro.specs` dataclass (one ``--field-name`` per
+field), it builds that spec from the flags given and dispatches through
 :func:`repro.api.run`, sharing one output path with ``repro-sched run
 <spec file>`` — so a flag invocation and the equivalent spec file
-produce byte-identical reports.  Shared flag handling lives in
-:mod:`repro.cli_options`.
+produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import os
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
 
 import repro
 from repro import api
-from repro.cli_options import (
-    add_cache_arg,
-    add_platform_args,
-    add_scale_arg,
-    add_telemetry_arg,
-    add_backend_arg,
-    add_workers_arg,
-    bootstrap_type,
-    ci_level_type,
-    split_csv,
-    telemetry_dir_from,
-    trace_source_type,
-)
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -63,7 +53,6 @@ from repro.obs import (
     write_manifest,
 )
 from repro.eval import (
-    BACKFILL_TOKENS,
     render_matrix_report,
     render_paper_comparison,
     write_matrix_report,
@@ -75,11 +64,12 @@ from repro.experiments.figures import (
 )
 from repro.experiments.paper_data import paper_row
 from repro.experiments.report import render_comparison, render_statistics
-from repro.experiments.scale import SCALES, current_scale
+from repro.experiments.scale import SCALES, Scale, current_scale
 from repro.experiments.table4 import row_ids
 from repro.policies.registry import available_policies, get_policy
 from repro.runtime.cache import coerce_cache
 from repro.runtime.config import (
+    BACKEND_NAMES,
     resolve_backend,
     resolve_scale,
     resolve_sim_kernel,
@@ -111,6 +101,166 @@ from repro.traces import (
 )
 from repro.workloads.swf import read_swf, write_swf
 from repro.workloads.traces import synthetic_trace, trace_names
+
+
+# ----------------------------------------------------------------------
+# flags: derived from the spec dataclasses, plus the run and emitter flags
+# ----------------------------------------------------------------------
+def split_csv(value: str) -> tuple[str, ...]:
+    """Comma-separated list -> stripped, non-empty items."""
+    items = tuple(part.strip() for part in value.split(",") if part.strip())
+    if not items:
+        raise argparse.ArgumentTypeError(f"empty list {value!r}")
+    return items
+
+
+def topology_type(value: str) -> tuple[int, ...]:
+    """A platform topology spelling: ``2x4`` -> ``(2, 4)``.
+
+    Each ``x``-separated level is a fanout; the leaf count is their
+    product (``2x4`` = 8 leaves).  ``1`` is accepted and provably
+    byte-identical to the flat machine.
+    """
+    from repro.sim.platform import normalize_topology
+
+    try:
+        topo = normalize_topology(
+            tuple(int(part) for part in value.lower().split("x"))
+        )
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(
+            f"bad topology {value!r}; expected positive integers joined"
+            f" by 'x' (e.g. 2x4): {exc}"
+        ) from None
+    if topo is None:
+        raise argparse.ArgumentTypeError(f"empty topology {value!r}")
+    return topo
+
+
+def cache_dir_type(value: str) -> str:
+    """A path that is usable as a cache directory."""
+    if os.path.exists(value) and not os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"{value!r} exists and is not a directory")
+    return value
+
+
+def _flag_type(hint: object):
+    """The argparse ``type`` of a spec field annotation."""
+    if type(None) in typing.get_args(hint):  # ``X | None`` parses as ``X``
+        (hint,) = (arg for arg in typing.get_args(hint) if arg is not type(None))
+    if typing.get_origin(hint) is tuple:
+        return topology_type if typing.get_args(hint)[0] is int else split_csv
+    return hint
+
+
+def add_spec_flags(parser: argparse.ArgumentParser, spec_cls: type[Spec]) -> None:
+    """One ``--field-name`` flag per field of *spec_cls*.
+
+    The parse type follows the annotation (``bool`` gains a ``--no-``
+    negation, tuples are comma lists or ``AxB`` topologies); help text
+    and legacy spellings come from the field's metadata.  An absent flag
+    leaves its field out of the namespace, so the spec's own default and
+    validation are the only copy.
+    """
+    hints = typing.get_type_hints(spec_cls)
+    for f in dataclasses.fields(spec_cls):
+        help_text = f.metadata.get("help", "")
+        if f.default is not None:
+            shown = ",".join(f.default) if isinstance(f.default, tuple) else f.default
+            help_text = f"{help_text} (default: {shown})".lstrip()
+        kwargs = {"dest": f.name, "default": argparse.SUPPRESS, "help": help_text}
+        if hints[f.name] is bool:
+            kwargs["action"] = argparse.BooleanOptionalAction
+        else:
+            kwargs["type"] = _flag_type(hints[f.name])
+        parser.add_argument(
+            f.metadata.get("flag", "--" + f.name.replace("_", "-")), **kwargs
+        )
+
+
+def spec_from_args(args: argparse.Namespace) -> Spec:
+    """The spec the parsed flags of a flag verb declare.
+
+    Only the flags given reach the constructor; a bad value exits naming
+    the verb and the spec's own error.
+    """
+    spec_cls = args.spec_cls
+    given = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(spec_cls)
+        if hasattr(args, f.name)
+    }
+    if getattr(args, "synthetic_fallback", False):
+        given.update(_synthetic_fallback(given.get("trace")))
+    try:
+        return spec_cls(**given)
+    except SpecError as exc:
+        raise SystemExit(f"repro-sched {spec_cls.kind}: {exc}") from None
+
+
+def _add_run_flags(p: argparse.ArgumentParser, *, cache: bool = True) -> None:
+    """``--workers`` / ``--backend`` / ``--cache`` / ``--telemetry``.
+
+    Their default is ``None``: an absent flag falls through to the
+    environment in :mod:`repro.runtime.config`, the same resolvers
+    :func:`repro.api.run` uses.  ``--telemetry`` alone is the empty
+    string, which :func:`telemetry_dir_from` resolves.
+    """
+    p.add_argument(
+        "--workers",
+        metavar="N",
+        help="worker processes: an integer or 'auto' "
+        "(default: $REPRO_WORKERS or 1; results are identical either way)",
+    )
+    p.add_argument(
+        "--backend",
+        choices=BACKEND_NAMES,
+        help="executor backend for parallel phases: 'local' (persistent"
+        " work-stealing workers) or 'workqueue' (filesystem queue with"
+        " crash retry; see $REPRO_QUEUE_DIR) (default: $REPRO_BACKEND or"
+        " 'local'; results are bit-identical on every backend)",
+    )
+    if cache:
+        p.add_argument(
+            "--cache",
+            type=cache_dir_type,
+            metavar="DIR",
+            help="artifact-cache directory; a re-run with an unchanged config"
+            " loads every cached artifact instead of re-simulating",
+        )
+    p.add_argument(
+        "--telemetry",
+        nargs="?",
+        const="",
+        metavar="DIR",
+        help="collect metrics/spans and write run_manifest.json,"
+        " metrics.json and spans.jsonl (default DIR: --output-dir if"
+        " given, else ./telemetry); never changes any result or report"
+        " byte — inspect with `repro-sched stats DIR`",
+    )
+
+
+def telemetry_dir_from(args: argparse.Namespace) -> str | None:
+    """The telemetry output directory, or ``None`` when not requested.
+
+    Resolution order for a bare ``--telemetry``: the verb's
+    ``--output-dir`` (reports and manifest side by side), else
+    ``./telemetry``.
+    """
+    value = getattr(args, "telemetry", None)
+    if value is None:
+        return None
+    if value:
+        return value
+    return getattr(args, "output_dir", None) or "telemetry"
+
+
+def _scale(command: str, name: str | None = None) -> Scale:
+    """The scale preset *name* (else ``$REPRO_SCALE``'s); a bad name exits."""
+    try:
+        return current_scale(name)
+    except KeyError as exc:
+        raise SystemExit(f"repro-sched {command}: {exc.args[0]}") from None
 
 
 # ----------------------------------------------------------------------
@@ -159,7 +309,7 @@ def _run_knobs(spec: Spec, args: argparse.Namespace, command: str) -> dict:
             "sim_kernel": resolve_sim_kernel(),
         }
     except (KeyError, ValueError) as exc:
-        raise SystemExit(f"repro-sched {command}: {exc}") from None
+        raise SystemExit(f"repro-sched {command}: {exc.args[0]}") from None
 
 
 def _dispatch(spec: Spec, args: argparse.Namespace, *, command: str) -> int:
@@ -303,64 +453,52 @@ _EMITTERS = {
     "sweep": _emit_sweep,
 }
 
+#: The flags the emitters read: flag -> (spec kinds, argparse kwargs).
+_EMITTER_FLAGS = {
+    "--output": (
+        ("train",),
+        {"metavar": "FILE", "help": "train: write the score distribution CSV here"},
+    ),
+    "--output-dir": (
+        ("evaluate", "sweep"),
+        {
+            "metavar": "DIR",
+            "help": "evaluate: also write eval_matrix.csv / .json /"
+            " _deltas.csv here; sweep: write sweep_summary.csv here",
+        },
+    ),
+    "--plot": (("table4",), {"action": "store_true", "help": "table4: ASCII boxplots"}),
+}
+
+
+def _add_emitter_flags(p: argparse.ArgumentParser, kinds: tuple[str, ...]) -> None:
+    """The emitter flags read by any of the spec *kinds*."""
+    for flag, (readers, kwargs) in _EMITTER_FLAGS.items():
+        if set(readers) & set(kinds):
+            p.add_argument(flag, **kwargs)
+
 
 # ----------------------------------------------------------------------
 # experiment verbs: flags -> spec -> api.run
 # ----------------------------------------------------------------------
-def _cmd_train(args: argparse.Namespace) -> int:
-    try:
-        spec = TrainSpec(
-            scale=args.scale,
-            n_tuples=args.tuples,
-            trials_per_tuple=args.trials,
-            nmax=args.nmax,
-            seed=args.seed,
-            top_k=args.top,
-        )
-    except SpecError as exc:
-        raise SystemExit(f"repro-sched train: {exc}") from None
-    return _dispatch(spec, args, command="train")
+def _synthetic_fallback(trace: str | None) -> dict:
+    """Resolve ``--synthetic-fallback``: the spec fields it overrides.
 
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        spec = SimulateSpec(
-            policy=args.policy,
-            nmax=args.nmax,
-            jobs=args.jobs,
-            seed=args.seed,
-            swf=args.swf,
-            trace=args.trace,
-            estimates=args.estimates,
-            backfill=args.backfill,
-            topology=args.topology,
-            distribution=args.distribution,
-            hetero=tuple(args.hetero_archs) if args.hetero_archs else None,
-        )
-    except SpecError as exc:
-        raise SystemExit(f"repro-sched simulate: {exc}") from None
-    return _dispatch(spec, args, command="simulate")
-
-
-def _apply_synthetic_fallback(args: argparse.Namespace) -> tuple[str | None, str]:
-    """Resolve ``--synthetic-fallback``: effective ``(trace, synthetic)``.
-
-    When the flag is set and the ``pwa:<name>`` trace is *absent* from
-    the local cache, the run proceeds against the synthetic stand-in of
-    the same name (the spec is built with ``trace=None``/
-    ``synthetic=name``, so its fingerprint honestly names the synthetic
-    source).  The probe is a cheap existence check — full content
-    verification happens exactly once, when the spec resolves the
-    reference — so a *present but corrupt* cache entry does not fall
-    back silently: it surfaces the resolution error naming
-    ``repro-sched fetch``, exactly as runs without the flag do.
+    When the ``pwa:<name>`` trace is *absent* from the local cache, the
+    run proceeds against the synthetic stand-in of the same name (the
+    spec is built with ``trace=None``/``synthetic=name``, so its
+    fingerprint honestly names the synthetic source).  The probe is a
+    cheap existence check — full content verification happens exactly
+    once, when the spec resolves the reference — so a *present but
+    corrupt* cache entry does not fall back silently: it surfaces the
+    resolution error naming ``repro-sched fetch``, exactly as runs
+    without the flag do.
     """
-    trace = args.trace
-    if not (getattr(args, "synthetic_fallback", False) and is_trace_ref(trace)):
-        return trace, args.synthetic
+    if not is_trace_ref(trace):
+        return {}
     name = trace_ref_name(trace)
     if cached_trace_path(name).is_file():
-        return trace, args.synthetic
+        return {}
     if name not in trace_names():
         raise SystemExit(
             f"repro-sched evaluate: trace {trace} is not in the local cache"
@@ -374,61 +512,25 @@ def _apply_synthetic_fallback(args: argparse.Namespace) -> tuple[str | None, str
         f" {name}` to evaluate the real trace)",
         file=sys.stderr,
     )
-    return None, name
+    return {"trace": None, "synthetic": name}
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
-    trace, synthetic = _apply_synthetic_fallback(args)
-    try:
-        spec = EvaluateSpec(
-            trace=trace,
-            synthetic=synthetic,
-            jobs=args.jobs,
-            drop_failed=args.drop_failed,
-            stream=args.stream,
-            policies=tuple(args.policies),
-            backfill=tuple(args.backfill),
-            window_jobs=args.window_jobs,
-            window_seconds=args.window_seconds,
-            warmup=args.warmup,
-            max_windows=args.max_windows,
-            nmax=args.nmax,
-            estimates=args.estimates,
-            seed=args.seed,
-            baseline=args.baseline,
-            bootstrap=args.bootstrap,
-            ci=args.ci,
-            topology=args.topology,
-            distribution=args.distribution,
-        )
-    except SpecError as exc:
-        raise SystemExit(f"repro-sched evaluate: {exc}") from None
-    return _dispatch(spec, args, command="evaluate")
-
-
-def _cmd_table4(args: argparse.Namespace) -> int:
-    try:
-        spec = Table4Spec(
-            rows=tuple(args.rows) if args.rows else None,
-            scale=args.scale,
-            seed=args.seed,
-        )
-    except SpecError as exc:
-        raise SystemExit(f"repro-sched table4: {exc}") from None
-    workers = _run_knobs(spec, args, "table4")["workers"]
-    if workers == 1 and telemetry_dir_from(args) is None:
-        # Serial: run one single-row spec at a time so a long regeneration
-        # shows results (and survives interruption) row by row — same
-        # results, still routed through the facade.  With --telemetry the
-        # rows run as one dispatch so the run gets one manifest covering
-        # all of them (the results are identical either way).
-        for rid in spec.resolved_rows():
-            row_spec = Table4Spec(rows=(rid,), scale=args.scale, seed=args.seed)
-            code = _dispatch(row_spec, args, command="table4")
-            if code != 0:  # pragma: no cover - _dispatch raises on failure
-                return code
-        return 0
-    return _dispatch(spec, args, command="table4")
+def _cmd_spec(args: argparse.Namespace) -> int:
+    spec = spec_from_args(args)
+    serial_rows = (
+        isinstance(spec, Table4Spec)
+        and telemetry_dir_from(args) is None
+        and _run_knobs(spec, args, spec.kind)["workers"] == 1
+    )
+    if not serial_rows:
+        return _dispatch(spec, args, command=spec.kind)
+    # Serial Table 4: run one single-row spec at a time so a long
+    # regeneration shows results (and survives interruption) row by row —
+    # same results, still routed through the facade.  With --telemetry the
+    # rows run as one dispatch so the run gets one manifest covering all.
+    for rid in spec.resolved_rows():
+        _dispatch(dataclasses.replace(spec, rows=(rid,)), args, command=spec.kind)
+    return 0
 
 
 # ----------------------------------------------------------------------
@@ -499,7 +601,7 @@ def _cmd_fetch(args: argparse.Namespace) -> int:
 def _cmd_figures(args: argparse.Namespace) -> int:
     from repro.experiments.export import write_all
 
-    scale = current_scale(args.scale)
+    scale = _scale("figures", args.scale)
     fig1 = fig2 = None
     fig3_panels = []
     if args.figure in ("1", "all"):
@@ -585,7 +687,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_info(args: argparse.Namespace) -> int:
     print(f"repro {repro.__version__}")
-    print(f"scales: {', '.join(sorted(SCALES))} (current: {current_scale().name})")
+    print(f"scales: {', '.join(sorted(SCALES))} (current: {_scale('info').name})")
     print(f"policies: {', '.join(available_policies())}")
     print(f"traces: {', '.join(trace_names())}")
     print(
@@ -641,189 +743,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="run the policy-obtaining pipeline (§3)")
-    p.add_argument("--tuples", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=256)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--top", type=int, default=4)
-    p.add_argument("--output", help="write the score distribution CSV here")
-    add_cache_arg(p, "the simulated distribution")
-    add_workers_arg(p)
-    add_backend_arg(p)
-    add_scale_arg(p)
-    p.set_defaults(func=_cmd_train)
-
-    p = sub.add_parser("simulate", help="schedule one workload under one policy")
-    p.add_argument("--policy", default="F1")
-    p.add_argument(
-        "--nmax",
-        type=int,
-        default=None,
-        help="machine size (default: the SWF/trace's own, or 256 for the"
-        " generated model)",
-    )
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--swf",
-        type=trace_source_type,
-        metavar="FILE.swf|pwa:NAME",
-        help="SWF file to replay (a path or a pwa:<name> registry reference)",
-    )
-    p.add_argument("--trace", choices=trace_names(), help="synthetic trace stand-in")
-    p.add_argument("--estimates", action="store_true")
-    p.add_argument(
-        "--backfill",
-        default="none",
-        metavar="MODE",
-        help=f"backfill mode from {'/'.join(BACKFILL_TOKENS)} (default none)",
-    )
-    add_platform_args(p)
-    p.add_argument(
-        "--hetero-archs",
-        type=split_csv,
-        default=None,
-        metavar="NAME:CORES[:SPEEDUP],...",
-        help="heterogeneous architecture pools (e.g. cpu:256,gpu:64:8; the"
-        " first is the reference the policy scores against); mutually"
-        " exclusive with --topology",
-    )
-    add_cache_arg(p, "the simulation's metrics")
-    add_workers_arg(p)
-    add_backend_arg(p)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser(
-        "evaluate", help="policy x backfill matrix over trace windows"
-    )
-    p.add_argument(
-        "--trace",
-        metavar="FILE.swf|pwa:NAME",
-        type=trace_source_type,
-        help="SWF trace to replay: a file path (.swf or .swf.gz) or a"
-        " pwa:<name> reference into the fetch registry (default: a"
-        " synthetic stand-in)",
-    )
-    p.add_argument(
-        "--synthetic",
-        choices=trace_names(),
-        default="ctc_sp2",
-        help="synthetic fallback trace used when no --trace is given",
-    )
-    p.add_argument(
-        "--synthetic-fallback",
-        action="store_true",
-        help="when a pwa:<name> trace is not in the local cache, evaluate"
-        " the synthetic stand-in of the same name instead of failing",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=5000, help="synthetic fallback job count"
-    )
-    p.add_argument(
-        "--drop-failed",
-        action="store_true",
-        help="exclude failed/cancelled SWF rows (status 0/5)",
-    )
-    p.add_argument(
-        "--stream",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help="slice windows lazily from the trace and dispatch cells as"
-        " they arrive (O(window) memory; results are bit-identical to"
-        " --no-stream)",
-    )
-    p.add_argument(
-        "--bootstrap",
-        type=bootstrap_type,
-        default=1000,
-        metavar="N",
-        help="bootstrap resamples behind the paired-delta confidence"
-        " intervals (default 1000; 0 disables the intervals)",
-    )
-    p.add_argument(
-        "--ci",
-        type=ci_level_type,
-        default=0.95,
-        metavar="LEVEL",
-        help="nominal coverage of the bootstrap intervals (default 0.95)",
-    )
-    p.add_argument(
-        "--policies",
-        type=split_csv,
-        default=["fcfs", "f1"],
-        metavar="P1,P2,...",
-        help="comma-separated policy names (default: fcfs,f1)",
-    )
-    p.add_argument(
-        "--backfill",
-        type=split_csv,
-        default=["none", "easy"],
-        metavar="M1,M2,...",
-        help=f"comma-separated backfill modes from {'/'.join(BACKFILL_TOKENS)}"
-        " (default: none,easy)",
-    )
-    p.add_argument(
-        "--window-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="evaluate contiguous windows of N jobs (default 5000)",
-    )
-    p.add_argument(
-        "--window-seconds",
-        type=float,
-        default=None,
-        metavar="T",
-        help="evaluate contiguous windows of T seconds instead",
-    )
-    p.add_argument(
-        "--warmup",
-        type=int,
-        default=0,
-        metavar="N",
-        help="simulate but exclude the first N jobs of every window",
-    )
-    p.add_argument(
-        "--max-windows",
-        type=int,
-        default=None,
-        metavar="K",
-        help="evaluate at most K windows (smoke-testing huge traces)",
-    )
-    p.add_argument(
-        "--nmax",
-        type=int,
-        default=None,
-        help="machine size (default: the trace's own MaxProcs header)",
-    )
-    p.add_argument("--estimates", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--baseline",
-        default=None,
-        metavar="POLICY",
-        help="anchor of the paired per-window deltas (default: first policy)",
-    )
-    add_platform_args(p)
-    p.add_argument(
-        "--output-dir", help="also write eval_matrix.csv / eval_matrix.json here"
-    )
-    add_cache_arg(p, "every cell")
-    add_workers_arg(p)
-    add_backend_arg(p)
-    add_telemetry_arg(p)
-    p.set_defaults(func=_cmd_evaluate)
-
-    p = sub.add_parser("table4", help="regenerate Table 4 rows")
-    p.add_argument("--rows", nargs="*", choices=row_ids(), default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--plot", action="store_true", help="ASCII boxplots")
-    add_workers_arg(p)
-    add_backend_arg(p)
-    add_scale_arg(p)
-    add_telemetry_arg(p)
-    p.set_defaults(func=_cmd_table4)
+    for spec_cls, verb_help in (
+        (TrainSpec, "run the policy-obtaining pipeline (§3)"),
+        (SimulateSpec, "schedule one workload under one policy"),
+        (EvaluateSpec, "policy x backfill matrix over trace windows"),
+        (Table4Spec, "regenerate Table 4 rows"),
+    ):
+        p = sub.add_parser(
+            spec_cls.kind,
+            help=verb_help,
+            description=f"{verb_help}. Every field of the {spec_cls.kind!r}"
+            " spec is a flag; an absent flag keeps the spec's default.",
+        )
+        add_spec_flags(p, spec_cls)
+        _add_emitter_flags(p, (spec_cls.kind,))
+        _add_run_flags(p, cache=spec_cls is not Table4Spec)
+        p.set_defaults(func=_cmd_spec, spec_cls=spec_cls)
+        if spec_cls is EvaluateSpec:
+            p.add_argument(
+                "--synthetic-fallback",
+                action="store_true",
+                help="when a pwa:<name> trace is not in the local cache,"
+                " evaluate the synthetic stand-in of the same name instead",
+            )
 
     p = sub.add_parser(
         "run",
@@ -833,16 +775,8 @@ def build_parser() -> argparse.ArgumentParser:
         + "). Equivalent flag invocations produce byte-identical reports.",
     )
     p.add_argument("spec", metavar="SPEC.toml", help="spec document to execute")
-    p.add_argument("--output", help="train specs: write the distribution CSV here")
-    p.add_argument(
-        "--output-dir",
-        help="evaluate/sweep specs: write the report files here",
-    )
-    p.add_argument("--plot", action="store_true", help="table4 specs: ASCII boxplots")
-    add_cache_arg(p, "every cached artifact")
-    add_workers_arg(p)
-    add_backend_arg(p)
-    add_telemetry_arg(p)
+    _add_emitter_flags(p, tuple(_EMITTERS))
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser(
@@ -853,11 +787,8 @@ def build_parser() -> argparse.ArgumentParser:
         " extended grid only simulates the new cells.",
     )
     p.add_argument("spec", metavar="SWEEP.toml", help="sweep spec document")
-    p.add_argument("--output-dir", help="write sweep_summary.csv here")
-    add_cache_arg(p, "every grid cell already covered")
-    add_workers_arg(p)
-    add_backend_arg(p)
-    add_telemetry_arg(p)
+    _add_emitter_flags(p, ("sweep",))
+    _add_run_flags(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser(
@@ -899,7 +830,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", choices=("1", "2", "3", "all"), default="all")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-dir", help="also write the series as CSV files")
-    add_scale_arg(p)
+    p.add_argument(
+        "--scale", help="experiment scale preset (default: $REPRO_SCALE or 'small')"
+    )
     p.set_defaults(func=_cmd_figures)
 
     p = sub.add_parser("trace", help="emit a synthetic trace stand-in as SWF")
@@ -912,7 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="characterise a workload")
     p.add_argument(
         "--swf",
-        type=trace_source_type,
         metavar="FILE.swf|pwa:NAME",
         help="SWF file to profile (a path or a pwa:<name> reference)",
     )

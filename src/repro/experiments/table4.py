@@ -153,7 +153,9 @@ def resolve_rows(rows: Sequence[Table4Row | str] | None) -> list[Table4Row]:
         elif row in by_id:
             resolved.append(by_id[row])
         else:
-            raise KeyError(f"unknown Table 4 row {row!r}; see row_ids()")
+            raise KeyError(
+                f"unknown Table 4 row {row!r}; available: {', '.join(by_id)}"
+            )
     return resolved
 
 

@@ -15,11 +15,13 @@ fields at all: they are arguments of :func:`repro.api.run`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.specs.base import Spec, SpecError, register_spec
 from repro.specs.simulate import (
+    DISTRIBUTION_HELP,
+    TOPOLOGY_HELP,
     canonical_policy,
     check_trace_name,
     check_trace_ref,
@@ -40,41 +42,73 @@ class EvaluateSpec(Spec):
 
     kind: ClassVar[str] = "evaluate"
 
-    #: SWF trace to replay — a file path or a ``pwa:<name>`` registry
-    #: reference (:mod:`repro.traces`); ``None`` falls back to *synthetic*.
-    trace: str | None = None
-    synthetic: str = "ctc_sp2"
-    #: Synthetic fallback job count.
-    jobs: int = 5000
-    #: Exclude failed/cancelled SWF rows (status 0/5).
-    drop_failed: bool = False
-    #: Slice windows lazily and dispatch cells as they arrive
-    #: (execution knob: results are bit-identical either way).
-    stream: bool = False
+    trace: str | None = field(
+        default=None,
+        metadata={"help": "SWF trace to replay: a file path (.swf or .swf.gz)"
+                  " or a pwa:<name> registry reference (default: --synthetic)"},
+    )
+    synthetic: str = field(
+        default="ctc_sp2",
+        metadata={"help": "synthetic stand-in replayed when no --trace is given"},
+    )
+    jobs: int = field(default=5000, metadata={"help": "synthetic stand-in job count"})
+    drop_failed: bool = field(
+        default=False,
+        metadata={"help": "exclude failed/cancelled SWF rows (status 0/5)"},
+    )
+    stream: bool = field(
+        default=False,
+        metadata={"help": "slice windows lazily and dispatch cells as they"
+                  " arrive (O(window) memory; results are bit-identical)"},
+    )
     policies: tuple[str, ...] = ("fcfs", "f1")
-    backfill: tuple[str, ...] = ("none", "easy")
-    #: Exactly one of window_jobs / window_seconds; both ``None``
-    #: defaults to 5000-job windows.
-    window_jobs: int | None = None
-    window_seconds: float | None = None
-    warmup: int = 0
-    max_windows: int | None = None
-    #: ``None`` defers to the trace's own machine size (SWF MaxProcs).
-    nmax: int | None = None
-    estimates: bool = False
-    #: ``None`` resolves to :data:`repro.sim.metrics.DEFAULT_TAU`.
-    tau: float | None = None
+    backfill: tuple[str, ...] = field(
+        default=("none", "easy"),
+        metadata={"help": "backfill modes from none, easy, conservative, hybrid"},
+    )
+    window_jobs: int | None = field(
+        default=None,
+        metadata={"help": "evaluate contiguous windows of N jobs (default:"
+                  " 5000 unless --window-seconds is given)"},
+    )
+    window_seconds: float | None = field(
+        default=None,
+        metadata={"help": "evaluate contiguous windows of T seconds instead"},
+    )
+    warmup: int = field(
+        default=0,
+        metadata={"help": "simulate but exclude the first N jobs of every window"},
+    )
+    max_windows: int | None = field(
+        default=None, metadata={"help": "evaluate at most K windows"}
+    )
+    nmax: int | None = field(
+        default=None,
+        metadata={"help": "machine size (default: the trace's MaxProcs header)"},
+    )
+    estimates: bool = field(
+        default=False, metadata={"help": "schedule on user runtime estimates"}
+    )
+    tau: float | None = field(
+        default=None,
+        metadata={"help": "bounded-slowdown threshold in seconds (default: 10)"},
+    )
     seed: int = 0
-    #: Anchor of the paired per-window deltas (default: first policy).
-    baseline: str | None = None
-    #: Bootstrap resamples behind the delta CIs (0 disables them).
-    bootstrap: int = 1000
-    #: Nominal coverage of the bootstrap intervals.
-    ci: float = 0.95
-    #: Platform topology tuple (``None`` = the paper's flat machine).
-    topology: tuple[int, ...] | None = None
-    #: Job→leaf distribution strategy for partitioned topologies.
-    distribution: str = "round_robin"
+    baseline: str | None = field(
+        default=None,
+        metadata={"help": "anchor of the paired per-window deltas"
+                  " (default: the first policy)"},
+    )
+    bootstrap: int = field(
+        default=1000,
+        metadata={"help": "bootstrap resamples behind the paired-delta CIs"
+                  " (0 disables them)"},
+    )
+    ci: float = field(
+        default=0.95, metadata={"help": "nominal coverage of the bootstrap CIs"}
+    )
+    topology: tuple[int, ...] | None = field(default=None, metadata=TOPOLOGY_HELP)
+    distribution: str = field(default="round_robin", metadata=DISTRIBUTION_HELP)
 
     def __post_init__(self) -> None:
         if self.tau is None:

@@ -12,13 +12,24 @@ way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
 from repro.specs.base import Spec, SpecError, register_spec
 from repro.specs.train import check_optional_positive_int
 
 __all__ = ["SimulateSpec"]
+
+#: Flag metadata of the platform fields shared with :class:`EvaluateSpec`.
+TOPOLOGY_HELP = {
+    "help": "partition the machine into equal leaves, e.g. 2x4 = 8 leaves"
+    " each running its own scheduler; nmax must divide evenly"
+    " (default: the paper's flat machine)"
+}
+DISTRIBUTION_HELP = {
+    "help": "job-to-leaf strategy of a --topology run: round_robin,"
+    " by_size or random (seeded by --seed)"
+}
 
 
 def canonical_policy(name: str) -> str:
@@ -112,28 +123,43 @@ class SimulateSpec(Spec):
     kind: ClassVar[str] = "simulate"
 
     policy: str = "F1"
-    #: ``None`` defers to the SWF/trace machine size (model source: 256).
-    nmax: int | None = None
-    #: Job count for generated sources (model default: 2000).
-    jobs: int | None = None
+    nmax: int | None = field(
+        default=None,
+        metadata={"help": "machine size (default: the SWF/trace's own, or"
+                  " 256 for the generated model)"},
+    )
+    jobs: int | None = field(
+        default=None,
+        metadata={"help": "job count of a generated source (model: 2000)"},
+    )
     seed: int = 0
-    #: SWF file to replay — a path or a ``pwa:<name>`` registry
-    #: reference (mutually exclusive with *trace*).
-    swf: str | None = None
-    #: Synthetic trace stand-in name (mutually exclusive with *swf*).
-    trace: str | None = None
-    estimates: bool = False
-    #: Backfill mode token; legacy booleans are canonicalised.
-    backfill: str = "none"
-    #: ``None`` resolves to :data:`repro.sim.metrics.DEFAULT_TAU`.
-    tau: float | None = None
-    #: Platform topology tuple (``None`` = the paper's flat machine).
-    topology: tuple[int, ...] | None = None
-    #: Job→leaf distribution strategy for partitioned topologies.
-    distribution: str = "round_robin"
-    #: Heterogeneous architecture pools (``name:cores[:speedup]``,
-    #: first entry is the reference); mutually exclusive with *topology*.
-    hetero: tuple[str, ...] | None = None
+    swf: str | None = field(
+        default=None,
+        metadata={"help": "SWF file to replay: a path or a pwa:<name>"
+                  " registry reference (exclusive with --trace)"},
+    )
+    trace: str | None = field(
+        default=None, metadata={"help": "synthetic trace stand-in to replay"}
+    )
+    estimates: bool = field(
+        default=False, metadata={"help": "schedule on user runtime estimates"}
+    )
+    backfill: str = field(
+        default="none",
+        metadata={"help": "backfill mode: none, easy, conservative or hybrid"},
+    )
+    tau: float | None = field(
+        default=None,
+        metadata={"help": "bounded-slowdown threshold in seconds (default: 10)"},
+    )
+    topology: tuple[int, ...] | None = field(default=None, metadata=TOPOLOGY_HELP)
+    distribution: str = field(default="round_robin", metadata=DISTRIBUTION_HELP)
+    hetero: tuple[str, ...] | None = field(
+        default=None,
+        metadata={"flag": "--hetero-archs", "help": "heterogeneous architecture"
+                  " pools NAME:CORES[:SPEEDUP],... (the first is the reference"
+                  " the policy scores against; exclusive with --topology)"},
+    )
 
     def __post_init__(self) -> None:
         if self.tau is None:

@@ -10,7 +10,7 @@ the same table hash the same whatever preset name got them there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.specs.base import Spec, SpecError, register_spec
@@ -30,15 +30,20 @@ class Table4Spec(Spec):
 
     kind: ClassVar[str] = "table4"
 
-    #: Row ids (see :func:`repro.experiments.table4.row_ids`);
-    #: ``None`` regenerates all 18 in paper order.
-    rows: tuple[str, ...] | None = None
-    #: Scale preset (``None`` → ``$REPRO_SCALE``).
-    scale: str | None = None
+    rows: tuple[str, ...] | None = field(
+        default=None,
+        metadata={"help": "Table 4 row ids (see `repro-sched info`;"
+                  " default: all 18 in paper order)"},
+    )
+    scale: str | None = field(
+        default=None,
+        metadata={"help": "scale preset (default: $REPRO_SCALE, else small)"},
+    )
     seed: int = 0
-    #: Policy columns; ``None`` uses the paper's
-    #: :data:`~repro.experiments.paper_data.POLICY_COLUMNS`.
-    policies: tuple[str, ...] | None = None
+    policies: tuple[str, ...] | None = field(
+        default=None,
+        metadata={"help": "policy columns (default: the paper's)"},
+    )
 
     def __post_init__(self) -> None:
         check_scale_name(self.scale)

@@ -12,7 +12,7 @@ hash as — the same experiment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.specs.base import Spec, SpecError, register_spec
@@ -52,19 +52,46 @@ class TrainSpec(Spec):
 
     kind: ClassVar[str] = "train"
 
-    #: Scale preset backing unset fields (``None`` → ``$REPRO_SCALE``).
-    scale: str | None = None
-    n_tuples: int | None = None
-    trials_per_tuple: int | None = None
-    nmax: int = 256
-    s_size: int = 16
-    q_size: int = 32
+    scale: str | None = field(
+        default=None,
+        metadata={"help": "scale preset backing unset fields"
+                  " (default: $REPRO_SCALE, else small)"},
+    )
+    n_tuples: int | None = field(
+        default=None,
+        metadata={"flag": "--tuples", "help": "(S, Q) tuples to simulate"
+                  " (default: the scale preset's)"},
+    )
+    trials_per_tuple: int | None = field(
+        default=None,
+        metadata={"flag": "--trials", "help": "permutation trials per tuple"
+                  " (default: the scale preset's)"},
+    )
+    nmax: int = field(default=256, metadata={"help": "machine size in cores"})
+    s_size: int = field(
+        default=16, metadata={"help": "|S|: warm-up jobs per tuple"}
+    )
+    q_size: int = field(
+        default=32, metadata={"help": "|Q|: probe jobs scored per tuple"}
+    )
     seed: int = 0
-    #: ``None`` resolves to :data:`repro.sim.metrics.DEFAULT_TAU`.
-    tau: float | None = None
-    top_k: int = 4
-    balanced_trials: bool = True
-    regression_max_points: int | None = None
+    tau: float | None = field(
+        default=None,
+        metadata={"help": "bounded-slowdown threshold in seconds (default: 10)"},
+    )
+    top_k: int = field(
+        default=4, metadata={"flag": "--top", "help": "policies to report"}
+    )
+    balanced_trials: bool = field(
+        default=True,
+        metadata={"help": "draw trial permutations in balanced blocks (each"
+                  " probe job heads one permutation per block)"},
+    )
+    regression_max_points: int | None = field(
+        default=None,
+        metadata={"help": "subsample bound of each regression fit"
+                  " (default: the scale preset's)"},
+    )
 
     def __post_init__(self) -> None:
         if self.tau is None:

@@ -1,10 +1,14 @@
 """Tests for the repro-sched command-line interface."""
 
+import argparse
+import dataclasses
+import json
 from pathlib import Path
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, spec_from_args
+from repro.specs import EvaluateSpec, SimulateSpec, Table4Spec, TrainSpec
 
 
 class TestParser:
@@ -123,8 +127,24 @@ class TestTable4:
         assert "paper" in out
 
     def test_unknown_row_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="unknown Table 4 row 'bogus'"):
             main(["table4", "--rows", "bogus"])
+
+    def test_serial_split_keeps_policies(self, capsys, monkeypatch, tmp_path):
+        """The per-row dispatch of a serial run keeps every other field."""
+        monkeypatch.setenv("REPRO_SCALE", "smoke")
+        argv = ["--rows", "model_256_actual", "--policies", "fcfs,f1"]
+        assert main(["table4", *argv]) == 0
+        flags = capsys.readouterr().out
+        path = tmp_path / "t4.toml"
+        path.write_text(
+            'spec = "table4"\nrows = ["model_256_actual"]\n'
+            'policies = ["fcfs", "f1"]\n',
+            encoding="utf-8",
+        )
+        assert main(["run", str(path)]) == 0
+        assert capsys.readouterr().out == flags
+        assert "F2" not in flags  # not the paper's policy columns
 
 
 class TestTrain:
@@ -369,11 +389,11 @@ class TestEvaluateStreaming:
         assert capsys.readouterr().out == first
 
     def test_bad_ci_level_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match=r"ci must be a coverage level"):
             self._run("--ci", "1.5")
 
     def test_bad_bootstrap_rejected(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit, match="bootstrap must be an integer >= 0"):
             self._run("--bootstrap", "-5")
 
 
@@ -654,3 +674,113 @@ class TestPlatformFlags:
         assert "simulated 8, cached 0" in out
         assert main(argv) == 0
         assert "simulated 0, cached 8" in capsys.readouterr().out
+
+
+class TestBadScale:
+    """A bad scale name exits naming its source on every verb."""
+
+    MESSAGE = (
+        r"repro-sched {verb}: unknown scale 'huge' \(from \$REPRO_SCALE\);"
+        r" available: "
+    )
+
+    @pytest.mark.parametrize(
+        "argv", [["info"], ["figures", "--figure", "3"], ["train"], ["table4"]]
+    )
+    def test_environment_scale(self, argv, monkeypatch):
+        monkeypatch.setenv("REPRO_SCALE", "huge")
+        with pytest.raises(SystemExit, match=self.MESSAGE.format(verb=argv[0])):
+            main(argv)
+
+    def test_figures_scale_flag(self):
+        with pytest.raises(SystemExit, match="repro-sched figures: unknown scale"):
+            main(["figures", "--figure", "3", "--scale", "huge"])
+
+
+SPEC_VERBS = {"train": TrainSpec, "simulate": SimulateSpec,
+              "evaluate": EvaluateSpec, "table4": Table4Spec}
+
+
+def _subparser(verb: str) -> argparse.ArgumentParser:
+    parser = build_parser()
+    sub = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return sub.choices[verb]
+
+
+def _spec(argv: list[str]):
+    args = build_parser().parse_args(argv)
+    return spec_from_args(args)
+
+
+class TestSpecFlags:
+    """Experiment flags are derived from the spec dataclasses' fields."""
+
+    @pytest.mark.parametrize("verb", sorted(SPEC_VERBS))
+    def test_every_field_has_exactly_one_flag(self, verb):
+        dests = [
+            action.dest
+            for action in _subparser(verb)._actions
+            if action.option_strings
+        ]
+        for f in dataclasses.fields(SPEC_VERBS[verb]):
+            assert dests.count(f.name) == 1, f.name
+
+    @pytest.mark.parametrize("verb", sorted(SPEC_VERBS))
+    def test_bare_verb_builds_the_default_spec(self, verb, monkeypatch):
+        monkeypatch.delenv("REPRO_SCALE", raising=False)
+        assert _spec([verb]) == SPEC_VERBS[verb]()
+
+    def test_fields_without_a_hand_written_flag_are_reachable(self):
+        train = _spec(
+            ["train", "--tau", "5", "--s-size", "8", "--q-size", "16",
+             "--no-balanced-trials", "--regression-max-points", "100"]
+        )
+        assert (train.tau, train.s_size, train.q_size) == (5.0, 8, 16)
+        assert (train.balanced_trials, train.regression_max_points) == (False, 100)
+        assert _spec(["simulate", "--tau", "2"]).tau == 2.0
+        assert _spec(["evaluate", "--tau", "3"]).tau == 3.0
+        assert _spec(["table4", "--policies", "fcfs,f1"]).policies == ("FCFS", "F1")
+
+    def test_boolean_flags_negate(self):
+        assert _spec(["evaluate", "--estimates", "--no-estimates"]).estimates is False
+        assert _spec(["simulate", "--estimates"]).estimates is True
+
+    def test_spec_validation_names_the_verb(self):
+        with pytest.raises(SystemExit, match="repro-sched evaluate: .*unknown policy"):
+            _spec(["evaluate", "--policies", "fcfs,bogus"])
+
+
+PINS = json.loads(
+    (Path(__file__).parent / "data" / "cli_spec_pins.json").read_text("utf-8")
+)
+
+
+class TestFlagParityPins:
+    """Flag vectors from the tests, CI and README build pinned specs.
+
+    The pins were recorded from the hand-written parser the derived one
+    replaced; ``table4 --rows`` was then several words and is now a
+    comma list (the two-row pin).
+    """
+
+    @pytest.mark.parametrize("pin", PINS, ids=lambda pin: " ".join(pin["argv"]))
+    def test_pinned_spec_and_fingerprint(self, pin, monkeypatch):
+        for var in ("REPRO_SCALE", "REPRO_TRACE_REGISTRY"):
+            monkeypatch.delenv(var, raising=False)
+        spec = _spec(pin["argv"])
+        assert json.loads(json.dumps(spec.to_dict())) == pin["spec"]
+        assert spec.fingerprint() == pin["fingerprint"]
+
+    def test_pins_cover_the_hand_written_flags(self):
+        """Each of the 39 flags the hand-written parser had is pinned."""
+        given = {
+            (pin["argv"][0], word.replace("--no-", "--"))
+            for pin in PINS
+            for word in pin["argv"][1:]
+            if word.startswith("--")
+        }
+        assert len(given) == 39
+        for verb, flag in given:
+            assert flag in _subparser(verb)._option_string_actions
