@@ -108,3 +108,20 @@ def bench_trial_batch(benchmark):
     )
     assert out.shape == (n_trials, 48)
     benchmark.extra_info["jobs"] = n_trials * 48
+
+
+def bench_trial_scores(benchmark):
+    """One tuple's 8192 trials through ``run_trials``, end to end.
+
+    The permutation draw, the priority build, the kernel batch and the
+    Eq. 1–3 scoring together: ``bench_trial_batch`` times only the
+    kernel, so this is the bench that sees a slow draw.
+    """
+    from repro.core.taskgen import generate_tuples
+    from repro.core.trials import run_trials
+
+    n_trials = 8192
+    tup = generate_tuples(1, seed=0)[0]
+    result = benchmark(run_trials, tup, 256, n_trials, seed=0)
+    assert result.n_trials == n_trials
+    benchmark.extra_info["jobs"] = n_trials * (len(tup.S) + len(tup.Q))

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.core.distribution import ScoreDistribution
-from repro.core.functions import FittedFunction
+from repro.core.functions import FittedFunction, FunctionSpec
 from repro.core.regression import RegressionConfig, fit_all
 from repro.core.taskgen import TaskSetTuple, generate_tuples
 from repro.core.trials import TrialScoreResult
@@ -86,7 +86,7 @@ class PipelineResult:
     trial_results: list[TrialScoreResult]
     distribution: ScoreDistribution
     fitted: list[FittedFunction]  # every candidate, ranked by Eq. 5
-    policies: list[NonlinearPolicy]  # top_k, best first
+    policies: list[NonlinearPolicy]  # top_k distinct functions, best first
 
     @property
     def best(self) -> FittedFunction:
@@ -188,6 +188,30 @@ def build_distribution(
     return tuples, results, dist
 
 
+def _function_key(spec: FunctionSpec) -> tuple[str, str, str, str, str]:
+    """Specs with equal keys span the same family of functions.
+
+    Sizes are n >= 1, where ``c1·α(r) · c2·n`` and ``c1·α(r) / (c2·inv(n))``
+    differ only in the free coefficient c2 (and likewise ``/ id(n)`` and
+    ``* inv(n)``), so these n-side pairs share a key.  The s-side pairs
+    do not: submit times can be 0, where ``inv``'s guard makes them differ.
+    """
+    op1, beta = spec.op1, spec.beta
+    if beta == "inv" and op1 in ("*", "/"):
+        op1, beta = ("/" if op1 == "*" else "*"), "id"
+    return (spec.alpha, op1, beta, spec.op2, spec.gamma)
+
+
+def _distinct(fitted: list[FittedFunction], k: int) -> list[FittedFunction]:
+    """The first *k* functions of *fitted* with pairwise distinct keys."""
+    picked: dict[tuple[str, str, str, str, str], FittedFunction] = {}
+    for f in fitted:
+        if len(picked) == k:
+            break
+        picked.setdefault(_function_key(f.spec), f)
+    return list(picked.values())
+
+
 def obtain_policies(
     config: PipelineConfig | None = None,
     progress: Callable[[str, int, int], None] | None = None,
@@ -201,7 +225,10 @@ def obtain_policies(
 
     The returned policies are named ``P1``–``Pk`` (rank order) to avoid
     confusion with the paper's published ``F1``–``F4``, which remain
-    available as :func:`repro.policies.paper_policies`.  ``workers``,
+    available as :func:`repro.policies.paper_policies`.  They are the
+    best ``top_k`` *distinct* functions: a candidate equivalent to a
+    better-ranked one (same function family, see :func:`_function_key`)
+    takes no slot, while ``fitted`` keeps every candidate.  ``workers``,
     ``chunk_size``, ``backend`` and ``cache`` configure the simulation
     phase exactly as in :func:`build_distribution`.
     """
@@ -223,7 +250,7 @@ def obtain_policies(
     usable = [f for f in fitted if f.rank_error < float("inf")]
     policies = [
         NonlinearPolicy(f, name=f"P{i + 1}")
-        for i, f in enumerate(usable[: config.top_k])
+        for i, f in enumerate(_distinct(usable, config.top_k))
     ]
     return PipelineResult(
         config=config,

@@ -106,6 +106,37 @@ def format_rounding_warning(n_trials: int, q_size: int) -> str:
     )
 
 
+def _draw_permutations(
+    rng: np.random.Generator, m_q: int, total: int, *, balanced: bool
+) -> np.ndarray:
+    """The ``(total, m_q)`` permutation matrix: row k is trial k's queue order.
+
+    Balanced rows cycle through the heads ``0, 1, ..., m_q - 1`` (*total*
+    must then be a multiple of *m_q*) and shuffle the other tasks behind
+    them; unbalanced rows are uniform permutations of Q.
+
+    ``Generator.permuted(..., axis=1)`` shuffles the rows in order with
+    the draws a per-row ``Generator.shuffle`` makes, so this one call
+    yields the same matrix and leaves the generator in the same state as
+    the per-trial loop that seeded results were first produced with
+    (``tests/oracle_trials.py``).  That equivalence is a numpy
+    implementation property; ``TestPermutationOracle`` in
+    ``tests/test_core_trials.py`` pins it.
+    """
+    if balanced:
+        heads = np.arange(m_q)
+        rest = np.arange(m_q - 1)
+        tails = rest + (rest >= heads[:, None])  # tails[h] = Q without h
+        P = np.empty((total, m_q), dtype=np.int64)
+        P[:, 0] = np.tile(heads, total // m_q)
+        P[:, 1:] = tails[P[:, 0]]
+        rng.permuted(P[:, 1:], axis=1, out=P[:, 1:])
+    else:
+        P = np.tile(np.arange(m_q, dtype=np.int64), (total, 1))
+        rng.permuted(P, axis=1, out=P)
+    return P
+
+
 def run_trials(
     tup: TaskSetTuple,
     nmax: int,
@@ -157,31 +188,14 @@ def run_trials(
     q_submit = Q.submit
     q_runtime = Q.runtime
 
-    # Permutation matrix P: row k is trial k's queue order over Q.  The
-    # RNG draws happen in the exact stream order of the historical
-    # per-trial loop (tail copy then in-place shuffle per trial), so
-    # seeded results are unchanged; batching only changes *when* the
-    # simulations run, not which permutations they see.
     if balanced:
         n_blocks = _balanced_heads(n_trials, m_q)
         if n_blocks * m_q != n_trials:
             warnings.warn(format_rounding_warning(n_trials, m_q), stacklevel=2)
         total = n_blocks * m_q
-        all_tasks = np.arange(m_q)
-        tails = [np.delete(all_tasks, head) for head in range(m_q)]
-        P = np.empty((total, m_q), dtype=np.int64)
-        k = 0
-        for _ in range(n_blocks):
-            for head in range(m_q):
-                P[k, 0] = head
-                P[k, 1:] = tails[head]
-                rng.shuffle(P[k, 1:])  # contiguous row view: same stream
-                k += 1
     else:
         total = n_trials
-        P = np.empty((total, m_q), dtype=np.int64)
-        for k in range(total):
-            P[k] = rng.permutation(m_q)
+    P = _draw_permutations(rng, m_q, total, balanced=balanced)
 
     m = m_s + m_q
     trial_avebsld = np.empty(total, dtype=float)

@@ -161,7 +161,7 @@ class EvaluateSpec(Spec):
                 distribution=self.distribution,
             )
         except (KeyError, ValueError) as exc:
-            raise SpecError(f"invalid evaluate spec: {exc}") from None
+            raise SpecError(f"invalid evaluate spec: {exc.args[0]}") from None
 
     def _fingerprint_payload(self) -> dict[str, Any]:
         payload: dict[str, Any] = {

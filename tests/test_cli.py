@@ -279,6 +279,13 @@ class TestEvaluate:
         with pytest.raises(SystemExit, match="unknown policy"):
             self._run("--policies", "fcfs,bogus")
 
+    def test_bad_policy_message_is_not_a_quoted_repr(self):
+        with pytest.raises(SystemExit) as info:
+            main(["evaluate", "--synthetic", "ctc_sp2", "--policies", "fcfs,bogus"])
+        message = str(info.value)
+        assert "invalid evaluate spec: unknown policy 'bogus'" in message
+        assert '"' not in message
+
     def test_bad_backfill_rejected(self):
         with pytest.raises(SystemExit, match="unknown backfill"):
             self._run("--backfill", "sometimes")

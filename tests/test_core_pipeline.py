@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core.pipeline import PipelineConfig, build_distribution, obtain_policies
+from repro.core.functions import enumerate_function_space
+from repro.core.pipeline import (
+    PipelineConfig,
+    _function_key,
+    build_distribution,
+    obtain_policies,
+)
 from repro.core.regression import RegressionConfig
 from repro.policies.learned import NonlinearPolicy
 
@@ -90,3 +96,66 @@ class TestObtainPolicies:
         algebraically equivalent alternatives)."""
         top = result.fitted[0].spec
         assert top.gamma in ("log", "sqrt", "id")  # a growing submit term
+
+
+_SPECS = {spec.short_name: spec for spec in enumerate_function_space()}
+
+
+def _spec(name):
+    """The candidate spec with short name *name*, e.g. ``sqrt(r)*id(n)+log(s)``."""
+    return _SPECS[name]
+
+
+class TestDistinctPolicies:
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ("sqrt(r)*id(n)+log(s)", "sqrt(r)/inv(n)+log(s)"),
+            ("log(r)/id(n)*inv(s)", "log(r)*inv(n)*inv(s)"),
+        ],
+    )
+    def test_n_side_pairs_share_a_key(self, a, b):
+        assert _function_key(_spec(a)) == _function_key(_spec(b))
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            # submit times can be 0, where inv's guard breaks the identity
+            ("log(r)*id(n)*id(s)", "log(r)*id(n)/inv(s)"),
+            ("log(r)*id(n)/id(s)", "log(r)*id(n)*inv(s)"),
+            # + has no such identity
+            ("log(r)+id(n)+log(s)", "log(r)+inv(n)+log(s)"),
+            ("log(r)*id(n)+log(s)", "log(r)*log(n)+log(s)"),
+        ],
+    )
+    def test_other_pairs_keep_their_keys(self, a, b):
+        assert _function_key(_spec(a)) != _function_key(_spec(b))
+
+    def test_seed_300_full_space_yields_four_distinct_functions(self):
+        """Ranks 1/2 (and 4/5) are one function written two ways here."""
+        np.seterr(all="ignore")
+        result = obtain_policies(
+            PipelineConfig(
+                n_tuples=16,
+                trials_per_tuple=8192,
+                seed=300,
+                regression=RegressionConfig(max_points=4000),
+            )
+        )
+        assert len(result.fitted) == 576
+        top_keys = [_function_key(f.spec) for f in result.fitted[:4]]
+        assert len(set(top_keys)) < 4  # the duplicate the policies skip
+        specs = [p.fitted.spec for p in result.policies]
+        assert len(specs) == 4
+        assert len({_function_key(s) for s in specs}) == 4
+        assert specs[0] == result.fitted[0].spec
+        # keys, not names: which spelling of a pair ranks first is rounding
+        assert [_function_key(s) for s in specs] == [
+            _function_key(_spec(name))
+            for name in (
+                "sqrt(r)*id(n)+log(s)",
+                "log(r)*sqrt(n)+log(s)",
+                "sqrt(r)*id(n)+inv(s)",
+                "id(r)*id(n)+log(s)",
+            )
+        ]

@@ -1,12 +1,14 @@
 """Tests for permutation trials and Eq. 3 scores (repro.core.trials)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.core.taskgen import generate_tuples
-from repro.core.trials import run_trials
+from oracle_trials import oracle_permutations, oracle_run_trials
+from repro.core.taskgen import TaskSetTuple, generate_tuples
+from repro.core.trials import _draw_permutations, run_trials
 from repro.sim.job import Workload
-from repro.core.taskgen import TaskSetTuple
 
 
 def average_ranks(x):
@@ -90,6 +92,56 @@ class TestScores:
     def test_oversized_job_rejected(self, tup):
         with pytest.raises(ValueError, match="larger than the machine"):
             run_trials(tup, 2, 32, seed=0)
+
+
+class TestPermutationOracle:
+    """The one-call draw equals the historical per-row loop, bit for bit.
+
+    ``Generator.permuted`` reproducing per-row ``shuffle`` is a numpy
+    implementation property (requirements.txt sets the floor to the
+    version it was checked on); this class fails if a numpy release
+    changes it, before any seeded result moves silently.
+    """
+
+    @pytest.mark.parametrize("balanced", [True, False])
+    @pytest.mark.parametrize("m_q", [1, 2, 3, 7, 32])
+    def test_matrix_and_final_state(self, m_q, balanced):
+        for seed in range(20):
+            for blocks in (1, 5, 64):
+                # unbalanced budgets need not be whole blocks
+                total = blocks * m_q + (0 if balanced else 1)
+                new_rng = np.random.default_rng(seed)
+                old_rng = np.random.default_rng(seed)
+                P = _draw_permutations(new_rng, m_q, total, balanced=balanced)
+                expected = oracle_permutations(
+                    old_rng, m_q, total, balanced=balanced
+                )
+                assert P.dtype == expected.dtype
+                np.testing.assert_array_equal(P, expected)
+                assert new_rng.bit_generator.state == old_rng.bit_generator.state
+
+    @pytest.mark.parametrize("balanced", [True, False])
+    @pytest.mark.parametrize("m_q", [1, 3, 32])
+    @pytest.mark.parametrize("n_trials", [64, 100])
+    def test_run_trials_bits(self, m_q, balanced, n_trials):
+        tup = generate_tuples(1, q_size=m_q, seed=7)[0]
+        for seed in range(3):
+            # A balanced budget that is not whole blocks takes the
+            # rounding-warning path on both sides.
+            with warnings.catch_warnings(record=True) as new_warned:
+                warnings.simplefilter("always")
+                new = run_trials(tup, 256, n_trials, seed=seed, balanced=balanced)
+            with warnings.catch_warnings(record=True) as old_warned:
+                warnings.simplefilter("always")
+                old = oracle_run_trials(
+                    tup, 256, n_trials, seed=seed, balanced=balanced
+                )
+            assert bool(new_warned) == (balanced and n_trials % m_q != 0)
+            assert [str(w.message) for w in new_warned] == [
+                str(w.message) for w in old_warned
+            ]
+            for name in ("first_task", "trial_avebsld", "scores"):
+                assert getattr(new, name).tobytes() == getattr(old, name).tobytes()
 
 
 class TestScoreSemantics:
