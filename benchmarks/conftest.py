@@ -74,15 +74,18 @@ def _timing_stats(bench) -> dict | None:
     return out or None
 
 
-def _jobs_per_sec(registry: MetricsRegistry, stats: dict | None) -> float | None:
+def _jobs_per_sec(
+    registry: MetricsRegistry, stats: dict | None, extra_info: dict
+) -> float | None:
     """Derived throughput: jobs simulated per second of median wall time.
 
     Single-shot benches (rounds == 1) ran exactly once, so the counters
     *are* the invocation's totals.  Multi-round micro-benches also ran
     warm-up/calibration invocations the counters saw but the timing
-    statistics did not, so per-invocation jobs are recovered as the
-    jobs-per-engine-run (or per-trial) ratio — exact whenever every
-    invocation does identical work, which the micro-benches do.
+    statistics did not, so per-invocation jobs come from the bench's own
+    ``extra_info["jobs"]`` when it sets one, else from the
+    jobs-per-engine-run (or per-trial) ratio — exact only when one
+    invocation is one engine run or one trial.
     """
     median = (stats or {}).get("median") or 0.0
     if median <= 0:
@@ -92,6 +95,8 @@ def _jobs_per_sec(registry: MetricsRegistry, stats: dict | None) -> float | None
         return None
     if (stats or {}).get("rounds", 1) == 1:
         return jobs / median
+    if extra_info.get("jobs"):
+        return extra_info["jobs"] / median
     invocations = registry.value("sim.runs") + registry.value("listsched.trials")
     if not invocations:
         return None
@@ -115,6 +120,7 @@ def bench_telemetry(results_dir, scale, request):
     if bench is None:
         return
     stats = _timing_stats(bench)
+    extra_info = dict(getattr(bench, "extra_info", {}) or {})
     name = request.node.name.removeprefix("bench_")
     doc = {
         "schema": BENCH_SCHEMA,
@@ -122,8 +128,8 @@ def bench_telemetry(results_dir, scale, request):
         "scale": scale.name,
         "machine": machine_info(),
         "stats": stats,
-        "jobs_per_sec": _jobs_per_sec(registry, stats),
-        "extra_info": dict(getattr(bench, "extra_info", {}) or {}),
+        "jobs_per_sec": _jobs_per_sec(registry, stats, extra_info),
+        "extra_info": extra_info,
         "telemetry": registry.to_dict(),
     }
     path = results_dir / f"BENCH_{name}.json"

@@ -1,10 +1,10 @@
 """REP005 — atomic writes: persistence layers commit via tmp + rename.
 
-A cache entry, queue file or manifest that is written in place can be
+A cache entry or manifest that is written in place can be
 observed half-written by a concurrent reader (the cache is documented
 as safe to share across processes) or left torn by a crash, and a torn
 entry that still parses is silent corruption.  The blessed pattern —
-used by ``runtime/cache.py``, ``runtime/workqueue.py``,
+used by ``runtime/cache.py``, ``core/datastore.py``,
 ``traces/fetch.py`` and ``obs/manifest.py`` — streams into a
 same-directory temp file and ``os.replace``\\ s it into place.  This
 rule flags write-mode ``open()`` / ``Path.write_text`` /

@@ -1,15 +1,13 @@
 """REP008 — cross-process picklability at executor submission sites.
 
-Everything handed to an executor backend crosses a process boundary:
-``local`` pickles the chunk function and its arguments onto a queue,
-and ``workqueue`` durably pickles them to disk where *another machine*
-may load them.  Lambdas and functions defined inside another function
-cannot be pickled at all — and the failure surfaces only on the first
+Everything handed to the worker pool crosses a process boundary: the
+pool pickles the chunk function and its arguments onto a queue.
+Lambdas and functions defined inside another function cannot be
+pickled at all — and the failure surfaces only on the first
 parallel run, far from the edit that introduced it (``workers=1``
 short-circuits in-process, so the serial tests pass).  This rule flags
 lambdas and locally defined functions passed at the known submission
-sites (``ChunkCall(...)``, ``.submit(...)``, ``.map(...)`` and
-``write_task(...)``).
+sites (``ChunkCall(...)``, ``.submit(...)`` and ``.map(...)``).
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from repro.analysis.base import ModuleContext, Rule
 __all__ = ["CrossProcessPicklability"]
 
 #: Constructor / free-function submission sites.
-_SUBMIT_NAMES = frozenset({"ChunkCall", "write_task"})
+_SUBMIT_NAMES = frozenset({"ChunkCall"})
 #: Method submission sites (executor pools, TrialRunner.map).
 _SUBMIT_METHODS = frozenset({"submit", "map"})
 
@@ -50,13 +48,13 @@ class CrossProcessPicklability(Rule):
     id = "REP008"
     name = "cross-process-picklability"
     contract = (
-        "callables handed to executor backends are module-level (or"
+        "callables handed to the worker pool are module-level (or"
         " functools.partial of one): they must pickle across process"
-        " and machine boundaries"
+        " boundaries"
     )
     rationale = (
         "lambdas and nested functions cannot be pickled; the failure"
-        " only appears on the first parallel or workqueue run, far from"
+        " only appears on the first parallel run, far from"
         " the edit that introduced it"
     )
     backstop = "tests/test_executor_parity.py, tests/test_executor_faults.py"

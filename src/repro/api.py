@@ -15,7 +15,7 @@ table4     :func:`repro.experiments.table4.run_rows`             ``list[DynamicE
 sweep      :func:`run` per expanded child, shared cache          :class:`SweepResult`
 ========== ===================================================== =====================
 
-``workers``, ``backend``, ``cache`` and ``progress`` are *execution*
+``workers``, ``cache`` and ``progress`` are *execution*
 arguments, not spec fields: they cannot change any result (the runtime's
 bit-identical contract) and therefore never enter a fingerprint.  Passing ``cache``
 reuses every content-addressed artifact the specs describe — training
@@ -37,7 +37,7 @@ from repro.eval.windows import Window, stream_windows, workload_fingerprint
 from repro.experiments.table4 import run_rows
 from repro.policies.registry import get_policy
 from repro.runtime.cache import ArtifactCache, coerce_cache
-from repro.runtime.config import resolve_backend, resolve_workers
+from repro.runtime.config import resolve_workers
 from repro.sim.engine import simulate
 from repro.sim.hetero import (
     HeteroPlatform,
@@ -258,16 +258,11 @@ def _run_train(
     spec: TrainSpec,
     *,
     workers: int | str,
-    backend: str,
     cache: ArtifactCache | None,
     progress: ProgressFn | None,
 ) -> PipelineResult:
     return obtain_policies(
-        spec.to_pipeline_config(),
-        progress,
-        workers=workers,
-        backend=backend,
-        cache=cache,
+        spec.to_pipeline_config(), progress, workers=workers, cache=cache
     )
 
 
@@ -310,13 +305,11 @@ def _run_simulate(
     spec: SimulateSpec,
     *,
     workers: int | str,
-    backend: str,
     cache: ArtifactCache | None,
     progress: ProgressFn | None,
 ) -> SimulateReport:
     # A single simulation is one serial engine run however many workers
-    # (and whichever backend) were requested; the flags are accepted for
-    # CLI symmetry.
+    # were requested; the flag is accepted for CLI symmetry.
     wl, nmax = _simulate_workload(spec)
     if spec.hetero is not None:
         return _run_simulate_hetero(spec, wl, cache=cache, progress=progress)
@@ -479,7 +472,6 @@ def _run_evaluate(
     spec: EvaluateSpec,
     *,
     workers: int | str,
-    backend: str,
     cache: ArtifactCache | None,
     progress: ProgressFn | None,
 ) -> MatrixResult:
@@ -489,7 +481,6 @@ def _run_evaluate(
         source,
         config,
         workers=workers,
-        backend=backend,
         cache=cache,
         progress=progress,
         trace_name=trace_name,
@@ -500,7 +491,6 @@ def _run_table4(
     spec: Table4Spec,
     *,
     workers: int | str,
-    backend: str,
     cache: ArtifactCache | None,
     progress: ProgressFn | None,
 ) -> list:
@@ -512,7 +502,6 @@ def _run_table4(
         seed=spec.seed,
         policies=spec.resolved_policies(),
         workers=workers,
-        backend=backend,
         progress=progress,
     )
 
@@ -532,7 +521,6 @@ def _run_sweep(
     spec: SweepSpec,
     *,
     workers: int | str,
-    backend: str,
     cache: ArtifactCache | None,
     progress: ProgressFn | None,
 ) -> SweepResult:
@@ -544,9 +532,7 @@ def _run_sweep(
         # Cache-counter deltas around the child give uniform accounting
         # (every cacheable layer routes through the shared ArtifactCache).
         snapshot = cache.metrics.delta() if cache is not None else None
-        result = run(
-            child, workers=workers, backend=backend, cache=cache, progress=progress
-        )
+        result = run(child, workers=workers, cache=cache, progress=progress)
         if snapshot is not None:
             n_cached = int(snapshot.value("cache.hits"))
             n_simulated = int(snapshot.value("cache.misses"))
@@ -583,7 +569,6 @@ def run(
     spec: Spec,
     *,
     workers: int | str | None = None,
-    backend: str | None = None,
     cache: str | Path | ArtifactCache | None = None,
     progress: ProgressFn | None = None,
 ) -> Any:
@@ -598,12 +583,6 @@ def run(
         Worker-process count (or ``"auto"``) for the parallel phases;
         ``None`` resolves ``$REPRO_WORKERS``, then 1.  Results are
         bit-identical for every value.
-    backend:
-        Executor backend for the parallel phases — one of
-        :data:`repro.runtime.BACKEND_NAMES` (``local``, ``workqueue``);
-        ``None`` resolves ``$REPRO_BACKEND``, then ``local``.  An
-        execution knob like ``workers``: results are bit-identical for
-        every backend.
     cache:
         An :class:`~repro.runtime.ArtifactCache` or a directory path for
         one; every content-addressed artifact below the spec is loaded
@@ -623,7 +602,6 @@ def run(
     return runner(
         spec,
         workers=resolve_workers(workers),
-        backend=resolve_backend(backend),
         cache=coerce_cache(cache),
         progress=progress,
     )
@@ -633,15 +611,8 @@ def run_file(
     path: str | Path,
     *,
     workers: int | str | None = None,
-    backend: str | None = None,
     cache: str | Path | ArtifactCache | None = None,
     progress: ProgressFn | None = None,
 ) -> Any:
     """Load a spec document and :func:`run` it."""
-    return run(
-        load_spec(path),
-        workers=workers,
-        backend=backend,
-        cache=cache,
-        progress=progress,
-    )
+    return run(load_spec(path), workers=workers, cache=cache, progress=progress)

@@ -69,8 +69,6 @@ from repro.experiments.table4 import row_ids
 from repro.policies.registry import available_policies, get_policy
 from repro.runtime.cache import coerce_cache
 from repro.runtime.config import (
-    BACKEND_NAMES,
-    resolve_backend,
     resolve_scale,
     resolve_sim_kernel,
     resolve_workers,
@@ -199,7 +197,7 @@ def spec_from_args(args: argparse.Namespace) -> Spec:
 
 
 def _add_run_flags(p: argparse.ArgumentParser, *, cache: bool = True) -> None:
-    """``--workers`` / ``--backend`` / ``--cache`` / ``--telemetry``.
+    """``--workers`` / ``--cache`` / ``--telemetry``.
 
     Their default is ``None``: an absent flag falls through to the
     environment in :mod:`repro.runtime.config`, the same resolvers
@@ -212,21 +210,14 @@ def _add_run_flags(p: argparse.ArgumentParser, *, cache: bool = True) -> None:
         help="worker processes: an integer or 'auto' "
         "(default: $REPRO_WORKERS or 1; results are identical either way)",
     )
-    p.add_argument(
-        "--backend",
-        choices=BACKEND_NAMES,
-        help="executor backend for parallel phases: 'local' (persistent"
-        " work-stealing workers) or 'workqueue' (filesystem queue with"
-        " crash retry; see $REPRO_QUEUE_DIR) (default: $REPRO_BACKEND or"
-        " 'local'; results are bit-identical on every backend)",
-    )
     if cache:
         p.add_argument(
             "--cache",
             type=cache_dir_type,
             metavar="DIR",
             help="artifact-cache directory; a re-run with an unchanged config"
-            " loads every cached artifact instead of re-simulating",
+            " loads every cached artifact instead of re-simulating, and a"
+            " killed training run resumes from the tuples it stored",
         )
     p.add_argument(
         "--telemetry",
@@ -299,12 +290,11 @@ def _progress_for(spec: Spec):
 
 
 def _run_knobs(spec: Spec, args: argparse.Namespace, command: str) -> dict:
-    """The four run knobs, resolved once: flag (or spec field), else
+    """The three run knobs, resolved once: flag (or spec field), else
     environment, else default.  A bad value exits naming its source."""
     try:
         return {
             "workers": resolve_workers(getattr(args, "workers", None)),
-            "backend": resolve_backend(getattr(args, "backend", None)),
             "scale": resolve_scale(getattr(spec, "scale", None) or None),
             "sim_kernel": resolve_sim_kernel(),
         }
@@ -342,7 +332,6 @@ def _dispatch(spec: Spec, args: argparse.Namespace, *, command: str) -> int:
                 result = api.run(
                     spec,
                     workers=knobs["workers"],
-                    backend=knobs["backend"],
                     cache=cache,
                     progress=_progress_for(spec),
                 )

@@ -17,7 +17,8 @@ The simulation phase dispatches through :mod:`repro.runtime`: pass
 ``workers`` to fan the per-tuple trials over worker processes (results are
 bit-identical to the serial run for any worker count), and ``cache`` to
 memoise the pooled distribution on disk keyed by a fingerprint of the
-result-relevant config fields.  Inside each worker the trials
+result-relevant config fields; a killed run resumes from the per-tuple
+entries it already stored.  Inside each worker the trials
 themselves run as kernel batches
 (:func:`repro.sim.listsched.simulate_fixed_priority_batch`), so the
 per-trial Python loop no longer exists at any layer of the fan-out.
@@ -34,6 +35,7 @@ from repro.core.functions import FittedFunction, FunctionSpec
 from repro.core.regression import RegressionConfig, fit_all
 from repro.core.taskgen import TaskSetTuple, generate_tuples
 from repro.core.trials import TrialScoreResult
+from repro.obs.metrics import current_registry
 from repro.policies.learned import NonlinearPolicy
 from repro.runtime.cache import ArtifactCache, coerce_cache
 from repro.runtime.config import ExecutorConfig
@@ -128,29 +130,55 @@ def distribution_cache_key(config: PipelineConfig) -> str:
     )
 
 
+def _tuple_key(key: str, index: int) -> str:
+    """The cache key of tuple *index*'s resume entry under *key*."""
+    return f"{key}-t{index}"
+
+
+def _load_tuple_entries(
+    cache: ArtifactCache, key: str, n_tuples: int
+) -> dict[int, TrialScoreResult]:
+    """The per-tuple entries an interrupted run of *key* left behind.
+
+    Only entries that exist are looked up, so a cold cache counts no
+    per-tuple misses.
+    """
+    done = {}
+    for k in range(n_tuples):
+        tuple_key = _tuple_key(key, k)
+        if cache.path_for(tuple_key).exists():
+            entry = cache.load(tuple_key)
+            if entry is not None:
+                done[k] = entry[0][0]
+    return done
+
+
 def build_distribution(
     config: PipelineConfig,
     progress: Callable[[str, int, int], None] | None = None,
     *,
     workers: int | str | None = None,
     chunk_size: int | None = None,
-    backend: str | None = None,
     cache: str | Path | ArtifactCache | None = None,
 ) -> tuple[list[TaskSetTuple], list[TrialScoreResult], ScoreDistribution]:
     """Phases 1–2: tuples, trials, pooled score distribution.
 
     Parameters
     ----------
-    workers, chunk_size, backend:
+    workers, chunk_size:
         Dispatch policy for the trial simulations (see
         :class:`repro.runtime.ExecutorConfig`; ``None`` resolves
-        ``$REPRO_WORKERS`` / ``$REPRO_BACKEND``).  Results are identical
-        for every setting; ``workers=1`` runs in-process.
+        ``$REPRO_WORKERS``).  Results are identical for every setting;
+        ``workers=1`` runs in-process.
     cache:
         An :class:`repro.runtime.ArtifactCache` (or a directory path for
-        one).  On a hit the trials are loaded instead of simulated — the
-        tuples are still regenerated (they are cheap and deterministic)
-        so the return shape is unchanged.
+        one).  On a hit of the whole-distribution entry the trials are
+        loaded instead of simulated — the tuples are still regenerated
+        (they are cheap and deterministic) so the return shape is
+        unchanged.  On a miss, each tuple's result is stored as its own
+        entry (key ``<distribution key>-t<k>``) as soon as it lands, and
+        the entries a killed run left behind are loaded instead of
+        simulated; they are removed once the whole entry is stored.
     """
     tuples = generate_tuples(
         config.n_tuples,
@@ -160,18 +188,32 @@ def build_distribution(
         seed=config.seed,
         params=config.lublin_params,
     )
+    registry = current_registry()
     cache_store = coerce_cache(cache)
-    key = distribution_cache_key(config) if cache_store is not None else None
+    done: dict[int, TrialScoreResult] = {}
+    on_result = None
     if cache_store is not None:
+        key = distribution_cache_key(config)
         entry = cache_store.load(key)
         if entry is not None:
             results, dist = entry
+            registry.inc("train.tuples.cached", config.n_tuples)
             if progress is not None:
                 progress("trials", config.n_tuples, config.n_tuples)
             return tuples, results, dist
+        done = _load_tuple_entries(cache_store, key, config.n_tuples)
 
+        def on_result(k: int, result: TrialScoreResult) -> None:
+            cache_store.store(
+                _tuple_key(key, k),
+                [result],
+                ScoreDistribution.from_trial_results([result]),
+            )
+
+    registry.inc("train.tuples.cached", len(done))
+    registry.inc("train.tuples.simulated", config.n_tuples - len(done))
     with TrialRunner(
-        ExecutorConfig(workers=workers, chunk_size=chunk_size, backend=backend)
+        ExecutorConfig(workers=workers, chunk_size=chunk_size)
     ) as runner:
         results = runner.run_tuple_trials(
             tuples,
@@ -181,10 +223,14 @@ def build_distribution(
             balanced=config.balanced_trials,
             tau=config.tau,
             progress=progress,
+            done=done,
+            on_result=on_result,
         )
     dist = ScoreDistribution.from_trial_results(results)
     if cache_store is not None:
         cache_store.store(key, results, dist)
+        for k in range(config.n_tuples):
+            cache_store.discard(_tuple_key(key, k))
     return tuples, results, dist
 
 
@@ -218,7 +264,6 @@ def obtain_policies(
     *,
     workers: int | str | None = None,
     chunk_size: int | None = None,
-    backend: str | None = None,
     cache: str | Path | ArtifactCache | None = None,
 ) -> PipelineResult:
     """Run the full §3 procedure and return ranked policies.
@@ -229,8 +274,8 @@ def obtain_policies(
     best ``top_k`` *distinct* functions: a candidate equivalent to a
     better-ranked one (same function family, see :func:`_function_key`)
     takes no slot, while ``fitted`` keeps every candidate.  ``workers``,
-    ``chunk_size``, ``backend`` and ``cache`` configure the simulation
-    phase exactly as in :func:`build_distribution`.
+    ``chunk_size`` and ``cache`` configure the simulation phase exactly
+    as in :func:`build_distribution`.
     """
     config = config or PipelineConfig()
     tuples, trial_results, dist = build_distribution(
@@ -238,7 +283,6 @@ def obtain_policies(
         progress,
         workers=workers,
         chunk_size=chunk_size,
-        backend=backend,
         cache=cache,
     )
 

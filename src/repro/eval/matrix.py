@@ -426,7 +426,6 @@ def run_matrix(
     *,
     workers: int | str | None = None,
     chunk_size: int | None = None,
-    backend: str | None = None,
     cache: str | ArtifactCache | None = None,
     progress: ProgressCallback | None = None,
     trace_name: str | None = None,
@@ -443,11 +442,8 @@ def run_matrix(
     window names with their ``[w<k>]`` suffix stripped).
 
     Both paths are bit-identical to each other and across any
-    ``workers`` / ``chunk_size`` / ``backend`` (*backend* selects the
-    :class:`~repro.runtime.ExecutorBackend` that runs the cells — an
-    execution knob, never part of a cell's cache key).  With *cache*,
-    cells already present
-    are loaded instead of simulated and fresh cells are stored; only
+    ``workers`` / ``chunk_size`` (execution knobs, never part of a
+    cell's cache key).  With *cache*, cells already present are loaded instead of simulated and fresh cells are stored; only
     cache-missing cells reach the pool, so a fully cached streaming
     re-run simulates nothing and holds no more than one window at once.
     """
@@ -457,7 +453,6 @@ def run_matrix(
             config,
             workers=workers,
             chunk_size=chunk_size,
-            backend=backend,
             cache=cache,
             progress=progress,
             trace_name=trace_name,
@@ -520,7 +515,7 @@ def run_matrix(
             for k in todo
         ]
         with TrialRunner(
-            ExecutorConfig(workers=workers, chunk_size=chunk_size, backend=backend)
+            ExecutorConfig(workers=workers, chunk_size=chunk_size)
         ) as runner, span("eval.dispatch", cells=len(todo)):
             fresh = runner.map(
                 _simulate_cell, tasks, progress=progress, phase="cells"
@@ -574,7 +569,6 @@ def _run_matrix_streaming(
     *,
     workers: int | str | None,
     chunk_size: int | None,
-    backend: str | None,
     cache: str | ArtifactCache | None,
     progress: ProgressCallback | None,
     trace_name: str | None,
@@ -593,9 +587,7 @@ def _run_matrix_streaming(
     """
     store = coerce_cache(cache)
     registry = current_registry()
-    runner = TrialRunner(
-        ExecutorConfig(workers=workers, chunk_size=chunk_size, backend=backend)
-    )
+    runner = TrialRunner(ExecutorConfig(workers=workers, chunk_size=chunk_size))
     # Children of the config seed, spawned on demand in cell order.
     seed_root = np.random.SeedSequence(config.seed)
     cells: list[CellResult | None] = []
@@ -604,7 +596,7 @@ def _run_matrix_streaming(
     # Pending cells hold their windows' arrays until the flush, so the
     # batch bounds memory at a few hundred windows while still giving
     # every worker dozens of cells per dispatch.  One runner spans the
-    # whole stream, so the local backend's workers stay alive across
+    # whole stream, so the pool's workers stay alive across
     # flushes.  Cannot affect results.
     dispatch_batch = max(256, 32 * runner.config.n_workers * (chunk_size or 1))
     n_windows = 0

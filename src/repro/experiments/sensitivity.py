@@ -78,7 +78,6 @@ def seed_sweep(
     *,
     policies: tuple[str, ...] = ("FCFS", "SPT", "F1"),
     workers: int | str | None = None,
-    backend: str | None = None,
 ) -> SeedSweepResult:
     """Re-run one Table 4 row under several workload seeds.
 
@@ -89,9 +88,7 @@ def seed_sweep(
     if not seeds:
         raise ValueError("need at least one seed")
     specs = [(row, scale, int(seed), tuple(policies)) for seed in seeds]
-    with TrialRunner(
-        ExecutorConfig(workers=workers, chunk_size=1, backend=backend)
-    ) as runner:
+    with TrialRunner(ExecutorConfig(workers=workers, chunk_size=1)) as runner:
         medians = dict(runner.map(_seed_point, specs, phase="seeds"))
     return SeedSweepResult(
         row_id=row.row_id, seeds=tuple(int(s) for s in seeds), medians=medians

@@ -224,7 +224,6 @@ def run_rows(
     seed: int = 0,
     policies: tuple[str, ...] = POLICY_COLUMNS,
     workers: int | str | None = None,
-    backend: str | None = None,
     progress: Callable[[str, int, int], None] | None = None,
 ) -> list[DynamicExperimentResult]:
     """Run several Table 4 rows, optionally fanned over worker processes.
@@ -241,9 +240,7 @@ def run_rows(
     # custom / modified rows run as given rather than being re-resolved
     # against the registry by id.
     specs = [(r, scale, seed, tuple(policies)) for r in row_list]
-    with TrialRunner(
-        ExecutorConfig(workers=workers, chunk_size=1, backend=backend)
-    ) as runner:
+    with TrialRunner(ExecutorConfig(workers=workers, chunk_size=1)) as runner:
         return runner.map(_row_task, specs, phase="rows", progress=progress)
 
 

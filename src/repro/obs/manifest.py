@@ -4,7 +4,7 @@ A *run manifest* (``run_manifest.json``) is written beside every report
 when telemetry is enabled (``--telemetry``): the spec identity
 (canonical fingerprint plus, for ``pwa:<name>`` traces, the registry's
 pinned content hash), the execution knobs (the resolved workers,
-backend, scale and simulation kernel of :mod:`repro.runtime.config`,
+scale and simulation kernel of :mod:`repro.runtime.config`,
 plus the seed), cache hit/miss/byte accounting, per-phase wall-time
 durations (from the tracer's top-level spans), jobs/events simulated
 and the resulting jobs/sec.  ``repro-sched stats RUN_DIR`` renders it
@@ -116,7 +116,6 @@ def build_manifest(
     command: str | None = None,
     workers: int | str | None = None,
     chunk_size: int | None = None,
-    backend: str | None = None,
     scale: str | None = None,
     sim_kernel: str | None = None,
     wall_seconds: float | None = None,
@@ -142,20 +141,11 @@ def build_manifest(
         "execution": {
             "workers": workers,
             "chunk_size": chunk_size,
-            "backend": backend,
             "scale": scale,
             "sim_kernel": sim_kernel,
             "argv": list(sys.argv[1:]) if sys.argv else [],
         },
-        "runtime": {
-            "shards": registry.timer_count("runtime.shard.wall"),
-            "queue_tasks": counters.get("runtime.queue.tasks", 0),
-            "queue_takeovers": counters.get("runtime.queue.takeovers", 0),
-            "queue_worker_deaths": counters.get(
-                "runtime.queue.worker_deaths", 0
-            ),
-            "queue_respawns": counters.get("runtime.queue.respawns", 0),
-        },
+        "runtime": {"shards": registry.timer_count("runtime.shard.wall")},
         "machine": machine_info(),
         "phases": phases,
         "cache": {
@@ -259,25 +249,13 @@ def render_manifest(doc: dict) -> str:
             )
         )
     lines.append(
-        "  execution: workers={} backend={} scale={} kernel={} seed={}".format(
+        "  execution: workers={} scale={} kernel={} seed={}".format(
             execution.get("workers"),
-            execution.get("backend"),
             execution.get("scale"),
             execution.get("sim_kernel"),
             execution.get("seed"),
         )
     )
-    runtime = doc.get("runtime") or {}
-    if runtime.get("queue_tasks"):
-        lines.append(
-            "  workqueue: {} tasks, {} takeovers, {} worker deaths,"
-            " {} respawns".format(
-                runtime.get("queue_tasks", 0),
-                runtime.get("queue_takeovers", 0),
-                runtime.get("queue_worker_deaths", 0),
-                runtime.get("queue_respawns", 0),
-            )
-        )
     lines.append(
         "  machine: python {} on {} ({} cores)".format(
             machine.get("python"), machine.get("machine"), machine.get("cpu_count")

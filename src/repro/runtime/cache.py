@@ -145,6 +145,10 @@ class ArtifactCache:
         self._record_stored(path)
         return path
 
+    def discard(self, key: str) -> None:
+        """Remove the entry for *key*, if there is one."""
+        self.path_for(key).unlink(missing_ok=True)
+
     # ------------------------------------------------------------------
     # generic JSON entries (evaluation cells and other small artifacts)
     # ------------------------------------------------------------------

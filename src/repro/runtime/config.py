@@ -1,20 +1,19 @@
 """Executor configuration and the run knobs it resolves.
 
 :class:`ExecutorConfig` is the single declarative knob set every parallel
-entry point accepts: how many worker processes, how the work-list is cut
-into chunks, which multiprocessing start method to use, and which
-:mod:`executor backend <repro.runtime.backends>` dispatches the chunks.
+entry point accepts: how many worker processes, and how the work-list is
+cut into chunks.
 
-It is also the one place the four run knobs are read, each by one
+It is also the one place the three run knobs are read, each by one
 resolver — :func:`resolve_workers` (``REPRO_WORKERS``),
-:func:`resolve_backend` (``REPRO_BACKEND``), :func:`resolve_scale`
-(``REPRO_SCALE``) and :func:`resolve_sim_kernel` (``REPRO_SIM_KERNEL``).
-Each takes an explicit argument first, then the environment (read at
-call time), then its default.  A bad value raises with the valid
-choices and, when it came from the environment, the variable's name.
+:func:`resolve_scale` (``REPRO_SCALE``) and :func:`resolve_sim_kernel`
+(``REPRO_SIM_KERNEL``).  Each takes an explicit argument first, then the
+environment (read at call time), then its default.  A bad value raises
+with the valid choices and, when it came from the environment, the
+variable's name.
 
-Determinism note: workers, chunk sizes, backends and the kernel choice
-only change how the deterministic work-list is dispatched and run (see
+Determinism note: workers, chunk sizes and the kernel choice only
+change how the deterministic work-list is dispatched and run (see
 :mod:`repro.runtime.sharding` and the kernel parity suites), never the
 per-item random streams.  None of them may ever enter a fingerprint or
 cache key; the scale preset reaches one only through the spec fields
@@ -27,22 +26,11 @@ import os
 from dataclasses import dataclass
 
 __all__ = [
-    "BACKEND_NAMES",
-    "DEFAULT_BACKEND",
     "ExecutorConfig",
-    "resolve_backend",
     "resolve_scale",
     "resolve_sim_kernel",
     "resolve_workers",
 ]
-
-#: Registered executor backend names, in documentation order.  The
-#: implementations live in :mod:`repro.runtime.backends` (local) and
-#: :mod:`repro.runtime.workqueue` (workqueue); this tuple lives here so
-#: config validation does not import them.
-BACKEND_NAMES = ("local", "workqueue")
-
-DEFAULT_BACKEND = "local"
 
 
 def _pick(value, var: str, default) -> tuple[object, str]:
@@ -83,17 +71,6 @@ def resolve_workers(workers: int | str | None = None) -> int:
     if count < 1:
         raise ValueError(f"workers must be >= 1, got {count}{source}")
     return count
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """The executor backend: *backend*, else ``$REPRO_BACKEND``, else ``local``."""
-    value, source = _pick(backend, "REPRO_BACKEND", DEFAULT_BACKEND)
-    if value not in BACKEND_NAMES:
-        raise ValueError(
-            f"unknown executor backend {value!r}{source}; "
-            f"valid backends: {', '.join(BACKEND_NAMES)}"
-        )
-    return value
 
 
 def resolve_scale(scale: str | None = None) -> str:
@@ -143,43 +120,15 @@ class ExecutorConfig:
         Items per dispatched chunk.  ``None`` picks ``ceil(n / (4 *
         workers))`` so each worker sees ~4 chunks (good load balancing
         without drowning in IPC).  Chunking never affects results.
-    mp_start_method:
-        Forwarded to :func:`multiprocessing.get_context` (``"fork"``,
-        ``"spawn"``, ...).  ``None`` uses the platform default.
-    backend:
-        Which :class:`~repro.runtime.backends.ExecutorBackend` runs the
-        chunks — one of :data:`BACKEND_NAMES`, or ``None`` to resolve
-        through :func:`resolve_backend`.  ``"local"`` keeps persistent
-        workers pulling from a shared queue (work-stealing);
-        ``"workqueue"`` dispatches through a filesystem queue with
-        lease/heartbeat retry.  Like every other field here, the backend
-        can never change a result.
-    queue_dir:
-        Root directory for the ``workqueue`` backend's task/lease/result
-        files.  ``None`` uses ``$REPRO_QUEUE_DIR`` or a temp directory.
-        Ignored by the other backends.
-    lease_timeout:
-        Seconds without a heartbeat before a ``workqueue`` task lease is
-        considered stale and another worker may take it over.  ``None``
-        uses ``$REPRO_QUEUE_LEASE_TIMEOUT`` or 30 seconds.
     """
 
     workers: int | str | None = None
     chunk_size: int | None = None
-    mp_start_method: str | None = None
-    backend: str | None = None
-    queue_dir: str | None = None
-    lease_timeout: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "workers", resolve_workers(self.workers))
-        object.__setattr__(self, "backend", resolve_backend(self.backend))
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-        if self.lease_timeout is not None and self.lease_timeout <= 0:
-            raise ValueError(
-                f"lease_timeout must be > 0, got {self.lease_timeout}"
-            )
 
     @property
     def n_workers(self) -> int:

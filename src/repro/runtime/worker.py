@@ -1,6 +1,6 @@
 """Picklable worker-process entry points.
 
-Everything a backend's worker process executes must be importable by
+Everything a pool worker process executes must be importable by
 name in the child process, so the chunk runners
 live here as plain module-level functions of plain picklable arguments
 (dataclasses of numpy arrays, :class:`~numpy.random.SeedSequence`\\ s,

@@ -1,6 +1,7 @@
 """Concurrent-writer safety of the ArtifactCache.
 
-The workqueue backend's retry semantics lean on one property: two
+A cache directory may be shared by concurrent runs, and a killed
+training run resumes from it, so both lean on one property: two
 processes storing the *same* content-addressed key at the same time can
 never produce a torn or duplicated entry, because every store writes a
 ``tmp<pid>`` sibling and ``os.replace``\\ s it into place.  These tests
@@ -119,23 +120,18 @@ class TestConcurrentWriters:
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [f"eval-{KEY}.json"], f"torn/leftover files: {names}"
 
-    def test_workqueue_cells_share_a_cache_safely(self, tmp_path, monkeypatch):
-        """End to end: two full pipeline runs through different backends
-        against one cache directory — the second is a pure hit, and the
-        store raced by retries never duplicates an entry."""
-        monkeypatch.setenv("REPRO_QUEUE_DIR", str(tmp_path / "queue"))
+    def test_pool_and_serial_runs_share_a_cache_safely(self, tmp_path):
+        """End to end: a pooled and a serial pipeline run against one
+        cache directory — the second is a pure hit, and the per-tuple
+        entries the first stored never outlive its whole entry."""
         config = PipelineConfig(
             n_tuples=3, trials_per_tuple=12, nmax=16, s_size=4, q_size=4, seed=2
         )
         cache_dir = tmp_path / "cache"
         cache = ArtifactCache(cache_dir)
-        _, first, _ = build_distribution(
-            config, workers=2, backend="workqueue", cache=cache
-        )
+        _, first, _ = build_distribution(config, workers=2, cache=cache)
         assert cache.misses == 1 and cache.hits == 0
-        _, second, _ = build_distribution(
-            config, workers=2, backend="local", cache=cache
-        )
+        _, second, _ = build_distribution(config, workers=1, cache=cache)
         assert cache.hits == 1
         np.testing.assert_array_equal(first[0].scores, second[0].scores)
         entries = [p.name for p in cache_dir.iterdir() if p.name.startswith("trials-")]

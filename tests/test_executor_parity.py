@@ -1,7 +1,7 @@
-"""Randomized bit-parity: every executor backend vs the serial loop.
+"""Randomized bit-parity: the worker pool vs the serial loop.
 
 The runtime's headline contract — results are **bit-identical** for any
-``(workers, chunk_size, backend)`` — is asserted here the same way
+``(workers, chunk_size)`` — is asserted here the same way
 ``tests/test_sim_kernel_parity.py`` pins the simulation kernel: seeded
 random inputs, exhaustive small sweeps, and ``tobytes()`` comparisons
 rather than approximate ones.  Two work kinds are swept, matching the
@@ -14,7 +14,7 @@ two dispatch surfaces of :class:`~repro.runtime.TrialRunner`:
 
 Alongside results, the *telemetry merge* contract rides the same sweep:
 worker registries merge additively into the parent, so every counter a
-parallel run reports equals the serial run's, on every backend.
+parallel run reports equals the serial run's.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from repro.core.pipeline import PipelineConfig, build_distribution
 from repro.eval.matrix import MatrixConfig, run_matrix
 from repro.eval.windows import stream_windows
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.runtime import BACKEND_NAMES
 from repro.workloads.traces import synthetic_trace
 
 WORKER_COUNTS = (1, 2, 4)
@@ -79,10 +78,8 @@ def _pipeline_config(rng: np.random.Generator) -> PipelineConfig:
 
 
 class TestTrialParity:
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @pytest.mark.parametrize("case", range(2))
-    def test_trials_bit_identical_across_backends(self, backend, case, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_QUEUE_DIR", str(tmp_path / "queue"))
+    def test_trials_bit_identical_across_workers(self, case):
         rng = np.random.default_rng(abs(hash(("trials", case))) % 2**32)
         config = _pipeline_config(rng)
         chunk = int(rng.integers(1, 4))
@@ -90,10 +87,10 @@ class TestTrialParity:
         reference = _trial_bytes(serial)
         for workers in WORKER_COUNTS:
             _, results, _ = build_distribution(
-                config, workers=workers, chunk_size=chunk, backend=backend
+                config, workers=workers, chunk_size=chunk
             )
             assert _trial_bytes(results) == reference, (
-                f"backend={backend} workers={workers} chunk={chunk} diverged"
+                f"workers={workers} chunk={chunk} diverged"
             )
 
 
@@ -116,41 +113,24 @@ class TestMatrixParity:
     def reference(self, trace, config):
         return _matrix_bytes(run_matrix(trace, config))
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_matrix_bit_identical(
-        self, backend, workers, trace, config, reference, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_QUEUE_DIR", str(tmp_path / "queue"))
-        result = run_matrix(
-            trace, config, workers=workers, chunk_size=2, backend=backend
-        )
+    def test_matrix_bit_identical(self, workers, trace, config, reference):
+        result = run_matrix(trace, config, workers=workers, chunk_size=2)
         assert _matrix_bytes(result) == reference
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_streamed_matrix_bit_identical(
-        self, backend, trace, config, reference, tmp_path, monkeypatch
-    ):
+    def test_streamed_matrix_bit_identical(self, trace, config, reference):
         """The streamed path reuses one runner across flushes — exactly
-        where the persistent local pool (and queue reuse) must still be
-        invisible in the bytes."""
-        monkeypatch.setenv("REPRO_QUEUE_DIR", str(tmp_path / "queue"))
+        where the persistent pool must still be invisible in the bytes."""
         windows = stream_windows(
             trace, jobs=config.window_jobs, warmup=config.warmup
         )
-        result = run_matrix(
-            windows, config, workers=2, chunk_size=1, backend=backend
-        )
+        result = run_matrix(windows, config, workers=2, chunk_size=1)
         assert _matrix_bytes(result) == reference
 
 
 class TestTelemetryMerge:
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_merged_counters_equal_serial(
-        self, backend, workers, tmp_path, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_QUEUE_DIR", str(tmp_path / "queue"))
+    def test_merged_counters_equal_serial(self, workers):
         config = PipelineConfig(
             n_tuples=4, trials_per_tuple=12, nmax=16, s_size=4, q_size=4, seed=9
         )
@@ -159,15 +139,15 @@ class TestTelemetryMerge:
             build_distribution(config)
         parallel = MetricsRegistry()
         with use_registry(parallel):
-            build_distribution(config, workers=workers, backend=backend)
+            build_distribution(config, workers=workers)
         for name in MERGED_COUNTERS:
             assert parallel.value(name) == serial.value(name), (
-                f"{name}: backend={backend} workers={workers}"
+                f"{name}: workers={workers}"
             )
         # The per-chunk compute timer covers every chunk exactly once on
-        # the fanned-out paths (the workers=1 inline loop records no
-        # chunks on backends that allow the serial shortcut).
-        if workers > 1 or backend == "workqueue":
+        # the fanned-out paths (the workers=1 in-process loop records no
+        # chunks).
+        if workers > 1:
             assert parallel.timer_count("runtime.chunk") >= 1
             assert parallel.timer_count("runtime.shard.wall") == (
                 parallel.timer_count("runtime.chunk")

@@ -357,23 +357,36 @@ class TestStatsVerb:
         self, tmp_path, capsys, monkeypatch
     ):
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        monkeypatch.setenv("REPRO_BACKEND", "workqueue")
         monkeypatch.setenv("REPRO_SCALE", "smoke")
         monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
-        monkeypatch.setenv("REPRO_QUEUE_DIR", str(tmp_path / "queue"))
         tele = tmp_path / "tele"
         _evaluate_cli(tmp_path, "run", "--telemetry", str(tele))
         execution = read_manifest(tele)["execution"]
         assert (
             execution["workers"],
-            execution["backend"],
             execution["scale"],
             execution["sim_kernel"],
-        ) == (2, "workqueue", "smoke", "python")
+        ) == (2, "smoke", "python")
         capsys.readouterr()
         assert main(["stats", str(tele)]) == 0
         out = capsys.readouterr().out
-        assert "workers=2 backend=workqueue scale=smoke kernel=python" in out
+        assert "workers=2 scale=smoke kernel=python" in out
+
+    def test_stats_renders_a_manifest_with_backend_and_queue_keys(
+        self, tmp_path, capsys
+    ):
+        """Manifests from before the single pool carry ``execution.backend``
+        and ``runtime.queue_*``; ``stats`` still renders them."""
+        doc = build_manifest(registry=MetricsRegistry(), workers=2, scale="smoke")
+        doc["execution"]["backend"] = "workqueue"
+        doc["runtime"].update(
+            queue_tasks=16, queue_takeovers=1, queue_worker_deaths=1,
+            queue_respawns=1,
+        )
+        write_manifest(tmp_path, doc)
+        assert main(["stats", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "execution: workers=2 scale=smoke" in out
 
     def test_stats_without_manifest_names_the_flag(self, tmp_path):
         with pytest.raises(SystemExit, match="--telemetry"):
