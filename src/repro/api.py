@@ -39,15 +39,7 @@ from repro.policies.registry import get_policy
 from repro.runtime.cache import ArtifactCache, coerce_cache
 from repro.runtime.config import resolve_workers
 from repro.sim.engine import simulate
-from repro.sim.hetero import (
-    HeteroPlatform,
-    hetero_simulate,
-    parse_arch_specs,
-    workload_to_hetero_jobs,
-)
 from repro.sim.job import Workload
-from repro.sim.metrics import makespan as schedule_makespan
-from repro.sim.metrics import utilization as schedule_utilization
 from repro.sim.platform import platform_identity, topology_label
 from repro.specs import (
     EvaluateSpec,
@@ -311,8 +303,6 @@ def _run_simulate(
     # A single simulation is one serial engine run however many workers
     # were requested; the flag is accepted for CLI symmetry.
     wl, nmax = _simulate_workload(spec)
-    if spec.hetero is not None:
-        return _run_simulate_hetero(spec, wl, cache=cache, progress=progress)
     # None on the flat machine (and product-1 topologies), so flat cache
     # keys are byte-identical to the pre-platform library.
     platform = platform_identity(spec.topology, spec.distribution, spec.seed)
@@ -361,62 +351,6 @@ def _run_simulate(
         utilization=result.utilization,
         backfilled=result.backfill_count,
         platform=label,
-    )
-    if cache is not None:
-        cache.store_json(key, report.to_entry())
-    return report
-
-
-def _run_simulate_hetero(
-    spec: SimulateSpec,
-    wl: Workload,
-    *,
-    cache: ArtifactCache | None,
-    progress: ProgressFn | None,
-) -> SimulateReport:
-    """The heterogeneous-platform branch of the ``simulate`` verb.
-
-    The workload is lifted onto the declared architecture pools
-    (:func:`repro.sim.hetero.workload_to_hetero_jobs`) and scheduled by
-    the dispatcher prototype; makespan and utilization are computed from
-    the runtime of the variant each job actually executed, against the
-    platform's total core count.
-    """
-    archs = parse_arch_specs(spec.hetero)
-    platform = HeteroPlatform({a.name: a.cores for a in archs})
-    jobs = workload_to_hetero_jobs(wl, archs)
-    nmax = platform.total_cores
-    key = None
-    if cache is not None:
-        key = simulate_cell_fingerprint(
-            workload_fingerprint=workload_fingerprint(wl),
-            policy=spec.policy,
-            backfill=spec.backfill,
-            nmax=nmax,
-            use_estimates=spec.estimates,
-            tau=spec.tau,
-            platform={"hetero": list(spec.hetero)},
-        )
-        hit = SimulateReport.from_entry(cache.load_json(key))
-        if hit is not None:
-            if progress is not None:
-                progress("simulate", 1, 1)
-            return hit
-    result = hetero_simulate(jobs, get_policy(spec.policy), platform, tau=spec.tau)
-    if progress is not None:
-        progress("simulate", 1, 1)
-    executed = result.executed_runtime
-    sizes = [job.variants[a].size for job, a in zip(jobs, result.chosen_arch)]
-    report = SimulateReport(
-        policy=result.policy_name,
-        backfill=spec.backfill,
-        n_jobs=len(wl),
-        nmax=nmax,
-        ave_bsld=result.ave_bsld,
-        makespan=schedule_makespan(result.start, executed),
-        utilization=schedule_utilization(result.start, executed, sizes, nmax),
-        backfilled=0,
-        platform="hetero=" + "+".join(spec.hetero),
     )
     if cache is not None:
         cache.store_json(key, report.to_entry())

@@ -923,7 +923,15 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     np.seterr(all="ignore")  # candidate functions legitimately over/underflow
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe early (``stats DIR | head -1``): point
+        # stdout at devnull so the exit-time flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -90,15 +90,12 @@ def _spec_block(spec: Any) -> dict:
 def _platform_block(spec: Any) -> dict | None:
     """Platform identity of the executed spec, ``None`` on flat machines.
 
-    Mirrors :func:`repro.sim.platform.platform_identity` (plus the
-    heterogeneous architecture list), so flat-machine manifests carry no
-    platform block at all — their bytes match the pre-platform library.
+    Mirrors :func:`repro.sim.platform.platform_identity`, so flat-machine
+    manifests carry no platform block at all — their bytes match the
+    pre-platform library.
     """
     if spec is None:
         return None
-    hetero = getattr(spec, "hetero", None)
-    if hetero is not None:
-        return {"hetero": list(hetero)}
     from repro.sim.platform import platform_identity
 
     return platform_identity(
@@ -235,9 +232,7 @@ def render_manifest(doc: dict) -> str:
         for field, src in (spec.get("sources") or {}).items():
             lines.append(f"  {field}: {src['ref']} (identity {src['identity']})")
     platform_block = doc.get("platform") or {}
-    if platform_block.get("hetero"):
-        lines.append("  platform: hetero=" + ",".join(platform_block["hetero"]))
-    elif platform_block.get("topology"):
+    if platform_block.get("topology"):
         lines.append(
             "  platform: topology="
             + "x".join(str(v) for v in platform_block["topology"])

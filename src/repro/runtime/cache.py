@@ -10,7 +10,10 @@ written by :func:`repro.core.datastore.save_trial_artifact`.
 
 A cache directory is safe to share between serial and parallel runs,
 across processes, and across sessions; entries are immutable once
-written (atomic rename) and keyed by content, never by timestamp.
+written (atomic rename) and keyed by content, never by timestamp.  A
+writer killed between its temp-file write and the rename leaves the
+pid-suffixed temp file behind; the next :class:`ArtifactCache` opened on
+the directory removes it once that pid is no longer running.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import zipfile
 from collections.abc import Mapping
 from pathlib import Path
@@ -28,6 +32,11 @@ from repro.core.trials import TrialScoreResult
 from repro.obs.metrics import MetricsRegistry
 
 __all__ = ["ArtifactCache", "coerce_cache", "config_fingerprint"]
+
+#: The writer pid in a temp-file name: ``trials-<key>.npz.tmp<pid>.npz``
+#: (:func:`~repro.core.datastore.save_trial_artifact`) or
+#: ``eval-<key>.json.tmp<pid>`` (:meth:`ArtifactCache.store_json`).
+_TMP_PID = re.compile(r"\.tmp(\d+)(?:\.npz)?$")
 
 
 def config_fingerprint(fields: Mapping[str, object]) -> str:
@@ -79,6 +88,29 @@ class ArtifactCache:
         self.root = Path(directory)
         self.root.mkdir(parents=True, exist_ok=True)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._remove_orphaned_tmp()
+
+    def _remove_orphaned_tmp(self) -> None:
+        """Delete temp files whose writer is gone (killed mid-store).
+
+        Writers remove their temp file in a ``finally``, which a SIGKILL
+        skips.  A temp file is never a live entry (entries appear by
+        atomic rename), so one whose pid no longer runs is safe to
+        delete; one whose pid is alive is a concurrent writer's and
+        stays.  Pids are those of this host.
+        """
+        if os.name != "posix":  # os.kill(pid, 0) terminates on Windows
+            return
+        for tmp in sorted(self.root.glob("*.tmp*")):
+            match = _TMP_PID.search(tmp.name)
+            if match is None:
+                continue
+            try:
+                os.kill(int(match.group(1)), 0)
+            except ProcessLookupError:
+                tmp.unlink(missing_ok=True)
+            except OSError:
+                pass  # the pid exists under another user: a live writer
 
     @property
     def hits(self) -> int:

@@ -8,9 +8,8 @@ Public surface:
 * :func:`~repro.sim.metrics.bounded_slowdown` (Eq. 1) and
   :func:`~repro.sim.metrics.average_bounded_slowdown` (Eq. 2).
 
-Every simulator — the engine, the training trial simulator
-(:mod:`~repro.sim.listsched`) and the heterogeneous dispatcher
-(:mod:`~repro.sim.hetero`) — is a thin configuration of the one
+Both simulators — the engine and the training trial simulator
+(:mod:`~repro.sim.listsched`) — are thin configurations of the one
 event-heap loop in :mod:`~repro.sim.kernel` (``REPRO_SIM_KERNEL``
 selects the compiled or pure-Python backend; results are
 bit-identical).  Import anything else from its submodule.

@@ -18,9 +18,8 @@ alone, which C reproduces bit for bit when built without FMA
 contraction (``-ffp-contract=off``).  Conservative and hybrid share one
 replan pass with a reservation depth; it stops as soon as no queued job
 fits the free cores, because the jobs that start now are its only
-output.  Custom dynamic policies without terms, the heterogeneous
-dispatcher and every run under ``REPRO_SIM_KERNEL=python`` stay on the
-Python loop.
+output.  Custom dynamic policies without terms and every run under
+``REPRO_SIM_KERNEL=python`` stay on the Python loop.
 
 Selection and caching:
 
@@ -239,7 +238,7 @@ static void complete(Sim *S, i64 idx)
 }
 
 /* EASY: shadow reservation for the blocked head, then the greedy
- * candidate scan — same arithmetic as repro.sim.backfill. */
+ * candidate scan — same arithmetic as the EASY pass of repro.sim.kernel. */
 static int easy_pass(Sim *S)
 {
     double now = S->now;

@@ -8,11 +8,10 @@ all times).
 
 It is the *single* free-core accounting implementation: the unified
 kernel's Python event loop (:mod:`repro.sim.kernel`) allocates and
-releases through one ``Cluster`` per run, and the heterogeneous
-dispatcher (:mod:`repro.sim.hetero`) through one per architecture pool.
-Platforms themselves only describe capacity, so no ``Cluster`` outlives
-the run that built it.  (The C backend transcribes the same counter
-arithmetic; the parity suite pins the two bit for bit.)
+releases through one ``Cluster`` per run.  Platforms themselves only
+describe capacity, so no ``Cluster`` outlives the run that built it.
+(The C backend transcribes the same counter arithmetic; the parity
+suite pins the two bit for bit.)
 """
 
 from __future__ import annotations
@@ -36,20 +35,6 @@ class Cluster:
     def free(self) -> int:
         """Number of currently idle cores."""
         return self._free
-
-    @property
-    def busy(self) -> int:
-        """Number of currently allocated cores."""
-        return self.nmax - self._free
-
-    @property
-    def running_jobs(self) -> int:
-        """Number of jobs currently holding an allocation."""
-        return len(self._allocations)
-
-    def fits(self, size: int) -> bool:
-        """Whether a job of *size* cores could start right now."""
-        return size <= self._free
 
     def allocate(self, job_key: int, size: int) -> None:
         """Reserve *size* cores for *job_key*.
@@ -81,11 +66,6 @@ class Cluster:
         self._free += size
         assert 0 <= self._free <= self.nmax, "conservation violated"
         return size
-
-    def reset(self) -> None:
-        """Drop all allocations (fresh simulation)."""
-        self._allocations.clear()
-        self._free = self.nmax
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Cluster(nmax={self.nmax}, free={self._free}, running={len(self._allocations)})"

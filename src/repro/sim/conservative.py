@@ -1,6 +1,6 @@
 """Conservative backfilling (Mu'alem & Feitelson, 2001 — the strict variant).
 
-EASY (``repro.sim.backfill``) reserves only for the queue head;
+EASY (inline in :mod:`repro.sim.kernel`) reserves only for the queue head;
 *conservative* backfilling gives **every** queued job a reservation, and a
 job may jump the queue only if it delays none of them.  The paper
 evaluates EASY (its production target — SLURM et al.), but conservative
@@ -16,12 +16,20 @@ head and any backfill candidate that slots into a hole without moving an
 earlier reservation (earlier-priority jobs reserved first, so later
 reservations can never displace them).
 
-:func:`conservative_starts` is the one replan pass: with a reservation
-*depth* it is hybrid backfilling (:mod:`repro.sim.backfill`).  The
+:func:`conservative_starts` is the one replan pass.  With a reservation
+*depth* it is *hybrid* backfilling (``backfill="hybrid"``): the first
+:data:`HYBRID_RESERVATION_DEPTH` queued jobs get conservative-style
+reservations, jobs further back start now or wait unreserved.  EASY and
+conservative are its two limits — depth 1 approximates EASY, depth ≥
+queue length *is* conservative (an identity the oracle tests pin).  The
 unified kernel's Python path (:mod:`repro.sim.kernel`) calls it per
 event; the C backend carries a transcription of the same profile
 arithmetic, epsilon for epsilon, that stops each pass once no queued
 job fits the free cores, so both backends produce the same bits.
+
+Scheduling decisions use the *requested* processing time (the user
+estimate ``e``) when the experiment runs in estimate mode; actual
+runtimes are only used to simulate execution, exactly as in the paper.
 """
 
 from __future__ import annotations
@@ -29,7 +37,17 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 
-__all__ = ["AvailabilityProfile", "conservative_starts"]
+__all__ = [
+    "AvailabilityProfile",
+    "HYBRID_RESERVATION_DEPTH",
+    "conservative_starts",
+]
+
+#: How many queue-front jobs hold a reservation under hybrid backfilling.
+#: Between EASY's single head reservation (starvation-prone tail) and
+#: conservative's everyone-reserved (little backfilling), a small fixed
+#: depth protects the first few jobs while the tail stays aggressive.
+HYBRID_RESERVATION_DEPTH = 4
 
 
 class AvailabilityProfile:

@@ -22,9 +22,8 @@ Design notes
   (:meth:`~repro.policies.base.Policy.kernel_terms`), under every
   backfill mode; custom dynamic policies without terms and
   ``REPRO_SIM_KERNEL=python`` with one ``policy.scores`` call over the
-  queue on the Python loop (the heterogeneous dispatcher,
-  :mod:`repro.sim.hetero`, always uses that loop).  Every path is bit-identical to the retained legacy loop
-  (``tests/oracle_sim.py``).
+  queue on the Python loop.  Every path is bit-identical to the retained
+  legacy loop (``tests/oracle_sim.py``).
 * Scheduling decisions use the user estimate ``e`` when
   ``use_estimates=True`` (§4.2.2); execution always uses the actual
   runtime ``r``.
@@ -63,7 +62,7 @@ __all__ = ["SimulationConfig", "ScheduleResult", "normalize_backfill", "simulate
 #: ``True``/``"easy"`` (EASY aggressive backfilling, the paper's
 #: algorithm), ``"conservative"`` (every queued job holds a reservation)
 #: and ``"hybrid"`` (the first
-#: :data:`~repro.sim.backfill.HYBRID_RESERVATION_DEPTH` queued jobs hold
+#: :data:`~repro.sim.conservative.HYBRID_RESERVATION_DEPTH` queued jobs hold
 #: reservations, the tail backfills aggressively).
 BACKFILL_MODES = (False, True, "none", "easy", "conservative", "hybrid")
 

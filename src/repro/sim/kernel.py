@@ -1,11 +1,10 @@
 """Unified event-heap simulation kernel.
 
-All three public simulators — :func:`repro.sim.engine.simulate` (the
-online evaluation engine),
+Both public simulators — :func:`repro.sim.engine.simulate` (the
+online evaluation engine) and
 :func:`repro.sim.listsched.simulate_fixed_priority` (the training trial
-simulator) and :func:`repro.sim.hetero.hetero_simulate` (the
-heterogeneous dispatcher) — are thin configurations of the single event
-loop in this module.  One arrival/completion heap drives every mode;
+simulator) — are thin configurations of the single event loop in this
+module.  One arrival/completion heap drives every mode;
 per-event state lives in preallocated arrays (start times, the running
 set's expected-end/size timeline, the sorted waiting queue) instead of
 the per-event dicts and list comprehensions of the pre-kernel loops.
@@ -36,9 +35,9 @@ compiled C transcription of the same loop (:mod:`repro.sim._cbackend`,
 come with now-independent kernel *terms* (WFP3, UNICEF): C rescores
 each pass from them with the bits numpy would produce.  Every backfill
 mode, hybrid included, runs in C.  The Python loop still runs custom
-dynamic policies without terms, the heterogeneous dispatcher, and
-everything under ``REPRO_SIM_KERNEL=python`` or on hosts without a C
-compiler; it stays the full-replan reference the C passes are pinned to.
+dynamic policies without terms and everything under
+``REPRO_SIM_KERNEL=python`` or on hosts without a C compiler; it stays
+the full-replan reference the C passes are pinned to.
 
 The kernel records no telemetry itself: the engine and trial wrappers
 increment the same counters (``sim.*``, ``listsched.*``) with the same
@@ -56,8 +55,8 @@ import numpy as np
 
 from repro.policies.base import KERNEL_UNICEF, KERNEL_WFP3
 from repro.sim import _cbackend
-from repro.sim.backfill import HYBRID_RESERVATION_DEPTH
-from repro.sim.conservative import conservative_starts
+from repro.sim.cluster import Cluster
+from repro.sim.conservative import HYBRID_RESERVATION_DEPTH, conservative_starts
 
 __all__ = [
     "KernelResult",
@@ -182,7 +181,7 @@ def simulate_events(
         (canonical spellings only — use
         :func:`repro.sim.engine.normalize_backfill`).  Hybrid replans
         like conservative but reserves only the queue front
-        (:data:`repro.sim.backfill.HYBRID_RESERVATION_DEPTH` jobs).
+        (:data:`repro.sim.conservative.HYBRID_RESERVATION_DEPTH` jobs).
     arrival_order:
         Indices sorted by ``(submit, index)``.  Defaults to ``0..n-1``
         (correct for submit-sorted workloads).
@@ -307,21 +306,11 @@ def _simulate_py(
     static_scores: np.ndarray | None,
     scorer,
     order: np.ndarray,
-    placement=None,
 ) -> KernelResult:
-    """The pure-Python event loop (custom dynamic policies, hetero
-    placement, ``REPRO_SIM_KERNEL=python`` and C-less hosts), and the
-    full-replan reference for the C backend's replan passes.
-
-    *placement* replaces the single ``nmax``-core pool with per-job
-    placement across several pools (the heterogeneous dispatcher,
-    :mod:`repro.sim.hetero`; head-blocking mode 0 only).  It is a
-    per-run allocator with ``free`` (idle units over all pools),
-    ``place(idx, now)`` — allocate a variant for job *idx* and return
-    its runtime, or ``None`` when none fits — and ``release(idx)``.
+    """The pure-Python event loop (custom dynamic policies,
+    ``REPRO_SIM_KERNEL=python`` and C-less hosts), and the full-replan
+    reference for the C backend's replan passes.
     """
-    from repro.sim.cluster import Cluster
-
     n = subs.shape[0]
     subs_l = subs.tolist()
     runs_l = runs.tolist()
@@ -343,9 +332,8 @@ def _simulate_py(
 
     # Free/busy cores go through the Cluster allocator (one per run, so
     # no allocation state outlives it), which asserts the conservation
-    # invariant (free + busy == nmax) inside the kernel.  A placement
-    # stands in for it through the same ``free``/``release`` surface.
-    cluster = Cluster(nmax) if placement is None else placement
+    # invariant (free + busy == nmax) inside the kernel.
+    cluster = Cluster(nmax)
     completions: list[tuple[float, int]] = []
     heappush = heapq.heappush
     heappop = heapq.heappop
@@ -457,26 +445,11 @@ def _simulate_py(
         else:
             pos = 0
             L = len(ord_list)
-            if placement is None:
-                while pos < L and sizes_l[ord_list[pos]] <= cluster.free:
-                    idx = ord_list[pos]
-                    _start(idx, False)
-                    started.add(idx)
-                    pos += 1
-            else:
-                # The placement picks (and allocates) the variant, whose
-                # runtime drives the completion; the head blocks when no
-                # variant fits.
-                while pos < L:
-                    idx = ord_list[pos]
-                    run = placement.place(idx, now)
-                    if run is None:
-                        break
-                    start_arr[idx] = now
-                    heappush(completions, (now + run, idx))
-                    started_count += 1
-                    started.add(idx)
-                    pos += 1
+            while pos < L and sizes_l[ord_list[pos]] <= cluster.free:
+                idx = ord_list[pos]
+                _start(idx, False)
+                started.add(idx)
+                pos += 1
             if mode == 1 and pos < L and cluster.free > 0 and L - pos >= 2:
                 n_passes += 1
                 head_size = sizes_l[ord_list[pos]]

@@ -1,14 +1,10 @@
-"""Pluggable platform models: flat, topology-partitioned, heterogeneous.
+"""Topology-partitioned platforms.
 
 The paper's platform model (§3.1) is deliberately flat — ``nmax``
 homogeneous cores where the interconnection topology never constrains
-placement — and its conclusion names partitioned/heterogeneous platforms
-as the open research direction.  This module makes the resource model a
-first-class abstraction so the evaluation matrix can sweep it.
-
-A :class:`Platform` is an immutable capacity description (named pools
-of cores); allocation state lives only inside one simulation run, so a
-platform can be reused across runs.
+placement — and its conclusion names partitioned and heterogeneous
+platforms as the open research direction.  This module models the
+partitioned one so the evaluation matrix can sweep it.
 
 * The paper's flat machine needs no platform object: the engine runs it
   through the bare kernel invocation, so flat runs keep their
@@ -18,9 +14,9 @@ platform can be reused across runs.
   own scheduler instance (one kernel event loop per leaf) over the jobs
   a *distribution strategy* assigned to it, and
   :func:`simulate_partitioned` merges the per-leaf completion streams
-  back into one global result.
-* :class:`~repro.sim.hetero.HeteroPlatform` — named per-architecture
-  pools, scheduled by the kernel with a per-job placement rule.
+  back into one global result.  A platform is an immutable capacity
+  description; allocation state lives only inside one simulation run,
+  so a platform can be reused across runs.
 
 Distribution strategies (:data:`DISTRIBUTIONS`) are deterministic given
 the spec: ``round_robin`` deals jobs to leaves in arrival order,
@@ -43,7 +39,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,7 +51,6 @@ __all__ = [
     "DISTRIBUTIONS",
     "PartitionedPlatform",
     "PartitionedOutcome",
-    "Platform",
     "distribute_jobs",
     "normalize_distribution",
     "normalize_topology",
@@ -137,31 +131,7 @@ def platform_identity(
     return doc
 
 
-class Platform:
-    """Immutable capacity description: named pools of interchangeable cores.
-
-    ``pools`` maps each pool name (a topology leaf, an architecture) to
-    its core count.  A platform holds no allocation state — every
-    simulation allocates on its own per-run pools.
-    """
-
-    def __init__(self, pools: dict[str, int]) -> None:
-        if not pools:
-            raise ValueError("platform needs at least one pool")
-        self.pools = MappingProxyType(
-            {
-                name: check_positive_int(f"pool {name!r} cores", cores)
-                for name, cores in pools.items()
-            }
-        )
-
-    @property
-    def total_cores(self) -> int:
-        """Capacity summed over every pool."""
-        return sum(self.pools.values())
-
-
-class PartitionedPlatform(Platform):
+class PartitionedPlatform:
     """``nmax`` cores split into equal leaves by a topology tuple.
 
     ``topology=(2, 4)`` builds a two-level tree with ``2 * 4 = 8``
@@ -171,6 +141,7 @@ class PartitionedPlatform(Platform):
     """
 
     def __init__(self, nmax: int, topology) -> None:
+        nmax = check_positive_int("nmax", nmax)
         topo = normalize_topology(topology)
         if topo is None:
             raise ValueError("PartitionedPlatform needs a topology")
@@ -181,16 +152,10 @@ class PartitionedPlatform(Platform):
                 f"nmax={nmax} does not divide evenly over the"
                 f" {n_leaves} leaves of topology {topology_label(topo)}"
             )
-        if leaf_cores < 1:
-            raise ValueError(
-                f"topology {topology_label(topo)} leaves no cores per leaf"
-                f" (nmax={nmax})"
-            )
         labels = [
             ".".join(str(i) for i in path)
             for path in itertools.product(*(range(v) for v in topo))
         ]
-        super().__init__({label: leaf_cores for label in labels})
         self.nmax = nmax
         self.topology = topo
         self.n_leaves = n_leaves

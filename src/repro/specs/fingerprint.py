@@ -145,9 +145,8 @@ def simulate_cell_fingerprint(
     array hash (:func:`repro.eval.windows.workload_fingerprint`) rather
     than its path or name, so renaming an SWF file cannot fork the
     cache.  *platform* follows the same only-when-partitioned rule as
-    :func:`eval_cell_fingerprint` (it also carries the heterogeneous
-    architecture list for ``--hetero-archs`` runs), keeping historical
-    flat keys byte-identical.
+    :func:`eval_cell_fingerprint`, keeping historical flat keys
+    byte-identical.
     """
     payload: dict[str, object] = {
         "kind": "simulate-cell",

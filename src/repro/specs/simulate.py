@@ -154,12 +154,6 @@ class SimulateSpec(Spec):
     )
     topology: tuple[int, ...] | None = field(default=None, metadata=TOPOLOGY_HELP)
     distribution: str = field(default="round_robin", metadata=DISTRIBUTION_HELP)
-    hetero: tuple[str, ...] | None = field(
-        default=None,
-        metadata={"flag": "--hetero-archs", "help": "heterogeneous architecture"
-                  " pools NAME:CORES[:SPEEDUP],... (the first is the reference"
-                  " the policy scores against; exclusive with --topology)"},
-    )
 
     def __post_init__(self) -> None:
         if self.tau is None:
@@ -184,26 +178,6 @@ class SimulateSpec(Spec):
         object.__setattr__(
             self, "distribution", canonical_distribution(self.distribution)
         )
-        if self.hetero is not None:
-            if self.topology is not None:
-                raise SpecError("pass at most one of topology / hetero")
-            if self.backfill != "none":
-                raise SpecError(
-                    "heterogeneous platforms support no backfilling (the"
-                    " dispatcher prototype is head-blocking); drop --backfill"
-                )
-            if self.estimates:
-                raise SpecError(
-                    "heterogeneous platforms ignore user estimates; drop"
-                    " --estimates"
-                )
-            from repro.sim.hetero import parse_arch_specs
-
-            try:
-                parse_arch_specs(tuple(self.hetero))
-            except ValueError as exc:
-                raise SpecError(str(exc)) from None
-            object.__setattr__(self, "hetero", tuple(self.hetero))
 
     def _fingerprint_payload(self) -> dict[str, Any]:
         payload: dict[str, Any] = {
@@ -238,6 +212,4 @@ class SimulateSpec(Spec):
             payload["distribution"] = self.distribution
             if self.distribution == "random":
                 payload["platform_seed"] = self.seed
-        if self.hetero is not None:
-            payload["hetero"] = list(self.hetero)
         return payload

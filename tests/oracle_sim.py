@@ -35,7 +35,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# frozen copy of repro.sim.backfill (pre-kernel)
+# frozen copy of the pre-kernel EASY backfill module
 # ----------------------------------------------------------------------
 def _shadow_schedule(now, free, head_size, running_end, running_size):
     if head_size <= free:

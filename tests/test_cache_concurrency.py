@@ -89,14 +89,15 @@ class TestConcurrentWriters:
         for proc in procs:
             proc.join(timeout=60)
             assert proc.exitcode == 0
+        # Listed before a new ArtifactCache would sweep dead writers' litter.
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == [f"trials-{KEY}.npz"], f"torn/leftover files: {names}"
         cache = ArtifactCache(tmp_path)
         entry = cache.load(KEY)
         assert entry is not None, "entry must be complete and loadable"
         results, dist = entry
         expected_results, _ = _trial_payload(42)
         np.testing.assert_array_equal(results[0].scores, expected_results[0].scores)
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == [f"trials-{KEY}.npz"], f"torn/leftover files: {names}"
 
     def test_same_json_key_writers_and_readers(self, tmp_path):
         """Concurrent JSON writers with racing readers: a reader only
@@ -136,3 +137,20 @@ class TestConcurrentWriters:
         np.testing.assert_array_equal(first[0].scores, second[0].scores)
         entries = [p.name for p in cache_dir.iterdir() if p.name.startswith("trials-")]
         assert len(entries) == 1
+
+
+class TestOrphanedTempFiles:
+    def test_open_removes_dead_writers_temp_files_only(self, tmp_path):
+        """A SIGKILLed store leaves its pid-suffixed temp file behind;
+        opening the cache removes it once that pid is gone and keeps a
+        live writer's (here: this process's) temp files."""
+        proc = _spawn(os.getpid, ())
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+        dead = tmp_path / f"trials-{KEY}-t3.npz.tmp{proc.pid}.npz"
+        dead_json = tmp_path / f"eval-{KEY}.json.tmp{proc.pid}"
+        live = tmp_path / f"trials-{KEY}-t4.npz.tmp{os.getpid()}.npz"
+        for path in (dead, dead_json, live):
+            path.write_bytes(b"partial")
+        ArtifactCache(tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [live.name]

@@ -526,6 +526,14 @@ class TestRunCommand:
         path.write_text('spec = "train"\nn_tuple = 3\n', encoding="utf-8")
         with pytest.raises(SystemExit, match="unknown key"):
             main(["run", str(path)])
+        # A simulate document written before the heterogeneous platform
+        # was removed carries ``"hetero": null``; the key is unknown now.
+        doc = SimulateSpec(policy="fcfs").to_dict()
+        doc["hetero"] = None
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SystemExit, match="unknown key.*'hetero'"):
+            main(["run", str(path)])
 
 
 class TestSweepCommand:
@@ -636,21 +644,11 @@ class TestPlatformFlags:
         out = capsys.readouterr().out
         assert "topology=2x2 distribution=by_size" in out
 
-    def test_hetero_archs_end_to_end(self, capsys):
-        assert self._simulate("--hetero-archs", "cpu:1024,gpu:256:8") == 0
-        out = capsys.readouterr().out
-        assert "hetero=cpu:1024+gpu:256:8" in out
-        assert "nmax=1280" in out  # pools summed
-
     def test_bad_topology_rejected_at_parse_time(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--topology", "2xbanana"])
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--topology", "0"])
-
-    def test_hetero_with_topology_rejected(self):
-        with pytest.raises(SystemExit, match="at most one of topology / hetero"):
-            self._simulate("--topology", "2", "--hetero-archs", "cpu:512,gpu:512")
 
     def test_uneven_topology_rejected_cleanly(self):
         with pytest.raises(SystemExit, match="does not divide evenly"):
@@ -781,13 +779,14 @@ class TestFlagParityPins:
         assert spec.fingerprint() == pin["fingerprint"]
 
     def test_pins_cover_the_hand_written_flags(self):
-        """Each of the 39 flags the hand-written parser had is pinned."""
+        """Each of the 38 flags the hand-written parser had (39 less the
+        removed ``--hetero-archs``) is pinned."""
         given = {
             (pin["argv"][0], word.replace("--no-", "--"))
             for pin in PINS
             for word in pin["argv"][1:]
             if word.startswith("--")
         }
-        assert len(given) == 39
+        assert len(given) == 38
         for verb, flag in given:
             assert flag in _subparser(verb)._option_string_actions

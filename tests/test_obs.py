@@ -11,6 +11,9 @@ injected clocks so durations are deterministic.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -376,17 +379,35 @@ class TestStatsVerb:
         self, tmp_path, capsys
     ):
         """Manifests from before the single pool carry ``execution.backend``
-        and ``runtime.queue_*``; ``stats`` still renders them."""
+        and ``runtime.queue_*``, and those of a heterogeneous-platform run
+        a ``platform.hetero`` list; ``stats`` still renders them."""
         doc = build_manifest(registry=MetricsRegistry(), workers=2, scale="smoke")
         doc["execution"]["backend"] = "workqueue"
         doc["runtime"].update(
             queue_tasks=16, queue_takeovers=1, queue_worker_deaths=1,
             queue_respawns=1,
         )
+        doc["platform"] = {"hetero": ["cpu:1024", "gpu:256:8"]}
         write_manifest(tmp_path, doc)
         assert main(["stats", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "execution: workers=2 scale=smoke" in out
+
+    def test_stats_into_a_closed_pipe_prints_no_traceback(self, tmp_path):
+        """``stats DIR | head -1``: a reader that closes early must not
+        turn into a ``BrokenPipeError`` traceback on stderr."""
+        write_manifest(tmp_path, build_manifest(registry=MetricsRegistry()))
+        src = Path(__file__).parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "stats", str(tmp_path)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+        )
+        proc.stdout.close()  # the reader is gone before the first write
+        _, err = proc.communicate(timeout=60)
+        assert err == b""
+        assert proc.returncode == 1
 
     def test_stats_without_manifest_names_the_flag(self, tmp_path):
         with pytest.raises(SystemExit, match="--telemetry"):

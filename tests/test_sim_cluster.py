@@ -12,24 +12,25 @@ class TestClusterBasics:
     def test_initial_state(self):
         c = Cluster(16)
         assert c.free == 16
-        assert c.busy == 0
-        assert c.running_jobs == 0
+        assert c.nmax == 16
 
     def test_allocate_release(self):
         c = Cluster(16)
         c.allocate(1, 10)
         assert c.free == 6
-        assert c.busy == 10
-        assert c.running_jobs == 1
         freed = c.release(1)
         assert freed == 10
         assert c.free == 16
 
     def test_fits(self):
+        """A job fits exactly when it needs no more than the free cores."""
         c = Cluster(4)
         c.allocate(1, 3)
-        assert c.fits(1)
-        assert not c.fits(2)
+        c.allocate(2, 1)
+        assert c.free == 0
+        c.release(2)
+        with pytest.raises(RuntimeError, match="oversubscription"):
+            c.allocate(3, 2)
 
     def test_oversubscription_rejected(self):
         c = Cluster(4)
@@ -57,18 +58,12 @@ class TestClusterBasics:
         with pytest.raises(ValueError):
             Cluster(0)
 
-    def test_reset(self):
-        c = Cluster(8)
-        c.allocate(1, 4)
-        c.reset()
-        assert c.free == 8
-        assert c.running_jobs == 0
-
 
 class TestConservationProperty:
     @given(st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=50))
     def test_free_plus_busy_invariant(self, sizes):
-        """Random allocate/release sequences preserve free + busy == nmax."""
+        """Random allocate/release sequences preserve free + busy == nmax,
+        busy being the cores the live allocations hold."""
         c = Cluster(32)
         rng = np.random.default_rng(0)
         live: dict[int, int] = {}
@@ -77,11 +72,10 @@ class TestConservationProperty:
                 victim = int(rng.choice(list(live)))
                 c.release(victim)
                 del live[victim]
-            if c.fits(size):
+            if size <= c.free:
                 c.allocate(key, size)
                 live[key] = size
-            assert c.free + c.busy == 32
-            assert c.busy == sum(live.values())
+            assert c.free + sum(live.values()) == 32
         for key in list(live):
             c.release(key)
         assert c.free == 32

@@ -72,7 +72,7 @@ class TestBasicScheduling:
 
 class TestBackfillScheduling:
     def test_hand_checked_easy_scenario(self):
-        """Worked example (see module docstring of repro.sim.backfill)."""
+        """Worked EASY example: one shadow reservation, one backfill."""
         wl = Workload.from_arrays(
             submit=[0.0, 1.0, 2.0, 2.0],
             runtime=[10.0, 10.0, 5.0, 20.0],

@@ -17,8 +17,7 @@ import pytest
 from easy_reference import easy_backfill
 from repro.policies.registry import get_policy
 from repro.sim import _cbackend
-from repro.sim.backfill import HYBRID_RESERVATION_DEPTH, hybrid_starts
-from repro.sim.conservative import conservative_starts
+from repro.sim.conservative import HYBRID_RESERVATION_DEPTH, conservative_starts
 from repro.sim.engine import normalize_backfill, simulate
 from repro.sim.job import Workload
 
@@ -50,7 +49,7 @@ class TestHybridOracle:
     Q_PROC = [2.0, 4.0, 6.0]
 
     def _hybrid(self, depth: int) -> list[str]:
-        return hybrid_starts(
+        return conservative_starts(
             self.NOW,
             self.NMAX,
             self.QUEUE,
@@ -99,8 +98,8 @@ class TestHybridOracle:
 
 
 class TestFullDepthIdentity:
-    """``hybrid_starts(depth >= len(queue))`` == ``conservative_starts``
-    on randomized queues — epsilon for epsilon."""
+    """``conservative_starts(depth >= len(queue))`` equals the default
+    ``depth=None`` on randomized queues — epsilon for epsilon."""
 
     def test_random_queues(self):
         rng = np.random.default_rng(23)
@@ -125,8 +124,9 @@ class TestFullDepthIdentity:
             q_size = rng.integers(1, nmax + 1, size=n_q).tolist()
             q_proc = np.round(rng.uniform(0.1, 15.0, size=n_q), 2).tolist()
             args = (0.0, nmax, queue, q_size, q_proc, run_end, run_size)
-            assert hybrid_starts(*args, depth=n_q) == conservative_starts(*args)
-            assert hybrid_starts(*args, depth=n_q + 5) == conservative_starts(*args)
+            full = conservative_starts(*args, depth=None)
+            assert conservative_starts(*args, depth=n_q) == full
+            assert conservative_starts(*args, depth=n_q + 5) == full
 
 
 class TestEngineIntegration:

@@ -100,7 +100,7 @@ class TestPartitionedPlatform:
         assert platform.n_leaves == 4
         assert platform.leaf_cores == 16
         assert platform.leaf_labels == ("0.0", "0.1", "1.0", "1.1")
-        assert platform.total_cores == 64
+        assert platform.nmax == 64
 
     def test_uneven_division_rejected(self):
         with pytest.raises(ValueError, match="does not divide evenly"):
@@ -312,7 +312,6 @@ class TestFingerprints:
         payload = SimulateSpec(policy="fcfs")._fingerprint_payload()
         assert "topology" not in payload
         assert "distribution" not in payload
-        assert "hetero" not in payload
 
     def test_product_one_fingerprints_as_flat(self):
         flat = SimulateSpec(policy="fcfs").fingerprint()
@@ -366,17 +365,6 @@ class TestFingerprints:
         assert eval_cell_fingerprint(**kwargs) == eval_cell_fingerprint(
             platform=None, **kwargs
         )
-
-    def test_hetero_enters_simulate_fingerprint(self):
-        flat = SimulateSpec(policy="fcfs").fingerprint()
-        het = SimulateSpec(
-            policy="fcfs", hetero=("cpu:256", "gpu:64:8")
-        ).fingerprint()
-        assert flat != het
-
-    def test_topology_hetero_mutually_exclusive(self):
-        with pytest.raises(SpecError, match="at most one of topology / hetero"):
-            SimulateSpec(policy="fcfs", topology=(2,), hetero=("cpu:256",))
 
     def test_bad_topology_and_distribution_are_spec_errors(self):
         with pytest.raises(SpecError, match=">= 1"):
