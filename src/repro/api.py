@@ -359,47 +359,31 @@ def _run_simulate(
 
 def _evaluate_source(
     spec: EvaluateSpec, config: MatrixConfig
-) -> tuple[Workload | Iterable[Window], str | None]:
-    """The window source (and trace-name override) a spec declares.
+) -> Workload | Iterable[Window]:
+    """The window source a spec declares.
 
-    ``pwa:<name>`` trace references resolve through the content-verified
-    local cache (:func:`repro.traces.resolve_trace_ref`) before any file
-    is opened; a missing trace raises the error naming ``repro-sched
-    fetch`` rather than a bare file-not-found.
+    A trace file is always streamed: its job rows are parsed and cut into
+    windows as the matrix consumes them, so it is never resident in full.
+    ``pwa:<name>`` references resolve through the content-verified local
+    cache (:func:`repro.traces.resolve_trace_ref`) before any file is
+    opened; a missing trace raises the error naming ``repro-sched
+    fetch`` rather than a bare file-not-found.  A synthetic stand-in is
+    its in-memory workload.
     """
-    trace_path = resolve_trace_ref(spec.trace) if spec.trace else None
-    if trace_path and spec.stream:
-        # Lazy replay: the trace file is parsed incrementally and windows
-        # are sliced as jobs stream past — it is never resident in full.
-        stream = SwfStream(trace_path, keep_failed=not spec.drop_failed)
-        source = stream_windows(
-            stream.jobs(),
-            jobs=config.window_jobs,
-            seconds=config.window_seconds,
-            warmup=config.warmup,
-            max_windows=config.max_windows,
-            name=stream.name,
-            # the *effective* machine size, so per-job validation in the
-            # stream matches what the matrix will simulate against
-            nmax=spec.nmax or stream.machine_size,
-        )
-        return source, stream.name
-    if trace_path:
-        wl = read_swf(trace_path, keep_failed=not spec.drop_failed)
-    else:
-        wl = synthetic_trace(spec.synthetic, seed=spec.seed, n_jobs=spec.jobs)
-    if spec.stream:
-        # Synthetic/materialised sources still exercise the lazy
-        # windowing + batched dispatch path under --stream.
-        source = stream_windows(
-            wl,
-            jobs=config.window_jobs,
-            seconds=config.window_seconds,
-            warmup=config.warmup,
-            max_windows=config.max_windows,
-        )
-        return source, wl.name
-    return wl, None
+    if spec.trace is None:
+        return synthetic_trace(spec.synthetic, seed=spec.seed, n_jobs=spec.jobs)
+    stream = SwfStream(resolve_trace_ref(spec.trace), keep_failed=not spec.drop_failed)
+    return stream_windows(
+        stream.jobs(),
+        jobs=config.window_jobs,
+        seconds=config.window_seconds,
+        warmup=config.warmup,
+        max_windows=config.max_windows,
+        name=stream.name,
+        # the *effective* machine size, so per-job validation in the
+        # stream matches what the matrix will simulate against
+        nmax=spec.nmax or stream.machine_size,
+    )
 
 
 def _run_evaluate(
@@ -410,14 +394,12 @@ def _run_evaluate(
     progress: ProgressFn | None,
 ) -> MatrixResult:
     config = spec.to_matrix_config()
-    source, trace_name = _evaluate_source(spec, config)
     return run_matrix(
-        source,
+        _evaluate_source(spec, config),
         config,
         workers=workers,
         cache=cache,
         progress=progress,
-        trace_name=trace_name,
     )
 
 

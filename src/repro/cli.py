@@ -262,33 +262,6 @@ def _standard_progress(stage: str, done: int, total: int) -> None:
         print(f"  [{stage}] {done}/{total}", file=sys.stderr)
 
 
-def _make_stream_progress():
-    # Streamed dispatch calls the pool once per batch, each with its own
-    # local total; report a cumulative count per batch instead of ten
-    # ticks of every (small) batch.  Only the "cells" phase accumulates —
-    # sweep-level ticks reuse the standard printer, so they cannot
-    # inflate the simulated count.
-    done_cells = 0
-
-    def progress(stage: str, done: int, total: int) -> None:
-        nonlocal done_cells
-        if stage != "cells":
-            _standard_progress(stage, done, total)
-        elif done == total:
-            done_cells += total
-            print(f"  [{stage}] {done_cells} simulated", file=sys.stderr)
-
-    return progress
-
-
-def _progress_for(spec: Spec):
-    if getattr(spec, "stream", False):
-        return _make_stream_progress()
-    if isinstance(spec, SweepSpec) and getattr(spec.base, "stream", False):
-        return _make_stream_progress()
-    return _standard_progress
-
-
 def _run_knobs(spec: Spec, args: argparse.Namespace, command: str) -> dict:
     """The three run knobs, resolved once: flag (or spec field), else
     environment, else default.  A bad value exits naming its source."""
@@ -333,7 +306,7 @@ def _dispatch(spec: Spec, args: argparse.Namespace, *, command: str) -> int:
                     spec,
                     workers=knobs["workers"],
                     cache=cache,
-                    progress=_progress_for(spec),
+                    progress=_standard_progress,
                 )
         except (SpecError, KeyError, ValueError) as exc:
             raise SystemExit(f"repro-sched {command}: {exc}") from None

@@ -10,16 +10,16 @@ benchmarks scheduling policies across them at worker-pool speed:
   (:func:`stream_windows`), with identical content fingerprints either
   way.
 * :mod:`repro.eval.matrix` — the {policies × backfill × windows} matrix
-  runner over :class:`repro.runtime.TrialRunner`: **bit-identical for
-  any worker count, chunk size, and window path (streamed or
-  materialised)**, with per-cell content-addressed cache keys so
-  re-running an unchanged config simulates nothing.
+  runner over :class:`repro.runtime.TrialRunner`: one loop for a
+  workload or a window stream, **bit-identical for any worker count,
+  chunk size and source**, with per-cell content-addressed cache keys
+  so re-running an unchanged config simulates nothing.
 * :mod:`repro.eval.report` — per-series summaries, paired per-window
   policy deltas with seeded percentile-bootstrap confidence intervals,
   CSV/JSON export and a terminal report.
 
-The CLI front-end is ``repro-sched evaluate`` (``--stream`` for lazy
-trace replay, ``--bootstrap``/``--ci`` for the interval settings).
+The CLI front-end is ``repro-sched evaluate`` (a ``--trace`` file is
+always streamed; ``--bootstrap``/``--ci`` set the intervals).
 """
 
 from repro.eval.matrix import (

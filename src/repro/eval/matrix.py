@@ -21,13 +21,13 @@ carry over from the runtime:
   the offending job instead of dying mid-simulation.
 
 :func:`run_matrix` accepts either a materialised
-:class:`~repro.sim.job.Workload` (sliced here, all cells dispatched in
-one batch) or an *iterable of windows* (e.g.
-:func:`repro.eval.windows.stream_windows`): cells are then dispatched in
-bounded batches as windows arrive, so an archive-scale trace is never
-resident in full — and because cells are pure functions with
-index-derived seeds and slicer-independent cache keys, the two paths
-produce bit-identical results for any ``workers`` / ``chunk_size``.
+:class:`~repro.sim.job.Workload` (sliced here) or an *iterable of
+windows* (e.g. :func:`repro.eval.windows.stream_windows` over an SWF
+file, so an archive-scale trace is never resident in full).  Both feed
+one loop that dispatches cells in bounded batches as windows arrive —
+and because cells are pure functions with index-derived seeds and
+slicer-independent cache keys, the two sources produce bit-identical
+results for any ``workers`` / ``chunk_size``.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from repro.sim.engine import normalize_backfill, simulate
 from repro.specs.fingerprint import eval_cell_fingerprint
 from repro.sim.job import Workload
 from repro.sim.metrics import DEFAULT_TAU
-from repro.util.rng import RngFactory, spawn_seed_sequences
+from repro.util.rng import RngFactory
 from repro.util.stats import BootstrapCI, Summary, bootstrap_mean_ci, summarize
 from repro.util.validation import check_positive, check_positive_int
 
@@ -433,106 +433,135 @@ def run_matrix(
     """Evaluate *source* over the full policy × backfill × window matrix.
 
     *source* is either a materialised :class:`~repro.sim.job.Workload`
-    (window slicing happens here, so every cell of a window sees the
-    identical job stream) or an iterable of
+    (validated whole against the machine size, then cut by
+    :func:`~repro.eval.windows.slice_windows`) or an iterable of
     :class:`~repro.eval.windows.Window` — typically
-    :func:`~repro.eval.windows.stream_windows` — in which case cells are
-    dispatched in bounded batches *as windows arrive* and the trace is
-    never fully resident; *trace_name* labels the result (default: the
-    window names with their ``[w<k>]`` suffix stripped).
+    :func:`~repro.eval.windows.stream_windows` over an SWF file, which is
+    then never resident in full.  *trace_name* labels the result
+    (default: the workload's name, or the window names with their
+    ``[w<k>]`` suffix stripped).
 
-    Both paths are bit-identical to each other and across any
-    ``workers`` / ``chunk_size`` (execution knobs, never part of a
-    cell's cache key).  With *cache*, cells already present are loaded instead of simulated and fresh cells are stored; only
-    cache-missing cells reach the pool, so a fully cached streaming
-    re-run simulates nothing and holds no more than one window at once.
+    Both sources run through one loop, so the two are bit-identical to
+    each other and across any ``workers`` / ``chunk_size`` (execution
+    knobs, never part of a cell's cache key): cell ``k`` (window-major
+    enumeration) draws child ``k`` of the config seed via incremental
+    ``SeedSequence.spawn`` — spawning one child at a time yields exactly
+    the children a single batched spawn would — cache keys fingerprint
+    window content, and cells are pure functions.  With *cache*, cells
+    already present are loaded instead of simulated and fresh cells are
+    stored; only cache-missing cells reach the pool, so a fully cached
+    re-run simulates nothing.  Memory is bounded by the dispatch batch
+    (a few hundred windows' arrays) plus whatever *source* holds.
+
+    *progress* sees ``("cells", done, total)`` counted across every
+    dispatch batch: *done* never decreases and the last report is
+    ``(n, n)`` for the *n* cells simulated.
     """
-    if not isinstance(source, Workload):
-        return _run_matrix_streaming(
-            iter(source),
-            config,
-            workers=workers,
-            chunk_size=chunk_size,
-            cache=cache,
-            progress=progress,
-            trace_name=trace_name,
-        )
-    workload = source
     registry = current_registry()
-    nmax = _resolve_nmax(config, workload.nmax)
-    workload.validate_for_machine(nmax)
-    with registry.timer("eval.slice"):
-        windows = slice_windows(
-            workload,
+    nmax: int | None = None
+    if isinstance(source, Workload):
+        nmax = _resolve_nmax(config, source.nmax)
+        source.validate_for_machine(nmax)
+        if trace_name is None:
+            trace_name = source.name
+        source = slice_windows(
+            source,
             jobs=config.window_jobs,
             seconds=config.window_seconds,
             warmup=config.warmup,
             max_windows=config.max_windows,
         )
-    registry.inc("eval.windows.materialized", len(windows))
-    if not windows:
+    store = coerce_cache(cache)
+    runner = TrialRunner(ExecutorConfig(workers=workers, chunk_size=chunk_size))
+    # Children of the config seed, spawned on demand in cell order.
+    seed_root = np.random.SeedSequence(config.seed)
+    cells: list[CellResult | None] = []
+    # (slot, task, cache key) triples awaiting dispatch.
+    pending: list[tuple[int, _CellTask, str | None]] = []
+    # Pending cells hold their windows' arrays until the flush, so the
+    # batch bounds memory at a few hundred windows while still giving
+    # every worker dozens of cells per dispatch.  One runner spans the
+    # whole matrix, so the pool's workers stay alive across flushes.
+    # Cannot affect results.
+    dispatch_batch = max(256, 32 * runner.config.n_workers * (chunk_size or 1))
+    n_windows = 0
+    n_simulated = 0
+
+    def flush() -> None:
+        nonlocal n_simulated
+        if not pending:
+            return
+        offset = n_simulated
+
+        def tick(phase: str, done: int, total: int) -> None:
+            progress(phase, offset + done, offset + total)
+
+        registry.inc("eval.cells.simulated", len(pending))
+        with span("eval.dispatch", cells=len(pending)):
+            fresh = runner.map(
+                _simulate_cell,
+                [task for _, task, _ in pending],
+                progress=None if progress is None else tick,
+                phase="cells",
+            )
+        for (slot, _, key), cell in zip(pending, fresh):
+            cells[slot] = cell
+            if store is not None and key is not None:
+                store.store_json(key, cell.to_entry())
+        n_simulated += len(pending)
+        pending.clear()
+
+    try:
+        for window in source:
+            if nmax is None:
+                nmax = _resolve_nmax(config, window.workload.nmax)
+            if trace_name is None:
+                trace_name = _WINDOW_SUFFIX.sub("", window.workload.name)
+            window.workload.validate_for_machine(nmax)
+            registry.inc("eval.windows")
+            n_windows += 1
+            for policy in config.policies:
+                for backfill in config.backfill:
+                    (child,) = seed_root.spawn(1)
+                    seed = int(child.generate_state(1, np.uint64)[0])
+                    key = None
+                    if store is not None:
+                        key = _cell_key(window, config, nmax, policy, backfill)
+                        entry = store.load_json(key)
+                        hit = CellResult.from_entry(entry) if entry is not None else None
+                        if hit is not None:
+                            # The window index in this run wins over the
+                            # cached one: max_windows truncation can
+                            # renumber windows between runs.
+                            registry.inc("eval.cells.cached")
+                            cells.append(replace(hit, window=window.index, seed=seed))
+                            continue
+                    cells.append(None)
+                    pending.append(
+                        (
+                            len(cells) - 1,
+                            _cell_task_for(window, policy, backfill, config, nmax, seed),
+                            key,
+                        )
+                    )
+            if len(pending) >= dispatch_batch:
+                flush()
+        flush()
+    finally:
+        runner.close()
+    if n_windows == 0:
         raise ValueError(
             "no evaluation windows survived slicing; enlarge the window or"
             " lower warmup"
         )
-
-    axes = [
-        (win, policy, backfill)
-        for win in windows
-        for policy in config.policies
-        for backfill in config.backfill
-    ]
-    # Child k of the root seed belongs to cell k whether or not the cell
-    # is later served from cache, so cached and fresh runs agree.
-    seeds = [
-        int(seq.generate_state(1, np.uint64)[0])
-        for seq in spawn_seed_sequences(config.seed, len(axes))
-    ]
-
-    store = coerce_cache(cache)
-
-    slots: list[CellResult | None] = [None] * len(axes)
-    keys: list[str | None] = [None] * len(axes)
-    todo: list[int] = []
-    for k, (win, policy, backfill) in enumerate(axes):
-        if store is not None:
-            key = _cell_key(win, config, nmax, policy, backfill)
-            keys[k] = key
-            entry = store.load_json(key)
-            hit = CellResult.from_entry(entry) if entry is not None else None
-            if hit is not None:
-                # The window index in this run wins over the cached one:
-                # max_windows truncation can renumber windows between runs.
-                slots[k] = replace(hit, window=win.index, seed=seeds[k])
-                continue
-        todo.append(k)
-
-    registry.inc("eval.cells.cached", len(axes) - len(todo))
-    registry.inc("eval.cells.simulated", len(todo))
-    if todo:
-        tasks = [
-            _cell_task_for(axes[k][0], axes[k][1], axes[k][2], config, nmax, seeds[k])
-            for k in todo
-        ]
-        with TrialRunner(
-            ExecutorConfig(workers=workers, chunk_size=chunk_size)
-        ) as runner, span("eval.dispatch", cells=len(todo)):
-            fresh = runner.map(
-                _simulate_cell, tasks, progress=progress, phase="cells"
-            )
-        for k, cell in zip(todo, fresh):
-            slots[k] = cell
-            if store is not None:
-                store.store_json(keys[k], cell.to_entry())
-
     return MatrixResult(
         config=config,
-        trace_name=trace_name if trace_name is not None else workload.name,
+        trace_name=trace_name,
         nmax=nmax,
-        n_windows=len(windows),
-        cells=tuple(slots),  # type: ignore[arg-type]
-        n_simulated=len(todo),
-        n_cached=len(axes) - len(todo),
+        n_windows=n_windows,
+        cells=tuple(cells),  # type: ignore[arg-type]
+        n_simulated=n_simulated,
+        n_cached=len(cells) - n_simulated,
     )
 
 
@@ -560,115 +589,4 @@ def _cell_task_for(
         topology=config.topology,
         distribution=config.distribution,
         platform_seed=config.seed,
-    )
-
-
-def _run_matrix_streaming(
-    windows: Iterable[Window],
-    config: MatrixConfig,
-    *,
-    workers: int | str | None,
-    chunk_size: int | None,
-    cache: str | ArtifactCache | None,
-    progress: ProgressCallback | None,
-    trace_name: str | None,
-) -> MatrixResult:
-    """Dispatch matrix cells as windows arrive from a lazy slicer.
-
-    Bit-identical to the materialised path: cell ``k`` (window-major
-    enumeration) draws child ``k`` of the config seed via incremental
-    ``SeedSequence.spawn`` — spawning one child at a time yields exactly
-    the children a single batched spawn would — cache keys fingerprint
-    window content, and cells are pure functions, so neither batching
-    nor worker count can change a result.  Memory is bounded by the
-    dispatch batch (a few windows' arrays); cache hits are resolved
-    immediately and buffer nothing, so a fully cached re-run holds one
-    window at a time and simulates zero cells.
-    """
-    store = coerce_cache(cache)
-    registry = current_registry()
-    runner = TrialRunner(ExecutorConfig(workers=workers, chunk_size=chunk_size))
-    # Children of the config seed, spawned on demand in cell order.
-    seed_root = np.random.SeedSequence(config.seed)
-    cells: list[CellResult | None] = []
-    # (slot, task, cache key) triples awaiting dispatch.
-    pending: list[tuple[int, _CellTask, str | None]] = []
-    # Pending cells hold their windows' arrays until the flush, so the
-    # batch bounds memory at a few hundred windows while still giving
-    # every worker dozens of cells per dispatch.  One runner spans the
-    # whole stream, so the pool's workers stay alive across
-    # flushes.  Cannot affect results.
-    dispatch_batch = max(256, 32 * runner.config.n_workers * (chunk_size or 1))
-    n_windows = 0
-    n_simulated = 0
-    nmax = 0
-    name = trace_name
-
-    def flush() -> None:
-        nonlocal n_simulated
-        if not pending:
-            return
-        registry.inc("eval.cells.simulated", len(pending))
-        with span("eval.dispatch", cells=len(pending)):
-            fresh = runner.map(
-                _simulate_cell,
-                [task for _, task, _ in pending],
-                progress=progress,
-                phase="cells",
-            )
-        for (slot, _, key), cell in zip(pending, fresh):
-            cells[slot] = cell
-            if store is not None and key is not None:
-                store.store_json(key, cell.to_entry())
-        n_simulated += len(pending)
-        pending.clear()
-
-    try:
-        for window in windows:
-            if n_windows == 0:
-                nmax = _resolve_nmax(config, window.workload.nmax)
-                if name is None:
-                    name = _WINDOW_SUFFIX.sub("", window.workload.name)
-            window.workload.validate_for_machine(nmax)
-            registry.inc("eval.windows.streamed")
-            n_windows += 1
-            for policy in config.policies:
-                for backfill in config.backfill:
-                    (child,) = seed_root.spawn(1)
-                    seed = int(child.generate_state(1, np.uint64)[0])
-                    key = None
-                    if store is not None:
-                        key = _cell_key(window, config, nmax, policy, backfill)
-                        entry = store.load_json(key)
-                        hit = CellResult.from_entry(entry) if entry is not None else None
-                        if hit is not None:
-                            registry.inc("eval.cells.cached")
-                            cells.append(replace(hit, window=window.index, seed=seed))
-                            continue
-                    cells.append(None)
-                    pending.append(
-                        (
-                            len(cells) - 1,
-                            _cell_task_for(window, policy, backfill, config, nmax, seed),
-                            key,
-                        )
-                    )
-            if len(pending) >= dispatch_batch:
-                flush()
-        flush()
-    finally:
-        runner.close()
-    if n_windows == 0:
-        raise ValueError(
-            "no evaluation windows survived slicing; enlarge the window or"
-            " lower warmup"
-        )
-    return MatrixResult(
-        config=config,
-        trace_name=name if name is not None else "stream",
-        nmax=nmax,
-        n_windows=n_windows,
-        cells=tuple(cells),  # type: ignore[arg-type]
-        n_simulated=n_simulated,
-        n_cached=len(cells) - n_simulated,
     )

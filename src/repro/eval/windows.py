@@ -164,13 +164,18 @@ def slice_windows(
         bounds = [(lo, min(lo + jobs, n)) for lo in range(0, n, jobs)]
     else:
         t0 = float(workload.submit[0])
-        span = workload.span
-        n_slots = max(int(span // seconds) + 1, 1)
+        step = float(seconds)
+        # Slot k is [t0 + k*step, t0 + (k+1)*step) in float64, the edges
+        # stream_windows compares against.  span // step can land one
+        # slot short of the rounded edges, so count slots until the last
+        # edge lies past the last arrival.
+        n_slots = int(workload.span // step) + 1
+        while t0 + n_slots * step <= float(workload.submit[-1]):
+            n_slots += 1
         # searchsorted over the submit-sorted arrays keeps slicing O(n log n)
         # even for million-job traces.
-        edges = t0 + np.arange(n_slots + 1) * float(seconds)
+        edges = t0 + np.arange(n_slots + 1) * step
         cuts = np.searchsorted(workload.submit, edges, side="left")
-        cuts[-1] = n  # the last edge is inclusive of the final arrival
         bounds = [
             (int(lo), int(hi)) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo
         ]
@@ -251,17 +256,16 @@ def stream_windows(
     match :func:`slice_windows` on the materialised trace exactly —
     per-cell cache keys are slicer-independent (tested).
 
-    The stream must be submit-sorted (SWF archives are); an out-of-order
-    arrival raises :class:`ValueError`, because a lazy slicer cannot
-    re-sort the trace the way the batch path does.
+    The stream must be submit-sorted (the SWF definition requires it);
+    an out-of-order arrival raises :class:`ValueError` naming the job,
+    because a lazy slicer cannot re-sort the trace.
 
     When *nmax* is non-zero, every job read is validated against it as
     it arrives — including jobs in windows later dropped as too short —
-    mirroring the batch path's whole-trace
+    mirroring the whole-trace
     :meth:`~repro.sim.job.Workload.validate_for_machine` check.  (With
     *max_windows*, jobs beyond the quota are never read and therefore
-    cannot be validated; the batch path, which holds the full trace
-    anyway, still checks them.)
+    never validated.)
     """
     _check_slicing_args(jobs, seconds, warmup, min_jobs, max_windows)
     if isinstance(source, Workload):

@@ -37,6 +37,7 @@ import multiprocessing
 import os
 import pickle
 import queue as queue_mod
+import threading
 import time
 import traceback
 from collections.abc import Callable, Iterator, Sequence
@@ -84,35 +85,43 @@ def shippable_error(exc: Exception) -> Exception:
 
 
 #: How long the dispatcher waits on the result queue before checking
-#: worker liveness.  Only affects crash-detection latency.
+#: worker liveness, and how often a worker checks that its parent lives.
+#: Only affects crash-detection latency.
 _POLL_SECONDS = 0.2
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Watchdog: end this worker process once *parent* is gone.
+
+    Runs on a daemon thread, so it fires whatever the main thread is
+    doing — blocked on a task message the killed parent left
+    half-written, or busy inside a long task.
+    """
+    while os.getppid() == parent:
+        time.sleep(_POLL_SECONDS)
+    # Nobody will drain the result queue: exit without flushing it.
+    os._exit(1)
 
 
 def _worker_main(task_queue, result_queue) -> None:
     """Worker loop: pull ``(gen, call_id, fn, args)``, run, reply.
 
     A ``None`` task is the shutdown pill.  A worker whose parent died (a
-    killed run sends no pill) stops before its next task.  A chunk's
-    exception is shipped back as the payload (:func:`shippable_error`)
-    rather than crashing the worker, so one bad chunk fails its fan-out
-    without killing the pool.
+    killed run sends no pill) exits within :data:`_POLL_SECONDS` through
+    its watchdog thread.  A chunk's exception is shipped back as the
+    payload (:func:`shippable_error`) rather than crashing the worker,
+    so one bad chunk fails its fan-out without killing the pool.
     """
-    parent = os.getppid()
-    while os.getppid() == parent:
-        try:
-            task = task_queue.get(timeout=_POLL_SECONDS)
-        except queue_mod.Empty:
-            continue
-        if task is None:
-            return
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), daemon=True
+    ).start()
+    while (task := task_queue.get()) is not None:
         gen, call_id, fn, args = task
         try:
             payload = fn(*args)
         except Exception as exc:  # noqa: BLE001 - shipped to parent
             payload = shippable_error(exc)
         result_queue.put((gen, call_id, payload))
-    # Nobody will drain the result queue: exit without flushing it.
-    result_queue.cancel_join_thread()
 
 
 class WorkerPool:

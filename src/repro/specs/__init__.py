@@ -12,7 +12,7 @@ base spec into child specs.  Specs are frozen dataclasses with
 * a canonical :meth:`~Spec.fingerprint` over resolved, result-relevant
   fields, derived from the same payloads as the library's artifact-cache
   keys (:mod:`repro.specs.fingerprint`) — execution knobs (workers,
-  cache, streaming) never enter an identity.
+  cache) never enter an identity.
 
 Specs only *describe* experiments; :func:`repro.api.run` executes them.
 The CLI is a thin adapter that builds specs from flags, so a flag

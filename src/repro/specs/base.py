@@ -182,7 +182,7 @@ class Spec:
         Computed over :meth:`_fingerprint_payload` — resolved,
         result-relevant fields only — so presets vs explicit numbers,
         alias vs canonical policy spellings, and execution knobs
-        (workers, cache, streaming) can never fork the identity.
+        (workers, cache) can never fork the identity.
         """
         return spec_fingerprint(self.kind, self._fingerprint_payload())
 

@@ -2,15 +2,14 @@
 
 One :class:`EvaluateSpec` is the serializable counterpart of
 :class:`repro.eval.matrix.MatrixConfig` plus the source selection
-(SWF file vs synthetic stand-in), the streaming toggle, and the report
-parameters (baseline, bootstrap resamples, CI level).  Validation and
-canonicalisation delegate to :class:`~repro.eval.matrix.MatrixConfig`,
-so a spec that constructs is exactly a matrix that runs.
+(SWF file vs synthetic stand-in) and the report parameters (baseline,
+bootstrap resamples, CI level).  Validation and canonicalisation
+delegate to :class:`~repro.eval.matrix.MatrixConfig`, so a spec that
+constructs is exactly a matrix that runs.
 
-``stream`` is an execution knob — streamed and materialised replays are
-bit-identical by the eval layer's contract — so it is excluded from the
-spec fingerprint, as are workers and cache location (which are not spec
-fields at all: they are arguments of :func:`repro.api.run`).
+Execution knobs — workers and cache location — are not spec fields at
+all: they are arguments of :func:`repro.api.run`, so they can never
+enter the spec fingerprint.
 """
 
 from __future__ import annotations
@@ -55,11 +54,6 @@ class EvaluateSpec(Spec):
     drop_failed: bool = field(
         default=False,
         metadata={"help": "exclude failed/cancelled SWF rows (status 0/5)"},
-    )
-    stream: bool = field(
-        default=False,
-        metadata={"help": "slice windows lazily and dispatch cells as they"
-                  " arrive (O(window) memory; results are bit-identical)"},
     )
     policies: tuple[str, ...] = ("fcfs", "f1")
     backfill: tuple[str, ...] = field(
@@ -181,7 +175,6 @@ class EvaluateSpec(Spec):
         }
         # Source identity: with a real trace the synthetic fallback
         # fields are irrelevant and must not fork the fingerprint.
-        # ``stream`` never enters: both paths are bit-identical.
         # ``pwa:`` references enter as their registry content hash, so
         # the identity is independent of cache location and mirror URL.
         if self.trace is not None:

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import gzip
 import io
+import zlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -174,6 +175,16 @@ def _parse_header_comment(line: str, header: dict[str, str]) -> None:
         header[key.strip()] = value.strip()
 
 
+#: What a truncated or corrupt ``.swf.gz`` raises mid-iteration.
+_GZIP_ERRORS = (EOFError, gzip.BadGzipFile, zlib.error)
+
+
+def _gzip_error(lines: object, lineno: int, exc: Exception) -> ValueError:
+    """Name a broken gzip stream: the last line read and, for a file, the file."""
+    where = f"SWF file {lines.name}" if hasattr(lines, "name") else "SWF"
+    return ValueError(f"{where}: truncated or corrupt gzip data after line {lineno} ({exc})")
+
+
 def iter_swf_jobs(
     source: str | Iterable[str],
     *,
@@ -191,54 +202,58 @@ def iter_swf_jobs(
 
     Malformed rows (fewer than 11 fields, non-numeric values) raise
     :class:`ValueError` naming the offending line number, identically to
-    the batch parser.
+    the batch parser; so does a truncated or corrupt gzip stream.
     """
     acc = accounting if accounting is not None else SwfAccounting()
     lines = source.splitlines() if isinstance(source, str) else source
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith(";"):
-            _parse_header_comment(line, acc.header)
-            continue
-        parts = line.split()
-        if len(parts) < 11:
-            raise ValueError(
-                f"SWF line {lineno}: expected >= 11 fields, got {len(parts)}"
-            )
-        try:
-            row = [float(x) for x in parts[:_N_FIELDS]]
-        except ValueError as exc:
-            raise ValueError(f"SWF line {lineno}: non-numeric field ({exc})") from None
-        submit = row[1]
-        runtime = row[3]
-        alloc = row[4]
-        req_procs = row[7]
-        req_time = row[8]
-        status = row[10]
-        size = req_procs if req_procs > 0 else alloc
-        if (
-            runtime == 0
-            and status == _STATUS_COMPLETED
-            and size > 0
-            and submit >= 0
-        ):
-            # A *completed* job recorded at 0 s is a sub-second job
-            # truncated by the SWF's one-second resolution (common in
-            # raw PWA traces), not an unschedulable row: clamp it to the
-            # format's time quantum and keep it, counted separately.
-            runtime = ZERO_RUNTIME_EPSILON
-            acc.zero_runtime += 1
-        estimate = req_time if req_time > 0 else runtime
-        if not (runtime > 0 and size > 0 and submit >= 0):
-            acc.dropped += 1
-            continue
-        if not keep_failed and status in (0.0, 5.0):
-            acc.filtered += 1
-            continue
-        acc.yielded += 1
-        yield SwfJob(row[0], submit, runtime, size, max(estimate, 1.0))
+    lineno = 0
+    try:
+        for lineno, line in enumerate(lines, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            if line.startswith(";"):
+                _parse_header_comment(line, acc.header)
+                continue
+            parts = line.split()
+            if len(parts) < 11:
+                raise ValueError(
+                    f"SWF line {lineno}: expected >= 11 fields, got {len(parts)}"
+                )
+            try:
+                row = [float(x) for x in parts[:_N_FIELDS]]
+            except ValueError as exc:
+                raise ValueError(f"SWF line {lineno}: non-numeric field ({exc})") from None
+            submit = row[1]
+            runtime = row[3]
+            alloc = row[4]
+            req_procs = row[7]
+            req_time = row[8]
+            status = row[10]
+            size = req_procs if req_procs > 0 else alloc
+            if (
+                runtime == 0
+                and status == _STATUS_COMPLETED
+                and size > 0
+                and submit >= 0
+            ):
+                # A *completed* job recorded at 0 s is a sub-second job
+                # truncated by the SWF's one-second resolution (common in
+                # raw PWA traces), not an unschedulable row: clamp it to the
+                # format's time quantum and keep it, counted separately.
+                runtime = ZERO_RUNTIME_EPSILON
+                acc.zero_runtime += 1
+            estimate = req_time if req_time > 0 else runtime
+            if not (runtime > 0 and size > 0 and submit >= 0):
+                acc.dropped += 1
+                continue
+            if not keep_failed and status in (0.0, 5.0):
+                acc.filtered += 1
+                continue
+            acc.yielded += 1
+            yield SwfJob(row[0], submit, runtime, size, max(estimate, 1.0))
+    except _GZIP_ERRORS as exc:
+        raise _gzip_error(lines, lineno, exc) from None
 
 
 def _workload_from_jobs(
@@ -309,13 +324,17 @@ class SwfStream:
         # standard SWF puts all metadata there.  Comments interleaved with
         # job rows are still collected during a jobs() pass.
         with open_swf(self.path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                if not line.startswith(";"):
-                    break
-                _parse_header_comment(line, self.accounting.header)
+            lineno = 0
+            try:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    if not line.startswith(";"):
+                        break
+                    _parse_header_comment(line, self.accounting.header)
+            except _GZIP_ERRORS as exc:
+                raise _gzip_error(fh, lineno, exc) from None
 
     @property
     def header(self) -> dict[str, str]:

@@ -74,15 +74,23 @@ class TestRunDispatch:
         assert isinstance(via_api, MatrixResult)
         assert via_api.cells == direct.cells
 
-    def test_evaluate_stream_matches_batch(self, tiny_swf):
-        batch = api.run(
-            EvaluateSpec(trace=str(tiny_swf), window_jobs=40, stream=False)
-        )
-        streamed = api.run(
-            EvaluateSpec(trace=str(tiny_swf), window_jobs=40, stream=True)
-        )
-        assert batch.cells == streamed.cells
-        assert batch.trace_name == streamed.trace_name
+    def test_evaluate_stream_matches_batch(self, tmp_path):
+        """Every trace file streams; it must match the materialised
+        ``read_swf`` + ``slice_windows`` matrix cell for cell and byte
+        for byte, at any worker count."""
+        from repro.eval.report import matrix_to_json
+
+        path = "tests/data/ctc_tiny.swf"
+        spec = EvaluateSpec(trace=path, window_jobs=40, warmup=4, seed=2)
+        batch = run_matrix(repro.read_swf(path), spec.to_matrix_config())
+        for workers in (1, 2, 4):
+            cache = tmp_path / f"w{workers}"
+            streamed = api.run(spec, workers=workers, cache=cache)
+            assert streamed.cells == batch.cells
+            assert streamed.trace_name == batch.trace_name
+            assert matrix_to_json(streamed) == matrix_to_json(batch)
+            again = api.run(spec, workers=workers, cache=cache)
+            assert (again.n_simulated, again.n_cached) == (0, len(batch.cells))
 
     def test_table4(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "smoke")

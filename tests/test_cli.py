@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -339,17 +340,31 @@ class TestEvaluateStreaming:
             ]
         )
 
+    @staticmethod
+    def _materialised():
+        """The same matrix through ``read_swf`` + ``slice_windows``."""
+        from repro.eval.matrix import MatrixConfig, run_matrix
+        from repro.workloads.swf import read_swf
+
+        config = MatrixConfig(
+            policies=("fcfs", "f1"), backfill=("none", "easy"),
+            window_jobs=50, warmup=5,
+        )
+        return run_matrix(read_swf(FIXTURE_SWF), config)
+
     def test_stream_output_identical_to_materialised(self, capsys):
-        assert self._run("--no-stream") == 0
-        materialised = capsys.readouterr().out
-        assert self._run("--stream") == 0
+        from repro.eval.report import render_matrix_report
+
+        assert self._run() == 0
         streamed = capsys.readouterr().out
-        assert streamed == materialised
+        assert streamed == render_matrix_report(self._materialised()) + "\n"
 
     def test_stream_reports_written_identically(self, capsys, tmp_path):
+        from repro.eval.report import write_matrix_report
+
         assert self._run("--output-dir", str(tmp_path / "a")) == 0
-        assert self._run("--stream", "--output-dir", str(tmp_path / "b")) == 0
         capsys.readouterr()
+        write_matrix_report(tmp_path / "b", self._materialised())
         for name in ("eval_matrix.csv", "eval_matrix.json", "eval_matrix_deltas.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
@@ -358,26 +373,51 @@ class TestEvaluateStreaming:
     def test_stream_cached_rerun_simulates_nothing(self, capsys, tmp_path):
         assert self._run("--cache", str(tmp_path)) == 0
         capsys.readouterr()
-        assert self._run("--stream", "--cache", str(tmp_path)) == 0
+        assert self._run("--cache", str(tmp_path), "--workers", "2") == 0
         assert "simulated 0, cached 16" in capsys.readouterr().out
 
     def test_stream_synthetic_fallback(self, capsys):
-        assert (
-            main(
-                [
-                    "evaluate",
-                    "--stream",
-                    "--jobs",
-                    "300",
-                    "--window-jobs",
-                    "100",
-                ]
-            )
-            == 0
-        )
+        assert main(["evaluate", "--jobs", "300", "--window-jobs", "100"]) == 0
         captured = capsys.readouterr()
         assert "synthetic stand-in" in captured.err
         assert "Evaluation matrix for" in captured.out
+
+    def test_stream_flag_is_gone(self):
+        with pytest.raises(SystemExit):
+            self._run("--stream")
+
+    @pytest.mark.parametrize("broken", ["truncated_gz", "unsorted"])
+    def test_broken_trace_exits_1_without_traceback(self, broken, tmp_path):
+        import subprocess
+        import sys
+
+        from repro.workloads.swf import read_swf, write_swf
+
+        rows = Path(FIXTURE_SWF).read_text(encoding="utf-8").splitlines()
+        if broken == "truncated_gz":
+            path = tmp_path / "trunc.swf.gz"
+            write_swf(read_swf(FIXTURE_SWF), path)
+            path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+            expected = "truncated or corrupt gzip data after line"
+        else:
+            path = tmp_path / "unsorted.swf"
+            jobs = [r for r in rows if r.strip() and not r.startswith(";")]
+            header = [r for r in rows if r.startswith(";")]
+            path.write_text(
+                "\n".join(header + jobs[:10] + [jobs[12], jobs[11]] + jobs[13:]) + "\n",
+                encoding="utf-8",
+            )
+            expected = "requires a submit-sorted trace: job"
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "evaluate", "--trace", str(path),
+             "--window-jobs", "20", "--policies", "fcfs", "--backfill", "none"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).parent.parent / "src")},
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("repro-sched evaluate: ")
+        assert expected in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_bootstrap_ci_in_report(self, capsys):
         assert self._run("--bootstrap", "200", "--ci", "0.9") == 0
@@ -526,14 +566,17 @@ class TestRunCommand:
         path.write_text('spec = "train"\nn_tuple = 3\n', encoding="utf-8")
         with pytest.raises(SystemExit, match="unknown key"):
             main(["run", str(path)])
-        # A simulate document written before the heterogeneous platform
-        # was removed carries ``"hetero": null``; the key is unknown now.
-        doc = SimulateSpec(policy="fcfs").to_dict()
-        doc["hetero"] = None
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(SystemExit, match="unknown key.*'hetero'"):
-            main(["run", str(path)])
+        # Documents written before the heterogeneous platform and the
+        # evaluate ``stream`` toggle were removed carry keys unknown now.
+        for doc, key in (
+            (SimulateSpec(policy="fcfs").to_dict(), "hetero"),
+            (EvaluateSpec().to_dict(), "stream"),
+        ):
+            doc[key] = None if key == "hetero" else False
+            path = tmp_path / "old.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(SystemExit, match=f"unknown key.*'{key}'"):
+                main(["run", str(path)])
 
 
 class TestSweepCommand:
@@ -779,14 +822,14 @@ class TestFlagParityPins:
         assert spec.fingerprint() == pin["fingerprint"]
 
     def test_pins_cover_the_hand_written_flags(self):
-        """Each of the 38 flags the hand-written parser had (39 less the
-        removed ``--hetero-archs``) is pinned."""
+        """Each of the 37 flags the hand-written parser had (39 less the
+        removed ``--hetero-archs`` and ``--stream``) is pinned."""
         given = {
             (pin["argv"][0], word.replace("--no-", "--"))
             for pin in PINS
             for word in pin["argv"][1:]
             if word.startswith("--")
         }
-        assert len(given) == 38
+        assert len(given) == 37
         for verb, flag in given:
             assert flag in _subparser(verb)._option_string_actions

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.eval.matrix import MatrixConfig, MatrixResult, run_matrix
+from repro.eval.windows import stream_windows
 from repro.eval.report import (
     matrix_to_csv,
     matrix_to_json,
@@ -300,6 +301,21 @@ class TestStreamingMatrix:
         for workers in (1, 4):
             streamed = run_matrix(self._windows(trace), config, workers=workers)
             assert matrix_to_json(streamed) == doc
+
+    def test_progress_is_cumulative_across_dispatch_batches(self, trace):
+        # 100 two-job windows × 4 series = 400 cells: two dispatch batches
+        config = MatrixConfig(
+            policies=("fcfs", "f1"), backfill=("none", "easy"), window_jobs=2
+        )
+        for source in (trace, stream_windows(trace, jobs=2)):
+            reports = []
+            result = run_matrix(
+                source, config, progress=lambda *report: reports.append(report)
+            )
+            assert result.n_simulated == 400
+            done = [d for _, d, _ in reports]
+            assert done == sorted(done)
+            assert reports[-1] == ("cells", 400, 400)
 
     def test_empty_window_iterable_rejected(self, config):
         with pytest.raises(ValueError, match="no evaluation windows"):

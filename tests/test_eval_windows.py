@@ -9,6 +9,7 @@ from repro.eval.windows import (
     stream_windows,
     workload_fingerprint,
 )
+from repro.sim.job import Workload
 from repro.workloads.lublin import lublin_workload
 from repro.workloads.traces import synthetic_trace
 
@@ -271,3 +272,76 @@ class TestStreamWindows:
         batch = slice_windows(wl, seconds=1.0, min_jobs=1)
         lazy = list(stream_windows(wl, seconds=1.0, min_jobs=1))
         assert self._fingerprints(batch) == self._fingerprints(lazy)
+
+
+def _workload(submit, nmax=64, seed=0):
+    """A workload over *submit* with small random jobs that fit *nmax*."""
+    rng = np.random.default_rng(seed)
+    n = len(submit)
+    runtime = rng.uniform(1.0, 500.0, n)
+    return Workload(
+        submit=np.asarray(submit, dtype=float),
+        runtime=runtime,
+        size=rng.integers(1, nmax + 1, n),
+        estimate=runtime * 2.0,
+        job_ids=np.arange(n),
+        nmax=nmax,
+    )
+
+
+def _outcome(slicer):
+    """``(index, t0, fingerprint)`` per window, or the ValueError text."""
+    try:
+        return [(w.index, w.t0, w.fingerprint()) for w in slicer()]
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _agree(wl, kwargs):
+    batch = _outcome(lambda: slice_windows(wl, **kwargs))
+    lazy = _outcome(lambda: list(stream_windows(wl, **kwargs)))
+    assert batch == lazy, kwargs
+
+
+class TestSlicerAgreement:
+    """slice_windows and stream_windows must cut the same windows, or
+    per-cell cache keys would depend on which slicer produced them."""
+
+    def test_arrival_on_the_last_rounded_edge(self):
+        # 90724 / 3.7 rounds just below 24520, but the rounded float edge
+        # t0 + 24520 * 3.7 equals the last arrival, which therefore opens
+        # its own slot in both slicers.
+        wl = _workload([1e9, 1e9 + 90721, 1e9 + 90724])
+        windows = slice_windows(wl, seconds=3.7, min_jobs=1)
+        assert [w.n_jobs for w in windows] == [1, 1, 1]
+        _agree(wl, {"seconds": 3.7, "min_jobs": 1})
+
+    def test_seeded_fuzz(self):
+        rng = np.random.default_rng(20241018)
+        for case in range(3000):
+            n = int(rng.integers(0, 40))
+            t0 = float(rng.choice([0.0, rng.uniform(0, 1e4), 1e9 + rng.integers(0, 10**6)]))
+            gaps = rng.choice(
+                [0.0, 1e-9, float(rng.integers(1, 300)), rng.uniform(0, 300)], size=n
+            )
+            submit = t0 + np.cumsum(np.concatenate([[0.0], gaps[1:]])) if n else gaps
+            kwargs = {
+                "warmup": int(rng.integers(0, 4)),
+                "min_jobs": int(rng.integers(1, 4)),
+                "max_windows": None if rng.random() < 0.5 else int(rng.integers(1, 6)),
+            }
+            if rng.random() < 0.4:
+                kwargs["jobs"] = int(rng.integers(1, 15))
+            else:
+                seconds = float(
+                    rng.choice([rng.integers(1, 600), round(rng.uniform(0.1, 100), 1)])
+                )
+                span = float(submit[-1] - submit[0]) if n else 0.0
+                seconds = max(seconds, span / 1e5)
+                kwargs["seconds"] = seconds
+                if n and rng.random() < 0.5:
+                    # Snap some arrivals onto rounded slot edges t0 + k*seconds.
+                    snap = rng.random(n) < 0.3
+                    k = np.round((submit - submit[0]) / seconds)
+                    submit = np.where(snap, submit[0] + k * seconds, submit)
+            _agree(_workload(submit, seed=case), kwargs)

@@ -5,7 +5,7 @@ The claims under test:
 1. **One failure contract** — a chunk function that raises fails the
    fan-out at once with the same exception type the serial loop
    raises, and nothing retries the failing call; workers whose parent
-   was SIGKILLed exit instead of running on as orphans.
+   was SIGKILLed exit instead of running on as orphans, even mid-task.
 2. **Resume from the cache** — a training run that dies part-way
    leaves one cache entry per tuple that landed; the re-run loads them,
    simulates only the rest, and reproduces an uncached run's bytes.
@@ -136,6 +136,40 @@ def test_workers_of_a_killed_parent_exit():
     for pid in alive:  # leave nothing behind, even on failure
         os.kill(pid, signal.SIGKILL)
     assert not alive, "pool workers outlived their killed parent"
+
+
+#: A parent whose two workers are each busy in a 60 s task when it dies.
+_BUSY_PARENT = """
+import time
+from repro.runtime import ExecutorConfig, TrialRunner
+runner = TrialRunner(ExecutorConfig(workers=2, chunk_size=1))
+runner.pool._ensure_started()
+print(*(p.pid for p in runner.pool._workers), flush=True)
+runner.map(time.sleep, [60.0, 60.0])
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads process state from /proc"
+)
+def test_busy_workers_of_a_killed_parent_exit():
+    """A worker inside a long task must not live until the task ends."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _BUSY_PARENT], stdout=subprocess.PIPE, env=env
+    )
+    pids = [int(pid) for pid in parent.stdout.readline().split()]
+    assert len(pids) == 2
+    time.sleep(1.0)  # both workers have taken their 60 s task
+    parent.send_signal(signal.SIGKILL)
+    parent.wait(timeout=30)
+    deadline = time.monotonic() + 5.0
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    alive = [pid for pid in pids if _running(pid)]
+    for pid in alive:  # leave nothing behind, even on failure
+        os.kill(pid, signal.SIGKILL)
+    assert not alive, "busy pool workers outlived their killed parent"
 
 
 #: Small but real; its whole-distribution entry, written before

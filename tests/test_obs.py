@@ -320,6 +320,7 @@ class TestTelemetryNeverForksAResult:
         assert counters[1] == counters[4]
         assert counters[1]["sim.jobs_completed"] > 0
         assert counters[1]["eval.cells.simulated"] == 16
+        assert counters[1]["eval.windows"] == 4
 
 
 # ----------------------------------------------------------------------

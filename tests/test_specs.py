@@ -208,10 +208,14 @@ class TestFingerprints:
             PipelineConfig(n_tuples=2, trials_per_tuple=16, nmax=32)
         )
 
-    def test_execution_knobs_do_not_fork_evaluate_identity(self):
-        a = EvaluateSpec(window_jobs=50, stream=False)
-        b = EvaluateSpec(window_jobs=50, stream=True)
-        assert a.fingerprint() == b.fingerprint()
+    def test_stream_key_is_rejected(self):
+        # The streaming toggle is gone (every trace file streams); it never
+        # entered the fingerprint, and a document that still carries it
+        # fails like any other unknown key.
+        doc = EvaluateSpec(window_jobs=50).to_dict()
+        assert "stream" not in doc
+        with pytest.raises(SpecError, match="unknown key.*'stream'"):
+            spec_from_dict({**doc, "stream": True})
 
     def test_result_relevant_fields_do_fork_identity(self):
         a = EvaluateSpec(window_jobs=50)

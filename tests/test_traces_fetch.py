@@ -306,9 +306,12 @@ class TestSpecIntegration:
         assert matrix_to_json(by_ref) == matrix_to_json(by_path)
 
     def test_streamed_pwa_evaluation_matches_materialised(self, fx):
-        fetch_trace("fixture")
-        batch = api.run(self.spec())
-        stream = api.run(self.spec(stream=True))
+        from repro.eval.matrix import run_matrix
+
+        path = fetch_trace("fixture").path
+        spec = self.spec()
+        batch = run_matrix(read_swf(path), spec.to_matrix_config())
+        stream = api.run(spec)
         assert matrix_to_json(batch) == matrix_to_json(stream)
 
     def test_cache_hits_across_fresh_refetch(self, fx, tmp_path):

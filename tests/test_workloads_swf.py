@@ -190,6 +190,29 @@ class TestGzip:
         jobs = list(stream.jobs())
         assert len(jobs) == len(read_swf(FIXTURE))
 
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_broken_gz_is_a_named_value_error(self, damage, tmp_path):
+        data = bytearray(gzip.compress(open(FIXTURE, "rb").read()))
+        if damage == "truncated":
+            data = data[: len(data) // 2]
+        else:  # the CRC-32 trailer no longer matches the data
+            data[-8] ^= 0xFF
+        gz = tmp_path / f"{damage}.swf.gz"
+        gz.write_bytes(bytes(data))
+        named = rf"SWF file .*{damage}\.swf\.gz: truncated or corrupt gzip data after line \d+"
+        with pytest.raises(ValueError, match=named):
+            read_swf(gz)
+        stream = SwfStream(gz)  # the header block before the damage reads fine
+        assert stream.machine_size == 338
+        with pytest.raises(ValueError, match=named):
+            list(stream.jobs())
+
+    def test_gz_broken_inside_the_header_block(self, tmp_path):
+        gz = tmp_path / "stub.swf.gz"
+        gz.write_bytes(gzip.compress(open(FIXTURE, "rb").read())[:12])
+        with pytest.raises(ValueError, match="stub.swf.gz: .* after line 0"):
+            SwfStream(gz)
+
     def test_gz_name_fallback_strips_both_suffixes(self, tmp_path):
         gz = tmp_path / "anon.swf.gz"
         gz.write_bytes(
