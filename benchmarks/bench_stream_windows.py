@@ -4,10 +4,10 @@ Guards the `repro.eval` streaming promise: `SwfStream` +
 `stream_windows` slice an on-disk trace into evaluation windows with
 O(window) resident memory, while the batch path (`read_swf` +
 `slice_windows`) holds the whole trace and every window at once.  Each
-mode runs in a fresh subprocess so `ru_maxrss` (the process's
-high-water mark, which never decreases) measures that mode alone; both
-modes must agree on every window fingerprint — the memory saving is
-free, not a different computation.
+mode runs in a fresh subprocess so its resident high-water mark
+(`VmHWM`, or `ru_maxrss` where `/proc` is missing) measures that mode
+alone; both modes must agree on every window fingerprint — the memory
+saving is free, not a different computation.
 """
 
 import subprocess
@@ -36,7 +36,7 @@ if mode == "stream":
     fingerprints = [
         w.fingerprint()
         for w in stream_windows(
-            trace.jobs(),
+            trace.blocks(),
             jobs=%(window_jobs)d,
             name=trace.name,
             nmax=trace.machine_size,
@@ -49,7 +49,15 @@ else:
     windows = slice_windows(read_swf(path), jobs=%(window_jobs)d)
     fingerprints = [w.fingerprint() for w in windows]
 
-peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+# ru_maxrss survives fork + exec, so it never reads below the RSS of the
+# process that launched this one; VmHWM is this program's own peak.
+try:
+    with open("/proc/self/status") as status:
+        peak_kib = next(
+            int(line.split()[1]) for line in status if line.startswith("VmHWM:")
+        )
+except OSError:
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(len(fingerprints), peak_kib, ",".join(fingerprints))
 """ % {"window_jobs": WINDOW_JOBS}
 

@@ -3,8 +3,8 @@
 
 PR 2's `examples/evaluate_trace.py` materialises the whole trace before
 slicing; this example shows the archive-scale path instead: the SWF
-file is parsed incrementally (`SwfStream`), windows are cut lazily as
-jobs stream past (`stream_windows`), and matrix cells are dispatched
+file is parsed in fixed-size blocks (`SwfStream`), windows are cut
+lazily from those blocks (`stream_windows`), and matrix cells are dispatched
 as windows arrive (`run_matrix` on a window iterator) — the trace is
 never resident in memory, yet every number is bit-identical to the
 materialised run.  The paired per-window deltas then carry seeded
@@ -47,11 +47,11 @@ def main() -> None:
             warmup=25,
         )
 
-        # stream.jobs() yields one job at a time; stream_windows buffers
-        # at most one window; run_matrix dispatches cells in bounded
-        # batches.  Peak memory is O(window), not O(trace).
+        # stream.blocks() yields one block of parsed jobs at a time;
+        # stream_windows buffers at most one window; run_matrix dispatches
+        # cells in bounded batches.  Peak memory is O(window), not O(trace).
         windows = stream_windows(
-            stream.jobs(),
+            stream.blocks(),
             jobs=config.window_jobs,
             warmup=config.warmup,
             name=stream.name,
@@ -81,7 +81,7 @@ def main() -> None:
         # re-run walks the file again but simulates nothing.
         again = run_matrix(
             stream_windows(
-                SwfStream(path).jobs(),
+                SwfStream(path).blocks(),
                 jobs=config.window_jobs,
                 warmup=config.warmup,
                 name=stream.name,

@@ -374,7 +374,7 @@ def _evaluate_source(
         return synthetic_trace(spec.synthetic, seed=spec.seed, n_jobs=spec.jobs)
     stream = SwfStream(resolve_trace_ref(spec.trace), keep_failed=not spec.drop_failed)
     return stream_windows(
-        stream.jobs(),
+        stream.blocks(),
         jobs=config.window_jobs,
         seconds=config.window_seconds,
         warmup=config.warmup,

@@ -21,12 +21,15 @@ Two slicers share these semantics:
 
 * :func:`slice_windows` — batch: cut a fully materialised
   :class:`~repro.sim.job.Workload`;
-* :func:`stream_windows` — lazy: the same windows from a job *iterator*
-  (e.g. :meth:`repro.workloads.swf.SwfStream.jobs`), holding at most one
-  window's jobs in memory at a time.  Content fingerprints are computed
-  on the fly and are **identical** to the batch slicer's for the same
-  submit-sorted trace, so per-cell cache keys do not depend on which
-  slicer produced a window.
+* :func:`stream_windows` — lazy: the same windows from a stream of
+  ``(k, 5)`` job blocks (e.g. :meth:`repro.workloads.swf.SwfStream.blocks`),
+  holding at most one window plus one block in memory.  Job windows are
+  sliced and concatenated from the blocks, time windows are cut at the
+  float edges ``t0 + k*seconds`` by a search per slot, and the
+  submit-order and machine-size checks run vectorised per block.
+  Content fingerprints are **identical** to the batch slicer's for the
+  same submit-sorted trace, so per-cell cache keys do not depend on
+  which slicer produced a window.
 
 Slicing is a pure function of ``(trace, parameters)`` — no RNG, no
 clock — so the same trace always yields the same windows and per-window
@@ -38,6 +41,7 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
@@ -200,21 +204,20 @@ def slice_windows(
 
 
 def _window_from_rows(
-    rows: list[tuple[float, float, float, float, float]],
+    mat: np.ndarray,
     *,
     index: int,
     warmup: int,
     name: str,
     nmax: int,
 ) -> Window:
-    """Build one re-based :class:`Window` from buffered job rows.
+    """Build one re-based :class:`Window` from a ``(k, 5)`` job matrix.
 
     Array construction mirrors ``workload.select(...).shifted()`` field
     for field (float64 submit/runtime/estimate, int64 size/job_ids, same
     subtraction against the window's first arrival), so the resulting
     fingerprint is bit-identical to the batch slicer's.
     """
-    mat = np.asarray(rows, dtype=float)
     submit = mat[:, 1]
     piece = Workload(
         submit=submit - submit[0],
@@ -228,8 +231,67 @@ def _window_from_rows(
     return Window(index=index, workload=piece, warmup=warmup, t0=float(submit[0]))
 
 
+#: Rows gathered per block from a row iterable cut into time windows.
+_ROW_BLOCK = 1024
+
+
+def _as_blocks(
+    source: Workload | Iterable, group: int
+) -> Iterator[np.ndarray]:
+    """*source* as ``(k, 5)`` float64 job blocks, in ``SwfJob`` column order.
+
+    A workload is one block; an iterable of 2-D arrays passes through;
+    an iterable of rows is gathered *group* rows at a time.
+    """
+    if isinstance(source, Workload):
+        yield np.column_stack(
+            (source.job_ids, source.submit, source.runtime, source.size, source.estimate)
+        )
+        return
+    items = iter(source)
+    first = next(items, None)
+    if first is None:
+        return
+    items = chain((first,), items)
+    if isinstance(first, np.ndarray) and first.ndim == 2:
+        yield from items
+        return
+    while rows := list(islice(items, group)):
+        yield np.asarray(rows, dtype=float).reshape(-1, 5)
+
+
+def _first_invalid(
+    submit: np.ndarray, size: np.ndarray, last_submit: float, machine: int
+) -> int:
+    """Index of a block's first out-of-order or oversize job (``len`` if none)."""
+    bad = np.empty(len(submit), dtype=bool)
+    bad[0] = submit[0] < last_submit
+    np.less(submit[1:], submit[:-1], out=bad[1:])
+    if machine:
+        bad |= size > machine
+    return int(bad.argmax()) if bad.any() else len(submit)
+
+
+def _invalid_job_error(row: list[float], last_submit: float, machine: int) -> ValueError:
+    """The error naming the job :func:`_first_invalid` found, sort check first."""
+    job_id, submit, _, size, _ = row
+    if submit < last_submit:
+        return ValueError(
+            f"stream_windows requires a submit-sorted trace: job"
+            f" {int(job_id)} arrives at {submit} after a job at"
+            f" {last_submit}"
+        )
+    # Same fail-fast contract as Workload.validate_for_machine, applied
+    # per job so even jobs in eventually-dropped windows are caught,
+    # exactly like the batch path's up-front check.
+    return ValueError(
+        f"job {int(job_id)} needs {int(size)} cores"
+        f" but the machine has only {machine}"
+    )
+
+
 def stream_windows(
-    source: Workload | Iterable[tuple[float, float, float, float, float]],
+    source: Workload | Iterable[np.ndarray] | Iterable[tuple[float, ...]],
     *,
     jobs: int | None = None,
     seconds: float | None = None,
@@ -241,31 +303,35 @@ def stream_windows(
 ) -> Iterator[Window]:
     """Lazily cut a job stream into the same windows :func:`slice_windows` cuts.
 
-    *source* is either a :class:`~repro.sim.job.Workload` (convenience:
-    its rows are iterated) or any iterator of ``(job_id, submit, runtime,
-    size, estimate)`` rows such as :func:`repro.workloads.swf.iter_swf_jobs`
-    — in which case *name* (window naming) and *nmax* (machine size
-    stamped on each window's workload) should be supplied since a bare
-    stream carries no metadata.
+    *source* is a :class:`~repro.sim.job.Workload`, an iterator of
+    ``(k, 5)`` float64 job blocks with columns ``(job_id, submit,
+    runtime, size, estimate)`` such as
+    :meth:`repro.workloads.swf.SwfStream.blocks`, or an iterator of such
+    rows such as :func:`repro.workloads.swf.iter_swf_jobs` (gathered
+    into blocks of one job window, or of 1024 rows for time windows).
+    A bare stream carries no metadata, so *name* (window naming) and
+    *nmax* (machine size stamped on each window's workload) should be
+    supplied with it.
 
-    At most one window's jobs are buffered at any moment, so a
-    multi-million-job trace streams through in O(window) memory; with
-    *max_windows* the source is abandoned as soon as the quota is
-    reached (no further I/O).  Window indices, warm-up trimming, the
-    ``min_jobs`` short-window drop rule and every content fingerprint
-    match :func:`slice_windows` on the materialised trace exactly —
-    per-cell cache keys are slicer-independent (tested).
+    Windows are sliced from the blocks, so memory is O(window + block)
+    however long the trace is; with *max_windows* the source is
+    abandoned as soon as the quota is reached (no further I/O).  Window
+    indices, warm-up trimming, the ``min_jobs`` short-window drop rule
+    and every content fingerprint match :func:`slice_windows` on the
+    materialised trace exactly — per-cell cache keys are
+    slicer-independent (tested).  Time windows keep the float edges
+    ``t0 + k*seconds``.
 
     The stream must be submit-sorted (the SWF definition requires it);
     an out-of-order arrival raises :class:`ValueError` naming the job,
     because a lazy slicer cannot re-sort the trace.
 
-    When *nmax* is non-zero, every job read is validated against it as
-    it arrives — including jobs in windows later dropped as too short —
-    mirroring the whole-trace
-    :meth:`~repro.sim.job.Workload.validate_for_machine` check.  (With
-    *max_windows*, jobs beyond the quota are never read and therefore
-    never validated.)
+    When *nmax* is non-zero, every job is validated against it —
+    including jobs in windows later dropped as too short — mirroring
+    the whole-trace :meth:`~repro.sim.job.Workload.validate_for_machine`
+    check.  Both checks run per block and name the first offending job;
+    jobs past a reached *max_windows* quota are never validated, even
+    when they were already read in the same block.
     """
     _check_slicing_args(jobs, seconds, warmup, min_jobs, max_windows)
     if isinstance(source, Workload):
@@ -273,88 +339,87 @@ def stream_windows(
             name = source.name
         if nmax is None:
             nmax = source.nmax
-        rows_iter: Iterable[tuple[float, float, float, float, float]] = zip(
-            source.job_ids.tolist(),
-            source.submit.tolist(),
-            source.runtime.tolist(),
-            source.size.tolist(),
-            source.estimate.tolist(),
-        )
-    else:
-        rows_iter = source
     label = "trace" if name is None else name
     machine = 0 if nmax is None else nmax
 
     def generate() -> Iterator[Window]:
-        buf: list[tuple[float, float, float, float, float]] = []
+        pieces: list[np.ndarray] = []  # the open window's rows
+        buffered = 0
         emitted = 0
-        n_seen = 0
         last_submit = -np.inf
-        t0 = 0.0  # trace origin (first arrival), set on the first job
+        t0: float | None = None  # trace origin (first arrival)
         bucket = 0  # current time-window slot (seconds axis only)
 
         def flush() -> Window | None:
-            nonlocal emitted
-            if len(buf) - warmup < min_jobs:
-                buf.clear()
-                return None
-            window = _window_from_rows(
-                buf, index=emitted, warmup=warmup, name=label, nmax=machine
-            )
-            emitted += 1
-            buf.clear()
+            nonlocal emitted, buffered
+            window = None
+            if buffered - warmup >= min_jobs:
+                window = _window_from_rows(
+                    np.concatenate(pieces),
+                    index=emitted,
+                    warmup=warmup,
+                    name=label,
+                    nmax=machine,
+                )
+                emitted += 1
+            pieces.clear()
+            buffered = 0
             return window
 
-        for row in rows_iter:
-            job_id, submit, runtime, size, estimate = row
-            if submit < last_submit:
-                raise ValueError(
-                    f"stream_windows requires a submit-sorted trace: job"
-                    f" {int(job_id)} arrives at {submit} after a job at"
-                    f" {last_submit}"
-                )
-            last_submit = submit
-            if machine and size > machine:
-                # Same fail-fast contract as Workload.validate_for_machine,
-                # applied per job so even jobs in eventually-dropped windows
-                # are caught, exactly like the batch path's up-front check.
-                raise ValueError(
-                    f"job {int(job_id)} needs {int(size)} cores"
-                    f" but the machine has only {machine}"
-                )
-            if n_seen == 0:
-                t0 = float(submit)
-            n_seen += 1
-            if seconds is not None:
-                # Advance to this job's slot, flushing every slot passed on
-                # the way.  Slot edges are computed as t0 + k*seconds with
-                # the same float64 arithmetic as slice_windows' edge array,
-                # and a job exactly on an edge opens the next slot
-                # (searchsorted side="left" semantics).
-                while submit >= t0 + float(bucket + 1) * seconds:
-                    window = flush()
-                    bucket += 1
-                    if not buf:
+        def take(rows: np.ndarray) -> None:
+            nonlocal buffered
+            pieces.append(rows)
+            buffered += len(rows)
+
+        for block in _as_blocks(source, jobs or _ROW_BLOCK):
+            if not len(block):
+                continue
+            submit = np.ascontiguousarray(block[:, 1])
+            n_good = _first_invalid(submit, block[:, 3], last_submit, machine)
+            if n_good:
+                if t0 is None:
+                    t0 = float(submit[0])
+                pos = 0
+                while pos < n_good:
+                    if jobs is not None:
+                        stop = min(pos + jobs - buffered, n_good)
+                        take(block[pos:stop])
+                        pos = stop
+                        if buffered < jobs:
+                            break
+                        window = flush()
+                    else:
+                        # The rows before this slot's edge t0 + (bucket+1)*seconds
+                        # (float64, as slice_windows' edge array) join it; a
+                        # job exactly on an edge opens the next slot
+                        # (searchsorted side="left" semantics).
+                        edge = t0 + float(bucket + 1) * seconds
+                        stop = pos + int(
+                            np.searchsorted(submit[pos:n_good], edge, side="left")
+                        )
+                        if stop > pos:
+                            take(block[pos:stop])
+                            pos = stop
+                        if pos == n_good:
+                            break
+                        window = flush()
+                        bucket += 1
                         # Fast-forward across empty slots (a long idle gap
-                        # would otherwise cost one iteration per slot).
-                        # The quotient can be off by one ULP, so jump one
-                        # slot short and let the exact edge comparison
-                        # above take the final steps.
-                        target = int((submit - t0) / seconds) - 1
+                        # would otherwise cost one iteration per slot).  The
+                        # quotient can be off by one ULP, so jump one slot
+                        # short and let the exact edge comparison take the
+                        # final steps.
+                        target = int((float(submit[pos]) - t0) / seconds) - 1
                         if target > bucket:
                             bucket = target
                     if window is not None:
                         yield window
                         if max_windows is not None and emitted >= max_windows:
                             return
-            buf.append((job_id, submit, runtime, size, estimate))
-            if jobs is not None and len(buf) == jobs:
-                window = flush()
-                if window is not None:
-                    yield window
-                    if max_windows is not None and emitted >= max_windows:
-                        return
-        if n_seen == 0:
+                last_submit = float(submit[n_good - 1])
+            if n_good < len(block):
+                raise _invalid_job_error(block[n_good].tolist(), last_submit, machine)
+        if t0 is None:
             raise ValueError("cannot slice an empty workload")
         window = flush()
         if window is not None:

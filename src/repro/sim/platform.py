@@ -37,6 +37,7 @@ fingerprint: existing caches and spec fingerprints stay valid.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from typing import Callable, NamedTuple
@@ -203,15 +204,16 @@ def distribute_jobs(
         assign[order] = np.arange(n, dtype=np.int64) % n_leaves
     elif distribution == "by_size":
         # Greedy least-loaded by requested work (size * proc); ties go
-        # to the lowest leaf index, so the result is deterministic.
-        load = [0.0] * n_leaves
+        # to the lowest leaf index, so the result is deterministic.  The
+        # heap's minimum (load, leaf) is the least-loaded, lowest leaf.
+        loads = [(0.0, k) for k in range(n_leaves)]  # sorted, so a heap
         work = (
             np.asarray(size, dtype=np.float64) * np.asarray(proc, dtype=np.float64)
         ).tolist()
         for idx in order.tolist():
-            leaf = min(range(n_leaves), key=lambda k: (load[k], k))
+            load, leaf = loads[0]
             assign[idx] = leaf
-            load[leaf] += work[idx]
+            heapq.heapreplace(loads, (load + work[idx], leaf))
     else:  # random
         rng = RngFactory(seed).get(RANDOM_STREAM)
         assign[order] = rng.integers(0, n_leaves, size=n, dtype=np.int64)

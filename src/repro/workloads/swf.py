@@ -40,25 +40,39 @@ dropped.  Jobs excluded *deliberately* — schedulable rows removed because
 Gzip-compressed files (``.swf.gz``, the archive's native distribution
 form) are opened transparently: :func:`open_swf` sniffs the gzip magic
 bytes, so every reader — batch and streaming — accepts raw archive
-downloads while keeping O(1) memory.
+downloads while keeping O(block) memory.
 
-Two entry points share one row classifier, so their accounting can never
-diverge:
+Every reader runs on one block path, so their accounting can never
+diverge.  The file is read :data:`_BLOCK_LINES` lines at a time.  Lines
+up to a block's last ``;`` comment (a file's header block) go through
+the line-by-line tokeniser; the rest of the block, when it is made only
+of 18-field data rows, is tokenised by one ``np.loadtxt`` call, and
+otherwise (other field counts, garbled values) line by line too, which
+names the first bad line.  One vectorised classifier then applies the
+rules above to the block's matrix and yields its kept jobs as a
+``(k, 5)`` float64 array in :class:`SwfJob` field order.  Rows before a
+bad line, or before a gzip stream breaks, are yielded before the
+:class:`ValueError` is raised, so a consumer that stops early never
+sees an error from a row it did not need.
 
 * :func:`parse_swf_text` / :func:`read_swf` — batch: materialise a whole
-  :class:`~repro.sim.job.Workload` (built on top of the iterator below);
-* :func:`iter_swf_jobs` / :class:`SwfStream` — streaming: yield one
-  :class:`SwfJob` at a time with O(1) memory, so a multi-million-job
-  archive trace can feed :func:`repro.eval.windows.stream_windows`
-  without ever being resident in full.
+  :class:`~repro.sim.job.Workload` from the blocks;
+* :class:`SwfStream` — streaming: :meth:`SwfStream.blocks` yields the job
+  blocks with O(block) memory, so a multi-million-job archive trace can
+  feed :func:`repro.eval.windows.stream_windows` without ever being
+  resident in full;
+* :func:`iter_swf_jobs` / :meth:`SwfStream.jobs` — the same blocks, one
+  :class:`SwfJob` at a time.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import math
 import zlib
 from collections.abc import Iterable, Iterator
+from itertools import islice
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple, TextIO
@@ -80,6 +94,8 @@ __all__ = [
 ]
 
 _N_FIELDS = 18
+#: Leading fields the classifier reads (through field 11, the status).
+_N_USED = 11
 _GZIP_MAGIC = b"\x1f\x8b"
 
 #: Runtime assigned to status-completed rows recorded with runtime 0
@@ -91,6 +107,9 @@ ZERO_RUNTIME_EPSILON = 1.0
 #: SWF status code of a completed job (0 = failed, 5 = cancelled).
 _STATUS_COMPLETED = 1.0
 
+#: Lines read per block: the readers' working set, whatever the file size.
+_BLOCK_LINES = 1024
+
 
 def open_swf(path: str | Path) -> TextIO:
     """Open an SWF file for text reading, gzip-decompressing transparently.
@@ -98,7 +117,7 @@ def open_swf(path: str | Path) -> TextIO:
     The Parallel Workloads Archive distributes traces as ``.swf.gz``;
     this sniffs the gzip magic bytes (never trusting the extension) and
     returns a line-iterable text handle either way, so the streaming
-    readers keep O(1) memory on compressed files too.
+    readers keep O(block) memory on compressed files too.
     """
     path = Path(path)
     with path.open("rb") as probe:
@@ -154,13 +173,18 @@ class SwfAccounting:
     yielded: int = 0
 
     def machine_size(self) -> int:
-        """``MaxProcs`` (or ``MaxNodes``) from the header, 0 if unknown."""
+        """``MaxProcs`` (or ``MaxNodes``) from the header, 0 if unknown.
+
+        A value that is unparsable, non-finite or below 1 is unknown too,
+        so the next key (then 0) is used instead.
+        """
         for key in ("MaxProcs", "MaxNodes"):
-            if key in self.header:
-                try:
-                    return int(float(self.header[key]))
-                except ValueError:
-                    pass
+            try:
+                value = float(self.header[key])
+            except (KeyError, ValueError):
+                continue
+            if math.isfinite(value) and value >= 1:
+                return int(value)
         return 0
 
     def trace_name(self, fallback: str) -> str:
@@ -185,6 +209,145 @@ def _gzip_error(lines: object, lineno: int, exc: Exception) -> ValueError:
     return ValueError(f"{where}: truncated or corrupt gzip data after line {lineno} ({exc})")
 
 
+def _tokenise_lines(
+    lines: list[str], lineno: int, header: dict[str, str]
+) -> tuple[np.ndarray, ValueError | None]:
+    """Line-by-line tokeniser: the rows before the first bad line, and its error.
+
+    *lineno* is the number of the first line.  Comment lines update
+    *header*; the rows come back as an ``(k, 11)`` matrix of the fields
+    the classifier reads.
+    """
+    rows: list[list[float]] = []
+    error = None
+    for lineno, line in enumerate(lines, start=lineno):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith(";"):
+            _parse_header_comment(line, header)
+            continue
+        parts = line.split()
+        if len(parts) < _N_USED:
+            error = ValueError(
+                f"SWF line {lineno}: expected >= 11 fields, got {len(parts)}"
+            )
+            break
+        try:
+            row = [float(x) for x in parts[:_N_FIELDS]]
+        except ValueError as exc:
+            error = ValueError(f"SWF line {lineno}: non-numeric field ({exc})")
+            break
+        rows.append(row[:_N_USED])
+    return np.array(rows, dtype=float).reshape(-1, _N_USED), error
+
+
+def _loadtxt_block(lines: list[str]) -> np.ndarray | None:
+    """The rows of comment-free lines if all are 18-field data rows, else ``None``.
+
+    ``np.loadtxt`` parses numbers exactly as ``float`` does wherever it
+    accepts them; it rejects the few spellings ``float`` also takes
+    (``1_0``, non-ASCII digits), and those lines go one by one.
+    """
+    text = "".join(lines)
+    if not text or text.isspace() or not text.isascii():
+        return None
+    try:
+        mat = np.loadtxt(lines, dtype=float, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return mat if mat.shape[1] == _N_FIELDS else None
+
+
+def _tokenise(
+    lines: list[str], lineno: int, header: dict[str, str]
+) -> tuple[np.ndarray, ValueError | None]:
+    """Tokenise one block: its raw rows, and the error of its first bad line.
+
+    Lines up to the block's last ``;`` comment (a file's header block)
+    go line by line; the rest is tried with one ``np.loadtxt`` call.
+    """
+    cut = 0
+    if ";" in "".join(lines):
+        cut = max(i for i, line in enumerate(lines) if ";" in line) + 1
+    head, error = _tokenise_lines(lines[:cut], lineno, header)
+    if error is not None:
+        return head, error
+    tail = _loadtxt_block(lines[cut:])
+    if tail is None:
+        tail, error = _tokenise_lines(lines[cut:], lineno + cut, header)
+    if cut:
+        tail = np.concatenate((head, tail[:, :_N_USED]))
+    return tail, error
+
+
+def _classify(raw: np.ndarray, keep_failed: bool, acc: SwfAccounting) -> np.ndarray:
+    """Apply the SWF row rules to raw rows; the kept jobs as ``(k, 5)`` float64.
+
+    The size fallback, the completed-zero-runtime clamp, the drop rule,
+    the ``keep_failed`` filter and the estimate floor, over a whole
+    block at once; *acc*'s counters grow by the block's counts.
+    """
+    submit, runtime, status = raw[:, 1], raw[:, 3], raw[:, 10]
+    req_procs, req_time = raw[:, 7], raw[:, 8]
+    size = np.where(req_procs > 0, req_procs, raw[:, 4])
+    placed = (size > 0) & (submit >= 0)
+    # A *completed* job recorded at 0 s is a sub-second job truncated by
+    # the SWF's one-second resolution (common in raw PWA traces), not an
+    # unschedulable row: clamp it to the format's time quantum and keep
+    # it, counted separately.
+    clamped = (runtime == 0) & (status == _STATUS_COMPLETED) & placed
+    runtime = np.where(clamped, ZERO_RUNTIME_EPSILON, runtime)
+    estimate = np.where(req_time > 0, req_time, runtime)
+    schedulable = placed & (runtime > 0)
+    keep = schedulable
+    if not keep_failed:
+        keep = schedulable & (status != 0.0) & (status != 5.0)
+    n_kept = int(keep.sum())
+    n_schedulable = int(schedulable.sum())
+    acc.zero_runtime += int(clamped.sum())
+    acc.dropped += len(raw) - n_schedulable
+    acc.filtered += n_schedulable - n_kept
+    acc.yielded += n_kept
+    return np.column_stack(
+        (raw[keep, 0], submit[keep], runtime[keep], size[keep],
+         np.maximum(estimate[keep], 1.0))
+    )
+
+
+def _job_blocks(
+    source: str | Iterable[str], *, keep_failed: bool, acc: SwfAccounting
+) -> Iterator[np.ndarray]:
+    """The block path under every reader: kept jobs, ``(k, 5)`` per block.
+
+    Reads :data:`_BLOCK_LINES` lines at a time.  A bad line, or a gzip
+    stream that breaks mid-block, raises its named :class:`ValueError`
+    only after the rows before it have been yielded.
+    """
+    lines = source.splitlines() if isinstance(source, str) else source
+    it = iter(lines)
+    lineno = 0  # lines read so far
+    while True:
+        block: list[str] = []
+        broken = None
+        try:
+            for line in islice(it, _BLOCK_LINES):
+                block.append(line)
+        except _GZIP_ERRORS as exc:
+            broken = exc
+        if not block and broken is None:
+            return
+        raw, error = _tokenise(block, lineno + 1, acc.header)
+        lineno += len(block)
+        jobs = _classify(raw, keep_failed, acc)
+        if len(jobs):
+            yield jobs
+        if error is not None:
+            raise error
+        if broken is not None:
+            raise _gzip_error(lines, lineno, broken) from None
+
+
 def iter_swf_jobs(
     source: str | Iterable[str],
     *,
@@ -194,76 +357,26 @@ def iter_swf_jobs(
     """Incrementally parse SWF content, yielding one :class:`SwfJob` per row.
 
     *source* is SWF text or any iterable of lines (an open file object
-    streams the trace with O(1) memory).  Rows are classified exactly as
-    :func:`parse_swf_text` does — that function is built on this
-    iterator — and the running dropped/filtered/header state is exposed
-    through *accounting* (pass your own :class:`SwfAccounting` to read
-    it; counts are only final once the iterator is exhausted).
+    streams the trace with O(block) memory).  Rows are classified by the
+    block path every reader shares, and the running dropped/filtered/
+    header state is exposed through *accounting* (pass your own
+    :class:`SwfAccounting` to read it; counts cover whole blocks, so they
+    are only final once the iterator is exhausted).
 
     Malformed rows (fewer than 11 fields, non-numeric values) raise
     :class:`ValueError` naming the offending line number, identically to
     the batch parser; so does a truncated or corrupt gzip stream.
     """
     acc = accounting if accounting is not None else SwfAccounting()
-    lines = source.splitlines() if isinstance(source, str) else source
-    lineno = 0
-    try:
-        for lineno, line in enumerate(lines, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith(";"):
-                _parse_header_comment(line, acc.header)
-                continue
-            parts = line.split()
-            if len(parts) < 11:
-                raise ValueError(
-                    f"SWF line {lineno}: expected >= 11 fields, got {len(parts)}"
-                )
-            try:
-                row = [float(x) for x in parts[:_N_FIELDS]]
-            except ValueError as exc:
-                raise ValueError(f"SWF line {lineno}: non-numeric field ({exc})") from None
-            submit = row[1]
-            runtime = row[3]
-            alloc = row[4]
-            req_procs = row[7]
-            req_time = row[8]
-            status = row[10]
-            size = req_procs if req_procs > 0 else alloc
-            if (
-                runtime == 0
-                and status == _STATUS_COMPLETED
-                and size > 0
-                and submit >= 0
-            ):
-                # A *completed* job recorded at 0 s is a sub-second job
-                # truncated by the SWF's one-second resolution (common in
-                # raw PWA traces), not an unschedulable row: clamp it to the
-                # format's time quantum and keep it, counted separately.
-                runtime = ZERO_RUNTIME_EPSILON
-                acc.zero_runtime += 1
-            estimate = req_time if req_time > 0 else runtime
-            if not (runtime > 0 and size > 0 and submit >= 0):
-                acc.dropped += 1
-                continue
-            if not keep_failed and status in (0.0, 5.0):
-                acc.filtered += 1
-                continue
-            acc.yielded += 1
-            yield SwfJob(row[0], submit, runtime, size, max(estimate, 1.0))
-    except _GZIP_ERRORS as exc:
-        raise _gzip_error(lines, lineno, exc) from None
+    for block in _job_blocks(source, keep_failed=keep_failed, acc=acc):
+        yield from map(SwfJob._make, block.tolist())
 
 
-def _workload_from_jobs(
-    jobs: list[SwfJob], acc: SwfAccounting, fallback_name: str
+def _workload_from_blocks(
+    blocks: Iterable[np.ndarray], acc: SwfAccounting, fallback_name: str
 ) -> Workload:
     """Assemble the batch :class:`Workload` both batch readers share."""
-    if jobs:
-        mat = np.asarray(jobs, dtype=float)
-    else:
-        mat = np.empty((0, 5), dtype=float)
+    mat = np.concatenate([np.empty((0, 5)), *blocks])
     return Workload(
         submit=mat[:, 1],
         runtime=mat[:, 2],
@@ -289,8 +402,8 @@ def parse_swf_text(
 ) -> Workload:
     """Parse SWF content from a string.  See module docstring for field use."""
     acc = SwfAccounting()
-    jobs = list(iter_swf_jobs(text, keep_failed=keep_failed, accounting=acc))
-    return _workload_from_jobs(jobs, acc, name)
+    blocks = _job_blocks(text, keep_failed=keep_failed, acc=acc)
+    return _workload_from_blocks(list(blocks), acc, name)
 
 
 def read_swf(path: str | Path, *, keep_failed: bool = True) -> Workload:
@@ -298,8 +411,8 @@ def read_swf(path: str | Path, *, keep_failed: bool = True) -> Workload:
     path = Path(path)
     acc = SwfAccounting()
     with open_swf(path) as fh:
-        jobs = list(iter_swf_jobs(fh, keep_failed=keep_failed, accounting=acc))
-    return _workload_from_jobs(jobs, acc, _swf_stem(path))
+        blocks = list(_job_blocks(fh, keep_failed=keep_failed, acc=acc))
+    return _workload_from_blocks(blocks, acc, _swf_stem(path))
 
 
 class SwfStream:
@@ -308,9 +421,10 @@ class SwfStream:
     Splits the two things a streaming evaluation needs at different
     times: the *header metadata* (machine size, trace name — read
     eagerly from the leading comment block without touching job rows)
-    and the *job stream* (:meth:`jobs`, a fresh O(1)-memory iterator per
-    call).  ``accounting`` carries the shared dropped/filtered counters,
-    final once a :meth:`jobs` pass is exhausted.
+    and the *job stream* (:meth:`blocks`, or :meth:`jobs` one job at a
+    time: a fresh O(block)-memory pass per call).  ``accounting``
+    carries the shared dropped/filtered counters, final once a pass is
+    exhausted.
     """
 
     def __init__(self, path: str | Path, *, keep_failed: bool = True) -> None:
@@ -351,25 +465,37 @@ class SwfStream:
         """``MaxProcs``/``MaxNodes`` from the header, 0 if unknown."""
         return self.accounting.machine_size()
 
-    def jobs(self) -> Iterator[SwfJob]:
-        """Stream the file's schedulable jobs without materialising it.
+    def blocks(self) -> Iterator[np.ndarray]:
+        """Stream the file's schedulable jobs as ``(k, 5)`` float64 blocks.
 
-        Each call starts a fresh pass: the dropped/filtered/zero-runtime/
-        yielded counters are reset (eagerly, before the first job is pulled) so
-        re-reading the file — e.g. a cached streaming re-run — reports
-        single-pass counts instead of accumulating across passes.  The
-        header survives resets.
+        Columns follow :class:`SwfJob`; the file is never resident in
+        full.  Each call starts a fresh pass: the dropped/filtered/
+        zero-runtime/yielded counters are reset (eagerly, before the
+        first block is pulled) so re-reading the file — e.g. a cached
+        streaming re-run — reports single-pass counts instead of
+        accumulating across passes.  The header survives resets.
         """
         acc = self.accounting
         acc.dropped = acc.filtered = acc.zero_runtime = acc.yielded = 0
 
-        def generate() -> Iterator[SwfJob]:
+        def generate() -> Iterator[np.ndarray]:
             with open_swf(self.path) as fh:
-                yield from iter_swf_jobs(
-                    fh, keep_failed=self.keep_failed, accounting=acc
-                )
+                yield from _job_blocks(fh, keep_failed=self.keep_failed, acc=acc)
 
         return generate()
+
+    def jobs(self) -> Iterator[SwfJob]:
+        """The jobs of a fresh :meth:`blocks` pass, one :class:`SwfJob` at a time."""
+        blocks = self.blocks()
+        return (SwfJob._make(row) for block in blocks for row in block.tolist())
+
+
+def _format_column(values: np.ndarray) -> list[str]:
+    """SWF spelling of a column: integer-valued floats as ints, others by ``repr``."""
+    return [
+        str(int(x)) if x.is_integer() else repr(x)
+        for x in np.asarray(values, dtype=np.float64).tolist()
+    ]
 
 
 def write_swf(
@@ -388,29 +514,30 @@ def write_swf(
     in ``.gz`` is written gzip-compressed — the readers sniff the magic
     bytes, so the round-trip holds for compressed files too.
     """
-    buf = io.StringIO()
     meta = {"Computer": workload.name}
     if workload.nmax:
         meta["MaxProcs"] = str(workload.nmax)
     meta.update(header or {})
+    buf = io.StringIO()
     for key, value in meta.items():
         buf.write(f"; {key}: {value}\n")
-    for i in range(len(workload)):
-        fields = [-1.0] * _N_FIELDS
-        fields[0] = float(workload.job_ids[i])
-        fields[1] = float(workload.submit[i])
-        fields[3] = float(workload.runtime[i])
-        fields[4] = float(workload.size[i])
-        fields[7] = float(workload.size[i])
-        fields[8] = float(workload.estimate[i])
-        fields[10] = 1.0  # status: completed
-        buf.write(
-            " ".join(
-                str(int(f)) if float(f).is_integer() else repr(float(f))
-                for f in fields
-            )
-            + "\n"
+    columns = (
+        workload.job_ids,
+        workload.submit,
+        workload.runtime,
+        workload.size,
+        workload.estimate,
+    )
+    # One block of rows at a time keeps the formatted strings O(block).
+    for lo in range(0, len(workload), _BLOCK_LINES):
+        job_ids, submit, runtime, size, estimate = (
+            _format_column(col[lo : lo + _BLOCK_LINES]) for col in columns
         )
+        # status 1 (completed); every other field is the "unknown" marker -1
+        buf.write("".join([
+            f"{j} {s} -1 {r} {p} -1 -1 {p} {e} -1 1 -1 -1 -1 -1 -1 -1 -1\n"
+            for j, s, r, p, e in zip(job_ids, submit, runtime, size, estimate)
+        ]))
     text = buf.getvalue()
     if path is not None:
         path = Path(path)

@@ -345,3 +345,51 @@ class TestSlicerAgreement:
                     k = np.round((submit - submit[0]) / seconds)
                     submit = np.where(snap, submit[0] + k * seconds, submit)
             _agree(_workload(submit, seed=case), kwargs)
+
+
+class TestBlockSource:
+    """``(k, 5)`` job blocks cut into the same windows however the
+    stream is split into blocks, and the checks see across block edges."""
+
+    @staticmethod
+    def _matrix(wl):
+        return np.column_stack((wl.job_ids, wl.submit, wl.runtime, wl.size, wl.estimate))
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"jobs": 50, "warmup": 5},
+            {"jobs": 7, "max_windows": 4},
+            {"seconds": 3000.0, "min_jobs": 1},
+            {"seconds": 700.0, "warmup": 1, "max_windows": 3},
+        ],
+    )
+    def test_any_block_split_gives_the_same_windows(self, trace, kwargs):
+        want = _outcome(lambda: list(stream_windows(trace, **kwargs)))
+        mat = self._matrix(trace)
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            # empty and one-row blocks included
+            cuts = np.sort(rng.integers(0, len(mat) + 1, int(rng.integers(0, 12))))
+            blocks = np.split(mat, cuts)
+            got = _outcome(
+                lambda: list(
+                    stream_windows(iter(blocks), name=trace.name, nmax=trace.nmax, **kwargs)
+                )
+            )
+            assert got == want, cuts
+
+    def test_out_of_order_across_a_block_edge(self):
+        blocks = [np.array([[0, 10.0, 5.0, 1, 5.0]]), np.array([[1, 3.0, 5.0, 1, 5.0]])]
+        with pytest.raises(ValueError, match="job 1 arrives at 3.0 after a job at 10.0"):
+            list(stream_windows(iter(blocks), jobs=2, min_jobs=1))
+
+    def test_first_fault_in_a_block_is_named(self, trace):
+        mat = self._matrix(trace)
+        mat[40, 3] = 10_000  # oversize
+        mat[60, 1] = 0.0  # out of order
+        with pytest.raises(ValueError, match=f"job {int(mat[40, 0])} needs 10000 cores"):
+            list(stream_windows(iter([mat]), jobs=100, nmax=trace.nmax))
+        mat[40, 3] = 1
+        with pytest.raises(ValueError, match=f"job {int(mat[60, 0])} arrives at 0.0"):
+            list(stream_windows(iter([mat]), jobs=100, nmax=trace.nmax))

@@ -141,6 +141,38 @@ class TestDistribution:
         # The two heavy jobs land on distinct leaves; the first on leaf 0.
         assert a[0] == 0 and a[1] == 1
 
+    @staticmethod
+    def _by_size_scan(n_leaves, submit, proc, size):
+        """The per-job least-loaded scan ``by_size`` used before its heap."""
+        order = np.argsort(np.asarray(submit, dtype=np.float64), kind="stable")
+        assign = np.empty(len(submit), dtype=np.int64)
+        load = [0.0] * n_leaves
+        work = (
+            np.asarray(size, dtype=np.float64) * np.asarray(proc, dtype=np.float64)
+        ).tolist()
+        for idx in order.tolist():
+            leaf = min(range(n_leaves), key=lambda k: (load[k], k))
+            assign[idx] = leaf
+            load[leaf] += work[idx]
+        return assign
+
+    @pytest.mark.parametrize("n_leaves", range(1, 9))
+    def test_by_size_heap_matches_the_scan(self, n_leaves):
+        rng = np.random.default_rng(n_leaves)
+        platform = PartitionedPlatform(8 * n_leaves, (n_leaves,))
+        for case in range(40):
+            n = int(rng.integers(1, 200))
+            # Few distinct submits, sizes and runtimes: many arrival and
+            # equal-work ties, so the lowest-leaf tie-break decides often.
+            submit = rng.integers(0, 5, n).astype(float)
+            size = rng.integers(1, 9, n)
+            proc = rng.choice([1.0, 2.0, 0.5, 3.25], n)
+            if case % 4 == 0:
+                proc = rng.uniform(0.1, 1e4, n)
+            got = distribute_jobs(platform, submit, proc, size, distribution="by_size")
+            want = self._by_size_scan(n_leaves, submit, proc, size)
+            assert got.tolist() == want.tolist(), (n_leaves, case)
+
     def test_random_is_a_pure_function_of_the_seed(self):
         platform = self._platform()
         rng = np.random.default_rng(0)
