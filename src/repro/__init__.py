@@ -14,8 +14,8 @@ The library has four layers (see DESIGN.md for the full inventory):
   (Eq. 3), the pooled score distribution, and weighted nonlinear
   regression over the 576-candidate function space (Eqs. 4–5),
   culminating in :func:`repro.core.obtain_policies`.
-* :mod:`repro.runtime` — the parallel execution substrate: worker-pool
-  trial simulation with deterministic sharding (bit-identical to serial
+* :mod:`repro.runtime` — the parallel execution substrate: one
+  worker-pool fan-out with per-item seeds (bit-identical to serial
   runs) and a content-addressed artifact cache.
 * :mod:`repro.specs` / :mod:`repro.api` — the declarative layer: every
   experiment is a serializable spec (TOML/JSON round-trips, canonical
@@ -54,7 +54,7 @@ from repro.policies import (
     get_policy,
     paper_policies,
 )
-from repro.runtime import ArtifactCache, ExecutorConfig, TrialRunner
+from repro.runtime import ArtifactCache, TrialRunner
 from repro.specs import (
     EvaluateSpec,
     SimulateSpec,
@@ -88,7 +88,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ArtifactCache",
     "EvaluateSpec",
-    "ExecutorConfig",
     "Job",
     "MatrixConfig",
     "MatrixResult",

@@ -26,6 +26,8 @@ per-trial Python loop no longer exists at any layer of the fan-out.
 
 from __future__ import annotations
 
+import functools
+import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,17 +36,21 @@ from repro.core.distribution import ScoreDistribution
 from repro.core.functions import FittedFunction, FunctionSpec
 from repro.core.regression import RegressionConfig, fit_all
 from repro.core.taskgen import TaskSetTuple, generate_tuples
-from repro.core.trials import TrialScoreResult
+from repro.core.trials import (
+    TrialScoreResult,
+    balanced_trial_count,
+    format_rounding_warning,
+)
 from repro.obs.metrics import current_registry
 from repro.policies.learned import NonlinearPolicy
 from repro.runtime.cache import ArtifactCache, coerce_cache
-from repro.runtime.config import ExecutorConfig
-from repro.runtime.executor import TrialRunner
+from repro.runtime.executor import TrialRunner, tuple_trials
 from repro.sim.metrics import DEFAULT_TAU
 from repro.specs.fingerprint import (
     SIMULATION_SEMANTICS_VERSION,
     distribution_fingerprint,
 )
+from repro.util.rng import spawn_seed_sequences
 from repro.util.validation import check_positive_int
 from repro.workloads.lublin import LublinParams
 
@@ -107,7 +113,7 @@ class PipelineResult:
 def distribution_cache_key(config: PipelineConfig) -> str:
     """Fingerprint of every config field that influences the distribution.
 
-    Execution knobs (worker count, chunk size, cache location) are *not*
+    Execution knobs (worker count, cache location) are *not*
     part of the key: serial and parallel runs of the same config produce
     bit-identical results and therefore share one cache entry.  The
     payload lives in :mod:`repro.specs.fingerprint` (the single home of
@@ -153,23 +159,33 @@ def _load_tuple_entries(
     return done
 
 
+def _store_tuple_entry(
+    cache: ArtifactCache, key: str, todo: list[int], i: int, result: TrialScoreResult
+) -> None:
+    """Store the result of tuple ``todo[i]`` as its own entry the moment
+    it lands (the ``on_result`` hook of the trial fan-out)."""
+    cache.store(
+        _tuple_key(key, todo[i]), [result], ScoreDistribution.from_trial_results([result])
+    )
+
+
 def build_distribution(
     config: PipelineConfig,
     progress: Callable[[str, int, int], None] | None = None,
     *,
     workers: int | str | None = None,
-    chunk_size: int | None = None,
     cache: str | Path | ArtifactCache | None = None,
 ) -> tuple[list[TaskSetTuple], list[TrialScoreResult], ScoreDistribution]:
     """Phases 1–2: tuples, trials, pooled score distribution.
 
     Parameters
     ----------
-    workers, chunk_size:
-        Dispatch policy for the trial simulations (see
-        :class:`repro.runtime.ExecutorConfig`; ``None`` resolves
+    workers:
+        Worker processes for the trial simulations (see
+        :class:`repro.runtime.TrialRunner`; ``None`` resolves
         ``$REPRO_WORKERS``).  Results are identical for every setting;
-        ``workers=1`` runs in-process.
+        ``workers=1`` runs in-process.  Tuple ``k`` always simulates
+        under child ``k`` of ``config.seed + 1``.
     cache:
         An :class:`repro.runtime.ArtifactCache` (or a directory path for
         one).  On a hit of the whole-distribution entry the trials are
@@ -179,9 +195,13 @@ def build_distribution(
         entry (key ``<distribution key>-t<k>``) as soon as it lands, and
         the entries a killed run left behind are loaded instead of
         simulated; they are removed once the whole entry is stored.
+
+    *progress* sees ``("trials", done, n_tuples)``, with *done* starting
+    at the number of tuples loaded from the cache.
     """
+    n = config.n_tuples
     tuples = generate_tuples(
-        config.n_tuples,
+        n,
         nmax=config.nmax,
         s_size=config.s_size,
         q_size=config.q_size,
@@ -191,45 +211,58 @@ def build_distribution(
     registry = current_registry()
     cache_store = coerce_cache(cache)
     done: dict[int, TrialScoreResult] = {}
-    on_result = None
     if cache_store is not None:
         key = distribution_cache_key(config)
         entry = cache_store.load(key)
         if entry is not None:
             results, dist = entry
-            registry.inc("train.tuples.cached", config.n_tuples)
+            registry.inc("train.tuples.cached", n)
             if progress is not None:
-                progress("trials", config.n_tuples, config.n_tuples)
+                progress("trials", n, n)
             return tuples, results, dist
-        done = _load_tuple_entries(cache_store, key, config.n_tuples)
+        done = _load_tuple_entries(cache_store, key, n)
 
-        def on_result(k: int, result: TrialScoreResult) -> None:
-            cache_store.store(
-                _tuple_key(key, k),
-                [result],
-                ScoreDistribution.from_trial_results([result]),
-            )
+    loaded = len(done)
+    registry.inc("train.tuples.cached", loaded)
+    registry.inc("train.tuples.simulated", n - loaded)
+    todo = [k for k in range(n) if k not in done]
+    n_trials = config.trials_per_tuple
+    if (
+        config.balanced_trials
+        and todo
+        and balanced_trial_count(n_trials, config.q_size) != n_trials
+    ):
+        # Once per run: each tuple's own copy is suppressed in tuple_trials.
+        warnings.warn(format_rounding_warning(n_trials, config.q_size), stacklevel=2)
 
-    registry.inc("train.tuples.cached", len(done))
-    registry.inc("train.tuples.simulated", config.n_tuples - len(done))
-    with TrialRunner(
-        ExecutorConfig(workers=workers, chunk_size=chunk_size)
-    ) as runner:
-        results = runner.run_tuple_trials(
-            tuples,
-            nmax=config.nmax,
-            trials_per_tuple=config.trials_per_tuple,
-            root_seed=config.seed + 1,
-            balanced=config.balanced_trials,
-            tau=config.tau,
-            progress=progress,
-            done=done,
-            on_result=on_result,
+    def tick(phase: str, simulated: int, total: int) -> None:
+        progress(phase, loaded + simulated, n)
+
+    if loaded and progress is not None:
+        progress("trials", loaded, n)
+    seeds = spawn_seed_sequences(config.seed + 1, n)
+    with TrialRunner(workers) as runner:
+        fresh = runner.map(
+            functools.partial(
+                tuple_trials,
+                config.nmax,
+                n_trials,
+                config.balanced_trials,
+                config.tau,
+            ),
+            [(tuples[k], seeds[k]) for k in todo],
+            progress=None if progress is None else tick,
+            phase="trials",
+            on_result=None
+            if cache_store is None
+            else functools.partial(_store_tuple_entry, cache_store, key, todo),
         )
+    done.update(zip(todo, fresh))
+    results = [done[k] for k in range(n)]
     dist = ScoreDistribution.from_trial_results(results)
     if cache_store is not None:
         cache_store.store(key, results, dist)
-        for k in range(config.n_tuples):
+        for k in range(n):
             cache_store.discard(_tuple_key(key, k))
     return tuples, results, dist
 
@@ -263,7 +296,6 @@ def obtain_policies(
     progress: Callable[[str, int, int], None] | None = None,
     *,
     workers: int | str | None = None,
-    chunk_size: int | None = None,
     cache: str | Path | ArtifactCache | None = None,
 ) -> PipelineResult:
     """Run the full §3 procedure and return ranked policies.
@@ -273,17 +305,13 @@ def obtain_policies(
     available as :func:`repro.policies.paper_policies`.  They are the
     best ``top_k`` *distinct* functions: a candidate equivalent to a
     better-ranked one (same function family, see :func:`_function_key`)
-    takes no slot, while ``fitted`` keeps every candidate.  ``workers``,
-    ``chunk_size`` and ``cache`` configure the simulation phase exactly
-    as in :func:`build_distribution`.
+    takes no slot, while ``fitted`` keeps every candidate.  ``workers``
+    and ``cache`` configure the simulation phase exactly as in
+    :func:`build_distribution`.
     """
     config = config or PipelineConfig()
     tuples, trial_results, dist = build_distribution(
-        config,
-        progress,
-        workers=workers,
-        chunk_size=chunk_size,
-        cache=cache,
+        config, progress, workers=workers, cache=cache
     )
 
     def regression_progress(done: int, total: int) -> None:

@@ -11,8 +11,8 @@ benchmarks scheduling policies across them at worker-pool speed:
   way.
 * :mod:`repro.eval.matrix` — the {policies × backfill × windows} matrix
   runner over :class:`repro.runtime.TrialRunner`: one loop for a
-  workload or a window stream, **bit-identical for any worker count,
-  chunk size and source**, with per-cell content-addressed cache keys
+  workload or a window stream, **bit-identical for any worker count
+  and source**, with per-cell content-addressed cache keys
   so re-running an unchanged config simulates nothing.
 * :mod:`repro.eval.report` — per-series summaries, paired per-window
   policy deltas with seeded percentile-bootstrap confidence intervals,

@@ -8,7 +8,7 @@ carry over from the runtime:
 
 * **determinism** — cells are enumerated window-major before dispatch
   and reassembled by index, so the result is bit-identical for any
-  ``workers`` / ``chunk_size`` (the engine itself is a pure function of
+  ``workers`` count (the engine itself is a pure function of
   its inputs; the recorded per-cell seed is spawned per index for any
   future stochastic policy, never drawn from a shared stream);
 * **content-addressed caching** — each cell's key fingerprints the
@@ -27,7 +27,7 @@ file, so an archive-scale trace is never resident in full).  Both feed
 one loop that dispatches cells in bounded batches as windows arrive —
 and because cells are pure functions with index-derived seeds and
 slicer-independent cache keys, the two sources produce bit-identical
-results for any ``workers`` / ``chunk_size``.
+results for any ``workers`` count.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.eval.windows import Window, slice_windows
 from repro.obs.metrics import current_registry
 from repro.obs.tracing import span
 from repro.policies.registry import get_policy
-from repro.runtime import ArtifactCache, ExecutorConfig, TrialRunner, coerce_cache
+from repro.runtime import ArtifactCache, TrialRunner, coerce_cache
 from repro.runtime.progress import ProgressCallback
 from repro.sim.engine import normalize_backfill, simulate
 from repro.specs.fingerprint import eval_cell_fingerprint
@@ -220,7 +220,7 @@ def _simulate_cell(task: _CellTask) -> CellResult:
     """Simulate one matrix cell (module-level: pool-picklable).
 
     The ``eval.cell`` timer is per *cell* (one whole window simulation),
-    recorded into whatever registry is ambient — the worker chunk's when
+    recorded into whatever registry is ambient — the worker call's when
     fanned out, the run's when serial, the null registry otherwise.
     """
     with current_registry().timer("eval.cell"):
@@ -425,7 +425,6 @@ def run_matrix(
     config: MatrixConfig,
     *,
     workers: int | str | None = None,
-    chunk_size: int | None = None,
     cache: str | ArtifactCache | None = None,
     progress: ProgressCallback | None = None,
     trace_name: str | None = None,
@@ -442,8 +441,8 @@ def run_matrix(
     ``[w<k>]`` suffix stripped).
 
     Both sources run through one loop, so the two are bit-identical to
-    each other and across any ``workers`` / ``chunk_size`` (execution
-    knobs, never part of a cell's cache key): cell ``k`` (window-major
+    each other and across any ``workers`` count (an execution knob,
+    never part of a cell's cache key): cell ``k`` (window-major
     enumeration) draws child ``k`` of the config seed via incremental
     ``SeedSequence.spawn`` — spawning one child at a time yields exactly
     the children a single batched spawn would — cache keys fingerprint
@@ -472,7 +471,7 @@ def run_matrix(
             max_windows=config.max_windows,
         )
     store = coerce_cache(cache)
-    runner = TrialRunner(ExecutorConfig(workers=workers, chunk_size=chunk_size))
+    runner = TrialRunner(workers)
     # Children of the config seed, spawned on demand in cell order.
     seed_root = np.random.SeedSequence(config.seed)
     cells: list[CellResult | None] = []
@@ -483,7 +482,7 @@ def run_matrix(
     # every worker dozens of cells per dispatch.  One runner spans the
     # whole matrix, so the pool's workers stay alive across flushes.
     # Cannot affect results.
-    dispatch_batch = max(256, 32 * runner.config.n_workers * (chunk_size or 1))
+    dispatch_batch = max(256, 32 * runner.n_workers)
     n_windows = 0
     n_simulated = 0
 

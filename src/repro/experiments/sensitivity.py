@@ -17,7 +17,7 @@ import numpy as np
 from repro.experiments.dynamic import run_dynamic_experiment
 from repro.experiments.scale import Scale
 from repro.experiments.table4 import Table4Row, build_row_workload
-from repro.runtime import ExecutorConfig, TrialRunner
+from repro.runtime import TrialRunner
 
 __all__ = ["SeedSweepResult", "seed_sweep", "tau_sweep", "ranking_stability"]
 
@@ -88,7 +88,7 @@ def seed_sweep(
     if not seeds:
         raise ValueError("need at least one seed")
     specs = [(row, scale, int(seed), tuple(policies)) for seed in seeds]
-    with TrialRunner(ExecutorConfig(workers=workers, chunk_size=1)) as runner:
+    with TrialRunner(workers) as runner:
         medians = dict(runner.map(_seed_point, specs, phase="seeds"))
     return SeedSweepResult(
         row_id=row.row_id, seeds=tuple(int(s) for s in seeds), medians=medians

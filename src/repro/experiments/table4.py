@@ -19,7 +19,7 @@ from repro.experiments.dynamic import (
 )
 from repro.experiments.paper_data import PAPER_TABLE4, POLICY_COLUMNS, paper_row
 from repro.experiments.scale import Scale, current_scale
-from repro.runtime import ExecutorConfig, TrialRunner
+from repro.runtime import TrialRunner
 from repro.sim.job import Workload
 from repro.workloads.traces import synthetic_trace, trace_names
 
@@ -240,7 +240,7 @@ def run_rows(
     # custom / modified rows run as given rather than being re-resolved
     # against the registry by id.
     specs = [(r, scale, seed, tuple(policies)) for r in row_list]
-    with TrialRunner(ExecutorConfig(workers=workers, chunk_size=1)) as runner:
+    with TrialRunner(workers) as runner:
         return runner.map(_row_task, specs, phase="rows", progress=progress)
 
 

@@ -112,7 +112,6 @@ def build_manifest(
     spec: Any = None,
     command: str | None = None,
     workers: int | str | None = None,
-    chunk_size: int | None = None,
     scale: str | None = None,
     sim_kernel: str | None = None,
     wall_seconds: float | None = None,
@@ -137,7 +136,6 @@ def build_manifest(
         "spec": _spec_block(spec),
         "execution": {
             "workers": workers,
-            "chunk_size": chunk_size,
             "scale": scale,
             "sim_kernel": sim_kernel,
             "argv": list(sys.argv[1:]) if sys.argv else [],

@@ -6,9 +6,9 @@ and gauges are plain dict entries; timers accumulate
 by default — inject ``now=`` for deterministic tests).  A registry
 serialises losslessly to plain JSON (:meth:`MetricsRegistry.to_dict`)
 and merges additively (:meth:`MetricsRegistry.merge`), which is how
-worker processes report: each chunk runner collects into a fresh
+worker processes report: each worker call collects into a fresh
 registry, ships its ``to_dict()`` back on the result channel next to
-the chunk's results, and the parent merges it — the same path
+the call's result, and the parent merges it — the same path
 :class:`~repro.runtime.ProgressAggregator` rides.
 
 The **disabled path is a no-op**: the ambient registry defaults to

@@ -4,8 +4,8 @@ Training simulations are deterministic functions of their configuration,
 so re-running a pipeline with an unchanged config re-derives byte-for-
 byte the same trial results.  :class:`ArtifactCache` memoises that step
 on disk: the key is a fingerprint of every *result-relevant* config
-field (worker count and chunk size are deliberately excluded — they
-cannot change results), and the value is the lossless npz artifact
+field (the worker count is deliberately excluded — it cannot change
+results), and the value is the lossless npz artifact
 written by :func:`repro.core.datastore.save_trial_artifact`.
 
 A cache directory is safe to share between serial and parallel runs,

@@ -1,20 +1,15 @@
-"""Executor configuration and the run knobs it resolves.
+"""The three run knobs, each read in one place by one resolver.
 
-:class:`ExecutorConfig` is the single declarative knob set every parallel
-entry point accepts: how many worker processes, and how the work-list is
-cut into chunks.
-
-It is also the one place the three run knobs are read, each by one
-resolver — :func:`resolve_workers` (``REPRO_WORKERS``),
+:func:`resolve_workers` (``REPRO_WORKERS``),
 :func:`resolve_scale` (``REPRO_SCALE``) and :func:`resolve_sim_kernel`
 (``REPRO_SIM_KERNEL``).  Each takes an explicit argument first, then the
 environment (read at call time), then its default.  A bad value raises
 with the valid choices and, when it came from the environment, the
 variable's name.
 
-Determinism note: workers, chunk sizes and the kernel choice only
-change how the deterministic work-list is dispatched and run (see
-:mod:`repro.runtime.sharding` and the kernel parity suites), never the
+Determinism note: the worker count and the kernel choice only change
+how the deterministic work-list is dispatched and run (see
+:mod:`repro.runtime.executor` and the kernel parity suites), never the
 per-item random streams.  None of them may ever enter a fingerprint or
 cache key; the scale preset reaches one only through the spec fields
 it fills in.
@@ -23,14 +18,8 @@ it fills in.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 
-__all__ = [
-    "ExecutorConfig",
-    "resolve_scale",
-    "resolve_sim_kernel",
-    "resolve_workers",
-]
+__all__ = ["resolve_scale", "resolve_sim_kernel", "resolve_workers"]
 
 
 def _pick(value, var: str, default) -> tuple[object, str]:
@@ -103,40 +92,3 @@ def resolve_sim_kernel(mode: str | None = None) -> str:
             "choose from auto, c, python"
         )
     return value
-
-
-@dataclass(frozen=True)
-class ExecutorConfig:
-    """How the runtime dispatches a work-list.
-
-    Attributes
-    ----------
-    workers:
-        Number of worker processes, or ``"auto"`` for one per CPU.
-        ``None`` (the default) resolves through :func:`resolve_workers`,
-        and construction stores the resolved count.  ``1`` runs
-        everything serially in-process — no pool, no pickling.
-    chunk_size:
-        Items per dispatched chunk.  ``None`` picks ``ceil(n / (4 *
-        workers))`` so each worker sees ~4 chunks (good load balancing
-        without drowning in IPC).  Chunking never affects results.
-    """
-
-    workers: int | str | None = None
-    chunk_size: int | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "workers", resolve_workers(self.workers))
-        if self.chunk_size is not None and self.chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
-
-    @property
-    def n_workers(self) -> int:
-        """The resolved worker count."""
-        return self.workers
-
-    def chunk_for(self, n_items: int) -> int:
-        """The chunk size used for a work-list of *n_items*."""
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return max(1, -(-n_items // (4 * self.n_workers)))

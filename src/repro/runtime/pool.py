@@ -1,27 +1,32 @@
 """The persistent worker pool behind :class:`~repro.runtime.TrialRunner`.
 
-:class:`~repro.runtime.executor.TrialRunner` turns a work-list into a
-deterministic shard plan and a list of :class:`ChunkCall`\\ s — picklable
-``(fn, args)`` pairs whose invocation returns ``(index, result)`` pairs
-plus an optional worker-metrics snapshot.  :class:`WorkerPool` runs
-them on worker processes that start once and stay alive across
-fan-outs, all pulling from one shared queue (work-stealing).
+:class:`~repro.runtime.executor.TrialRunner` turns a work-list into one
+:class:`ChunkCall` per item — a picklable ``(fn, args)`` pair, in
+practice :func:`call_chunk` of the item, whose invocation returns
+``(result, metrics)``: the item's result plus an optional
+worker-metrics snapshot.  :class:`WorkerPool` runs them on worker
+processes that start once and stay alive across fan-outs, all pulling
+from one shared queue (work-stealing).
 
 Pool contract
 -------------
-1. **Determinism.**  The pool hands back each chunk's ``(index,
-   result)`` pairs and nothing else; the caller places them by index.
+1. **Determinism.**  The pool hands back each call's result with the
+   call's index and nothing else; the caller places it by index.
    Completion order — which *is* nondeterministic — never decides where
    a result lands, so results are bit-identical to the serial loop.
-2. **Telemetry.**  ``runtime.shard.wall`` is parent-observed latency
+2. **Telemetry.**  Collection can never change a result: when the
+   dispatcher asks for it, :func:`call_chunk` runs its item under a
+   fresh :class:`~repro.obs.metrics.MetricsRegistry` and ships the
+   snapshot back next to the result; otherwise no registry exists in
+   the worker.  ``runtime.shard.wall`` is parent-observed latency
    from dispatch to result (spawn + pickling + queueing + compute),
    ``runtime.chunk`` (merged from the worker snapshot) is in-worker
    compute, ``runtime.shard.overhead`` the non-negative excess of wall
    over compute, ``runtime.pool`` the whole fan-out, and
    ``runtime.worker_utilization`` compute-seconds over worker-seconds.
-   Each completed chunk's snapshot is merged exactly once, so merged
+   Each completed call's snapshot is merged exactly once, so merged
    parallel counters equal serial counters.
-3. **Errors.**  Fail-fast: a chunk that raises fails its fan-out at
+3. **Errors.**  Fail-fast: a call that raises fails its fan-out at
    once, and the parent re-raises the *same exception type* the serial
    loop would have raised (:func:`shippable_error` packs it in the
    worker).  A worker that dies aborts the fan-out with a
@@ -43,30 +48,45 @@ import traceback
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 
-from repro.obs.metrics import current_registry
+from repro.obs.metrics import MetricsRegistry, current_registry, use_registry
 from repro.runtime.progress import ProgressAggregator
 
-__all__ = ["ChunkCall", "WorkerPool", "shippable_error"]
+__all__ = ["ChunkCall", "WorkerPool", "call_chunk", "shippable_error"]
 
 
 @dataclass(frozen=True)
 class ChunkCall:
-    """One dispatchable unit of work: ``fn(*args)``.
+    """One dispatchable work-list item: ``fn(*args)``.
 
     *fn* must be a module-level callable with picklable *args*, returning
-    ``(pairs, metrics)`` where *pairs* is a list of ``(item_index,
-    result)`` and *metrics* is a plain-dict registry snapshot or
-    ``None`` (see :mod:`repro.runtime.worker`).  *size* is the number of
-    work-list items the call covers, used only for progress reporting.
+    ``(result, metrics)`` where *metrics* is a plain-dict registry
+    snapshot or ``None`` (see :func:`call_chunk`).
     """
 
     fn: Callable
     args: tuple
-    size: int
+
+
+def call_chunk(
+    fn: Callable[[object], object], item: object, collect_metrics: bool = False
+) -> tuple[object, dict | None]:
+    """``(fn(item), metrics)``: one work-list item, run in a worker.
+
+    With *collect_metrics* the item runs under a fresh registry whose
+    ``runtime.chunk`` timer is the in-worker compute (spawn and pickle
+    overhead excluded), and *metrics* is its plain-dict snapshot for
+    the parent to merge; otherwise *metrics* is ``None``.
+    """
+    if not collect_metrics:
+        return fn(item), None
+    registry = MetricsRegistry()
+    with use_registry(registry), registry.timer("runtime.chunk"):
+        result = fn(item)
+    return result, registry.to_dict()
 
 
 def shippable_error(exc: Exception) -> Exception:
-    """What a worker sends its parent when a chunk raises *exc*.
+    """What a worker sends its parent when a call raises *exc*.
 
     *exc* itself when it survives a pickle round trip, so the parent
     re-raises the type the serial loop would have raised; the worker's
@@ -78,7 +98,7 @@ def shippable_error(exc: Exception) -> Exception:
         shipped = pickle.loads(pickle.dumps(exc))
     except Exception:  # noqa: BLE001 - any pickling failure means "fall back"
         return RuntimeError(
-            f"chunk failed with an unpicklable {type(exc).__name__}:\n{detail}"
+            f"call failed with an unpicklable {type(exc).__name__}:\n{detail}"
         )
     shipped.add_note(f"raised in worker process:\n{detail}")
     return shipped
@@ -103,18 +123,19 @@ def _exit_with_parent(parent: int) -> None:
     os._exit(1)
 
 
-def _worker_main(task_queue, result_queue) -> None:
+def _worker_main(task_queue, result_queue, parent: int) -> None:
     """Worker loop: pull ``(gen, call_id, fn, args)``, run, reply.
 
     A ``None`` task is the shutdown pill.  A worker whose parent died (a
     killed run sends no pill) exits within :data:`_POLL_SECONDS` through
-    its watchdog thread.  A chunk's exception is shipped back as the
+    its watchdog thread.  *parent* is the pid the parent recorded before
+    starting this process: a worker that first runs after its parent
+    was killed would read the reaper's pid from ``os.getppid()`` and
+    wait on it for good.  A call's exception is shipped back as the
     payload (:func:`shippable_error`) rather than crashing the worker,
-    so one bad chunk fails its fan-out without killing the pool.
+    so one bad call fails its fan-out without killing the pool.
     """
-    threading.Thread(
-        target=_exit_with_parent, args=(os.getppid(),), daemon=True
-    ).start()
+    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
     while (task := task_queue.get()) is not None:
         gen, call_id, fn, args = task
         try:
@@ -148,10 +169,11 @@ class WorkerPool:
         ctx = multiprocessing.get_context()
         self._task_queue = ctx.Queue()
         self._result_queue = ctx.Queue()
+        parent = os.getpid()
         self._workers = [
             ctx.Process(
                 target=_worker_main,
-                args=(self._task_queue, self._result_queue),
+                args=(self._task_queue, self._result_queue, parent),
                 daemon=True,
                 name=f"repro-worker-{i}",
             )
@@ -200,13 +222,12 @@ class WorkerPool:
 
     def run(
         self, calls: Sequence[ChunkCall], aggregator: ProgressAggregator
-    ) -> Iterator[list[tuple[int, object]]]:
-        """Run every call; yield each chunk's ``(index, result)`` pairs
-        as it lands.
+    ) -> Iterator[tuple[int, object]]:
+        """Run every call; yield ``(call index, result)`` as each lands.
 
-        The caller places pairs by index, so it may act on a chunk (say,
-        persist it) before the fan-out ends; *aggregator* advances by the
-        chunk's size once the caller is done with it.
+        The caller places results by index, so it may act on one (say,
+        persist it) before the fan-out ends; *aggregator* advances by
+        one once the caller is done with it.
         """
         if not calls:
             return
@@ -234,7 +255,7 @@ class WorkerPool:
                 continue
             if isinstance(payload, Exception):
                 raise payload
-            pairs, worker_metrics = payload
+            result, worker_metrics = payload
             wall = time.perf_counter() - submitted[call_id]
             registry.add_time("runtime.shard.wall", wall)
             if worker_metrics is not None:
@@ -247,8 +268,8 @@ class WorkerPool:
                 compute_seconds += chunk
                 registry.add_time("runtime.shard.overhead", max(0.0, wall - chunk))
             done += 1
-            yield pairs
-            aggregator.advance(calls[call_id].size)
+            yield call_id, result
+            aggregator.advance()
         pool_seconds = time.perf_counter() - t_pool
         registry.add_time("runtime.pool", pool_seconds)
         if compute_seconds and pool_seconds > 0:

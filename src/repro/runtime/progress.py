@@ -1,15 +1,15 @@
-"""Progress aggregation across out-of-order chunk completions.
+"""Progress aggregation across out-of-order completions.
 
 The library-wide progress contract is ``progress(phase, done, total)``
 with *done* increasing monotonically to *total* (see
-:func:`repro.core.pipeline.build_distribution`).  Parallel chunks finish
+:func:`repro.core.pipeline.build_distribution`).  Parallel calls finish
 in arbitrary order; :class:`ProgressAggregator` folds their completions
 back into that contract so existing callbacks (CLI ticker, tests) work
 unchanged no matter how the work was dispatched.
 
 Progress-reporting order is the *only* observable that dispatch order
 may change: results themselves stay bit-identical for any worker count
-and chunk size (see :mod:`repro.runtime.executor`), and nothing in this
+(see :mod:`repro.runtime.executor`), and nothing in this
 module feeds back into cache keys or result values.
 """
 
@@ -24,7 +24,7 @@ ProgressCallback = Callable[[str, int, int], None]
 
 
 class ProgressAggregator:
-    """Monotone ``(phase, done, total)`` channel fed by chunk completions.
+    """Monotone ``(phase, done, total)`` channel fed by completions.
 
     Thread-safe: completion callbacks may arrive from executor threads.
     A ``None`` callback turns every report into a no-op, so call sites

@@ -11,8 +11,8 @@ exists per artifact kind and two layers can never drift apart.
 
 Three invariants every derivation keeps:
 
-* **execution-knob independence** — worker count, chunk size and cache
-  location never enter a payload, because the runtime guarantees
+* **execution-knob independence** — worker count and cache location
+  never enter a payload, because the runtime guarantees
   bit-identical results for any setting;
 * **canonical spellings** — callers pass registry-canonical policy
   names and :func:`repro.sim.engine.normalize_backfill` tokens, so two

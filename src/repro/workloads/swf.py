@@ -284,7 +284,8 @@ def _tokenise(
 def _classify(raw: np.ndarray, keep_failed: bool, acc: SwfAccounting) -> np.ndarray:
     """Apply the SWF row rules to raw rows; the kept jobs as ``(k, 5)`` float64.
 
-    The size fallback, the completed-zero-runtime clamp, the drop rule,
+    The size fallback, the completed-zero-runtime clamp, the drop rule
+    (which also drops a non-finite submit, runtime, size or estimate),
     the ``keep_failed`` filter and the estimate floor, over a whole
     block at once; *acc*'s counters grow by the block's counts.
     """
@@ -299,7 +300,12 @@ def _classify(raw: np.ndarray, keep_failed: bool, acc: SwfAccounting) -> np.ndar
     clamped = (runtime == 0) & (status == _STATUS_COMPLETED) & placed
     runtime = np.where(clamped, ZERO_RUNTIME_EPSILON, runtime)
     estimate = np.where(req_time > 0, req_time, runtime)
-    schedulable = placed & (runtime > 0)
+    # An infinite submit, runtime, size or estimate passes the sign
+    # tests above; drop it like a NaN.
+    finite = (
+        np.isfinite(submit) & np.isfinite(runtime) & np.isfinite(size) & np.isfinite(estimate)
+    )
+    schedulable = placed & (runtime > 0) & finite
     keep = schedulable
     if not keep_failed:
         keep = schedulable & (status != 0.0) & (status != 5.0)

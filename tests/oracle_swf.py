@@ -10,15 +10,18 @@ for bit (or the same ``ValueError`` text after the same yielded prefix),
 the same header and accounting, and the same written bytes.
 
 ``oracle_iter_swf_jobs`` and ``oracle_write_swf`` are the two functions
-as they stood, verbatim apart from their names and the gzip error
-helper they share.  Do not "clean up" or optimise this file — its only
-value is that it does not change.
+as they stood, verbatim apart from their names, the gzip error helper
+they share, and one later rule change: a row whose submit, runtime,
+size or estimate is non-finite is dropped (``inf`` passes the sign
+tests; ``nan`` never did).  Do not "clean up" or optimise this file —
+its only value is that it does not change.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import math
 import zlib
 from collections.abc import Iterable, Iterator
 from pathlib import Path
@@ -88,7 +91,12 @@ def oracle_iter_swf_jobs(
                 runtime = ZERO_RUNTIME_EPSILON
                 acc.zero_runtime += 1
             estimate = req_time if req_time > 0 else runtime
-            if not (runtime > 0 and size > 0 and submit >= 0):
+            if not (
+                runtime > 0
+                and size > 0
+                and submit >= 0
+                and all(map(math.isfinite, (submit, runtime, size, estimate)))
+            ):
                 acc.dropped += 1
                 continue
             if not keep_failed and status in (0.0, 5.0):

@@ -128,10 +128,6 @@ class TestRunMatrix:
         fanned = run_matrix(trace, config, workers=4)
         assert fanned.cells == result.cells
 
-    def test_chunk_size_bit_identical(self, trace, config, result):
-        chunked = run_matrix(trace, config, workers=2, chunk_size=3)
-        assert chunked.cells == result.cells
-
     def test_oversized_job_fails_fast_with_name(self, trace, config):
         import dataclasses
 

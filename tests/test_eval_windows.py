@@ -347,6 +347,43 @@ class TestSlicerAgreement:
             _agree(_workload(submit, seed=case), kwargs)
 
 
+    @pytest.mark.parametrize("kwargs", [{"jobs": 5}, {"seconds": 100.0, "min_jobs": 1}])
+    def test_non_finite_swf_rows_are_dropped_before_either_slicer(self, tmp_path, kwargs):
+        """An SWF row whose submit or size is ``inf``, ``-inf`` or ``nan``
+        is dropped and counted by the reader, so both slicers cut the
+        same windows from the rest instead of failing on it."""
+        from repro.workloads.swf import SwfStream, read_swf, write_swf
+
+        lines = write_swf(_workload(np.arange(30) * 40.0)).splitlines()
+        rows = [i for i, line in enumerate(lines) if not line.startswith(";")]
+        bad = [
+            (token, columns)
+            for token in ("inf", "-inf", "nan")
+            for columns in ((1,), (4, 7))  # submit; allocated and requested size
+        ]
+        for row, (token, columns) in zip(rows[3::4], bad):
+            fields = lines[row].split()
+            for column in columns:
+                fields[column] = token
+            lines[row] = " ".join(fields)
+        path = tmp_path / "non_finite.swf"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        whole = read_swf(path)
+        assert (len(whole), whole.extra["dropped"]) == (30 - len(bad), len(bad))
+        stream = SwfStream(path)
+        lazy = _outcome(
+            lambda: list(
+                stream_windows(
+                    stream.blocks(), name=stream.name, nmax=stream.machine_size, **kwargs
+                )
+            )
+        )
+        batch = _outcome(lambda: slice_windows(whole, **kwargs))
+        assert not isinstance(batch, str), batch
+        assert lazy == batch
+
+
 class TestBlockSource:
     """``(k, 5)`` job blocks cut into the same windows however the
     stream is split into blocks, and the checks see across block edges."""

@@ -2,10 +2,11 @@
 
 The claims under test:
 
-1. **One failure contract** — a chunk function that raises fails the
+1. **One failure contract** — a mapped function that raises fails the
    fan-out at once with the same exception type the serial loop
    raises, and nothing retries the failing call; workers whose parent
-   was SIGKILLed exit instead of running on as orphans, even mid-task.
+   was SIGKILLed exit instead of running on as orphans, even mid-task
+   or when they first run after the parent is gone.
 2. **Resume from the cache** — a training run that dies part-way
    leaves one cache entry per tuple that landed; the re-run loads them,
    simulates only the rest, and reproduces an uncached run's bytes.
@@ -28,7 +29,6 @@ import numpy as np
 import pytest
 
 import repro.runtime.executor as executor_mod
-import repro.runtime.worker as worker_mod
 from repro.core.pipeline import (
     PipelineConfig,
     build_distribution,
@@ -36,10 +36,10 @@ from repro.core.pipeline import (
 )
 from repro.core.taskgen import generate_tuples
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.runtime import ArtifactCache, ExecutorConfig, TrialRunner
+from repro.runtime import ArtifactCache, TrialRunner
 from repro.runtime.pool import shippable_error
 
-#: Generous bound on "at once": a pool spawn plus three tiny chunks.
+#: Generous bound on "at once": a pool spawn plus three tiny calls.
 FAIL_FAST_SECONDS = 5.0
 
 
@@ -67,8 +67,7 @@ class TestChunkFailure:
     def test_raising_chunk_reraises_its_type_at_once(self, tmp_path):
         log_dir = tmp_path / "calls"
         log_dir.mkdir()
-        config = ExecutorConfig(workers=2, chunk_size=1)
-        with TrialRunner(config) as runner:
+        with TrialRunner(2) as runner:
             start = time.monotonic()
             with pytest.raises(ValueError, match="bad item 2") as info:
                 runner.map(functools.partial(_fail_on_two, str(log_dir)), [1, 2, 3])
@@ -80,8 +79,7 @@ class TestChunkFailure:
         assert any("_fail_on_two" in note for note in info.value.__notes__)
 
     def test_unpicklable_error_falls_back_to_runtime_error(self):
-        config = ExecutorConfig(workers=2, chunk_size=1)
-        with TrialRunner(config) as runner:
+        with TrialRunner(2) as runner:
             with pytest.raises(RuntimeError, match="unpicklable _Unpicklable") as info:
                 runner.map(_raise_unpicklable, [1, 2])
         assert "two-argument exception" in str(info.value)
@@ -100,8 +98,8 @@ class TestChunkFailure:
 #: then blocks in a fan-out with far more queued work than it waits for.
 _ORPHAN_PARENT = """
 import time
-from repro.runtime import ExecutorConfig, TrialRunner
-runner = TrialRunner(ExecutorConfig(workers=2, chunk_size=1))
+from repro.runtime import TrialRunner
+runner = TrialRunner(2)
 runner.pool._ensure_started()
 print(*(p.pid for p in runner.pool._workers), flush=True)
 runner.map(time.sleep, [0.2] * 200)
@@ -138,11 +136,56 @@ def test_workers_of_a_killed_parent_exit():
     assert not alive, "pool workers outlived their killed parent"
 
 
+#: A parent killed before its workers start their watchdogs: each
+#: worker sleeps 1 s first, so it first runs with the parent gone.
+_LATE_WORKER_PARENT = """
+import time
+import repro.runtime.pool as pool
+real = pool._worker_main
+def late(*args):
+    time.sleep(1.0)
+    real(*args)
+pool._worker_main = late
+from repro.runtime import TrialRunner
+runner = TrialRunner(2)
+runner.pool._ensure_started()
+print(*(p.pid for p in runner.pool._workers), flush=True)
+runner.map(time.sleep, [0.2] * 200)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads process state from /proc"
+)
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the delayed worker entry reaches workers only by fork",
+)
+def test_workers_that_start_after_their_parent_died_exit():
+    """A worker must watch the pid that started it, not whatever
+    ``os.getppid()`` says once it first runs (by then, the reaper's)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+    parent = subprocess.Popen(
+        [sys.executable, "-c", _LATE_WORKER_PARENT], stdout=subprocess.PIPE, env=env
+    )
+    pids = [int(pid) for pid in parent.stdout.readline().split()]
+    assert len(pids) == 2
+    parent.send_signal(signal.SIGKILL)  # well inside the workers' 1 s delay
+    parent.wait(timeout=30)
+    deadline = time.monotonic() + 20.0
+    while any(map(_running, pids)) and time.monotonic() < deadline:
+        time.sleep(0.1)
+    alive = [pid for pid in pids if _running(pid)]
+    for pid in alive:  # leave nothing behind, even on failure
+        os.kill(pid, signal.SIGKILL)
+    assert not alive, "late-starting workers outlived their killed parent"
+
+
 #: A parent whose two workers are each busy in a 60 s task when it dies.
 _BUSY_PARENT = """
 import time
-from repro.runtime import ExecutorConfig, TrialRunner
-runner = TrialRunner(ExecutorConfig(workers=2, chunk_size=1))
+from repro.runtime import TrialRunner
+runner = TrialRunner(2)
 runner.pool._ensure_started()
 print(*(p.pid for p in runner.pool._workers), flush=True)
 runner.map(time.sleep, [60.0, 60.0])
@@ -187,7 +230,7 @@ class _Crash(Exception):
 def _crash_on_third_tuple(monkeypatch):
     """Make ``run_trials`` raise on the third tuple, in process and in
     forked workers (the pool starts after the patch, so it inherits it)."""
-    real = worker_mod.run_trials
+    real = executor_mod.run_trials
     c = RESUME_CONFIG
     third = generate_tuples(
         c.n_tuples, nmax=c.nmax, s_size=c.s_size, q_size=c.q_size, seed=c.seed
@@ -198,7 +241,6 @@ def _crash_on_third_tuple(monkeypatch):
             raise _Crash("killed on the third tuple")
         return real(tup, *args, **kwargs)
 
-    monkeypatch.setattr(worker_mod, "run_trials", run_trials)
     monkeypatch.setattr(executor_mod, "run_trials", run_trials)
 
 
@@ -232,24 +274,31 @@ class TestResumeFromCache:
         with monkeypatch.context() as patch:
             _crash_on_third_tuple(patch)
             with pytest.raises(_Crash):
-                build_distribution(
-                    RESUME_CONFIG, workers=workers, chunk_size=1, cache=cache
-                )
+                build_distribution(RESUME_CONFIG, workers=workers, cache=cache)
         key = distribution_cache_key(RESUME_CONFIG)
         assert not cache.path_for(key).exists()
         stored = sorted(p.name for p in cache.root.glob(f"trials-{key}-t*.npz"))
         if workers == 1:
             assert stored == [f"trials-{key}-t0.npz", f"trials-{key}-t1.npz"]
         else:
-            # At least the chunk whose worker then took tuple 2 landed.
+            # At least one tuple landed before the crash on tuple 2.
             assert stored and f"trials-{key}-t2.npz" not in stored
 
         registry = MetricsRegistry()
+        seen = []
         with use_registry(registry):
             _, results, dist = build_distribution(
-                RESUME_CONFIG, workers=workers, chunk_size=1, cache=cache
+                RESUME_CONFIG,
+                lambda phase, done, total: seen.append((phase, done, total)),
+                workers=workers,
+                cache=cache,
             )
         assert (_score_bytes(results), dist.score.tobytes()) == reference
+        # Progress starts at the tuples loaded from the cache.
+        n = RESUME_CONFIG.n_tuples
+        assert seen[0] == ("trials", len(stored), n)
+        assert [done for _, done, _ in seen] == list(range(len(stored), n + 1))
+        assert seen[-1] == ("trials", n, n)
         simulated = registry.value("train.tuples.simulated")
         assert simulated < RESUME_CONFIG.n_tuples
         assert simulated + registry.value("train.tuples.cached") == (
@@ -268,7 +317,7 @@ class TestResumeFromCache:
         def no_simulation(*args, **kwargs):
             raise AssertionError("cache hit expected; trials were re-simulated")
 
-        monkeypatch.setattr(TrialRunner, "run_tuple_trials", no_simulation)
+        monkeypatch.setattr(executor_mod, "run_trials", no_simulation)
         registry = MetricsRegistry()
         cache = ArtifactCache(cache_dir)
         with use_registry(registry):

@@ -1,16 +1,16 @@
 """Randomized bit-parity: the worker pool vs the serial loop.
 
 The runtime's headline contract — results are **bit-identical** for any
-``(workers, chunk_size)`` — is asserted here the same way
+worker count — is asserted here the same way
 ``tests/test_sim_kernel_parity.py`` pins the simulation kernel: seeded
 random inputs, exhaustive small sweeps, and ``tobytes()`` comparisons
-rather than approximate ones.  Two work kinds are swept, matching the
-two dispatch surfaces of :class:`~repro.runtime.TrialRunner`:
+rather than approximate ones.  Two work kinds are swept through the one
+fan-out, :meth:`~repro.runtime.TrialRunner.map`:
 
-* **training trials** (``run_tuple_trials``) — the paper's §3 pipeline,
-  seeded per tuple index;
-* **evaluation matrices** (``TrialRunner.map`` via ``run_matrix``) —
-  pure cells reassembled by index, including the streamed path.
+* **training trials** (``build_distribution``) — the paper's §3
+  pipeline, seeded per tuple index;
+* **evaluation matrices** (``run_matrix``) — pure cells reassembled by
+  index, including the streamed path.
 
 Alongside results, the *telemetry merge* contract rides the same sweep:
 worker registries merge additively into the parent, so every counter a
@@ -82,16 +82,11 @@ class TestTrialParity:
     def test_trials_bit_identical_across_workers(self, case):
         rng = np.random.default_rng(abs(hash(("trials", case))) % 2**32)
         config = _pipeline_config(rng)
-        chunk = int(rng.integers(1, 4))
         _, serial, _ = build_distribution(config)
         reference = _trial_bytes(serial)
         for workers in WORKER_COUNTS:
-            _, results, _ = build_distribution(
-                config, workers=workers, chunk_size=chunk
-            )
-            assert _trial_bytes(results) == reference, (
-                f"workers={workers} chunk={chunk} diverged"
-            )
+            _, results, _ = build_distribution(config, workers=workers)
+            assert _trial_bytes(results) == reference, f"workers={workers} diverged"
 
 
 class TestMatrixParity:
@@ -115,7 +110,7 @@ class TestMatrixParity:
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
     def test_matrix_bit_identical(self, workers, trace, config, reference):
-        result = run_matrix(trace, config, workers=workers, chunk_size=2)
+        result = run_matrix(trace, config, workers=workers)
         assert _matrix_bytes(result) == reference
 
     def test_streamed_matrix_bit_identical(self, trace, config, reference):
@@ -124,7 +119,7 @@ class TestMatrixParity:
         windows = stream_windows(
             trace, jobs=config.window_jobs, warmup=config.warmup
         )
-        result = run_matrix(windows, config, workers=2, chunk_size=1)
+        result = run_matrix(windows, config, workers=2)
         assert _matrix_bytes(result) == reference
 
 
@@ -144,11 +139,9 @@ class TestTelemetryMerge:
             assert parallel.value(name) == serial.value(name), (
                 f"{name}: workers={workers}"
             )
-        # The per-chunk compute timer covers every chunk exactly once on
+        # The in-worker compute timer covers every tuple exactly once on
         # the fanned-out paths (the workers=1 in-process loop records no
-        # chunks).
+        # worker calls).
         if workers > 1:
-            assert parallel.timer_count("runtime.chunk") >= 1
-            assert parallel.timer_count("runtime.shard.wall") == (
-                parallel.timer_count("runtime.chunk")
-            )
+            assert parallel.timer_count("runtime.chunk") == config.n_tuples
+            assert parallel.timer_count("runtime.shard.wall") == config.n_tuples

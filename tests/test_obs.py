@@ -380,10 +380,12 @@ class TestStatsVerb:
         self, tmp_path, capsys
     ):
         """Manifests from before the single pool carry ``execution.backend``
-        and ``runtime.queue_*``, and those of a heterogeneous-platform run
-        a ``platform.hetero`` list; ``stats`` still renders them."""
+        and ``runtime.queue_*``, those of a heterogeneous-platform run a
+        ``platform.hetero`` list, and those from before the one fan-out
+        an ``execution.chunk_size``; ``stats`` still renders them."""
         doc = build_manifest(registry=MetricsRegistry(), workers=2, scale="smoke")
         doc["execution"]["backend"] = "workqueue"
+        doc["execution"]["chunk_size"] = 4
         doc["runtime"].update(
             queue_tasks=16, queue_takeovers=1, queue_worker_deaths=1,
             queue_respawns=1,

@@ -9,13 +9,11 @@ choices and, when it came from the environment, the variable's name.
 The library facade and the CLI must land on the same values.
 """
 
-from dataclasses import fields
-
 import pytest
 
 from repro import api
 from repro.cli import main
-from repro.runtime import ExecutorConfig
+from repro.runtime import TrialRunner
 from repro.runtime.config import (
     resolve_scale,
     resolve_sim_kernel,
@@ -89,9 +87,6 @@ class TestBadValues:
 
 
 class TestOneResolution:
-    def test_executor_config_is_workers_and_chunk_size(self):
-        assert [f.name for f in fields(ExecutorConfig)] == ["workers", "chunk_size"]
-
     def test_no_verb_takes_a_backend_flag(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["simulate", "--jobs", "20", "--backend", "local"])
@@ -100,9 +95,12 @@ class TestOneResolution:
 
     def test_executor_config_resolves_unset_fields(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "3")
-        cfg = ExecutorConfig()
-        assert (cfg.workers, cfg.n_workers) == (3, 3)
-        assert ExecutorConfig(workers=2).workers == 2
+        assert TrialRunner().n_workers == 3
+        assert TrialRunner(2).n_workers == 2
+        monkeypatch.delenv("REPRO_WORKERS")
+        assert TrialRunner().n_workers == 1
+        with pytest.raises(ValueError):
+            TrialRunner(0)
 
     def test_api_and_cli_resolve_the_same_values(self, monkeypatch, capsys):
         """``api.run`` without knobs and the CLI without flags agree."""

@@ -1,16 +1,21 @@
 """Tests for the parallel execution runtime (repro.runtime).
 
 The load-bearing guarantees: (1) serial and parallel runs are
-bit-identical for any worker count and chunk size, (2) a second pipeline
-run with the same config loads from the artifact cache without
-re-simulating, (3) sharding and progress aggregation obey their
-contracts.
+bit-identical for any worker count, (2) a second pipeline run with the
+same config loads from the artifact cache without re-simulating, (3)
+``TrialRunner.map`` and progress aggregation obey their contracts.
 """
+
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-import repro.core.pipeline as pipeline_mod
+import repro.runtime.executor as executor_mod
 from repro.core.datastore import load_trial_artifact, save_trial_artifact
 from repro.core.pipeline import (
     PipelineConfig,
@@ -19,11 +24,9 @@ from repro.core.pipeline import (
 )
 from repro.runtime import (
     ArtifactCache,
-    ExecutorConfig,
     ProgressAggregator,
     TrialRunner,
     config_fingerprint,
-    plan_shards,
     resolve_workers,
 )
 
@@ -31,6 +34,10 @@ from repro.runtime import (
 SMALL = PipelineConfig(n_tuples=3, trials_per_tuple=32, seed=5)
 
 RESULT_FIELDS = ("runtime", "size", "submit", "scores", "first_task", "trial_avebsld")
+
+
+def _nothing(x):
+    return None
 
 
 def assert_results_identical(a, b):
@@ -56,46 +63,6 @@ class TestResolveWorkers:
             resolve_workers(bad)
 
 
-class TestExecutorConfig:
-    def test_defaults_are_serial(self):
-        cfg = ExecutorConfig()
-        assert cfg.n_workers == 1
-
-    def test_chunk_default_gives_four_chunks_per_worker(self):
-        cfg = ExecutorConfig(workers=2)
-        assert cfg.chunk_for(80) == 10
-        assert cfg.chunk_for(1) == 1
-
-    def test_explicit_chunk_wins(self):
-        assert ExecutorConfig(workers=2, chunk_size=7).chunk_for(100) == 7
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ExecutorConfig(workers=0)
-        with pytest.raises(ValueError):
-            ExecutorConfig(chunk_size=0)
-
-
-class TestPlanShards:
-    def test_partition(self):
-        shards = plan_shards(10, 3)
-        assert [list(s) for s in shards] == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9]]
-
-    def test_covers_every_index_once(self):
-        for n, chunk in [(1, 1), (7, 7), (7, 100), (32, 5)]:
-            flat = [i for shard in plan_shards(n, chunk) for i in shard]
-            assert flat == list(range(n))
-
-    def test_empty(self):
-        assert plan_shards(0, 4) == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            plan_shards(-1, 2)
-        with pytest.raises(ValueError):
-            plan_shards(5, 0)
-
-
 class TestProgressAggregator:
     def test_monotone_and_capped(self):
         seen = []
@@ -114,13 +81,10 @@ class TestSerialParallelEquivalence:
         np.seterr(all="ignore")
         return build_distribution(SMALL)
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    @pytest.mark.parametrize("chunk_size", [1, 2])
-    def test_bit_identical(self, serial, workers, chunk_size):
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_bit_identical(self, serial, workers):
         _, serial_results, serial_dist = serial
-        _, par_results, par_dist = build_distribution(
-            SMALL, workers=workers, chunk_size=chunk_size
-        )
+        _, par_results, par_dist = build_distribution(SMALL, workers=workers)
         assert_results_identical(serial_results, par_results)
         np.testing.assert_array_equal(serial_dist.score, par_dist.score)
         np.testing.assert_array_equal(serial_dist.runtime, par_dist.runtime)
@@ -131,7 +95,6 @@ class TestSerialParallelEquivalence:
             SMALL,
             lambda phase, done, total: seen.append((phase, done, total)),
             workers=2,
-            chunk_size=1,
         )
         assert all(phase == "trials" for phase, _, _ in seen)
         dones = [done for _, done, _ in seen]
@@ -150,8 +113,62 @@ class TestTrialRunnerMap:
         assert seen == [("tasks", 1, 3), ("tasks", 2, 3), ("tasks", 3, 3)]
 
     def test_parallel_preserves_item_order(self):
-        runner = TrialRunner(ExecutorConfig(workers=2))
-        assert runner.map(abs, list(range(-6, 0))) == [6, 5, 4, 3, 2, 1]
+        with TrialRunner(2) as runner:
+            assert runner.map(abs, list(range(-6, 0))) == [6, 5, 4, 3, 2, 1]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_on_result_sees_every_item_once(self, workers):
+        seen = {}
+        with TrialRunner(workers) as runner:
+            out = runner.map(
+                abs, [-3, 1, -2], on_result=lambda i, r: seen.setdefault(i, r)
+            )
+        assert out == [3, 1, 2]
+        assert seen == {0: 3, 1: 1, 2: 2}
+
+    def test_none_is_a_result_not_a_missing_slot(self):
+        with TrialRunner(2) as runner:
+            assert runner.map(_nothing, [1, 2]) == [None, None]
+
+    def test_unfilled_slot_raises(self, monkeypatch):
+        runner = TrialRunner(2)
+        monkeypatch.setattr(
+            type(runner.pool), "run", lambda self, calls, agg: iter([(0, "x")])
+        )
+        with pytest.raises(RuntimeError, match=r"no result for items \[1, 2\]"):
+            runner.map(abs, [1, 2, 3])
+
+
+#: Eight trials per tuple do not fill whole blocks of |Q| = 3.
+_ROUNDED_RUN = """
+from repro.core.pipeline import PipelineConfig, build_distribution
+config = PipelineConfig(n_tuples=4, trials_per_tuple=8, nmax=16, s_size=4, q_size=3, seed=2)
+build_distribution(config, workers={workers})
+"""
+
+
+class TestRoundingWarning:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warns_exactly_once_per_run(self, workers):
+        """In a fresh interpreter that shows every warning, so a worker
+        process's own copy would reach the shared stderr too."""
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parent.parent / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-W", "always", "-c", _ROUNDED_RUN.format(workers=workers)],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr.count("balanced trials run in whole blocks") == 1, proc.stderr
+        assert "|Q|=3: n_trials=8 adjusted to 6" in proc.stderr
+
+    def test_whole_blocks_do_not_warn(self):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            build_distribution(SMALL)
+        assert not [w for w in caught if "whole blocks" in str(w.message)]
 
 
 class TestArtifactPersistence:
@@ -203,9 +220,7 @@ class TestCache:
         def no_simulation(*args, **kwargs):
             raise AssertionError("cache hit expected; trials were re-simulated")
 
-        monkeypatch.setattr(
-            pipeline_mod.TrialRunner, "run_tuple_trials", no_simulation
-        )
+        monkeypatch.setattr(executor_mod, "run_trials", no_simulation)
         seen = []
         tuples2, results2, dist2 = build_distribution(
             SMALL, lambda p, d, t: seen.append((p, d, t)), cache=cache

@@ -56,10 +56,12 @@ def _token(rng, garble: float) -> str:
 def _row(rng, submit: float, garble: float) -> str:
     """A data row whose classifier fields hit every rule's branches."""
     fields = [_token(rng, garble) for _ in range(18)]
-    fields[1] = repr(submit) if rng.random() < 0.9 else rng.choice(["-1", "-0", "nan"])
+    fields[1] = (
+        repr(submit) if rng.random() < 0.9 else rng.choice(["-1", "-0", "nan", "inf", "-inf"])
+    )
     fields[3] = rng.choice(["0", "-0", "5", "-1", "2.5", "nan", "1e400"])
-    fields[4] = rng.choice(["-1", "0", "2", "7"])
-    fields[7] = rng.choice(["-1", "0", "4", "nan", "3"])
+    fields[4] = rng.choice(["-1", "0", "2", "7", "inf", "-inf", "nan"])
+    fields[7] = rng.choice(["-1", "0", "4", "nan", "3", "inf", "-inf"])
     fields[8] = rng.choice(["-1", "0", "0.5", "100", "inf"])
     fields[10] = rng.choice(["0", "1", "5", "-1", "nan", "1.0"])
     if rng.random() < 0.01:  # 8-20 fields instead of 18
