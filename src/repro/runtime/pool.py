@@ -18,12 +18,14 @@ Pool contract
    dispatcher asks for it, :func:`call_chunk` runs its item under a
    fresh :class:`~repro.obs.metrics.MetricsRegistry` and ships the
    snapshot back next to the result; otherwise no registry exists in
-   the worker.  ``runtime.shard.wall`` is parent-observed latency
-   from dispatch to result (spawn + pickling + queueing + compute),
-   ``runtime.chunk`` (merged from the worker snapshot) is in-worker
-   compute, ``runtime.shard.overhead`` the non-negative excess of wall
-   over compute, ``runtime.pool`` the whole fan-out, and
-   ``runtime.worker_utilization`` compute-seconds over worker-seconds.
+   the worker.  ``runtime.shard.queue`` is a call's wait from dispatch
+   until a worker picks it up, ``runtime.shard.wall`` runs from that
+   pickup to the result's arrival in the parent (compute + pickling +
+   the result's trip back), ``runtime.chunk`` (merged from the worker
+   snapshot) is in-worker compute, ``runtime.shard.overhead`` the
+   non-negative excess of wall over compute, ``runtime.pool`` the whole
+   fan-out, and ``runtime.worker_utilization`` compute-seconds over
+   worker-seconds.
    Each completed call's snapshot is merged exactly once, so merged
    parallel counters equal serial counters.
 3. **Errors.**  Fail-fast: a call that raises fails its fan-out at
@@ -124,7 +126,8 @@ def _exit_with_parent(parent: int) -> None:
 
 
 def _worker_main(task_queue, result_queue, parent: int) -> None:
-    """Worker loop: pull ``(gen, call_id, fn, args)``, run, reply.
+    """Worker loop: pull ``(gen, call_id, fn, args)``, run, reply
+    ``(gen, call_id, picked_up, payload)``.
 
     A ``None`` task is the shutdown pill.  A worker whose parent died (a
     killed run sends no pill) exits within :data:`_POLL_SECONDS` through
@@ -134,15 +137,19 @@ def _worker_main(task_queue, result_queue, parent: int) -> None:
     wait on it for good.  A call's exception is shipped back as the
     payload (:func:`shippable_error`) rather than crashing the worker,
     so one bad call fails its fan-out without killing the pool.
+    *picked_up* is the ``time.monotonic()`` of the pickup, a clock every
+    process on the host shares, so the parent can split queue wait from
+    the call's own wall time.
     """
     threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
     while (task := task_queue.get()) is not None:
+        picked_up = time.monotonic()
         gen, call_id, fn, args = task
         try:
             payload = fn(*args)
         except Exception as exc:  # noqa: BLE001 - shipped to parent
             payload = shippable_error(exc)
-        result_queue.put((gen, call_id, payload))
+        result_queue.put((gen, call_id, picked_up, payload))
 
 
 class WorkerPool:
@@ -239,12 +246,12 @@ class WorkerPool:
         t_pool = time.perf_counter()
         submitted = {}
         for call_id, call in enumerate(calls):
+            submitted[call_id] = time.monotonic()
             self._task_queue.put((gen, call_id, call.fn, call.args))
-            submitted[call_id] = time.perf_counter()
         done = 0
         while done < len(calls):
             try:
-                r_gen, call_id, payload = self._result_queue.get(
+                r_gen, call_id, picked_up, payload = self._result_queue.get(
                     timeout=_POLL_SECONDS
                 )
             except queue_mod.Empty:
@@ -256,7 +263,10 @@ class WorkerPool:
             if isinstance(payload, Exception):
                 raise payload
             result, worker_metrics = payload
-            wall = time.perf_counter() - submitted[call_id]
+            wall = time.monotonic() - picked_up
+            registry.add_time(
+                "runtime.shard.queue", max(0.0, picked_up - submitted[call_id])
+            )
             registry.add_time("runtime.shard.wall", wall)
             if worker_metrics is not None:
                 registry.merge(worker_metrics)

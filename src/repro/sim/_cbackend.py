@@ -5,12 +5,26 @@ and learned policies, EASY/conservative/hybrid backfilling, and the
 fixed-priority trial simulator — through one C event loop compiled at
 first use with the system C compiler and loaded via :mod:`ctypes`
 (stdlib only; no build-time or install-time dependency is added).  The
-C loop is a line-for-line transcription of the Python kernel: every
-floating-point operation it performs (additions, comparisons, the
+C loop makes the Python kernel's decisions with the same arithmetic:
+every floating-point operation it performs (additions, comparisons, the
 ``1e-9``/``1e-12`` epsilons of the backfill helpers) exists identically
 in the Python path, so results are **bit-identical** — the parity suite
 (``tests/test_sim_kernel_parity.py``) enforces this against the frozen
-pre-kernel oracle for both backends.  Dynamic policies with kernel
+pre-kernel oracle for both backends.
+
+Where the Python loop sorts per pass, C maintains the order instead.
+The running set stays ordered by ``(expected end, size)``: a start
+inserts by binary search, and a completion finds its entry by
+``start + proc``, the same bits the start stored.  The EASY pass clamps
+ends to ``now``, which ties only the overdue prefix (``end <= now``),
+so only that prefix is reordered by size; the replan pass clamps the
+same prefix to one instant, which merges, so it reads the order as is.
+A WFP3/UNICEF queue is re-sorted from the previous pass's order by
+insertion, handing a churned queue to ``qsort`` past a fixed shift
+budget.  These orders are total — ``(score, submit, job)`` keys are
+unique, and equal ``(end, size)`` pairs are interchangeable — so any
+correct sort yields the sequence the Python sorts yield, and the same
+bits.  Dynamic policies with kernel
 terms (WFP3, UNICEF) run here too: their now-independent parts (the
 ``proc`` clamp, UNICEF's ``log2`` denominator) are computed once in
 numpy and passed in as arrays, so each pass scores with ``- / * max``
@@ -59,20 +73,6 @@ _C_SOURCE = r"""
 
 typedef int64_t i64;
 
-/* (expected-end, size) pairs for the backfill helpers; ordered like the
- * Python tuples sorted((end, size)). */
-typedef struct { double t; i64 s; } Ev;
-
-static int ev_cmp(const void *a, const void *b)
-{
-    const Ev *x = (const Ev *)a, *y = (const Ev *)b;
-    if (x->t < y->t) return -1;
-    if (x->t > y->t) return 1;
-    if (x->s < y->s) return -1;
-    if (x->s > y->s) return 1;
-    return 0;
-}
-
 /* waiting-queue entry; the queue is ordered by (score, submit, job) */
 typedef struct { double s, sub; i64 i; } Qe;
 
@@ -98,16 +98,17 @@ typedef struct {
     unsigned char *backfilled;
     /* completion min-heap ordered by (time, job) like heapq tuples */
     double *h_t; i64 *h_i; i64 hn;
-    /* waiting queue: sorted on insert (static) or per pass (dynamic);
-     * qh = front */
+    /* waiting queue: sorted on insert (static) or re-sorted per pass
+     * from the previous pass's order (dynamic); qh = front */
     Qe *q; i64 qh, qn;
-    /* running set, unordered with swap-removal (order never observable:
-     * both backfill helpers sort or sum over it) */
-    double *r_end; i64 *r_size, *r_job, *r_pos; i64 rn;
-    /* scratch: event pairs + availability-profile breakpoints */
-    Ev *ev; double *p_t; i64 *p_f; i64 pn;
-    /* replan scratch: suffix minimum of queued sizes */
-    i64 *q_min;
+    /* running set, kept ordered by (expected end, size) on start and
+     * completion: the order both backfill passes read it in */
+    double *r_end; i64 *r_size; i64 rn;
+    /* availability-profile breakpoints */
+    double *p_t; i64 *p_f; i64 pn;
+    /* per-pass scratch: suffix minima of queued sizes (replan) or the
+     * size-sorted overdue running jobs (EASY) */
+    i64 *scr;
     i64 free_cores, started, n_events, n_passes, nan_job;
     double now;
 } Sim;
@@ -149,7 +150,8 @@ static i64 h_pop(Sim *S)
 }
 
 /* Arrival.  Static scores: bisect_left on (score, submit, job) keys —
- * keys are unique (job is).  Dynamic scores: append; the pass sorts. */
+ * keys are unique (job is).  Dynamic scores: append; the next rescore
+ * sorts it in. */
 static void q_insert(Sim *S, i64 idx)
 {
     Qe e = { 0.0, S->subs[idx], idx };
@@ -168,10 +170,17 @@ static void q_insert(Sim *S, i64 idx)
     S->qn++;
 }
 
+/* Shifts per queued job that rescore's insertion sort may spend before
+ * it hands the queue to qsort. */
+#define RESORT_SHIFT_BUDGET 8
+
 /* Dynamic scoring, run where the Python loop calls policy.scores:
  * w = max(now - submit, 0) over the precomputed terms, using only
  * - / * max so the bits equal numpy's (built with -ffp-contract=off).
- * The keys are unique, so qsort gives the lexsort order. */
+ * The queue still holds the previous pass's order, with arrivals at the
+ * tail, so an insertion sort over it moves only the jobs whose scores
+ * crossed.  The keys are unique, so any sort gives the lexsort order;
+ * past the shift budget (a churned queue) qsort finishes the job. */
 static int rescore(Sim *S)
 {
     Qe *q = S->q + S->qh;
@@ -189,7 +198,21 @@ static int rescore(Sim *S)
         if (isnan(sc)) { S->nan_job = idx; return 5; }
         q[p].s = sc;
     }
-    qsort(q, (size_t)S->qn, sizeof(Qe), qe_cmp);
+    i64 budget = RESORT_SHIFT_BUDGET * S->qn, shifts = 0;
+    for (i64 p = 1; p < S->qn; p++) {
+        Qe x = q[p];
+        i64 j = p;
+        while (j > 0 && qe_cmp(q + j - 1, &x) > 0) {
+            q[j] = q[j - 1];
+            j--;
+        }
+        q[j] = x;
+        shifts += p - j;
+        if (shifts > budget) {
+            qsort(q, (size_t)S->qn, sizeof(Qe), qe_cmp);
+            break;
+        }
+    }
     return 0;
 }
 
@@ -203,6 +226,20 @@ static void compact_queue(Sim *S)
     S->qn = w - S->qh;
 }
 
+/* First running-set position whose (end, size) is not below (e, sz). */
+static i64 r_find(const Sim *S, double e, i64 sz)
+{
+    i64 lo = 0, hi = S->rn;
+    while (lo < hi) {
+        i64 mid = (lo + hi) >> 1;
+        if (S->r_end[mid] < e || (S->r_end[mid] == e && S->r_size[mid] < sz))
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
 static int start_job(Sim *S, i64 idx, int via_bf)
 {
     i64 sz = S->sizes[idx];
@@ -212,58 +249,70 @@ static int start_job(Sim *S, i64 idx, int via_bf)
     S->backfilled[idx] = (unsigned char)via_bf;
     h_push(S, S->now + S->runs[idx], idx);
     if (S->mode != 0) {
-        S->r_end[S->rn] = S->now + S->procs[idx];
-        S->r_size[S->rn] = sz;
-        S->r_job[S->rn] = idx;
-        S->r_pos[idx] = S->rn;
+        double e = S->now + S->procs[idx];
+        i64 p = r_find(S, e, sz), tail = S->rn - p;
+        memmove(S->r_end + p + 1, S->r_end + p, (size_t)tail * sizeof(double));
+        memmove(S->r_size + p + 1, S->r_size + p, (size_t)tail * sizeof(i64));
+        S->r_end[p] = e;
+        S->r_size[p] = sz;
         S->rn++;
     }
     S->started++;
     return 0;
 }
 
-static void complete(Sim *S, i64 idx)
+/* Passes read only the (end, size) pairs, so a completion removes any
+ * entry equal to the job's own. */
+static int complete(Sim *S, i64 idx)
 {
-    S->free_cores += S->sizes[idx];
-    if (S->mode != 0) {
-        i64 p = S->r_pos[idx], last = S->rn - 1;
-        if (p != last) {
-            S->r_end[p] = S->r_end[last];
-            S->r_size[p] = S->r_size[last];
-            S->r_job[p] = S->r_job[last];
-            S->r_pos[S->r_job[p]] = p;
-        }
-        S->rn--;
-    }
+    i64 sz = S->sizes[idx];
+    S->free_cores += sz;
+    if (S->mode == 0) return 0;
+    /* start = the now start_job added procs to: the same bits */
+    double e = S->start[idx] + S->procs[idx];
+    i64 p = r_find(S, e, sz), tail = S->rn - p - 1;
+    if (p == S->rn || S->r_end[p] != e || S->r_size[p] != sz) return 6;
+    memmove(S->r_end + p, S->r_end + p + 1, (size_t)tail * sizeof(double));
+    memmove(S->r_size + p, S->r_size + p + 1, (size_t)tail * sizeof(i64));
+    S->rn--;
+    return 0;
 }
 
 /* EASY: shadow reservation for the blocked head, then the greedy
- * candidate scan — same arithmetic as the EASY pass of repro.sim.kernel. */
+ * candidate scan — same arithmetic as the EASY pass of repro.sim.kernel,
+ * which walks the running set's (max(end, now), size) pairs in order.
+ * Clamped to now, the overdue prefix (end <= now) orders by size alone;
+ * the rest is already in that order.  Only a shadow that falls inside
+ * the prefix needs the size order, for extra; the prefix holds the jobs
+ * running past their estimate, so an insertion sort serves. */
 static int easy_pass(Sim *S)
 {
     double now = S->now;
     i64 head = S->q[S->qh].i;
     i64 head_size = S->sizes[head];
     S->n_passes++;
-    for (i64 k = 0; k < S->rn; k++) {
-        double e = S->r_end[k];
-        S->ev[k].t = (e < now) ? now : e;
-        S->ev[k].s = S->r_size[k];
-    }
-    qsort(S->ev, (size_t)S->rn, sizeof(Ev), ev_cmp);
-    i64 avail = S->free_cores, extra = 0;
-    double shadow = 0.0;
-    int found = 0;
-    for (i64 k = 0; k < S->rn; k++) {
-        avail += S->ev[k].s;
-        if (avail >= head_size) {
-            shadow = S->ev[k].t;
-            extra = avail - head_size;
-            found = 1;
-            break;
+    i64 avail = S->free_cores, extra = 0, po = 0, overdue = 0;
+    while (po < S->rn && S->r_end[po] <= now) overdue += S->r_size[po++];
+    double shadow = now;
+    if (po > 0 && avail + overdue >= head_size) {
+        i64 *s = S->scr;
+        for (i64 k = 0; k < po; k++) {
+            i64 x = S->r_size[k], j = k;
+            while (j > 0 && s[j - 1] > x) { s[j] = s[j - 1]; j--; }
+            s[j] = x;
         }
+        /* ends inside the prefix: s sums past head_size - avail */
+        i64 k = 0;
+        while ((avail += s[k]) < head_size) k++;
+        extra = avail - head_size;
+    } else {
+        i64 k = po;
+        avail += overdue;
+        while (k < S->rn && (avail += S->r_size[k]) < head_size) k++;
+        if (k == S->rn) return 3;
+        shadow = S->r_end[k];
+        extra = avail - head_size;
     }
-    if (!found) return 3;
     i64 end_pos = S->qh + S->qn, n_started = 0;
     for (i64 p = S->qh + 1; p < end_pos; p++) {
         i64 idx = S->q[p].i;
@@ -346,28 +395,26 @@ static int conservative_pass(Sim *S)
     S->n_passes++;
     i64 head = S->q[S->qh].i;
     i64 used_now = 0;
-    for (i64 k = 0; k < S->rn; k++) {
-        double e = S->r_end[k];
-        /* an overdue job frees its cores just after now, never at now */
-        S->ev[k].t = (e <= now) ? after : e;
-        S->ev[k].s = S->r_size[k];
-        used_now += S->r_size[k];
-    }
+    for (i64 k = 0; k < S->rn; k++) used_now += S->r_size[k];
     if (used_now > S->nmax) return 4;
-    qsort(S->ev, (size_t)S->rn, sizeof(Ev), ev_cmp);
     S->p_t[0] = now;
     S->p_f[0] = S->nmax - used_now;
     S->pn = 1;
     i64 level = S->nmax - used_now;
+    /* The running set is in end order, and the clamp below keeps it in
+     * order: an overdue job frees its cores just after now, never at now.
+     * Bitwise-equal instants (all > now) merge like the dict
+     * accumulation. */
     for (i64 k = 0; k < S->rn; k++) {
-        level += S->ev[k].s;
-        /* merge bitwise-equal expected ends like the dict accumulation */
-        if (k + 1 < S->rn && S->ev[k + 1].t == S->ev[k].t) continue;
-        S->p_t[S->pn] = S->ev[k].t;
-        S->p_f[S->pn] = level;
-        S->pn++;
+        double t = (S->r_end[k] <= now) ? after : S->r_end[k];
+        level += S->r_size[k];
+        if (S->p_t[S->pn - 1] != t) {
+            S->p_t[S->pn] = t;
+            S->pn++;
+        }
+        S->p_f[S->pn - 1] = level;
     }
-    i64 *smin = S->q_min;
+    i64 *smin = S->scr;
     i64 m = INT64_MAX;
     for (i64 p = S->qn - 1; p >= 0; p--) {
         i64 sz = S->sizes[S->q[S->qh + p].i];
@@ -426,7 +473,10 @@ static int sim_run(Sim *S)
         if (now < et) now = et;
         S->now = now;
         S->n_events++;
-        while (S->hn > 0 && S->h_t[0] <= now) complete(S, h_pop(S));
+        while (S->hn > 0 && S->h_t[0] <= now) {
+            int rc = complete(S, h_pop(S));
+            if (rc) return rc;
+        }
         while (ai < n && S->subs[S->order[ai]] <= now) {
             q_insert(S, S->order[ai]);
             ai++;
@@ -475,11 +525,10 @@ int repro_sim(i64 n, i64 nmax, int mode, i64 depth,
     if (n <= 0) return 0;
     size_t nd = (size_t)n;
     double *dbuf = (double *)malloc((2 * nd + (3 * nd + 4)) * sizeof(double));
-    i64 *ibuf = (i64 *)malloc((5 * nd + (3 * nd + 4)) * sizeof(i64));
+    i64 *ibuf = (i64 *)malloc((3 * nd + (3 * nd + 4)) * sizeof(i64));
     Qe *q = (Qe *)malloc(2 * nd * sizeof(Qe));
-    Ev *ev = (Ev *)malloc(nd * sizeof(Ev));
-    if (!dbuf || !ibuf || !q || !ev) {
-        free(dbuf); free(ibuf); free(q); free(ev);
+    if (!dbuf || !ibuf || !q) {
+        free(dbuf); free(ibuf); free(q);
         return 1;
     }
     Sim S;
@@ -494,17 +543,14 @@ int repro_sim(i64 n, i64 nmax, int mode, i64 depth,
     S.p_t = dbuf + 2 * nd;
     S.h_i = ibuf;
     S.r_size = ibuf + nd;
-    S.r_job = ibuf + 2 * nd;
-    S.r_pos = ibuf + 3 * nd;
-    S.q_min = ibuf + 4 * nd;
-    S.p_f = ibuf + 5 * nd;
+    S.scr = ibuf + 2 * nd;
+    S.p_f = ibuf + 3 * nd;
     S.q = q;
-    S.ev = ev;
     int rc = sim_run(&S);
     counters[0] = S.n_events;
     counters[1] = S.n_passes;
     counters[2] = S.nan_job;
-    free(dbuf); free(ibuf); free(q); free(ev);
+    free(dbuf); free(ibuf); free(q);
     return rc;
 }
 
@@ -551,6 +597,7 @@ _ERRORS = {
     2: "oversubscription: a job was started without enough free cores",
     3: "EASY shadow computation found no feasible reservation",
     4: "availability profile oversubscribed",
+    6: "a completing job is missing from the running set",
 }
 
 #: Compiler flags.  ``-ffp-contract=off`` forbids fused multiply-adds,

@@ -9,6 +9,7 @@ same config loads from the artifact cache without re-simulating, (3)
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from repro.core.pipeline import (
     build_distribution,
     distribution_cache_key,
 )
+from repro.obs import MetricsRegistry, use_registry
 from repro.runtime import (
     ArtifactCache,
     ProgressAggregator,
@@ -38,6 +40,11 @@ RESULT_FIELDS = ("runtime", "size", "submit", "scores", "first_task", "trial_ave
 
 def _nothing(x):
     return None
+
+
+def _nap(x):
+    time.sleep(0.01)
+    return x
 
 
 def assert_results_identical(a, b):
@@ -129,6 +136,21 @@ class TestTrialRunnerMap:
     def test_none_is_a_result_not_a_missing_slot(self):
         with TrialRunner(2) as runner:
             assert runner.map(_nothing, [1, 2]) == [None, None]
+
+    def test_shard_wall_excludes_queue_wait(self):
+        """Each worker runs its calls one after another, so their walls,
+        timed from pickup, sum to at most n_workers times the fan-out.
+        Timed from dispatch, call k of 40 also counted the k/2 calls
+        queued ahead of it, about ten times that bound."""
+        registry = MetricsRegistry()
+        with use_registry(registry), TrialRunner(2) as runner:
+            assert runner.map(_nap, list(range(40))) == list(range(40))
+        pool = registry.timer_seconds("runtime.pool")
+        wall = registry.timer_seconds("runtime.shard.wall")
+        assert wall <= 2 * pool * 1.1 + 0.05, (wall, pool)
+        assert registry.timer_count("runtime.shard.wall") == 40
+        assert registry.timer_count("runtime.shard.queue") == 40
+        assert registry.timer_seconds("runtime.shard.queue") > wall
 
     def test_unfilled_slot_raises(self, monkeypatch):
         runner = TrialRunner(2)

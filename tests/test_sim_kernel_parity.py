@@ -530,3 +530,130 @@ class TestProfileDustRegression:
             assert got.start.tobytes() == want.start.tobytes()
             assert got.backfilled.tobytes() == want.backfilled.tobytes()
             assert got.n_events == want.n_events
+
+
+@pytest.mark.skipif(not HAVE_C, reason="no C toolchain on this host")
+class TestKeptOrders:
+    """The orders the C kernel keeps instead of sorting per pass.
+
+    The running set stays ordered by (expected end, size) across starts
+    and completions, and WFP3/UNICEF queues are re-sorted from the
+    previous pass's order by insertion, with a ``qsort`` fallback past a
+    shift budget.  Each case pins one path where a kept order could
+    drift from the sorted one: C must equal the Python kernel, and the
+    frozen oracle wherever its rules apply (it clamps an overdue job's
+    end to ``now`` in the replan modes too, a rule the kernels dropped).
+    """
+
+    @staticmethod
+    def _outcomes(monkeypatch, w, policy, backfill, *, oracle=True):
+        kwargs = dict(use_estimates=True, backfill=backfill)
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
+        want = _kernel_outcome(w, policy, w.nmax, **kwargs)
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "c")
+        with monkeypatch.context() as m:
+            # a fall-back to the reference must not pass as parity
+            m.setattr(kernel, "_simulate_py", None)
+            got = _kernel_outcome(w, policy, w.nmax, **kwargs)
+        _assert_bit_identical(got, want)
+        if oracle and backfill != "hybrid":
+            ref = oracle_simulate(w, policy, w.nmax, **kwargs)
+            _assert_bit_identical(got, ref)
+        return got
+
+    @staticmethod
+    def _grid_workload(rng, n, nmax, *, overrun):
+        """Integer times in arrival bursts: many running jobs tie on their
+        expected end, often on (end, size) too; with *overrun* about half
+        the jobs run past their estimate."""
+        gaps = rng.choice([0.0, 0.0, 0.0, 1.0, 3.0], size=n)
+        runtime = rng.integers(1, 30, size=n).astype(float)
+        low = 0.3 if overrun else 1.0
+        estimate = np.maximum(np.round(runtime * rng.uniform(low, 2.0, n)), 1.0)
+        return Workload.from_arrays(
+            submit=np.cumsum(gaps), runtime=runtime,
+            size=rng.choice([1, 1, 2, 3, nmax // 2], size=n),
+            estimate=estimate, nmax=nmax,
+        )
+
+    def test_easy_shadow_inside_the_overdue_prefix(self, monkeypatch):
+        """At t=10 jobs 0 (end 5, 4 cores) and 1 (end 10 = now, 1 core)
+        are overdue.  In size order the head (2 cores, 1 free) finds its
+        shadow at now after job 1 with extra 0, so job 4 (1 core, too
+        long for the shadow) must wait; in end order extra would be 3."""
+        w = Workload.from_arrays(
+            submit=[0.0, 0.0, 0.0, 10.0, 10.0],
+            runtime=[100.0, 100.0, 100.0, 5.0, 50.0],
+            size=[4, 1, 2, 2, 1],
+            estimate=[5.0, 10.0, 200.0, 5.0, 50.0],
+            nmax=8,
+        )
+        got = self._outcomes(monkeypatch, w, get_policy("fcfs"), "easy")
+        assert got.start[4] > 10.0 and not got.backfilled[4]
+
+    def test_running_jobs_tied_on_end_and_size(self, monkeypatch):
+        """Jobs 0-3 share an expected end, 0-1 share (end, size) too, and
+        complete at different times, so completions must remove one of
+        several equal entries.  The head at t=5 takes its shadow from
+        the tied group, whose size order sets extra."""
+        w = Workload.from_arrays(
+            submit=[0.0, 0.0, 0.0, 0.0, 5.0, 5.0, 5.0],
+            runtime=[3.0, 20.0, 20.0, 20.0, 4.0, 30.0, 30.0],
+            size=[2, 2, 3, 1, 5, 1, 1],
+            estimate=[20.0, 20.0, 20.0, 20.0, 4.0, 30.0, 30.0],
+            nmax=9,
+        )
+        for backfill in ("easy", "conservative", "hybrid"):
+            self._outcomes(monkeypatch, w, get_policy("fcfs"), backfill)
+
+    @pytest.mark.parametrize("backfill", ["conservative", "hybrid"])
+    def test_replan_end_exactly_just_after_now(self, monkeypatch, backfill):
+        """At t=10 job 0's expected end is nextafter(10, inf), the instant
+        overdue job 1 (end 5) and job 2 (end 10 = now) clamp to: the
+        three releases merge into one breakpoint.  The oracle clamps
+        overdue ends to now, so only the two kernels are compared."""
+        after = float(np.nextafter(10.0, np.inf))
+        w = Workload.from_arrays(
+            submit=[0.0, 0.0, 0.0, 10.0, 10.0, 10.0],
+            runtime=[20.0, 20.0, 20.0, 5.0, 1.0, 3.0],
+            size=[2, 1, 1, 3, 1, 2],
+            estimate=[after, 5.0, 10.0, 5.0, 1.0, 3.0],
+            nmax=5,
+        )
+        got = self._outcomes(
+            monkeypatch, w, get_policy("fcfs"), backfill, oracle=False
+        )
+        assert got.start[4] == 10.0 and got.start[3] > 10.0
+
+    @pytest.mark.parametrize("backfill", [False, "easy", "conservative", "hybrid"])
+    @pytest.mark.parametrize("policy_name", ["fcfs", "wfp3", "unicef"])
+    def test_random_bursts_and_overruns(self, monkeypatch, policy_name, backfill):
+        rng = np.random.default_rng([28, len(policy_name), len(str(backfill))])
+        policy = get_policy(policy_name)
+        for overrun in (False, True):
+            for nmax in (4, 16):
+                w = self._grid_workload(rng, 120, nmax, overrun=overrun)
+                self._outcomes(
+                    monkeypatch, w, policy, backfill,
+                    oracle=not (overrun and backfill == "conservative"),
+                )
+
+    @pytest.mark.parametrize("backfill", [False, "easy", "conservative", "hybrid"])
+    @pytest.mark.parametrize("policy_name", ["wfp3", "unicef"])
+    def test_reversed_queue_crosses_the_shift_budget(
+        self, monkeypatch, policy_name, backfill
+    ):
+        """60 jobs arrive at t=1 behind a 7-of-8-core job.  With no wait
+        yet every score is 0, so the queue sits in index order; at t=2
+        the shorter, later jobs score first, which reverses it:
+        60·59/2 shifts, far past 8 per queued job."""
+        n = 60
+        w = Workload.from_arrays(
+            submit=[0.0] + [1.0] * n,
+            runtime=[2.0] + [5.0] * n,
+            size=[7] + [2] * n,
+            estimate=[2.0] + [float(100 - k) for k in range(n)],
+            nmax=8,
+        )
+        got = self._outcomes(monkeypatch, w, get_policy(policy_name), backfill)
+        assert sorted(np.flatnonzero(got.start == 2.0)) == [57, 58, 59, 60]
