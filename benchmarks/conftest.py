@@ -10,8 +10,9 @@ written to ``results/<bench>.txt`` and echoed into the benchmark's
 Every bench additionally emits a machine-readable
 ``results/BENCH_<name>.json`` (:data:`BENCH_SCHEMA`): timing statistics
 (median/stddev/rounds), machine info, the telemetry counters the run
-recorded (jobs/events simulated, cache traffic, worker-pool overhead)
-and a derived jobs/sec — the file CI's perf-smoke job uploads and
+recorded (jobs/events simulated, cache traffic, worker-pool overhead),
+a derived jobs/sec and the ``session`` (start time) of the pytest run
+that wrote it — the file CI's perf-smoke job uploads and
 ``scripts/check_bench_regression.py`` compares against the committed
 baselines in ``benchmarks/baselines/``.  An ambient
 :class:`~repro.obs.MetricsRegistry` is installed around every bench, so
@@ -22,6 +23,7 @@ the same event/shard/cell-granularity instrumentation that feeds
 from __future__ import annotations
 
 import json
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +40,11 @@ BENCH_SEED = 0
 
 #: Bump when the BENCH_<name>.json layout changes incompatibly.
 BENCH_SCHEMA = 1
+
+#: When this pytest session started (UTC, ISO 8601, microseconds).  Every
+#: result carries it as ``session``, so the regression checker can tell
+#: this run's files from ones an earlier run left in ``results/``.
+SESSION = datetime.now(timezone.utc).isoformat(timespec="microseconds")
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -126,6 +133,7 @@ def bench_telemetry(results_dir, scale, request):
         "schema": BENCH_SCHEMA,
         "name": request.node.name,
         "scale": scale.name,
+        "session": SESSION,
         "machine": machine_info(),
         "stats": stats,
         "jobs_per_sec": _jobs_per_sec(registry, stats, extra_info),

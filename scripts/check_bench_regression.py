@@ -20,6 +20,12 @@ to hard-gate only selected benches against the looser
 ``--strict-threshold`` — the perf-smoke job uses this for the kernel
 benches, where losing the compiled fast path is a 10-100x cliff that a
 3x gate catches without flaking on runner noise.
+
+Only the newest benchmark session's results are compared: each result
+carries the ``session`` (start time) of the pytest run that wrote it,
+and a result from an older session — a file an earlier run left in
+``results/`` — is printed as "stale, skipped" and counts as missing, so
+a strict-gated bench that did not run this time still fails.
 """
 
 from __future__ import annotations
@@ -114,6 +120,13 @@ def main(argv: list[str] | None = None) -> int:
     if not baselines:
         print(f"no baselines under {args.baselines}; nothing to check")
         return 0
+    results = {}
+    for path in sorted(args.results.glob("BENCH_*.json")):
+        doc = _load(path)
+        if doc is not None:
+            results[path.name] = doc
+    # Results written before sessions were stamped sort as the oldest.
+    newest = max((str(d.get("session", "")) for d in results.values()), default="")
     n_regressions = 0
     n_strict_failures = 0
     n_compared = 0
@@ -123,17 +136,20 @@ def main(argv: list[str] | None = None) -> int:
             continue
         bench_name = base_path.stem.removeprefix("BENCH_")
         strict_gated = any(fnmatch(bench_name, pat) for pat in args.strict_bench)
-        result_path = args.results / base_path.name
-        if not result_path.is_file():
+        result = results.get(base_path.name)
+        if result is not None and str(result.get("session", "")) != newest:
+            print(
+                f"{base_path.stem}: stale, skipped (session"
+                f" {result.get('session', 'unstamped')}, newest {newest})"
+            )
+            result = None
+        if result is None:
             print(f"warning: no fresh result for {base_path.name} (bench not run?)")
             if strict_gated:
                 # A gated bench that silently stops running is itself a
                 # failure — otherwise the gate can be dodged by deletion.
                 print(f"::error title={base_path.stem}::strict-gated bench missing")
                 n_strict_failures += 1
-            continue
-        result = _load(result_path)
-        if result is None:
             continue
         n_compared += 1
         findings = compare(baseline, result, args.threshold)

@@ -20,8 +20,8 @@ memoise the pooled distribution on disk keyed by a fingerprint of the
 result-relevant config fields; a killed run resumes from the per-tuple
 entries it already stored.  Inside each worker the trials
 themselves run as kernel batches
-(:func:`repro.sim.listsched.simulate_fixed_priority_batch`), so the
-per-trial Python loop no longer exists at any layer of the fan-out.
+(:func:`repro.sim.listsched.simulate_trials`), so the per-trial Python
+loop no longer exists at any layer of the fan-out.
 """
 
 from __future__ import annotations

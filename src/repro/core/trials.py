@@ -18,6 +18,13 @@ one permutation per block), which stratifies Eq. 3's estimator: the
 denominator is identical in expectation for all tasks, scores sum exactly
 to 1, and the variance at a given trial budget drops — Figure 2's
 convergence study is reproduced on this estimator.
+
+The permutation matrix goes to :func:`repro.sim.listsched.simulate_trials`
+in chunks, which returns each trial's ``AVEbsld`` (Eq. 1/2) directly: the
+warm-up set S is scheduled once per chunk and only the probe set's part
+runs per trial.  The result is bit-identical to simulating every trial's
+priority vector and reducing the starts in numpy, which
+``tests/oracle_trials.py`` still does.
 """
 
 from __future__ import annotations
@@ -28,15 +35,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.taskgen import TaskSetTuple
-from repro.sim.listsched import simulate_fixed_priority_batch
+# Still bound here: perfbench/layers.py wraps it as the sim.listsched layer.
+from repro.sim.listsched import simulate_fixed_priority_batch  # noqa: F401
+from repro.sim.listsched import simulate_trials
 from repro.sim.metrics import DEFAULT_TAU
 from repro.util.rng import SeedLike, as_generator
-from repro.util.validation import check_positive, check_positive_int
+from repro.util.validation import check_positive_int
 
-#: Trials simulated per kernel batch call.  Bounds the size of the
-#: per-chunk priority/start matrices (CHUNK x |S|+|Q| float64) while
-#: amortising batch setup; results are chunk-size independent because
-#: trials are mutually independent.
+#: Trials per :func:`~repro.sim.listsched.simulate_trials` call.  Bounds
+#: the per-chunk priority/start matrices of the numpy fallback (CHUNK x
+#: |S|+|Q| float64); results are chunk-size independent because trials
+#: are mutually independent.
 _TRIAL_CHUNK = 16384
 
 __all__ = ["TrialScoreResult", "balanced_trial_count", "run_trials"]
@@ -197,25 +206,11 @@ def run_trials(
         total = n_trials
     P = _draw_permutations(rng, m_q, total, balanced=balanced)
 
-    m = m_s + m_q
     trial_avebsld = np.empty(total, dtype=float)
-    q_ranks = (m_s + np.arange(m_q)).astype(float)[None, :]
-    tau = check_positive("tau", tau)
     for lo in range(0, total, _TRIAL_CHUNK):
-        hi = min(lo + _TRIAL_CHUNK, total)
-        # priorities[k, m_s + P[k, j]] = m_s + j: S always outranks Q,
-        # Q by permutation position.
-        priorities = np.empty((hi - lo, m), dtype=np.float64)
-        priorities[:, :m_s] = np.arange(m_s)
-        np.put_along_axis(priorities[:, m_s:], P[lo:hi], q_ranks, axis=1)
-        starts = simulate_fixed_priority_batch(
-            submit, runtime, size, priorities, nmax
+        trial_avebsld[lo : lo + _TRIAL_CHUNK] = simulate_trials(
+            submit, runtime, size, P[lo : lo + _TRIAL_CHUNK], nmax, n_warm=m_s, tau=tau
         )
-        # Eq. 1/2 over the probe rows of the whole chunk in one shot;
-        # per-row bits match average_bounded_slowdown on the 1-D slice.
-        wait_q = starts[:, m_s:] - q_submit
-        bsld = np.maximum((wait_q + q_runtime) / np.maximum(q_runtime, tau), 1.0)
-        trial_avebsld[lo:hi] = bsld.mean(axis=1)
 
     first_task = P[:, 0].copy()
     sum_by_first = np.zeros(m_q, dtype=float)

@@ -35,6 +35,21 @@ fits the free cores, because the jobs that start now are its only
 output.  Custom dynamic policies without terms and every run under
 ``REPRO_SIM_KERNEL=python`` stay on the Python loop.
 
+Training's permutation trials (``repro_trial_batch``) share one prefix.
+S outranks Q, so until a probe job heads the queue of a pass that could
+start it, no decision depends on the probe order.  ``sim_run`` stops
+there (``Sim.stop``) and the batch snapshots the clock, arrival cursor,
+completion heap, free cores and start count, plus the probe jobs then
+waiting (only probes can be).  Each trial restores the snapshot, queues
+the waiting probes under its own ranks and resumes the same loop at
+that pass's head-start step — one event loop, entered twice.  Eq. 1/2
+is then reduced per trial in numpy's order: ``max((start - submit + r)
+/ max(r, tau), 1)`` with numpy's NaN-propagating ``maximum``, summed by
+a transcription of numpy's float64 ``pairwise_sum`` (sequential below 8
+terms, eight accumulators up to 128, split at half rounded down to a
+multiple of 8 above), divided by the probe count — the bits of
+``bsld.mean(axis=1)`` on a contiguous row.
+
 Selection and caching:
 
 * ``REPRO_SIM_KERNEL`` — ``auto`` (default: use C when it builds,
@@ -110,8 +125,14 @@ typedef struct {
      * size-sorted overdue running jobs (EASY) */
     i64 *scr;
     i64 free_cores, started, n_events, n_passes, nan_job;
+    /* arrival cursor into order; a head job index >= stop ends the run
+     * (SIM_STOPPED) before the pass tries to start it */
+    i64 ai, stop;
     double now;
 } Sim;
+
+/* sim_run's return when it reaches S->stop; not an error */
+#define SIM_STOPPED (-1)
 
 static void h_push(Sim *S, double t, i64 idx)
 {
@@ -458,18 +479,28 @@ static int conservative_pass(Sim *S)
     return 0;
 }
 
-static int sim_run(Sim *S)
+/* The event loop.  resume = 0 runs from scratch.  A run that meets a
+ * job index >= S->stop at the queue head returns SIM_STOPPED with the
+ * loop's state (clock, arrival cursor, heap, queue) left in S; with
+ * resume = 1 the loop continues that pass at its head-start step, over
+ * whatever queue the caller has put in place since. */
+static int sim_run(Sim *S, int resume)
 {
-    i64 n = S->n, ai = 0;
+    i64 n = S->n, ai = S->ai;
+    double now = S->now;
+    if (resume) goto heads;
     S->hn = 0; S->qh = 0; S->qn = 0; S->rn = 0; S->pn = 0;
     S->free_cores = S->nmax;
     S->started = 0; S->n_events = 0; S->n_passes = 0;
     for (i64 i = 0; i < n; i++) { S->start[i] = NAN; S->backfilled[i] = 0; }
-    double now = S->subs[S->order[0]];
+    ai = 0;
+    now = S->subs[S->order[0]];
     while (S->started < n) {
         double na = (ai < n) ? S->subs[S->order[ai]] : INFINITY;
         double nc = (S->hn > 0) ? S->h_t[0] : INFINITY;
         double et = (na < nc) ? na : nc;
+        /* jobs wait, yet nothing is left to arrive or complete */
+        if (et == INFINITY) return 8;
         if (now < et) now = et;
         S->now = now;
         S->n_events++;
@@ -496,8 +527,10 @@ static int sim_run(Sim *S)
             int rc = rescore(S);
             if (rc) return rc;
         }
+    heads:
         while (S->qn > 0) {
             i64 idx = S->q[S->qh].i;
+            if (idx >= S->stop) { S->ai = ai; return SIM_STOPPED; }
             if (S->sizes[idx] > S->free_cores) break;
             int rc = start_job(S, idx, 0);
             if (rc) return rc;
@@ -538,6 +571,7 @@ int repro_sim(i64 n, i64 nmax, int mode, i64 depth,
     S.sizes = sizes; S.scores = scores; S.order = order;
     S.score_code = score_code; S.ta = ta; S.tb = tb;
     S.start = start; S.backfilled = backfilled;
+    S.stop = n;
     S.h_t = dbuf;
     S.r_end = dbuf + nd;
     S.p_t = dbuf + 2 * nd;
@@ -546,7 +580,7 @@ int repro_sim(i64 n, i64 nmax, int mode, i64 depth,
     S.scr = ibuf + 2 * nd;
     S.p_f = ibuf + 3 * nd;
     S.q = q;
-    int rc = sim_run(&S);
+    int rc = sim_run(&S, 0);
     counters[0] = S.n_events;
     counters[1] = S.n_passes;
     counters[2] = S.nan_job;
@@ -570,7 +604,7 @@ int repro_fixed_batch(i64 n_trials, i64 m, i64 nmax,
     }
     Sim S;
     memset(&S, 0, sizeof(S));
-    S.n = m; S.nmax = nmax; S.mode = 0;
+    S.n = m; S.nmax = nmax; S.mode = 0; S.stop = m;
     S.subs = subs; S.runs = runs; S.procs = runs;
     S.sizes = sizes; S.order = order;
     S.backfilled = bf;
@@ -581,23 +615,139 @@ int repro_fixed_batch(i64 n_trials, i64 m, i64 nmax,
     for (i64 t = 0; t < n_trials; t++) {
         S.scores = prios + t * m;
         S.start = starts + t * m;
-        rc = sim_run(&S);
+        rc = sim_run(&S, 0);
         if (rc) break;
     }
     free(dbuf); free(ibuf); free(q); free(bf);
     return rc;
 }
+
+/* numpy's maximum: NaN in either argument propagates */
+static double np_max(double a, double b)
+{
+    return (a >= b || isnan(a)) ? a : b;
+}
+
+/* numpy's pairwise_sum for float64, the order np.mean(axis=1) adds a
+ * contiguous row in: sequential below 8 terms, 8 accumulators up to
+ * 128, otherwise split at n/2 rounded down to a multiple of 8. */
+static double pairwise_sum(const double *a, i64 n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (i64 i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        i64 i;
+        for (i = 0; i < 8; i++) r[i] = a[i];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (i64 j = 0; j < 8; j++) r[j] += a[i + j];
+        double res = ((r[0] + r[1]) + (r[2] + r[3])) +
+                     ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    i64 n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* The paper's permutation trials: jobs 0..m_s-1 are the warm-up set S,
+ * ranked in index order ahead of the m_q probe jobs, and trial t ranks
+ * probe P[j] = perms[t * m_q + j] at m_s + j.  Until a probe job heads
+ * the queue of a pass that could start it, every decision is the same
+ * for any probe order, so one run up to that point (stop = m_s) serves
+ * all trials: each restores its clock, arrival cursor, heap, free cores
+ * and start count, queues the waiting probe jobs under its own ranks and
+ * resumes the pass.  Jobs started before the stop keep their start
+ * times in the shared start array.  out[t] is the probe jobs' AVEbsld
+ * (Eq. 1/2) with numpy's operation order, so the bits equal
+ * np.maximum((start - submit + r) / np.maximum(r, tau), 1.0).mean().
+ * A perms row that is not a permutation of 0..m_q-1 returns 7 with the
+ * trial in *bad. */
+int repro_trial_batch(i64 n_trials, i64 m_s, i64 m_q, i64 nmax,
+                      const double *subs, const double *runs, const i64 *sizes,
+                      const i64 *perms, const i64 *order, double tau,
+                      double *out, i64 *bad)
+{
+    *bad = -1;
+    if (m_q <= 0 || n_trials <= 0) return 0;
+    i64 m = m_s + m_q;
+    size_t md = (size_t)m, qd = (size_t)m_q;
+    double *dbuf = (double *)malloc((4 * md + qd) * sizeof(double));
+    i64 *ibuf = (i64 *)malloc((2 * md + 2 * qd) * sizeof(i64));
+    Qe *q = (Qe *)malloc(2 * md * sizeof(Qe));
+    unsigned char *bf = (unsigned char *)malloc(md);
+    if (!dbuf || !ibuf || !q || !bf) {
+        free(dbuf); free(ibuf); free(q); free(bf);
+        return 1;
+    }
+    double *rank = dbuf + md, *snap_t = dbuf + 2 * md, *bsld = dbuf + 4 * md;
+    i64 *snap_i = ibuf + md, *waiting = ibuf + 2 * md, *seen = waiting + qd;
+    Sim S;
+    memset(&S, 0, sizeof(S));
+    S.n = m; S.nmax = nmax; S.mode = 0; S.stop = m_s;
+    S.subs = subs; S.runs = runs; S.procs = runs;
+    S.sizes = sizes; S.scores = rank; S.order = order;
+    S.start = dbuf + 3 * md; S.backfilled = bf;
+    S.h_t = dbuf;
+    S.h_i = ibuf;
+    S.q = q;
+    for (i64 i = 0; i < m; i++) rank[i] = (double)i;
+    for (i64 j = 0; j < m_q; j++) seen[j] = -1;
+    /* with m_q >= 1 the run stops: a probe job starts only as head */
+    int rc = sim_run(&S, 0);
+    if (rc != SIM_STOPPED) goto done;
+    double snap_now = S.now;
+    i64 snap_ai = S.ai, snap_hn = S.hn, snap_free = S.free_cores;
+    i64 snap_started = S.started, n_wait = S.qn;
+    memcpy(snap_t, S.h_t, (size_t)snap_hn * sizeof(double));
+    memcpy(snap_i, S.h_i, (size_t)snap_hn * sizeof(i64));
+    for (i64 k = 0; k < n_wait; k++) waiting[k] = S.q[S.qh + k].i;
+    S.stop = m;
+    for (i64 t = 0; t < n_trials; t++) {
+        const i64 *P = perms + t * m_q;
+        for (i64 j = 0; j < m_q; j++) {
+            i64 p = P[j];
+            if (p < 0 || p >= m_q || seen[p] == t) { *bad = t; rc = 7; goto done; }
+            seen[p] = t;
+            rank[m_s + p] = (double)(m_s + j);
+        }
+        S.now = snap_now; S.ai = snap_ai; S.hn = snap_hn;
+        S.free_cores = snap_free; S.started = snap_started;
+        memcpy(S.h_t, snap_t, (size_t)snap_hn * sizeof(double));
+        memcpy(S.h_i, snap_i, (size_t)snap_hn * sizeof(i64));
+        S.qh = 0; S.qn = 0;
+        for (i64 k = 0; k < n_wait; k++) q_insert(&S, waiting[k]);
+        rc = sim_run(&S, 1);
+        if (rc) goto done;
+        for (i64 j = 0; j < m_q; j++) {
+            i64 i = m_s + j;
+            double r = runs[i];
+            bsld[j] = np_max((S.start[i] - subs[i] + r) / np_max(r, tau), 1.0);
+        }
+        out[t] = pairwise_sum(bsld, m_q) / (double)m_q;
+    }
+done:
+    free(dbuf); free(ibuf); free(q); free(bf);
+    return rc;
+}
 """
 
-#: Non-zero return codes from the C loop.  All indicate internal
-#: invariant violations (impossible after the Python-side validation),
-#: never data-dependent conditions.
+#: Non-zero return codes from the C loop.  All but 7 (a malformed
+#: permutation, reported as a ValueError naming the trial) indicate
+#: internal invariant violations, impossible after the Python-side
+#: validation.
 _ERRORS = {
     1: "out of memory allocating simulation scratch",
     2: "oversubscription: a job was started without enough free cores",
     3: "EASY shadow computation found no feasible reservation",
     4: "availability profile oversubscribed",
     6: "a completing job is missing from the running set",
+    7: "a perms row is not a permutation of the probe jobs",
+    8: "jobs wait but no arrival or completion is left to start them",
 }
 
 #: Compiler flags.  ``-ffp-contract=off`` forbids fused multiply-adds,
@@ -672,6 +822,14 @@ class CKernel:
             ctypes.c_longlong,
             ctypes.c_longlong,
         ] + [ctypes.c_void_p] * 6
+        self._trials = lib.repro_trial_batch
+        self._trials.restype = ctypes.c_int
+        self._trials.argtypes = (
+            [ctypes.c_longlong] * 4
+            + [ctypes.c_void_p] * 5
+            + [ctypes.c_double]
+            + [ctypes.c_void_p] * 2
+        )
 
     def sim(
         self,
@@ -750,6 +908,42 @@ class CKernel:
                 f"C trial kernel failed: {_ERRORS.get(rc, f'code {rc}')}"
             )
         return out
+
+    def trial_batch(
+        self,
+        subs: np.ndarray,
+        runs: np.ndarray,
+        sizes: np.ndarray,
+        perms: np.ndarray,
+        order: np.ndarray,
+        n_warm: int,
+        nmax: int,
+        tau: float,
+        out: np.ndarray,
+    ) -> int:
+        """Fill *out* with one AVEbsld per row of *perms*; returns the
+        first trial whose row is not a permutation, or -1."""
+        n_trials, m_q = perms.shape
+        bad = np.full(1, -1, dtype=np.int64)
+        rc = self._trials(
+            n_trials,
+            n_warm,
+            m_q,
+            nmax,
+            subs.ctypes.data,
+            runs.ctypes.data,
+            sizes.ctypes.data,
+            perms.ctypes.data,
+            order.ctypes.data,
+            tau,
+            out.ctypes.data,
+            bad.ctypes.data,
+        )
+        if rc and rc != 7:
+            raise RuntimeError(
+                f"C trial kernel failed: {_ERRORS.get(rc, f'code {rc}')}"
+            )
+        return int(bad[0])
 
 
 _UNSET = object()

@@ -8,7 +8,10 @@ import pytest
 from oracle_trials import oracle_permutations, oracle_run_trials
 from repro.core.taskgen import TaskSetTuple, generate_tuples
 from repro.core.trials import _draw_permutations, run_trials
+from repro.obs import MetricsRegistry, use_registry
+from repro.sim import _cbackend
 from repro.sim.job import Workload
+from repro.sim.listsched import simulate_fixed_priority_batch, simulate_trials
 
 
 def average_ranks(x):
@@ -191,3 +194,123 @@ class TestScoreSemantics:
         score = np.concatenate([r.scores for r in informative])
         rho = np.corrcoef(average_ranks(area), average_ranks(score))[0, 1]
         assert rho > 0.05
+
+
+HAVE_C = _cbackend.load() is not None
+KERNELS = ["python"] + (["c"] if HAVE_C else [])
+
+
+def _tuple(s_submit, s_runtime, s_size, q_submit, q_runtime, q_size):
+    return TaskSetTuple(
+        S=Workload.from_arrays(s_submit, s_runtime, s_size),
+        Q=Workload.from_arrays(q_submit, q_runtime, q_size),
+        index=0,
+    )
+
+
+#: Hand-built tuples on an 8-core machine, one per shape of the point
+#: where the first probe job heads the queue (the shared prefix's end).
+EDGE_TUPLES = {
+    # S[1] waits behind S[0] while the probes arrive
+    "s_queued_at_first_probe": _tuple(
+        [0.0, 0.0], [10.0, 7.0], [8, 4],
+        [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], [3.0, 9.0, 1.0, 4.0, 2.0, 6.0], [4, 2, 8, 1, 3, 5],
+    ),
+    # the last warm-up job and the first probe arrive in one event
+    "s_last_equals_q_first": _tuple(
+        [0.0, 5.0], [20.0, 6.0], [6, 4],
+        [5.0, 5.0, 8.0, 9.0, 9.0], [2.0, 30.0, 1.0, 5.0, 8.0], [3, 2, 7, 1, 4],
+    ),
+    # every warm-up job has finished: empty machine, nothing running
+    "idle_machine_at_stop": _tuple(
+        [0.0, 1.0], [2.0, 1.0], [8, 8],
+        [10.0, 10.5, 11.0, 30.0], [5.0, 5.0, 2.0, 1.0], [5, 5, 8, 2],
+    ),
+    # the machine is full of warm-up work while every probe arrives
+    "probes_queued_at_stop": _tuple(
+        [0.0, 0.0], [100.0, 90.0], [4, 4],
+        np.linspace(1.0, 20.0, 9), [7.0, 1.0, 30.0, 2.0, 2.0, 50.0, 3.0, 9.0, 4.0],
+        [2, 8, 3, 1, 6, 4, 2, 7, 5],
+    ),
+}
+
+
+def _assert_same_trials(tup, nmax, n_trials, **kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        new = run_trials(tup, nmax, n_trials, **kw)
+        old = oracle_run_trials(tup, nmax, n_trials, **kw)
+    for name in ("first_task", "trial_avebsld", "scores"):
+        assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestTrialKernel:
+    """``simulate_trials`` (the shared prefix resumed per permutation, with
+    Eq. 1/2 reduced in the kernel) against the frozen oracle, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(EDGE_TUPLES))
+    @pytest.mark.parametrize("balanced", [True, False])
+    def test_prefix_edges(self, monkeypatch, kernel, case, balanced):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        tup = EDGE_TUPLES[case]
+        for seed in range(3):
+            _assert_same_trials(tup, 8, 200, seed=seed, balanced=balanced)
+
+    @pytest.mark.parametrize("q_size", [1, 7, 8, 9, 33, 128, 129, 300])
+    def test_probe_counts(self, monkeypatch, kernel, q_size):
+        """Both sides of every branch of numpy's pairwise summation."""
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        tup = generate_tuples(1, q_size=q_size, seed=q_size)[0]
+        n_trials = q_size * (2 if q_size <= 33 else 1)
+        _assert_same_trials(tup, 256, n_trials, seed=1)
+        _assert_same_trials(tup, 256, 50, seed=2, balanced=False)
+
+    def test_tau_above_runtimes(self, monkeypatch, kernel):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        for i, tup in enumerate(generate_tuples(3, seed=11)):
+            tau = float(np.median(tup.Q.runtime))  # clamps half the probes
+            _assert_same_trials(tup, 256, 96, seed=i, tau=tau)
+            _assert_same_trials(tup, 256, 40, seed=i, tau=tau, balanced=False)
+
+    def test_arrivals_without_tuple_order(self, monkeypatch, kernel):
+        """Warm-up jobs may arrive after probe jobs (and no warm-up set at
+        all): equal to the priority batch reduced in numpy."""
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        rng = np.random.default_rng(5)
+        for n_warm in (0, 1, 4):
+            m = n_warm + 10
+            submit = np.sort(rng.integers(0, 30, m)).astype(float)
+            runtime = rng.integers(1, 40, m).astype(float)
+            size = rng.integers(1, 9, m)
+            perm = rng.permutation(m)  # warm-up jobs anywhere in time
+            submit, runtime, size = submit[perm], runtime[perm], size[perm]
+            perms = np.array([rng.permutation(10) for _ in range(64)])
+            got = simulate_trials(submit, runtime, size, perms, 8, n_warm=n_warm, tau=3.0)
+            prios = np.empty((64, m))
+            prios[:, :n_warm] = np.arange(n_warm)
+            np.put_along_axis(prios[:, n_warm:], perms, n_warm + np.arange(10.0)[None, :], 1)
+            starts = simulate_fixed_priority_batch(submit, runtime, size, prios, 8)
+            q_sub, q_run = submit[n_warm:], runtime[n_warm:]
+            bsld = np.maximum((starts[:, n_warm:] - q_sub + q_run) / np.maximum(q_run, 3.0), 1.0)
+            assert got.tobytes() == bsld.mean(axis=1).tobytes()
+
+    @pytest.mark.parametrize("row", [[0, 0, 2], [0, 1, 3], [-1, 0, 1]], ids=["dup", "high", "low"])
+    def test_bad_permutation_names_the_trial(self, monkeypatch, kernel, row):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        tup = EDGE_TUPLES["idle_machine_at_stop"]
+        submit = np.concatenate([tup.S.submit, tup.Q.submit[:3]])
+        runtime = np.concatenate([tup.S.runtime, tup.Q.runtime[:3]])
+        size = np.concatenate([tup.S.size, tup.Q.size[:3]])
+        perms = np.array([[2, 1, 0]] * 5 + [row] + [[0, 1, 2]])
+        with pytest.raises(ValueError, match=r"trial 5\b.*not a permutation of 0\.\.2"):
+            simulate_trials(submit, runtime, size, perms, 8, n_warm=2)
+
+    def test_counters_match_the_priority_batch(self, monkeypatch, kernel):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        tup = generate_tuples(1, seed=4)[0]
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            run_trials(tup, 256, 64, seed=0)
+        assert registry.value("listsched.trials") == 64
+        assert registry.value("listsched.jobs") == 64 * (len(tup.S) + len(tup.Q))

@@ -1,8 +1,11 @@
 """Tests for the Table 4 experiment declarations and runner."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.experiments import table4
 from repro.experiments.paper_data import PAPER_TABLE4, POLICY_COLUMNS, paper_row
 from repro.experiments.scale import SCALES
 from repro.experiments.table4 import (
@@ -93,6 +96,30 @@ class TestBuildRowWorkload:
         np.testing.assert_array_equal(wa.submit, wb.submit)
         np.testing.assert_array_equal(wa.estimate, wb.estimate)
 
+    def test_each_stream_is_built_once(self):
+        """Rows sharing a stream share the memoised object, and its arrays
+        refuse writes so no row can change another's input."""
+        actual = next(r for r in TABLE4_ROWS if r.row_id == "ctc_sp2_actual")
+        backfill = next(r for r in TABLE4_ROWS if r.row_id == "ctc_sp2_backfill")
+        wa, na = build_row_workload(actual, SCALES["smoke"], seed=4)
+        wb, nb = build_row_workload(backfill, SCALES["smoke"], seed=4)
+        assert wa is wb and na == nb
+        for name in ("submit", "runtime", "size", "estimate", "job_ids"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(wa, name)[0] = 1
+
+    def test_memo_key_covers_the_inputs(self):
+        model = TABLE4_ROWS[0]
+        w0, _ = build_row_workload(model, SCALES["smoke"], seed=0)
+        w1, _ = build_row_workload(model, SCALES["smoke"], seed=1)
+        assert w0 is not w1
+        assert not np.array_equal(w0.submit[:50], w1.submit[:50])
+        trace = next(r for r in TABLE4_ROWS if r.source == "curie")
+        more = dataclasses.replace(SCALES["smoke"], trace_jobs=SCALES["smoke"].trace_jobs + 1)
+        t0, _ = build_row_workload(trace, SCALES["smoke"], seed=0)
+        t1, _ = build_row_workload(trace, more, seed=0)
+        assert t0 is not t1
+
 
 class TestRunRow:
     @pytest.fixture(scope="class")
@@ -126,6 +153,39 @@ class TestRunRows:
         np.testing.assert_array_equal(
             single.samples["FCFS"], batch[0].samples["FCFS"]
         )
+
+    def test_cold_and_warm_memo_agree(self):
+        rows = ["model_256_actual", "curie_estimates", "model_256_backfill"]
+        table4._stream.cache_clear()
+        cold = run_rows(rows, SCALES["smoke"], seed=2, policies=("FCFS", "F1"))
+        warm = run_rows(rows, SCALES["smoke"], seed=2, policies=("FCFS", "F1"))
+        for a, b in zip(cold, warm):
+            for name in a.policy_names:
+                assert a.samples[name].tobytes() == b.samples[name].tobytes()
+
+    def test_paper_order_builds_each_stream_once(self):
+        table4._stream.cache_clear()
+        run_rows(None, SCALES["smoke"], seed=1, policies=("FCFS",), workers=1)
+        assert table4._stream.cache_info().misses == 6  # 2 model + 4 trace streams
+
+    def test_each_row_calls_run_row_and_build_row_workload(self, monkeypatch):
+        """Per-row layer timings wrap these two module attributes."""
+        calls = []
+
+        def counted(name):
+            fn = getattr(table4, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("run_row", "build_row_workload"):
+            monkeypatch.setattr(table4, name, counted(name))
+        rows = ["model_256_actual", "model_256_estimates"]
+        run_rows(rows, SCALES["smoke"], seed=0, policies=("FCFS",), workers=1)
+        assert sorted(calls) == ["build_row_workload"] * 2 + ["run_row"] * 2
 
     def test_custom_row_object_runs_as_given(self):
         """A modified/unregistered row must run verbatim, not be re-resolved
