@@ -65,57 +65,41 @@ def bench_engine_hybrid(benchmark, stream):
     benchmark.extra_info["backfilled"] = result.backfill_count
 
 
-def bench_trial_simulator(benchmark):
-    """One |S|=16, |Q|=32 permutation trial (the training inner loop)."""
-    import numpy as np
-
-    from repro.core.taskgen import generate_tuples
-    from repro.sim.listsched import simulate_fixed_priority
-
-    tup = generate_tuples(1, seed=0)[0]
-    submit = np.concatenate([tup.S.submit, tup.Q.submit])
-    runtime = np.concatenate([tup.S.runtime, tup.Q.runtime])
-    size = np.concatenate([tup.S.size, tup.Q.size])
-    priority = np.arange(48, dtype=float)
-    out = benchmark(simulate_fixed_priority, submit, runtime, size, priority, 256)
-    assert len(out) == 48
-
-
 def bench_trial_batch(benchmark):
-    """1024 permutation trials in one batched kernel call.
+    """1024 balanced permutation trials of one |S|=16, |Q|=32 tuple in
+    one ``simulate_trials`` call.
 
-    The training loop's real shape: per-call setup (arrival order,
-    scratch arena, ctypes crossing) is amortised over the whole batch,
-    so jobs/sec here — not ``bench_trial_simulator`` — is what bounds
-    training throughput.
+    The training loop's real shape: the warm-up prefix is scheduled once
+    and each trial returns its AVEbsld, so jobs/sec here bounds the
+    kernel part of training throughput.
     """
     import numpy as np
 
     from repro.core.taskgen import generate_tuples
-    from repro.sim.listsched import simulate_fixed_priority_batch
+    from repro.core.trials import _draw_permutations
+    from repro.sim.listsched import simulate_trials
 
     n_trials = 1024
     tup = generate_tuples(1, seed=0)[0]
     submit = np.concatenate([tup.S.submit, tup.Q.submit])
     runtime = np.concatenate([tup.S.runtime, tup.Q.runtime])
     size = np.concatenate([tup.S.size, tup.Q.size])
-    rng = np.random.default_rng(0)
-    priorities = np.empty((n_trials, 48))
-    for t in range(n_trials):
-        priorities[t] = rng.permutation(48)
-    out = benchmark(
-        simulate_fixed_priority_batch, submit, runtime, size, priorities, 256
+    perms = _draw_permutations(
+        np.random.default_rng(0), len(tup.Q), n_trials, balanced=True
     )
-    assert out.shape == (n_trials, 48)
-    benchmark.extra_info["jobs"] = n_trials * 48
+    out = benchmark(
+        simulate_trials, submit, runtime, size, perms, 256, n_warm=len(tup.S)
+    )
+    assert out.shape == (n_trials,)
+    benchmark.extra_info["jobs"] = n_trials * len(submit)
 
 
 def bench_trial_scores(benchmark):
     """One tuple's 8192 trials through ``run_trials``, end to end.
 
-    The permutation draw, the priority build, the kernel batch and the
-    Eq. 1–3 scoring together: ``bench_trial_batch`` times only the
-    kernel, so this is the bench that sees a slow draw.
+    The permutation draw, the kernel batch and the Eq. 3 scoring
+    together: ``bench_trial_batch`` times only the kernel, so this is
+    the bench that sees a slow draw.
     """
     from repro.core.taskgen import generate_tuples
     from repro.core.trials import run_trials

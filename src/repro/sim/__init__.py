@@ -9,10 +9,12 @@ Public surface:
   :func:`~repro.sim.metrics.average_bounded_slowdown` (Eq. 2).
 
 Both simulators — the engine and the training trial simulator
-(:mod:`~repro.sim.listsched`) — are thin configurations of the one
+(:mod:`~repro.sim.listsched`: one general fixed-priority batch and
+training's permutation trials) — are thin configurations of the one
 event-heap loop in :mod:`~repro.sim.kernel` (``REPRO_SIM_KERNEL``
 selects the compiled or pure-Python backend; results are
-bit-identical).  Import anything else from its submodule.
+bit-identical).  The compiled backend has two entries: one run, and
+the permutation-trial batch.  Import anything else from its submodule.
 """
 
 from repro.sim.engine import ScheduleResult, simulate

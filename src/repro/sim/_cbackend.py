@@ -1,10 +1,13 @@
 """Compiled C fast path for the event-heap simulation kernel.
 
-:mod:`repro.sim.kernel` runs every *static-score* simulation — classic
-and learned policies, EASY/conservative/hybrid backfilling, and the
-fixed-priority trial simulator — through one C event loop compiled at
-first use with the system C compiler and loaded via :mod:`ctypes`
-(stdlib only; no build-time or install-time dependency is added).  The
+The library has two entries over one C event loop, compiled at first
+use with the system C compiler and loaded via :mod:`ctypes` (stdlib
+only; no build-time or install-time dependency is added).
+``repro_sim`` is one run: :mod:`repro.sim.kernel` sends it every
+*static-score* simulation — classic and learned policies,
+EASY/conservative/hybrid backfilling, and each row of a fixed-priority
+batch — and WFP3/UNICEF with their kernel terms.
+``repro_trial_batch`` runs training's permutation trials.  The
 C loop makes the Python kernel's decisions with the same arithmetic:
 every floating-point operation it performs (additions, comparisons, the
 ``1e-9``/``1e-12`` epsilons of the backfill helpers) exists identically
@@ -588,40 +591,6 @@ int repro_sim(i64 n, i64 nmax, int mode, i64 depth,
     return rc;
 }
 
-int repro_fixed_batch(i64 n_trials, i64 m, i64 nmax,
-                      const double *subs, const double *runs, const i64 *sizes,
-                      const double *prios, const i64 *order, double *starts)
-{
-    if (m <= 0 || n_trials <= 0) return 0;
-    size_t md = (size_t)m;
-    double *dbuf = (double *)malloc(md * sizeof(double));
-    i64 *ibuf = (i64 *)malloc(md * sizeof(i64));
-    Qe *q = (Qe *)malloc(2 * md * sizeof(Qe));
-    unsigned char *bf = (unsigned char *)malloc(md);
-    if (!dbuf || !ibuf || !q || !bf) {
-        free(dbuf); free(ibuf); free(q); free(bf);
-        return 1;
-    }
-    Sim S;
-    memset(&S, 0, sizeof(S));
-    S.n = m; S.nmax = nmax; S.mode = 0; S.stop = m;
-    S.subs = subs; S.runs = runs; S.procs = runs;
-    S.sizes = sizes; S.order = order;
-    S.backfilled = bf;
-    S.h_t = dbuf;
-    S.h_i = ibuf;
-    S.q = q;
-    int rc = 0;
-    for (i64 t = 0; t < n_trials; t++) {
-        S.scores = prios + t * m;
-        S.start = starts + t * m;
-        rc = sim_run(&S, 0);
-        if (rc) break;
-    }
-    free(dbuf); free(ibuf); free(q); free(bf);
-    return rc;
-}
-
 /* numpy's maximum: NaN in either argument propagates */
 static double np_max(double a, double b)
 {
@@ -815,13 +784,6 @@ class CKernel:
             + [ctypes.c_int]
             + [ctypes.c_void_p] * 6
         )
-        self._batch = lib.repro_fixed_batch
-        self._batch.restype = ctypes.c_int
-        self._batch.argtypes = [
-            ctypes.c_longlong,
-            ctypes.c_longlong,
-            ctypes.c_longlong,
-        ] + [ctypes.c_void_p] * 6
         self._trials = lib.repro_trial_batch
         self._trials.restype = ctypes.c_int
         self._trials.argtypes = (
@@ -880,34 +842,6 @@ class CKernel:
                 f"C simulation kernel failed: {_ERRORS.get(rc, f'code {rc}')}"
             )
         return start, backfilled.view(bool), int(counters[0]), int(counters[1])
-
-    def fixed_batch(
-        self,
-        subs: np.ndarray,
-        runs: np.ndarray,
-        sizes: np.ndarray,
-        prios: np.ndarray,
-        order: np.ndarray,
-        nmax: int,
-        out: np.ndarray,
-    ) -> np.ndarray:
-        n_trials, m = prios.shape
-        rc = self._batch(
-            n_trials,
-            m,
-            nmax,
-            subs.ctypes.data,
-            runs.ctypes.data,
-            sizes.ctypes.data,
-            prios.ctypes.data,
-            order.ctypes.data,
-            out.ctypes.data,
-        )
-        if rc:
-            raise RuntimeError(
-                f"C trial kernel failed: {_ERRORS.get(rc, f'code {rc}')}"
-            )
-        return out
 
     def trial_batch(
         self,

@@ -51,6 +51,7 @@ from repro.sim.metrics import (
     waiting_times,
 )
 from repro.util.stats import Summary, summarize
+from repro.util.validation import check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.policies.base import Policy
@@ -100,8 +101,7 @@ class SimulationConfig:
     platform_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.nmax < 1:
-            raise ValueError(f"nmax must be >= 1, got {self.nmax}")
+        object.__setattr__(self, "nmax", check_positive_int("nmax", self.nmax))
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         object.__setattr__(self, "backfill", normalize_backfill(self.backfill))
@@ -219,6 +219,7 @@ def simulate(
         nmax=nmax, use_estimates=use_estimates, backfill=backfill, tau=tau,
         topology=topology, distribution=distribution, platform_seed=platform_seed,
     )
+    nmax = config.nmax
     workload.validate_for_machine(nmax)
     n = len(workload)
     if n == 0:

@@ -2,12 +2,16 @@
 
 Both public simulators — :func:`repro.sim.engine.simulate` (the
 online evaluation engine) and
-:func:`repro.sim.listsched.simulate_fixed_priority` (the training trial
-simulator) — are thin configurations of the single event loop in this
-module.  One arrival/completion heap drives every mode;
-per-event state lives in preallocated arrays (start times, the running
-set's expected-end/size timeline, the sorted waiting queue) instead of
-the per-event dicts and list comprehensions of the pre-kernel loops.
+:func:`repro.sim.listsched.simulate_fixed_priority_batch` (the
+fixed-priority trial simulator, one :func:`simulate_events` run per
+priority row) — are thin configurations of the single event loop in
+this module.  Training's permutation trials
+(:func:`repro.sim.listsched.simulate_trials`) run the same loop's C
+transcription, or the fixed-priority rows under the Python backend.
+One arrival/completion heap drives every mode; per-event state lives
+in preallocated arrays (start times, the running set's expected-end/size
+timeline, the sorted waiting queue) instead of the per-event dicts and
+list comprehensions of the pre-kernel loops.
 
 Event loop contract (the exact semantics of the original loops — the
 parity suite pins them bit-for-bit against ``tests/oracle_sim.py``):
@@ -61,8 +65,6 @@ from repro.sim.conservative import HYBRID_RESERVATION_DEPTH, conservative_starts
 __all__ = [
     "KernelResult",
     "simulate_events",
-    "fixed_priority_starts",
-    "fixed_priority_batch",
     "validate_scores",
 ]
 
@@ -224,76 +226,6 @@ def _reservation_depth(mode: int, n_queued: int) -> int:
     """How many queue-front jobs hold a reservation in a replan pass:
     all of them under conservative, the hybrid depth under hybrid."""
     return HYBRID_RESERVATION_DEPTH if mode == 3 else n_queued
-
-
-def fixed_priority_starts(
-    submit: np.ndarray,
-    runtime: np.ndarray,
-    size: np.ndarray,
-    priority: np.ndarray,
-    nmax: int,
-    *,
-    arrival_order: np.ndarray | None = None,
-) -> np.ndarray:
-    """One head-blocking fixed-priority simulation; returns start times."""
-    submit = _as_f64(submit)
-    if arrival_order is None:
-        arrival_order = np.argsort(submit, kind="stable")
-    return simulate_events(
-        submit,
-        runtime,
-        runtime,
-        size,
-        nmax,
-        static_scores=priority,
-        arrival_order=arrival_order,
-        score_label="priority",
-    ).start
-
-
-def fixed_priority_batch(
-    submit: np.ndarray,
-    runtime: np.ndarray,
-    size: np.ndarray,
-    priorities: np.ndarray,
-    nmax: int,
-    *,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Simulate many fixed-priority trials over one shared job set.
-
-    *priorities* has shape ``(n_trials, m)``; row ``t`` is the priority
-    vector of trial ``t``.  The arrival order (a function of ``submit``
-    alone) is computed once and shared across all trials, and the C
-    backend reuses one scratch arena for the whole batch — this is the
-    training inner loop's fast path.  Returns the ``(n_trials, m)``
-    start-time matrix, bit-identical to looping
-    :func:`fixed_priority_starts` row by row.
-    """
-    submit = _as_f64(submit)
-    runtime = _as_f64(runtime)
-    size = _as_i64(size)
-    prios = np.ascontiguousarray(priorities, dtype=np.float64)
-    if prios.ndim != 2 or prios.shape[1] != submit.shape[0]:
-        raise ValueError("priorities must have shape (n_trials, n_jobs)")
-    validate_scores(prios, "priority")
-    n_trials, m = prios.shape
-    if out is None:
-        out = np.empty((n_trials, m), dtype=np.float64)
-    if m == 0 or n_trials == 0:
-        return out
-    arrival_order = np.argsort(submit, kind="stable")
-    backend = _cbackend.selected()
-    if backend is not None:
-        return backend.fixed_batch(
-            submit, runtime, size, prios, arrival_order, nmax, out
-        )
-    for t in range(n_trials):
-        res = _simulate_py(
-            submit, runtime, runtime, size, nmax, 0, prios[t], None, arrival_order
-        )
-        out[t] = res.start
-    return out
 
 
 def _simulate_py(

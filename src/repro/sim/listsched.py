@@ -6,28 +6,27 @@ of the probe set ``Q``, the execution of warm-up jobs ``S`` followed by
 backfilling is applied and the queue head blocks: a lower-priority job can
 never overtake the highest-priority *arrived* job, even if it would fit.
 
-This is the tight inner loop of training (hundreds of thousands of
-trials), so it delegates to the unified event kernel
-(:mod:`repro.sim.kernel`): the priority array is the kernel's static
-score, and :func:`simulate_fixed_priority_batch` runs many priority
-vectors over one shared job set, amortising per-trial setup (arrival
-order, scratch allocation) across the batch.  Training calls
-:func:`simulate_trials` instead: its trials share more than the job
-set — S outranks Q in every permutation, so everything up to the
-first pass with a probe job at the queue head is the same in each
-trial.  The C kernel schedules that prefix once per batch, resumes
-every permutation from it, and returns Eq. 1/2 per trial rather than
-a starts matrix.
+Two functions run it over the unified event kernel
+(:mod:`repro.sim.kernel`), with a priority vector as the kernel's
+static score.  :func:`simulate_fixed_priority_batch` is the general
+simulator: it validates the jobs and computes their arrival order once,
+then runs each priority row through
+:func:`~repro.sim.kernel.simulate_events`.  Training calls
+:func:`simulate_trials`: its trials share more than the job set — S
+outranks Q in every permutation, so everything up to the first pass
+with a probe job at the queue head is the same in each trial.  The C
+kernel (``repro_trial_batch``) schedules that prefix once per batch,
+resumes every permutation from it, and returns Eq. 1/2 per trial rather
+than a starts matrix.  Both check the jobs against
+:class:`~repro.sim.job.Workload`'s rules first, naming the first bad
+job: a NaN runtime would never complete in C, and a NaN priority never
+sorts.
 
 The semantics are deliberately identical to the online engine running a
 static "priority" policy — ``tests/test_sim_engine_properties.py`` cross-checks
 the two implementations on random instances, and
 ``tests/test_sim_kernel_parity.py`` pins the kernel against the retained
 pre-kernel loop bit for bit.
-
-NaN priorities raise :class:`ValueError` naming the offending job index:
-NaN compares false against everything, so historically it silently
-corrupted the waiting-heap order instead of failing.
 """
 
 from __future__ import annotations
@@ -36,71 +35,51 @@ import numpy as np
 
 from repro.obs.metrics import current_registry
 from repro.sim import _cbackend
-from repro.sim.kernel import fixed_priority_batch, fixed_priority_starts, validate_scores
+from repro.sim.kernel import simulate_events, validate_scores
 from repro.sim.metrics import DEFAULT_TAU
-from repro.util.validation import check_positive
+from repro.util.validation import check_positive, check_positive_int
 
-__all__ = ["simulate_fixed_priority", "simulate_fixed_priority_batch", "simulate_trials"]
+__all__ = ["simulate_fixed_priority_batch", "simulate_trials"]
 
 
-def _validate_jobs(submit, runtime, size, nmax: int) -> int:
-    """Shared argument validation; returns the job count ``m``."""
-    m = len(submit)
-    if not (len(runtime) == len(size) == m):
+def _validated_jobs(submit, runtime, size, nmax):
+    """Check the job arrays against :class:`~repro.sim.job.Workload`'s
+    rules, naming the first bad job; returns them as kernel-ready
+    arrays, and *nmax* as an ``int``."""
+    nmax = check_positive_int("nmax", nmax)
+    submit = np.ascontiguousarray(submit, dtype=np.float64)
+    runtime = np.ascontiguousarray(runtime, dtype=np.float64)
+    size = np.ascontiguousarray(size, dtype=np.int64)
+    if not (len(runtime) == len(size) == len(submit)):
         raise ValueError("attribute arrays must share one length")
-    if m == 0:
-        return 0
-    sizes = np.asarray(size)
-    worst = int(np.argmax(sizes))
-    if int(sizes[worst]) > nmax:
+    for name, arr, ok, need in (
+        ("submit", submit, np.isfinite(submit) & (submit >= 0), "finite and >= 0"),
+        ("runtime", runtime, np.isfinite(runtime) & (runtime > 0), "finite and > 0"),
+        ("size", size, size >= 1, ">= 1"),
+    ):
+        if not ok.all():
+            job = int(np.argmin(ok))
+            raise ValueError(f"job {job}: {name} must be {need}, got {arr[job].item()!r}")
+    if len(size) and int(size.max()) > nmax:
+        worst = int(np.argmax(size))
         raise ValueError(
-            f"job {worst} needs {int(sizes[worst])} cores"
+            f"job {worst} needs {int(size[worst])} cores"
             f" but the machine has only {nmax}"
         )
-    return m
+    return submit, runtime, size, nmax
 
 
-def simulate_fixed_priority(
-    submit: np.ndarray,
-    runtime: np.ndarray,
-    size: np.ndarray,
-    priority: np.ndarray,
-    nmax: int,
-) -> np.ndarray:
-    """Simulate head-blocking priority scheduling; return per-job start times.
-
-    Parameters
-    ----------
-    submit, runtime, size:
-        Job attribute arrays (any consistent length ``m``).
-    priority:
-        Queue rank per job; **lower values run first**.  Ties broken by
-        submit time then index (deterministic).  NaN raises
-        :class:`ValueError` naming the offending job.
-    nmax:
-        Machine size in cores.
-
-    Returns
-    -------
-    ``start`` array of length ``m`` (start[i] >= submit[i]).
-    """
-    if len(priority) != len(submit):
-        raise ValueError("attribute arrays must share one length")
-    m = _validate_jobs(submit, runtime, size, nmax)
-    if m == 0:
-        return np.empty(0, dtype=float)
-    priority = np.ascontiguousarray(priority, dtype=np.float64)
-    validate_scores(priority, "priority")
-    start = fixed_priority_starts(submit, runtime, size, priority, nmax)
-
-    # Telemetry (no-op by default): per *trial*, never per job — this is
-    # the training inner loop, so two null method calls per call is the
-    # entire disabled-path cost.
-    registry = current_registry()
-    registry.inc("listsched.trials")
-    registry.inc("listsched.jobs", m)
-
-    return start
+def _priority_starts(submit, runtime, size, priorities, nmax) -> np.ndarray:
+    """One head-blocking run per priority row over validated jobs (no
+    telemetry); returns the ``(n_trials, m)`` start-time matrix."""
+    out = np.empty(priorities.shape, dtype=np.float64)
+    order = np.argsort(submit, kind="stable")
+    for t, row in enumerate(priorities):
+        out[t] = simulate_events(
+            submit, runtime, runtime, size, nmax,
+            static_scores=row, arrival_order=order, score_label="priority",
+        ).start
+    return out
 
 
 def simulate_fixed_priority_batch(
@@ -110,29 +89,28 @@ def simulate_fixed_priority_batch(
     priorities: np.ndarray,
     nmax: int,
 ) -> np.ndarray:
-    """Simulate ``n_trials`` priority vectors over one shared job set.
+    """Head-blocking priority scheduling of one job set, once per row of
+    *priorities*; returns the ``(n_trials, m)`` start-time matrix.
 
-    *priorities* has shape ``(n_trials, m)``; the result is the
-    ``(n_trials, m)`` start-time matrix, row ``t`` bit-identical to
-    ``simulate_fixed_priority(..., priorities[t], nmax)``.  Arrival
-    order and kernel scratch state are set up once for the whole batch
-    instead of once per trial.  Training's permutation trials go through
-    :func:`simulate_trials`, which also shares their common prefix.
-
-    Telemetry counts each row as one ``listsched.trials`` increment, so
-    counter values match the per-trial loop exactly.
+    Row ``t`` ranks the jobs of trial ``t``: lower runs first, ties
+    broken by submit time then index.  The jobs must follow
+    :class:`~repro.sim.job.Workload`'s rules (finite ``submit >= 0``,
+    finite ``runtime > 0``, ``1 <= size <= nmax``) and *nmax* must be a
+    positive integer; a bad job or a NaN priority raises
+    :class:`ValueError` naming it (and the trial).  The jobs are checked
+    and their arrival order computed once, then each row is one
+    :func:`~repro.sim.kernel.simulate_events` run.  Telemetry counts
+    each row as one ``listsched.trials``.
     """
-    priorities = np.asarray(priorities)
+    priorities = np.ascontiguousarray(priorities, dtype=np.float64)
     if priorities.ndim != 2:
         raise ValueError("priorities must have shape (n_trials, n_jobs)")
     if priorities.shape[1] != len(submit):
         raise ValueError("attribute arrays must share one length")
-    m = _validate_jobs(submit, runtime, size, nmax)
-    n_trials = priorities.shape[0]
-    if m == 0 or n_trials == 0:
-        out = np.empty((n_trials, m), dtype=float)
-    else:
-        out = fixed_priority_batch(submit, runtime, size, priorities, nmax)
+    submit, runtime, size, nmax = _validated_jobs(submit, runtime, size, nmax)
+    validate_scores(priorities, "priority")
+    n_trials, m = priorities.shape
+    out = _priority_starts(submit, runtime, size, priorities, nmax)
 
     registry = current_registry()
     registry.inc("listsched.trials", n_trials)
@@ -158,7 +136,7 @@ def _trials_numpy(submit, runtime, size, perms, nmax, n_warm, tau) -> np.ndarray
     priorities[:, :n_warm] = np.arange(n_warm)
     q_ranks = (n_warm + np.arange(m_q)).astype(float)[None, :]
     np.put_along_axis(priorities[:, n_warm:], perms, q_ranks, axis=1)
-    starts = fixed_priority_batch(submit, runtime, size, priorities, nmax)
+    starts = _priority_starts(submit, runtime, size, priorities, nmax)
     q_submit, q_runtime = submit[n_warm:], runtime[n_warm:]
     wait_q = starts[:, n_warm:] - q_submit
     bsld = np.maximum((wait_q + q_runtime) / np.maximum(q_runtime, tau), 1.0)
@@ -189,13 +167,14 @@ def simulate_trials(
     The C kernel schedules the prefix every trial shares once (up to the
     first pass with a probe job at the queue head) and resumes each
     trial from there; under ``REPRO_SIM_KERNEL=python`` the priority
-    matrix goes through :func:`~repro.sim.kernel.fixed_priority_batch`
-    and numpy reduces the starts.  A *perms* row that is not a
-    permutation of ``0..m_q-1`` raises :class:`ValueError` naming the
-    trial.  Telemetry counts ``n_trials`` trials of ``n_warm + m_q``
-    jobs, as the priority batch would.
+    matrix runs row by row as in :func:`simulate_fixed_priority_batch`
+    and numpy reduces the starts.  The jobs are checked as there; a
+    *perms* row that is not a permutation of ``0..m_q-1`` raises
+    :class:`ValueError` naming the trial.  Telemetry counts ``n_trials``
+    trials of ``n_warm + m_q`` jobs, as the priority batch would.
     """
-    m = _validate_jobs(submit, runtime, size, nmax)
+    submit, runtime, size, nmax = _validated_jobs(submit, runtime, size, nmax)
+    m = len(submit)
     if not 0 <= n_warm < m:
         raise ValueError(f"n_warm={n_warm} must leave at least one of {m} jobs as a probe")
     m_q = m - n_warm
@@ -203,9 +182,6 @@ def simulate_trials(
     if perms.ndim != 2 or perms.shape[1] != m_q:
         raise ValueError(f"perms must have shape (n_trials, {m_q})")
     tau = check_positive("tau", tau)
-    submit = np.ascontiguousarray(submit, dtype=np.float64)
-    runtime = np.ascontiguousarray(runtime, dtype=np.float64)
-    size = np.ascontiguousarray(size, dtype=np.int64)
     n_trials = perms.shape[0]
     backend = _cbackend.selected()
     if backend is None:

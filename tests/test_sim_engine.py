@@ -5,10 +5,13 @@ import pytest
 
 from repro.policies.classic import FCFS, SPT
 from repro.policies.adhoc import WFP3
+from repro.sim import _cbackend
 from repro.sim.engine import ScheduleResult, SimulationConfig, simulate
 from repro.sim.job import Workload
 
 from conftest import assert_valid_schedule
+
+KERNELS = ["python"] + (["c"] if _cbackend.load() is not None else [])
 
 
 class TestSimulationConfig:
@@ -17,6 +20,16 @@ class TestSimulationConfig:
             SimulationConfig(nmax=0)
         with pytest.raises(ValueError):
             SimulationConfig(nmax=4, tau=0.0)
+
+    def test_numpy_integer_nmax_accepted(self):
+        assert SimulationConfig(nmax=np.int64(4)).nmax == 4
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_float_nmax_same_error_on_every_kernel(self, monkeypatch, kernel):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        wl = Workload.from_arrays([0.0, 1.0], [2.0, 3.0], [1, 2])
+        with pytest.raises(TypeError, match="nmax must be an integer, got float"):
+            simulate(wl, FCFS(), 64.0)
 
 
 class TestBasicScheduling:

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.policies.classic import FCFS, SPT
 from repro.sim.engine import simulate
 from repro.sim.job import Workload
-from repro.sim.listsched import simulate_fixed_priority
+from repro.sim.listsched import simulate_fixed_priority_batch
 
 from conftest import DynamicWrapper, TablePolicy, assert_valid_schedule, random_workload
 
@@ -40,8 +40,8 @@ class TestEngineVsListScheduler:
     def test_fcfs_equals_arrival_priority(self, data):
         wl, nmax, _ = _draw_workload(data)
         engine = simulate(wl, FCFS(), nmax)
-        listed = simulate_fixed_priority(
-            wl.submit, wl.runtime, wl.size, np.arange(len(wl), dtype=float), nmax
+        (listed,) = simulate_fixed_priority_batch(
+            wl.submit, wl.runtime, wl.size, np.arange(len(wl), dtype=float)[None, :], nmax
         )
         np.testing.assert_allclose(engine.start, listed)
 
@@ -52,7 +52,9 @@ class TestEngineVsListScheduler:
         priority = rng.permutation(len(wl)).astype(float)
         table = {float(s): float(p) for s, p in zip(wl.submit, priority)}
         engine = simulate(wl, TablePolicy(table), nmax)
-        listed = simulate_fixed_priority(wl.submit, wl.runtime, wl.size, priority, nmax)
+        (listed,) = simulate_fixed_priority_batch(
+            wl.submit, wl.runtime, wl.size, priority[None, :], nmax
+        )
         np.testing.assert_allclose(engine.start, listed)
 
 

@@ -1,7 +1,7 @@
 """Randomized bit-parity: the unified kernel vs the frozen legacy loops.
 
 ``tests/oracle_sim.py`` holds verbatim copies of the pre-kernel
-``engine.simulate`` / ``simulate_fixed_priority`` loops.  Every test here
+``engine.simulate`` / fixed-priority loops.  Every test here
 compares kernel output against the oracle **bitwise** (``tobytes``), not
 approximately: bit-identical results are the refactor's acceptance bar
 (the runtime layer's caching contract keys on exact bytes).
@@ -30,11 +30,8 @@ from repro.policies.registry import get_policy
 from repro.sim import _cbackend, kernel
 from repro.sim.engine import simulate
 from repro.sim.job import Workload
-from repro.sim.kernel import fixed_priority_batch, simulate_events
-from repro.sim.listsched import (
-    simulate_fixed_priority,
-    simulate_fixed_priority_batch,
-)
+from repro.sim.kernel import simulate_events
+from repro.sim.listsched import simulate_fixed_priority_batch
 
 HAVE_C = _cbackend.load() is not None
 
@@ -194,41 +191,23 @@ class TestListschedParity:
             # actually occur and exercise the index tie-break.
             priority = rng.integers(0, 4, m).astype(float)
             want = oracle_fixed_priority(submit, runtime, size, priority, nmax)
-            got = simulate_fixed_priority(submit, runtime, size, priority, nmax)
+            (got,) = simulate_fixed_priority_batch(
+                submit, runtime, size, priority[None, :], nmax
+            )
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_batch_matches_per_trial(self, monkeypatch, backend):
-        monkeypatch.setenv("REPRO_SIM_KERNEL", backend)
-        rng = np.random.default_rng(0)
-        m, n_trials = 48, 33
-        submit = np.round(rng.uniform(0.0, 50.0, m), 1)
-        runtime = np.round(rng.uniform(0.5, 40.0, m), 2)
-        size = rng.integers(1, 9, m)
-        priorities = np.stack([rng.permutation(m).astype(float) for _ in range(n_trials)])
-        batch = simulate_fixed_priority_batch(
-            submit, runtime, size, priorities, 16
-        )
-        for t in range(n_trials):
-            row = simulate_fixed_priority(submit, runtime, size, priorities[t], 16)
-            assert batch[t].tobytes() == row.tobytes()
-
-    def test_batch_telemetry_matches_loop(self):
+    def test_batch_telemetry_counts_each_row(self):
         rng = np.random.default_rng(1)
         m, n_trials = 10, 7
         submit = np.sort(rng.uniform(0, 10, m))
         runtime = rng.uniform(1, 5, m)
         size = rng.integers(1, 4, m)
         priorities = np.stack([rng.permutation(m).astype(float) for _ in range(n_trials)])
-        loop_reg = MetricsRegistry()
-        with use_registry(loop_reg):
-            for t in range(n_trials):
-                simulate_fixed_priority(submit, runtime, size, priorities[t], 8)
-        batch_reg = MetricsRegistry()
-        with use_registry(batch_reg):
+        registry = MetricsRegistry()
+        with use_registry(registry):
             simulate_fixed_priority_batch(submit, runtime, size, priorities, 8)
-        for counter in ("listsched.trials", "listsched.jobs"):
-            assert batch_reg.value(counter) == loop_reg.value(counter)
+        assert registry.value("listsched.trials") == n_trials
+        assert registry.value("listsched.jobs") == n_trials * m
 
 
 class TestNaNValidation:
@@ -236,9 +215,9 @@ class TestNaNValidation:
         submit = np.array([0.0, 1.0, 2.0, 3.0])
         runtime = np.ones(4)
         size = np.ones(4, dtype=np.int64)
-        priority = np.array([1.0, 2.0, np.nan, 4.0])
-        with pytest.raises(ValueError, match="priority for job 2 is NaN"):
-            simulate_fixed_priority(submit, runtime, size, priority, 4)
+        priority = np.array([[1.0, 2.0, np.nan, 4.0]])
+        with pytest.raises(ValueError, match=r"priority for job 2 \(trial 0\) is NaN"):
+            simulate_fixed_priority_batch(submit, runtime, size, priority, 4)
 
     def test_batch_rejects_nan_naming_trial(self):
         submit = np.array([0.0, 1.0])
@@ -348,7 +327,7 @@ class TestBackfillPassCost:
         assert result.start.tobytes() == want.start.tobytes()
         kernel_per_pass = kernel_time / kernel_passes
         oracle_per_pass = oracle_time / oracle_passes
-        if HAVE_C:
+        if _cbackend.selected() is not None:
             # The compiled path must be far past "no list rebuilds".
             assert kernel_per_pass < oracle_per_pass / 3
         else:
@@ -373,14 +352,17 @@ class TestCBackendGate:
     @pytest.mark.skipif(not HAVE_C, reason="no C toolchain on this host")
     def test_c_backend_used_when_forced(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_KERNEL", "c")
-        out = fixed_priority_batch(
+        # a fall-back to the Python loop must not pass as the C backend
+        monkeypatch.setattr(kernel, "_simulate_py", None)
+        out = simulate_events(
             np.array([0.0, 0.0]),
             np.array([2.0, 2.0]),
+            np.array([2.0, 2.0]),
             np.array([1, 1], dtype=np.int64),
-            np.array([[0.0, 1.0]]),
             1,
+            static_scores=np.array([0.0, 1.0]),
         )
-        assert out.tolist() == [[0.0, 2.0]]
+        assert out.start.tolist() == [0.0, 2.0]
 
 
 @pytest.mark.skipif(not HAVE_C, reason="no C toolchain on this host")

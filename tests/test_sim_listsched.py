@@ -1,15 +1,31 @@
 """Tests for the fixed-priority trial simulator (repro.sim.listsched)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.listsched import simulate_fixed_priority
+from repro.sim import _cbackend
+from repro.sim.listsched import simulate_fixed_priority_batch, simulate_trials
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+KERNELS = ["python"] + (["c"] if _cbackend.load() is not None else [])
+
+
+def simulate_one(submit, runtime, size, priority, nmax):
+    """One trial: a one-row priority batch."""
+    return simulate_fixed_priority_batch(
+        submit, runtime, size, np.asarray(priority, float)[None, :], nmax
+    )[0]
 
 
 def starts(submit, runtime, size, priority, nmax):
-    return simulate_fixed_priority(
+    return simulate_one(
         np.asarray(submit, float),
         np.asarray(runtime, float),
         np.asarray(size, int),
@@ -20,7 +36,7 @@ def starts(submit, runtime, size, priority, nmax):
 
 class TestBasics:
     def test_empty(self):
-        out = simulate_fixed_priority(
+        out = simulate_one(
             np.array([]), np.array([]), np.array([]), np.array([]), 4
         )
         assert len(out) == 0
@@ -77,7 +93,7 @@ class TestBasics:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            simulate_fixed_priority(
+            simulate_one(
                 np.array([0.0]), np.array([1.0]), np.array([1, 2]), np.array([0]), 4
             )
 
@@ -136,3 +152,87 @@ class TestProperties:
         out = starts(np.zeros(n), runtime, size, priority, 4)
         head = int(np.argmin(priority))
         assert out[head] == pytest.approx(out.min())
+
+
+def _run_entry(entry, submit, runtime, size, nmax):
+    """Two jobs through one public entry: a one-row priority batch, or
+    one permutation trial with job 0 as the warm-up set."""
+    if entry == "batch":
+        return simulate_fixed_priority_batch(
+            submit, runtime, size, np.array([[0.0, 1.0]]), nmax
+        )
+    return simulate_trials(submit, runtime, size, np.array([[0]]), nmax, n_warm=1)
+
+
+#: Malformed second job -> the error naming it (Workload's rules).
+BAD_JOBS = {
+    "negative_submit": ([0.0, -1.0], [1.0, 1.0], [1, 1], r"job 1: submit must be finite and >= 0, got -1\.0"),
+    "inf_runtime": ([0.0, 0.0], [1.0, np.inf], [1, 1], r"job 1: runtime must be finite and > 0, got inf"),
+    "negative_runtime": ([0.0, 0.0], [1.0, -3.0], [1, 1], r"job 1: runtime must be finite and > 0, got -3\.0"),
+    "zero_runtime": ([0.0, 0.0], [1.0, 0.0], [1, 1], r"job 1: runtime must be finite and > 0, got 0\.0"),
+    "zero_size": ([0.0, 0.0], [1.0, 1.0], [1, 0], r"job 1: size must be >= 1, got 0"),
+    "negative_size": ([0.0, 0.0], [1.0, 1.0], [1, -2], r"job 1: size must be >= 1, got -2"),
+}
+
+#: A NaN runtime never completes in the C loop and a NaN submit never
+#: arrives in the Python one, so unchecked these spin: run them in a
+#: child process that a timeout can kill.
+_NAN_JOBS = """
+import numpy as np
+from repro.sim.listsched import simulate_fixed_priority_batch, simulate_trials
+size = np.ones(2, dtype=np.int64)
+for sub, run in (
+    (np.zeros(2), np.array([1.0, np.nan])),
+    (np.array([0.0, np.nan]), np.ones(2)),
+):
+    for call in (
+        lambda: simulate_fixed_priority_batch(sub, run, size, np.array([[0.0, 1.0]]), 1),
+        lambda: simulate_trials(sub, run, size, np.array([[0]]), 1, n_warm=1),
+    ):
+        try:
+            print("returned", call())
+        except ValueError as exc:
+            print(exc)
+"""
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestJobValidation:
+    @pytest.mark.parametrize("entry", ["batch", "trials"])
+    @pytest.mark.parametrize("case", sorted(BAD_JOBS))
+    def test_bad_job_named(self, monkeypatch, kernel, entry, case):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        submit, runtime, size, match = BAD_JOBS[case]
+        with pytest.raises(ValueError, match=match):
+            _run_entry(
+                entry, np.array(submit), np.array(runtime), np.array(size), 4
+            )
+
+    @pytest.mark.parametrize("entry", ["batch", "trials"])
+    @pytest.mark.parametrize(
+        "nmax, error, match",
+        [(2.5, TypeError, "nmax must be an integer, got float"),
+         (0, ValueError, "nmax must be > 0, got 0")],
+    )
+    def test_bad_nmax(self, monkeypatch, kernel, entry, nmax, error, match):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        with pytest.raises(error, match=match):
+            _run_entry(entry, np.zeros(2), np.ones(2), np.ones(2, int), nmax)
+
+    def test_numpy_integer_nmax_accepted(self, monkeypatch, kernel):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        out = _run_entry("batch", np.zeros(2), np.ones(2), np.ones(2, int), np.int64(1))
+        np.testing.assert_array_equal(out, [[0.0, 1.0]])
+
+    def test_nan_job_named_not_hung(self, kernel):
+        proc = subprocess.run(
+            [sys.executable, "-c", _NAN_JOBS],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC), "REPRO_SIM_KERNEL": kernel},
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "job 1: runtime must be finite and > 0, got nan"
+        ] * 2 + ["job 1: submit must be finite and >= 0, got nan"] * 2
