@@ -71,7 +71,10 @@ def bench_trial_batch(benchmark):
 
     The training loop's real shape: the warm-up prefix is scheduled once
     and each trial returns its AVEbsld, so jobs/sec here bounds the
-    kernel part of training throughput.
+    kernel part of training throughput.  The tuple must contend (more
+    than one distinct AVEbsld): an order-independent one would let the
+    kernel answer every trial from the first, and this would time the
+    permutation check alone.
     """
     import numpy as np
 
@@ -91,6 +94,7 @@ def bench_trial_batch(benchmark):
         simulate_trials, submit, runtime, size, perms, 256, n_warm=len(tup.S)
     )
     assert out.shape == (n_trials,)
+    assert len(np.unique(out)) > 1, "the benched tuple no longer contends"
     benchmark.extra_info["jobs"] = n_trials * len(submit)
 
 

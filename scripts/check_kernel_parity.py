@@ -18,13 +18,19 @@ with ``REPRO_SIM_KERNEL=c`` and ``=python`` and both must match, so the
 compiled backend is held to the same bar as the pure-Python loop.  A
 ``hybrid`` leg then runs the same matrix under hybrid backfilling on both
 backends and byte-compares C against Python: the frozen loop predates
-hybrid, so the Python kernel is that leg's reference.
+hybrid, so the Python kernel is that leg's reference.  A ``train`` leg
+runs the policy-obtaining pipeline at the ``smoke`` scale on both
+backends and byte-compares its stdout and score-distribution CSV: the
+C trial batch (with its shared trials) and the C permutation draw
+against the numpy references.
 
 Usage: ``python scripts/check_kernel_parity.py`` (exit 0 on parity).
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import sys
 import tempfile
@@ -58,6 +64,12 @@ EVALUATE_ARGS = [
 HYBRID_ARGS = ["--backfill", "hybrid", "--nmax", "256", "--estimates"]
 
 
+#: The train leg's flags.  At seed 2 one smoke tuple is contended and the
+#: other order-independent, so both the simulated and the shared trials
+#: of the C batch are compared.
+TRAIN_ARGS = ["train", "--scale", "smoke", "--seed", "2", "--workers", "1"]
+
+
 def run_matrix_json(
     output_dir: Path, *, use_oracle: bool, backend: str, hybrid: bool = False
 ) -> bytes:
@@ -85,6 +97,25 @@ def run_matrix_json(
     return (output_dir / "eval_matrix.json").read_bytes()
 
 
+def run_train_bytes(csv: Path, *, backend: str) -> bytes:
+    """``train --scale smoke`` on *backend*: its stdout (which names
+    *csv*, so both legs write there in turn), then the CSV."""
+    from repro.cli import main
+
+    stdout = io.StringIO()
+    os.environ["REPRO_SIM_KERNEL"] = backend
+    try:
+        with contextlib.redirect_stdout(stdout):
+            rc = main(TRAIN_ARGS + ["--output", str(csv)])
+    finally:
+        os.environ.pop("REPRO_SIM_KERNEL", None)
+    if rc not in (0, None):
+        raise SystemExit(f"train exited with {rc}")
+    data = stdout.getvalue().encode() + csv.read_bytes()
+    csv.unlink()
+    return data
+
+
 def main_check() -> int:
     from repro.sim import _cbackend
 
@@ -96,7 +127,7 @@ def main_check() -> int:
         runs = {"kernel[python]": run_matrix_json(
             tmp_path / "kernel-py", use_oracle=False, backend="python"
         )}
-        hybrid = {}
+        hybrid, train = {}, {}
         if _cbackend.load() is not None:
             runs["kernel[c]"] = run_matrix_json(
                 tmp_path / "kernel-c", use_oracle=False, backend="c"
@@ -105,6 +136,9 @@ def main_check() -> int:
                 hybrid[backend] = run_matrix_json(
                     tmp_path / f"hybrid-{backend}", use_oracle=False,
                     backend=backend, hybrid=True,
+                )
+                train[backend] = run_train_bytes(
+                    tmp_path / "distribution.csv", backend=backend
                 )
         else:
             print("note: no C toolchain; compiled backend not exercised")
@@ -120,12 +154,20 @@ def main_check() -> int:
             )
             if not same:
                 failed.append("hybrid kernel[c]")
+        if train:
+            same = train["c"] == train["python"]
+            print(
+                f"train kernel[c]: {len(train['c'])} bytes vs kernel[python]"
+                f" -> {'MATCH' if same else 'DIFFERS'}"
+            )
+            if not same:
+                failed.append("train kernel[c]")
     if failed:
         print(f"kernel parity FAILED for: {', '.join(failed)}", file=sys.stderr)
         return 1
     print(
         "kernel parity OK: eval_matrix.json byte-identical to the legacy loop"
-        + (" (hybrid: C == Python)" if hybrid else "")
+        + (" (hybrid and train: C == Python)" if hybrid else "")
     )
     return 0
 

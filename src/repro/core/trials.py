@@ -22,9 +22,12 @@ convergence study is reproduced on this estimator.
 The permutation matrix goes to :func:`repro.sim.listsched.simulate_trials`
 in chunks, which returns each trial's ``AVEbsld`` (Eq. 1/2) directly: the
 warm-up set S is scheduled once per chunk and only the probe set's part
-runs per trial.  The result is bit-identical to simulating every trial's
-priority vector and reducing the starts in numpy, which
-``tests/oracle_trials.py`` still does.
+runs per trial, and not even that when the chunk's first trial shows
+that the probe order cannot change a start.  The result is bit-identical
+to simulating every trial's priority vector and reducing the starts in
+numpy, which ``tests/oracle_trials.py`` still does.  With the C kernel
+the matrix itself is drawn in C from the generator's own bit stream,
+the same draws ``Generator.permuted`` makes.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.taskgen import TaskSetTuple
+from repro.sim import _cbackend
 # Still bound here: perfbench/layers.py wraps it as the sim.listsched layer.
 from repro.sim.listsched import simulate_fixed_priority_batch  # noqa: F401
 from repro.sim.listsched import simulate_trials
@@ -130,8 +134,14 @@ def _draw_permutations(
     the per-trial loop that seeded results were first produced with
     (``tests/oracle_trials.py``).  That equivalence is a numpy
     implementation property; ``TestPermutationOracle`` in
-    ``tests/test_core_trials.py`` pins it.
+    ``tests/test_core_trials.py`` pins it.  The C kernel makes the same
+    draws from *rng*'s own bit generator (``repro_draw_perms``) without a
+    call per row; the numpy path below is its reference and runs under
+    ``REPRO_SIM_KERNEL=python``.
     """
+    backend = _cbackend.selected()
+    if backend is not None:
+        return backend.draw_permutations(rng, total, m_q, balanced=balanced)
     if balanced:
         heads = np.arange(m_q)
         rest = np.arange(m_q - 1)

@@ -7,13 +7,14 @@ only; no build-time or install-time dependency is added).
 *static-score* simulation — classic and learned policies,
 EASY/conservative/hybrid backfilling, and each row of a fixed-priority
 batch — and WFP3/UNICEF with their kernel terms.
-``repro_trial_batch`` runs training's permutation trials.  The
-C loop makes the Python kernel's decisions with the same arithmetic:
-every floating-point operation it performs (additions, comparisons, the
-``1e-9``/``1e-12`` epsilons of the backfill helpers) exists identically
-in the Python path, so results are **bit-identical** — the parity suite
-(``tests/test_sim_kernel_parity.py``) enforces this against the frozen
-pre-kernel oracle for both backends.
+``repro_trial_batch`` runs training's permutation trials, and a third
+entry outside the loop, ``repro_draw_perms``, draws their permutation
+matrix.  The C loop makes the Python kernel's decisions with the same
+arithmetic: every floating-point operation it performs (additions,
+comparisons, the ``1e-9``/``1e-12`` epsilons of the backfill helpers)
+exists identically in the Python path, so results are
+**bit-identical** — the parity suite (``tests/test_sim_kernel_parity.py``)
+enforces this against the frozen pre-kernel oracle for both backends.
 
 Where the Python loop sorts per pass, C maintains the order instead.
 The running set stays ordered by ``(expected end, size)``: a start
@@ -52,6 +53,32 @@ a transcription of numpy's float64 ``pairwise_sum`` (sequential below 8
 terms, eight accumulators up to 128, split at half rounded down to a
 multiple of 8 above), divided by the probe count — the bits of
 ``bsld.mean(axis=1)`` on a contiguous row.
+
+Many batches cannot depend on the probe order at all, and trial 0 can
+prove it.  At the top of each event ``sim_run`` raises ``Sim.waited``
+if a job is still queued from the previous pass; the batch clears it
+before resuming trial 0.  If trial 0 ends with it clear, every pass from
+the snapshot on started every job it had queued, so the sizes queued at
+each pass fit the free cores together.  By induction over the events,
+any other probe order then meets the same queued set and the same free
+cores at each pass, starts all of it in whatever order, and so starts
+every job at the same instant: the same schedule.  Eq. 1/2 sums the
+probe bslds in job-index order, not permutation order, so each later
+trial's AVEbsld is trial 0's bit for bit, and it is copied rather than
+simulated (the count is returned as the shared trials).  Every perms
+row is still checked, so a bad row is still code 7 naming its trial.
+The test is conservative: a job that waits only while the machine is
+full also raises the flag, though no order could matter there.
+
+The permutation matrix itself is drawn here too (``repro_draw_perms``),
+from the ``bitgen_t`` numpy exposes as
+``Generator.bit_generator.ctypes.bit_generator``, with the draws
+``Generator.permuted(axis=1)`` makes: rows in order, each shuffled by
+Fisher–Yates from the last index down to 1 with numpy's
+``random_interval`` (the smallest all-ones mask >= the bound, then
+rejection on 32-bit draws, or 64-bit ones above ``0xffffffff``).  The
+caller holds the generator's lock, and the matrix and the generator's
+state afterwards equal numpy's.
 
 Selection and caching:
 
@@ -128,6 +155,9 @@ typedef struct {
      * size-sorted overdue running jobs (EASY) */
     i64 *scr;
     i64 free_cores, started, n_events, n_passes, nan_job;
+    /* set when an event finds a job still queued from the previous pass;
+     * only repro_trial_batch clears and reads it */
+    int waited;
     /* arrival cursor into order; a head job index >= stop ends the run
      * (SIM_STOPPED) before the pass tries to start it */
     i64 ai, stop;
@@ -499,6 +529,7 @@ static int sim_run(Sim *S, int resume)
     ai = 0;
     now = S->subs[S->order[0]];
     while (S->started < n) {
+        if (S->qn > 0) S->waited = 1;
         double na = (ai < n) ? S->subs[S->order[ai]] : INFINITY;
         double nc = (S->hn > 0) ? S->h_t[0] : INFINITY;
         double et = (na < nc) ? na : nc;
@@ -634,14 +665,18 @@ static double pairwise_sum(const double *a, i64 n)
  * times in the shared start array.  out[t] is the probe jobs' AVEbsld
  * (Eq. 1/2) with numpy's operation order, so the bits equal
  * np.maximum((start - submit + r) / np.maximum(r, tau), 1.0).mean().
- * A perms row that is not a permutation of 0..m_q-1 returns 7 with the
- * trial in *bad. */
+ * If trial 0 never finds a job queued across events after the stop, no
+ * probe order can change a start (see the module docstring), so every
+ * later trial takes out[0] and *shared counts them.  A perms row that is
+ * not a permutation of 0..m_q-1 returns 7 with the trial in *bad; every
+ * row is checked, shared or not. */
 int repro_trial_batch(i64 n_trials, i64 m_s, i64 m_q, i64 nmax,
                       const double *subs, const double *runs, const i64 *sizes,
                       const i64 *perms, const i64 *order, double tau,
-                      double *out, i64 *bad)
+                      double *out, i64 *bad, i64 *shared)
 {
     *bad = -1;
+    *shared = 0;
     if (m_q <= 0 || n_trials <= 0) return 0;
     i64 m = m_s + m_q;
     size_t md = (size_t)m, qd = (size_t)m_q;
@@ -676,6 +711,8 @@ int repro_trial_batch(i64 n_trials, i64 m_s, i64 m_q, i64 nmax,
     memcpy(snap_i, S.h_i, (size_t)snap_hn * sizeof(i64));
     for (i64 k = 0; k < n_wait; k++) waiting[k] = S.q[S.qh + k].i;
     S.stop = m;
+    /* set once trial 0 has run without a job queued across events */
+    int share = 0;
     for (i64 t = 0; t < n_trials; t++) {
         const i64 *P = perms + t * m_q;
         for (i64 j = 0; j < m_q; j++) {
@@ -684,12 +721,18 @@ int repro_trial_batch(i64 n_trials, i64 m_s, i64 m_q, i64 nmax,
             seen[p] = t;
             rank[m_s + p] = (double)(m_s + j);
         }
+        if (share) {
+            out[t] = out[0];
+            (*shared)++;
+            continue;
+        }
         S.now = snap_now; S.ai = snap_ai; S.hn = snap_hn;
         S.free_cores = snap_free; S.started = snap_started;
         memcpy(S.h_t, snap_t, (size_t)snap_hn * sizeof(double));
         memcpy(S.h_i, snap_i, (size_t)snap_hn * sizeof(i64));
         S.qh = 0; S.qn = 0;
         for (i64 k = 0; k < n_wait; k++) q_insert(&S, waiting[k]);
+        S.waited = 0;
         rc = sim_run(&S, 1);
         if (rc) goto done;
         for (i64 j = 0; j < m_q; j++) {
@@ -698,10 +741,72 @@ int repro_trial_batch(i64 n_trials, i64 m_s, i64 m_q, i64 nmax,
             bsld[j] = np_max((S.start[i] - subs[i] + r) / np_max(r, tau), 1.0);
         }
         out[t] = pairwise_sum(bsld, m_q) / (double)m_q;
+        if (t == 0) share = !S.waited;
     }
 done:
     free(dbuf); free(ibuf); free(q); free(bf);
     return rc;
+}
+
+/* numpy's bitgen_t (numpy/random/bitgen.h), the struct a Generator's
+ * bit_generator.ctypes.bit_generator points at */
+typedef struct {
+    void *state;
+    uint64_t (*next_uint64)(void *st);
+    uint32_t (*next_uint32)(void *st);
+    double (*next_double)(void *st);
+    uint64_t (*next_raw)(void *st);
+} bitgen_t;
+
+/* numpy's random_interval for max >= 1: the smallest all-ones mask
+ * >= max, then rejection on 32-bit draws (64-bit above 0xffffffff) */
+static uint64_t random_interval(bitgen_t *bg, uint64_t max)
+{
+    uint64_t mask = max, v;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    mask |= mask >> 32;
+    if (max <= 0xffffffffUL) {
+        while ((v = (bg->next_uint32(bg->state) & mask)) > max)
+            ;
+    } else {
+        while ((v = (bg->next_uint64(bg->state) & mask)) > max)
+            ;
+    }
+    return v;
+}
+
+/* Generator.shuffle's Fisher-Yates over a[0..n-1] */
+static void shuffle(bitgen_t *bg, i64 *a, i64 n)
+{
+    for (i64 i = n - 1; i >= 1; i--) {
+        i64 j = (i64)random_interval(bg, (uint64_t)i), x = a[j];
+        a[j] = a[i];
+        a[i] = x;
+    }
+}
+
+/* core.trials' permutation matrix, drawn as Generator.permuted(axis=1)
+ * draws it: rows in order, each shuffled in place.  A balanced row t is
+ * head t % m_q, then the other tasks ascending, shuffled from position
+ * 1; an unbalanced row is 0..m_q-1 shuffled whole. */
+void repro_draw_perms(bitgen_t *bg, i64 n_rows, i64 m_q, int balanced, i64 *out)
+{
+    for (i64 t = 0; t < n_rows; t++) {
+        i64 *row = out + t * m_q;
+        if (balanced) {
+            i64 h = t % m_q;
+            row[0] = h;
+            for (i64 k = 1; k < m_q; k++) row[k] = k - 1 + (k - 1 >= h);
+            shuffle(bg, row + 1, m_q - 1);
+        } else {
+            for (i64 k = 0; k < m_q; k++) row[k] = k;
+            shuffle(bg, row, m_q);
+        }
+    }
 }
 """
 
@@ -790,8 +895,14 @@ class CKernel:
             [ctypes.c_longlong] * 4
             + [ctypes.c_void_p] * 5
             + [ctypes.c_double]
-            + [ctypes.c_void_p] * 2
+            + [ctypes.c_void_p] * 3
         )
+        self._draw = lib.repro_draw_perms
+        self._draw.restype = None
+        self._draw.argtypes = [
+            ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong,
+            ctypes.c_int, ctypes.c_void_p,
+        ]
 
     def sim(
         self,
@@ -854,11 +965,12 @@ class CKernel:
         nmax: int,
         tau: float,
         out: np.ndarray,
-    ) -> int:
+    ) -> tuple[int, int]:
         """Fill *out* with one AVEbsld per row of *perms*; returns the
-        first trial whose row is not a permutation, or -1."""
+        first trial whose row is not a permutation (or -1) and the number
+        of trials answered from trial 0 without simulation."""
         n_trials, m_q = perms.shape
-        bad = np.full(1, -1, dtype=np.int64)
+        info = np.full(2, -1, dtype=np.int64)  # bad trial, shared trials
         rc = self._trials(
             n_trials,
             n_warm,
@@ -871,13 +983,30 @@ class CKernel:
             order.ctypes.data,
             tau,
             out.ctypes.data,
-            bad.ctypes.data,
+            info.ctypes.data,
+            info[1:].ctypes.data,
         )
         if rc and rc != 7:
             raise RuntimeError(
                 f"C trial kernel failed: {_ERRORS.get(rc, f'code {rc}')}"
             )
-        return int(bad[0])
+        return int(info[0]), int(info[1])
+
+    def draw_permutations(
+        self, rng: np.random.Generator, n_rows: int, m_q: int, *, balanced: bool
+    ) -> np.ndarray:
+        """The ``(n_rows, m_q)`` permutation matrix of
+        ``core.trials._draw_permutations``, drawn from *rng*'s own bit
+        generator (under its lock) with the draws ``Generator.permuted``
+        makes."""
+        out = np.empty((n_rows, m_q), dtype=np.int64)
+        bitgen = rng.bit_generator
+        with bitgen.lock:
+            self._draw(
+                bitgen.ctypes.bit_generator, n_rows, m_q, int(balanced),
+                out.ctypes.data,
+            )
+        return out
 
 
 _UNSET = object()

@@ -34,7 +34,28 @@ import numpy as np
 
 from repro.util.validation import check_finite, check_positive_int
 
-__all__ = ["Job", "Workload", "concat_workloads"]
+__all__ = ["Job", "Workload", "as_sizes", "concat_workloads"]
+
+
+def as_sizes(size, job_ids: np.ndarray | None = None) -> np.ndarray:
+    """*size* as a C-contiguous int64 array.
+
+    An integer array passes as is; any other input must hold finite whole
+    numbers, so ``2.5`` or NaN raises :class:`ValueError` naming the first
+    such job (by its id in *job_ids*, else by position) instead of being
+    cast silently.
+    """
+    raw = np.asarray(size)
+    if raw.dtype.kind not in "biu":
+        values = raw.astype(np.float64)
+        ok = np.isfinite(values) & (values == np.floor(values))
+        if not ok.all():
+            k = int(np.argmin(ok))
+            job = k if job_ids is None else int(job_ids[k])
+            raise ValueError(
+                f"job {job}: size must be a finite whole number, got {raw[k].item()!r}"
+            )
+    return np.ascontiguousarray(raw, dtype=np.int64)
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,9 +106,9 @@ class Workload:
     def __post_init__(self) -> None:
         submit = np.ascontiguousarray(self.submit, dtype=np.float64)
         runtime = np.ascontiguousarray(self.runtime, dtype=np.float64)
-        size = np.ascontiguousarray(self.size, dtype=np.int64)
         estimate = np.ascontiguousarray(self.estimate, dtype=np.float64)
         job_ids = np.ascontiguousarray(self.job_ids, dtype=np.int64)
+        size = np.asarray(self.size)
         n = len(submit)
         for label, arr in (
             ("runtime", runtime),
@@ -99,6 +120,7 @@ class Workload:
                 raise ValueError(
                     f"array length mismatch: submit has {n}, {label} has {len(arr)}"
                 )
+        size = as_sizes(size, job_ids)
         check_finite("submit", submit)
         check_finite("runtime", runtime)
         check_finite("estimate", estimate)
@@ -165,7 +187,7 @@ class Workload:
         return cls(
             submit=submit,
             runtime=runtime,
-            size=np.asarray(size, dtype=np.int64),
+            size=size,
             estimate=np.asarray(estimate, dtype=np.float64),
             job_ids=np.arange(len(submit), dtype=np.int64),
             name=name,

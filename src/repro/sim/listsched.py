@@ -17,10 +17,11 @@ outranks Q in every permutation, so everything up to the first pass
 with a probe job at the queue head is the same in each trial.  The C
 kernel (``repro_trial_batch``) schedules that prefix once per batch,
 resumes every permutation from it, and returns Eq. 1/2 per trial rather
-than a starts matrix.  Both check the jobs against
-:class:`~repro.sim.job.Workload`'s rules first, naming the first bad
-job: a NaN runtime would never complete in C, and a NaN priority never
-sorts.
+than a starts matrix; a batch whose first trial never leaves a job
+queued across events gives every trial that first value.  Both check
+the jobs against :class:`~repro.sim.job.Workload`'s rules first, naming
+the first bad job: a NaN runtime would never complete in C, and a NaN
+priority never sorts.
 
 The semantics are deliberately identical to the online engine running a
 static "priority" policy — ``tests/test_sim_engine_properties.py`` cross-checks
@@ -35,6 +36,7 @@ import numpy as np
 
 from repro.obs.metrics import current_registry
 from repro.sim import _cbackend
+from repro.sim.job import as_sizes
 from repro.sim.kernel import simulate_events, validate_scores
 from repro.sim.metrics import DEFAULT_TAU
 from repro.util.validation import check_positive, check_positive_int
@@ -44,12 +46,13 @@ __all__ = ["simulate_fixed_priority_batch", "simulate_trials"]
 
 def _validated_jobs(submit, runtime, size, nmax):
     """Check the job arrays against :class:`~repro.sim.job.Workload`'s
-    rules, naming the first bad job; returns them as kernel-ready
+    rules (sizes whole numbers, as :func:`~repro.sim.job.as_sizes`
+    checks), naming the first bad job; returns them as kernel-ready
     arrays, and *nmax* as an ``int``."""
     nmax = check_positive_int("nmax", nmax)
     submit = np.ascontiguousarray(submit, dtype=np.float64)
     runtime = np.ascontiguousarray(runtime, dtype=np.float64)
-    size = np.ascontiguousarray(size, dtype=np.int64)
+    size = as_sizes(size)
     if not (len(runtime) == len(size) == len(submit)):
         raise ValueError("attribute arrays must share one length")
     for name, arr, ok, need in (
@@ -166,12 +169,16 @@ def simulate_trials(
 
     The C kernel schedules the prefix every trial shares once (up to the
     first pass with a probe job at the queue head) and resumes each
-    trial from there; under ``REPRO_SIM_KERNEL=python`` the priority
-    matrix runs row by row as in :func:`simulate_fixed_priority_batch`
-    and numpy reduces the starts.  The jobs are checked as there; a
-    *perms* row that is not a permutation of ``0..m_q-1`` raises
-    :class:`ValueError` naming the trial.  Telemetry counts ``n_trials``
-    trials of ``n_warm + m_q`` jobs, as the priority batch would.
+    trial from there; when the first trial shows that no probe order can
+    matter (no job stays queued across events after the prefix), every
+    other trial takes its value without being simulated.  Under
+    ``REPRO_SIM_KERNEL=python`` the priority matrix runs row by row as
+    in :func:`simulate_fixed_priority_batch` and numpy reduces the
+    starts.  The jobs are checked as there; a *perms* row that is not a
+    permutation of ``0..m_q-1`` raises :class:`ValueError` naming the
+    trial, shared or not.  Telemetry counts ``n_trials`` trials of
+    ``n_warm + m_q`` jobs, as the priority batch would, and the trials
+    answered without simulation as ``listsched.trials_shared``.
     """
     submit, runtime, size, nmax = _validated_jobs(submit, runtime, size, nmax)
     m = len(submit)
@@ -184,12 +191,13 @@ def simulate_trials(
     tau = check_positive("tau", tau)
     n_trials = perms.shape[0]
     backend = _cbackend.selected()
+    shared = 0
     if backend is None:
         out = _trials_numpy(submit, runtime, size, perms, nmax, n_warm, tau)
     else:
         out = np.empty(n_trials, dtype=np.float64)
         order = np.argsort(submit, kind="stable")
-        bad = backend.trial_batch(
+        bad, shared = backend.trial_batch(
             submit, runtime, size, perms, order, n_warm, nmax, tau, out
         )
         if bad >= 0:
@@ -198,5 +206,6 @@ def simulate_trials(
     registry = current_registry()
     registry.inc("listsched.trials", n_trials)
     registry.inc("listsched.jobs", n_trials * m)
+    registry.inc("listsched.trials_shared", shared)
 
     return out

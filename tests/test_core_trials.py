@@ -314,3 +314,117 @@ class TestTrialKernel:
             run_trials(tup, 256, 64, seed=0)
         assert registry.value("listsched.trials") == 64
         assert registry.value("listsched.jobs") == 64 * (len(tup.S) + len(tup.Q))
+
+
+#: Hand-built tuples on an 8-core machine around the order-independence
+#: test: a batch shares trial 0's value only if, after the shared
+#: prefix, no job stays queued from one event to the next.
+ORDER_TUPLES = {
+    # p1 and p2 arrive together with room for one: exactly one pass
+    # after the prefix leaves a probe waiting, and the order decides which
+    "one_wait_after_stop": _tuple(
+        [0.0], [100.0], [2],
+        [1.0, 5.0, 5.0], [100.0, 10.0, 50.0], [1, 4, 4],
+    ),
+    # S[1] waits behind S[0] in the prefix; no probe ever waits
+    "order_free": _tuple(
+        [0.0, 0.0], [10.0, 10.0], [8, 8],
+        [30.0, 31.0, 32.0, 40.0], [5.0, 3.0, 2.0, 1.0], [3, 3, 2, 8],
+    ),
+    # p1 and p2 wait only while p0 fills the machine, then both start:
+    # the order cannot matter, but a job queued across events still
+    # counts as waiting
+    "full_machine_wait": _tuple(
+        [0.0], [1.0], [1],
+        [2.0, 5.0, 5.0], [10.0, 3.0, 7.0], [8, 2, 3],
+    ),
+}
+
+#: Trials answered from trial 0 under the C kernel, per tuple: all but
+#: trial 0, or none.
+SHARES = {"one_wait_after_stop": False, "order_free": True, "full_machine_wait": False}
+
+
+def _trials_shared(tup, n_trials, **kw):
+    registry = MetricsRegistry()
+    with use_registry(registry), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        res = run_trials(tup, 8, n_trials, **kw)
+    return res, registry.value("listsched.trials_shared")
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestOrderIndependentBatches:
+    """Trial 0 proves a batch order-independent; the other trials then
+    take its value.  Held to the frozen oracle bit for bit, and to the
+    ``listsched.trials_shared`` count the kernel reports."""
+
+    @pytest.mark.parametrize("case", sorted(ORDER_TUPLES))
+    @pytest.mark.parametrize("balanced", [True, False])
+    def test_against_oracle(self, monkeypatch, kernel, case, balanced):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        tup = ORDER_TUPLES[case]
+        for seed in range(3):
+            _assert_same_trials(tup, 8, 96, seed=seed, balanced=balanced)
+        res, shared = _trials_shared(tup, 96, seed=0, balanced=balanced)
+        distinct = len(np.unique(res.trial_avebsld))
+        if case == "one_wait_after_stop":
+            assert distinct == 2  # the shortcut would give one value
+        else:
+            assert distinct == 1
+        expected = 95 if kernel == "c" and SHARES[case] else 0
+        assert shared == expected
+
+    def test_shared_per_chunk(self, monkeypatch, kernel):
+        """Each simulate_trials call decides from its own first trial."""
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        monkeypatch.setattr("repro.core.trials._TRIAL_CHUNK", 40)
+        res, shared = _trials_shared(ORDER_TUPLES["order_free"], 100, seed=1, balanced=False)
+        assert res.n_trials == 100
+        assert shared == (100 - 3 if kernel == "c" else 0)
+
+    def test_bad_row_of_a_shared_batch_named(self, monkeypatch, kernel):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        tup = ORDER_TUPLES["order_free"]
+        submit = np.concatenate([tup.S.submit, tup.Q.submit])
+        runtime = np.concatenate([tup.S.runtime, tup.Q.runtime])
+        size = np.concatenate([tup.S.size, tup.Q.size])
+        perms = np.array([[3, 2, 1, 0]] * 5 + [[0, 1, 1, 2]] + [[0, 1, 2, 3]] * 4)
+        with pytest.raises(ValueError, match=r"trial 5\b.*not a permutation of 0\.\.3"):
+            simulate_trials(submit, runtime, size, perms, 8, n_warm=2)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            out = simulate_trials(submit, runtime, size, perms[:5], 8, n_warm=2)
+        assert len(set(out.tolist())) == 1
+        assert registry.value("listsched.trials_shared") == (4 if kernel == "c" else 0)
+
+
+BIT_GENERATORS = [np.random.PCG64, np.random.Philox, np.random.SFC64, np.random.MT19937]
+
+
+@pytest.mark.skipif(not HAVE_C, reason="no C toolchain")
+class TestCDraw:
+    """``_draw_permutations`` in C (``repro_draw_perms``) against the
+    numpy ``Generator.permuted`` path it replaces: the same matrix and
+    the same generator state afterwards."""
+
+    @pytest.mark.parametrize("bitgen", BIT_GENERATORS, ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("m_q", [1, 2, 7, 32, 33])
+    @pytest.mark.parametrize("balanced", [True, False])
+    def test_matches_numpy(self, monkeypatch, bitgen, m_q, balanced):
+        from repro.core.trials import _TRIAL_CHUNK
+
+        past_chunk = -(-(_TRIAL_CHUNK + 1) // m_q) * m_q
+        for seed, total in ((0, m_q), (1, 5 * m_q), (2, past_chunk)):
+            total += 0 if balanced else 1  # unbalanced: any row count
+            drawn = {}
+            for kernel in ("python", "c"):
+                monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+                rng = np.random.Generator(bitgen(seed))
+                P = _draw_permutations(rng, m_q, total, balanced=balanced)
+                drawn[kernel] = (P, rng.bit_generator.state, rng.random())
+            (P_np, state_np, next_np), (P_c, state_c, next_c) = drawn.values()
+            assert P_c.dtype == P_np.dtype and P_c.shape == (total, m_q)
+            np.testing.assert_array_equal(P_c, P_np)
+            np.testing.assert_equal(state_c, state_np)
+            assert next_c == next_np

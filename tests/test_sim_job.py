@@ -71,6 +71,22 @@ class TestWorkloadConstruction:
         with pytest.raises(ValueError):
             Workload.from_arrays([np.nan], [1.0], [1])
 
+    @pytest.mark.parametrize("bad", [2.5, np.nan, np.inf])
+    def test_non_integral_size_named(self, bad):
+        """A size is never truncated: the job is named by its id."""
+        with pytest.raises(ValueError, match=r"job 9: size must be a finite whole number"):
+            Workload(
+                submit=[1.0, 0.0], runtime=[1.0, 1.0], size=[1.0, bad],
+                estimate=[1.0, 1.0], job_ids=[7, 9],
+            )
+        with pytest.raises(ValueError, match=r"job 1: size must be a finite whole number"):
+            Workload.from_arrays([0.0, 1.0], [1.0, 1.0], [1, bad])
+
+    def test_whole_float_sizes_become_int64(self):
+        wl = Workload.from_arrays([0.0, 1.0], [1.0, 1.0], [2.0, 1.0])
+        assert wl.size.dtype == np.int64
+        np.testing.assert_array_equal(wl.size, [2, 1])
+
     def test_empty_ok(self):
         wl = Workload.from_arrays([], [], [])
         assert len(wl) == 0

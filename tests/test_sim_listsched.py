@@ -172,6 +172,10 @@ BAD_JOBS = {
     "zero_runtime": ([0.0, 0.0], [1.0, 0.0], [1, 1], r"job 1: runtime must be finite and > 0, got 0\.0"),
     "zero_size": ([0.0, 0.0], [1.0, 1.0], [1, 0], r"job 1: size must be >= 1, got 0"),
     "negative_size": ([0.0, 0.0], [1.0, 1.0], [1, -2], r"job 1: size must be >= 1, got -2"),
+    # cast to int64, these used to become 2 (oversubscribing) or fail unnamed
+    "fractional_size": ([0.0, 0.0], [1.0, 1.0], [1.0, 2.5], r"job 1: size must be a finite whole number, got 2\.5"),
+    "nan_size": ([0.0, 0.0], [1.0, 1.0], [1.0, np.nan], r"job 1: size must be a finite whole number, got nan"),
+    "inf_size": ([0.0, 0.0], [1.0, 1.0], [1.0, np.inf], r"job 1: size must be a finite whole number, got inf"),
 }
 
 #: A NaN runtime never completes in the C loop and a NaN submit never
@@ -218,6 +222,21 @@ class TestJobValidation:
         monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
         with pytest.raises(error, match=match):
             _run_entry(entry, np.zeros(2), np.ones(2), np.ones(2, int), nmax)
+
+    def test_fractional_sizes_not_truncated(self, monkeypatch, kernel):
+        """Two 2.5-core jobs on 4 cores once both started at 0 (5 cores)."""
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        with pytest.raises(ValueError, match=r"job 0: size must be a finite whole number, got 2\.5"):
+            simulate_fixed_priority_batch(
+                np.zeros(2), np.ones(2), np.array([2.5, 2.5]), [[0.0, 1.0]], 4
+            )
+
+    def test_whole_float_sizes_accepted(self, monkeypatch, kernel):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        floats = _run_entry("batch", np.zeros(2), np.ones(2), np.array([3.0, 2.0]), 4)
+        ints = _run_entry("batch", np.zeros(2), np.ones(2), np.array([3, 2]), 4)
+        np.testing.assert_array_equal(floats, ints)
+        np.testing.assert_array_equal(floats, [[0.0, 1.0]])
 
     def test_numpy_integer_nmax_accepted(self, monkeypatch, kernel):
         monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
