@@ -601,11 +601,11 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     wl = synthetic_trace(args.name, seed=args.seed, n_jobs=args.jobs)
-    text = write_swf(wl, args.output)
     if args.output:
+        write_swf(wl, args.output)
         print(f"{len(wl)} jobs written to {args.output}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(write_swf(wl))
     return 0
 
 

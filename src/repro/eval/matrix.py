@@ -381,7 +381,9 @@ class MatrixResult:
         return min(medians, key=medians.get)
 
 
-def _cell_key(window: Window, config: MatrixConfig, nmax: int, policy: str, backfill: str) -> str:
+def _cell_key(
+    window_fingerprint: str, config: MatrixConfig, nmax: int, policy: str, backfill: str
+) -> str:
     # The payload lives in specs.fingerprint (the single home of cache-key
     # derivations); keys are byte-compatible with pre-spec-layer caches —
     # the platform identity is None for flat (and product-1) topologies,
@@ -389,7 +391,7 @@ def _cell_key(window: Window, config: MatrixConfig, nmax: int, policy: str, back
     from repro.sim.platform import platform_identity
 
     return eval_cell_fingerprint(
-        window_fingerprint=window.fingerprint(),
+        window_fingerprint=window_fingerprint,
         policy=policy,
         backfill=backfill,
         nmax=nmax,
@@ -519,13 +521,15 @@ def run_matrix(
             window.workload.validate_for_machine(nmax)
             registry.inc("eval.windows")
             n_windows += 1
+            # One hash of the window serves every cell key it is part of.
+            window_fp = window.fingerprint() if store is not None else None
             for policy in config.policies:
                 for backfill in config.backfill:
                     (child,) = seed_root.spawn(1)
                     seed = int(child.generate_state(1, np.uint64)[0])
                     key = None
                     if store is not None:
-                        key = _cell_key(window, config, nmax, policy, backfill)
+                        key = _cell_key(window_fp, config, nmax, policy, backfill)
                         entry = store.load_json(key)
                         hit = CellResult.from_entry(entry) if entry is not None else None
                         if hit is not None:

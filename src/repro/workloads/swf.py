@@ -25,8 +25,10 @@ Field map (1-based, per the PWA definition):
 12-18 user/group/app/queue/...   preserved in ``extra['columns']``
 ====  =========================  =================================
 
-Jobs with non-positive runtime or size are always dropped (they cannot be
-scheduled); the count is reported in ``extra['dropped']``.  One carve-out
+Jobs with non-positive runtime or size, a non-finite submit, runtime,
+size or estimate, or a size that is not a whole number are always
+dropped (they cannot be scheduled); the count is reported in
+``extra['dropped']``.  One carve-out
 matches how raw PWA files actually look: a *completed* row (status 1)
 whose recorded runtime is exactly 0 is a sub-second job truncated by the
 SWF's one-second resolution, not an unschedulable row — its runtime is
@@ -63,13 +65,19 @@ sees an error from a row it did not need.
   resident in full;
 * :func:`iter_swf_jobs` / :meth:`SwfStream.jobs` — the same blocks, one
   :class:`SwfJob` at a time.
+
+The writer streams too: :func:`write_swf` formats :data:`_BLOCK_LINES`
+rows at a time and writes each block to its file as soon as it is
+formatted, plain or gzip-compressed (the bytes of
+``gzip.compress(text, mtime=0)``), so writing a trace holds one block,
+never the whole text.  It returns the text only when no path is given.
 """
 
 from __future__ import annotations
 
 import gzip
-import io
 import math
+import struct
 import zlib
 from collections.abc import Iterable, Iterator
 from itertools import islice
@@ -285,7 +293,8 @@ def _classify(raw: np.ndarray, keep_failed: bool, acc: SwfAccounting) -> np.ndar
     """Apply the SWF row rules to raw rows; the kept jobs as ``(k, 5)`` float64.
 
     The size fallback, the completed-zero-runtime clamp, the drop rule
-    (which also drops a non-finite submit, runtime, size or estimate),
+    (which also drops a non-finite submit, runtime, size or estimate,
+    and a size that is not a whole number),
     the ``keep_failed`` filter and the estimate floor, over a whole
     block at once; *acc*'s counters grow by the block's counts.
     """
@@ -305,7 +314,10 @@ def _classify(raw: np.ndarray, keep_failed: bool, acc: SwfAccounting) -> np.ndar
     finite = (
         np.isfinite(submit) & np.isfinite(runtime) & np.isfinite(size) & np.isfinite(estimate)
     )
-    schedulable = placed & (runtime > 0) & finite
+    # A job holds a whole number of processors: a fractional size is a
+    # malformed row, not one to truncate.
+    whole = size == np.floor(size)
+    schedulable = placed & (runtime > 0) & finite & whole
     keep = schedulable
     if not keep_failed:
         keep = schedulable & (status != 0.0) & (status != 5.0)
@@ -504,29 +516,18 @@ def _format_column(values: np.ndarray) -> list[str]:
     ]
 
 
-def write_swf(
-    workload: Workload,
-    path: str | Path | None = None,
-    *,
-    header: dict[str, str] | None = None,
-) -> str:
-    """Serialise *workload* to SWF text (and optionally write it to *path*).
+def _swf_chunks(workload: Workload, header: dict[str, str] | None) -> Iterator[str]:
+    """The SWF text of *workload*: the header lines, then one chunk per block.
 
-    Only the fields the library consumes are populated; the rest carry the
-    SWF "unknown" marker ``-1``.  Non-integer values are written with
-    ``repr`` (the shortest decimal that round-trips the float exactly), so
-    reading the output back yields a bit-identical workload (round-trip
-    tested, including fractional submit/runtime values).  A *path* ending
-    in ``.gz`` is written gzip-compressed — the readers sniff the magic
-    bytes, so the round-trip holds for compressed files too.
+    Every chunk covers at most :data:`_BLOCK_LINES` rows, so the text,
+    the plain file and the gzip file are all formatted here and none of
+    them needs more than one block of strings at a time.
     """
     meta = {"Computer": workload.name}
     if workload.nmax:
         meta["MaxProcs"] = str(workload.nmax)
     meta.update(header or {})
-    buf = io.StringIO()
-    for key, value in meta.items():
-        buf.write(f"; {key}: {value}\n")
+    yield "".join(f"; {key}: {value}\n" for key, value in meta.items())
     columns = (
         workload.job_ids,
         workload.submit,
@@ -534,25 +535,72 @@ def write_swf(
         workload.size,
         workload.estimate,
     )
-    # One block of rows at a time keeps the formatted strings O(block).
     for lo in range(0, len(workload), _BLOCK_LINES):
         job_ids, submit, runtime, size, estimate = (
             _format_column(col[lo : lo + _BLOCK_LINES]) for col in columns
         )
         # status 1 (completed); every other field is the "unknown" marker -1
-        buf.write("".join([
+        yield "".join([
             f"{j} {s} -1 {r} {p} -1 -1 {p} {e} -1 1 -1 -1 -1 -1 -1 -1 -1\n"
             for j, s, r, p, e in zip(job_ids, submit, runtime, size, estimate)
-        ]))
-    text = buf.getvalue()
-    if path is not None:
-        path = Path(path)
-        if path.suffix == ".gz":
-            # mtime=0 keeps the compressed bytes a pure function of the
-            # workload (reproducible archives, content-addressable).
-            path.write_bytes(
-                gzip.compress(text.encode("utf-8"), mtime=0)
-            )
-        else:
-            path.write_text(text, encoding="utf-8")
-    return text
+        ])
+
+
+def _write_gzip(path: Path, chunks: Iterable[str]) -> None:
+    """Write the UTF-8 encoding of *chunks* as ``gzip.compress(text, mtime=0)`` would.
+
+    That file is a 10-byte header, the raw level-9 deflate stream of the
+    text, then its CRC-32 and length.  Deflate fed one chunk at a time,
+    with no flush between chunks, emits the same stream as one call over
+    the whole text, so the bytes equal the one-shot ones while only one
+    chunk is held.  The header is taken from ``gzip.compress`` itself,
+    so it matches whatever header the running Python writes;
+    ``gzip.GzipFile`` writes another one (OS byte ``0xff``).
+    """
+    deflate = zlib.compressobj(9, zlib.DEFLATED, -zlib.MAX_WBITS)
+    crc = size = 0
+    with path.open("wb") as fh:
+        fh.write(gzip.compress(b"", mtime=0)[:10])
+        for chunk in chunks:
+            data = chunk.encode("utf-8")
+            crc = zlib.crc32(data, crc)
+            size += len(data)
+            fh.write(deflate.compress(data))
+        fh.write(deflate.flush())
+        fh.write(struct.pack("<LL", crc, size & 0xFFFFFFFF))
+
+
+def write_swf(
+    workload: Workload,
+    path: str | Path | None = None,
+    *,
+    header: dict[str, str] | None = None,
+) -> str | None:
+    """Serialise *workload* to SWF: the text, or a file at *path*.
+
+    Without *path* the SWF text is returned.  With a *path* the file is
+    written one :data:`_BLOCK_LINES`-row block at a time, so writing a
+    trace of any length holds one block of text (and, for gzip, of
+    compressed bytes), never the whole file; ``None`` is returned then,
+    and the text can be read back from the file.
+
+    Only the fields the library consumes are populated; the rest carry the
+    SWF "unknown" marker ``-1``.  Non-integer values are written with
+    ``repr`` (the shortest decimal that round-trips the float exactly), so
+    reading the output back yields a bit-identical workload (round-trip
+    tested, including fractional submit/runtime values).  A *path* ending
+    in ``.gz`` is written gzip-compressed with the bytes of
+    ``gzip.compress(text, mtime=0)`` — a pure function of the workload
+    (reproducible archives, content-addressable).  The readers sniff the
+    magic bytes, so the round-trip holds for compressed files too.
+    """
+    chunks = _swf_chunks(workload, header)
+    if path is None:
+        return "".join(chunks)
+    path = Path(path)
+    if path.suffix == ".gz":
+        _write_gzip(path, chunks)
+    else:
+        with path.open("w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    return None

@@ -11,9 +11,10 @@ the same header and accounting, and the same written bytes.
 
 ``oracle_iter_swf_jobs`` and ``oracle_write_swf`` are the two functions
 as they stood, verbatim apart from their names, the gzip error helper
-they share, and one later rule change: a row whose submit, runtime,
+they share, and two later rule changes: a row whose submit, runtime,
 size or estimate is non-finite is dropped (``inf`` passes the sign
-tests; ``nan`` never did).  Do not "clean up" or optimise this file —
+tests; ``nan`` never did), and so is a row whose size is not a whole
+number (it was truncated).  Do not "clean up" or optimise this file —
 its only value is that it does not change.
 """
 
@@ -96,6 +97,7 @@ def oracle_iter_swf_jobs(
                 and size > 0
                 and submit >= 0
                 and all(map(math.isfinite, (submit, runtime, size, estimate)))
+                and size.is_integer()
             ):
                 acc.dropped += 1
                 continue

@@ -16,6 +16,7 @@ from __future__ import annotations
 import gzip
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -291,6 +292,47 @@ class TestWriteSwfBytes:
         oracle_write_swf(wl, tmp_path / "old.swf.gz")
         new = (tmp_path / "new.swf.gz").read_bytes()
         assert new == (tmp_path / "old.swf.gz").read_bytes()
+
+    @pytest.mark.parametrize("header", [None, {"Note": "x", "MaxProcs": "7"}])
+    @pytest.mark.parametrize(
+        "n_jobs",
+        [0, 1, swf._BLOCK_LINES - 1, swf._BLOCK_LINES, swf._BLOCK_LINES + 1,
+         2 * swf._BLOCK_LINES],
+    )
+    def test_block_boundaries(self, tmp_path, n_jobs, header):
+        """The text, the plain file and the gzip file, at every block edge."""
+        wl = synthetic_trace("ctc_sp2", seed=6, n_jobs=2 * swf._BLOCK_LINES)
+        wl = wl.select(np.arange(n_jobs))
+        want = oracle_write_swf(wl, header=header)
+        assert write_swf(wl, header=header) == want
+        for name in ("t.swf", "t.swf.gz"):
+            assert write_swf(wl, tmp_path / f"new-{name}", header=header) is None
+            oracle_write_swf(wl, tmp_path / f"old-{name}", header=header)
+            new = (tmp_path / f"new-{name}").read_bytes()
+            assert new == (tmp_path / f"old-{name}").read_bytes(), name
+
+
+class TestWriteSwfMemory:
+    """Writing to a file holds one block, whatever the trace length."""
+
+    @staticmethod
+    def _peak(wl: Workload, path) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_swf(wl, path)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("name", ["t.swf", "t.swf.gz"])
+    def test_peak_does_not_grow_with_the_trace(self, tmp_path, name):
+        wl = synthetic_trace("ctc_sp2", seed=7, n_jobs=120_000)
+        half = self._peak(wl.select(np.arange(60_000)), tmp_path / name)
+        full = self._peak(wl, tmp_path / name)
+        # the whole 60k-job text alone is ~4.6 MB
+        assert half < 2 * 2**20
+        assert full < 1.1 * half
 
 
 class TestMachineSize:

@@ -347,13 +347,15 @@ class TestGzRoundTripThroughFetch:
         and re-parsed comes back bit-identical."""
         wl = parse_swf_text(FIXTURE.read_text())
         gz = tmp_path / "round.swf.gz"
-        text = write_swf(wl, gz)
+        write_swf(wl, gz)
         write_registry(
             fx.registry,
             {
                 "round": {
                     "url": gz.as_uri(),
-                    "sha256": hashlib.sha256(text.encode()).hexdigest(),
+                    "sha256": hashlib.sha256(
+                        gzip.decompress(gz.read_bytes())
+                    ).hexdigest(),
                 }
             },
         )

@@ -56,6 +56,31 @@ class TestParse:
         assert set(wl.job_ids.tolist()) == {1, 2}
         assert wl.extra["dropped"] == 2
 
+    def test_fractional_sizes_dropped_by_every_reader(self, tmp_path):
+        """A size that is not a whole number is dropped and counted, never
+        truncated: by the batch readers, a stream pass and the windows."""
+        from repro.eval.windows import stream_windows
+
+        text = (
+            "; MaxProcs: 16\n"
+            "1 0 -1 10 2.5 -1 -1 -1 20 -1 1\n"  # allocated 2.5, no request
+            "2 1 -1 10 2 -1 -1 4 20 -1 1\n"
+            "3 2 -1 10 8 -1 -1 0.5 20 -1 1\n"  # requested 0.5 wins over 8
+            "4 3 -1 10 2 -1 -1 3.0 20 -1 1\n"  # 3.0 is whole
+        )
+        path = tmp_path / "fractional.swf"
+        path.write_text(text)
+        for wl in (parse_swf_text(text), read_swf(path)):
+            assert wl.job_ids.tolist() == [2, 4]
+            assert wl.size.tolist() == [4, 3]
+            assert wl.extra["dropped"] == 2
+        stream = SwfStream(path)
+        (block,) = stream.blocks()
+        assert block[:, 3].tolist() == [4.0, 3.0]
+        assert stream.accounting.dropped == 2
+        (window,) = stream_windows(SwfStream(path).blocks(), jobs=2, nmax=16)
+        assert window.workload.size.tolist() == [4, 3]
+
     def test_keep_failed_filter(self):
         text = SAMPLE.replace("2 10 0 50 2 -1 -1 -1 -1 -1 1", "2 10 0 50 2 -1 -1 -1 -1 -1 0")
         wl = parse_swf_text(text, keep_failed=False)
