@@ -2,11 +2,12 @@
 
 Guards the `repro.eval` streaming promise: `SwfStream` +
 `stream_windows` slice an on-disk trace into evaluation windows with
-O(window) resident memory, while the batch path (`read_swf` +
-`slice_windows`) holds the whole trace and every window at once.  Each
-mode runs in a fresh subprocess so its resident high-water mark
-(`VmHWM`, or `ru_maxrss` where `/proc` is missing) measures that mode
-alone; both modes must agree on every window fingerprint — the memory
+O(window) resident memory, while a materialised source (`read_swf` +
+`slice_windows`, the same slicer over an in-memory workload, listed)
+holds the whole trace and every window at once.  Each mode runs in a
+fresh subprocess so its resident high-water mark (`VmHWM`, or
+`ru_maxrss` where `/proc` is missing) measures that mode alone; both
+sources must give every window the same fingerprint — the memory
 saving is free, not a different computation.
 """
 
@@ -81,7 +82,7 @@ def _both_modes(path: Path):
     stream = _measure("stream", path)
     batch = _measure("batch", path)
     assert stream[0] == batch[0], "window counts diverged"
-    assert stream[2] == batch[2], "fingerprints diverged between slicers"
+    assert stream[2] == batch[2], "fingerprints diverged between the streamed and materialised sources"
     return stream, batch
 
 
@@ -103,7 +104,7 @@ def bench_stream_windows_peak_rss(benchmark, record, tmp_path):
         f"saved: {saved / 1024:.1f} MiB"
         f" ({saved / max(batch_kib, 1):.1%} of the batch high-water mark;"
         f" the gap widens linearly with trace length)",
-        "window fingerprints identical across both slicers",
+        "window fingerprints identical from both sources",
     ]
     record(
         "\n".join(lines),

@@ -5,8 +5,9 @@ Guards the block reader every trace evaluation starts with:
 blocks (one `np.loadtxt` call per clean block) and `stream_windows` cuts
 2000-job windows from those blocks, as `repro-sched evaluate` does.  No
 job is simulated, so the timing is parse and windowing alone.  The
-window fingerprints are checked against the batch path (`read_swf` +
-`slice_windows`), so the speed is not bought with different windows.
+window fingerprints are checked against a materialised source
+(`read_swf` + `slice_windows`), so the speed is not bought with
+different windows.
 """
 
 from repro.eval.windows import slice_windows, stream_windows

@@ -5,10 +5,10 @@ synthetic stand-in) into many independent evaluation scenarios and
 benchmarks scheduling policies across them at worker-pool speed:
 
 * :mod:`repro.eval.windows` — window slicing: contiguous windows of N
-  jobs or T seconds, warm-up trimming, per-window clock re-basing —
-  batch (:func:`slice_windows`) or lazily from a job stream
-  (:func:`stream_windows`), with identical content fingerprints either
-  way.
+  jobs or T seconds, warm-up trimming, per-window clock re-basing — by
+  one slicer, :func:`stream_windows`, over job blocks from a file or an
+  in-memory workload (:func:`slice_windows` lists its output), so
+  content fingerprints do not depend on the source.
 * :mod:`repro.eval.matrix` — the {policies × backfill × windows} matrix
   runner over :class:`repro.runtime.TrialRunner`: one loop for a
   workload or a window stream, **bit-identical for any worker count

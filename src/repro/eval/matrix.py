@@ -21,13 +21,14 @@ carry over from the runtime:
   the offending job instead of dying mid-simulation.
 
 :func:`run_matrix` accepts either a materialised
-:class:`~repro.sim.job.Workload` (sliced here) or an *iterable of
-windows* (e.g. :func:`repro.eval.windows.stream_windows` over an SWF
-file, so an archive-scale trace is never resident in full).  Both feed
-one loop that dispatches cells in bounded batches as windows arrive —
-and because cells are pure functions with index-derived seeds and
-slicer-independent cache keys, the two sources produce bit-identical
-results for any ``workers`` count.
+:class:`~repro.sim.job.Workload` (cut here by
+:func:`repro.eval.windows.stream_windows`) or an *iterable of windows*
+(e.g. :func:`~repro.eval.windows.stream_windows` over an SWF file, so an
+archive-scale trace is never resident in full).  Both feed one loop
+that dispatches cells in bounded batches as windows arrive — and
+because one slicer cuts every window and cells are pure functions with
+index-derived seeds and content-derived cache keys, the two sources
+produce bit-identical results for any ``workers`` count.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.eval.windows import Window, slice_windows
+# slice_windows stays importable from here: the repository benchmark
+# wraps ``repro.eval.matrix.slice_windows``.
+from repro.eval.windows import Window, slice_windows, stream_windows  # noqa: F401
 from repro.obs.metrics import current_registry
 from repro.obs.tracing import span
 from repro.policies.registry import get_policy
@@ -122,8 +125,7 @@ class MatrixConfig:
             check_positive_int("window_jobs", self.window_jobs)
         if self.window_seconds is not None:
             check_positive("window_seconds", float(self.window_seconds))
-        if self.warmup < 0:
-            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+        check_positive_int("warmup", self.warmup, allow_zero=True)
         if self.max_windows is not None:
             check_positive_int("max_windows", self.max_windows)
         if self.nmax < 0:
@@ -435,17 +437,18 @@ def run_matrix(
 
     *source* is either a materialised :class:`~repro.sim.job.Workload`
     (validated whole against the machine size, then cut by
-    :func:`~repro.eval.windows.slice_windows`) or an iterable of
-    :class:`~repro.eval.windows.Window` — typically
+    :func:`~repro.eval.windows.stream_windows` as the cells consume it)
+    or an iterable of :class:`~repro.eval.windows.Window` — typically
     :func:`~repro.eval.windows.stream_windows` over an SWF file, which is
     then never resident in full.  *trace_name* labels the result
     (default: the workload's name, or the window names with their
     ``[w<k>]`` suffix stripped).
 
-    Both sources run through one loop, so the two are bit-identical to
-    each other and across any ``workers`` count (an execution knob,
-    never part of a cell's cache key): cell ``k`` (window-major
-    enumeration) draws child ``k`` of the config seed via incremental
+    Both sources are cut by the one slicer and run through one loop, so
+    the two are bit-identical to each other and across any ``workers``
+    count (an execution knob, never part of a cell's cache key): cell
+    ``k`` (window-major enumeration) draws child ``k`` of the config
+    seed via incremental
     ``SeedSequence.spawn`` — spawning one child at a time yields exactly
     the children a single batched spawn would — cache keys fingerprint
     window content, and cells are pure functions.  With *cache*, cells
@@ -465,12 +468,13 @@ def run_matrix(
         source.validate_for_machine(nmax)
         if trace_name is None:
             trace_name = source.name
-        source = slice_windows(
+        source = stream_windows(
             source,
             jobs=config.window_jobs,
             seconds=config.window_seconds,
             warmup=config.warmup,
             max_windows=config.max_windows,
+            nmax=nmax,
         )
     store = coerce_cache(cache)
     runner = TrialRunner(workers)

@@ -3,9 +3,9 @@
 Real Parallel Workloads Archive traces span months and hundreds of
 thousands of jobs; evaluating policies on them as one monolithic run
 conflates epochs, drowns the metric in a single number and cannot be
-fanned out.  This module cuts a :class:`~repro.sim.job.Workload` into
-contiguous *windows* — of a fixed job count or a fixed duration — each
-of which becomes an independent evaluation scenario:
+fanned out.  This module cuts a trace into contiguous *windows* — of a
+fixed job count or a fixed duration — each of which becomes an
+independent evaluation scenario:
 
 * every window's clock is re-based to start at zero (per-window
   normalization; the per-window simulations are independent, exactly
@@ -17,19 +17,18 @@ of which becomes an independent evaluation scenario:
   becomes many small scenarios streamed through the worker pool instead
   of one unshardable run.
 
-Two slicers share these semantics:
-
-* :func:`slice_windows` — batch: cut a fully materialised
-  :class:`~repro.sim.job.Workload`;
-* :func:`stream_windows` — lazy: the same windows from a stream of
-  ``(k, 5)`` job blocks (e.g. :meth:`repro.workloads.swf.SwfStream.blocks`),
-  holding at most one window plus one block in memory.  Job windows are
-  sliced and concatenated from the blocks, time windows are cut at the
-  float edges ``t0 + k*seconds`` by a search per slot, and the
-  submit-order and machine-size checks run vectorised per block.
-  Content fingerprints are **identical** to the batch slicer's for the
-  same submit-sorted trace, so per-cell cache keys do not depend on
-  which slicer produced a window.
+One slicer cuts every window: :func:`stream_windows` reads a stream of
+job blocks (:data:`repro.sim.job.BLOCK_COLUMNS`) — from
+:meth:`repro.workloads.swf.SwfStream.blocks`, from rows, or from an
+in-memory :class:`~repro.sim.job.Workload` fed a few rows at a time —
+and holds at most one window plus one block in memory.  Job windows are
+sliced and concatenated from the blocks, time windows are cut at the
+float edges ``t0 + k*seconds`` by a search per slot, and the
+submit-order and machine-size checks run vectorised per block.
+:func:`slice_windows` is the same windows as a list.  Because there is
+one cut rule, a window's content fingerprint, and so every per-cell
+cache key, is the same whether the trace came from memory or from a
+file.
 
 Slicing is a pure function of ``(trace, parameters)`` — no RNG, no
 clock — so the same trace always yields the same windows and per-window
@@ -45,7 +44,7 @@ from itertools import chain, islice
 
 import numpy as np
 
-from repro.sim.job import Workload
+from repro.sim.job import BLOCK_COLUMNS, Workload
 from repro.util.validation import check_positive, check_positive_int
 
 __all__ = ["Window", "slice_windows", "stream_windows", "workload_fingerprint"]
@@ -106,103 +105,6 @@ class Window:
         ).hexdigest()[:32]
 
 
-def _check_slicing_args(
-    jobs: int | None,
-    seconds: float | None,
-    warmup: int,
-    min_jobs: int,
-    max_windows: int | None,
-) -> None:
-    """Shared parameter validation for both slicers (identical errors)."""
-    if (jobs is None) == (seconds is None):
-        raise ValueError("pass exactly one of jobs= or seconds=")
-    if warmup < 0:
-        raise ValueError(f"warmup must be >= 0, got {warmup}")
-    check_positive_int("min_jobs", min_jobs)
-    if max_windows is not None:
-        check_positive_int("max_windows", max_windows)
-    if jobs is not None:
-        check_positive_int("jobs", jobs)
-        if jobs <= warmup:
-            raise ValueError(
-                f"window of {jobs} jobs leaves nothing after warmup={warmup}"
-            )
-    else:
-        check_positive("seconds", float(seconds))
-
-
-def slice_windows(
-    workload: Workload,
-    *,
-    jobs: int | None = None,
-    seconds: float | None = None,
-    warmup: int = 0,
-    min_jobs: int = 2,
-    max_windows: int | None = None,
-) -> list[Window]:
-    """Cut *workload* into contiguous evaluation windows.
-
-    Exactly one of *jobs* (windows of N consecutive jobs) or *seconds*
-    (windows of T seconds of trace time) must be given.  Each window is
-    re-based to t=0 and renamed ``<trace>[w<k>]``; the first *warmup*
-    jobs of every window are marked for metric exclusion.
-
-    Windows whose scored-job count would fall below *min_jobs* are
-    dropped: for job windows only the trailing remainder can be short;
-    for time windows sparse epochs of the trace drop out the same way.
-    *max_windows* truncates the plan (the cheap way to smoke-test a
-    huge trace).
-
-    Invariants (tested): windows are non-overlapping and in trace order,
-    job windows partition the trace except for a dropped tail shorter
-    than ``warmup + min_jobs``, and every window re-starts its clock at
-    zero.
-    """
-    _check_slicing_args(jobs, seconds, warmup, min_jobs, max_windows)
-    n = len(workload)
-    if n == 0:
-        raise ValueError("cannot slice an empty workload")
-
-    bounds: list[tuple[int, int]] = []  # [start, stop) into the sorted arrays
-    if jobs is not None:
-        bounds = [(lo, min(lo + jobs, n)) for lo in range(0, n, jobs)]
-    else:
-        t0 = float(workload.submit[0])
-        step = float(seconds)
-        # Slot k is [t0 + k*step, t0 + (k+1)*step) in float64, the edges
-        # stream_windows compares against.  span // step can land one
-        # slot short of the rounded edges, so count slots until the last
-        # edge lies past the last arrival.
-        n_slots = int(workload.span // step) + 1
-        while t0 + n_slots * step <= float(workload.submit[-1]):
-            n_slots += 1
-        # searchsorted over the submit-sorted arrays keeps slicing O(n log n)
-        # even for million-job traces.
-        edges = t0 + np.arange(n_slots + 1) * step
-        cuts = np.searchsorted(workload.submit, edges, side="left")
-        bounds = [
-            (int(lo), int(hi)) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi > lo
-        ]
-
-    out: list[Window] = []
-    for lo, hi in bounds:
-        if hi - lo - warmup < min_jobs:
-            continue
-        index = len(out)
-        piece = workload.select(np.arange(lo, hi)).shifted()
-        out.append(
-            Window(
-                index=index,
-                workload=piece.with_name(f"{workload.name}[w{index}]"),
-                warmup=warmup,
-                t0=float(workload.submit[lo]),
-            )
-        )
-        if max_windows is not None and len(out) >= max_windows:
-            break
-    return out
-
-
 def _window_from_rows(
     mat: np.ndarray,
     *,
@@ -211,53 +113,59 @@ def _window_from_rows(
     name: str,
     nmax: int,
 ) -> Window:
-    """Build one re-based :class:`Window` from a ``(k, 5)`` job matrix.
+    """Build one :class:`Window` from a fresh job block, re-based in place.
 
-    Array construction mirrors ``workload.select(...).shifted()`` field
-    for field (float64 submit/runtime/estimate, int64 size/job_ids, same
-    subtraction against the window's first arrival), so the resulting
-    fingerprint is bit-identical to the batch slicer's.
+    Every submit time becomes ``submit - submit[0]`` in float64, so the
+    window's clock starts at zero and its fingerprint depends only on
+    the jobs it holds.
     """
-    submit = mat[:, 1]
-    piece = Workload(
-        submit=submit - submit[0],
-        runtime=mat[:, 2],
-        size=mat[:, 3].astype(np.int64),
-        estimate=mat[:, 4],
-        job_ids=mat[:, 0].astype(np.int64),
-        name=f"{name}[w{index}]",
-        nmax=nmax,
-    )
-    return Window(index=index, workload=piece, warmup=warmup, t0=float(submit[0]))
+    t0 = float(mat[0, 1])
+    mat[:, 1] -= t0
+    piece = Workload.from_block(mat, name=f"{name}[w{index}]", nmax=nmax)
+    return Window(index=index, workload=piece, warmup=warmup, t0=t0)
 
 
 #: Rows gathered per block from a row iterable cut into time windows.
 _ROW_BLOCK = 1024
 
 
+def _width_error(what: str, got: str) -> ValueError:
+    return ValueError(
+        f"stream_windows expects {what} with the {len(BLOCK_COLUMNS)} columns"
+        f" ({', '.join(BLOCK_COLUMNS)}), got {got}"
+    )
+
+
 def _as_blocks(
     source: Workload | Iterable, group: int
 ) -> Iterator[np.ndarray]:
-    """*source* as ``(k, 5)`` float64 job blocks, in ``SwfJob`` column order.
+    """*source* as job blocks (:data:`~repro.sim.job.BLOCK_COLUMNS` order).
 
-    A workload is one block; an iterable of 2-D arrays passes through;
-    an iterable of rows is gathered *group* rows at a time.
+    A workload is cut into blocks of *group* rows; an iterable of 2-D
+    arrays passes through; an iterable of rows is gathered *group* rows
+    at a time.  A block or row of any other width raises
+    :class:`ValueError`.
     """
     if isinstance(source, Workload):
-        yield np.column_stack(
-            (source.job_ids, source.submit, source.runtime, source.size, source.estimate)
-        )
+        yield from source.blocks(group)
         return
     items = iter(source)
     first = next(items, None)
     if first is None:
         return
     items = chain((first,), items)
+    width = len(BLOCK_COLUMNS)
     if isinstance(first, np.ndarray) and first.ndim == 2:
-        yield from items
+        for block in items:
+            if block.ndim != 2 or block.shape[1] != width:
+                raise _width_error("job blocks", f"a block of shape {block.shape}")
+            yield np.asarray(block, dtype=np.float64)
         return
     while rows := list(islice(items, group)):
-        yield np.asarray(rows, dtype=float).reshape(-1, 5)
+        bad = next((row for row in rows if len(row) != width), None)
+        if bad is not None:
+            raise _width_error("job rows", f"a row of {len(bad)} fields")
+        yield np.asarray(rows, dtype=float)
 
 
 def _first_invalid(
@@ -282,8 +190,7 @@ def _invalid_job_error(row: list[float], last_submit: float, machine: int) -> Va
             f" {last_submit}"
         )
     # Same fail-fast contract as Workload.validate_for_machine, applied
-    # per job so even jobs in eventually-dropped windows are caught,
-    # exactly like the batch path's up-front check.
+    # per job so even jobs in eventually-dropped windows are caught.
     return ValueError(
         f"job {int(job_id)} needs {int(size)} cores"
         f" but the machine has only {machine}"
@@ -301,39 +208,53 @@ def stream_windows(
     name: str | None = None,
     nmax: int | None = None,
 ) -> Iterator[Window]:
-    """Lazily cut a job stream into the same windows :func:`slice_windows` cuts.
+    """Lazily cut a job stream into contiguous evaluation windows.
 
-    *source* is a :class:`~repro.sim.job.Workload`, an iterator of
-    ``(k, 5)`` float64 job blocks with columns ``(job_id, submit,
-    runtime, size, estimate)`` such as
-    :meth:`repro.workloads.swf.SwfStream.blocks`, or an iterator of such
-    rows such as :func:`repro.workloads.swf.iter_swf_jobs` (gathered
-    into blocks of one job window, or of 1024 rows for time windows).
-    A bare stream carries no metadata, so *name* (window naming) and
-    *nmax* (machine size stamped on each window's workload) should be
-    supplied with it.
+    Exactly one of *jobs* (windows of N consecutive jobs) or *seconds*
+    (windows of T seconds of trace time, cut at the float edges
+    ``t0 + k*seconds``) must be given; bad parameters raise at call
+    time.  Each window is re-based to t=0 and named ``<name>[w<k>]``;
+    its first *warmup* jobs are marked for metric exclusion.  Windows
+    with fewer than *min_jobs* scored jobs are dropped (a short job
+    tail, or a sparse epoch of time windows); *max_windows* truncates
+    the plan.
 
-    Windows are sliced from the blocks, so memory is O(window + block)
-    however long the trace is; with *max_windows* the source is
-    abandoned as soon as the quota is reached (no further I/O).  Window
-    indices, warm-up trimming, the ``min_jobs`` short-window drop rule
-    and every content fingerprint match :func:`slice_windows` on the
-    materialised trace exactly — per-cell cache keys are
-    slicer-independent (tested).  Time windows keep the float edges
-    ``t0 + k*seconds``.
+    *source* is an iterator of job blocks (``(k, 5)`` float64 arrays,
+    columns ``(job_id, submit, runtime, size, estimate)``) such as
+    :meth:`repro.workloads.swf.SwfStream.blocks`, an iterator of such
+    rows such as :func:`repro.workloads.swf.iter_swf_jobs`, or a
+    :class:`~repro.sim.job.Workload`; rows and workloads are read in
+    blocks of one job window, or of 1024 rows for time windows.  A
+    workload supplies *name* and *nmax* unless they are given; a bare
+    stream should come with them.  A block or row that is not five
+    columns wide raises :class:`ValueError`.
 
-    The stream must be submit-sorted (the SWF definition requires it);
-    an out-of-order arrival raises :class:`ValueError` naming the job,
-    because a lazy slicer cannot re-sort the trace.
+    Memory is O(window + block) however long the trace is, and with
+    *max_windows* the source is abandoned once the quota is reached.
+    Each window is a pure function of the jobs it holds, so its content
+    fingerprint, and with it every per-cell cache key, does not depend
+    on the source or on how it was split into blocks (tested).
 
-    When *nmax* is non-zero, every job is validated against it —
-    including jobs in windows later dropped as too short — mirroring
-    the whole-trace :meth:`~repro.sim.job.Workload.validate_for_machine`
-    check.  Both checks run per block and name the first offending job;
-    jobs past a reached *max_windows* quota are never validated, even
-    when they were already read in the same block.
+    The stream must be submit-sorted (the SWF definition requires it):
+    an out-of-order arrival raises :class:`ValueError` naming the job.
+    When *nmax* is non-zero, so does a job larger than the machine,
+    even in a window later dropped as too short.  Both checks run per
+    block; jobs past a reached *max_windows* quota are never checked.
     """
-    _check_slicing_args(jobs, seconds, warmup, min_jobs, max_windows)
+    if (jobs is None) == (seconds is None):
+        raise ValueError("pass exactly one of jobs= or seconds=")
+    check_positive_int("warmup", warmup, allow_zero=True)
+    check_positive_int("min_jobs", min_jobs)
+    if max_windows is not None:
+        check_positive_int("max_windows", max_windows)
+    if jobs is not None:
+        check_positive_int("jobs", jobs)
+        if jobs <= warmup:
+            raise ValueError(
+                f"window of {jobs} jobs leaves nothing after warmup={warmup}"
+            )
+    else:
+        check_positive("seconds", float(seconds))
     if isinstance(source, Workload):
         if name is None:
             name = source.name
@@ -389,10 +310,9 @@ def stream_windows(
                             break
                         window = flush()
                     else:
-                        # The rows before this slot's edge t0 + (bucket+1)*seconds
-                        # (float64, as slice_windows' edge array) join it; a
-                        # job exactly on an edge opens the next slot
-                        # (searchsorted side="left" semantics).
+                        # The rows before this slot's float64 edge
+                        # t0 + (bucket+1)*seconds join it; a job exactly on
+                        # an edge opens the next slot.
                         edge = t0 + float(bucket + 1) * seconds
                         stop = pos + int(
                             np.searchsorted(submit[pos:n_good], edge, side="left")
@@ -426,3 +346,16 @@ def stream_windows(
             yield window
 
     return generate()
+
+
+def slice_windows(workload: Workload, **kwargs) -> list[Window]:
+    """The windows :func:`stream_windows` cuts from *workload*, as a list.
+
+    Takes the same keyword arguments.  Invariants (tested): windows are
+    non-overlapping and in trace order, job windows partition the trace
+    except for a dropped tail shorter than ``warmup + min_jobs``, and
+    every window re-starts its clock at zero.  When the workload's
+    ``nmax`` (or a given *nmax*) is non-zero, a job larger than the
+    machine raises :class:`ValueError` naming it.
+    """
+    return list(stream_windows(workload, **kwargs))

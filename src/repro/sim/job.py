@@ -27,14 +27,23 @@ backend without copying.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from repro.util.validation import check_finite, check_positive_int
 
-__all__ = ["Job", "Workload", "as_sizes", "concat_workloads"]
+__all__ = ["BLOCK_COLUMNS", "Job", "Workload", "as_sizes", "concat_workloads", "job_block"]
+
+#: Columns of a *job block*: the ``(k, 5)`` float64 array of ``k`` jobs
+#: that the SWF readers yield and the window slicer cuts.
+BLOCK_COLUMNS = ("job_id", "submit", "runtime", "size", "estimate")
+
+
+def job_block(job_ids, submit, runtime, size, estimate) -> np.ndarray:
+    """Stack per-job columns into a job block, in :data:`BLOCK_COLUMNS` order."""
+    return np.column_stack((job_ids, submit, runtime, size, estimate))
 
 
 def as_sizes(size, job_ids: np.ndarray | None = None) -> np.ndarray:
@@ -194,6 +203,27 @@ class Workload:
             nmax=nmax,
         )
 
+    @classmethod
+    def from_block(
+        cls, mat: np.ndarray, *, name: str, nmax: int, extra: dict | None = None
+    ) -> "Workload":
+        """Build a workload from a job block (:data:`BLOCK_COLUMNS` order).
+
+        Sizes must be whole numbers (see :func:`as_sizes`); submit times
+        are taken as they are, so re-base the block first if it should
+        start at t=0.
+        """
+        return cls(
+            submit=mat[:, 1],
+            runtime=mat[:, 2],
+            size=mat[:, 3],
+            estimate=mat[:, 4],
+            job_ids=mat[:, 0].astype(np.int64),
+            name=name,
+            nmax=nmax,
+            extra={} if extra is None else extra,
+        )
+
     # ------------------------------------------------------------------
     # views and derived quantities
     # ------------------------------------------------------------------
@@ -235,6 +265,18 @@ class Workload:
         if span <= 0:
             return float("inf") if len(self) else 0.0
         return self.area / (nmax * span)
+
+    def blocks(self, rows: int) -> Iterator[np.ndarray]:
+        """The jobs as job blocks of at most *rows* jobs, in submit order."""
+        for lo in range(0, len(self), rows):
+            hi = lo + rows
+            yield job_block(
+                self.job_ids[lo:hi],
+                self.submit[lo:hi],
+                self.runtime[lo:hi],
+                self.size[lo:hi],
+                self.estimate[lo:hi],
+            )
 
     def select(self, mask_or_index: np.ndarray) -> "Workload":
         """Return a sub-workload (arrays re-sorted by submit automatically)."""

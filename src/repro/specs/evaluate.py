@@ -154,7 +154,7 @@ class EvaluateSpec(Spec):
                 topology=self.topology,
                 distribution=self.distribution,
             )
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SpecError(f"invalid evaluate spec: {exc.args[0]}") from None
 
     def _fingerprint_payload(self) -> dict[str, Any]:

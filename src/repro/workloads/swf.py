@@ -51,8 +51,9 @@ the line-by-line tokeniser; the rest of the block, when it is made only
 of 18-field data rows, is tokenised by one ``np.loadtxt`` call, and
 otherwise (other field counts, garbled values) line by line too, which
 names the first bad line.  One vectorised classifier then applies the
-rules above to the block's matrix and yields its kept jobs as a
-``(k, 5)`` float64 array in :class:`SwfJob` field order.  Rows before a
+rules above to the block's matrix and yields its kept jobs as a job
+block (:data:`repro.sim.job.BLOCK_COLUMNS`, which :class:`SwfJob`
+follows field for field).  Rows before a
 bad line, or before a gzip stream breaks, are yielded before the
 :class:`ValueError` is raised, so a consumer that stops early never
 sees an error from a row it did not need.
@@ -87,7 +88,7 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from repro.sim.job import Workload
+from repro.sim.job import BLOCK_COLUMNS, Workload, job_block
 
 __all__ = [
     "SwfAccounting",
@@ -290,7 +291,7 @@ def _tokenise(
 
 
 def _classify(raw: np.ndarray, keep_failed: bool, acc: SwfAccounting) -> np.ndarray:
-    """Apply the SWF row rules to raw rows; the kept jobs as ``(k, 5)`` float64.
+    """Apply the SWF row rules to raw rows; the kept jobs as a job block.
 
     The size fallback, the completed-zero-runtime clamp, the drop rule
     (which also drops a non-finite submit, runtime, size or estimate,
@@ -327,9 +328,9 @@ def _classify(raw: np.ndarray, keep_failed: bool, acc: SwfAccounting) -> np.ndar
     acc.dropped += len(raw) - n_schedulable
     acc.filtered += n_schedulable - n_kept
     acc.yielded += n_kept
-    return np.column_stack(
-        (raw[keep, 0], submit[keep], runtime[keep], size[keep],
-         np.maximum(estimate[keep], 1.0))
+    return job_block(
+        raw[keep, 0], submit[keep], runtime[keep], size[keep],
+        np.maximum(estimate[keep], 1.0),
     )
 
 
@@ -394,13 +395,9 @@ def _workload_from_blocks(
     blocks: Iterable[np.ndarray], acc: SwfAccounting, fallback_name: str
 ) -> Workload:
     """Assemble the batch :class:`Workload` both batch readers share."""
-    mat = np.concatenate([np.empty((0, 5)), *blocks])
-    return Workload(
-        submit=mat[:, 1],
-        runtime=mat[:, 2],
-        size=mat[:, 3].astype(np.int64),
-        estimate=mat[:, 4],
-        job_ids=mat[:, 0].astype(np.int64),
+    mat = np.concatenate([np.empty((0, len(BLOCK_COLUMNS))), *blocks])
+    return Workload.from_block(
+        mat,
         name=acc.trace_name(fallback_name),
         nmax=acc.machine_size(),
         extra={
@@ -484,9 +481,10 @@ class SwfStream:
         return self.accounting.machine_size()
 
     def blocks(self) -> Iterator[np.ndarray]:
-        """Stream the file's schedulable jobs as ``(k, 5)`` float64 blocks.
+        """Stream the file's schedulable jobs as job blocks.
 
-        Columns follow :class:`SwfJob`; the file is never resident in
+        Columns follow :data:`~repro.sim.job.BLOCK_COLUMNS` (and
+        :class:`SwfJob`); the file is never resident in
         full.  Each call starts a fresh pass: the dropped/filtered/
         zero-runtime/yielded counters are reset (eagerly, before the
         first block is pulled) so re-reading the file — e.g. a cached

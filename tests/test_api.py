@@ -75,9 +75,9 @@ class TestRunDispatch:
         assert via_api.cells == direct.cells
 
     def test_evaluate_stream_matches_batch(self, tmp_path):
-        """Every trace file streams; it must match the materialised
-        ``read_swf`` + ``slice_windows`` matrix cell for cell and byte
-        for byte, at any worker count."""
+        """Every trace file streams; it must match the matrix of the
+        workload ``read_swf`` materialises cell for cell and byte for
+        byte, at any worker count."""
         from repro.eval.report import matrix_to_json
 
         path = "tests/data/ctc_tiny.swf"

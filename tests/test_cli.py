@@ -342,7 +342,7 @@ class TestEvaluateStreaming:
 
     @staticmethod
     def _materialised():
-        """The same matrix through ``read_swf`` + ``slice_windows``."""
+        """The same matrix from the file read whole by ``read_swf``."""
         from repro.eval.matrix import MatrixConfig, run_matrix
         from repro.workloads.swf import read_swf
 

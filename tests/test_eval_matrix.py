@@ -75,6 +75,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="warmup"):
             MatrixConfig(policies=("fcfs",), window_jobs=5, warmup=-1)
 
+    @pytest.mark.parametrize(
+        "warmup, error", [(2.5, TypeError), (True, TypeError), (-1, ValueError)]
+    )
+    def test_warmup_must_be_a_non_negative_integer(self, warmup, error):
+        with pytest.raises(error, match="warmup must be"):
+            MatrixConfig(policies=("fcfs",), window_jobs=5, warmup=warmup)
+
     def test_backfill_vocabulary_shared_with_engine(self):
         cfg = MatrixConfig(
             policies=("fcfs",), backfill=("off",), window_jobs=10

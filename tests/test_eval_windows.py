@@ -1,7 +1,10 @@
 """Tests for repro.eval.windows (trace slicing invariants)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from oracle_windows import oracle_slice_windows
 
 from repro.eval.windows import (
     Window,
@@ -112,6 +115,29 @@ class TestValidation:
         with pytest.raises(ValueError, match="warmup"):
             slice_windows(trace, jobs=10, warmup=-1)
 
+    @pytest.mark.parametrize(
+        "warmup, error", [(2.5, TypeError), (True, TypeError), (-1, ValueError)]
+    )
+    def test_warmup_must_be_a_non_negative_integer(self, trace, warmup, error):
+        with pytest.raises(error, match="warmup must be"):
+            slice_windows(trace, jobs=10, warmup=warmup)
+        with pytest.raises(error, match="warmup must be"):
+            stream_windows(iter(()), seconds=10.0, warmup=warmup)
+
+    def test_job_larger_than_the_workloads_machine_rejected(self, trace):
+        # The workload's own nmax is the machine every window is checked
+        # against, as for a streamed file; nmax=0 (unknown) checks nothing.
+        sizes = trace.size.copy()
+        sizes[7] = trace.nmax + 1
+        big = dataclasses.replace(trace, size=sizes)
+        with pytest.raises(
+            ValueError,
+            match=rf"job {int(big.job_ids[7])} needs {trace.nmax + 1} cores"
+            rf" but the machine has only {trace.nmax}$",
+        ):
+            slice_windows(big, jobs=50)
+        assert len(slice_windows(dataclasses.replace(big, nmax=0), jobs=50)) == 5
+
     def test_window_warmup_guard(self, trace):
         ws = slice_windows(trace, jobs=50)
         with pytest.raises(ValueError, match="no.*scored|leaves no"):
@@ -134,8 +160,9 @@ class TestFingerprint:
 
 
 class TestStreamWindows:
-    """Lazy slicing must be indistinguishable from batch slicing —
-    identical fingerprints mean identical per-cell cache keys."""
+    """Lazy slicing must cut the windows of the frozen batch slicer
+    (``tests/oracle_windows.py``) — identical fingerprints mean
+    identical per-cell cache keys."""
 
     FIXTURE = "tests/data/ctc_tiny.swf"
 
@@ -156,7 +183,7 @@ class TestStreamWindows:
         from repro.workloads.swf import read_swf
 
         wl = read_swf(self.FIXTURE)
-        batch = slice_windows(wl, **kwargs)
+        batch = oracle_slice_windows(wl, **kwargs)
         lazy = list(stream_windows(wl, **kwargs))
         assert self._fingerprints(batch) == self._fingerprints(lazy)
 
@@ -165,7 +192,7 @@ class TestStreamWindows:
 
         wl = read_swf(self.FIXTURE)
         seconds = wl.span / 7 + 1.0
-        batch = slice_windows(wl, seconds=seconds, min_jobs=1)
+        batch = oracle_slice_windows(wl, seconds=seconds, min_jobs=1)
         lazy = list(stream_windows(wl, seconds=seconds, min_jobs=1))
         assert self._fingerprints(batch) == self._fingerprints(lazy)
 
@@ -173,7 +200,7 @@ class TestStreamWindows:
         from repro.workloads.swf import SwfStream, read_swf
 
         wl = read_swf(self.FIXTURE)
-        batch = slice_windows(wl, jobs=50, warmup=5)
+        batch = oracle_slice_windows(wl, jobs=50, warmup=5)
         stream = SwfStream(self.FIXTURE)
         lazy = list(
             stream_windows(
@@ -206,6 +233,21 @@ class TestStreamWindows:
         # exactly the two windows' jobs were pulled; the rest never left disk
         assert len(seen) == 100
 
+    @pytest.mark.parametrize("kwargs", [{"jobs": 2000}, {"seconds": 20000.0}])
+    def test_workload_is_read_a_block_at_a_time(self, kwargs):
+        # 60k jobs as one (n, 5) block would be 2.3 MiB on their own.
+        import tracemalloc
+
+        wl = _workload(np.cumsum(np.random.default_rng(0).uniform(0, 60, 60_000)))
+        tracemalloc.start()
+        try:
+            n_windows = sum(1 for _ in stream_windows(wl, **kwargs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_windows >= 30
+        assert peak < 1 << 20
+
     def test_lazy_yielding(self, trace):
         gen = stream_windows(trace, jobs=50)
         first = next(gen)
@@ -237,11 +279,9 @@ class TestStreamWindows:
         assert all(w.n_scored == w.n_jobs - 10 for w in ws)
 
     def test_oversized_job_in_dropped_tail_still_rejected(self, trace):
-        # the batch path validates the whole trace before slicing; the
+        # the matrix validates a whole workload before slicing; the
         # stream must catch an oversized job even when its window would
         # be dropped as a too-short tail
-        import dataclasses
-
         bad_sizes = trace.size.copy()
         bad_sizes[-1] = 10_000  # lands in the dropped 1-job tail below
         bad = dataclasses.replace(trace, size=bad_sizes)
@@ -269,7 +309,7 @@ class TestStreamWindows:
             job_ids=np.arange(40),
             nmax=64,
         )
-        batch = slice_windows(wl, seconds=1.0, min_jobs=1)
+        batch = oracle_slice_windows(wl, seconds=1.0, min_jobs=1)
         lazy = list(stream_windows(wl, seconds=1.0, min_jobs=1))
         assert self._fingerprints(batch) == self._fingerprints(lazy)
 
@@ -298,19 +338,20 @@ def _outcome(slicer):
 
 
 def _agree(wl, kwargs):
-    batch = _outcome(lambda: slice_windows(wl, **kwargs))
+    batch = _outcome(lambda: oracle_slice_windows(wl, **kwargs))
     lazy = _outcome(lambda: list(stream_windows(wl, **kwargs)))
     assert batch == lazy, kwargs
 
 
 class TestSlicerAgreement:
-    """slice_windows and stream_windows must cut the same windows, or
-    per-cell cache keys would depend on which slicer produced them."""
+    """stream_windows must cut the windows of the frozen batch slicer
+    (``tests/oracle_windows.py``), which fixes the cut rule and so every
+    window fingerprint and per-cell cache key."""
 
     def test_arrival_on_the_last_rounded_edge(self):
         # 90724 / 3.7 rounds just below 24520, but the rounded float edge
         # t0 + 24520 * 3.7 equals the last arrival, which therefore opens
-        # its own slot in both slicers.
+        # its own slot.
         wl = _workload([1e9, 1e9 + 90721, 1e9 + 90724])
         windows = slice_windows(wl, seconds=3.7, min_jobs=1)
         assert [w.n_jobs for w in windows] == [1, 1, 1]
@@ -350,8 +391,8 @@ class TestSlicerAgreement:
     @pytest.mark.parametrize("kwargs", [{"jobs": 5}, {"seconds": 100.0, "min_jobs": 1}])
     def test_non_finite_swf_rows_are_dropped_before_either_slicer(self, tmp_path, kwargs):
         """An SWF row whose submit or size is ``inf``, ``-inf`` or ``nan``
-        is dropped and counted by the reader, so both slicers cut the
-        same windows from the rest instead of failing on it."""
+        is dropped and counted by the reader, so the streamed file cuts
+        the oracle's windows of the rest instead of failing on it."""
         from repro.workloads.swf import SwfStream, read_swf, write_swf
 
         lines = write_swf(_workload(np.arange(30) * 40.0)).splitlines()
@@ -379,7 +420,7 @@ class TestSlicerAgreement:
                 )
             )
         )
-        batch = _outcome(lambda: slice_windows(whole, **kwargs))
+        batch = _outcome(lambda: oracle_slice_windows(whole, **kwargs))
         assert not isinstance(batch, str), batch
         assert lazy == batch
 
@@ -415,6 +456,36 @@ class TestBlockSource:
                 )
             )
             assert got == want, cuts
+
+    def test_integer_block_cuts_the_float_blocks_windows(self, trace):
+        mat = np.ceil(self._matrix(trace))  # whole numbers, still sorted
+        kwargs = {"jobs": 50, "warmup": 5, "name": trace.name, "nmax": trace.nmax}
+        want = _outcome(lambda: list(stream_windows(iter([mat]), **kwargs)))
+        got = _outcome(lambda: list(stream_windows(iter([mat.astype(np.int64)]), **kwargs)))
+        assert got == want
+
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_block_of_the_wrong_width_rejected(self, width):
+        block = np.tile([[0.0, 1.0, 5.0, 1.0, 5.0, 9.0]], (3, 1))[:, :width]
+        block[:, 0] = np.arange(3)
+        with pytest.raises(
+            ValueError,
+            match=r"job blocks with the 5 columns \(job_id, submit, runtime, size,"
+            rf" estimate\), got a block of shape \(3, {width}\)",
+        ):
+            list(stream_windows(iter([block]), jobs=2, min_jobs=1))
+
+    @pytest.mark.parametrize("width", [4, 6])
+    def test_rows_of_the_wrong_arity_rejected(self, width):
+        # Five rows of four fields are twenty numbers: reshaped five at a
+        # time they once became four wrong jobs.
+        rows = [(float(k), float(k), 5.0, 1.0, 5.0, 0.0)[:width] for k in range(5)]
+        with pytest.raises(
+            ValueError,
+            match=r"job rows with the 5 columns \(job_id, submit, runtime, size,"
+            rf" estimate\), got a row of {width} fields",
+        ):
+            list(stream_windows(iter(rows), jobs=5, min_jobs=1))
 
     def test_out_of_order_across_a_block_edge(self):
         blocks = [np.array([[0, 10.0, 5.0, 1, 5.0]]), np.array([[1, 3.0, 5.0, 1, 5.0]])]

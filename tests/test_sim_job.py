@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.job import Job, Workload, concat_workloads
+from repro.sim.job import BLOCK_COLUMNS, Job, Workload, concat_workloads, job_block
 
 
 class TestJob:
@@ -172,3 +172,40 @@ class TestConcat:
     def test_concat_empty_list_raises(self):
         with pytest.raises(ValueError):
             concat_workloads([])
+
+
+class TestJobBlocks:
+    @staticmethod
+    def _workload():
+        return Workload(
+            submit=[0.0, 3.0, 3.0, 7.5, 9.0],
+            runtime=[5.0, 1.0, 2.0, 4.0, 8.0],
+            size=[1, 4, 2, 8, 3],
+            estimate=[6.0, 1.0, 9.0, 4.0, 8.0],
+            job_ids=[10, 11, 12, 13, 14],
+            name="w",
+            nmax=8,
+        )
+
+    def test_blocks_round_trip(self):
+        wl = self._workload()
+        blocks = list(wl.blocks(2))
+        assert [b.shape for b in blocks] == [(2, 5), (2, 5), (1, 5)]
+        assert all(b.dtype == np.float64 for b in blocks)
+        mat = np.concatenate(blocks)
+        for k, column in enumerate(BLOCK_COLUMNS):
+            values = wl.job_ids if column == "job_id" else getattr(wl, column)
+            assert np.array_equal(mat[:, k], values)
+        back = Workload.from_block(mat, name="w", nmax=8)
+        for column in ("submit", "runtime", "size", "estimate", "job_ids"):
+            got, want = getattr(back, column), getattr(wl, column)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert (back.name, back.nmax, back.extra) == ("w", 8, {})
+
+    def test_from_block_keeps_extra_and_rejects_fractional_sizes(self):
+        mat = job_block([1, 2], [0.0, 1.0], [5.0, 5.0], [2.0, 2.5], [5.0, 5.0])
+        with pytest.raises(ValueError, match="job 2: size must be a finite whole number"):
+            Workload.from_block(mat, name="w", nmax=4)
+        mat[1, 3] = 3.0
+        wl = Workload.from_block(mat, name="w", nmax=4, extra={"dropped": 1})
+        assert wl.size.tolist() == [2, 3] and wl.extra == {"dropped": 1}

@@ -158,6 +158,11 @@ class TestValidation:
         with pytest.raises(SpecError, match="ci"):
             EvaluateSpec(ci=1.5)
 
+    @pytest.mark.parametrize("warmup", [2.5, True, -1])
+    def test_evaluate_warmup_must_be_a_non_negative_integer(self, warmup):
+        with pytest.raises(SpecError, match="warmup must be"):
+            EvaluateSpec(warmup=warmup)
+
     def test_table4_validation(self):
         with pytest.raises(SpecError, match="unknown Table 4 row"):
             Table4Spec(rows=("bogus",))
