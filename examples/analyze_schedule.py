@@ -7,8 +7,8 @@ Uses the library's analysis extensions on top of the paper's machinery:
 * :mod:`repro.workloads.analysis` — is my trace what I think it is?
 * :mod:`repro.policies.analysis`  — which policies actually order my
   queue differently (and which are FCFS in disguise)?
-* :mod:`repro.sim.timeline`       — what did the machine and the queue
-  look like over time under the chosen policy?
+* :func:`repro.sim.check.step_profile` — what did the machine and the
+  queue look like over time under the chosen policy?
 
 Run:  python examples/analyze_schedule.py
 """
@@ -17,15 +17,19 @@ import numpy as np
 
 import repro
 from repro.policies.analysis import agreement_matrix
-from repro.sim.timeline import (
-    busy_cores_profile,
-    profile_average,
-    queue_length_profile,
-    to_gantt_csv,
-)
+from repro.sim.check import step_profile
 from repro.workloads.analysis import profile_workload
 
 NMAX = 256
+
+
+def time_average(profile, t0: float, t1: float) -> float:
+    """Time average of a ``(time, value)`` step profile over ``[t0, t1]``."""
+    time, value = profile
+    grid = np.concatenate([[t0], time[(time > t0) & (time < t1)], [t1]])
+    idx = np.searchsorted(time, grid[:-1], side="right") - 1
+    level = np.where(idx >= 0, value[np.maximum(idx, 0)], 0.0)
+    return float(level @ np.diff(grid)) / (t1 - t0)
 
 
 def main() -> None:
@@ -51,27 +55,23 @@ def main() -> None:
     result = repro.simulate(
         wl, repro.get_policy("F1"), NMAX, use_estimates=True, backfill=True
     )
-    busy = busy_cores_profile(result)
-    queue = queue_length_profile(result)
+    busy = step_profile(result.start, result.finish, wl.size)
+    queue = step_profile(wl.submit, result.start, np.ones(len(wl)))
     horizon = result.makespan
     print(f"\nschedule under F1 + EASY ({len(wl)} jobs):")
     print(f"  AVEbsld              {result.ave_bsld:.2f}")
-    print(f"  peak busy cores      {busy.peak:.0f} / {NMAX}")
-    print(f"  mean busy cores      {profile_average(busy, 0, horizon):.1f}")
-    print(f"  peak queue length    {queue.peak:.0f}")
-    print(f"  mean queue length    {profile_average(queue, 0, horizon):.1f}")
+    print(f"  peak busy cores      {busy[1].max():.0f} / {NMAX}")
+    print(f"  mean busy cores      {time_average(busy, 0, horizon):.1f}")
+    print(f"  peak queue length    {queue[1].max():.0f}")
+    print(f"  mean queue length    {time_average(queue, 0, horizon):.1f}")
     print(f"  jobs backfilled      {result.backfill_count}")
 
     # hourly utilization sketch
     print("\n  utilization by hour (first 24h):")
     for h in range(0, 24, 3):
-        frac = profile_average(busy, h * 3600.0, (h + 3) * 3600.0) / NMAX
+        frac = time_average(busy, h * 3600.0, (h + 3) * 3600.0) / NMAX
         bar = "#" * int(round(frac * 40))
         print(f"   {h:02d}-{h + 3:02d}h {frac:5.1%} {bar}")
-
-    gantt = to_gantt_csv(result)
-    print(f"\nGantt CSV: {len(gantt.splitlines()) - 1} rows (head below)")
-    print("  " + "\n  ".join(gantt.splitlines()[:4]))
 
 
 if __name__ == "__main__":

@@ -4,8 +4,8 @@ A cache entry or manifest that is written in place can be
 observed half-written by a concurrent reader (the cache is documented
 as safe to share across processes) or left torn by a crash, and a torn
 entry that still parses is silent corruption.  The blessed pattern —
-used by ``runtime/cache.py``, ``core/datastore.py``,
-``traces/fetch.py`` and ``obs/manifest.py`` — streams into a
+used by ``runtime/cache.py``, ``traces/fetch.py`` and
+``obs/manifest.py`` — streams into a
 same-directory temp file and ``os.replace``\\ s it into place.  This
 rule flags write-mode ``open()`` / ``Path.write_text`` /
 ``Path.write_bytes`` calls in the persistence modules whose enclosing
@@ -76,7 +76,7 @@ class AtomicWrite(Rule):
     backstop = (
         "tests/test_cache_concurrency.py, tests/test_executor_faults.py"
     )
-    paths = ("runtime/", "traces/", "obs/", "core/datastore.py")
+    paths = ("runtime/", "traces/", "obs/")
     interests = (ast.Call,)
 
     def _scope(self, node: ast.AST, ctx: ModuleContext) -> ast.AST:

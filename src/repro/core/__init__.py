@@ -1,6 +1,5 @@
 """The paper's contribution: simulation-driven scores + nonlinear regression."""
 
-from repro.core.datastore import TrainingDataStore
 from repro.core.distribution import ScoreDistribution
 from repro.core.functions import (
     BASE_FUNCTION_NAMES,
@@ -31,7 +30,6 @@ __all__ = [
     "RegressionConfig",
     "ScoreDistribution",
     "TaskSetTuple",
-    "TrainingDataStore",
     "TrialScoreResult",
     "apply_base",
     "build_distribution",

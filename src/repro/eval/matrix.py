@@ -128,8 +128,7 @@ class MatrixConfig:
         check_positive_int("warmup", self.warmup, allow_zero=True)
         if self.max_windows is not None:
             check_positive_int("max_windows", self.max_windows)
-        if self.nmax < 0:
-            raise ValueError(f"nmax must be >= 0, got {self.nmax}")
+        check_positive_int("nmax", self.nmax, allow_zero=True)
         if self.tau <= 0:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         from repro.sim.platform import normalize_distribution, normalize_topology

@@ -17,9 +17,9 @@ package:
   parallel runs are **bit-identical** for any worker count, because
   per-item seed streams depend only on ``(root_seed, item_index)``.
 * :class:`ArtifactCache` — content-addressed, config-hash-keyed store of
-  simulation outputs (lossless npz via :mod:`repro.core.datastore`), so
-  repeated runs of an unchanged config skip simulation entirely, and a
-  killed training run resumes from the tuples it already stored.
+  simulation outputs (lossless npz), so repeated runs of an unchanged
+  config skip simulation entirely, and a killed training run resumes
+  from the tuples it already stored.
 * :class:`ProgressAggregator` — folds out-of-order completions
   back into the library's monotone ``progress(phase, done, total)``
   callback contract.

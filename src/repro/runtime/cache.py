@@ -6,7 +6,7 @@ byte the same trial results.  :class:`ArtifactCache` memoises that step
 on disk: the key is a fingerprint of every *result-relevant* config
 field (the worker count is deliberately excluded — it cannot change
 results), and the value is the lossless npz artifact
-written by :func:`repro.core.datastore.save_trial_artifact`.
+written by :func:`save_trial_artifact`.
 
 A cache directory is safe to share between serial and parallel runs,
 across processes, and across sessions; entries are immutable once
@@ -26,17 +26,85 @@ import zipfile
 from collections.abc import Mapping
 from pathlib import Path
 
-from repro.core.datastore import load_trial_artifact, save_trial_artifact
+import numpy as np
+
 from repro.core.distribution import ScoreDistribution
 from repro.core.trials import TrialScoreResult
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = ["ArtifactCache", "coerce_cache", "config_fingerprint"]
+__all__ = [
+    "ArtifactCache",
+    "coerce_cache",
+    "config_fingerprint",
+    "load_trial_artifact",
+    "save_trial_artifact",
+]
 
 #: The writer pid in a temp-file name: ``trials-<key>.npz.tmp<pid>.npz``
-#: (:func:`~repro.core.datastore.save_trial_artifact`) or
+#: (:func:`save_trial_artifact`) or
 #: ``eval-<key>.json.tmp<pid>`` (:meth:`ArtifactCache.store_json`).
 _TMP_PID = re.compile(r"\.tmp(\d+)(?:\.npz)?$")
+
+
+#: Bump when the npz artifact layout changes; loaders reject other versions.
+ARTIFACT_FORMAT_VERSION = 1
+
+_RESULT_FIELDS = ("runtime", "size", "submit", "scores", "first_task", "trial_avebsld")
+_DIST_FIELDS = ("runtime", "size", "submit", "score")
+
+
+def save_trial_artifact(
+    path: str | Path,
+    results: list[TrialScoreResult],
+    distribution: ScoreDistribution,
+) -> Path:
+    """Write trial results + pooled distribution as one lossless ``.npz``.
+
+    The npz round-trips every array bit for bit.  The write is atomic
+    (tmp file + rename) so a crashed run never leaves a torn artifact
+    behind for the next run to load.
+    """
+    path = Path(path)
+    arrays: dict[str, np.ndarray] = {
+        "format_version": np.array([ARTIFACT_FORMAT_VERSION], dtype=np.int64),
+        "n_results": np.array([len(results)], dtype=np.int64),
+    }
+    for field in _DIST_FIELDS:
+        arrays[f"dist_{field}"] = getattr(distribution, field)
+    for i, result in enumerate(results):
+        for field in _RESULT_FIELDS:
+            arrays[f"trial{i}_{field}"] = getattr(result, field)
+    tmp = path.with_name(path.name + f".tmp{os.getpid()}.npz")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
+
+
+def load_trial_artifact(
+    path: str | Path,
+) -> tuple[list[TrialScoreResult], ScoreDistribution]:
+    """Read back a :func:`save_trial_artifact` file."""
+    with np.load(Path(path)) as data:
+        version = int(data["format_version"][0])
+        if version != ARTIFACT_FORMAT_VERSION:
+            raise ValueError(
+                f"{path}: artifact format v{version}, "
+                f"expected v{ARTIFACT_FORMAT_VERSION}"
+            )
+        results = [
+            TrialScoreResult(
+                **{field: data[f"trial{i}_{field}"] for field in _RESULT_FIELDS}
+            )
+            for i in range(int(data["n_results"][0]))
+        ]
+        distribution = ScoreDistribution(
+            **{field: data[f"dist_{field}"] for field in _DIST_FIELDS}
+        )
+    return results, distribution
 
 
 def config_fingerprint(fields: Mapping[str, object]) -> str:

@@ -81,28 +81,3 @@ class DynamicWrapper(Policy):
     def scores(self, now, submit, proc, size):
         return self._inner.scores(now, submit, proc, size)
 
-
-def assert_no_oversubscription(result, nmax: int) -> None:
-    """Replay a schedule and verify core conservation at every instant."""
-    start = result.start
-    finish = result.finish
-    size = result.workload.size
-    events = []
-    for s, f, n in zip(start, finish, size):
-        events.append((s, int(n)))
-        events.append((f, -int(n)))
-    # Releases before allocations at equal times (engine frees cores first).
-    events.sort(key=lambda e: (e[0], e[1]))
-    used = 0
-    for _, delta in events:
-        used += delta
-        assert used <= nmax, f"oversubscription: {used} > {nmax}"
-    assert used == 0
-
-
-def assert_valid_schedule(result) -> None:
-    """Basic sanity of any ScheduleResult."""
-    wl = result.workload
-    assert np.all(np.isfinite(result.start))
-    assert np.all(result.start >= wl.submit - 1e-9)
-    assert_no_oversubscription(result, result.config.nmax)

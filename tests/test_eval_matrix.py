@@ -82,6 +82,13 @@ class TestConfig:
         with pytest.raises(error, match="warmup must be"):
             MatrixConfig(policies=("fcfs",), window_jobs=5, warmup=warmup)
 
+    @pytest.mark.parametrize(
+        "nmax, error", [(400.5, TypeError), (True, TypeError), (-1, ValueError)]
+    )
+    def test_nmax_must_be_a_non_negative_integer(self, nmax, error):
+        with pytest.raises(error, match="nmax must be"):
+            MatrixConfig(policies=("fcfs",), window_jobs=5, nmax=nmax)
+
     def test_backfill_vocabulary_shared_with_engine(self):
         cfg = MatrixConfig(
             policies=("fcfs",), backfill=("off",), window_jobs=10

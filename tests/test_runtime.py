@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import repro.runtime.executor as executor_mod
-from repro.core.datastore import load_trial_artifact, save_trial_artifact
 from repro.core.pipeline import (
     PipelineConfig,
     build_distribution,
@@ -31,6 +30,7 @@ from repro.runtime import (
     config_fingerprint,
     resolve_workers,
 )
+from repro.runtime.cache import load_trial_artifact, save_trial_artifact
 
 #: Small enough for process fan-out in a test, big enough to shard.
 SMALL = PipelineConfig(n_tuples=3, trials_per_tuple=32, seed=5)

@@ -6,10 +6,9 @@ import pytest
 from repro.policies.classic import FCFS, SPT
 from repro.policies.adhoc import WFP3
 from repro.sim import _cbackend
+from repro.sim.check import check_schedule
 from repro.sim.engine import ScheduleResult, SimulationConfig, simulate
 from repro.sim.job import Workload
-
-from conftest import assert_valid_schedule
 
 KERNELS = ["python"] + (["c"] if _cbackend.load() is not None else [])
 
@@ -140,7 +139,7 @@ class TestBackfillScheduling:
             estimate=[5.0, 10.0, 10.0],  # J0's estimate expires at t=5
         )
         result = simulate(wl, FCFS(), 4, backfill=True, use_estimates=True)
-        assert_valid_schedule(result)
+        assert check_schedule(result, FCFS()) == []
 
 
 class TestEstimateMode:
@@ -168,7 +167,7 @@ class TestEstimateMode:
 class TestDynamicPolicies:
     def test_wfp_runs_and_is_valid(self, medium_workload):
         result = simulate(medium_workload, WFP3(), 32)
-        assert_valid_schedule(result)
+        assert check_schedule(result, WFP3()) == []
 
     def test_wfp_prefers_long_waiters(self):
         # Two identical jobs queued behind a blocker; WFP favours the one

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from repro.policies.classic import FCFS, SPT
+from repro.sim.check import check_schedule
 from repro.sim.engine import simulate
 from repro.sim.job import Workload
-
-from conftest import assert_valid_schedule
 
 
 class TestSimultaneousEvents:
@@ -72,7 +71,7 @@ class TestEstimateOverruns:
             estimate=[5.0, 20.0, 10.0, 10.0],  # J0 overruns 10x
         )
         result = simulate(wl, FCFS(), 4, use_estimates=True, backfill=True)
-        assert_valid_schedule(result)
+        assert check_schedule(result, FCFS()) == []
         # J1 cannot start before J0 actually ends
         assert result.start[1] >= 50.0
 
@@ -84,7 +83,7 @@ class TestEstimateOverruns:
             estimate=[1.0, 1.0, 1.0],
         )
         result = simulate(wl, FCFS(), 4, use_estimates=True, backfill=True)
-        assert_valid_schedule(result)
+        assert check_schedule(result, FCFS()) == []
 
 
 class TestEventAccounting:
@@ -138,7 +137,7 @@ class TestExtremeShapes:
             size=[4, 4, 4],
         )
         result = simulate(wl, FCFS(), 4)
-        assert_valid_schedule(result)
+        assert check_schedule(result, FCFS()) == []
         assert result.ave_bsld >= 1.0
 
     def test_heavy_queue_does_not_misorder(self):

@@ -14,12 +14,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.policies.adhoc import WFP3
 from repro.policies.classic import FCFS, SPT
+from repro.sim.check import check_schedule
 from repro.sim.engine import simulate
 from repro.sim.job import Workload
 from repro.sim.listsched import simulate_fixed_priority_batch
 
-from conftest import DynamicWrapper, TablePolicy, assert_valid_schedule, random_workload
+from conftest import DynamicWrapper, TablePolicy, random_workload
 
 
 def _draw_workload(data, max_n=30, max_nmax=8):
@@ -79,12 +81,17 @@ class TestStaticVsDynamicPath:
 
 class TestEngineInvariants:
     @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2**20), st.booleans())
-    def test_valid_schedule_all_modes(self, seed, backfill):
+    @given(
+        st.integers(0, 2**20),
+        st.sampled_from([False, "easy", "conservative", "hybrid"]),
+        st.sampled_from([FCFS, WFP3]),
+    )
+    def test_valid_schedule_all_modes(self, seed, backfill, policy_cls):
         rng = np.random.default_rng(seed)
         wl = random_workload(rng, n=40, nmax=8)
-        result = simulate(wl, FCFS(), 8, backfill=backfill, use_estimates=True)
-        assert_valid_schedule(result)
+        policy = policy_cls()
+        result = simulate(wl, policy, 8, backfill=backfill, use_estimates=True)
+        assert check_schedule(result, policy) == []
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**20))

@@ -17,6 +17,7 @@ import pytest
 from easy_reference import easy_backfill
 from repro.policies.registry import get_policy
 from repro.sim import _cbackend
+from repro.sim.check import check_schedule
 from repro.sim.conservative import HYBRID_RESERVATION_DEPTH, conservative_starts
 from repro.sim.engine import normalize_backfill, simulate
 from repro.sim.job import Workload
@@ -152,6 +153,8 @@ class TestEngineIntegration:
         for w in self._small_workloads():
             hybrid = simulate(w, policy, 8, backfill="hybrid")
             conservative = simulate(w, policy, 8, backfill="conservative")
+            assert check_schedule(hybrid, policy) == []
+            assert check_schedule(conservative, policy) == []
             assert hybrid.start.tobytes() == conservative.start.tobytes()
             assert hybrid.backfilled.tobytes() == conservative.backfilled.tobytes()
 
@@ -166,10 +169,11 @@ class TestEngineIntegration:
             size=rng.integers(1, 17, n),
         )
         policy = get_policy("f2")
-        outs = {
-            mode: simulate(w, policy, 16, backfill=mode).start.tobytes()
-            for mode in ("easy", "hybrid", "conservative")
-        }
+        outs = {}
+        for mode in ("easy", "hybrid", "conservative"):
+            result = simulate(w, policy, 16, backfill=mode)
+            assert check_schedule(result, policy) == []
+            outs[mode] = result.start.tobytes()
         assert outs["hybrid"] != outs["easy"]
         assert outs["hybrid"] != outs["conservative"]
 
@@ -196,6 +200,8 @@ class TestEngineIntegration:
 
         monkeypatch.setattr(kernel, "_simulate_py", no_python_loop)
         got = simulate(w, policy, 8, backfill="hybrid")
+        assert check_schedule(want, policy) == []
+        assert check_schedule(got, policy) == []
         assert got.start.tobytes() == want.start.tobytes()
         assert got.backfilled.tobytes() == want.backfilled.tobytes()
         assert got.n_events == want.n_events

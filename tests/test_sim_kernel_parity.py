@@ -9,7 +9,10 @@ approximately: bit-identical results are the refactor's acceptance bar
 The sweep covers {static/dynamic policy} x {none/easy/conservative
 backfill} x {actual/estimated runtimes} x nmax in {1, 17, 256} on seeded
 random workloads, on every available kernel backend (pure Python always;
-the compiled C backend when a toolchain is present).
+the compiled C backend when a toolchain is present).  Every schedule an
+engine case produces must also follow its backfill mode's rules
+(:func:`repro.sim.check.check_schedule`): agreement with the oracle
+proves only that nothing changed.
 """
 
 from __future__ import annotations
@@ -28,7 +31,13 @@ from repro.policies.adhoc import UNICEF, WFP3
 from repro.policies.base import KERNEL_WFP3, Policy
 from repro.policies.registry import get_policy
 from repro.sim import _cbackend, kernel
-from repro.sim.engine import simulate
+from repro.sim.check import check_schedule
+from repro.sim.engine import (
+    ScheduleResult,
+    SimulationConfig,
+    normalize_backfill,
+    simulate,
+)
 from repro.sim.job import Workload
 from repro.sim.kernel import simulate_events
 from repro.sim.listsched import simulate_fixed_priority_batch
@@ -55,37 +64,38 @@ def _random_workload(rng: np.random.Generator, n: int, nmax: int) -> Workload:
     )
 
 
-def _kernel_outcome(workload, policy, nmax, *, use_estimates, backfill):
-    """Drive the kernel exactly the way engine.simulate does."""
-    from repro.sim.engine import normalize_backfill
-
+def _kernel_outcome(
+    workload, policy, nmax, *, use_estimates, backfill, check=True
+):
+    """Drive the kernel exactly the way engine.simulate does, and check
+    the schedule against its backfill mode's rules (a run that is then
+    compared bit for bit with a checked one may skip that)."""
     procs = workload.estimate if use_estimates else workload.runtime
     if policy.dynamic:
-        return simulate_events(
-            workload.submit,
-            workload.runtime,
-            procs,
-            workload.size,
-            nmax,
-            scorer=policy.scores,
-            terms=policy.kernel_terms(procs, workload.size),
-            backfill=normalize_backfill(backfill),
+        scoring = dict(
+            scorer=policy.scores, terms=policy.kernel_terms(procs, workload.size)
         )
-    scores = policy.scores(
-        float(workload.submit[0]) if len(workload) else 0.0,
-        workload.submit,
-        procs,
-        workload.size,
-    )
-    return simulate_events(
+    else:
+        now = float(workload.submit[0]) if len(workload) else 0.0
+        scoring = dict(
+            static_scores=policy.scores(now, workload.submit, procs, workload.size)
+        )
+    out = simulate_events(
         workload.submit,
         workload.runtime,
         procs,
         workload.size,
         nmax,
-        static_scores=scores,
         backfill=normalize_backfill(backfill),
+        **scoring,
     )
+    if check:
+        config = SimulationConfig(nmax, use_estimates=use_estimates, backfill=backfill)
+        result = ScheduleResult(
+            workload, out.start, policy.name, config, out.backfilled
+        )
+        assert check_schedule(result, policy) == []
+    return out
 
 
 def _assert_bit_identical(got, want) -> None:
@@ -165,6 +175,7 @@ class TestEngineParity:
             registry = MetricsRegistry()
             with use_registry(registry):
                 result = simulate(w, policy, 32, backfill="easy")
+            assert check_schedule(result, policy) == []
             assert result.start.tobytes() == want.start.tobytes()
             assert result.backfilled.tobytes() == want.backfilled.tobytes()
             assert result.n_events == want.n_events
@@ -325,6 +336,7 @@ class TestBackfillPassCost:
         )
         assert kernel_passes == oracle_passes > 0
         assert result.start.tobytes() == want.start.tobytes()
+        assert check_schedule(result, policy) == []
         kernel_per_pass = kernel_time / kernel_passes
         oracle_per_pass = oracle_time / oracle_passes
         if _cbackend.selected() is not None:
@@ -405,6 +417,8 @@ class TestDynamicPoliciesRunInC:
         monkeypatch.setattr(kernel, "_simulate_py", no_python_loop)
         got = simulate(w, policy, 32, **kwargs)
         assert sum(calls.values()) == 0
+        assert check_schedule(want, policy) == []
+        assert check_schedule(got, policy) == []
         assert got.start.tobytes() == want.start.tobytes()
         assert got.backfilled.tobytes() == want.backfilled.tobytes()
         assert got.n_events == want.n_events
@@ -457,7 +471,7 @@ class TestReplanParity:
             )
             kwargs = dict(use_estimates=use_estimates, backfill=backfill)
             monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
-            want = _kernel_outcome(w, policy, nmax, **kwargs)
+            want = _kernel_outcome(w, policy, nmax, check=False, **kwargs)
             monkeypatch.setenv("REPRO_SIM_KERNEL", "c")
             with monkeypatch.context() as m:
                 # a fall-back to the reference must not pass as parity
@@ -507,7 +521,7 @@ class TestProfileDustRegression:
         w = self._workload()
         policy = get_policy("fcfs")
         got = simulate(w, policy, 256, backfill=mode)
-        assert np.isfinite(got.start).all()
+        assert check_schedule(got, policy) == []
         if mode == "conservative":
             want = oracle_simulate(w, policy, 256, backfill="conservative")
             assert got.start.tobytes() == want.start.tobytes()
@@ -532,7 +546,7 @@ class TestKeptOrders:
     def _outcomes(monkeypatch, w, policy, backfill, *, oracle=True):
         kwargs = dict(use_estimates=True, backfill=backfill)
         monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
-        want = _kernel_outcome(w, policy, w.nmax, **kwargs)
+        want = _kernel_outcome(w, policy, w.nmax, check=False, **kwargs)
         monkeypatch.setenv("REPRO_SIM_KERNEL", "c")
         with monkeypatch.context() as m:
             # a fall-back to the reference must not pass as parity

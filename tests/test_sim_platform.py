@@ -18,7 +18,8 @@ from repro.api import run
 from repro.eval.report import matrix_to_json
 from repro.policies.registry import get_policy
 from repro.sim import _cbackend
-from repro.sim.engine import simulate
+from repro.sim.check import check_schedule
+from repro.sim.engine import ScheduleResult, SimulationConfig, simulate
 from repro.sim.job import Workload
 from repro.sim.platform import (
     DISTRIBUTIONS,
@@ -219,6 +220,8 @@ class TestProductOneParity:
                 backfill=mode,
                 topology=(1,),
             )
+            assert check_schedule(flat, policy) == []
+            assert check_schedule(one, policy) == []
             assert one.start.tobytes() == flat.start.tobytes()
             assert one.backfilled.tobytes() == flat.backfilled.tobytes()
             assert one.n_events == flat.n_events
@@ -227,31 +230,13 @@ class TestProductOneParity:
 
 
 # ----------------------------------------------------------------------
-# partitioned semantics: conservation, composition, merging
+# partitioned semantics: leaf rules, composition, merging
 # ----------------------------------------------------------------------
-def _assert_leaf_conservation(
-    start: np.ndarray,
-    runtime: np.ndarray,
-    size: np.ndarray,
-    leaf: np.ndarray,
-    leaf_cores: int,
-) -> None:
-    """Per-leaf busy cores never exceed the leaf's capacity."""
-    for leaf_id in np.unique(leaf):
-        mask = leaf == leaf_id
-        s, r, z = start[mask], runtime[mask], size[mask]
-        events = np.unique(np.concatenate([s, s + r]))
-        for t in events:
-            busy = int(z[(s <= t) & (t < s + r)].sum())
-            assert busy <= leaf_cores, (
-                f"leaf {leaf_id} oversubscribed at t={t}: {busy} > {leaf_cores}"
-            )
-
-
 class TestPartitionedSemantics:
     @pytest.mark.parametrize("distribution", DISTRIBUTIONS)
     @pytest.mark.parametrize("mode", MODES)
     def test_per_leaf_conservation(self, distribution, mode):
+        """Each 8-core leaf follows its mode's rules, capacity included."""
         rng = np.random.default_rng(zlib.crc32(repr((distribution, mode)).encode()))
         w = _workload(rng, 80, 8)  # fits 32/(2,2) = 8-core leaves
         result = simulate(
@@ -264,10 +249,7 @@ class TestPartitionedSemantics:
             platform_seed=3,
         )
         assert result.leaf is not None
-        assert np.all(result.start >= w.submit)
-        _assert_leaf_conservation(
-            result.start, w.runtime, w.size, result.leaf, leaf_cores=8
-        )
+        assert check_schedule(result, get_policy("fcfs")) == []
 
     def test_partition_composes_from_independent_leaf_runs(self):
         """Leaves share no state: the merged result must equal running
@@ -284,12 +266,14 @@ class TestPartitionedSemantics:
         )
         assert merged.leaf is not None
         assert (merged.leaf == assign).all()
+        assert check_schedule(merged, policy) == []
         for leaf_id in range(platform.n_leaves):
             idx = np.flatnonzero(assign == leaf_id)
             sub = Workload.from_arrays(
                 submit=w.submit[idx], runtime=w.runtime[idx], size=w.size[idx]
             )
             alone = simulate(sub, policy, platform.leaf_cores, backfill="easy")
+            assert check_schedule(alone, policy) == []
             assert alone.start.tobytes() == merged.start[idx].tobytes()
             assert alone.backfilled.tobytes() == merged.backfilled[idx].tobytes()
 
@@ -306,9 +290,15 @@ class TestPartitionedSemantics:
             static_scores=np.arange(len(w), dtype=float),
             backfill="easy",
         )
-        assert np.isfinite(outcome.start).all()
         assert outcome.n_events >= len(w)
         assert outcome.leaf.shape == (len(w),)
+        # index-order scores rank a submit-sorted workload as FCFS does
+        result = ScheduleResult(
+            w, outcome.start, "FCFS",
+            SimulationConfig(16, backfill="easy", topology=(2, 2)),
+            outcome.backfilled, outcome.n_events, outcome.leaf,
+        )
+        assert check_schedule(result, get_policy("fcfs")) == []
 
     def test_oversized_job_rejected_end_to_end(self):
         w = Workload.from_arrays(
