@@ -18,7 +18,12 @@ with ``REPRO_SIM_KERNEL=c`` and ``=python`` and both must match, so the
 compiled backend is held to the same bar as the pure-Python loop.  A
 ``hybrid`` leg then runs the same matrix under hybrid backfilling on both
 backends and byte-compares C against Python: the frozen loop predates
-hybrid, so the Python kernel is that leg's reference.  A ``train`` leg
+hybrid, so the Python kernel is that leg's reference.  A
+``conservative`` leg does the same for the static policies under
+conservative backfilling on actual runtimes, where the C pass keeps its
+plan between events instead of replanning; it also fails unless the C
+run reports kept passes (``sim.replans_kept > 0``), so the leg cannot
+pass while that path never runs.  A ``train`` leg
 runs the policy-obtaining pipeline at the ``smoke`` scale on both
 backends and byte-compares its stdout and score-distribution CSV: the
 C trial batch (with its shared trials) and the C permutation draw
@@ -34,6 +39,7 @@ import io
 import os
 import sys
 import tempfile
+from collections.abc import Sequence
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -64,6 +70,11 @@ EVALUATE_ARGS = [
 HYBRID_ARGS = ["--backfill", "hybrid", "--nmax", "256", "--estimates"]
 
 
+#: The conservative leg's flags: static policies on actual runtimes, so
+#: every job ends where its reservation does and C keeps its plan.
+CONSERVATIVE_ARGS = ["--policies", "fcfs,spt,f1", "--backfill", "conservative"]
+
+
 #: The train leg's flags.  At seed 2 one smoke tuple is contended and the
 #: other order-independent, so both the simulated and the shared trials
 #: of the C batch are compared.
@@ -71,7 +82,7 @@ TRAIN_ARGS = ["train", "--scale", "smoke", "--seed", "2", "--workers", "1"]
 
 
 def run_matrix_json(
-    output_dir: Path, *, use_oracle: bool, backend: str, hybrid: bool = False
+    output_dir: Path, *, use_oracle: bool, backend: str, extra: Sequence[str] = ()
 ) -> bytes:
     import oracle_sim
 
@@ -79,7 +90,7 @@ def run_matrix_json(
     import repro.sim.engine as engine_mod
     from repro.cli import main
 
-    args = EVALUATE_ARGS + (HYBRID_ARGS if hybrid else [])
+    args = EVALUATE_ARGS + list(extra)
     real = engine_mod.simulate
     os.environ["REPRO_SIM_KERNEL"] = backend
     if use_oracle:
@@ -117,6 +128,7 @@ def run_train_bytes(csv: Path, *, backend: str) -> bytes:
 
 
 def main_check() -> int:
+    from repro.obs import MetricsRegistry, use_registry
     from repro.sim import _cbackend
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -127,7 +139,7 @@ def main_check() -> int:
         runs = {"kernel[python]": run_matrix_json(
             tmp_path / "kernel-py", use_oracle=False, backend="python"
         )}
-        hybrid, train = {}, {}
+        hybrid, conservative, kept, train = {}, {}, {}, {}
         if _cbackend.load() is not None:
             runs["kernel[c]"] = run_matrix_json(
                 tmp_path / "kernel-c", use_oracle=False, backend="c"
@@ -135,8 +147,15 @@ def main_check() -> int:
             for backend in ("python", "c"):
                 hybrid[backend] = run_matrix_json(
                     tmp_path / f"hybrid-{backend}", use_oracle=False,
-                    backend=backend, hybrid=True,
+                    backend=backend, extra=HYBRID_ARGS,
                 )
+                registry = MetricsRegistry()
+                with use_registry(registry):
+                    conservative[backend] = run_matrix_json(
+                        tmp_path / f"conservative-{backend}", use_oracle=False,
+                        backend=backend, extra=CONSERVATIVE_ARGS,
+                    )
+                kept[backend] = registry.value("sim.replans_kept")
                 train[backend] = run_train_bytes(
                     tmp_path / "distribution.csv", backend=backend
                 )
@@ -154,6 +173,17 @@ def main_check() -> int:
             )
             if not same:
                 failed.append("hybrid kernel[c]")
+        if conservative:
+            same = conservative["c"] == conservative["python"]
+            print(
+                f"conservative kernel[c]: {len(conservative['c'])} bytes vs"
+                f" kernel[python] -> {'MATCH' if same else 'DIFFERS'}"
+                f" ({kept['c']} kept-plan passes)"
+            )
+            if not same:
+                failed.append("conservative kernel[c]")
+            if kept["c"] <= 0:
+                failed.append("conservative kernel[c] (no kept-plan pass)")
         if train:
             same = train["c"] == train["python"]
             print(
@@ -167,7 +197,7 @@ def main_check() -> int:
         return 1
     print(
         "kernel parity OK: eval_matrix.json byte-identical to the legacy loop"
-        + (" (hybrid and train: C == Python)" if hybrid else "")
+        + (" (hybrid, conservative and train: C == Python)" if hybrid else "")
     )
     return 0
 

@@ -39,6 +39,70 @@ fits the free cores, because the jobs that start now are its only
 output.  Custom dynamic policies without terms and every run under
 ``REPRO_SIM_KERNEL=python`` stay on the Python loop.
 
+Conservative backfilling with static scores keeps its plan from one
+pass to the next instead of rebuilding it (Mu'alem & Feitelson reserve
+at submission).  After a pass, queue positions ``[0, plan_n)`` hold
+reservations in the profile, job ``j``'s from ``res_t[j]``; later
+positions are those the early stop never reached.  The next pass drops
+the breakpoints before ``now`` (``now`` takes the level of the last one
+at or before it), starts every prefix job with ``res_t == now`` and
+resumes the reservation loop at ``plan_n``; ``sim.replans_kept`` counts
+these passes.  The kept profile then has the breakpoints and levels of a
+fresh build that reserves the prefix in queue order, and each prefix job
+the same ``res_t``, while three things hold (else the pass rebuilds,
+as the Python reference does at every event):
+
+* *Every running job ends where its reservation does*: ``start + run ==
+  start + proc`` and ``proc >= 1e-9`` (the reservation uses
+  ``max(proc, 1e-9)``).  A job that ends early, overruns (so is
+  overdue, ``end <= now``, and clamped to just after ``now``) or used
+  the clamp would free its cores at another instant in the kept
+  profile, so it forces full passes from its start through the pass at
+  its completion.  Under estimates nearly every job does; with actual
+  runtimes none does.
+* *No arrival ranks inside the prefix.*  FCFS arrivals rank last.
+* *No breakpoint lands near another* (below).
+
+Why it is exact then.  (1) No breakpoint falls strictly between two
+events: one after the previous event is a running job's end, which is a
+completion event, or the end of a reservation that starts at one; so
+trimming drops exactly the past.  (2) Take a prefix job K.  The fresh
+profile before K holds the running jobs and K's predecessors; the kept
+profile held them too when K was reserved, the started ones as the
+reservations they started from (same interval) and the finished ones
+freed by ``now``.  The fresh one differs only by lower-ranked jobs that
+started since — they take cores — and by new candidate starts: ``now``
+itself when an arrival falls strictly between breakpoints, and those
+jobs' ends.  ``res_t[K]`` stays feasible, since the kept profile with
+every reservation is non-negative and the fresh one before K has K's
+cores on top of it.  No earlier start becomes feasible: an old candidate
+keeps its blocker, at a level no higher; a new candidate ``c`` lies
+strictly inside a segment ``[b, b')`` of K's profile, and K was rejected
+at ``b`` either by that segment's level, which ``c`` shares, or by a
+blocker ``j >= b'`` with ``j < fl(b + dur) - 1e-12 <= fl(c + dur) -
+1e-12``, which blocks ``c`` too.  So the fresh build reserves K at the
+same instant, over the same breakpoints, and by induction over the
+prefix the two profiles end equal.  (3) If the fresh pass would stop
+early at a position ``p < plan_n`` (``smin[p] > free``), no prefix job
+at or after ``p`` has ``res_t == now``: the level at ``now`` at that
+point is the free cores, and every such job is larger.  The kept pass
+starts the same jobs (``start_job``'s effects commute), and its loop
+stops at ``plan_n`` at once, since ``smin`` does not decrease.
+
+Near breakpoints.  ``ensure_bp`` merges an end into any breakpoint
+within 1e-12, and a reservation decrements the breakpoints below ``end -
+1e-12`` only.  The fresh build meets a lower-ranked job's end before it
+reserves K, the kept profile after, so two distinct breakpoints that
+close could merge differently, or one could sit below K's cut in one
+profile and above it in the other.  Rounded, the cut reaches below an
+end by less than 2e-12 (by exactly 1e-12 up to half an ulp below 2^13,
+by one 1.8e-12 ulp up to 2^14, not at all above).  Every such pair
+became adjacent in some ``ensure_bp`` — a fresh build's running ends
+sit in both profiles alike — so ``ensure_bp`` forces a rebuild when it
+merges two distinct instants, or leaves its breakpoint within 2e-12 of a
+neighbour.  Dynamic policies (rescoring reorders the queue) and hybrid
+(jobs past the depth hold no reservation) always rebuild.
+
 Training's permutation trials (``repro_trial_batch``) share one prefix.
 S outranks Q, so until a probe job heads the queue of a pass that could
 start it, no decision depends on the probe order.  ``sim_run`` stops
@@ -151,6 +215,13 @@ typedef struct {
     double *r_end; i64 *r_size; i64 rn;
     /* availability-profile breakpoints */
     double *p_t; i64 *p_f; i64 pn;
+    /* the kept conservative plan (keep: mode 2, static scores): queue
+     * positions [0, plan_n) hold reservations in the profile, job j's
+     * starting at res_t[j].  replan forces the next pass to rebuild it;
+     * unplanned counts running jobs whose planned end is not their
+     * actual end; n_kept counts the passes that reused the plan */
+    double *res_t; i64 plan_n, unplanned, n_kept;
+    int keep, replan;
     /* per-pass scratch: suffix minima of queued sizes (replan) or the
      * size-sorted overdue running jobs (EASY) */
     i64 *scr;
@@ -205,8 +276,8 @@ static i64 h_pop(Sim *S)
 
 /* Arrival.  Static scores: bisect_left on (score, submit, job) keys —
  * keys are unique (job is).  Dynamic scores: append; the next rescore
- * sorts it in. */
-static void q_insert(Sim *S, i64 idx)
+ * sorts it in.  Returns the job's queue position. */
+static i64 q_insert(Sim *S, i64 idx)
 {
     Qe e = { 0.0, S->subs[idx], idx };
     i64 lo = S->qh + S->qn, end = lo;
@@ -222,6 +293,7 @@ static void q_insert(Sim *S, i64 idx)
     }
     S->q[lo] = e;
     S->qn++;
+    return lo - S->qh;
 }
 
 /* Shifts per queued job that rescore's insertion sort may spend before
@@ -294,6 +366,15 @@ static i64 r_find(const Sim *S, double e, i64 sz)
     return lo;
 }
 
+/* A job whose profile end (start + max(proc, 1e-9)) is not the instant
+ * it completes: it ends early, overruns, or its reservation used the
+ * clamp.  A kept plan would free its cores at the wrong time. */
+static int off_plan(const Sim *S, i64 idx)
+{
+    double s = S->start[idx];
+    return s + S->runs[idx] != s + S->procs[idx] || S->procs[idx] < 1e-9;
+}
+
 static int start_job(Sim *S, i64 idx, int via_bf)
 {
     i64 sz = S->sizes[idx];
@@ -311,6 +392,7 @@ static int start_job(Sim *S, i64 idx, int via_bf)
         S->r_size[p] = sz;
         S->rn++;
     }
+    if (S->keep && off_plan(S, idx)) S->unplanned++;
     S->started++;
     return 0;
 }
@@ -322,6 +404,8 @@ static int complete(Sim *S, i64 idx)
     i64 sz = S->sizes[idx];
     S->free_cores += sz;
     if (S->mode == 0) return 0;
+    /* the plan is rebuilt through the pass at this completion */
+    if (S->keep && off_plan(S, idx)) { S->unplanned--; S->replan = 1; }
     /* start = the now start_job added procs to: the same bits */
     double e = S->start[idx] + S->procs[idx];
     i64 p = r_find(S, e, sz), tail = S->rn - p - 1;
@@ -392,14 +476,24 @@ static int easy_pass(Sim *S)
  * AvailabilityProfile._ensure_breakpoint including its epsilons.  The
  * only caller inserts a reservation end t >= p_t[lo], so the scan starts
  * at lo: a breakpoint before lo within 1e-12 of t would put p_t[lo]
- * within 1e-12 too, and the insertion point is never the front. */
+ * within 1e-12 too, and the insertion point is never the front.  When t
+ * merges into a distinct breakpoint, or its breakpoint lies within 2e-12
+ * of another (the reach of a reservation's end - 1e-12 cut once it is
+ * rounded), the kept plan is dropped: see the module docstring. */
 static void ensure_bp(Sim *S, double t, i64 lo)
 {
     if (isinf(t)) return;
     i64 pn = S->pn;
     for (i64 i = lo; i < pn; i++) {
-        if (fabs(S->p_t[i] - t) <= 1e-12) return;
-        if (S->p_t[i] > t) {
+        double b = S->p_t[i];
+        if (fabs(b - t) <= 1e-12) {
+            if (b != t || (i > 0 && b - S->p_t[i - 1] <= 2e-12) ||
+                (i + 1 < pn && S->p_t[i + 1] - b <= 2e-12))
+                S->replan = 1;
+            return;
+        }
+        if (b > t) {
+            if (b - t <= 2e-12 || t - S->p_t[i - 1] <= 2e-12) S->replan = 1;
             memmove(S->p_t + i + 1, S->p_t + i, (size_t)(pn - i) * sizeof(double));
             memmove(S->p_f + i + 1, S->p_f + i, (size_t)(pn - i) * sizeof(i64));
             S->p_t[i] = t; S->p_f[i] = S->p_f[i - 1];
@@ -407,6 +501,7 @@ static void ensure_bp(Sim *S, double t, i64 lo)
             return;
         }
     }
+    if (t - S->p_t[pn - 1] <= 2e-12) S->replan = 1;
     S->p_t[pn] = t;
     S->p_f[pn] = S->nmax;
     S->pn++;
@@ -437,17 +532,11 @@ static i64 earliest(const Sim *S, i64 sz, double dur)
     return S->pn - 1;
 }
 
-/* Conservative (depth >= queue length) and hybrid replan, mirroring
- * repro.sim.conservative.conservative_starts.  The pass's one output is
- * the set of jobs that start now; reservations are rebuilt on the next
- * pass.  So the loop stops once no remaining job fits the free cores —
- * exact, because the profile level at now is the actual free cores. */
-static int conservative_pass(Sim *S)
+/* The profile of AvailabilityProfile(now, ...) over the running set. */
+static int build_profile(Sim *S)
 {
     double now = S->now;
     double after = nextafter(now, INFINITY);
-    S->n_passes++;
-    i64 head = S->q[S->qh].i;
     i64 used_now = 0;
     for (i64 k = 0; k < S->rn; k++) used_now += S->r_size[k];
     if (used_now > S->nmax) return 4;
@@ -468,15 +557,57 @@ static int conservative_pass(Sim *S)
         }
         S->p_f[S->pn - 1] = level;
     }
+    return 0;
+}
+
+/* Conservative (depth >= queue length) and hybrid replan, mirroring
+ * repro.sim.conservative.conservative_starts.  The pass's one output is
+ * the set of jobs that start now, so the loop stops once no remaining
+ * job fits the free cores — exact, because the profile level at now is
+ * the actual free cores.
+ *
+ * Under conservative backfilling with static scores the pass keeps its
+ * profile and reserved prefix from the last pass instead of rebuilding
+ * them, unless S->replan or S->unplanned says the kept plan may differ
+ * from a fresh one (the module docstring has the argument).  It drops
+ * the breakpoints before now — now takes the level of the last one at
+ * or before it — starts each prefix job reserved at now, and resumes
+ * the reservation loop at plan_n. */
+static int conservative_pass(Sim *S)
+{
+    double now = S->now;
+    S->n_passes++;
+    i64 head = S->q[S->qh].i;
+    i64 p = 0, n_started = 0;
+    if (S->keep && !S->replan && !S->unplanned) {
+        S->n_kept++;
+        i64 k = 1;
+        while (k < S->pn && S->p_t[k] <= now) k++;
+        k--;
+        S->pn -= k;
+        memmove(S->p_t, S->p_t + k, (size_t)S->pn * sizeof(double));
+        memmove(S->p_f, S->p_f + k, (size_t)S->pn * sizeof(i64));
+        S->p_t[0] = now;
+        for (; p < S->plan_n; p++) {
+            i64 idx = S->q[S->qh + p].i;
+            if (S->res_t[idx] != now) continue;
+            int rc = start_job(S, idx, idx != head);
+            if (rc) return rc;
+            n_started++;
+        }
+    } else {
+        S->replan = 0;
+        int rc = build_profile(S);
+        if (rc) return rc;
+    }
     i64 *smin = S->scr;
     i64 m = INT64_MAX;
-    for (i64 p = S->qn - 1; p >= 0; p--) {
-        i64 sz = S->sizes[S->q[S->qh + p].i];
+    for (i64 r = S->qn - 1; r >= p; r--) {
+        i64 sz = S->sizes[S->q[S->qh + r].i];
         if (sz < m) m = sz;
-        smin[p] = m;
+        smin[r] = m;
     }
-    i64 n_started = 0;
-    for (i64 p = 0; p < S->qn; p++) {
+    for (; p < S->qn; p++) {
         if (smin[p] > S->free_cores) break;
         i64 idx = S->q[S->qh + p].i;
         i64 sz = S->sizes[idx];
@@ -500,6 +631,7 @@ static int conservative_pass(Sim *S)
             S->p_f[i] -= sz;
             if (S->p_f[i] < 0) return 4;
         }
+        S->res_t[idx] = t0r;
         /* exact: slots strictly after now sit behind unprocessed
          * release events (mirrors conservative_starts) */
         if (t0r == now) {
@@ -508,6 +640,8 @@ static int conservative_pass(Sim *S)
             n_started++;
         }
     }
+    /* every job started sits below p */
+    S->plan_n = p - n_started;
     if (n_started) compact_queue(S);
     return 0;
 }
@@ -525,6 +659,7 @@ static int sim_run(Sim *S, int resume)
     S->hn = 0; S->qh = 0; S->qn = 0; S->rn = 0; S->pn = 0;
     S->free_cores = S->nmax;
     S->started = 0; S->n_events = 0; S->n_passes = 0;
+    S->plan_n = 0; S->unplanned = 0; S->n_kept = 0; S->replan = 1;
     for (i64 i = 0; i < n; i++) { S->start[i] = NAN; S->backfilled[i] = 0; }
     ai = 0;
     now = S->subs[S->order[0]];
@@ -543,7 +678,8 @@ static int sim_run(Sim *S, int resume)
             if (rc) return rc;
         }
         while (ai < n && S->subs[S->order[ai]] <= now) {
-            q_insert(S, S->order[ai]);
+            /* an arrival ranked inside the reserved prefix */
+            if (q_insert(S, S->order[ai]) < S->plan_n) S->replan = 1;
             ai++;
         }
         if (S->qn == 0) continue;
@@ -589,9 +725,10 @@ int repro_sim(i64 n, i64 nmax, int mode, i64 depth,
     counters[0] = 0;
     counters[1] = 0;
     counters[2] = -1;
+    counters[3] = 0;
     if (n <= 0) return 0;
     size_t nd = (size_t)n;
-    double *dbuf = (double *)malloc((2 * nd + (3 * nd + 4)) * sizeof(double));
+    double *dbuf = (double *)malloc((3 * nd + (3 * nd + 4)) * sizeof(double));
     i64 *ibuf = (i64 *)malloc((3 * nd + (3 * nd + 4)) * sizeof(i64));
     Qe *q = (Qe *)malloc(2 * nd * sizeof(Qe));
     if (!dbuf || !ibuf || !q) {
@@ -601,6 +738,7 @@ int repro_sim(i64 n, i64 nmax, int mode, i64 depth,
     Sim S;
     memset(&S, 0, sizeof(S));
     S.n = n; S.nmax = nmax; S.mode = mode; S.depth = depth;
+    S.keep = mode == 2 && score_code == 0;
     S.subs = subs; S.runs = runs; S.procs = procs;
     S.sizes = sizes; S.scores = scores; S.order = order;
     S.score_code = score_code; S.ta = ta; S.tb = tb;
@@ -608,7 +746,8 @@ int repro_sim(i64 n, i64 nmax, int mode, i64 depth,
     S.stop = n;
     S.h_t = dbuf;
     S.r_end = dbuf + nd;
-    S.p_t = dbuf + 2 * nd;
+    S.res_t = dbuf + 2 * nd;
+    S.p_t = dbuf + 3 * nd;
     S.h_i = ibuf;
     S.r_size = ibuf + nd;
     S.scr = ibuf + 2 * nd;
@@ -618,6 +757,7 @@ int repro_sim(i64 n, i64 nmax, int mode, i64 depth,
     counters[0] = S.n_events;
     counters[1] = S.n_passes;
     counters[2] = S.nan_job;
+    counters[3] = S.n_kept;
     free(dbuf); free(ibuf); free(q);
     return rc;
 }
@@ -916,14 +1056,15 @@ class CKernel:
         mode: int,
         depth: int,
         terms=None,
-    ) -> tuple[np.ndarray, np.ndarray, int, int]:
+    ) -> tuple[np.ndarray, np.ndarray, int, int, int]:
         """One run; *terms* (code, a, b) selects dynamic scoring instead
         of the static *scores*, and *depth* is the replan modes'
-        reservation depth."""
+        reservation depth.  Returns the starts, the backfilled flags and
+        the event, pass and kept-plan pass counts."""
         n = subs.shape[0]
         start = np.empty(n, dtype=np.float64)
         backfilled = np.zeros(n, dtype=np.uint8)
-        counters = np.zeros(3, dtype=np.int64)
+        counters = np.zeros(4, dtype=np.int64)
         code, ta, tb = (0, None, None) if terms is None else terms
         rc = self._sim(
             n,
@@ -952,7 +1093,10 @@ class CKernel:
             raise RuntimeError(
                 f"C simulation kernel failed: {_ERRORS.get(rc, f'code {rc}')}"
             )
-        return start, backfilled.view(bool), int(counters[0]), int(counters[1])
+        return (
+            start, backfilled.view(bool),
+            int(counters[0]), int(counters[1]), int(counters[3]),
+        )
 
     def trial_batch(
         self,

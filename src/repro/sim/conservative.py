@@ -7,14 +7,14 @@ evaluates EASY (its production target — SLURM et al.), but conservative
 backfilling is the standard strictness ablation, so the library ships it
 as an engine mode (``backfill="conservative"``) with its own bench.
 
-Implementation: a replan-from-scratch pass.  At every scheduling event an
-:class:`AvailabilityProfile` is built from the running jobs' expected
-completions; queued jobs, in priority order, each reserve the earliest
-slot that fits them for their whole (requested) duration.  Jobs whose
-reservation begins *now* start immediately — that includes both the queue
-head and any backfill candidate that slots into a hole without moving an
-earlier reservation (earlier-priority jobs reserved first, so later
-reservations can never displace them).
+Implementation (the reference): a replan-from-scratch pass.  At every
+scheduling event an :class:`AvailabilityProfile` is built from the
+running jobs' expected completions; queued jobs, in priority order, each
+reserve the earliest slot that fits them for their whole (requested)
+duration.  Jobs whose reservation begins *now* start immediately — that
+includes both the queue head and any backfill candidate that slots into
+a hole without moving an earlier reservation (earlier-priority jobs
+reserved first, so later reservations can never displace them).
 
 :func:`conservative_starts` is the one replan pass.  With a reservation
 *depth* it is *hybrid* backfilling (``backfill="hybrid"``): the first
@@ -23,9 +23,15 @@ reservations, jobs further back start now or wait unreserved.  EASY and
 conservative are its two limits — depth 1 approximates EASY, depth ≥
 queue length *is* conservative (an identity the oracle tests pin).  The
 unified kernel's Python path (:mod:`repro.sim.kernel`) calls it per
-event; the C backend carries a transcription of the same profile
+event.  The C backend carries a transcription of the same profile
 arithmetic, epsilon for epsilon, that stops each pass once no queued
-job fits the free cores, so both backends produce the same bits.
+job fits the free cores.  Under conservative backfilling with static
+scores it also keeps the profile and the reservations it made from one
+event to the next, as Mu'alem & Feitelson describe, and rebuilds them
+only where a kept plan could differ from this replan: a job ending
+off its planned end, an arrival ranked inside the plan, or two
+breakpoints within 2e-12 (:mod:`repro.sim._cbackend` has the proof).
+Both backends produce the same bits.
 
 Scheduling decisions use the *requested* processing time (the user
 estimate ``e``) when the experiment runs in estimate mode; actual
@@ -35,6 +41,7 @@ runtimes are only used to simulate execution, exactly as in the paper.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Sequence
 
 __all__ = [
@@ -137,16 +144,11 @@ class AvailabilityProfile:
         # exact breakpoint forward: an epsilon lower bound could also
         # catch a distinct breakpoint within 1e-12 *before* start — one
         # earliest_start never vetted — and spuriously oversubscribe.
-        start_i = None
-        for i, t in enumerate(self._times):
-            if t == start:
-                start_i = i
-                break
-        if start_i is None:  # pragma: no cover - tolerance fallback
-            for i, t in enumerate(self._times):
-                if abs(t - start) <= 1e-12:
-                    start_i = i
-                    break
+        times = self._times
+        start_i = bisect_left(times, start)
+        miss = start_i == len(times) or times[start_i] != start
+        if miss:  # pragma: no cover - tolerance fallback
+            start_i = next(i for i, t in enumerate(times) if abs(t - start) <= 1e-12)
         for i in range(start_i, len(self._times)):
             t = self._times[i]
             if t >= end - 1e-12:
@@ -158,17 +160,23 @@ class AvailabilityProfile:
                 )
 
     def _ensure_breakpoint(self, t: float) -> None:
+        """Add breakpoint *t* unless one lies within 1e-12 of it.
+
+        Times stay sorted, so only the two neighbours of *t*'s insertion
+        point can lie that close.
+        """
         if t == math.inf:
             return
-        for i, existing in enumerate(self._times):
-            if abs(existing - t) <= 1e-12:
-                return
-            if existing > t:
-                self._times.insert(i, t)
-                self._free.insert(i, self._free[i - 1])
-                return
-        self._times.append(t)
-        self._free.append(self.nmax)
+        times = self._times
+        i = bisect_left(times, t)
+        if i > 0 and abs(times[i - 1] - t) <= 1e-12:
+            return
+        if i == len(times):
+            times.append(t)
+            self._free.append(self.nmax)
+        elif abs(times[i] - t) > 1e-12:
+            times.insert(i, t)
+            self._free.insert(i, self._free[i - 1])
 
 
 def conservative_starts(

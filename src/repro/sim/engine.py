@@ -279,13 +279,14 @@ def simulate(
 
     # Telemetry (no-op by default): one batch of counter increments per
     # whole-workload simulation — never per event or per job — so the
-    # disabled path costs five null method calls for the entire run.
+    # disabled path costs six null method calls for the entire run.
     # Counter names and semantics are unchanged from the pre-kernel loop.
     registry = current_registry()
     registry.inc("sim.runs")
     registry.inc("sim.events", outcome.n_events)
     registry.inc("sim.jobs_completed", n)
     registry.inc("sim.backfill_passes", outcome.n_backfill_passes)
+    registry.inc("sim.replans_kept", outcome.n_replans_kept)
     registry.inc("sim.backfilled", int(outcome.backfilled.sum()))
     if leaf is not None:
         registry.inc("sim.leaves", platform.n_leaves)

@@ -25,9 +25,12 @@ parity suite pins them bit-for-bit against ``tests/oracle_sim.py``):
    ``(score, submit, index)`` — lower score first — and the head starts
    while it fits (head-blocking).  With ``backfill="easy"`` a blocked
    head triggers the EASY pass over the remaining queue; with
-   ``backfill="conservative"`` the whole queue is replanned against an
-   availability profile and every job whose reservation begins now
-   starts (``"hybrid"``: only the queue front reserves).
+   ``backfill="conservative"`` every queued job holds a reservation in
+   an availability profile and every job whose reservation begins now
+   starts (``"hybrid"``: only the queue front reserves).  This loop
+   replans the whole queue at every event; the C loop keeps the
+   conservative plan between events where that gives the same
+   reservations (:mod:`repro.sim._cbackend`).
 
 Scoring is vectorised at the batch level: *static* scores (policies
 whose score is independent of ``now``) are computed for the whole
@@ -85,6 +88,8 @@ class KernelResult(NamedTuple):
     backfilled: np.ndarray
     n_events: int
     n_backfill_passes: int
+    #: replan passes that kept the previous pass's plan (C only)
+    n_replans_kept: int = 0
 
 
 def validate_scores(
@@ -212,11 +217,10 @@ def simulate_events(
     if static_scores is not None or terms is not None:
         backend = _cbackend.selected()
         if backend is not None:
-            start, backfilled, n_events, n_passes = backend.sim(
+            return KernelResult(*backend.sim(
                 submit, runtime, proc, size, static_scores, arrival_order, nmax,
                 mode, _reservation_depth(mode, n), terms,
-            )
-            return KernelResult(start, backfilled, n_events, n_passes)
+            ))
     return _simulate_py(
         submit, runtime, proc, size, nmax, mode, static_scores, scorer, arrival_order
     )
@@ -241,7 +245,9 @@ def _simulate_py(
 ) -> KernelResult:
     """The pure-Python event loop (custom dynamic policies,
     ``REPRO_SIM_KERNEL=python`` and C-less hosts), and the full-replan
-    reference for the C backend's replan passes.
+    reference for the C backend's replan passes: it rebuilds the
+    availability profile at every pass, where C keeps the conservative
+    plan between events, so it reports no kept passes.
     """
     n = subs.shape[0]
     subs_l = subs.tolist()

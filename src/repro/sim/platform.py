@@ -233,6 +233,7 @@ class PartitionedOutcome(NamedTuple):
     n_events: int
     n_backfill_passes: int
     leaf: np.ndarray
+    n_replans_kept: int
 
 
 def simulate_partitioned(
@@ -271,8 +272,7 @@ def simulate_partitioned(
     n = submit.shape[0]
     start = np.full(n, np.nan)
     backfilled = np.zeros(n, dtype=bool)
-    n_events = 0
-    n_passes = 0
+    n_events = n_passes = n_kept = 0
     for leaf in range(platform.n_leaves):
         idx = np.flatnonzero(assign == leaf)
         if idx.size == 0:
@@ -292,4 +292,5 @@ def simulate_partitioned(
         backfilled[idx] = result.backfilled
         n_events += result.n_events
         n_passes += result.n_backfill_passes
-    return PartitionedOutcome(start, backfilled, n_events, n_passes, assign)
+        n_kept += result.n_replans_kept
+    return PartitionedOutcome(start, backfilled, n_events, n_passes, assign, n_kept)

@@ -654,3 +654,172 @@ class TestKeptOrders:
         )
         got = self._outcomes(monkeypatch, w, get_policy(policy_name), backfill)
         assert sorted(np.flatnonzero(got.start == 2.0)) == [57, 58, 59, 60]
+
+
+@pytest.mark.skipif(not HAVE_C, reason="no C toolchain on this host")
+class TestKeptPlan:
+    """The conservative plan C keeps between events.
+
+    Under conservative backfilling with static scores the C pass keeps
+    its availability profile and reserved queue prefix from one event to
+    the next, and rebuilds them only where a kept plan could differ from
+    the Python kernel's full replan.  Each case drives one of those
+    rebuild rules, or one path of the kept pass, through
+    ``engine.simulate``: C must equal the Python kernel bit for bit,
+    follow the conservative rule, and report its kept passes as
+    ``sim.replans_kept``, which the Python kernel leaves at 0.
+    """
+
+    @staticmethod
+    def _kept(monkeypatch, w, policy_name, *, backfill="conservative",
+              use_estimates=False):
+        """C's schedule, ``sim.replans_kept`` and ``sim.backfill_passes``."""
+        policy = get_policy(policy_name)
+        runs = {}
+        for backend in ("python", "c"):
+            monkeypatch.setenv("REPRO_SIM_KERNEL", backend)
+            registry = MetricsRegistry()
+            with monkeypatch.context() as m, use_registry(registry):
+                if backend == "c":
+                    # a fall-back to the reference must not pass as parity
+                    m.setattr(kernel, "_simulate_py", None)
+                result = simulate(
+                    w, policy, w.nmax, backfill=backfill,
+                    use_estimates=use_estimates,
+                )
+            runs[backend] = (result, registry)
+        (want, want_reg), (got, got_reg) = runs["python"], runs["c"]
+        assert check_schedule(got, policy) == []
+        assert got.start.tobytes() == want.start.tobytes()
+        assert got.backfilled.tobytes() == want.backfilled.tobytes()
+        assert got.n_events == want.n_events
+        passes = got_reg.value("sim.backfill_passes")
+        assert passes == want_reg.value("sim.backfill_passes")
+        assert want_reg.value("sim.replans_kept") == 0
+        return got, got_reg.value("sim.replans_kept"), passes
+
+    @staticmethod
+    def _congested(rng, n, nmax, *, early=False):
+        """Integer times in arrival bursts; with *early* every job's
+        estimate exceeds its runtime."""
+        runtime = rng.integers(1, 30, size=n).astype(float)
+        return Workload.from_arrays(
+            submit=np.cumsum(rng.choice([0.0, 0.0, 1.0, 2.0, 5.0], size=n)),
+            runtime=runtime,
+            size=rng.choice([1, 1, 2, 3, nmax // 2, nmax], size=n),
+            estimate=runtime + rng.integers(1, 20, size=n) if early else runtime,
+            nmax=nmax,
+        )
+
+    @pytest.mark.parametrize("nmax", [4, 16, 64])
+    def test_fcfs_actual_runtimes_keep_every_later_pass(self, monkeypatch, nmax):
+        """FCFS ranks every arrival last and actual runtimes end every
+        job where its reservation does, so only the first pass builds."""
+        w = self._congested(np.random.default_rng([36, nmax]), 200, nmax)
+        _, kept, passes = self._kept(monkeypatch, w, "fcfs")
+        assert passes > 50 and kept == passes - 1
+
+    def test_early_ends_rebuild_while_they_run(self, monkeypatch):
+        """Under estimates that all exceed the runtime, some early ender
+        runs, or has just completed, at every pass."""
+        for seed in range(3):
+            rng = np.random.default_rng([36, 1, seed])
+            w = self._congested(rng, 150, 8, early=True)
+            _, kept, passes = self._kept(monkeypatch, w, "fcfs", use_estimates=True)
+            assert passes > 50 and kept == 0
+
+    def test_early_end_frees_cores_before_the_plan(self, monkeypatch):
+        """Job 0 ends at 5, not at its estimate 10; job 1, reserved at
+        10, starts at 5."""
+        w = Workload.from_arrays(
+            submit=[0.0, 1.0, 2.0], runtime=[5.0, 4.0, 1.0], size=[4, 4, 1],
+            estimate=[10.0, 4.0, 1.0], nmax=4,
+        )
+        got, _, _ = self._kept(monkeypatch, w, "fcfs", use_estimates=True)
+        assert got.start[1] == 5.0
+
+    def test_overrun_past_the_estimate(self, monkeypatch):
+        """Job 0 (all 4 cores) runs to 10 past its estimate 5.  At t=6 it
+        is overdue, so job 1's reservation at 5 is gone and job 2 must
+        not start on cores job 0 still holds."""
+        w = Workload.from_arrays(
+            submit=[0.0, 1.0, 6.0], runtime=[10.0, 3.0, 1.0], size=[4, 2, 1],
+            estimate=[5.0, 3.0, 1.0], nmax=4,
+        )
+        _, kept, _ = self._kept(monkeypatch, w, "fcfs", use_estimates=True)
+        assert kept == 0
+
+    def test_sub_nanosecond_job_uses_the_clamp(self, monkeypatch):
+        """Job 0 runs 1e-10 but reserves max(proc, 1e-9): job 1, planned
+        at 1e-9, starts when job 0 completes at 1e-10."""
+        w = Workload.from_arrays(
+            submit=[0.0, 0.0, 1.0, 1.0], runtime=[1e-10, 2.0, 1.0, 1.0],
+            size=[4, 4, 2, 2], nmax=4,
+        )
+        got, kept, passes = self._kept(monkeypatch, w, "fcfs")
+        assert 0 < kept < passes and got.start[1] == 1e-10
+
+    @pytest.mark.parametrize("base", [8192.0, 70.07])
+    def test_ends_within_1e_12_but_not_equal(self, monkeypatch, base):
+        """Times one ulp apart near 2^13 (1.8e-12) and decimal sums
+        (70.07 + 0.1 + 0.2 ...) put distinct breakpoints within reach of
+        the 1e-12 merge and cut."""
+        rng = np.random.default_rng([36, int(base)])
+        ulp = float(np.spacing(base))
+        total = 0
+        for _ in range(12):
+            n = 60
+            if base > 1000.0:
+                submit = base + np.cumsum(rng.choice([0.0, 0.0, ulp, 0.5], size=n))
+                runtime = rng.choice([1.0, 1.0 + ulp, 2.0, 0.5], size=n)
+            else:
+                submit = np.sort(np.round(rng.uniform(0, 20, size=n), 2)) + base
+                runtime = np.round(rng.uniform(0.01, 30, size=n), 2) + 0.1 + 0.2
+            w = Workload.from_arrays(
+                submit=submit, runtime=runtime,
+                size=rng.integers(1, 9, size=n), nmax=8,
+            )
+            for policy_name in ("fcfs", "f1"):
+                _, kept, _ = self._kept(monkeypatch, w, policy_name)
+                total += kept
+        assert total > 0
+
+    def test_spt_arrival_ranks_ahead_of_the_plan(self, monkeypatch):
+        """Job 1 holds the reservation at 10 when the shorter job 2
+        arrives and ranks ahead of it: job 2 starts at 10."""
+        w = Workload.from_arrays(
+            submit=[0.0, 1.0, 2.0], runtime=[10.0, 20.0, 5.0], size=[4, 4, 4],
+            nmax=4,
+        )
+        got, _, _ = self._kept(monkeypatch, w, "spt")
+        assert got.start[2] == 10.0
+
+    def test_spt_random_arrivals(self, monkeypatch):
+        rng = np.random.default_rng([36, 2])
+        for nmax in (8, 32):
+            w = self._congested(rng, 200, nmax)
+            _, kept, passes = self._kept(monkeypatch, w, "spt")
+            assert 0 < kept < passes
+
+    def test_arrival_strictly_between_breakpoints(self, monkeypatch):
+        """Job 2 (2 cores, 12 s) is reserved at 15: at 1 its window
+        reached job 1's reservation at 10.  Job 3 arrives at 4, strictly
+        between breakpoints 1 and 10; its window reaches 10 too, and at
+        4 job 2 still cannot start; job 4 (1 core, 3 s) fits before 10."""
+        w = Workload.from_arrays(
+            submit=[0.0, 0.0, 1.0, 4.0, 4.0],
+            runtime=[10.0, 5.0, 12.0, 100.0, 3.0],
+            size=[2, 4, 2, 1, 1], nmax=4,
+        )
+        got, kept, _ = self._kept(monkeypatch, w, "fcfs")
+        assert kept > 0 and got.start[2] == 15.0 and got.start[4] == 4.0
+
+    @pytest.mark.parametrize(
+        "policy_name, backfill", [("fcfs", "hybrid"), ("wfp3", "conservative")]
+    )
+    def test_hybrid_and_dynamic_always_rebuild(
+        self, monkeypatch, policy_name, backfill
+    ):
+        w = self._congested(np.random.default_rng([36, 3]), 200, 16)
+        _, kept, passes = self._kept(monkeypatch, w, policy_name, backfill=backfill)
+        assert passes > 50 and kept == 0
