@@ -78,6 +78,21 @@ def _platform_suffix(cfg: MatrixConfig) -> str:
     )
 
 
+def _delta_series(
+    result: MatrixResult, baseline: str | None, n_boot: int, level: float
+) -> tuple[str, dict[tuple[str, str], tuple[BootstrapCI, float, int]]]:
+    """The baseline's name, and per non-baseline ``(policy, backfill)``
+    series its paired-delta bootstrap CI, median delta and wins (windows
+    where the policy beat the baseline)."""
+    base = get_policy(baseline).name if baseline else result.config.policies[0]
+    deltas = result.paired_deltas(base)
+    cis = result.delta_cis(base, n_boot=n_boot, level=level)
+    return base, {
+        key: (ci, float(np.median(deltas[key])), int((deltas[key] < 0).sum()))
+        for key, ci in cis.items()
+    }
+
+
 def matrix_to_csv(result: MatrixResult) -> str:
     """Long-format per-cell rows: one line per (window, policy, backfill)."""
     buf = io.StringIO()
@@ -118,9 +133,7 @@ def deltas_to_csv(
     baseline.
     """
     cfg = result.config
-    base = get_policy(baseline).name if baseline else cfg.policies[0]
-    cis = result.delta_cis(base, n_boot=n_boot, level=level)
-    deltas = result.paired_deltas(base)
+    base, series = _delta_series(result, baseline, n_boot, level)
     buf = io.StringIO()
     buf.write(
         f"# trace={result.trace_name} baseline={base}"
@@ -130,12 +143,11 @@ def deltas_to_csv(
         "policy,backfill,baseline,n_windows,median_delta,mean_delta,"
         "delta_ci_low,delta_ci_high,significant,wins\n"
     )
-    for (p, b), ci in cis.items():
-        d = deltas[(p, b)]
+    for (p, b), (ci, median, wins) in series.items():
         buf.write(
-            f"{p},{b},{base},{ci.n},{float(np.median(d)):.10g},"
+            f"{p},{b},{base},{ci.n},{median:.10g},"
             f"{ci.point:.10g},{ci.lo:.10g},{ci.hi:.10g},"
-            f"{_significance_token(ci)},{int((d < 0).sum())}\n"
+            f"{_significance_token(ci)},{wins}\n"
         )
     return buf.getvalue()
 
@@ -165,21 +177,19 @@ def matrix_to_json(
         }
         for (p, b), s in result.summaries().items()
     }
-    base = get_policy(baseline).name if baseline else cfg.policies[0]
-    delta_doc = {}
-    if len(cfg.policies) > 1:
-        delta_samples = result.paired_deltas(base)
-        for (p, b), ci in result.delta_cis(base, n_boot=n_boot, level=level).items():
-            d = delta_samples[(p, b)]
-            delta_doc[f"{p}/{b}"] = {
-                "n": ci.n,
-                "median": float(np.median(d)),
-                "mean": ci.point,
-                "delta_ci_low": _finite_or_none(ci.lo),
-                "delta_ci_high": _finite_or_none(ci.hi),
-                "significant": ci.significant,
-                "wins": int((d < 0).sum()),
-            }
+    base, series = _delta_series(result, baseline, n_boot, level)
+    delta_doc = {
+        f"{p}/{b}": {
+            "n": ci.n,
+            "median": median,
+            "mean": ci.point,
+            "delta_ci_low": _finite_or_none(ci.lo),
+            "delta_ci_high": _finite_or_none(ci.hi),
+            "significant": ci.significant,
+            "wins": wins,
+        }
+        for (p, b), (ci, median, wins) in series.items()
+    }
     doc = {
         "trace": result.trace_name,
         "nmax": result.nmax,
@@ -309,14 +319,8 @@ def render_matrix_report(
     crashing on the degenerate spread.
     """
     cfg = result.config
-    base = get_policy(baseline).name if baseline else cfg.policies[0]
+    base, series = _delta_series(result, baseline, n_boot, level)
     summaries = result.summaries()
-    deltas = result.paired_deltas(base) if len(cfg.policies) > 1 else {}
-    cis = (
-        result.delta_cis(base, n_boot=n_boot, level=level)
-        if len(cfg.policies) > 1
-        else {}
-    )
 
     lines = [
         f"Evaluation matrix for {result.trace_name}"
@@ -344,7 +348,7 @@ def render_matrix_report(
             for p in cfg.policies
         )
         lines.append(util)
-        if deltas:
+        if series:
             lines.append(
                 f"paired Δ vs {base} (negative = better),"
                 f" {level:.0%} bootstrap CI (* = excludes 0):"
@@ -352,9 +356,7 @@ def render_matrix_report(
             for p in cfg.policies:
                 if p == base:
                     continue
-                d = deltas[(p, mode)]
-                ci = cis[(p, mode)]
-                wins = int((d < 0).sum())
+                ci, median, wins = series[(p, mode)]
                 if ci.defined:
                     ci_text = (
                         f"CI [{ci.lo:+.2f}, {ci.hi:+.2f}]"
@@ -363,10 +365,10 @@ def render_matrix_report(
                 else:
                     ci_text = f"CI n/a ({ci.n} window{'s' if ci.n != 1 else ''})"
                 lines.append(
-                    f"  {p:<8s} median Δ={float(np.median(d)):+.2f}"
+                    f"  {p:<8s} median Δ={median:+.2f}"
                     f"  mean Δ={ci.point:+.2f}"
                     f"  {ci_text}"
-                    f"  wins {wins}/{len(d)}"
+                    f"  wins {wins}/{ci.n}"
                 )
     lines.append(
         f"\nbest policy (lowest median AVEbsld): {result.best()}"

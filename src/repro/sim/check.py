@@ -165,8 +165,7 @@ def _check_leaf(result, policy, ids, proc, scores, cap, where) -> list[str]:
         starts = start[q] == t
         started = q[starts]
         if mode in ("conservative", "hybrid"):
-            # a job can start now only where it fits the free cores
-            chosen = [] if size[q].min() > free else conservative_starts(
+            chosen = conservative_starts(
                 float(t), cap, q.tolist(), size[q].tolist(), proc[q].tolist(),
                 (start + proc)[running].tolist(), size[running].tolist(),
                 depth=HYBRID_RESERVATION_DEPTH if mode == "hybrid" else None,

@@ -19,19 +19,25 @@ reserved first, so later reservations can never displace them).
 :func:`conservative_starts` is the one replan pass.  With a reservation
 *depth* it is *hybrid* backfilling (``backfill="hybrid"``): the first
 :data:`HYBRID_RESERVATION_DEPTH` queued jobs get conservative-style
-reservations, jobs further back start now or wait unreserved.  EASY and
-conservative are its two limits — depth 1 approximates EASY, depth ≥
-queue length *is* conservative (an identity the oracle tests pin).  The
-unified kernel's Python path (:mod:`repro.sim.kernel`) calls it per
-event.  The C backend carries a transcription of the same profile
-arithmetic, epsilon for epsilon, that stops each pass once no queued
-job fits the free cores.  Under conservative backfilling with static
-scores it also keeps the profile and the reservations it made from one
-event to the next, as Mu'alem & Feitelson describe, and rebuilds them
-only where a kept plan could differ from this replan: a job ending
-off its planned end, an arrival ranked inside the plan, or two
-breakpoints within 2e-12 (:mod:`repro.sim._cbackend` has the proof).
-Both backends produce the same bits.
+reservations, and a job further back is tested only for a start now,
+reserving then and otherwise waiting unreserved.  EASY and conservative
+are its two limits — depth 1 approximates EASY, depth ≥ queue length
+*is* conservative (an identity the oracle tests pin).  The pass stops
+once the smallest remaining queued size exceeds the level at now (the
+free cores): the jobs that start now are its only output, and no later
+job can be one.
+
+The C backend's replan pass (:mod:`repro.sim._cbackend`) is a
+transcription of this one, step for step and epsilon for epsilon: the
+same profile build, the same earliest-start scan (which resumes past
+each blocker), the same breakpoint merge and the same early stop.
+Under conservative backfilling with static scores C also keeps the
+profile and the reservations it made from one event to the next, as
+Mu'alem & Feitelson describe, and rebuilds them only where a kept plan
+could differ from this replan: a job ending off its planned end, an
+arrival ranked inside the plan, or two breakpoints within 2e-12
+(:mod:`repro.sim._cbackend` has the proof).  Both backends produce the
+same bits.
 
 Scheduling decisions use the *requested* processing time (the user
 estimate ``e``) when the experiment runs in estimate mode; actual
@@ -43,6 +49,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Sequence
+from itertools import accumulate
 
 __all__ = [
     "AvailabilityProfile",
@@ -63,6 +70,8 @@ class AvailabilityProfile:
     Maintains breakpoints ``(time, free_cores)`` with the convention that
     ``free(t) = level of the last breakpoint <= t``; the profile extends
     to infinity at full capacity after the final running job completes.
+    The first breakpoint is the profile's start, so its level is the free
+    cores now.
     """
 
     __slots__ = ("nmax", "_times", "_free")
@@ -115,68 +124,78 @@ class AvailabilityProfile:
         """Earliest t with >= *size* cores free during [t, t + duration)."""
         if size > self.nmax:
             raise ValueError(f"job of {size} cores never fits in {self.nmax}")
-        n = len(self._times)
-        for i in range(n):
-            if self._free[i] < size:
-                continue
-            t0 = self._times[i]
-            end = t0 + duration
-            feasible = True
-            for j in range(i + 1, n):
-                if self._times[j] >= end - 1e-12:
-                    break
-                if self._free[j] < size:
-                    feasible = False
-                    break
-            if feasible:
-                return t0
+        return self._times[self._earliest(size, duration)]
+
+    def _blocker(self, i: int, size: int, end: float) -> int:
+        """First breakpoint after *i*, inside ``[times[i], end)``, with
+        fewer than *size* free cores; -1 when the window is clear."""
+        times, free = self._times, self._free
+        for j in range(i + 1, len(times)):
+            if times[j] >= end - 1e-12:
+                break
+            if free[j] < size:
+                return j
+        return -1
+
+    def _earliest(self, size: int, duration: float) -> int:
+        """Index of :meth:`earliest_start`'s answer.  A start before a
+        blocker has a window at least as long, which reaches the blocker
+        too, so the scan resumes past it."""
+        times, free = self._times, self._free
+        i = 0
+        while i < len(times):
+            if free[i] >= size:
+                j = self._blocker(i, size, times[i] + duration)
+                if j < 0:
+                    return i
+                i = j
+            i += 1
         # after the last breakpoint the machine is fully free
-        return self._times[-1]
+        return len(times) - 1
 
     def reserve(self, start: float, duration: float, size: int) -> None:
         """Subtract *size* cores over [start, start + duration)."""
-        end = start + duration
-        self._ensure_breakpoint(start)
+        self._reserve_at(self._ensure_breakpoint(start), start + duration, size)
+
+    def _reserve_at(self, i: int, end: float, size: int) -> None:
+        """Subtract *size* cores from breakpoint *i* up to *end*.
+
+        Decrement from that exact breakpoint forward: an epsilon lower
+        bound could also catch a distinct breakpoint within 1e-12
+        *before* it — one the earliest-start scan never vetted — and
+        spuriously oversubscribe.
+        """
         self._ensure_breakpoint(end)
-        # *start* is always one of the profile's own breakpoints
-        # (earliest_start returns profile times, and _ensure_breakpoint
-        # above guarantees one within tolerance).  Decrement from that
-        # exact breakpoint forward: an epsilon lower bound could also
-        # catch a distinct breakpoint within 1e-12 *before* start — one
-        # earliest_start never vetted — and spuriously oversubscribe.
-        times = self._times
-        start_i = bisect_left(times, start)
-        miss = start_i == len(times) or times[start_i] != start
-        if miss:  # pragma: no cover - tolerance fallback
-            start_i = next(i for i, t in enumerate(times) if abs(t - start) <= 1e-12)
-        for i in range(start_i, len(self._times)):
-            t = self._times[i]
-            if t >= end - 1e-12:
+        times, free = self._times, self._free
+        for k in range(i, len(times)):
+            if times[k] >= end - 1e-12:
                 break
-            self._free[i] -= size
-            if self._free[i] < -1e-9:
+            free[k] -= size
+            if free[k] < 0:
                 raise RuntimeError(
-                    f"reservation oversubscribes the profile at t={t}"
+                    f"reservation oversubscribes the profile at t={times[k]}"
                 )
 
-    def _ensure_breakpoint(self, t: float) -> None:
-        """Add breakpoint *t* unless one lies within 1e-12 of it.
+    def _ensure_breakpoint(self, t: float) -> int:
+        """Index of the breakpoint at *t*, else of one within 1e-12 of
+        it, else of one added at *t*.
 
         Times stay sorted, so only the two neighbours of *t*'s insertion
         point can lie that close.
         """
-        if t == math.inf:
-            return
         times = self._times
         i = bisect_left(times, t)
+        if t == math.inf or (i < len(times) and times[i] == t):
+            return i
         if i > 0 and abs(times[i - 1] - t) <= 1e-12:
-            return
+            return i - 1
         if i == len(times):
             times.append(t)
             self._free.append(self.nmax)
         elif abs(times[i] - t) > 1e-12:
             times.insert(i, t)
             self._free.insert(i, self._free[i - 1])
+        return i
 
 
 def conservative_starts(
@@ -206,18 +225,28 @@ def conservative_starts(
     elif depth < 1:
         raise ValueError(f"reservation depth must be >= 1, got {depth}")
     profile = AvailabilityProfile(now, nmax, running_end, running_size)
+    free = profile._free
+    smallest_left = list(accumulate(reversed(q_size), min))[::-1]
     started: list[int] = []
     for pos, (ident, size, proc) in enumerate(zip(queue, q_size, q_proc)):
+        # free[0] is the level at now: once no job left fits it, none of
+        # them can start now
+        if smallest_left[pos] > free[0]:
+            break
         size = int(size)
-        proc = max(float(proc), 1e-9)
-        t = profile.earliest_start(size, proc)
+        dur = max(float(proc), 1e-9)
+        if pos < depth:
+            i = profile._earliest(size, dur)
+        elif free[0] < size or profile._blocker(0, size, now + dur) >= 0:
+            continue
+        else:
+            i = 0
+        t = profile._times[i]
+        profile._reserve_at(i, t + dur, size)
         # exact: a starts-now reservation sits at the `now` breakpoint
         # itself.  Any slot strictly after now — however close — is
         # behind a release event that has not happened yet, so starting
         # such a job would oversubscribe the actual free cores.
-        starts_now = t == now
-        if pos < depth or starts_now:
-            profile.reserve(t, proc, size)
-        if starts_now:
+        if t == now:
             started.append(ident)
     return started

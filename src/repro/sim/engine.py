@@ -245,7 +245,6 @@ def simulate(
         else policy.scores(float(subs[0]), subs, procs, workload.size)
     )
 
-    leaf = None
     if config.topology is None:
         outcome = simulate_events(
             subs,
@@ -275,7 +274,6 @@ def simulate(
             distribution=config.distribution,
             seed=config.platform_seed,
         )
-        leaf = outcome.leaf
 
     # Telemetry (no-op by default): one batch of counter increments per
     # whole-workload simulation — never per event or per job — so the
@@ -288,10 +286,10 @@ def simulate(
     registry.inc("sim.backfill_passes", outcome.n_backfill_passes)
     registry.inc("sim.replans_kept", outcome.n_replans_kept)
     registry.inc("sim.backfilled", int(outcome.backfilled.sum()))
-    if leaf is not None:
+    if outcome.leaf is not None:
         registry.inc("sim.leaves", platform.n_leaves)
 
     return ScheduleResult(
         workload, outcome.start, policy.name, config,
-        outcome.backfilled, outcome.n_events, leaf,
+        outcome.backfilled, outcome.n_events, outcome.leaf,
     )

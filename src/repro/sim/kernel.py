@@ -8,10 +8,14 @@ priority row) — are thin configurations of the single event loop in
 this module.  Training's permutation trials
 (:func:`repro.sim.listsched.simulate_trials`) run the same loop's C
 transcription, or the fixed-priority rows under the Python backend.
-One arrival/completion heap drives every mode; per-event state lives
-in preallocated arrays (start times, the running set's expected-end/size
-timeline, the sorted waiting queue) instead of the per-event dicts and
-list comprehensions of the pre-kernel loops.
+One arrival/completion heap drives every mode.  The Python loop holds
+the state the C loop (``sim_run``) holds and makes its decisions in the
+same steps: the free cores are one integer, the waiting queue is one
+list of job indices (sorted on insert for static scores, rescored and
+re-sorted per pass for dynamic ones), and the running set is one dict
+from each running job to its ``(expected end, size)``.  Starting a job
+without enough free cores, or completing one that is not running, is
+a named :class:`RuntimeError`.
 
 Event loop contract (the exact semantics of the original loops — the
 parity suite pins them bit-for-bit against ``tests/oracle_sim.py``):
@@ -44,7 +48,9 @@ each pass from them with the bits numpy would produce.  Every backfill
 mode, hybrid included, runs in C.  The Python loop still runs custom
 dynamic policies without terms and everything under
 ``REPRO_SIM_KERNEL=python`` or on hosts without a C compiler; it stays
-the full-replan reference the C passes are pinned to.
+the full-replan reference the C passes are pinned to, and its replan
+pass (:func:`repro.sim.conservative.conservative_starts`) is the one C
+transcribes.
 
 The kernel records no telemetry itself: the engine and trial wrappers
 increment the same counters (``sim.*``, ``listsched.*``) with the same
@@ -55,14 +61,13 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
+from bisect import insort
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from repro.policies.base import KERNEL_UNICEF, KERNEL_WFP3
 from repro.sim import _cbackend
-from repro.sim.cluster import Cluster
 from repro.sim.conservative import HYBRID_RESERVATION_DEPTH, conservative_starts
 
 __all__ = [
@@ -82,7 +87,8 @@ _TERM_CODES = (KERNEL_WFP3, KERNEL_UNICEF)
 
 
 class KernelResult(NamedTuple):
-    """Everything one kernel run produces."""
+    """Everything one kernel run produces, or a partitioned run's merge
+    of one per leaf (:func:`repro.sim.platform.simulate_partitioned`)."""
 
     start: np.ndarray
     backfilled: np.ndarray
@@ -90,6 +96,8 @@ class KernelResult(NamedTuple):
     n_backfill_passes: int
     #: replan passes that kept the previous pass's plan (C only)
     n_replans_kept: int = 0
+    #: per-job leaf of a partitioned run (None when flat)
+    leaf: np.ndarray | None = None
 
 
 def validate_scores(
@@ -255,184 +263,128 @@ def _simulate_py(
     procs_l = procs.tolist()
     sizes_l = sizes.tolist()
     order_l = order.tolist()
-
-    start_arr = np.full(n, np.nan)
-    backfilled = np.zeros(n, dtype=bool)
-
-    # Running set: preallocated parallel arrays with O(1) swap-removal.
-    # Iteration order is never observable (the EASY shadow sorts by
-    # (end, size); the availability profile sums per distinct end).
-    run_end = np.empty(n, dtype=np.float64)
-    run_size = np.empty(n, dtype=np.int64)
-    run_job = [0] * n
-    run_pos: dict[int, int] = {}
-    rn = 0
-
-    # Free/busy cores go through the Cluster allocator (one per run, so
-    # no allocation state outlives it), which asserts the conservation
-    # invariant (free + busy == nmax) inside the kernel.
-    cluster = Cluster(nmax)
-    completions: list[tuple[float, int]] = []
-    heappush = heapq.heappush
-    heappop = heapq.heappop
     dynamic = scorer is not None
-    if dynamic:
-        items: list[int] = []
-    else:
-        scores_l = static_scores.tolist()
-        wkeys: list[tuple[float, float, int]] = []
-        witems: list[int] = []
+    if not dynamic:
+        # unique (score, submit, index) keys: the queue order
+        keys = list(zip(static_scores.tolist(), subs_l, range(n)))
 
-    inf = math.inf
-    ai = 0
-    started_count = 0
-    n_events = 0
-    n_passes = 0
+    start = np.full(n, np.nan)
+    backfilled = np.zeros(n, dtype=bool)
+    free = nmax
+    # Iteration order is never observable: the EASY shadow sorts the
+    # values by (end, size), the availability profile sums per end.
+    running: dict[int, tuple[float, int]] = {}
+    completions: list[tuple[float, int]] = []
+    queue: list[int] = []
+    ai = n_started = n_events = n_passes = 0
     now = subs_l[order_l[0]]
 
     def _start(idx: int, via_bf: bool) -> None:
-        nonlocal rn, started_count
+        nonlocal free, n_started
         sz = sizes_l[idx]
-        cluster.allocate(idx, sz)
-        start_arr[idx] = now
-        if via_bf:
-            backfilled[idx] = True
-        heappush(completions, (now + runs_l[idx], idx))
-        if mode:
-            run_end[rn] = now + procs_l[idx]
-            run_size[rn] = sz
-            run_job[rn] = idx
-            run_pos[idx] = rn
-            rn += 1
-        started_count += 1
+        if sz > free:
+            raise RuntimeError(
+                f"oversubscription: job {idx} wants {sz} cores, only {free} free"
+            )
+        free -= sz
+        start[idx] = now
+        backfilled[idx] = via_bf
+        heapq.heappush(completions, (now + runs_l[idx], idx))
+        running[idx] = (now + procs_l[idx], sz)
+        n_started += 1
 
-    while started_count < n:
-        na = subs_l[order_l[ai]] if ai < n else inf
-        nc = completions[0][0] if completions else inf
+    while n_started < n:
+        na = subs_l[order_l[ai]] if ai < n else math.inf
+        nc = completions[0][0] if completions else math.inf
         et = na if na < nc else nc
+        if et == math.inf:
+            raise RuntimeError(
+                "jobs wait but no arrival or completion is left to start them"
+            )
         if now < et:
             now = et
         n_events += 1
 
         while completions and completions[0][0] <= now:
-            _, idx = heappop(completions)
-            cluster.release(idx)
-            if mode:
-                p = run_pos.pop(idx)
-                last = rn - 1
-                if p != last:
-                    run_end[p] = run_end[last]
-                    run_size[p] = run_size[last]
-                    j = run_job[last]
-                    run_job[p] = j
-                    run_pos[j] = p
-                rn = last
+            idx = heapq.heappop(completions)[1]
+            if idx not in running:
+                raise RuntimeError(f"completing job {idx} is not running")
+            free += running.pop(idx)[1]
 
-        if dynamic:
-            while ai < n and subs_l[order_l[ai]] <= now:
-                items.append(order_l[ai])
-                ai += 1
-            if not items:
-                continue
-        else:
-            while ai < n and subs_l[order_l[ai]] <= now:
-                i2 = order_l[ai]
-                key = (scores_l[i2], subs_l[i2], i2)
-                pos = bisect_left(wkeys, key)
-                wkeys.insert(pos, key)
-                witems.insert(pos, i2)
-                ai += 1
-            if not witems:
-                continue
-
-        # ---- scheduling pass -----------------------------------------
-        if mode < 2 and cluster.free == 0:
-            # Nothing can start (every job needs >= 1 core) and the EASY
-            # pass requires free cores, so skipping is result-identical;
-            # this also skips a dynamic rescoring, which is pure win.
-            # Replan modes (conservative, hybrid) still run their pass
-            # so reservation bookkeeping and pass counts stay defined.
+        while ai < n and subs_l[order_l[ai]] <= now:
+            if dynamic:
+                queue.append(order_l[ai])
+            else:
+                insort(queue, order_l[ai], key=keys.__getitem__)
+            ai += 1
+        # Every job needs >= 1 core, so a full machine starts nothing and
+        # the EASY pass requires free cores: skipping is result-identical
+        # and skips a dynamic rescoring.  Replan modes (conservative,
+        # hybrid) still run their pass so pass counts stay defined.
+        if not queue or (mode < 2 and free == 0):
             continue
 
         if dynamic:
-            q = np.fromiter(items, dtype=np.int64, count=len(items))
+            q = np.array(queue, dtype=np.int64)
             sq = subs[q]
             sc = scorer(now, sq, procs[q], sizes[q])
             validate_scores(sc, "score", q)
-            ord_list = q[np.lexsort((q, sq, sc))].tolist()
-        else:
-            ord_list = witems
+            queue = q[np.lexsort((q, sq, sc))].tolist()
 
-        started: set[int] = set()
         if mode >= 2:
             n_passes += 1
-            chosen = conservative_starts(
+            started = conservative_starts(
                 now,
                 nmax,
-                ord_list,
-                [sizes_l[i] for i in ord_list],
-                [procs_l[i] for i in ord_list],
-                run_end[:rn].tolist(),
-                run_size[:rn].tolist(),
-                depth=_reservation_depth(mode, len(ord_list)),
+                queue,
+                [sizes_l[i] for i in queue],
+                [procs_l[i] for i in queue],
+                [end for end, _ in running.values()],
+                [sz for _, sz in running.values()],
+                depth=_reservation_depth(mode, len(queue)),
             )
-            head = ord_list[0]
-            for idx in chosen:
-                _start(idx, idx != head)
-                started.add(idx)
+            for idx in started:
+                _start(idx, idx != queue[0])
         else:
-            pos = 0
-            L = len(ord_list)
-            while pos < L and sizes_l[ord_list[pos]] <= cluster.free:
-                idx = ord_list[pos]
+            started = []
+            for idx in queue:
+                if sizes_l[idx] > free:
+                    break
                 _start(idx, False)
-                started.add(idx)
-                pos += 1
-            if mode == 1 and pos < L and cluster.free > 0 and L - pos >= 2:
-                n_passes += 1
-                head_size = sizes_l[ord_list[pos]]
-                if rn == 0:
-                    raise RuntimeError(
-                        "EASY shadow with nothing running: head exceeds nmax"
-                    )
-                # Vectorised shadow: sort running (clamped end, size)
-                # pairs, then the first prefix-sum crossing head_size is
-                # the reservation — same arithmetic as the reference
+                started.append(idx)
+            rest = queue[len(started):]
+            if mode == 1 and len(rest) >= 2 and free > 0:
+                # EASY: the blocked head's shadow is the first running
+                # (end clamped to now, size) pair, in order, whose cores
+                # with the free ones cover it — the arithmetic of
                 # shadow_schedule in tests/easy_reference.py.
-                ends = np.maximum(run_end[:rn], now)
-                ordr = np.lexsort((run_size[:rn], ends))
-                csum = np.cumsum(run_size[:rn][ordr])
-                csum += cluster.free
-                k = int(np.searchsorted(csum, head_size, side="left"))
-                if k >= rn:
-                    raise RuntimeError(
-                        "EASY shadow found no feasible reservation"
-                    )
-                shadow = float(ends[ordr[k]])
-                extra = int(csum[k]) - head_size
-                for p in range(pos + 1, L):
-                    idx = ord_list[p]
+                n_passes += 1
+                head_size = sizes_l[rest[0]]
+                avail = free
+                for shadow, sz in sorted(
+                    (max(end, now), sz) for end, sz in running.values()
+                ):
+                    avail += sz
+                    if avail >= head_size:
+                        break
+                else:
+                    raise RuntimeError("EASY shadow found no feasible reservation")
+                extra = avail - head_size
+                for idx in rest[1:]:
                     sz = sizes_l[idx]
-                    if sz > cluster.free:
+                    if sz > free:
                         continue
-                    if now + procs_l[idx] <= shadow + 1e-9:
-                        _start(idx, True)
-                        started.add(idx)
-                    elif sz <= extra:
-                        _start(idx, True)
-                        started.add(idx)
+                    if now + procs_l[idx] > shadow + 1e-9:
+                        if sz > extra:
+                            continue
                         extra -= sz
-                    if cluster.free == 0:
+                    _start(idx, True)
+                    started.append(idx)
+                    if free == 0:
                         break
 
         if started:
-            if dynamic:
-                items = [i for i in items if i not in started]
-            else:
-                keep = [
-                    (k, i2) for k, i2 in zip(wkeys, witems) if i2 not in started
-                ]
-                wkeys = [k for k, _ in keep]
-                witems = [i2 for _, i2 in keep]
+            done = set(started)
+            queue = [i for i in queue if i not in done]
 
-    return KernelResult(start_arr, backfilled, n_events, n_passes)
+    return KernelResult(start, backfilled, n_events, n_passes)

@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from repro.util.validation import check_positive_int
 __all__ = [
     "DISTRIBUTIONS",
     "PartitionedPlatform",
-    "PartitionedOutcome",
     "distribute_jobs",
     "normalize_distribution",
     "normalize_topology",
@@ -220,22 +219,6 @@ def distribute_jobs(
     return assign
 
 
-class PartitionedOutcome(NamedTuple):
-    """Merged result of one partitioned simulation.
-
-    Field names mirror :class:`~repro.sim.kernel.KernelResult` (plus the
-    per-job ``leaf`` assignment) so the engine's telemetry and
-    result-wrapping code handles both shapes uniformly.
-    """
-
-    start: np.ndarray
-    backfilled: np.ndarray
-    n_events: int
-    n_backfill_passes: int
-    leaf: np.ndarray
-    n_replans_kept: int
-
-
 def simulate_partitioned(
     platform: PartitionedPlatform,
     submit: np.ndarray,
@@ -249,7 +232,7 @@ def simulate_partitioned(
     backfill: str | None = None,
     distribution: str = "round_robin",
     seed: int = 0,
-) -> PartitionedOutcome:
+) -> KernelResult:
     """Run one per-leaf scheduler instance per topology leaf and merge.
 
     Each leaf receives its assigned job subset and runs the unified
@@ -260,7 +243,8 @@ def simulate_partitioned(
     backfill flags are scattered back to the original job indices, and
     event/pass counters are summed — the cross-leaf completion-event
     merge (see the module docstring for why this is exactly the
-    interleaved loop).
+    interleaved loop).  The result's ``leaf`` holds the job→leaf
+    assignment.
     """
     submit = np.ascontiguousarray(submit, dtype=np.float64)
     runtime = np.ascontiguousarray(runtime, dtype=np.float64)
@@ -293,4 +277,4 @@ def simulate_partitioned(
         n_events += result.n_events
         n_passes += result.n_backfill_passes
         n_kept += result.n_replans_kept
-    return PartitionedOutcome(start, backfilled, n_events, n_passes, assign, n_kept)
+    return KernelResult(start, backfilled, n_events, n_passes, n_kept, assign)

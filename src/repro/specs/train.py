@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.specs.base import Spec, SpecError, register_spec
-from repro.specs.fingerprint import distribution_fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import PipelineConfig
@@ -141,24 +140,12 @@ class TrainSpec(Spec):
         )
 
     def distribution_key(self) -> str:
-        """The training artifact-cache key this spec will hit or fill.
+        """The training artifact-cache key this spec will hit or fill:
+        :func:`repro.core.pipeline.distribution_cache_key` of the
+        resolved config."""
+        from repro.core.pipeline import distribution_cache_key
 
-        Identical to :func:`repro.core.pipeline.distribution_cache_key`
-        of the resolved config — the spec layer and the pipeline share
-        one derivation (:mod:`repro.specs.fingerprint`).
-        """
-        config = self.to_pipeline_config()
-        return distribution_fingerprint(
-            n_tuples=config.n_tuples,
-            trials_per_tuple=config.trials_per_tuple,
-            nmax=config.nmax,
-            s_size=config.s_size,
-            q_size=config.q_size,
-            seed=config.seed,
-            tau=config.tau,
-            balanced_trials=config.balanced_trials,
-            lublin_params=config.lublin_params,
-        )
+        return distribution_cache_key(self.to_pipeline_config())
 
     def _fingerprint_payload(self) -> dict[str, Any]:
         config = self.to_pipeline_config()

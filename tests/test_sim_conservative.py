@@ -210,3 +210,62 @@ class TestOverrunningJobs:
                 outs.append((result.start.tobytes(), result.backfilled.tobytes()))
             assert len(set(outs)) == 1
             assert check_schedule(result, FCFS()) == []
+
+
+def _instants(rng, base: float, k: int) -> list[float]:
+    """*k* instants after *base*: integer, decimal-dust (sums of tenths,
+    like ``0.1 + 0.2``) or a cluster 1e-13 to 3e-12 apart."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return (base + rng.integers(1, 40, k)).tolist()
+    if kind == 1:
+        tenths = rng.integers(1, 400, (k, 3)) / 10.0
+        return [base + a + b + c for a, b, c in tenths.tolist()]
+    anchor = base + float(rng.integers(1, 40)) + 0.1 + 0.2
+    steps = rng.uniform(1e-13, 3e-12, k) * rng.integers(0, 3, k)
+    return (anchor + np.cumsum(steps)).tolist()
+
+
+class TestOracleFuzz:
+    """Seeded fuzz of the replan pass (depth = queue length) against the
+    frozen pre-kernel pass ``tests/oracle_sim._conservative_starts``.
+
+    The oracle clamps an overdue end to now where the library releases
+    the cores just after now, so the running sets here hold no overruns.
+    Queues hold many jobs whose size equals the free cores, so a pass
+    that stopped at ``smallest >= free`` would lose starts.
+    """
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_starts_as_oracle(self, seed):
+        from oracle_sim import _conservative_starts
+
+        rng = np.random.default_rng([59, seed])
+        for case in range(80):
+            nmax = int(rng.choice([1, 4, 8, 16]))
+            now = float(rng.choice([0.0, rng.integers(1, 5000), rng.uniform(0, 5000)]))
+            running_end, running_size = [], []
+            used = 0
+            for end in _instants(rng, now, int(rng.integers(0, 12))):
+                size = int(rng.integers(1, nmax + 1))
+                if end > now and used + size <= nmax:
+                    running_end.append(end)
+                    running_size.append(size)
+                    used += size
+            n_q = int(rng.integers(0, 41))
+            free = nmax - used
+            q_size = np.where(
+                rng.random(n_q) < 0.3, max(free, 1), rng.integers(1, nmax + 1, n_q)
+            ).tolist()
+            # durations that end on, or within 3e-12 of, other instants
+            ends = running_end + _instants(rng, now, 6)
+            q_proc = [
+                max(float(rng.choice(ends)) - now, 0.5)
+                + float(rng.choice([0.0, 1e-13, -1e-12, 2e-12, 0.25]))
+                for _ in range(n_q)
+            ]
+            queue = rng.permutation(1000)[:n_q].tolist()
+            args = (now, nmax, queue, q_size, q_proc, running_end, running_size)
+            assert conservative_starts(*args) == _conservative_starts(*args), (
+                f"seed {seed} case {case}"
+            )

@@ -150,3 +150,34 @@ class TestExtremeShapes:
         )
         result = simulate(wl, FCFS(), 1)
         assert np.all(np.diff(result.start) > 0)
+
+
+class TestKernelFaultChecks:
+    """The Python loop's fault checks fail loudly, as the C loop's do."""
+
+    def test_oversubscription_rejected(self, monkeypatch):
+        from repro.sim import kernel
+
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
+        # a replan pass that starts every queued job, fitting or not
+        monkeypatch.setattr(
+            kernel, "conservative_starts", lambda now, nmax, queue, *a, **k: queue
+        )
+        wl = Workload.from_arrays(
+            submit=[0.0, 0.0], runtime=[10.0, 10.0], size=[3, 2], nmax=4
+        )
+        with pytest.raises(RuntimeError, match="oversubscription: job 1 wants 2"):
+            simulate(wl, FCFS(), 4, backfill="conservative")
+
+    @pytest.mark.parametrize("backend", ["python", "c"])
+    def test_job_that_can_never_start(self, monkeypatch, backend):
+        from repro.sim import _cbackend
+        from repro.sim.kernel import simulate_events
+
+        if backend == "c" and _cbackend.load() is None:
+            pytest.skip("no C toolchain")
+        monkeypatch.setenv("REPRO_SIM_KERNEL", backend)
+        one = np.ones(1)
+        # callers validate size <= nmax; unvalidated, the job waits forever
+        with pytest.raises(RuntimeError, match="no arrival or completion is left"):
+            simulate_events(one, one, one, [8], 4, static_scores=one)
