@@ -2,7 +2,8 @@
 
 Guards the block reader every trace evaluation starts with:
 `SwfStream.blocks` reads a 60k-row `ctc_sp2` stand-in in fixed-size line
-blocks (one `np.loadtxt` call per clean block) and `stream_windows` cuts
+blocks (one call of the C tokeniser per clean block, `np.loadtxt`
+without the C library) and `stream_windows` cuts
 2000-job windows from those blocks, as `repro-sched evaluate` does.  No
 job is simulated, so the timing is parse and windowing alone.  The
 window fingerprints are checked against a materialised source
@@ -40,8 +41,10 @@ def bench_swf_stream(benchmark, record, tmp_path):
     """Parse and window a 60k-row SWF file through the block path."""
     path = tmp_path / "ctc_sp2.swf"
     write_swf(synthetic_trace("ctc_sp2", n_jobs=N_JOBS, seed=BENCH_SEED), path)
+    # the warm-up round loads (on a cold cache, builds) the C library
+    # whose tokeniser the block path calls, outside the timed rounds
     fingerprints = benchmark.pedantic(
-        _stream_windows, args=(path,), rounds=ROUNDS, iterations=1
+        _stream_windows, args=(path,), rounds=ROUNDS, iterations=1, warmup_rounds=1
     )
     batch = slice_windows(read_swf(path), jobs=WINDOW_JOBS, warmup=WARMUP)
     assert fingerprints == [w.fingerprint() for w in batch]

@@ -27,7 +27,12 @@ pass while that path never runs.  A ``train`` leg
 runs the policy-obtaining pipeline at the ``smoke`` scale on both
 backends and byte-compares its stdout and score-distribution CSV: the
 C trial batch (with its shared trials) and the C permutation draw
-against the numpy references.
+against the numpy references.  An ``swf`` leg reads the fixture and a
+generated trace with fractional times, each plain and ``.swf.gz``, on
+both backends and byte-compares the job blocks and the accounting: the
+C tokeniser against ``np.loadtxt``.  It fails unless the C runs read
+some lines through the C tokeniser (``workloads.swf.lines_by_line``
+below the line count), so it cannot pass while that path never runs.
 
 Usage: ``python scripts/check_kernel_parity.py`` (exit 0 on parity).
 """
@@ -127,9 +132,51 @@ def run_train_bytes(csv: Path, *, backend: str) -> bytes:
     return data
 
 
+def swf_traces(tmp_path: Path) -> list[Path]:
+    """The swf leg's inputs: the fixture and a generated trace with
+    fractional times (three blocks), each plain and gzip-compressed."""
+    import gzip
+
+    from repro.workloads.swf import write_swf
+    from repro.workloads.traces import synthetic_trace
+
+    fixture_gz = tmp_path / "ctc_tiny.swf.gz"
+    fixture_gz.write_bytes(gzip.compress(TRACE.read_bytes(), mtime=0))
+    paths = [TRACE, fixture_gz]
+    trace = synthetic_trace("ctc_sp2", seed=38, n_jobs=2500)
+    for name in ("generated.swf", "generated.swf.gz"):
+        write_swf(trace, tmp_path / name)
+        paths.append(tmp_path / name)
+    return paths
+
+
+def run_swf_bytes(path: Path, *, backend: str) -> tuple[bytes, int]:
+    """One ``SwfStream`` pass over *path* on *backend*: its job blocks and
+    accounting as bytes, and the lines it tokenised one by one."""
+    from repro.obs import MetricsRegistry, use_registry
+    from repro.workloads.swf import SwfStream
+
+    registry = MetricsRegistry()
+    os.environ["REPRO_SIM_KERNEL"] = backend
+    try:
+        with use_registry(registry):
+            stream = SwfStream(path)
+            blocks = list(stream.blocks())
+    finally:
+        os.environ.pop("REPRO_SIM_KERNEL", None)
+    acc = stream.accounting
+    meta = (
+        [b.shape for b in blocks], acc.header, acc.dropped, acc.filtered,
+        acc.zero_runtime, acc.yielded, stream.name, stream.machine_size,
+    )
+    data = b"".join(b.tobytes() for b in blocks) + repr(meta).encode()
+    return data, int(registry.value("workloads.swf.lines_by_line"))
+
+
 def main_check() -> int:
     from repro.obs import MetricsRegistry, use_registry
     from repro.sim import _cbackend
+    from repro.workloads.swf import open_swf
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp_path = Path(tmp)
@@ -139,7 +186,7 @@ def main_check() -> int:
         runs = {"kernel[python]": run_matrix_json(
             tmp_path / "kernel-py", use_oracle=False, backend="python"
         )}
-        hybrid, conservative, kept, train = {}, {}, {}, {}
+        hybrid, conservative, kept, train, swf = {}, {}, {}, {}, {}
         if _cbackend.load() is not None:
             runs["kernel[c]"] = run_matrix_json(
                 tmp_path / "kernel-c", use_oracle=False, backend="c"
@@ -159,6 +206,11 @@ def main_check() -> int:
                 train[backend] = run_train_bytes(
                     tmp_path / "distribution.csv", backend=backend
                 )
+            for path in swf_traces(tmp_path):
+                swf[path] = {
+                    backend: run_swf_bytes(path, backend=backend)
+                    for backend in ("python", "c")
+                }
         else:
             print("note: no C toolchain; compiled backend not exercised")
         failed = [name for name, data in runs.items() if data != oracle]
@@ -192,12 +244,27 @@ def main_check() -> int:
             )
             if not same:
                 failed.append("train kernel[c]")
+        for path, legs in swf.items():
+            (want, _), (got, by_line) = legs["python"], legs["c"]
+            with open_swf(path) as fh:
+                n_lines = sum(1 for _ in fh)
+            same = got == want
+            name = path.name
+            print(
+                f"swf {name} kernel[c]: {len(got)} bytes vs kernel[python]"
+                f" -> {'MATCH' if same else 'DIFFERS'}"
+                f" ({by_line} of {n_lines} lines read one by one)"
+            )
+            if not same:
+                failed.append(f"swf {name} kernel[c]")
+            if by_line >= n_lines:
+                failed.append(f"swf {name} kernel[c] (no block tokenised in C)")
     if failed:
         print(f"kernel parity FAILED for: {', '.join(failed)}", file=sys.stderr)
         return 1
     print(
         "kernel parity OK: eval_matrix.json byte-identical to the legacy loop"
-        + (" (hybrid, conservative and train: C == Python)" if hybrid else "")
+        + (" (hybrid, conservative, train and swf: C == Python)" if hybrid else "")
     )
     return 0
 

@@ -201,10 +201,9 @@ class _CellTask:
     window: int
     policy: str
     backfill: str
-    submit: np.ndarray
-    runtime: np.ndarray
-    size: np.ndarray
-    estimate: np.ndarray
+    #: the window's jobs, validated once when the window was cut; its
+    #: job ids and name never enter the simulation
+    workload: Workload
     nmax: int
     use_estimates: bool
     tau: float
@@ -229,17 +228,8 @@ def _simulate_cell(task: _CellTask) -> CellResult:
 
 
 def _simulate_cell_inner(task: _CellTask) -> CellResult:
-    wl = Workload(
-        submit=task.submit,
-        runtime=task.runtime,
-        size=task.size,
-        estimate=task.estimate,
-        job_ids=np.arange(len(task.submit), dtype=np.int64),
-        name=f"cell[w{task.window}]",
-        nmax=task.nmax,
-    )
     result = simulate(
-        wl,
+        task.workload,
         get_policy(task.policy),
         task.nmax,
         use_estimates=task.use_estimates,
@@ -254,7 +244,7 @@ def _simulate_cell_inner(task: _CellTask) -> CellResult:
         window=task.window,
         policy=task.policy,
         backfill=task.backfill,
-        n_jobs=len(wl),
+        n_jobs=len(task.workload),
         n_scored=len(scored),
         ave_bsld=float(scored.mean()),
         utilization=result.utilization,
@@ -583,10 +573,7 @@ def _cell_task_for(
         window=window.index,
         policy=policy,
         backfill=backfill,
-        submit=window.workload.submit,
-        runtime=window.workload.runtime,
-        size=window.workload.size,
-        estimate=window.workload.estimate,
+        workload=window.workload,
         nmax=nmax,
         use_estimates=config.use_estimates,
         tau=config.tau,

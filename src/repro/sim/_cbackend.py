@@ -7,14 +7,16 @@ only; no build-time or install-time dependency is added).
 *static-score* simulation — classic and learned policies,
 EASY/conservative/hybrid backfilling, and each row of a fixed-priority
 batch — and WFP3/UNICEF with their kernel terms.
-``repro_trial_batch`` runs training's permutation trials, and a third
-entry outside the loop, ``repro_draw_perms``, draws their permutation
-matrix.  The C loop makes the Python kernel's decisions with the same
-arithmetic: every floating-point operation it performs (additions,
-comparisons, the ``1e-9``/``1e-12`` epsilons of the backfill helpers)
-exists identically in the Python path, so results are
-**bit-identical** — the parity suite (``tests/test_sim_kernel_parity.py``)
-enforces this against the frozen pre-kernel oracle for both backends.
+``repro_trial_batch`` runs training's permutation trials.  Two entries
+sit outside the loop: ``repro_draw_perms`` draws the trials'
+permutation matrix, and ``repro_swf_rows`` tokenises blocks of SWF data
+rows for :mod:`repro.workloads.swf`.  The C loop makes the Python
+kernel's decisions with the same arithmetic: every floating-point
+operation it performs (additions, comparisons, the ``1e-9``/``1e-12``
+epsilons of the backfill helpers) exists identically in the Python
+path, so results are **bit-identical** — the parity suite
+(``tests/test_sim_kernel_parity.py``) enforces this against the frozen
+pre-kernel oracle for both backends.
 
 Where the Python loop sorts per pass, C maintains the order instead.
 The running set stays ordered by ``(expected end, size)``: a start
@@ -143,6 +145,24 @@ Fisher–Yates from the last index down to 1 with numpy's
 rejection on 32-bit draws, or 64-bit ones above ``0xffffffff``).  The
 caller holds the generator's lock, and the matrix and the generator's
 state afterwards equal numpy's.
+
+``repro_swf_rows`` reads a block of SWF lines into the ``(k, 18)``
+float64 matrix ``np.loadtxt`` returns, and takes a token only where its
+double is ``float``'s bit for bit.  The token must match
+``[+-]?(d+(.d*)?|.d+)([eE][+-]?d+)?`` or be a signed ``inf``,
+``infinity`` or ``nan`` in any case (``nan`` with ``float``'s bits: the
+quiet NaN, signed by a ``-``).  A number whose digits ``w`` (point
+dropped) and decimal exponent ``q`` give ``w <= 2^53`` and ``|q| <= 22``
+is ``w * 10^q`` with both factors exact doubles, so one multiply or
+divide rounds it correctly (Clinger's fast path): every integer of up
+to 15 digits, and about half of the 16- and 17-digit times
+``write_swf`` writes.  Any other number goes through ``strtod``,
+correctly rounded as ``float`` is, and counts only if ``strtod`` read
+the whole token, so a locale whose decimal point is not ``.`` refuses
+instead of misreading.  Any other token (hex, ``1_0``, any byte of 0x80
+and up, so every non-ASCII character, one of 64 bytes or more), or a
+line that is neither blank nor 18 tokens, refuses the whole block,
+which the caller then reads line by line.
 
 Selection and caching:
 
@@ -479,7 +499,8 @@ static int easy_pass(Sim *S)
  * within 1e-12 too, and the insertion point is never the front.  When t
  * merges into a distinct breakpoint, or its breakpoint lies within 2e-12
  * of another (the reach of a reservation's end - 1e-12 cut once it is
- * rounded), the kept plan is dropped: see the module docstring. */
+ * rounded), the kept plan is dropped: see the module docstring.  The
+ * merge decides starts (test_sim_conservative.py's TestBreakpointMerge). */
 static void ensure_bp(Sim *S, double t, i64 lo)
 {
     if (isinf(t)) return;
@@ -948,6 +969,121 @@ void repro_draw_perms(bitgen_t *bg, i64 n_rows, i64 m_q, int balanced, i64 *out)
         }
     }
 }
+
+#define SWF_FIELDS 18
+/* longest token handed to strtod, terminator included */
+#define SWF_TOKEN_MAX 64
+
+static int swf_space(char c)
+{
+    return c == ' ' || c == '\t' || c == '\r' || c == '\n';
+}
+
+/* s[0..n) equals the lower-case word w in any case */
+static int swf_word(const char *s, i64 n, const char *w)
+{
+    i64 k = 0;
+    for (; k < n && w[k]; k++)
+        if ((s[k] | 0x20) != w[k]) return 0;
+    return k == n && !w[k];
+}
+
+/* 10^0 .. 10^22, every one an exact double */
+static const double swf_p10[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+/* float(token) for a token of [+-]?(d+(.d*)?|.d+)([eE][+-]?d+)? or a
+ * signed inf/infinity/nan; returns 1 for any other token.  A token
+ * whose digits w (point dropped) and decimal exponent q give w <= 2^53
+ * and |q| <= 22 is w * 10^q of two exact doubles: one correctly
+ * rounded multiply or divide (Clinger's fast path), so the correctly
+ * rounded value, as float() reads it.  The rest go through strtod,
+ * correctly rounded too, accepted only if it reads the whole token, so
+ * a non-"C" LC_NUMERIC rejects instead of misreading. */
+static int swf_token(const char *s, i64 n, double *v)
+{
+    i64 i = 0, nd = 0, nf = 0, ne = 0, e = 0;
+    int neg = 0, eneg = 0;
+    uint64_t w = 0;
+    if (s[0] == '+' || s[0] == '-') { neg = s[0] == '-'; i = 1; }
+    if (i < n && s[i] > '9') {
+        if (swf_word(s + i, n - i, "inf") || swf_word(s + i, n - i, "infinity")) {
+            *v = neg ? -HUGE_VAL : HUGE_VAL;
+            return 0;
+        }
+        if (swf_word(s + i, n - i, "nan")) {
+            /* float()'s NaN: the quiet bit, and the sign of a '-' */
+            uint64_t bits = 0x7ff8000000000000ULL | ((uint64_t)neg << 63);
+            memcpy(v, &bits, sizeof bits);
+            return 0;
+        }
+        return 1;
+    }
+    for (; i < n && s[i] >= '0' && s[i] <= '9'; i++, nd++)
+        w = w * 10 + (uint64_t)(s[i] - '0');
+    if (i < n && s[i] == '.')
+        for (i++; i < n && s[i] >= '0' && s[i] <= '9'; i++, nf++)
+            w = w * 10 + (uint64_t)(s[i] - '0');
+    if (nd + nf == 0) return 1;
+    if (i < n && (s[i] == 'e' || s[i] == 'E')) {
+        i++;
+        if (i < n && (s[i] == '+' || s[i] == '-')) eneg = s[i++] == '-';
+        for (; i < n && s[i] >= '0' && s[i] <= '9'; i++, ne++)
+            if (ne < 6) e = e * 10 + (s[i] - '0');
+        if (!ne) return 1;
+    }
+    if (i != n) return 1;
+    /* w is exact up to 19 digits, e up to 6 */
+    i64 q = (eneg ? -e : e) - nf;
+    if (nd + nf <= 19 && ne <= 6 && w <= (1ULL << 53) && q >= -22 && q <= 22) {
+        double d = (double)w;
+        d = q < 0 ? d / swf_p10[-q] : d * swf_p10[q];
+        *v = neg ? -d : d;
+        return 0;
+    }
+    if (n >= SWF_TOKEN_MAX) return 1;
+    char buf[SWF_TOKEN_MAX], *end;
+    memcpy(buf, s, (size_t)n);
+    buf[n] = '\0';
+    *v = strtod(buf, &end);
+    return end != buf + n;
+}
+
+/* The rows of a block of n_lines SWF data lines, the (k, 18) matrix
+ * np.loadtxt reads from them.  Lines are separated by '\0', so a block
+ * whose '\0' count is not n_lines - 1 held a NUL inside a line; spaces,
+ * tabs, CRs and LFs separate fields.  The block is accepted (0, *used =
+ * k) only if it holds n_lines lines, each blank or 18 tokens swf_token
+ * accepts; else 1. */
+int repro_swf_rows(const char *buf, i64 len, i64 n_lines, double *out, i64 *used)
+{
+    i64 rows = 0, lines = 0, pos = 0;
+    *used = 0;
+    for (;;) {
+        i64 nf = 0;
+        if (++lines > n_lines) return 1;
+        for (;;) {
+            while (pos < len && swf_space(buf[pos])) pos++;
+            if (pos == len || buf[pos] == '\0') break;
+            i64 t0 = pos;
+            while (pos < len && buf[pos] != '\0' && !swf_space(buf[pos])) pos++;
+            if (nf == SWF_FIELDS) return 1;
+            if (swf_token(buf + t0, pos - t0, out + rows * SWF_FIELDS + nf)) return 1;
+            nf++;
+        }
+        if (nf) {
+            if (nf != SWF_FIELDS) return 1;
+            rows++;
+        }
+        if (pos == len) break;
+        pos++; /* the '\0' after a line */
+    }
+    if (lines != n_lines) return 1;
+    *used = rows;
+    return 0;
+}
 """
 
 #: Non-zero return codes from the C loop.  All but 7 (a malformed
@@ -1042,6 +1178,12 @@ class CKernel:
         self._draw.argtypes = [
             ctypes.c_void_p, ctypes.c_longlong, ctypes.c_longlong,
             ctypes.c_int, ctypes.c_void_p,
+        ]
+        self._swf = lib.repro_swf_rows
+        self._swf.restype = ctypes.c_int
+        self._swf.argtypes = [
+            ctypes.c_char_p, ctypes.c_longlong, ctypes.c_longlong,
+            ctypes.c_void_p, ctypes.c_void_p,
         ]
 
     def sim(
@@ -1151,6 +1293,16 @@ class CKernel:
                 out.ctypes.data,
             )
         return out
+
+    def swf_rows(self, buf: bytes, n_lines: int) -> np.ndarray | None:
+        """The ``(k, 18)`` rows of *n_lines* ``\\0``-separated SWF data
+        lines, or ``None`` when *buf* holds another number of lines or a
+        line is neither blank nor 18 accepted tokens."""
+        out = np.empty((n_lines, 18), dtype=np.float64)
+        used = ctypes.c_longlong(0)
+        if self._swf(buf, len(buf), n_lines, out.ctypes.data, ctypes.byref(used)):
+            return None
+        return out[: used.value]
 
 
 _UNSET = object()

@@ -181,7 +181,11 @@ class AvailabilityProfile:
         it, else of one added at *t*.
 
         Times stay sorted, so only the two neighbours of *t*'s insertion
-        point can lie that close.
+        point can lie that close.  The merge decides starts: a
+        reservation end merged into a later breakpoint holds its cores
+        until that breakpoint, so no job reserves in the gap, and a job
+        whose window ends inside the ``end - 1e-12`` cut can start now
+        (``tests/test_sim_conservative.py::TestBreakpointMerge``).
         """
         times = self._times
         i = bisect_left(times, t)

@@ -48,12 +48,16 @@ Every reader runs on one block path, so their accounting can never
 diverge.  The file is read :data:`_BLOCK_LINES` lines at a time.  Lines
 up to a block's last ``;`` comment (a file's header block) go through
 the line-by-line tokeniser; the rest of the block, when it is made only
-of 18-field data rows, is tokenised by one ``np.loadtxt`` call, and
-otherwise (other field counts, garbled values) line by line too, which
-names the first bad line.  One vectorised classifier then applies the
-rules above to the block's matrix and yields its kept jobs as a job
-block (:data:`repro.sim.job.BLOCK_COLUMNS`, which :class:`SwfJob`
-follows field for field).  Rows before a
+of 18-field data rows, is tokenised by one call of the C library's
+tokeniser (``repro_swf_rows`` in :mod:`repro.sim._cbackend`, which takes
+a number only where its double is ``float``'s bit for bit), or of
+``np.loadtxt`` when the C library is not selected, and otherwise (other
+field counts, garbled or non-ASCII values) line by line too, which
+names the first bad line.  The ``workloads.swf.lines_by_line`` counter
+counts the lines that went one by one.  One vectorised classifier then
+applies the rules above to the block's matrix and yields its kept jobs
+as a job block (:data:`repro.sim.job.BLOCK_COLUMNS`, which
+:class:`SwfJob` follows field for field).  Rows before a
 bad line, or before a gzip stream breaks, are yielded before the
 :class:`ValueError` is raised, so a consumer that stops early never
 sees an error from a row it did not need.
@@ -88,6 +92,8 @@ from typing import NamedTuple, TextIO
 
 import numpy as np
 
+from repro.obs.metrics import current_registry
+from repro.sim import _cbackend
 from repro.sim.job import BLOCK_COLUMNS, Workload, job_block
 
 __all__ = [
@@ -227,6 +233,7 @@ def _tokenise_lines(
     *header*; the rows come back as an ``(k, 11)`` matrix of the fields
     the classifier reads.
     """
+    current_registry().inc("workloads.swf.lines_by_line", len(lines))
     rows: list[list[float]] = []
     error = None
     for lineno, line in enumerate(lines, start=lineno):
@@ -254,6 +261,7 @@ def _tokenise_lines(
 def _loadtxt_block(lines: list[str]) -> np.ndarray | None:
     """The rows of comment-free lines if all are 18-field data rows, else ``None``.
 
+    The path without the C library, and the C tokeniser's reference.
     ``np.loadtxt`` parses numbers exactly as ``float`` does wherever it
     accepts them; it rejects the few spellings ``float`` also takes
     (``1_0``, non-ASCII digits), and those lines go one by one.
@@ -268,13 +276,29 @@ def _loadtxt_block(lines: list[str]) -> np.ndarray | None:
     return mat if mat.shape[1] == _N_FIELDS else None
 
 
+def _c_block(lines: list[str], kernel: _cbackend.CKernel) -> np.ndarray | None:
+    """:func:`_loadtxt_block` by the C tokeniser (``repro_swf_rows``).
+
+    It accepts a token only where its double is ``float``'s, bit for bit;
+    any other line (``1_0``, hex, another field count) makes it return
+    ``None``, and so does a non-ASCII character: it encodes to bytes of
+    0x80 and up, which no token takes.  Lines are joined by ``\\0``, not
+    ``\\n``, so a line holding a newline stays one line, as it is for the
+    line-by-line tokeniser; C refuses a block with a NUL inside a line,
+    which would split it.
+    """
+    buf = "\0".join(lines).encode("utf-8", "surrogatepass")
+    return kernel.swf_rows(buf, len(lines))
+
+
 def _tokenise(
     lines: list[str], lineno: int, header: dict[str, str]
 ) -> tuple[np.ndarray, ValueError | None]:
     """Tokenise one block: its raw rows, and the error of its first bad line.
 
     Lines up to the block's last ``;`` comment (a file's header block)
-    go line by line; the rest is tried with one ``np.loadtxt`` call.
+    go line by line; the rest is tried with one call of the C tokeniser,
+    or of ``np.loadtxt`` when the C library is not selected.
     """
     cut = 0
     if ";" in "".join(lines):
@@ -282,9 +306,11 @@ def _tokenise(
     head, error = _tokenise_lines(lines[:cut], lineno, header)
     if error is not None:
         return head, error
-    tail = _loadtxt_block(lines[cut:])
+    kernel = _cbackend.selected()
+    body = lines[cut:]
+    tail = _loadtxt_block(body) if kernel is None else _c_block(body, kernel)
     if tail is None:
-        tail, error = _tokenise_lines(lines[cut:], lineno + cut, header)
+        tail, error = _tokenise_lines(body, lineno + cut, header)
     if cut:
         tail = np.concatenate((head, tail[:, :_N_USED]))
     return tail, error

@@ -3,7 +3,8 @@
 ``repro.workloads.swf.iter_swf_jobs`` first tokenised every SWF row with
 a Python ``float()`` loop and classified it with scalar comparisons, and
 ``write_swf`` formatted every row field by field.  The live module now
-tokenises blocks of lines with ``np.loadtxt``, classifies them with one
+tokenises blocks of lines with the C library's tokeniser (``np.loadtxt``
+when the C library is not selected), classifies them with one
 vectorised function and formats whole columns at once.
 ``tests/test_swf_blocks.py`` holds it to this module: the same rows bit
 for bit (or the same ``ValueError`` text after the same yielded prefix),

@@ -212,6 +212,46 @@ class TestOverrunningJobs:
             assert check_schedule(result, FCFS()) == []
 
 
+class TestBreakpointMerge:
+    """The 1e-12 merge of ``_ensure_breakpoint`` (C's ``ensure_bp``)
+    decides a start.
+
+    At t=0 FCFS reserves job 0 (1 core) over [0, 1) and job 1 (1 core)
+    over [0, 1 - 5e-13).  Job 1's end lies 5e-13 before job 0's, so it
+    merges into that breakpoint and holds its core to 1.  Job 2 (3
+    cores) then reserves at 1, and job 3 (2 cores, 1 + 7.5e-13 s)
+    starts now: its window ends within the 1e-12 cut of 1.  Without the
+    merge the profile frees job 1's core at 1 - 5e-13, job 2 reserves
+    there, inside job 3's window, and job 3 waits until 4 - 5e-13.
+    """
+
+    END = 1.0 - 5e-13
+    LONG = 1.0 + 7.5e-13
+
+    def workload(self) -> Workload:
+        return Workload.from_arrays(
+            submit=[0.0] * 4, runtime=[1.0, self.END, 3.0, self.LONG],
+            size=[1, 1, 3, 2], nmax=4,
+        )
+
+    def test_the_case_sits_inside_the_tolerance(self):
+        assert 1e-13 <= 1.0 - self.END <= 1e-12
+        assert self.END < self.LONG - 1e-12 <= 1.0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_merged_end_lets_a_job_start_now(self, monkeypatch, backend):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", backend)
+        result = simulate(self.workload(), FCFS(), 4, backfill="conservative")
+        assert result.start.tolist() == [0.0, 0.0, self.LONG, 0.0]
+        assert check_schedule(result, FCFS()) == []
+
+    def test_profile_merges_the_end(self):
+        p = AvailabilityProfile(0.0, 4, [], [])
+        p.reserve(0.0, 1.0, 1)
+        p.reserve(0.0, self.END, 1)
+        assert p._times == [0.0, 1.0] and p._free == [2, 4]
+
+
 def _instants(rng, base: float, k: int) -> list[float]:
     """*k* instants after *base*: integer, decimal-dust (sums of tenths,
     like ``0.1 + 0.2``) or a cluster 1e-13 to 3e-12 apart."""

@@ -784,6 +784,18 @@ class TestKeptPlan:
                 total += kept
         assert total > 0
 
+    def test_merged_reservation_end_decides_a_start(self, monkeypatch):
+        """Job 1's reservation ends 5e-13 before job 0's and merges into
+        that breakpoint, so job 3's window (ending within the 1e-12 cut
+        of it) is clear and job 3 starts at 0; without the merge job 2
+        would reserve at 1 - 5e-13 and block it."""
+        w = Workload.from_arrays(
+            submit=[0.0] * 4, runtime=[1.0, 1.0 - 5e-13, 3.0, 1.0 + 7.5e-13],
+            size=[1, 1, 3, 2], nmax=4,
+        )
+        got, _, _ = self._kept(monkeypatch, w, "fcfs")
+        assert got.start.tolist() == [0.0, 0.0, 1.0 + 7.5e-13, 0.0]
+
     def test_spt_arrival_ranks_ahead_of_the_plan(self, monkeypatch):
         """Job 1 holds the reservation at 10 when the shorter job 2
         arrives and ranks ahead of it: job 2 starts at 10."""

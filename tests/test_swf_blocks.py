@@ -1,14 +1,19 @@
 """The SWF block path against the frozen per-line reader and writer.
 
-``repro.workloads.swf`` tokenises blocks of lines with ``np.loadtxt`` and
-classifies each block with one vectorised function; ``tests/oracle_swf.py``
-keeps the per-line loop it replaced.  A seeded, dependency-free fuzzer
-feeds both the same garbled, commented, blank-lined and CRLF-ended SWF
-content at several block sizes and requires the same rows bit for bit,
-or the same ``ValueError`` text after the same yielded prefix, with the
-same header and accounting.  The laziness tests pin that
-``stream_windows`` never reports a fault from a row past a reached
-``max_windows`` quota, even when that row was read in the same block.
+``repro.workloads.swf`` tokenises blocks of lines with the C library's
+tokeniser (``np.loadtxt`` when the C library is not selected) and
+classifies each block with one vectorised function;
+``tests/oracle_swf.py`` keeps the per-line loop it replaced.  A seeded,
+dependency-free fuzzer feeds both the same garbled, commented,
+blank-lined and CRLF-ended SWF content at several block sizes, through
+either tokeniser, and requires the same rows bit for bit, or the same
+``ValueError`` text after the same yielded prefix, with the same header
+and accounting.  The C tokeniser is also held to ``float`` token by
+token: a table of awkward spellings, 100k random doubles written by
+``repr``, and the spellings it must hand back to the line-by-line path.
+The laziness tests pin that ``stream_windows`` never reports a fault
+from a row past a reached ``max_windows`` quota, even when that row was
+read in the same block.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ import pytest
 
 from oracle_swf import oracle_iter_swf_jobs, oracle_write_swf
 from repro.eval.windows import stream_windows, workload_fingerprint
+from repro.obs import MetricsRegistry, use_registry
+from repro.sim import _cbackend
 from repro.sim.job import Workload
 from repro.workloads import swf
 from repro.workloads.swf import (
@@ -112,20 +119,36 @@ def _outcome(reader, source, keep_failed):
     return rows, error, list(acc.header.items()), counts
 
 
-@pytest.fixture
-def loadtxt_hits(monkeypatch):
-    """Count the blocks the ``np.loadtxt`` path tokenised."""
-    hits = []
-    original = swf._loadtxt_block
+KERNEL = _cbackend.load()
 
-    def counted(lines):
-        mat = original(lines)
+needs_c = pytest.mark.skipif(KERNEL is None, reason="no C toolchain on this host")
+
+
+def _count_hits(monkeypatch, name: str) -> list[int]:
+    """Count the blocks (and their rows) the tokeniser ``swf.<name>`` accepts."""
+    hits = []
+    original = getattr(swf, name)
+
+    def counted(*args):
+        mat = original(*args)
         if mat is not None:
             hits.append(len(mat))
         return mat
 
-    monkeypatch.setattr(swf, "_loadtxt_block", counted)
+    monkeypatch.setattr(swf, name, counted)
     return hits
+
+
+@pytest.fixture
+def c_hits(monkeypatch):
+    """Count the blocks the C tokeniser accepted."""
+    return _count_hits(monkeypatch, "_c_block")
+
+
+@pytest.fixture
+def loadtxt_hits(monkeypatch):
+    """Count the blocks the ``np.loadtxt`` path tokenised."""
+    return _count_hits(monkeypatch, "_loadtxt_block")
 
 
 class TestParseFuzz:
@@ -133,8 +156,7 @@ class TestParseFuzz:
 
     N_CASES = 2000
 
-    @pytest.mark.parametrize("block", [1, 3, swf._BLOCK_LINES])
-    def test_seeded_fuzz(self, block, monkeypatch, loadtxt_hits):
+    def _fuzz(self, block, monkeypatch, hits):
         monkeypatch.setattr(swf, "_BLOCK_LINES", block)
         rng = random.Random(20261018 + block)
         n_errors = 0
@@ -159,9 +181,21 @@ class TestParseFuzz:
                 )
                 assert workload_fingerprint(wl) == workload_fingerprint(expected)
                 assert wl.extra["dropped"] == want[3][0]
-        # the fuzz reaches both outcomes and both tokenisers
+        # the fuzz reaches both outcomes and the block tokeniser
         assert 0.05 * self.N_CASES < n_errors < 0.6 * self.N_CASES
-        assert len(loadtxt_hits) > self.N_CASES // 4
+        assert len(hits) > self.N_CASES // 4
+
+    @needs_c
+    @pytest.mark.parametrize("block", [1, 3, swf._BLOCK_LINES])
+    def test_seeded_fuzz(self, block, monkeypatch, c_hits):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "c")
+        self._fuzz(block, monkeypatch, c_hits)
+
+    @pytest.mark.parametrize("block", [swf._BLOCK_LINES])
+    def test_seeded_fuzz_without_c(self, block, monkeypatch, loadtxt_hits):
+        """The ``np.loadtxt`` path, which runs when C is not selected."""
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "python")
+        self._fuzz(block, monkeypatch, loadtxt_hits)
 
     def test_broken_gzip_stream_fuzz(self, tmp_path, monkeypatch):
         monkeypatch.setattr(swf, "_BLOCK_LINES", 64)
@@ -181,6 +215,146 @@ class TestParseFuzz:
                 with open_swf(path) as fh:
                     got = _outcome(iter_swf_jobs, fh, keep_failed)
                 assert got == want
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _same_outcome(source, keep_failed=True) -> None:
+    """The block path reads *source* as the per-line oracle does."""
+    want = _outcome(oracle_iter_swf_jobs, source, keep_failed)
+    assert _outcome(iter_swf_jobs, source, keep_failed) == want
+
+
+@needs_c
+class TestCTokeniser:
+    """``repro_swf_rows`` gives ``float``'s bits, or hands the block back
+    to the line-by-line tokeniser."""
+
+    @pytest.fixture(autouse=True)
+    def _c_selected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "c")
+
+    @staticmethod
+    def _rows(tokens: list[str]) -> np.ndarray | None:
+        """The C tokeniser's rows of *tokens*, 18 to a line."""
+        lines = [" ".join(tokens[i : i + 18]) for i in range(0, len(tokens), 18)]
+        return swf._c_block(lines, KERNEL)
+
+    SPELLINGS = [
+        "-0", "+0", "+5", "1.", ".5", "-.5e-3", "1E5", "1e+5",
+        "1e400", "-1e400", "1e-400", "-1e-400", "1e99999999999999999999",
+        "5e-324", "2.4703282292062328e-324", "2.2250738585072011e-308",
+        "inf", "-Infinity", "+INF", "iNfInItY", "NaN", "-nan", "+nan",
+        "999999999999999", "-999999999999999", "1000000000000000",
+        "9007199254740993", "-9007199254740993", "0000000000000000000001",
+        "123456789012345678901234567890", "0.1", "17.000000000000001",
+        "1" * 63, "1e22", "1e23", "1e-22", "1e-23", "9007199254740992e-22",
+        "9007199254740993e-22", "9007199254740992e22", "4.35e-7", "-0.0e5",
+        "1e0000001", "123456789012345678e-5", "0.000000000000000000001",
+    ]
+
+    @pytest.mark.parametrize("token", SPELLINGS)
+    def test_spellings(self, token):
+        rows = self._rows([token] * 18)
+        assert rows is not None and rows.shape == (1, 18)
+        assert _bits(rows) == _bits([float(token)] * 18)
+
+    def test_random_doubles_by_repr(self):
+        """100k random bit patterns (NaNs, infinities and subnormals
+        among them) written by ``repr``; then the short decimals of the
+        ``w * 10^q`` fast path and its edges: times as ``write_swf``
+        writes them, integers of 1-19 digits, and ``w`` near 2^53 with
+        ``q`` near +-22."""
+        rng = np.random.default_rng(38)
+        n = 18 * 1000
+        bits = rng.integers(0, 2**64, 18 * 5556, dtype=np.uint64)
+        tokens = [repr(x) for x in bits.view(np.float64).tolist()]
+        times = rng.uniform(0, 1e6, n) * rng.choice([1e-9, 1e-3, 1.0, 1e9], n)
+        places = rng.integers(0, 12, n)
+        tokens += [repr(round(x, k)) for x, k in zip(times.tolist(), places.tolist())]
+        for d in rng.integers(1, 20, n).tolist():
+            sign = int(rng.choice([-1, 1]))
+            tokens.append(str(sign * int(rng.integers(0, 10**d, dtype=np.uint64))))
+        w = 2**53 + rng.integers(-3, 4, n // 2)
+        q = rng.integers(-25, 26, n // 2)
+        tokens += [f"{a}e{b}" for a, b in zip(w.tolist(), q.tolist())]
+        whole = rng.integers(0, 2**50, n // 2)
+        frac = rng.integers(0, 1000, n // 2)
+        tokens += [f"{a}.{b:03d}" for a, b in zip(whole.tolist(), frac.tolist())]
+        step = 18 * swf._BLOCK_LINES
+        for lo in range(0, len(tokens), step):
+            chunk = tokens[lo : lo + step]
+            rows = self._rows(chunk)
+            assert rows is not None and rows.size == len(chunk)
+            assert _bits(rows.ravel()) == _bits([float(t) for t in chunk])
+
+    @pytest.mark.parametrize(
+        "token",
+        ["0x10", "1_0", "\uff15", "\u0661", "1\u00a0", "\ud800", "1" * 64,
+         "0." + "1" * 62, "1e", "e5", ".", "+", "-", "+-1", "1.5.", "1e+", ".e1",
+         "nan(1)", "infinit", "infinityy", "1,5", "5;", "1\x0b"],
+    )
+    def test_rejected_tokens_go_line_by_line(self, token):
+        assert self._rows([token] + ["1"] * 17) is None
+        row = " ".join(["2"] + ["1"] * 16 + [token])
+        _same_outcome(row + "\n")
+        _same_outcome([row + "\n"])
+
+    @pytest.mark.parametrize("n_fields", [11, 17, 19])
+    def test_other_field_counts_go_line_by_line(self, n_fields):
+        row = " ".join(["3"] * n_fields)
+        assert swf._c_block([row], KERNEL) is None
+        _same_outcome(f"{row}\n{row}\n")
+
+    @pytest.mark.parametrize("sep", ["\t", "\r", " \t", "\t\r ", " \r\n "])
+    def test_tab_and_cr_separated_fields(self, sep):
+        tokens = ["7", "12.5", "-1", "30.25"] + ["1"] * 14
+        line = sep.join(tokens)
+        rows = swf._c_block([line, "  " + line + sep], KERNEL)
+        assert rows is not None and _bits(rows) == _bits([[float(t) for t in tokens]] * 2)
+        _same_outcome([line + "\n", line + "\r\n"])
+        _same_outcome(line + "\n" + line + "\r\n")
+
+    def test_a_line_holding_a_newline_or_nul_stays_one_line(self):
+        row = " ".join(["4"] * 18)
+        for line in (row + "\n" + row, row + "\0" + row):
+            assert swf._c_block([line], KERNEL) is None
+            _same_outcome([line])
+
+    def test_blank_lines_and_empty_blocks(self):
+        assert swf._c_block(["", " \t", "\r\n"], KERNEL).shape == (0, 18)
+        assert swf._c_block(["", " 5" * 18, ""], KERNEL).shape == (1, 18)
+
+
+class TestLinesByLineCounter:
+    """``workloads.swf.lines_by_line`` counts the lines that missed the
+    block tokeniser, and never changes a result."""
+
+    @staticmethod
+    def _counted(text: str) -> tuple[int, str]:
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            wl = parse_swf_text(text)
+        return registry.value("workloads.swf.lines_by_line"), workload_fingerprint(wl)
+
+    def test_header_interleaved_comments_and_odd_fields(self):
+        wl = synthetic_trace("ctc_sp2", seed=3, n_jobs=40)
+        lines = write_swf(wl).splitlines()
+        n_header = sum(line.startswith(";") for line in lines)
+        clean = "\n".join(lines)
+        n, fingerprint = self._counted(clean)
+        assert n == n_header
+        assert fingerprint == workload_fingerprint(parse_swf_text(clean))
+        # a comment after row 10: the rows up to it go line by line
+        commented = lines[: n_header + 10] + ["; note"] + lines[n_header + 10 :]
+        assert self._counted("\n".join(commented)) == (n_header + 11, fingerprint)
+        # a non-ASCII field sends its whole block line by line
+        # (a job id in full-width digits, which float() reads)
+        odd = lines[:-1] + ["\uff19 " + lines[-1].split(" ", 1)[1]]
+        n, _ = self._counted("\n".join(odd))
+        assert n == len(odd)
 
 
 class TestBlockLaziness:
