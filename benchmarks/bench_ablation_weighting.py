@@ -1,8 +1,8 @@
 """Ablation: Eq. 4's (r*n) regression weight on vs off.
 
-DESIGN.md calls out the weighted fit as a deliberate design choice: "the
-fit must perform a good estimation of the score of bigger tasks" because
-big tasks can block many small ones.  This bench trains two policy sets
+Eq. 4 weights each sample by r*n on purpose: the fit must estimate the
+score of big tasks well, because big tasks can block many small ones.
+This bench trains two policy sets
 from one score distribution — weighted and unweighted — and compares
 their scheduling quality on a held-out stream.
 """

@@ -1,7 +1,8 @@
 """repro — reproduction of "Obtaining Dynamic Scheduling Policies with
 Simulation and Machine Learning" (Carastan-Santos & de Camargo, SC'17).
 
-The library has four layers (see DESIGN.md for the full inventory):
+The library has six main layers (docs/architecture.md maps every layer
+and the contract it keeps):
 
 * :mod:`repro.sim` — event-driven cluster simulator with EASY backfilling
   (the paper's SimGrid substitute) and the bounded-slowdown metrics.

@@ -10,9 +10,8 @@ in milliseconds over the source itself, via ``repro-sched lint``:
   :class:`ModuleContext` vocabulary shared by every rule;
 * :mod:`repro.analysis.rules` — the registry, one module per rule;
 * :mod:`repro.analysis.suppress` — ``# repro: allow[RULE-ID] reason``
-  inline escape hatch (a reason string is mandatory);
-* :mod:`repro.analysis.config` — ``[tool.repro-lint]`` in
-  pyproject.toml / repro-lint.toml;
+  inline escape hatch (a reason string is mandatory), the only way to
+  silence a rule: lint has no configuration file or rule filter;
 * :mod:`repro.analysis.engine` — discovery, one-pass dispatch,
   suppression application, exit-code policy;
 * :mod:`repro.analysis.reporters` — terminal / JSON / GitHub output.
@@ -24,13 +23,7 @@ test that backstops it.
 from __future__ import annotations
 
 from repro.analysis.base import Finding, ModuleContext, Rule
-from repro.analysis.config import LintConfig, LintConfigError, load_config
-from repro.analysis.engine import (
-    ENGINE_RULE_ID,
-    LintEngine,
-    LintResult,
-    run_lint,
-)
+from repro.analysis.engine import ENGINE_RULE_ID, LintEngine, LintResult
 from repro.analysis.reporters import (
     JSON_SCHEMA_VERSION,
     render_github,
@@ -44,8 +37,6 @@ __all__ = [
     "ENGINE_RULE_ID",
     "Finding",
     "JSON_SCHEMA_VERSION",
-    "LintConfig",
-    "LintConfigError",
     "LintEngine",
     "LintResult",
     "ModuleContext",
@@ -53,11 +44,9 @@ __all__ = [
     "Rule",
     "Suppression",
     "all_rules",
-    "load_config",
     "render_github",
     "render_json",
     "render_terminal",
     "rule_ids",
-    "run_lint",
     "scan_suppressions",
 ]

@@ -19,16 +19,12 @@ spelling the syntax-level check cannot.
 from __future__ import annotations
 
 import ast
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
 
-__all__ = ["Finding", "ModuleContext", "Rule", "SEVERITIES", "path_matches"]
-
-#: Valid severities, in increasing order of weight.  ``error`` findings
-#: gate the exit code; ``warning`` findings are reported but never fail.
-SEVERITIES = ("warning", "error")
+__all__ = ["Finding", "ModuleContext", "Rule", "path_matches"]
 
 
 @dataclass(frozen=True)
@@ -141,6 +137,7 @@ class Rule:
 
     id: str = "REP000"
     name: str = "abstract-rule"
+    #: Every finding is an error; the field stays in JSON schema 1.
     severity: str = "error"
     #: One-line statement of the invariant this rule enforces.
     contract: str = ""
@@ -154,38 +151,6 @@ class Rule:
     allow_paths: tuple[str, ...] = ()
     #: AST node types routed to :meth:`check`.
     interests: tuple[type, ...] = ()
-    #: Extra option names accepted by :meth:`configure`.
-    extra_options: tuple[str, ...] = ()
-
-    _BASE_OPTIONS = ("severity", "paths", "allow_paths")
-
-    def configure(self, options: Mapping[str, object]) -> None:
-        """Apply per-rule ``[tool.repro-lint.rules.<ID>]`` options.
-
-        Unknown keys raise, naming the valid ones — config typos fail
-        loudly instead of silently disabling a contract.
-        """
-        from repro.analysis.config import LintConfigError
-
-        valid = self._BASE_OPTIONS + self.extra_options
-        for key, value in options.items():
-            if key not in valid:
-                raise LintConfigError(
-                    f"rule {self.id}: unknown option {key!r}"
-                    f" (valid options: {', '.join(sorted(valid))})"
-                )
-            if key == "severity":
-                if value not in SEVERITIES:
-                    raise LintConfigError(
-                        f"rule {self.id}: severity must be one of"
-                        f" {'/'.join(SEVERITIES)}, got {value!r}"
-                    )
-                self.severity = str(value)
-            elif key in ("paths", "allow_paths"):
-                setattr(self, key, tuple(str(p) for p in value))
-            else:
-                setattr(self, key, value)
-
     def applies_to(self, relpath: str) -> bool:
         """Whether the rule runs against the module at *relpath*."""
         if self.allow_paths and path_matches(relpath, self.allow_paths):

@@ -26,15 +26,14 @@ import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.base import Finding, ModuleContext, Rule, path_matches
-from repro.analysis.config import LintConfig
+from repro.analysis.base import Finding, ModuleContext, Rule
 from repro.analysis.rules import all_rules, rule_ids
 from repro.analysis.suppress import scan_suppressions
 
-__all__ = ["LintEngine", "LintResult", "run_lint"]
+__all__ = ["LintEngine", "LintResult"]
 
 #: Reserved id for engine-level findings (parse errors, malformed
-#: suppressions); not a configurable rule and never suppressible.
+#: suppressions); not a rule of the registry and never suppressible.
 ENGINE_RULE_ID = "REP000"
 
 
@@ -58,10 +57,8 @@ class LintResult:
 
     @property
     def exit_code(self) -> int:
-        """1 when any active error-severity finding exists, else 0."""
-        return int(
-            any(f.severity == "error" for f in self.active)
-        )
+        """1 when any active finding exists, else 0."""
+        return int(bool(self.active))
 
 
 def module_relpath(path: Path, root: Path) -> str:
@@ -86,31 +83,18 @@ def _display_path(path: Path) -> str:
 
 
 class LintEngine:
-    """Run a configured rule set over modules and collect findings."""
+    """Run a rule set over modules and collect findings.
 
-    def __init__(
-        self,
-        rules: list[Rule] | None = None,
-        config: LintConfig | None = None,
-    ) -> None:
-        self.config = config or LintConfig()
-        candidate_rules = rules if rules is not None else all_rules()
-        self.rules = []
-        known = set(rule_ids())
-        referenced = set(self.config.rule_options) | set(self.config.ignore)
-        if self.config.select is not None:
-            referenced |= set(self.config.select)
-        for rule_id in sorted(referenced - known):
-            raise ValueError(
-                f"lint config names unknown rule {rule_id!r}"
-                f" (known rules: {', '.join(sorted(known))})"
-            )
-        for rule in candidate_rules:
-            if not self.config.enabled(rule.id):
-                continue
-            rule.configure(self.config.rule_options.get(rule.id, {}))
-            self.rules.append(rule)
-        self._known_ids = known | {ENGINE_RULE_ID}
+    The rule set is the whole registry; *rules* narrows it (tests run
+    one rule against its fixtures that way).  There is no configuration:
+    each rule's gating and severity are its class constants, so a run
+    reports the same findings from any working directory, and an inline
+    ``# repro: allow[RULE-ID] reason`` is the only way to silence one.
+    """
+
+    def __init__(self, rules: list[Rule] | None = None) -> None:
+        self.rules = rules if rules is not None else all_rules()
+        self._known_ids = set(rule_ids()) | {ENGINE_RULE_ID}
 
     # ------------------------------------------------------------------
     # discovery
@@ -134,10 +118,7 @@ class LintEngine:
                 if resolved in seen:
                     continue
                 seen.add(resolved)
-                rel = module_relpath(file, root)
-                if path_matches(rel, self.config.exclude):
-                    continue
-                out.append((file, rel))
+                out.append((file, module_relpath(file, root)))
         out.sort(key=lambda pair: (pair[1], pair[0].as_posix()))
         return out
 
@@ -256,35 +237,3 @@ class LintEngine:
 
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
         return findings
-
-
-def run_lint(
-    paths: list[str | Path],
-    *,
-    config: LintConfig | None = None,
-    select: list[str] | None = None,
-    ignore: list[str] | None = None,
-) -> LintResult:
-    """One-call façade: configure an engine and lint *paths*.
-
-    *select* / *ignore* override the config's own filters (they are the
-    CLI flags); everything else comes from *config*.
-    """
-    cfg = config or LintConfig()
-    if select is not None or ignore is not None:
-        cfg = LintConfig(
-            select=(
-                tuple(s.upper() for s in select)
-                if select is not None
-                else cfg.select
-            ),
-            ignore=(
-                tuple(s.upper() for s in ignore)
-                if ignore is not None
-                else cfg.ignore
-            ),
-            exclude=cfg.exclude,
-            rule_options=cfg.rule_options,
-            source=cfg.source,
-        )
-    return LintEngine(config=cfg).lint_paths(paths)

@@ -4,10 +4,9 @@ Simulated time is the only time a result may depend on: every schedule,
 score and report must be a pure function of the spec and the trace.  A
 ``time.time()`` or ``datetime.now()`` in a result path smuggles the
 machine's clock into the computation, making two identical runs differ.
-The observation layer (``obs/``) and progress reporting
-(``runtime/progress.py``) legitimately read clocks — durations and
-timestamps are what they exist to record — so they are exempt by
-default.  Monotonic duration probes (``time.perf_counter``) are not
+The observation layer (``obs/``) legitimately reads clocks — durations
+and timestamps are what it exists to record — so it is exempt.
+Monotonic duration probes (``time.perf_counter``) are not
 flagged: they cannot encode a date and feed only telemetry.
 """
 
@@ -38,8 +37,8 @@ class NoWallClock(Rule):
     id = "REP006"
     name = "no-wall-clock-in-result-path"
     contract = (
-        "results are pure functions of spec + trace; only obs/ and"
-        " progress reporting may read the machine clock"
+        "results are pure functions of spec + trace; only obs/ may read"
+        " the machine clock"
     )
     rationale = (
         "a wall-clock read in a result path makes two identical runs"
@@ -47,7 +46,7 @@ class NoWallClock(Rule):
         " and content-addressed caching"
     )
     backstop = "CI eval-smoke byte-compares, tests/test_eval_matrix.py"
-    allow_paths = ("obs/", "runtime/progress.py")
+    allow_paths = ("obs/",)
     interests = (ast.Call,)
 
     def check(

@@ -43,8 +43,6 @@ class DocstringInvariants(Rule):
         " reader hits before the code, not only as test assertions"
     )
     backstop = "tests/test_analysis_engine.py (self-lint of src/)"
-    extra_options = ("contract_packages", "documented_packages")
-
     #: Packages whose modules must state determinism or caching.
     contract_packages: tuple[str, ...] = ("runtime", "eval")
     #: Packages whose public top-level callables need docstrings.

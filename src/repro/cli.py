@@ -674,14 +674,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             print(f"    backstop: {rule.backstop}")
         return 0
     try:
-        config = analysis.load_config(
-            explicit=Path(args.config) if args.config else None
-        )
-        result = analysis.run_lint(
-            args.paths, config=config, select=args.select, ignore=args.ignore
-        )
-    except analysis.LintConfigError as exc:
-        raise SystemExit(f"repro-sched lint: {exc}") from None
+        result = analysis.LintEngine().lint_paths(args.paths)
     except (FileNotFoundError, ValueError) as exc:
         raise SystemExit(f"repro-sched lint: {exc}") from None
     renderer = {
@@ -845,9 +838,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run the AST rule engine (REP001..REP009) that"
         " machine-enforces the repo's determinism, fingerprint-purity,"
         " telemetry-isolation and atomic-persistence contracts."
-        " Exit code is 1 when any active error-severity finding"
-        " remains; inline `# repro: allow[RULE-ID] reason` suppressions"
-        " require a justification. See docs/invariants.md.",
+        " Exit code is 1 when any active finding remains. Lint has no"
+        " configuration: an inline `# repro: allow[RULE-ID] reason`,"
+        " with a justification, is the only way to silence a rule."
+        " See docs/invariants.md.",
     )
     p.add_argument(
         "paths",
@@ -861,27 +855,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("terminal", "json", "github"),
         default="terminal",
         help="output format (default: terminal)",
-    )
-    p.add_argument(
-        "--select",
-        type=split_csv,
-        default=None,
-        metavar="RULES",
-        help="comma-separated rule ids to run exclusively",
-    )
-    p.add_argument(
-        "--ignore",
-        type=split_csv,
-        default=None,
-        metavar="RULES",
-        help="comma-separated rule ids to skip",
-    )
-    p.add_argument(
-        "--config",
-        default=None,
-        metavar="FILE",
-        help="explicit repro-lint.toml / pyproject.toml"
-        " (default: discovered upward from cwd)",
     )
     p.add_argument(
         "--list-rules",

@@ -380,21 +380,21 @@ def write_matrix_report(
     directory: str | Path,
     result: MatrixResult,
     *,
-    stem: str = "eval_matrix",
     baseline: str | None = None,
     n_boot: int = 1000,
     level: float = 0.95,
     paper: str | None = None,
 ) -> list[Path]:
-    """Write ``<stem>.csv``, ``<stem>.json`` (and, for matrices with more
-    than one policy, ``<stem>_deltas.csv``) into *directory*.  *paper*
-    (a Table 4 row prefix) adds the paper-vs-measured block to the JSON."""
+    """Write ``eval_matrix.csv``, ``eval_matrix.json`` (and, for matrices
+    with more than one policy, ``eval_matrix_deltas.csv``) into
+    *directory*.  *paper* (a Table 4 row prefix) adds the
+    paper-vs-measured block to the JSON."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     artifacts = [
-        (f"{stem}.csv", matrix_to_csv(result)),
+        ("eval_matrix.csv", matrix_to_csv(result)),
         (
-            f"{stem}.json",
+            "eval_matrix.json",
             matrix_to_json(
                 result, baseline=baseline, n_boot=n_boot, level=level, paper=paper
             ),
@@ -403,7 +403,7 @@ def write_matrix_report(
     if len(result.config.policies) > 1:
         artifacts.append(
             (
-                f"{stem}_deltas.csv",
+                "eval_matrix_deltas.csv",
                 deltas_to_csv(result, baseline=baseline, n_boot=n_boot, level=level),
             )
         )

@@ -19,7 +19,7 @@ from repro.sim.engine import simulate
 from repro.sim.job import Workload
 from repro.sim.metrics import DEFAULT_TAU
 from repro.util.stats import BoxplotStats, Summary, ascii_boxplot, boxplot_stats, summarize
-from repro.workloads.lublin import LublinParams, lublin_workload
+from repro.workloads.lublin import lublin_workload
 from repro.workloads.sequences import extract_sequences
 from repro.workloads.tsafrir import apply_tsafrir
 
@@ -125,14 +125,13 @@ def model_stream_for_span(
     nmax: int,
     *,
     seed: int = 0,
-    params: LublinParams | None = None,
     with_estimates: bool = True,
-    margin: float = 1.10,
 ) -> Workload:
-    """Generate a Lublin stream long enough to host *span_seconds*.
+    """Generate a default-parameter Lublin stream long enough to host
+    *span_seconds*.
 
     The model's arrival rate is stochastic, so the stream is grown
-    geometrically until its span exceeds ``margin * span_seconds``.
+    geometrically until its span exceeds ``1.10 * span_seconds``.
     With *with_estimates* the Tsafrir model is applied (derived seed), so
     one stream serves the actual-runtime, estimate and backfill
     experiments.
@@ -142,9 +141,10 @@ def model_stream_for_span(
     # Initial guess: mean gap of 2**Gamma(aarr, barr) is ~70 s including
     # cycle modulation; overshoot and grow if needed.
     n = max(int(span_seconds / 60.0), 64)
+    margin = 1.10
     attempt = 0
     while True:
-        wl = lublin_workload(n, nmax, seed=seed, params=params)
+        wl = lublin_workload(n, nmax, seed=seed)
         if wl.span >= margin * span_seconds or attempt >= 12:
             break
         growth = (margin * span_seconds) / max(wl.span, 1.0)

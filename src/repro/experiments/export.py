@@ -3,8 +3,7 @@
 Matplotlib is unavailable offline, so the repository's "figures" are
 their underlying series.  These exporters write them in a layout any
 plotting tool ingests directly; the CLI (``repro-sched figures
---output-dir``) and the examples use them, and EXPERIMENTS.md's numbers
-are regenerated from the same code path.
+--output-dir``) and the examples use them.
 """
 
 from __future__ import annotations

@@ -2,8 +2,7 @@
 
 Matplotlib is unavailable offline, so each function returns the *data*
 the corresponding figure plots (plus CSV export helpers); the benchmark
-harnesses print the series and EXPERIMENTS.md records the comparison with
-the paper.
+harnesses (``benchmarks/bench_fig*.py``) print the series.
 
 * Figure 1 — example trial score distributions for a tuple (S, Q).
 * Figure 2 — convergence of trial scores with the number of trials.

@@ -3,7 +3,7 @@
 The paper's artifact prints, per experiment, a statistics block
 (medians / means / standard deviations per policy).  These helpers
 reproduce that format and add paper-vs-measured comparison tables used
-by the benchmarks and EXPERIMENTS.md.
+by the CLI, the benchmarks and the examples.
 """
 
 from __future__ import annotations

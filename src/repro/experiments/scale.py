@@ -12,7 +12,8 @@ Execution width is orthogonal to scale: ``REPRO_WORKERS`` sets the
 default worker count (see :mod:`repro.runtime.config`).  Results never
 depend on it, so it is a run knob, not a :class:`Scale` field.
 
-EXPERIMENTS.md records which preset produced the checked-in numbers.
+Each benchmark report under ``results/`` names the preset it ran at
+(``# <bench> @ scale=<preset>``).
 """
 
 from __future__ import annotations

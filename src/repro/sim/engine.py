@@ -177,7 +177,15 @@ class ScheduleResult:
 
     @property
     def backfill_count(self) -> int:
-        """How many jobs started through the EASY pass."""
+        """How many jobs ``backfilled`` flags; the count depends on the mode.
+
+        * no backfilling — always 0;
+        * ``easy`` — the jobs the EASY pass started behind the blocked
+          waiting head (the in-order prefix before it is not counted);
+        * ``conservative`` / ``hybrid`` — every job a replan pass started
+          except the queue's first at that pass, so jobs that start in
+          queue order right behind a started first job count too.
+        """
         return int(self.backfilled.sum())
 
     def summary(self, tau: float | None = None) -> Summary:

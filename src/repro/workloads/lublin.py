@@ -19,8 +19,8 @@ Workloads Archive — with its three components:
    modulated by a daily cycle so that arrivals concentrate in working
    hours.  (``lublin99.c`` uses a 48-slot empirical weight table; we use
    a smooth two-peak day profile with the same peak-to-trough ratio —
-   the simplification is documented in DESIGN.md and covered by the
-   rhythm tests.)
+   the simplification is covered by the rhythm tests in
+   ``tests/test_workloads_lublin.py``.)
 
 All constants default to the ``lublin99.c`` batch-job values.  Every
 sampler takes an explicit :class:`numpy.random.Generator`, so workloads

@@ -7,8 +7,8 @@ Lublin-parameterized generator whose knobs are tuned per machine and whose
 arrival time-scale is calibrated so the offered load matches the published
 mean utilization.  The evaluation pipeline consumes nothing but the
 ``(r, e, n, s)`` stream, so a stream with matched vitals exercises exactly
-the code paths the real trace would (see DESIGN.md §5 for the full
-substitution argument).
+the code paths the real trace would.  A fetched real trace is used
+through a ``pwa:<name>`` reference instead (docs/evaluate.md §1).
 
 Published vitals (paper Table 5) are kept verbatim in :data:`TRACES` and
 asserted in unit tests; per-machine *character* (size mix, runtime scale)

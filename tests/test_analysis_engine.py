@@ -2,8 +2,8 @@
 
 Covers: every rule against a known-bad and known-clean fixture tree
 (tests/analysis_fixtures/), suppression semantics (valid / missing
-reason / unknown id / marker-in-string), config handling, the three
-output formats and their JSON schema, the CLI verb, and the self-lint
+reason / unknown id / marker-in-string), that a config file cannot
+silence a rule, the three output formats and their JSON schema, the CLI verb, and the self-lint
 gate — ``repro-sched lint src/`` must exit 0, which is also what makes
 the REP009 docstring rule the successor of the old test_docstrings.py.
 """
@@ -17,19 +17,14 @@ from repro import cli
 from repro.analysis import (
     ENGINE_RULE_ID,
     JSON_SCHEMA_VERSION,
-    LintConfig,
-    LintConfigError,
     LintEngine,
     all_rules,
-    load_config,
     render_github,
     render_json,
     render_terminal,
     rule_ids,
-    run_lint,
     scan_suppressions,
 )
-from repro.analysis.config import parse_table
 
 FIXTURES = Path(__file__).parent / "analysis_fixtures"
 SRC = Path(__file__).parents[1] / "src"
@@ -38,6 +33,14 @@ ALL_RULE_IDS = (
     "REP001", "REP002", "REP003", "REP004", "REP005",
     "REP006", "REP007", "REP008", "REP009",
 )
+
+
+def lint(paths, rule_id=None):
+    """Lint *paths* with every rule, or with *rule_id*'s rule alone."""
+    rules = None
+    if rule_id is not None:
+        rules = [rule for rule in all_rules() if rule.id == rule_id]
+    return LintEngine(rules=rules).lint_paths(paths)
 
 
 # ----------------------------------------------------------------------
@@ -54,7 +57,7 @@ def test_rules_carry_contract_metadata():
         assert rule.contract, rule.id
         assert rule.rationale, rule.id
         assert rule.backstop, rule.id
-        assert rule.severity in ("warning", "error")
+        assert rule.severity == "error"
 
 
 def test_fresh_instances_per_call():
@@ -68,19 +71,23 @@ def test_fresh_instances_per_call():
 def test_rule_flags_bad_and_passes_clean(rule_id):
     tree = FIXTURES / rule_id.lower()
     assert tree.is_dir(), tree
-    result = run_lint([tree], select=[rule_id])
+    result = lint([tree], rule_id)
     assert result.files_scanned >= 2, "need a bad and a clean fixture"
-    assert result.findings, f"{rule_id} found nothing in {tree}"
     for finding in result.findings:
         assert finding.rule == rule_id
-        assert Path(finding.path).name.startswith("bad"), (
+        assert not Path(finding.path).name.startswith("clean"), (
             f"{rule_id} flagged a clean fixture: {finding}"
         )
+    # Every fixture not named clean* must be flagged.
+    flagged = {Path(f.path).resolve() for f in result.findings}
+    for fixture in sorted(tree.rglob("*.py")):
+        if not fixture.name.startswith("clean"):
+            assert fixture.resolve() in flagged, f"{rule_id} missed {fixture}"
     assert result.exit_code == 1
 
 
 def test_rep001_flags_every_spelling():
-    result = run_lint([FIXTURES / "rep001" / "bad.py"], select=["REP001"])
+    result = lint([FIXTURES / "rep001" / "bad.py"], "REP001")
     # import random, from numpy.random import shuffle, random.shuffle,
     # np.random.seed, np.random.rand, bare default_rng()
     assert len(result.findings) == 6
@@ -88,15 +95,13 @@ def test_rep001_flags_every_spelling():
 
 def test_rep003_is_path_gated():
     # The same registry read outside sim/core/eval is legal.
-    result = run_lint([FIXTURES / "rep003"], select=["REP003"])
+    result = lint([FIXTURES / "rep003"], "REP003")
     flagged = {Path(f.path).parent.name for f in result.findings}
     assert flagged == {"sim"}
 
 
 def test_rep007_allows_int_literal_powers():
-    result = run_lint(
-        [FIXTURES / "rep007" / "sim" / "clean.py"], select=["REP007"]
-    )
+    result = lint([FIXTURES / "rep007" / "sim" / "clean.py"], "REP007")
     assert result.findings == []
 
 
@@ -104,7 +109,7 @@ def test_rep007_allows_int_literal_powers():
 # suppressions
 # ----------------------------------------------------------------------
 def test_valid_suppression_silences_but_records():
-    result = run_lint([FIXTURES / "suppress" / "valid.py"], select=["REP001"])
+    result = lint([FIXTURES / "suppress" / "valid.py"], "REP001")
     assert result.exit_code == 0
     assert result.active == []
     assert len(result.suppressed) == 1
@@ -114,9 +119,7 @@ def test_valid_suppression_silences_but_records():
 
 
 def test_missing_reason_keeps_finding_active_and_adds_rep000():
-    result = run_lint(
-        [FIXTURES / "suppress" / "missing_reason.py"], select=["REP001"]
-    )
+    result = lint([FIXTURES / "suppress" / "missing_reason.py"], "REP001")
     assert result.exit_code == 1
     rules = sorted(f.rule for f in result.active)
     assert rules == [ENGINE_RULE_ID, "REP001"]
@@ -125,16 +128,14 @@ def test_missing_reason_keeps_finding_active_and_adds_rep000():
 
 
 def test_unknown_rule_id_in_suppression_is_rep000():
-    result = run_lint([FIXTURES / "suppress" / "unknown_rule.py"])
+    result = lint([FIXTURES / "suppress" / "unknown_rule.py"])
     assert result.exit_code == 1
     assert [f.rule for f in result.active] == [ENGINE_RULE_ID]
     assert "REP999" in result.active[0].message
 
 
 def test_marker_inside_string_is_not_a_suppression():
-    result = run_lint(
-        [FIXTURES / "suppress" / "in_string.py"], select=["REP001"]
-    )
+    result = lint([FIXTURES / "suppress" / "in_string.py"], "REP001")
     assert result.exit_code == 1
     assert len(result.active) == 1
     assert result.suppressed == []
@@ -150,65 +151,51 @@ def test_scan_suppressions_parses_multi_rule_markers():
 def test_syntax_error_becomes_rep000(tmp_path):
     broken = tmp_path / "broken.py"
     broken.write_text("def broken(:\n", encoding="utf-8")
-    result = run_lint([broken])
+    result = lint([broken])
     assert result.exit_code == 1
     assert [f.rule for f in result.findings] == [ENGINE_RULE_ID]
     assert "could not parse" in result.findings[0].message
 
 
 # ----------------------------------------------------------------------
-# config
+# no configuration: a config file cannot silence a rule
 # ----------------------------------------------------------------------
-def test_parse_table_rejects_unknown_keys():
-    with pytest.raises(LintConfigError) as err:
-        parse_table({"selekt": ["REP001"]}, source="pyproject.toml")
-    assert "selekt" in str(err.value)
-    assert "select" in str(err.value)  # names the valid keys
+SILENCING_TABLES = {
+    "ignore": 'ignore = ["REP001"]\n',
+    "select": 'select = ["REP004"]\n',
+    "exclude": 'exclude = ["planted.py"]\n',
+    "severity": '[tool.repro-lint.rules.REP001]\nseverity = "warning"\n',
+}
 
 
-def test_rule_rejects_unknown_options():
-    rule = all_rules()[0]
-    with pytest.raises(LintConfigError) as err:
-        rule.configure({"not_an_option": 1})
-    assert "not_an_option" in str(err.value)
+@pytest.mark.parametrize("basename", ["pyproject.toml", "repro-lint.toml"])
+@pytest.mark.parametrize("table", sorted(SILENCING_TABLES))
+def test_config_file_cannot_silence_a_rule(
+    tmp_path, monkeypatch, capsys, basename, table
+):
+    (tmp_path / basename).write_text(
+        "[tool.repro-lint]\n" + SILENCING_TABLES[table], encoding="utf-8"
+    )
+    (tmp_path / "planted.py").write_text(
+        '"""Planted REP001 violation."""\n'
+        "import numpy as np\n\nnp.random.seed(0)\n",
+        encoding="utf-8",
+    )
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["lint", "."]) == 1
+    assert "planted.py:4:0: REP001 error:" in capsys.readouterr().out
 
 
-def test_engine_rejects_unknown_rule_id_in_config():
-    with pytest.raises(ValueError) as err:
-        LintEngine(config=LintConfig(ignore=("REP999",)))
-    assert "REP999" in str(err.value)
-
-
-def test_config_exclude_skips_paths():
-    cfg = LintConfig(exclude=("bad.py",))
-    result = LintEngine(config=cfg).lint_paths([FIXTURES / "rep004"])
-    assert result.findings == []
-    assert result.files_scanned == 1  # clean.py only
-
-
-def test_select_and_ignore_filter_rules():
+def test_rules_argument_narrows_the_registry():
     tree = FIXTURES / "rep006"
-    assert run_lint([tree], select=["REP001"]).findings == []
-    ignored = run_lint([tree], ignore=["REP006", "REP009"])
-    assert all(f.rule not in ("REP006", "REP009") for f in ignored.findings)
+    assert lint([tree], "REP001").findings == []
+    assert "REP006" in {f.rule for f in lint([tree]).findings}
 
 
-def test_load_config_reads_pyproject(tmp_path):
-    (tmp_path / "pyproject.toml").write_text(
-        '[tool.repro-lint]\nignore = ["rep008"]\n', encoding="utf-8"
-    )
-    cfg = load_config(start=tmp_path)
-    assert cfg.ignore == ("REP008",)
-    assert not cfg.enabled("REP008")
-    assert cfg.enabled("REP001")
-
-
-def test_rep009_contract_packages_configurable():
-    cfg = LintConfig(
-        rule_options={"REP009": {"contract_packages": []}},
-        select=("REP009",),
-    )
-    result = LintEngine(config=cfg).lint_paths(
+def test_rep009_gates_on_contract_packages():
+    rule = next(r for r in all_rules() if r.id == "REP009")
+    rule.contract_packages = ()
+    result = LintEngine(rules=[rule]).lint_paths(
         [FIXTURES / "rep009" / "runtime"]
     )
     # With no contract packages, the marker-less docstring passes.
@@ -219,7 +206,7 @@ def test_rep009_contract_packages_configurable():
 # reporters
 # ----------------------------------------------------------------------
 def test_json_report_schema():
-    result = run_lint([FIXTURES / "rep006"], select=["REP006"])
+    result = lint([FIXTURES / "rep006"], "REP006")
     doc = json.loads(render_json(result))
     assert doc["schema"] == JSON_SCHEMA_VERSION
     assert doc["tool"] == "repro-lint"
@@ -235,7 +222,7 @@ def test_json_report_schema():
 
 
 def test_json_report_includes_suppressed_findings():
-    result = run_lint([FIXTURES / "suppress" / "valid.py"], select=["REP001"])
+    result = lint([FIXTURES / "suppress" / "valid.py"], "REP001")
     doc = json.loads(render_json(result))
     assert doc["summary"]["errors"] == 0
     assert doc["summary"]["suppressed"] == 1
@@ -244,14 +231,14 @@ def test_json_report_includes_suppressed_findings():
 
 
 def test_github_format_emits_annotations():
-    result = run_lint([FIXTURES / "rep006" / "bad.py"], select=["REP006"])
+    result = lint([FIXTURES / "rep006" / "bad.py"], "REP006")
     out = render_github(result)
     assert "::error file=" in out
     assert "title=REP006" in out
 
 
 def test_terminal_format_lists_findings_and_summary():
-    result = run_lint([FIXTURES / "rep006" / "bad.py"], select=["REP006"])
+    result = lint([FIXTURES / "rep006" / "bad.py"], "REP006")
     out = render_terminal(result)
     assert "REP006 error:" in out
     assert "error(s)" in out
@@ -262,7 +249,7 @@ def test_terminal_format_lists_findings_and_summary():
 # ----------------------------------------------------------------------
 def test_cli_lint_bad_fixture_exits_nonzero(capsys):
     rc = cli.main(
-        ["lint", str(FIXTURES / "rep001" / "bad.py"), "--select", "REP001"]
+        ["lint", str(FIXTURES / "rep001" / "bad.py")]
     )
     assert rc == 1
     assert "REP001" in capsys.readouterr().out
@@ -273,8 +260,6 @@ def test_cli_lint_json_format(capsys):
         [
             "lint",
             str(FIXTURES / "rep001" / "clean.py"),
-            "--select",
-            "REP001",
             "--format",
             "json",
         ]
@@ -301,7 +286,7 @@ def test_cli_lint_unknown_path_is_a_clean_error():
 # self-lint: the repo's own source obeys its own contracts
 # ----------------------------------------------------------------------
 def test_src_lints_clean():
-    result = run_lint([SRC])
+    result = lint([SRC])
     assert result.exit_code == 0, render_terminal(result)
     # Every suppression in src/ carries a justification by construction;
     # growth of this count is watched by scripts/check_lint_baseline.py.
@@ -311,5 +296,5 @@ def test_src_lints_clean():
 
 def test_src_docstring_invariants_hold():
     # The REP009 successor of the old tests/test_docstrings.py gate.
-    result = run_lint([SRC], select=["REP009"])
+    result = lint([SRC], "REP009")
     assert result.exit_code == 0, render_terminal(result)
