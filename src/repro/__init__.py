@@ -67,7 +67,6 @@ from repro.specs import (
     load_spec,
 )
 from repro.sim import (
-    Job,
     ScheduleResult,
     Workload,
     average_bounded_slowdown,
@@ -89,7 +88,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ArtifactCache",
     "EvaluateSpec",
-    "Job",
     "MatrixConfig",
     "MatrixResult",
     "NonlinearPolicy",

@@ -201,8 +201,6 @@ def run_trials(
     submit = np.concatenate([S.submit, Q.submit])
     runtime = np.concatenate([S.runtime, Q.runtime])
     size = np.concatenate([S.size, Q.size]).astype(np.int64)
-    if int(size.max()) > nmax:
-        raise ValueError("tuple contains a job larger than the machine")
 
     q_submit = Q.submit
     q_runtime = Q.runtime

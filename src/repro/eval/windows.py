@@ -19,10 +19,10 @@ independent evaluation scenario:
 
 One slicer cuts every window: :func:`stream_windows` reads a stream of
 job blocks (:data:`repro.sim.job.BLOCK_COLUMNS`) — from
-:meth:`repro.workloads.swf.SwfStream.blocks`, from rows, or from an
-in-memory :class:`~repro.sim.job.Workload` fed a few rows at a time —
-and holds at most one window plus one block in memory.  Job windows are
-sliced and concatenated from the blocks, time windows are cut at the
+:meth:`repro.workloads.swf.SwfStream.blocks`, or from an in-memory
+:class:`~repro.sim.job.Workload` fed a few rows at a time — and holds
+at most one window plus one block in memory.  Job windows are sliced
+and concatenated from the blocks, time windows are cut at the
 float edges ``t0 + k*seconds`` by a search per slot, and the
 submit-order and machine-size checks run vectorised per block.
 :func:`slice_windows` is the same windows as a list.  Because there is
@@ -40,11 +40,10 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, islice
 
 import numpy as np
 
-from repro.sim.job import BLOCK_COLUMNS, Workload
+from repro.sim.job import BLOCK_COLUMNS, Workload, oversize_job_error
 from repro.util.validation import check_positive, check_positive_int
 
 __all__ = ["Window", "slice_windows", "stream_windows", "workload_fingerprint"]
@@ -125,47 +124,35 @@ def _window_from_rows(
     return Window(index=index, workload=piece, warmup=warmup, t0=t0)
 
 
-#: Rows gathered per block from a row iterable cut into time windows.
+#: Rows per block when a workload is cut into time windows.
 _ROW_BLOCK = 1024
 
 
-def _width_error(what: str, got: str) -> ValueError:
-    return ValueError(
-        f"stream_windows expects {what} with the {len(BLOCK_COLUMNS)} columns"
-        f" ({', '.join(BLOCK_COLUMNS)}), got {got}"
-    )
-
-
 def _as_blocks(
-    source: Workload | Iterable, group: int
+    source: Workload | Iterable[np.ndarray], group: int
 ) -> Iterator[np.ndarray]:
     """*source* as job blocks (:data:`~repro.sim.job.BLOCK_COLUMNS` order).
 
-    A workload is cut into blocks of *group* rows; an iterable of 2-D
-    arrays passes through; an iterable of rows is gathered *group* rows
-    at a time.  A block or row of any other width raises
-    :class:`ValueError`.
+    A workload is cut into blocks of *group* rows; an iterable of job
+    blocks passes through.  Any item that is not a 2-D array five
+    columns wide (a row tuple included) raises :class:`ValueError`.
     """
     if isinstance(source, Workload):
         yield from source.blocks(group)
         return
-    items = iter(source)
-    first = next(items, None)
-    if first is None:
-        return
-    items = chain((first,), items)
     width = len(BLOCK_COLUMNS)
-    if isinstance(first, np.ndarray) and first.ndim == 2:
-        for block in items:
-            if block.ndim != 2 or block.shape[1] != width:
-                raise _width_error("job blocks", f"a block of shape {block.shape}")
+    for block in source:
+        is_array = isinstance(block, np.ndarray)
+        if is_array and block.ndim == 2 and block.shape[1] == width:
             yield np.asarray(block, dtype=np.float64)
-        return
-    while rows := list(islice(items, group)):
-        bad = next((row for row in rows if len(row) != width), None)
-        if bad is not None:
-            raise _width_error("job rows", f"a row of {len(bad)} fields")
-        yield np.asarray(rows, dtype=float)
+            continue
+        got = f"a {type(block).__name__}"
+        if is_array:
+            got = f"a block of shape {block.shape}"
+        raise ValueError(
+            f"stream_windows expects job blocks with the {width} columns"
+            f" ({', '.join(BLOCK_COLUMNS)}), got {got}"
+        )
 
 
 def _first_invalid(
@@ -191,14 +178,11 @@ def _invalid_job_error(row: list[float], last_submit: float, machine: int) -> Va
         )
     # Same fail-fast contract as Workload.validate_for_machine, applied
     # per job so even jobs in eventually-dropped windows are caught.
-    return ValueError(
-        f"job {int(job_id)} needs {int(size)} cores"
-        f" but the machine has only {machine}"
-    )
+    return oversize_job_error(job_id, size, machine)
 
 
 def stream_windows(
-    source: Workload | Iterable[np.ndarray] | Iterable[tuple[float, ...]],
+    source: Workload | Iterable[np.ndarray],
     *,
     jobs: int | None = None,
     seconds: float | None = None,
@@ -219,15 +203,14 @@ def stream_windows(
     tail, or a sparse epoch of time windows); *max_windows* truncates
     the plan.
 
-    *source* is an iterator of job blocks (``(k, 5)`` float64 arrays,
-    columns ``(job_id, submit, runtime, size, estimate)``) such as
-    :meth:`repro.workloads.swf.SwfStream.blocks`, an iterator of such
-    rows such as :func:`repro.workloads.swf.iter_swf_jobs`, or a
-    :class:`~repro.sim.job.Workload`; rows and workloads are read in
-    blocks of one job window, or of 1024 rows for time windows.  A
-    workload supplies *name* and *nmax* unless they are given; a bare
-    stream should come with them.  A block or row that is not five
-    columns wide raises :class:`ValueError`.
+    *source* is an iterable of job blocks (``(k, 5)`` arrays, columns
+    ``(job_id, submit, runtime, size, estimate)``) such as
+    :meth:`repro.workloads.swf.SwfStream.blocks`, or a
+    :class:`~repro.sim.job.Workload`, read in blocks of one job window,
+    or of 1024 rows for time windows.  A workload supplies *name* and
+    *nmax* unless they are given; a bare stream should come with them.
+    Any item of the stream that is not a 2-D array five columns wide (a
+    row tuple included) raises :class:`ValueError`.
 
     Memory is O(window + block) however long the trace is, and with
     *max_windows* the source is abandoned once the quota is reached.

@@ -190,18 +190,9 @@ class ArtifactCache:
         """Lookups that found nothing usable so far."""
         return int(self.metrics.value("cache.misses"))
 
-    def _record_loaded(self, path: Path) -> None:
+    def _record_loaded(self, n_bytes: int) -> None:
         self.metrics.inc("cache.hits")
-        try:
-            self.metrics.inc("cache.bytes_loaded", path.stat().st_size)
-        except OSError:  # pragma: no cover - raced deletion
-            pass
-
-    def _record_stored(self, path: Path) -> None:
-        try:
-            self.metrics.inc("cache.bytes_stored", path.stat().st_size)
-        except OSError:  # pragma: no cover - raced deletion
-            pass
+        self.metrics.inc("cache.bytes_loaded", n_bytes)
 
     @staticmethod
     def _check_key(key: str) -> str:
@@ -227,11 +218,12 @@ class ArtifactCache:
             self.metrics.inc("cache.misses")
             return None
         try:
+            n_bytes = path.stat().st_size
             entry = load_trial_artifact(path)
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
             self.metrics.inc("cache.misses")
             return None
-        self._record_loaded(path)
+        self._record_loaded(n_bytes)
         return entry
 
     def store(
@@ -242,7 +234,7 @@ class ArtifactCache:
     ) -> Path:
         """Persist an entry for *key*, returning its path."""
         path = save_trial_artifact(self.path_for(key), results, distribution)
-        self._record_stored(path)
+        self.metrics.inc("cache.bytes_stored", path.stat().st_size)
         return path
 
     def discard(self, key: str) -> None:
@@ -260,31 +252,33 @@ class ArtifactCache:
         """Return the JSON entry for *key*, or ``None`` on a miss.
 
         The same hit/miss accounting and corruption tolerance as
-        :meth:`load` apply: an unreadable entry is a miss and is replaced
-        atomically by the next :meth:`store_json`.
+        :meth:`load` apply: a missing or unreadable entry is a miss, and
+        an unreadable one is replaced atomically by the next
+        :meth:`store_json`.  The file is read once, and its length is the
+        bytes loaded.
         """
-        path = self.json_path_for(key)
-        if not path.exists():
-            self.metrics.inc("cache.misses")
-            return None
         try:
-            obj = json.loads(path.read_text(encoding="utf-8"))
+            data = self.json_path_for(key).read_bytes()
+            obj = json.loads(data.decode("utf-8"))
         except (OSError, ValueError):
             self.metrics.inc("cache.misses")
             return None
-        self._record_loaded(path)
+        self._record_loaded(len(data))
         return obj
 
     def store_json(self, key: str, obj: object) -> Path:
-        """Persist a JSON-serialisable entry for *key* (atomic rename)."""
+        """Persist a JSON-serialisable entry for *key* (atomic rename).
+
+        The entry is encoded once; its length is the bytes stored.
+        """
         path = self.json_path_for(key)
+        data = json.dumps(obj, sort_keys=True, allow_nan=True).encode("utf-8")
         tmp = path.with_name(path.name + f".tmp{os.getpid()}")
         try:
-            tmp.write_text(
-                json.dumps(obj, sort_keys=True, allow_nan=True), encoding="utf-8"
-            )
+            tmp.write_bytes(data)
             os.replace(tmp, path)
-        finally:
+        except BaseException:
             tmp.unlink(missing_ok=True)
-        self._record_stored(path)
+            raise
+        self.metrics.inc("cache.bytes_stored", len(data))
         return path

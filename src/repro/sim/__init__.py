@@ -2,7 +2,8 @@
 
 Public surface:
 
-* :class:`~repro.sim.job.Job` / :class:`~repro.sim.job.Workload` — job data.
+* :class:`~repro.sim.job.Workload` — job data (a stream carries the same
+  jobs as ``(k, 5)`` job blocks, :data:`~repro.sim.job.BLOCK_COLUMNS`).
 * :func:`~repro.sim.engine.simulate` — online scheduling under a policy,
   with optional user estimates, backfilling and a partitioned platform.
 * :func:`~repro.sim.metrics.bounded_slowdown` (Eq. 1) and
@@ -18,11 +19,10 @@ the permutation-trial batch.  Import anything else from its submodule.
 """
 
 from repro.sim.engine import ScheduleResult, simulate
-from repro.sim.job import Job, Workload
+from repro.sim.job import Workload
 from repro.sim.metrics import average_bounded_slowdown, bounded_slowdown
 
 __all__ = [
-    "Job",
     "ScheduleResult",
     "Workload",
     "average_bounded_slowdown",

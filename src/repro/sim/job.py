@@ -1,4 +1,4 @@
-"""Job and workload containers.
+"""The two shapes of a job set: the workload container and the job block.
 
 A *job* (the paper calls it a task) is a rigid parallel job described by the
 four quantities of §3.1 of the paper:
@@ -12,11 +12,11 @@ four quantities of §3.1 of the paper:
 ``estimate``
     user-provided processing-time estimate :math:`e_t`.
 
-Two representations are provided: :class:`Job` (one record, convenient for
-construction and tests) and :class:`Workload` (structure-of-arrays, used by
-the simulator and every generator — the hot paths are all vectorized over
-these arrays, per the hpc-parallel guide's "vectorize the bottleneck"
-idiom).
+Jobs have two shapes: :class:`Workload` in memory (structure-of-arrays,
+used by the simulator and every generator — the hot paths are all
+vectorized over these arrays) and the *job block* in a stream (a
+``(k, 5)`` float64 array, columns :data:`BLOCK_COLUMNS`), which the SWF
+reader yields and the window slicer cuts.
 
 :class:`Workload.__post_init__` guarantees C-contiguous float64/int64
 attribute arrays sorted by submit time — the exact layout the unified
@@ -26,24 +26,38 @@ backend without copying.
 
 from __future__ import annotations
 
-import math
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from repro.util.validation import check_finite, check_positive_int
+from repro.util.validation import check_finite
 
-__all__ = ["BLOCK_COLUMNS", "Job", "Workload", "as_sizes", "concat_workloads", "job_block"]
+__all__ = [
+    "BLOCK_COLUMNS",
+    "Workload",
+    "as_sizes",
+    "concat_workloads",
+    "job_block",
+    "oversize_job_error",
+]
 
 #: Columns of a *job block*: the ``(k, 5)`` float64 array of ``k`` jobs
-#: that the SWF readers yield and the window slicer cuts.
+#: that :func:`repro.workloads.swf.iter_swf_blocks` yields and
+#: :func:`repro.eval.windows.stream_windows` cuts.
 BLOCK_COLUMNS = ("job_id", "submit", "runtime", "size", "estimate")
 
 
 def job_block(job_ids, submit, runtime, size, estimate) -> np.ndarray:
     """Stack per-job columns into a job block, in :data:`BLOCK_COLUMNS` order."""
     return np.column_stack((job_ids, submit, runtime, size, estimate))
+
+
+def oversize_job_error(job_id, size, nmax: int) -> ValueError:
+    """The error for job *job_id*, of *size* cores, on an *nmax*-core machine."""
+    return ValueError(
+        f"job {int(job_id)} needs {int(size)} cores but the machine has only {nmax}"
+    )
 
 
 def as_sizes(size, job_ids: np.ndarray | None = None) -> np.ndarray:
@@ -65,33 +79,6 @@ def as_sizes(size, job_ids: np.ndarray | None = None) -> np.ndarray:
                 f"job {job}: size must be a finite whole number, got {raw[k].item()!r}"
             )
     return np.ascontiguousarray(raw, dtype=np.int64)
-
-
-@dataclass(frozen=True, slots=True)
-class Job:
-    """One rigid job.  Immutable; simulation outcomes live in results."""
-
-    job_id: int
-    submit: float
-    runtime: float
-    size: int
-    estimate: float = -1.0  # -1 means "defaults to runtime" (perfect estimate)
-
-    def __post_init__(self) -> None:
-        if self.submit < 0 or not math.isfinite(self.submit):
-            raise ValueError(f"job {self.job_id}: submit must be >= 0 and finite")
-        if self.runtime <= 0 or not math.isfinite(self.runtime):
-            raise ValueError(f"job {self.job_id}: runtime must be > 0 and finite")
-        check_positive_int("size", self.size)
-        if self.estimate == -1.0:
-            object.__setattr__(self, "estimate", float(self.runtime))
-        elif self.estimate <= 0 or not math.isfinite(self.estimate):
-            raise ValueError(f"job {self.job_id}: estimate must be > 0 and finite")
-
-    @property
-    def area(self) -> float:
-        """Core-seconds consumed by the job (``runtime * size``)."""
-        return self.runtime * self.size
 
 
 @dataclass(frozen=True)
@@ -162,22 +149,6 @@ class Workload:
     # constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_jobs(
-        cls, jobs: Iterable[Job], *, name: str = "workload", nmax: int = 0
-    ) -> "Workload":
-        """Build a workload from :class:`Job` records."""
-        jobs = list(jobs)
-        return cls(
-            submit=np.array([j.submit for j in jobs], dtype=np.float64),
-            runtime=np.array([j.runtime for j in jobs], dtype=np.float64),
-            size=np.array([j.size for j in jobs], dtype=np.int64),
-            estimate=np.array([j.estimate for j in jobs], dtype=np.float64),
-            job_ids=np.array([j.job_id for j in jobs], dtype=np.int64),
-            name=name,
-            nmax=nmax,
-        )
-
-    @classmethod
     def from_arrays(
         cls,
         submit: Sequence[float],
@@ -229,19 +200,6 @@ class Workload:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.submit)
-
-    def to_jobs(self) -> list[Job]:
-        """Materialise :class:`Job` records (intended for tests/debugging)."""
-        return [
-            Job(
-                job_id=int(self.job_ids[i]),
-                submit=float(self.submit[i]),
-                runtime=float(self.runtime[i]),
-                size=int(self.size[i]),
-                estimate=float(self.estimate[i]),
-            )
-            for i in range(len(self))
-        ]
 
     @property
     def area(self) -> float:
@@ -315,10 +273,7 @@ class Workload:
         """Raise if any job cannot ever run on an ``nmax``-core machine."""
         if len(self) and int(self.size.max()) > nmax:
             worst = int(np.argmax(self.size))
-            raise ValueError(
-                f"job {int(self.job_ids[worst])} needs {int(self.size[worst])} cores"
-                f" but the machine has only {nmax}"
-            )
+            raise oversize_job_error(self.job_ids[worst], self.size[worst], nmax)
 
 
 def concat_workloads(parts: Sequence[Workload], *, name: str = "concat") -> Workload:

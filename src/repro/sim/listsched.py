@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.obs.metrics import current_registry
 from repro.sim import _cbackend
-from repro.sim.job import as_sizes
+from repro.sim.job import as_sizes, oversize_job_error
 from repro.sim.kernel import simulate_events, validate_scores
 from repro.sim.metrics import DEFAULT_TAU
 from repro.util.validation import check_positive, check_positive_int
@@ -65,10 +65,7 @@ def _validated_jobs(submit, runtime, size, nmax):
             raise ValueError(f"job {job}: {name} must be {need}, got {arr[job].item()!r}")
     if len(size) and int(size.max()) > nmax:
         worst = int(np.argmax(size))
-        raise ValueError(
-            f"job {worst} needs {int(size[worst])} cores"
-            f" but the machine has only {nmax}"
-        )
+        raise oversize_job_error(worst, size[worst], nmax)
     return submit, runtime, size, nmax
 
 

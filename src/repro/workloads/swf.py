@@ -56,20 +56,19 @@ field counts, garbled or non-ASCII values) line by line too, which
 names the first bad line.  The ``workloads.swf.lines_by_line`` counter
 counts the lines that went one by one.  One vectorised classifier then
 applies the rules above to the block's matrix and yields its kept jobs
-as a job block (:data:`repro.sim.job.BLOCK_COLUMNS`, which
-:class:`SwfJob` follows field for field).  Rows before a
+as a job block (:data:`repro.sim.job.BLOCK_COLUMNS`).  Rows before a
 bad line, or before a gzip stream breaks, are yielded before the
 :class:`ValueError` is raised, so a consumer that stops early never
 sees an error from a row it did not need.
 
 * :func:`parse_swf_text` / :func:`read_swf` — batch: materialise a whole
   :class:`~repro.sim.job.Workload` from the blocks;
-* :class:`SwfStream` — streaming: :meth:`SwfStream.blocks` yields the job
-  blocks with O(block) memory, so a multi-million-job archive trace can
-  feed :func:`repro.eval.windows.stream_windows` without ever being
-  resident in full;
-* :func:`iter_swf_jobs` / :meth:`SwfStream.jobs` — the same blocks, one
-  :class:`SwfJob` at a time.
+* :func:`iter_swf_blocks` — streaming: the job blocks of SWF text or of
+  any iterable of lines, with O(block) memory;
+* :class:`SwfStream` — streaming from a file: :meth:`SwfStream.blocks`
+  yields the job blocks, so a multi-million-job archive trace can feed
+  :func:`repro.eval.windows.stream_windows` without ever being resident
+  in full.
 
 The writer streams too: :func:`write_swf` formats :data:`_BLOCK_LINES`
 rows at a time and writes each block to its file as soon as it is
@@ -88,7 +87,7 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, TextIO
+from typing import TextIO
 
 import numpy as np
 
@@ -98,10 +97,9 @@ from repro.sim.job import BLOCK_COLUMNS, Workload, job_block
 
 __all__ = [
     "SwfAccounting",
-    "SwfJob",
     "SwfStream",
     "ZERO_RUNTIME_EPSILON",
-    "iter_swf_jobs",
+    "iter_swf_blocks",
     "open_swf",
     "parse_swf_text",
     "read_swf",
@@ -151,25 +149,9 @@ def _swf_stem(path: Path) -> str:
     return stem or path.stem
 
 
-class SwfJob(NamedTuple):
-    """One schedulable SWF row, reduced to the fields a simulation consumes.
-
-    Values are kept as the raw parsed floats (``size`` included), so a
-    batch of them converts to :class:`~repro.sim.job.Workload` arrays
-    bit-identically to the historical matrix-based parser; ``estimate``
-    already carries the ``max(·, 1.0)`` floor the simulator requires.
-    """
-
-    job_id: float
-    submit: float
-    runtime: float
-    size: float
-    estimate: float
-
-
 @dataclass
 class SwfAccounting:
-    """Mutable side-channel of an :func:`iter_swf_jobs` pass.
+    """Mutable side-channel of an :func:`iter_swf_blocks` pass.
 
     Filled in-place while the iterator is consumed: ``header`` grows as
     ``;``-comment lines are encountered, ``dropped`` counts unschedulable
@@ -360,15 +342,30 @@ def _classify(raw: np.ndarray, keep_failed: bool, acc: SwfAccounting) -> np.ndar
     )
 
 
-def _job_blocks(
-    source: str | Iterable[str], *, keep_failed: bool, acc: SwfAccounting
+def iter_swf_blocks(
+    source: str | Iterable[str],
+    *,
+    keep_failed: bool = True,
+    accounting: SwfAccounting | None = None,
 ) -> Iterator[np.ndarray]:
-    """The block path under every reader: kept jobs, ``(k, 5)`` per block.
+    """Incrementally parse SWF content into job blocks (under every reader).
 
-    Reads :data:`_BLOCK_LINES` lines at a time.  A bad line, or a gzip
-    stream that breaks mid-block, raises its named :class:`ValueError`
-    only after the rows before it have been yielded.
+    *source* is SWF text or any iterable of lines (an open file object
+    streams the trace with O(block) memory).  It is read
+    :data:`_BLOCK_LINES` lines at a time, and each block's kept jobs are
+    yielded as one ``(k, 5)`` job block
+    (:data:`~repro.sim.job.BLOCK_COLUMNS`; a block with no kept job is
+    skipped).  The running dropped/filtered/header state is exposed
+    through *accounting* (pass your own :class:`SwfAccounting` to read
+    it; counts cover whole blocks, so they are only final once the
+    iterator is exhausted).
+
+    Malformed rows (fewer than 11 fields, non-numeric values) raise
+    :class:`ValueError` naming the offending line number; so does a
+    truncated or corrupt gzip stream.  Either error is raised only after
+    the rows before it have been yielded.
     """
+    acc = accounting if accounting is not None else SwfAccounting()
     lines = source.splitlines() if isinstance(source, str) else source
     it = iter(lines)
     lineno = 0  # lines read so far
@@ -391,30 +388,6 @@ def _job_blocks(
             raise error
         if broken is not None:
             raise _gzip_error(lines, lineno, broken) from None
-
-
-def iter_swf_jobs(
-    source: str | Iterable[str],
-    *,
-    keep_failed: bool = True,
-    accounting: SwfAccounting | None = None,
-) -> Iterator[SwfJob]:
-    """Incrementally parse SWF content, yielding one :class:`SwfJob` per row.
-
-    *source* is SWF text or any iterable of lines (an open file object
-    streams the trace with O(block) memory).  Rows are classified by the
-    block path every reader shares, and the running dropped/filtered/
-    header state is exposed through *accounting* (pass your own
-    :class:`SwfAccounting` to read it; counts cover whole blocks, so they
-    are only final once the iterator is exhausted).
-
-    Malformed rows (fewer than 11 fields, non-numeric values) raise
-    :class:`ValueError` naming the offending line number, identically to
-    the batch parser; so does a truncated or corrupt gzip stream.
-    """
-    acc = accounting if accounting is not None else SwfAccounting()
-    for block in _job_blocks(source, keep_failed=keep_failed, acc=acc):
-        yield from map(SwfJob._make, block.tolist())
 
 
 def _workload_from_blocks(
@@ -443,7 +416,7 @@ def parse_swf_text(
 ) -> Workload:
     """Parse SWF content from a string.  See module docstring for field use."""
     acc = SwfAccounting()
-    blocks = _job_blocks(text, keep_failed=keep_failed, acc=acc)
+    blocks = iter_swf_blocks(text, keep_failed=keep_failed, accounting=acc)
     return _workload_from_blocks(list(blocks), acc, name)
 
 
@@ -452,7 +425,7 @@ def read_swf(path: str | Path, *, keep_failed: bool = True) -> Workload:
     path = Path(path)
     acc = SwfAccounting()
     with open_swf(path) as fh:
-        blocks = list(_job_blocks(fh, keep_failed=keep_failed, acc=acc))
+        blocks = list(iter_swf_blocks(fh, keep_failed=keep_failed, accounting=acc))
     return _workload_from_blocks(blocks, acc, _swf_stem(path))
 
 
@@ -462,10 +435,9 @@ class SwfStream:
     Splits the two things a streaming evaluation needs at different
     times: the *header metadata* (machine size, trace name — read
     eagerly from the leading comment block without touching job rows)
-    and the *job stream* (:meth:`blocks`, or :meth:`jobs` one job at a
-    time: a fresh O(block)-memory pass per call).  ``accounting``
-    carries the shared dropped/filtered counters, final once a pass is
-    exhausted.
+    and the *job stream* (:meth:`blocks`: a fresh O(block)-memory pass
+    per call).  ``accounting`` carries the shared dropped/filtered
+    counters, final once a pass is exhausted.
     """
 
     def __init__(self, path: str | Path, *, keep_failed: bool = True) -> None:
@@ -477,7 +449,7 @@ class SwfStream:
     def _read_leading_header(self) -> None:
         # Only the comment block before the first job row is scanned here;
         # standard SWF puts all metadata there.  Comments interleaved with
-        # job rows are still collected during a jobs() pass.
+        # job rows are still collected during a blocks() pass.
         with open_swf(self.path) as fh:
             lineno = 0
             try:
@@ -509,27 +481,24 @@ class SwfStream:
     def blocks(self) -> Iterator[np.ndarray]:
         """Stream the file's schedulable jobs as job blocks.
 
-        Columns follow :data:`~repro.sim.job.BLOCK_COLUMNS` (and
-        :class:`SwfJob`); the file is never resident in
-        full.  Each call starts a fresh pass: the dropped/filtered/
-        zero-runtime/yielded counters are reset (eagerly, before the
-        first block is pulled) so re-reading the file — e.g. a cached
-        streaming re-run — reports single-pass counts instead of
-        accumulating across passes.  The header survives resets.
+        Columns follow :data:`~repro.sim.job.BLOCK_COLUMNS`; the file is
+        never resident in full.  Each call starts a fresh pass: the
+        dropped/filtered/zero-runtime/yielded counters are reset
+        (eagerly, before the first block is pulled) so re-reading the
+        file — e.g. a cached streaming re-run — reports single-pass
+        counts instead of accumulating across passes.  The header
+        survives resets.
         """
         acc = self.accounting
         acc.dropped = acc.filtered = acc.zero_runtime = acc.yielded = 0
 
         def generate() -> Iterator[np.ndarray]:
             with open_swf(self.path) as fh:
-                yield from _job_blocks(fh, keep_failed=self.keep_failed, acc=acc)
+                yield from iter_swf_blocks(
+                    fh, keep_failed=self.keep_failed, accounting=acc
+                )
 
         return generate()
-
-    def jobs(self) -> Iterator[SwfJob]:
-        """The jobs of a fresh :meth:`blocks` pass, one :class:`SwfJob` at a time."""
-        blocks = self.blocks()
-        return (SwfJob._make(row) for block in blocks for row in block.tolist())
 
 
 def _format_column(values: np.ndarray) -> list[str]:

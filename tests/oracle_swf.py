@@ -1,22 +1,25 @@
 """Frozen per-line SWF reader and writer — the oracle for the block path.
 
-``repro.workloads.swf.iter_swf_jobs`` first tokenised every SWF row with
-a Python ``float()`` loop and classified it with scalar comparisons, and
-``write_swf`` formatted every row field by field.  The live module now
-tokenises blocks of lines with the C library's tokeniser (``np.loadtxt``
-when the C library is not selected), classifies them with one
-vectorised function and formats whole columns at once.
-``tests/test_swf_blocks.py`` holds it to this module: the same rows bit
-for bit (or the same ``ValueError`` text after the same yielded prefix),
-the same header and accounting, and the same written bytes.
+The library's SWF reader first tokenised every SWF row with a Python
+``float()`` loop, classified it with scalar comparisons and yielded it
+as one record, and ``write_swf`` formatted every row field by field.
+The live module now tokenises blocks of lines with the C library's
+tokeniser (``np.loadtxt`` when the C library is not selected),
+classifies them with one vectorised function, yields job blocks
+(``repro.workloads.swf.iter_swf_blocks``) and formats whole columns at
+once.  ``tests/test_swf_blocks.py`` holds it to this module: the same
+rows bit for bit (or the same ``ValueError`` text after the same
+yielded prefix), the same header and accounting, and the same written
+bytes.
 
 ``oracle_iter_swf_jobs`` and ``oracle_write_swf`` are the two functions
 as they stood, verbatim apart from their names, the gzip error helper
-they share, and two later rule changes: a row whose submit, runtime,
-size or estimate is non-finite is dropped (``inf`` passes the sign
-tests; ``nan`` never did), and so is a row whose size is not a whole
-number (it was truncated).  Do not "clean up" or optimise this file —
-its only value is that it does not change.
+they share, the plain ``(job_id, submit, runtime, size, estimate)``
+tuple a row is yielded as, and two later rule changes: a row whose
+submit, runtime, size or estimate is non-finite is dropped (``inf``
+passes the sign tests; ``nan`` never did), and so is a row whose size
+is not a whole number (it was truncated).  Do not "clean up" or
+optimise this file — its only value is that it does not change.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from repro.sim.job import Workload
-from repro.workloads.swf import SwfAccounting, SwfJob
+from repro.workloads.swf import SwfAccounting
 
 __all__ = ["oracle_iter_swf_jobs", "oracle_write_swf"]
 
@@ -56,7 +59,7 @@ def oracle_iter_swf_jobs(
     *,
     keep_failed: bool = True,
     accounting: SwfAccounting | None = None,
-) -> Iterator[SwfJob]:
+) -> Iterator[tuple[float, float, float, float, float]]:
     acc = accounting if accounting is not None else SwfAccounting()
     lines = source.splitlines() if isinstance(source, str) else source
     lineno = 0
@@ -106,7 +109,7 @@ def oracle_iter_swf_jobs(
                 acc.filtered += 1
                 continue
             acc.yielded += 1
-            yield SwfJob(row[0], submit, runtime, size, max(estimate, 1.0))
+            yield (row[0], submit, runtime, size, max(estimate, 1.0))
     except _GZIP_ERRORS as exc:
         raise _gzip_error(lines, lineno, exc) from None
 

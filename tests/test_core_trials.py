@@ -93,7 +93,11 @@ class TestScores:
         assert res.scores.sum() == pytest.approx(1.0)
 
     def test_oversized_job_rejected(self, tup):
-        with pytest.raises(ValueError, match="larger than the machine"):
+        # the job set's check names the job: S's jobs come first
+        size = np.concatenate([tup.S.size, tup.Q.size])
+        worst = int(np.argmax(size))
+        named = f"^job {worst} needs {size[worst]} cores but the machine has only 2$"
+        with pytest.raises(ValueError, match=named):
             run_trials(tup, 2, 32, seed=0)
 
 

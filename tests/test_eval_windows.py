@@ -204,7 +204,7 @@ class TestStreamWindows:
         stream = SwfStream(self.FIXTURE)
         lazy = list(
             stream_windows(
-                stream.jobs(),
+                stream.blocks(),
                 jobs=50,
                 warmup=5,
                 name=stream.name,
@@ -217,18 +217,12 @@ class TestStreamWindows:
     def test_max_windows_stops_consuming_the_source(self, trace):
         seen = []
 
-        def rows():
-            for row in zip(
-                trace.job_ids.tolist(),
-                trace.submit.tolist(),
-                trace.runtime.tolist(),
-                trace.size.tolist(),
-                trace.estimate.tolist(),
-            ):
-                seen.append(row)
-                yield row
+        def blocks():
+            for block in trace.blocks(1):  # one job per block
+                seen.append(block)
+                yield block
 
-        ws = list(stream_windows(rows(), jobs=50, max_windows=2, name=trace.name))
+        ws = list(stream_windows(blocks(), jobs=50, max_windows=2, name=trace.name))
         assert [w.index for w in ws] == [0, 1]
         # exactly the two windows' jobs were pulled; the rest never left disk
         assert len(seen) == 100
@@ -255,12 +249,12 @@ class TestStreamWindows:
         assert first.workload.name == f"{trace.name}[w0]"
 
     def test_out_of_order_stream_rejected(self):
-        rows = [
-            (0, 10.0, 5.0, 1, 5.0),
-            (1, 3.0, 5.0, 1, 5.0),
-        ]
+        block = np.array([
+            [0, 10.0, 5.0, 1, 5.0],
+            [1, 3.0, 5.0, 1, 5.0],
+        ])
         with pytest.raises(ValueError, match="submit-sorted"):
-            list(stream_windows(iter(rows), jobs=2, min_jobs=1))
+            list(stream_windows(iter([block]), jobs=2, min_jobs=1))
 
     def test_empty_stream_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -475,17 +469,20 @@ class TestBlockSource:
         ):
             list(stream_windows(iter([block]), jobs=2, min_jobs=1))
 
-    @pytest.mark.parametrize("width", [4, 6])
+    @pytest.mark.parametrize("width", [4, 5, 6])
     def test_rows_of_the_wrong_arity_rejected(self, width):
-        # Five rows of four fields are twenty numbers: reshaped five at a
-        # time they once became four wrong jobs.
+        # A stream holds job blocks only: a row tuple of any width, five
+        # fields included, is named instead of failing on ``.ndim``.
         rows = [(float(k), float(k), 5.0, 1.0, 5.0, 0.0)[:width] for k in range(5)]
         with pytest.raises(
             ValueError,
-            match=r"job rows with the 5 columns \(job_id, submit, runtime, size,"
-            rf" estimate\), got a row of {width} fields",
+            match=r"job blocks with the 5 columns \(job_id, submit, runtime, size,"
+            r" estimate\), got a tuple",
         ):
             list(stream_windows(iter(rows), jobs=5, min_jobs=1))
+        block = np.array([[0.0, 0.0, 5.0, 1.0, 5.0]])
+        with pytest.raises(ValueError, match="got a tuple"):  # after a good block
+            list(stream_windows(iter([block, rows[0]]), jobs=5, min_jobs=1))
 
     def test_out_of_order_across_a_block_edge(self):
         blocks = [np.array([[0, 10.0, 5.0, 1, 5.0]]), np.array([[1, 3.0, 5.0, 1, 5.0]])]

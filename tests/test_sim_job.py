@@ -1,41 +1,13 @@
-"""Tests for repro.sim.job (Job and Workload containers)."""
+"""Tests for repro.sim.job (the Workload container and job blocks)."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from repro.sim.job import BLOCK_COLUMNS, Job, Workload, concat_workloads, job_block
-
-
-class TestJob:
-    def test_basic_construction(self):
-        j = Job(job_id=1, submit=0.0, runtime=10.0, size=4)
-        assert j.estimate == 10.0  # defaults to runtime
-        assert j.area == 40.0
-
-    def test_explicit_estimate(self):
-        j = Job(job_id=1, submit=0.0, runtime=10.0, size=4, estimate=60.0)
-        assert j.estimate == 60.0
-
-    def test_negative_submit_rejected(self):
-        with pytest.raises(ValueError):
-            Job(job_id=1, submit=-1.0, runtime=10.0, size=1)
-
-    def test_zero_runtime_rejected(self):
-        with pytest.raises(ValueError):
-            Job(job_id=1, submit=0.0, runtime=0.0, size=1)
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(ValueError):
-            Job(job_id=1, submit=0.0, runtime=1.0, size=0)
-
-    def test_bad_estimate_rejected(self):
-        with pytest.raises(ValueError):
-            Job(job_id=1, submit=0.0, runtime=1.0, size=1, estimate=0.0)
-
-    def test_immutable(self):
-        j = Job(job_id=1, submit=0.0, runtime=1.0, size=1)
-        with pytest.raises(AttributeError):
-            j.runtime = 5.0
+from repro.eval.windows import stream_windows
+from repro.sim.job import BLOCK_COLUMNS, Workload, concat_workloads, job_block
+from repro.sim.listsched import simulate_fixed_priority_batch
 
 
 class TestWorkloadConstruction:
@@ -67,6 +39,20 @@ class TestWorkloadConstruction:
         with pytest.raises(ValueError):
             Workload.from_arrays([0.0], [1.0], [0])
 
+    def test_explicit_estimate(self):
+        wl = Workload.from_arrays([0.0], [10.0], [4], [60.0])
+        assert wl.estimate.tolist() == [60.0] and wl.runtime.tolist() == [10.0]
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf])
+    def test_bad_estimate_rejected(self, bad):
+        with pytest.raises(ValueError, match="estimate"):
+            Workload.from_arrays([0.0], [1.0], [1], [bad])
+
+    def test_immutable(self):
+        wl = Workload.from_arrays([0.0], [1.0], [1])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            wl.runtime = np.array([5.0])
+
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
             Workload.from_arrays([np.nan], [1.0], [1])
@@ -91,16 +77,6 @@ class TestWorkloadConstruction:
         wl = Workload.from_arrays([], [], [])
         assert len(wl) == 0
         assert wl.span == 0.0
-
-    def test_from_jobs_roundtrip(self):
-        jobs = [
-            Job(job_id=10, submit=0.0, runtime=3.0, size=2, estimate=5.0),
-            Job(job_id=11, submit=1.0, runtime=4.0, size=1),
-        ]
-        wl = Workload.from_jobs(jobs, nmax=8)
-        back = wl.to_jobs()
-        assert back == jobs
-        assert wl.nmax == 8
 
 
 class TestWorkloadDerived:
@@ -154,6 +130,18 @@ class TestWorkloadDerived:
         wl.validate_for_machine(8)
         with pytest.raises(ValueError, match="needs 8 cores"):
             wl.validate_for_machine(4)
+
+    def test_one_oversize_message(self):
+        """The workload, the trial simulator and the window stream name an
+        oversize job in the same words."""
+        wl = Workload.from_arrays([0.0, 1.0], [1.0, 1.0], [2, 8])
+        want = "^job 1 needs 8 cores but the machine has only 4$"
+        with pytest.raises(ValueError, match=want):
+            wl.validate_for_machine(4)
+        with pytest.raises(ValueError, match=want):
+            simulate_fixed_priority_batch(wl.submit, wl.runtime, wl.size, np.zeros((1, 2)), 4)
+        with pytest.raises(ValueError, match=want):
+            list(stream_windows(wl, jobs=2, min_jobs=1, nmax=4))
 
     def test_with_name(self):
         wl = Workload.from_arrays([0.0], [1.0], [1]).with_name("renamed")

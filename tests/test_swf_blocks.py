@@ -35,7 +35,7 @@ from repro.workloads import swf
 from repro.workloads.swf import (
     SwfAccounting,
     SwfStream,
-    iter_swf_jobs,
+    iter_swf_blocks,
     open_swf,
     parse_swf_text,
     write_swf,
@@ -105,6 +105,12 @@ def _case(rng) -> tuple[str, bool]:
     return text, rng.random() < 0.5
 
 
+def _block_rows(source, **kwargs):
+    """The rows of the job blocks :func:`iter_swf_blocks` yields, in order."""
+    for block in iter_swf_blocks(source, **kwargs):
+        yield from block.tolist()
+
+
 def _outcome(reader, source, keep_failed):
     """Rows (packed bit for bit), error text, header and counters of a pass."""
     acc = SwfAccounting()
@@ -166,7 +172,7 @@ class TestParseFuzz:
             # line ends, as a file handle yields them
             for source in (text, text.splitlines(keepends=True)):
                 want = _outcome(oracle_iter_swf_jobs, source, keep_failed)
-                got = _outcome(iter_swf_jobs, source, keep_failed)
+                got = _outcome(_block_rows, source, keep_failed)
                 assert got == want, (case, keep_failed, text)
             n_errors += want[1] is not None
             rows = np.array(
@@ -213,7 +219,7 @@ class TestParseFuzz:
                 with open_swf(path) as fh:
                     want = _outcome(oracle_iter_swf_jobs, fh, keep_failed)
                 with open_swf(path) as fh:
-                    got = _outcome(iter_swf_jobs, fh, keep_failed)
+                    got = _outcome(_block_rows, fh, keep_failed)
                 assert got == want
 
 
@@ -224,7 +230,7 @@ def _bits(values) -> bytes:
 def _same_outcome(source, keep_failed=True) -> None:
     """The block path reads *source* as the per-line oracle does."""
     want = _outcome(oracle_iter_swf_jobs, source, keep_failed)
-    assert _outcome(iter_swf_jobs, source, keep_failed) == want
+    assert _outcome(_block_rows, source, keep_failed) == want
 
 
 @needs_c

@@ -5,13 +5,14 @@ import gzip
 import numpy as np
 import pytest
 
-from repro.sim.job import Workload
+from repro.sim.job import BLOCK_COLUMNS, Workload
+from repro.workloads import swf
 from repro.workloads.lublin import lublin_workload
 from repro.workloads.swf import (
     ZERO_RUNTIME_EPSILON,
     SwfAccounting,
     SwfStream,
-    iter_swf_jobs,
+    iter_swf_blocks,
     open_swf,
     parse_swf_text,
     read_swf,
@@ -27,6 +28,11 @@ SAMPLE = """\
 3 20 0 -1 4 -1 -1 4 600 -1 0 1 1 -1 1 -1 -1 -1
 4 30 0 25 0 -1 -1 0 -1 -1 5 1 1 -1 1 -1 -1 -1
 """
+
+
+def _rows(blocks) -> np.ndarray:
+    """The job blocks of one reader pass, stacked into one ``(n, 5)`` block."""
+    return np.concatenate([np.empty((0, len(BLOCK_COLUMNS))), *blocks])
 
 
 class TestParse:
@@ -177,12 +183,12 @@ class TestZeroRuntime:
         path = tmp_path / "zero.swf"
         path.write_text(text)
         stream = SwfStream(path)
-        jobs = list(stream.jobs())
+        jobs = _rows(stream.blocks())
         wl = parse_swf_text(text)
         assert len(jobs) == len(wl) == 3
         assert stream.accounting.zero_runtime == wl.extra["zero_runtime"] == 1
         # a second pass resets instead of accumulating
-        list(stream.jobs())
+        list(stream.blocks())
         assert stream.accounting.zero_runtime == 1
 
 
@@ -212,7 +218,7 @@ class TestGzip:
         stream = SwfStream(gz)
         assert stream.name == "CTC SP2"
         assert stream.machine_size == 338
-        jobs = list(stream.jobs())
+        jobs = _rows(stream.blocks())
         assert len(jobs) == len(read_swf(FIXTURE))
 
     @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
@@ -230,7 +236,7 @@ class TestGzip:
         stream = SwfStream(gz)  # the header block before the damage reads fine
         assert stream.machine_size == 338
         with pytest.raises(ValueError, match=named):
-            list(stream.jobs())
+            list(stream.blocks())
 
     def test_gz_broken_inside_the_header_block(self, tmp_path):
         gz = tmp_path / "stub.swf.gz"
@@ -331,23 +337,21 @@ FIXTURE = "tests/data/ctc_tiny.swf"
 
 
 class TestIterSwfJobs:
-    """The streaming parser must agree with the batch parser everywhere —
-    parse_swf_text is built on iter_swf_jobs, and these tests pin the
-    shared accounting contract."""
+    """The jobs of the streaming parser, :func:`iter_swf_blocks`, must
+    agree with the batch parser everywhere — parse_swf_text is built on
+    it, and these tests pin the shared accounting contract."""
 
     def test_batch_parity_on_fixture(self):
         text = open(FIXTURE, encoding="utf-8").read()
         wl = parse_swf_text(text)
         acc = SwfAccounting()
-        jobs = list(iter_swf_jobs(text, accounting=acc))
+        jobs = _rows(iter_swf_blocks(text, accounting=acc))
         assert len(jobs) == len(wl)
-        np.testing.assert_array_equal([j.job_id for j in jobs], wl.job_ids)
-        np.testing.assert_array_equal([j.submit for j in jobs], wl.submit)
-        np.testing.assert_array_equal([j.runtime for j in jobs], wl.runtime)
-        np.testing.assert_array_equal(
-            np.asarray([j.size for j in jobs]).astype(np.int64), wl.size
-        )
-        np.testing.assert_array_equal([j.estimate for j in jobs], wl.estimate)
+        np.testing.assert_array_equal(jobs[:, 0], wl.job_ids)
+        np.testing.assert_array_equal(jobs[:, 1], wl.submit)
+        np.testing.assert_array_equal(jobs[:, 2], wl.runtime)
+        np.testing.assert_array_equal(jobs[:, 3].astype(np.int64), wl.size)
+        np.testing.assert_array_equal(jobs[:, 4], wl.estimate)
         assert acc.dropped == wl.extra["dropped"]
         assert acc.filtered == wl.extra["filtered"]
         assert acc.header == wl.extra["header"]
@@ -359,7 +363,7 @@ class TestIterSwfJobs:
             "2 10 0 50 2 -1 -1 -1 -1 -1 1", "2 10 0 50 2 -1 -1 -1 -1 -1 0"
         )
         acc = SwfAccounting()
-        jobs = list(iter_swf_jobs(text, keep_failed=False, accounting=acc))
+        jobs = _rows(iter_swf_blocks(text, keep_failed=False, accounting=acc))
         wl = parse_swf_text(text, keep_failed=False)
         assert len(jobs) == len(wl) == 1
         assert (acc.dropped, acc.filtered) == (
@@ -368,31 +372,33 @@ class TestIterSwfJobs:
         ) == (2, 1)
 
     def test_accepts_line_iterables(self):
-        from_text = list(iter_swf_jobs(SAMPLE))
-        from_lines = list(iter_swf_jobs(iter(SAMPLE.splitlines())))
-        assert from_text == from_lines
+        from_text = _rows(iter_swf_blocks(SAMPLE))
+        from_lines = _rows(iter_swf_blocks(iter(SAMPLE.splitlines())))
+        assert from_text.tolist() == from_lines.tolist()
 
     def test_estimate_floor_applied(self):
         line = "1 0 -1 0.25 4 -1 -1 4 0.5 -1 1 -1 -1 -1 -1 -1 -1 -1"
-        (job,) = iter_swf_jobs(line)
-        assert job.estimate == 1.0
+        (job,) = _rows(iter_swf_blocks(line))
+        assert job[BLOCK_COLUMNS.index("estimate")] == 1.0
 
     def test_short_line_names_lineno(self):
         with pytest.raises(ValueError, match="line 2"):
-            list(iter_swf_jobs("; ok\n1 2 3\n"))
+            list(iter_swf_blocks("; ok\n1 2 3\n"))
 
     def test_non_numeric_names_lineno(self):
         bad = SAMPLE.replace("1 0 5 100", "one 0 5 100", 1)
         with pytest.raises(ValueError, match="non-numeric"):
-            list(iter_swf_jobs(bad))
+            list(iter_swf_blocks(bad))
 
-    def test_counts_final_only_after_exhaustion(self):
+    def test_counts_final_only_after_exhaustion(self, monkeypatch):
+        # four-line blocks: the header and job 1, then jobs 2-4
+        monkeypatch.setattr(swf, "_BLOCK_LINES", 4)
         acc = SwfAccounting()
-        it = iter_swf_jobs(SAMPLE, accounting=acc)
+        it = iter_swf_blocks(SAMPLE, accounting=acc)
         next(it)
         partial = acc.dropped
         list(it)
-        assert acc.dropped >= partial
+        assert partial == 0
         assert acc.dropped == 2  # jobs 3 (runtime -1) and 4 (size 0)
 
 
@@ -405,10 +411,10 @@ class TestSwfStream:
 
     def test_jobs_match_read_swf(self):
         stream = SwfStream(FIXTURE)
-        jobs = list(stream.jobs())
+        jobs = _rows(stream.blocks())
         wl = read_swf(FIXTURE)
         assert len(jobs) == len(wl)
-        np.testing.assert_array_equal([j.submit for j in jobs], wl.submit)
+        np.testing.assert_array_equal(jobs[:, 1], wl.submit)
         assert stream.accounting.dropped == wl.extra["dropped"]
 
     def test_name_falls_back_to_stem(self, tmp_path):
@@ -425,18 +431,18 @@ class TestSwfStream:
                 "2 10 0 50 2 -1 -1 -1 -1 -1 1", "2 10 0 50 2 -1 -1 -1 -1 -1 0"
             )
         )
-        assert len(list(SwfStream(path).jobs())) == 2
-        assert len(list(SwfStream(path, keep_failed=False).jobs())) == 1
+        assert len(_rows(SwfStream(path).blocks())) == 2
+        assert len(_rows(SwfStream(path, keep_failed=False).blocks())) == 1
 
     def test_second_pass_does_not_double_count(self):
         stream = SwfStream(FIXTURE)
-        list(stream.jobs())
+        list(stream.blocks())
         first = (
             stream.accounting.dropped,
             stream.accounting.filtered,
             stream.accounting.yielded,
         )
-        list(stream.jobs())
+        list(stream.blocks())
         assert (
             stream.accounting.dropped,
             stream.accounting.filtered,
