@@ -10,6 +10,33 @@ from repro.sim.job import BLOCK_COLUMNS, Workload, concat_workloads, job_block
 from repro.sim.listsched import simulate_fixed_priority_batch
 
 
+class TestJob:
+    """One job: a row of a job block, checked as it enters a Workload."""
+
+    @staticmethod
+    def _one(submit=0.0, runtime=10.0, size=1, estimate=10.0):
+        mat = job_block([1], [submit], [runtime], [size], [estimate])
+        return Workload.from_block(mat, name="one", nmax=8)
+
+    def test_basic_construction(self):
+        wl = Workload.from_arrays([0.0], [10.0], [4])
+        assert wl.estimate.tolist() == [10.0]  # defaults to runtime
+        assert wl.area == 40.0
+        assert self._one(size=4).area == 40.0
+
+    def test_negative_submit_rejected(self):
+        with pytest.raises(ValueError, match="submit"):
+            self._one(submit=-1.0)
+
+    def test_zero_runtime_rejected(self):
+        with pytest.raises(ValueError, match="runtime"):
+            self._one(runtime=0.0)
+
+    def test_zero_size_rejected(self):
+        with pytest.raises(ValueError, match="size"):
+            self._one(size=0)
+
+
 class TestWorkloadConstruction:
     def test_from_arrays_defaults(self):
         wl = Workload.from_arrays([0, 1], [5, 5], [1, 2])
@@ -22,6 +49,16 @@ class TestWorkloadConstruction:
         np.testing.assert_array_equal(wl.submit, [1.0, 3.0, 5.0])
         # attributes follow their jobs through the sort
         np.testing.assert_array_equal(wl.runtime, [2.0, 3.0, 1.0])
+
+    def test_from_jobs_roundtrip(self):
+        jobs = [(11, 1.0, 4.0, 1, 4.0), (10, 0.0, 3.0, 2, 5.0)]
+        wl = Workload.from_block(job_block(*zip(*jobs)), name="w", nmax=8)
+        back = [
+            (int(j), float(t), float(r), int(n), float(e))
+            for j, t, r, n, e in zip(wl.job_ids, wl.submit, wl.runtime, wl.size, wl.estimate)
+        ]
+        assert back == sorted(jobs, key=lambda job: job[1])
+        assert wl.nmax == 8
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="length mismatch"):
