@@ -24,7 +24,7 @@ __all__ = ["TelemetryIsolation"]
 _READERS = frozenset(
     {
         "value", "counters", "gauges", "timers", "timer_count",
-        "to_dict", "delta", "since", "snapshot",
+        "to_dict", "delta", "snapshot",
     }
 )
 

@@ -2,8 +2,8 @@
 
 :func:`run` is the facade over the whole library: give it any
 :class:`~repro.specs.Spec` (built in Python, from CLI flags, or loaded
-from a TOML/JSON file via :func:`~repro.specs.load_spec` /
-:func:`run_file`) and it dispatches to the matching subsystem:
+from a TOML/JSON file via :func:`~repro.specs.load_spec`) and it
+dispatches to the matching subsystem:
 
 ========== ===================================================== =====================
 spec kind  executed by                                           returns
@@ -49,7 +49,6 @@ from repro.specs import (
     SweepSpec,
     Table4Spec,
     TrainSpec,
-    load_spec,
     simulate_cell_fingerprint,
 )
 from repro.specs.fingerprint import SIMULATE_CELL_FORMAT
@@ -62,7 +61,6 @@ __all__ = [
     "SweepCell",
     "SweepResult",
     "run",
-    "run_file",
 ]
 
 ProgressFn = Callable[[str, int, int], None]
@@ -493,8 +491,8 @@ def run(
     Parameters
     ----------
     spec:
-        Any registered spec.  Use :func:`repro.specs.load_spec` (or
-        :func:`run_file`) for TOML/JSON documents.
+        Any registered spec.  Use :func:`repro.specs.load_spec` for
+        TOML/JSON documents.
     workers:
         Worker-process count (or ``"auto"``) for the parallel phases;
         ``None`` resolves ``$REPRO_WORKERS``, then 1.  Results are
@@ -522,13 +520,3 @@ def run(
         progress=progress,
     )
 
-
-def run_file(
-    path: str | Path,
-    *,
-    workers: int | str | None = None,
-    cache: str | Path | ArtifactCache | None = None,
-    progress: ProgressFn | None = None,
-) -> Any:
-    """Load a spec document and :func:`run` it."""
-    return run(load_spec(path), workers=workers, cache=cache, progress=progress)

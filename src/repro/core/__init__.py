@@ -18,7 +18,6 @@ from repro.core.pipeline import (
 from repro.core.regression import RegressionConfig, fit_all, fit_function, rank_error
 from repro.core.taskgen import TaskSetTuple, generate_tuples, split_tuple
 from repro.core.trials import TrialScoreResult, run_trials
-from repro.core.validation import HoldoutEntry, holdout_report, train_test_split
 
 __all__ = [
     "BASE_FUNCTION_NAMES",
@@ -36,10 +35,7 @@ __all__ = [
     "enumerate_function_space",
     "fit_all",
     "fit_function",
-    "HoldoutEntry",
     "generate_tuples",
-    "holdout_report",
-    "train_test_split",
     "obtain_policies",
     "rank_error",
     "run_trials",

@@ -63,15 +63,6 @@ class ScoreDistribution:
             score=np.concatenate([r.scores for r in results]),
         )
 
-    def merged_with(self, other: "ScoreDistribution") -> "ScoreDistribution":
-        """Concatenate two distributions (e.g. resumed training runs)."""
-        return ScoreDistribution(
-            runtime=np.concatenate([self.runtime, other.runtime]),
-            size=np.concatenate([self.size, other.size]),
-            submit=np.concatenate([self.submit, other.submit]),
-            score=np.concatenate([self.score, other.score]),
-        )
-
     def subsample(self, max_points: int, *, seed: int = 0) -> "ScoreDistribution":
         """Deterministic subsample used to bound regression cost."""
         if max_points >= len(self):

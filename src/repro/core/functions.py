@@ -36,7 +36,6 @@ __all__ = [
     "FunctionSpec",
     "FittedFunction",
     "apply_base",
-    "combine",
     "enumerate_function_space",
 ]
 

@@ -27,8 +27,8 @@ from repro.experiments.paper_data import (
     paper_row,
     paper_row_id,
 )
-from repro.experiments.report import render_comparison, render_statistics, render_table
-from repro.experiments.scale import SCALES, Scale, current_scale, get_scale
+from repro.experiments.report import render_comparison, render_statistics
+from repro.experiments.scale import SCALES, Scale, current_scale
 from repro.experiments.sensitivity import (
     SeedSweepResult,
     ranking_stability,
@@ -66,14 +66,12 @@ __all__ = [
     "fig1_trial_score_distributions",
     "fig2_trial_convergence",
     "fig3_policy_maps",
-    "get_scale",
     "model_stream_for_span",
     "paper_row",
     "paper_row_id",
     "render_comparison",
     "ranking_stability",
     "render_statistics",
-    "render_table",
     "seed_sweep",
     "row_ids",
     "run_row",

@@ -18,7 +18,7 @@ from repro.policies.registry import get_policy
 from repro.sim.engine import simulate
 from repro.sim.job import Workload
 from repro.sim.metrics import DEFAULT_TAU
-from repro.util.stats import BoxplotStats, Summary, ascii_boxplot, boxplot_stats, summarize
+from repro.util.stats import Summary, ascii_boxplot, summarize
 from repro.workloads.lublin import lublin_workload
 from repro.workloads.sequences import extract_sequences
 from repro.workloads.tsafrir import apply_tsafrir
@@ -50,15 +50,6 @@ class DynamicExperimentResult:
     def summaries(self) -> dict[str, Summary]:
         """Median/mean/std per policy (artifact output block)."""
         return {p: summarize(self.samples[p]) for p in self.policy_names}
-
-    def boxstats(self) -> dict[str, BoxplotStats]:
-        """Boxplot statistics per policy — the figures' data."""
-        return {p: boxplot_stats(self.samples[p]) for p in self.policy_names}
-
-    def best_policy(self) -> str:
-        """Policy with the lowest median AVEbsld."""
-        med = self.medians()
-        return min(med, key=med.get)
 
     def ascii_plot(self, *, log10: bool = True) -> str:
         """Terminal rendering of the experiment's boxplot figure."""

@@ -131,10 +131,6 @@ class Fig3Maps:
     y_values: np.ndarray
     maps: dict[str, np.ndarray]  # policy -> (len(y), len(x)) in [0, 1]
 
-    def priority_at(self, policy: str, xi: int, yi: int) -> float:
-        """Normalized score at grid point (xi, yi); lower = runs earlier."""
-        return float(self.maps[policy][yi, xi])
-
 
 def _normalize(grid: np.ndarray) -> np.ndarray:
     lo, hi = float(grid.min()), float(grid.max())

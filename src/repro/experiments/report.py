@@ -11,7 +11,7 @@ from __future__ import annotations
 from repro.experiments.dynamic import DynamicExperimentResult
 from repro.experiments.paper_data import POLICY_COLUMNS
 
-__all__ = ["render_statistics", "render_comparison", "render_table"]
+__all__ = ["render_statistics", "render_comparison"]
 
 
 def _fmt_row(values: dict[str, float], names: tuple[str, ...]) -> str:
@@ -65,28 +65,3 @@ def render_comparison(
     lines = [title or result.name, head, row_m, row_p]
     return "\n".join(lines)
 
-
-def render_table(
-    rows: dict[str, dict[str, float]],
-    columns: tuple[str, ...] = POLICY_COLUMNS,
-    *,
-    title: str = "",
-) -> str:
-    """Render a Table-4-like grid: ``{row_label: {policy: value}}``."""
-    if not rows:
-        raise ValueError("no rows to render")
-    label_w = max(len(label) for label in rows) + 2
-    col_w = 11
-    out = []
-    if title:
-        out.append(title)
-    out.append("".ljust(label_w) + "".join(c.rjust(col_w) for c in columns))
-    for label, values in rows.items():
-        out.append(
-            label.ljust(label_w)
-            + "".join(
-                (f"{values[c]:.2f}" if c in values else "-").rjust(col_w)
-                for c in columns
-            )
-        )
-    return "\n".join(out)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.runtime.config import resolve_scale
 
-__all__ = ["Scale", "SCALES", "current_scale", "get_scale"]
+__all__ = ["Scale", "SCALES", "current_scale"]
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,8 @@ SCALES: dict[str, Scale] = {
         fig2_trial_counts=(128, 256, 512, 1024, 2048, 4096, 8192),
         fig2_repeats=8,
     ),
-    # The paper's configuration (expect many core-hours in pure Python).
+    # The paper's configuration.  On one core with the C kernel,
+    # obtain_policies takes about 1 min and run_rows about 6.5 min.
     "paper": Scale(
         name="paper",
         n_sequences=10,
@@ -108,16 +109,6 @@ SCALES: dict[str, Scale] = {
         fig2_repeats=10,
     ),
 }
-
-
-def get_scale(name: str) -> Scale:
-    """Look up a preset by name."""
-    try:
-        return SCALES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown scale {name!r}; available: {', '.join(SCALES)}"
-        ) from None
 
 
 def current_scale(name: str | None = None) -> Scale:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.experiments.dynamic import run_dynamic_experiment
 from repro.experiments.scale import Scale
 from repro.experiments.table4 import Table4Row, build_row_workload
@@ -42,14 +40,6 @@ class SeedSweepResult:
         for ranking in self.rankings().values():
             counts[ranking[0]] = counts.get(ranking[0], 0) + 1
         return counts
-
-    def median_of_medians(self) -> dict[str, float]:
-        """Per-policy median across the seeds' medians."""
-        policies = next(iter(self.medians.values())).keys()
-        return {
-            p: float(np.median([self.medians[s][p] for s in self.seeds]))
-            for p in policies
-        }
 
 
 def _seed_point(

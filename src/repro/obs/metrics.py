@@ -184,7 +184,7 @@ class MetricsRegistry:
 
             snap = cache.metrics.delta()
             ...  # run something
-            changes = snap.since()          # {"cache.hits": 3, ...}
+            hits = snap.value("cache.hits")  # 3
 
         replacing the historical ``before = (cache.hits, cache.misses)``
         tuple-juggling at each call site.
@@ -194,24 +194,13 @@ class MetricsRegistry:
 
 
 class MetricsDelta:
-    """Counter snapshot; :meth:`since` yields what changed afterwards."""
+    """Counter snapshot; :meth:`value` yields a counter's later increment."""
 
     __slots__ = ("_registry", "_before")
 
     def __init__(self, registry: MetricsRegistry, before: dict[str, float]) -> None:
         self._registry = registry
         self._before = before
-
-    def since(self) -> dict[str, float]:
-        """Non-zero counter increments recorded since the snapshot."""
-        with self._registry._lock:
-            current = dict(self._registry._counters)
-        out = {}
-        for name, value in current.items():
-            d = value - self._before.get(name, 0)
-            if d:
-                out[name] = d
-        return out
 
     def value(self, name: str) -> float:
         """Increment of one counter since the snapshot (0 if unchanged)."""

@@ -1,17 +1,11 @@
 """Scheduling policies: classical, smart ad-hoc and learned (Tables 2–3)."""
 
 from repro.policies.adhoc import UNICEF, WFP3
-from repro.policies.analysis import agreement_matrix, policy_scores, rank_agreement
+from repro.policies.analysis import agreement_matrix, policy_scores
 from repro.policies.base import Policy
 from repro.policies.classic import FCFS, LAF, LPT, SAF, SPT, SmallestSizeFirst
 from repro.policies.learned import F1, F2, F3, F4, NonlinearPolicy, paper_policies
-from repro.policies.registry import (
-    PAPER_COMPARISON_ORDER,
-    available_policies,
-    get_policies,
-    get_policy,
-    register_policy,
-)
+from repro.policies.registry import available_policies, get_policy, register_policy
 
 __all__ = [
     "F1",
@@ -22,7 +16,6 @@ __all__ = [
     "LAF",
     "LPT",
     "NonlinearPolicy",
-    "PAPER_COMPARISON_ORDER",
     "Policy",
     "SAF",
     "SPT",
@@ -32,8 +25,6 @@ __all__ = [
     "agreement_matrix",
     "available_policies",
     "policy_scores",
-    "rank_agreement",
-    "get_policies",
     "get_policy",
     "paper_policies",
     "register_policy",

@@ -21,7 +21,7 @@ import numpy as np
 from repro.policies.base import Policy
 from repro.sim.job import Workload
 
-__all__ = ["policy_scores", "rank_agreement", "agreement_matrix", "kendall_tau"]
+__all__ = ["policy_scores", "agreement_matrix", "kendall_tau"]
 
 
 def _tied_pairs(changes: np.ndarray) -> int:
@@ -113,21 +113,6 @@ def policy_scores(
         now = float(workload.submit[-1]) + 1.0
     proc = workload.estimate if use_estimates else workload.runtime
     return policy.scores(now, workload.submit, proc, workload.size.astype(float))
-
-
-def rank_agreement(
-    a: Policy,
-    b: Policy,
-    workload: Workload,
-    *,
-    now: float | None = None,
-    use_estimates: bool = False,
-) -> float:
-    """Kendall's tau between two policies' queue orderings (1 = same
-    order, -1 = reversed, ~0 = unrelated)."""
-    sa = policy_scores(a, workload, now=now, use_estimates=use_estimates)
-    sb = policy_scores(b, workload, now=now, use_estimates=use_estimates)
-    return kendall_tau(sa, sb)
 
 
 def agreement_matrix(

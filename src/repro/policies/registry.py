@@ -7,32 +7,14 @@ factories; learned policies trained at runtime can be registered too.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 
 from repro.policies.adhoc import UNICEF, WFP3
 from repro.policies.base import Policy
 from repro.policies.classic import FCFS, LAF, LPT, SAF, SPT, SmallestSizeFirst
 from repro.policies.learned import F1, F2, F3, F4
 
-__all__ = [
-    "available_policies",
-    "get_policy",
-    "get_policies",
-    "register_policy",
-    "PAPER_COMPARISON_ORDER",
-]
-
-#: Column order used throughout the paper's tables and figures.
-PAPER_COMPARISON_ORDER: tuple[str, ...] = (
-    "FCFS",
-    "WFP",
-    "UNI",
-    "SPT",
-    "F4",
-    "F3",
-    "F2",
-    "F1",
-)
+__all__ = ["available_policies", "get_policy", "register_policy"]
 
 _REGISTRY: dict[str, Callable[[], Policy]] = {
     "FCFS": FCFS,
@@ -66,11 +48,6 @@ def get_policy(name: str) -> Policy:
         raise KeyError(
             f"unknown policy {name!r}; available: {', '.join(available_policies())}"
         ) from None
-
-
-def get_policies(names: Iterable[str]) -> list[Policy]:
-    """Instantiate several policies preserving order."""
-    return [get_policy(n) for n in names]
 
 
 def register_policy(name: str, factory: Callable[[], Policy]) -> None:

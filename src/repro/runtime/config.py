@@ -65,8 +65,7 @@ def resolve_workers(workers: int | str | None = None) -> int:
 def resolve_scale(scale: str | None = None) -> str:
     """The scale preset name: *scale*, else ``$REPRO_SCALE``, else ``small``.
 
-    Unknown names raise ``KeyError``, like
-    :func:`repro.experiments.scale.get_scale`.
+    Unknown names raise ``KeyError`` naming the available presets.
     """
     from repro.experiments.scale import SCALES  # that module imports this one
 

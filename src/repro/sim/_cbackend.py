@@ -539,9 +539,9 @@ static i64 blocker(const Sim *S, i64 i, i64 sz, double end)
     return -1;
 }
 
-/* Index of AvailabilityProfile.earliest_start's answer.  A start before
- * a blocker has a window at least as long, which reaches the blocker
- * too, so the scan resumes past it. */
+/* Index of AvailabilityProfile._earliest's answer.  A start before a
+ * blocker has a window at least as long, which reaches the blocker too,
+ * so the scan resumes past it. */
 static i64 earliest(const Sim *S, i64 sz, double dur)
 {
     for (i64 i = 0; i < S->pn; i++) {
@@ -646,7 +646,7 @@ static int conservative_pass(Sim *S)
         double endr = t0r + dur;
         ensure_bp(S, endr, i0);
         /* decrement from the exact start breakpoint forward (mirrors
-         * AvailabilityProfile.reserve) */
+         * AvailabilityProfile._reserve_at) */
         for (i64 i = i0; i < S->pn; i++) {
             if (S->p_t[i] >= endr - 1e-12) break;
             S->p_f[i] -= sz;

@@ -108,24 +108,6 @@ class AvailabilityProfile:
             self._times.append(t)
             self._free.append(level)
 
-    def free_at(self, t: float) -> int:
-        """Free cores at time *t* (t >= profile start)."""
-        if t < self._times[0] - 1e-9:
-            raise ValueError("cannot query the past")
-        # linear scan is fine: profiles hold O(running + reserved) points
-        free = self._free[0]
-        for time, level in zip(self._times, self._free):
-            if time > t + 1e-12:
-                break
-            free = level
-        return free
-
-    def earliest_start(self, size: int, duration: float) -> float:
-        """Earliest t with >= *size* cores free during [t, t + duration)."""
-        if size > self.nmax:
-            raise ValueError(f"job of {size} cores never fits in {self.nmax}")
-        return self._times[self._earliest(size, duration)]
-
     def _blocker(self, i: int, size: int, end: float) -> int:
         """First breakpoint after *i*, inside ``[times[i], end)``, with
         fewer than *size* free cores; -1 when the window is clear."""
@@ -138,9 +120,10 @@ class AvailabilityProfile:
         return -1
 
     def _earliest(self, size: int, duration: float) -> int:
-        """Index of :meth:`earliest_start`'s answer.  A start before a
-        blocker has a window at least as long, which reaches the blocker
-        too, so the scan resumes past it."""
+        """Index of the earliest breakpoint from which *size* cores stay
+        free for *duration*.  A start before a blocker has a window at
+        least as long, which reaches the blocker too, so the scan resumes
+        past it."""
         times, free = self._times, self._free
         i = 0
         while i < len(times):
@@ -152,10 +135,6 @@ class AvailabilityProfile:
             i += 1
         # after the last breakpoint the machine is fully free
         return len(times) - 1
-
-    def reserve(self, start: float, duration: float, size: int) -> None:
-        """Subtract *size* cores over [start, start + duration)."""
-        self._reserve_at(self._ensure_breakpoint(start), start + duration, size)
 
     def _reserve_at(self, i: int, end: float, size: int) -> None:
         """Subtract *size* cores from breakpoint *i* up to *end*.

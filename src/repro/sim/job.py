@@ -37,7 +37,6 @@ __all__ = [
     "BLOCK_COLUMNS",
     "Workload",
     "as_sizes",
-    "concat_workloads",
     "job_block",
     "oversize_job_error",
 ]
@@ -275,21 +274,3 @@ class Workload:
             worst = int(np.argmax(self.size))
             raise oversize_job_error(self.job_ids[worst], self.size[worst], nmax)
 
-
-def concat_workloads(parts: Sequence[Workload], *, name: str = "concat") -> Workload:
-    """Concatenate workloads (job ids are re-assigned to stay unique)."""
-    if not parts:
-        raise ValueError("nothing to concatenate")
-    submit = np.concatenate([p.submit for p in parts])
-    runtime = np.concatenate([p.runtime for p in parts])
-    size = np.concatenate([p.size for p in parts])
-    estimate = np.concatenate([p.estimate for p in parts])
-    return Workload(
-        submit=submit,
-        runtime=runtime,
-        size=size,
-        estimate=estimate,
-        job_ids=np.arange(len(submit), dtype=np.int64),
-        name=name,
-        nmax=max(p.nmax for p in parts),
-    )

@@ -22,7 +22,6 @@ __all__ = [
     "waiting_times",
     "utilization",
     "makespan",
-    "per_job_flow",
 ]
 
 #: The paper uses ``tau = 10 s`` to stop tiny jobs from dominating slowdowns.
@@ -93,7 +92,3 @@ def utilization(
         raise ValueError("horizon must be > 0")
     return float(np.sum(runtime * size) / (nmax * horizon))
 
-
-def per_job_flow(submit: np.ndarray, start: np.ndarray, runtime: np.ndarray) -> np.ndarray:
-    """Flow (turnaround) time per job: wait + runtime."""
-    return waiting_times(submit, start) + np.asarray(runtime, dtype=float)

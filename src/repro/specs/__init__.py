@@ -26,7 +26,6 @@ from repro.specs.base import (
     load_spec,
     register_spec,
     spec_class_for,
-    spec_from_dict,
     spec_kinds,
 )
 from repro.specs.evaluate import EvaluateSpec
@@ -60,6 +59,5 @@ __all__ = [
     "simulate_cell_fingerprint",
     "spec_class_for",
     "spec_fingerprint",
-    "spec_from_dict",
     "spec_kinds",
 ]

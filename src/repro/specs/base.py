@@ -9,7 +9,7 @@ string and inherits four capabilities from :class:`Spec`:
   JSON-able mappings, with schema-version checking (documents written by
   a *newer* library are rejected, not misread) and unknown-key errors
   that name both the offending and the valid keys;
-* ``from_file()`` / :func:`load_spec` — the same round-trip from TOML or
+* :func:`load_spec` — the same round-trip from TOML or
   JSON documents on disk (the ``spec`` key names the kind);
 * ``fingerprint()`` — a canonical identity hash over the spec's
   *resolved, result-relevant* fields
@@ -41,7 +41,6 @@ __all__ = [
     "load_spec",
     "register_spec",
     "spec_class_for",
-    "spec_from_dict",
     "spec_kinds",
 ]
 
@@ -160,19 +159,6 @@ class Spec:
             for name, value in fields.items()
         }
 
-    @classmethod
-    def from_file(cls, path: str | Path) -> "Spec":
-        """Load a spec from a TOML or JSON file (see :func:`load_spec`).
-
-        Called on a concrete class, the loaded kind must match.
-        """
-        spec = load_spec(path)
-        if cls is not Spec and not isinstance(spec, cls):
-            raise SpecError(
-                f"{path}: expected a {cls.kind!r} spec, got {spec.kind!r}"
-            )
-        return spec
-
     # ------------------------------------------------------------------
     # identity
     # ------------------------------------------------------------------
@@ -220,11 +206,6 @@ def coerce_field_value(cls: type[Spec], name: str, value: Any) -> Any:
         if f.name == name and isinstance(value, list) and "tuple" in str(f.type):
             return tuple(value)
     return value
-
-
-def spec_from_dict(data: Mapping[str, Any]) -> Spec:
-    """Decode any registered spec kind from a plain mapping."""
-    return Spec.from_dict(data)
 
 
 def load_spec(path: str | Path) -> Spec:

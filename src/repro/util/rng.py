@@ -11,8 +11,6 @@ regardless of how many are created.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
 SeedLike = int | np.random.Generator | np.random.SeedSequence | None
@@ -93,13 +91,3 @@ class RngFactory:
         gen = self.get(name)
         return [int(x) for x in gen.integers(0, 2**62, size=count)]
 
-
-def sample_without_replacement(
-    rng: np.random.Generator, population: Sequence[int], size: int
-) -> np.ndarray:
-    """Thin, validated wrapper over ``Generator.choice(replace=False)``."""
-    if size > len(population):
-        raise ValueError(
-            f"cannot sample {size} items from population of {len(population)}"
-        )
-    return rng.choice(np.asarray(population), size=size, replace=False)

@@ -1,13 +1,8 @@
 """Workload substrates: generative models, SWF I/O, trace stand-ins."""
 
-from repro.workloads.analysis import (
-    WorkloadProfile,
-    compare_profiles,
-    profile_workload,
-)
+from repro.workloads.analysis import WorkloadProfile, profile_workload
 from repro.workloads.lublin import (
     LublinParams,
-    daily_cycle_intensity,
     lublin_workload,
     sample_arrivals,
     sample_runtimes,
@@ -28,14 +23,12 @@ from repro.workloads.tsafrir import (
 __all__ = [
     "LublinParams",
     "WorkloadProfile",
-    "compare_profiles",
     "profile_workload",
     "POPULAR_ESTIMATES",
     "TRACES",
     "TraceSpec",
     "TsafrirParams",
     "apply_tsafrir",
-    "daily_cycle_intensity",
     "extract_sequences",
     "lublin_workload",
     "parse_swf_text",

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.sim.job import Workload
 
-__all__ = ["WorkloadProfile", "profile_workload", "compare_profiles"]
+__all__ = ["WorkloadProfile", "profile_workload"]
 
 
 @dataclass(frozen=True)
@@ -105,25 +105,3 @@ def profile_workload(workload: Workload, nmax: int | None = None) -> WorkloadPro
         estimate_accuracy_p50=float(np.median(runtime / workload.estimate)),
     )
 
-
-def compare_profiles(a: WorkloadProfile, b: WorkloadProfile) -> dict[str, float]:
-    """Relative differences per numeric field (``|a-b| / max(|a|,|b|)``).
-
-    Handy for asserting that a synthetic stand-in stays close to a
-    reference trace: ``max(compare_profiles(p, q).values()) < 0.2``.
-    """
-    out: dict[str, float] = {}
-    for field in (
-        "offered_load",
-        "serial_fraction",
-        "pow2_fraction",
-        "size_p50",
-        "runtime_p50",
-        "mean_interarrival",
-    ):
-        x, y = getattr(a, field), getattr(b, field)
-        if not (np.isfinite(x) and np.isfinite(y)):
-            continue
-        denom = max(abs(x), abs(y), 1e-12)
-        out[field] = abs(x - y) / denom
-    return out

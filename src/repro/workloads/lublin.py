@@ -44,7 +44,6 @@ __all__ = [
     "sample_runtimes",
     "sample_arrivals",
     "two_stage_uniform",
-    "daily_cycle_intensity",
     "scale_to_utilization",
 ]
 
@@ -154,28 +153,6 @@ def sample_runtimes(
     return np.clip(runtime, 1.0, params.runtime_cap)
 
 
-def daily_cycle_intensity(
-    time_of_day_s: np.ndarray | float, params: LublinParams
-) -> np.ndarray | float:
-    """Relative arrival intensity at a given second-of-day (mean ≈ 1).
-
-    Two Gaussian bumps (late morning / afternoon around the peak hour)
-    over a flat base reproduce the working-hours rhythm of the
-    ``lublin99.c`` weight table: intensity at the 1 pm peak is ~3x the
-    night-time trough.
-    """
-    hours = (np.asarray(time_of_day_s, dtype=float) / 3600.0) % 24.0
-    peak1 = params.cycle_peak_hour - 2.5
-    peak2 = params.cycle_peak_hour + 1.5
-    w = params.cycle_base
-    w = w + np.exp(-0.5 * ((hours - peak1) / params.cycle_width_hours) ** 2)
-    w = w + np.exp(-0.5 * ((hours - peak2) / params.cycle_width_hours) ** 2)
-    # Normalize so the mean over a day is ~1 (computed analytically is
-    # messy; a fixed normalisation constant keeps things deterministic).
-    norm = params.cycle_base + 2.0 * params.cycle_width_hours * np.sqrt(2 * np.pi) / 24.0
-    return w / norm
-
-
 def sample_arrivals(
     rng: np.random.Generator,
     count: int,
@@ -196,9 +173,12 @@ def sample_arrivals(
     gaps = np.exp2(rng.gamma(shape=params.aarr, scale=params.barr, size=count))
     if not params.daily_cycle:
         return start_of_day_s + np.cumsum(gaps)
-    # Scalar fast path for the sequential modulation loop (the intensity at
-    # time t feeds back into t, so the loop cannot be fully vectorized; a
-    # pure-math inner loop is ~20x faster than numpy scalar ops here).
+    # The intensity is two Gaussian bumps around the peak hour over a flat
+    # base, normalised to a daily mean of ~1 (the 1 pm peak is ~3x the
+    # night trough, as in lublin99.c's weight table).  Scalar fast path
+    # for the sequential modulation loop (the intensity at time t feeds
+    # back into t, so the loop cannot be fully vectorized; a pure-math
+    # inner loop is ~20x faster than numpy scalar ops here).
     import math
 
     base = params.cycle_base

@@ -58,11 +58,6 @@ class TraceSpec:
     size_quantum: int = 1  # allocation granularity (ANL: 512-core blocks)
     max_request_s: float = 24 * 3600.0  # site wall-clock limit for estimates
 
-    @property
-    def duration_seconds(self) -> float:
-        """Approximate trace duration (months of 30 days)."""
-        return self.duration_months * 30 * 86400.0
-
 
 TRACES: dict[str, TraceSpec] = {
     "curie": TraceSpec(

@@ -121,7 +121,7 @@ class _AvailabilityProfile:
         self._ensure_breakpoint(start)
         self._ensure_breakpoint(end)
         # decrement from the exact start breakpoint forward (mirrors
-        # repro.sim.conservative.AvailabilityProfile.reserve): an epsilon
+        # repro.sim.conservative.AvailabilityProfile._reserve_at): an epsilon
         # lower bound could catch a distinct breakpoint within 1e-12
         # *before* start that earliest_start never vetted
         start_i = None

@@ -14,6 +14,7 @@ from repro.specs import (
     SweepSpec,
     Table4Spec,
     TrainSpec,
+    load_spec,
 )
 
 TINY_TRAIN = dict(n_tuples=2, trials_per_tuple=16, nmax=32, regression_max_points=400)
@@ -104,9 +105,9 @@ class TestRunDispatch:
             f'spec = "evaluate"\ntrace = "{tiny_swf}"\nwindow_jobs = 40\n',
             encoding="utf-8",
         )
-        from_file = api.run_file(path)
+        loaded = api.run(load_spec(path))
         from_flags = api.run(EvaluateSpec(trace=str(tiny_swf), window_jobs=40))
-        assert from_file.cells == from_flags.cells
+        assert loaded.cells == from_flags.cells
 
 
 class TestCaching:

@@ -56,10 +56,6 @@ class TestFromTrials:
 
 
 class TestMergeSubsample:
-    def test_merged(self):
-        d = make_dist(5).merged_with(make_dist(5))
-        assert len(d) == 10
-
     def test_subsample_smaller(self):
         d = make_dist(100).subsample(10)
         assert len(d) == 10

@@ -4,7 +4,8 @@ A docstring (or ``#:`` comment) that names ``:func:`repro.a.b``` keeps
 naming it after ``b`` is renamed or deleted; nothing else notices.  This
 test imports each such target: the longest importable module prefix,
 then attribute by attribute, where a dataclass field without a default
-(no class attribute) counts as present.
+(no class attribute) counts as present.  An ``__all__`` entry goes stale
+the same way, so every module's ``__all__`` names must resolve too.
 """
 
 from __future__ import annotations
@@ -76,3 +77,20 @@ def test_every_reference_resolves():
 )
 def test_resolver(name, ok):
     assert _resolves(name) is ok
+
+
+def _modules_with_all() -> list[str]:
+    """Dotted names of the ``src/repro`` modules that declare ``__all__``."""
+    names = []
+    for path in sorted(SRC.rglob("*.py")):
+        if "__all__" in path.read_text(encoding="utf-8"):
+            parts = path.relative_to(SRC.parent).with_suffix("").parts
+            names.append(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    return names
+
+
+@pytest.mark.parametrize("module", _modules_with_all())
+def test_all_names_resolve(module):
+    mod = importlib.import_module(module)
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ names missing attributes: {missing}"

@@ -61,11 +61,7 @@ class TestRunDynamicExperiment:
 
     def test_summaries_and_boxstats(self, result):
         assert set(result.summaries()) == set(result.policy_names)
-        assert set(result.boxstats()) == set(result.policy_names)
-
-    def test_best_policy(self, result):
-        med = result.medians()
-        assert med[result.best_policy()] == min(med.values())
+        assert set(result.medians()) == set(result.policy_names)
 
     def test_policy_objects_accepted(self, stream):
         res = run_dynamic_experiment(

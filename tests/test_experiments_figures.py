@@ -97,7 +97,7 @@ class TestFig3:
 
     def test_priority_at(self):
         maps = fig3_policy_maps("rn", resolution=8)
-        val = maps.priority_at("F1", 0, 0)
+        val = maps.maps["F1"][0, 0]
         assert 0.0 <= val <= 1.0
 
     def test_bad_pair(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments.dynamic import DynamicExperimentResult
 from repro.experiments.paper_data import paper_row
-from repro.experiments.report import render_comparison, render_statistics, render_table
+from repro.experiments.report import render_comparison, render_statistics
 
 
 @pytest.fixture
@@ -57,23 +57,3 @@ class TestRenderComparison:
         head = text.splitlines()[1]
         assert head.index("FCFS") < head.index("F1")
 
-
-class TestRenderTable:
-    def test_grid(self):
-        rows = {
-            "row_a": {"FCFS": 10.0, "F1": 1.0},
-            "row_b": {"FCFS": 20.0, "F1": 2.0},
-        }
-        text = render_table(rows, columns=("FCFS", "F1"), title="T")
-        lines = text.splitlines()
-        assert lines[0] == "T"
-        assert "10.00" in lines[2]
-        assert "2.00" in lines[3]
-
-    def test_missing_cell_dash(self):
-        text = render_table({"r": {"FCFS": 1.0}}, columns=("FCFS", "F1"))
-        assert "-" in text.splitlines()[-1]
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            render_table({})

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.scale import SCALES, Scale, current_scale, get_scale
+from repro.experiments.scale import SCALES, Scale, current_scale
 
 
 class TestPresets:
@@ -27,7 +27,7 @@ class TestPresets:
 
     def test_get_scale_unknown(self):
         with pytest.raises(KeyError, match="available"):
-            get_scale("galactic")
+            current_scale("galactic")
 
     def test_validation(self):
         with pytest.raises(ValueError):

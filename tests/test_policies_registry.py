@@ -2,14 +2,9 @@
 
 import pytest
 
+from repro.experiments.paper_data import POLICY_COLUMNS
 from repro.policies.base import Policy
-from repro.policies.registry import (
-    PAPER_COMPARISON_ORDER,
-    available_policies,
-    get_policies,
-    get_policy,
-    register_policy,
-)
+from repro.policies.registry import available_policies, get_policy, register_policy
 
 
 class TestGetPolicy:
@@ -35,18 +30,14 @@ class TestGetPolicy:
 
 
 class TestGetPolicies:
-    def test_preserves_order(self):
-        out = get_policies(["SPT", "FCFS"])
-        assert [p.name for p in out] == ["SPT", "FCFS"]
-
     def test_paper_order_resolvable(self):
-        out = get_policies(PAPER_COMPARISON_ORDER)
-        assert [p.name for p in out] == list(PAPER_COMPARISON_ORDER)
+        out = [get_policy(name) for name in POLICY_COLUMNS]
+        assert [p.name for p in out] == list(POLICY_COLUMNS)
 
 
 class TestPaperOrder:
     def test_columns(self):
-        assert PAPER_COMPARISON_ORDER == (
+        assert POLICY_COLUMNS == (
             "FCFS",
             "WFP",
             "UNI",

@@ -15,60 +15,68 @@ from repro.sim.job import Workload
 from conftest import random_workload
 
 
+def _reserve(profile, start, duration, size):
+    """Reserve as the replan pass does: from the breakpoint at *start*."""
+    profile._reserve_at(profile._ensure_breakpoint(start), start + duration, size)
+
+
+def _earliest_start(profile, size, duration):
+    return profile._times[profile._earliest(size, duration)]
+
+
 class TestAvailabilityProfile:
     def test_empty_machine(self):
         p = AvailabilityProfile(0.0, 8, [], [])
-        assert p.free_at(0.0) == 8
-        assert p.earliest_start(8, 100.0) == 0.0
+        assert p._free == [8]
+        assert _earliest_start(p, 8, 100.0) == 0.0
 
     def test_running_job_blocks(self):
-        p = AvailabilityProfile(0.0, 8, [10.0], [6])
-        assert p.free_at(0.0) == 2
-        assert p.free_at(10.0) == 8
-        assert p.earliest_start(4, 5.0) == 10.0
-        assert p.earliest_start(2, 5.0) == 0.0
+        # 6 of 8 cores busy until 10: 4 cores wait, 2 start now
+        assert conservative_starts(0.0, 8, [1], [4], [5.0], [10.0], [6]) == []
+        assert conservative_starts(0.0, 8, [2], [2], [5.0], [10.0], [6]) == [2]
+        assert conservative_starts(
+            0.0, 8, [1, 2], [4, 2], [5.0, 5.0], [10.0], [6]
+        ) == [2]
 
     def test_staircase(self):
+        # 0 cores free now, 4 from 5, 8 from 10: 6 cores fit only at 10
         p = AvailabilityProfile(0.0, 8, [5.0, 10.0], [4, 4])
-        assert p.free_at(0.0) == 0
-        assert p.free_at(5.0) == 4
-        assert p.free_at(10.0) == 8
-        assert p.earliest_start(6, 1.0) == 10.0
-
-    def test_past_query_rejected(self):
-        p = AvailabilityProfile(5.0, 8, [], [])
-        with pytest.raises(ValueError):
-            p.free_at(0.0)
+        assert p._times == [0.0, 5.0, 10.0] and p._free == [0, 4, 8]
+        assert _earliest_start(p, 6, 1.0) == 10.0
+        for now, end, size in ((0.0, [5.0, 10.0], [4, 4]), (5.0, [10.0], [4])):
+            assert conservative_starts(now, 8, [1], [6], [1.0], end, size) == []
+        assert conservative_starts(10.0, 8, [1], [6], [1.0], [], []) == [1]
 
     def test_oversubscribed_running_rejected(self):
         with pytest.raises(ValueError):
             AvailabilityProfile(0.0, 4, [10.0], [8])
 
     def test_reserve_consumes(self):
-        p = AvailabilityProfile(0.0, 8, [], [])
-        p.reserve(0.0, 10.0, 6)
-        assert p.free_at(0.0) == 2
-        assert p.free_at(10.0) == 8
-        assert p.earliest_start(4, 5.0) == 10.0
+        # the head takes 6 of 8 cores over [0, 10): 4 more wait, 2 more fit
+        assert conservative_starts(0.0, 8, [1, 2], [6, 4], [10.0, 5.0], [], []) == [1]
+        assert conservative_starts(
+            0.0, 8, [1, 2, 3], [6, 4, 2], [10.0, 5.0, 5.0], [], []
+        ) == [1, 3]
 
     def test_hole_found_between_reservations(self):
-        p = AvailabilityProfile(0.0, 8, [], [])
-        p.reserve(10.0, 10.0, 8)  # busy [10, 20)
+        # 4 cores run until 10, so the 8-core head reserves [10, 20)
+        queue, size, running = [1, 2], [8, 4], ([10.0], [4])
         # a job of duration <= 10 fits before the reservation
-        assert p.earliest_start(8, 10.0) == 0.0
+        assert conservative_starts(0.0, 8, queue, size, [10.0, 10.0], *running) == [2]
         # longer jobs must wait until after it
-        assert p.earliest_start(8, 11.0) == 20.0
+        assert conservative_starts(0.0, 8, queue, size, [10.0, 11.0], *running) == []
 
     def test_oversized_request(self):
-        p = AvailabilityProfile(0.0, 4, [], [])
-        with pytest.raises(ValueError):
-            p.earliest_start(8, 1.0)
+        """An oversize job never reaches the profile: the engine refuses it."""
+        wl = Workload.from_arrays([0.0], [1.0], [8])
+        with pytest.raises(ValueError, match="needs 8 cores but the machine has only 4"):
+            simulate(wl, FCFS(), 4, backfill="conservative")
 
     def test_overlapping_reservation_guard(self):
         p = AvailabilityProfile(0.0, 4, [], [])
-        p.reserve(0.0, 10.0, 4)
+        _reserve(p, 0.0, 10.0, 4)
         with pytest.raises(RuntimeError):
-            p.reserve(5.0, 2.0, 1)
+            _reserve(p, 5.0, 2.0, 1)
 
 
 class TestConservativeStarts:
@@ -185,9 +193,11 @@ class TestOverrunningJobs:
         assert check_schedule(result, FCFS()) == []
 
     def test_overdue_cores_free_just_after_now(self):
-        p = AvailabilityProfile(60.0, 4, [50.0, 70.0], [2, 1])
-        assert p.earliest_start(1, 5.0) == 60.0
-        assert p.earliest_start(2, 5.0) == np.nextafter(60.0, np.inf)
+        running = ([50.0, 70.0], [2, 1])
+        assert conservative_starts(60.0, 4, [1], [1], [5.0], *running) == [1]
+        assert conservative_starts(60.0, 4, [2], [2], [5.0], *running) == []
+        p = AvailabilityProfile(60.0, 4, *running)
+        assert _earliest_start(p, 2, 5.0) == np.nextafter(60.0, np.inf)
 
     @pytest.mark.parametrize("mode", ["conservative", "hybrid"])
     def test_random_overruns(self, monkeypatch, mode):
@@ -247,8 +257,8 @@ class TestBreakpointMerge:
 
     def test_profile_merges_the_end(self):
         p = AvailabilityProfile(0.0, 4, [], [])
-        p.reserve(0.0, 1.0, 1)
-        p.reserve(0.0, self.END, 1)
+        _reserve(p, 0.0, 1.0, 1)
+        _reserve(p, 0.0, self.END, 1)
         assert p._times == [0.0, 1.0] and p._free == [2, 4]
 
 

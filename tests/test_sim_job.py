@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.eval.windows import stream_windows
-from repro.sim.job import BLOCK_COLUMNS, Workload, concat_workloads, job_block
+from repro.sim.job import BLOCK_COLUMNS, Workload, job_block
 from repro.sim.listsched import simulate_fixed_priority_batch
 
 
@@ -183,20 +183,6 @@ class TestWorkloadDerived:
     def test_with_name(self):
         wl = Workload.from_arrays([0.0], [1.0], [1]).with_name("renamed")
         assert wl.name == "renamed"
-
-
-class TestConcat:
-    def test_concat(self):
-        a = Workload.from_arrays([0.0], [1.0], [1], nmax=4)
-        b = Workload.from_arrays([5.0], [2.0], [2], nmax=8)
-        c = concat_workloads([a, b])
-        assert len(c) == 2
-        assert c.nmax == 8
-        assert len(set(c.job_ids.tolist())) == 2
-
-    def test_concat_empty_list_raises(self):
-        with pytest.raises(ValueError):
-            concat_workloads([])
 
 
 class TestJobBlocks:

@@ -486,9 +486,10 @@ class TestProfileDustRegression:
 
     Two running jobs can end at floats closer than the profile's 1e-12
     equality tolerance (here 70.07 and 70.07000000000001).  Two bugs
-    lurked behind that: reserve()'s epsilon lower bound decremented the
-    near-duplicate breakpoint *before* the reserved start (one
-    earliest_start never vetted — spurious "oversubscribes the profile"),
+    lurked behind that: the reservation's epsilon lower bound decremented
+    the near-duplicate breakpoint *before* the reserved start (one the
+    earliest-start scan never vetted — spurious "oversubscribes the
+    profile"),
     and the starts-now test `t <= now + 1e-9` started jobs whose slot sat
     behind a release event that had not happened yet.  This workload used
     to crash every implementation; now all three must agree byte-for-byte.

@@ -9,7 +9,6 @@ from repro.sim.metrics import (
     average_bounded_slowdown,
     bounded_slowdown,
     makespan,
-    per_job_flow,
     utilization,
     waiting_times,
 )
@@ -115,7 +114,3 @@ class TestMakespanUtilization:
     def test_bad_horizon(self):
         with pytest.raises(ValueError):
             utilization(np.array([0.0]), np.array([1.0]), np.array([1]), 1, horizon=0.0)
-
-    def test_per_job_flow(self):
-        flow = per_job_flow(np.array([0.0]), np.array([5.0]), np.array([10.0]))
-        assert flow[0] == 15.0

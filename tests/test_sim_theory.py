@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.policies.classic import FCFS, LPT, SPT
 from repro.sim.engine import simulate
 from repro.sim.job import Workload
-from repro.sim.metrics import per_job_flow
+from repro.sim.metrics import waiting_times
 
 runtimes_strategy = st.lists(
     st.floats(min_value=0.5, max_value=100.0), min_size=2, max_size=12
@@ -30,6 +30,11 @@ def single_core_batch(runtimes):
     )
 
 
+def flows(wl, result):
+    """Flow (turnaround) time per job: wait + runtime."""
+    return waiting_times(wl.submit, result.start) + wl.runtime
+
+
 class TestSptOptimality:
     """1 | r_j = 0 | sum C_j : SPT minimises total completion time."""
 
@@ -39,8 +44,8 @@ class TestSptOptimality:
         wl = single_core_batch(runtimes)
         spt = simulate(wl, SPT(), 1)
         fcfs = simulate(wl, FCFS(), 1)
-        flow_spt = per_job_flow(wl.submit, spt.start, wl.runtime).mean()
-        flow_fcfs = per_job_flow(wl.submit, fcfs.start, wl.runtime).mean()
+        flow_spt = flows(wl, spt).mean()
+        flow_fcfs = flows(wl, fcfs).mean()
         assert flow_spt <= flow_fcfs + 1e-9
 
     @settings(max_examples=60, deadline=None)
@@ -49,16 +54,15 @@ class TestSptOptimality:
         wl = single_core_batch(runtimes)
         spt = simulate(wl, SPT(), 1)
         lpt = simulate(wl, LPT(), 1)
-        flow_spt = per_job_flow(wl.submit, spt.start, wl.runtime).mean()
-        flow_lpt = per_job_flow(wl.submit, lpt.start, wl.runtime).mean()
+        flow_spt = flows(wl, spt).mean()
+        flow_lpt = flows(wl, lpt).mean()
         assert flow_spt <= flow_lpt + 1e-9
 
     def test_exact_smith_value(self):
         """Closed-form check: runtimes 1,2,3 under SPT give flows 1,3,6."""
         wl = single_core_batch([3.0, 1.0, 2.0])
         result = simulate(wl, SPT(), 1)
-        flows = per_job_flow(wl.submit, result.start, wl.runtime)
-        assert sorted(flows.tolist()) == [1.0, 3.0, 6.0]
+        assert sorted(flows(wl, result).tolist()) == [1.0, 3.0, 6.0]
 
 
 class TestMakespanInvariance:

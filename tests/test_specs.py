@@ -16,7 +16,6 @@ from repro.specs import (
     Table4Spec,
     TrainSpec,
     load_spec,
-    spec_from_dict,
     spec_kinds,
 )
 
@@ -35,7 +34,7 @@ ALL_SPECS = [
 class TestRoundTrips:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
     def test_dict_round_trip(self, spec):
-        clone = spec_from_dict(spec.to_dict())
+        clone = Spec.from_dict(spec.to_dict())
         assert clone == spec
         assert clone.fingerprint() == spec.fingerprint()
 
@@ -104,26 +103,26 @@ class TestRoundTrips:
 class TestValidation:
     def test_unknown_key_rejected_with_names(self):
         with pytest.raises(SpecError, match=r"'n_tuple'") as err:
-            spec_from_dict({"spec": "train", "n_tuple": 4})
+            Spec.from_dict({"spec": "train", "n_tuple": 4})
         assert "n_tuples" in str(err.value)  # valid keys are listed
 
     def test_future_schema_version_rejected(self):
         with pytest.raises(SpecError, match="newer"):
-            spec_from_dict(
+            Spec.from_dict(
                 {"spec": "train", "schema_version": SPEC_SCHEMA_VERSION + 1}
             )
 
     def test_non_integer_schema_version_rejected(self):
         with pytest.raises(SpecError, match="schema_version"):
-            spec_from_dict({"spec": "train", "schema_version": "2"})
+            Spec.from_dict({"spec": "train", "schema_version": "2"})
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(SpecError, match="unknown spec kind"):
-            spec_from_dict({"spec": "banana"})
+            Spec.from_dict({"spec": "banana"})
 
     def test_missing_kind_rejected(self):
         with pytest.raises(SpecError, match="'spec' key"):
-            spec_from_dict({"seed": 1})
+            Spec.from_dict({"seed": 1})
 
     def test_kind_mismatch_on_concrete_class(self):
         with pytest.raises(SpecError, match="expected"):
@@ -188,9 +187,9 @@ class TestCanonicalisation:
 
 class TestFingerprints:
     def test_scale_preset_resolves_to_explicit_numbers(self):
-        from repro.experiments.scale import get_scale
+        from repro.experiments.scale import SCALES
 
-        smoke = get_scale("smoke")
+        smoke = SCALES["smoke"]
         named = TrainSpec(scale="smoke")
         explicit = TrainSpec(
             n_tuples=smoke.n_tuples,
@@ -220,7 +219,7 @@ class TestFingerprints:
         doc = EvaluateSpec(window_jobs=50).to_dict()
         assert "stream" not in doc
         with pytest.raises(SpecError, match="unknown key.*'stream'"):
-            spec_from_dict({**doc, "stream": True})
+            Spec.from_dict({**doc, "stream": True})
 
     def test_result_relevant_fields_do_fork_identity(self):
         a = EvaluateSpec(window_jobs=50)

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import (
-    RngFactory,
-    as_generator,
-    sample_without_replacement,
-    spawn_generators,
-)
+from repro.util.rng import RngFactory, as_generator, spawn_generators
 
 
 class TestAsGenerator:
@@ -99,12 +94,3 @@ class TestRngFactory:
         b = RngFactory(2).get("n").random(3)
         assert not np.allclose(a, b)
 
-
-class TestSampleWithoutReplacement:
-    def test_unique(self, rng):
-        out = sample_without_replacement(rng, list(range(20)), 10)
-        assert len(set(out.tolist())) == 10
-
-    def test_too_large_raises(self, rng):
-        with pytest.raises(ValueError):
-            sample_without_replacement(rng, [1, 2], 3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.sim.job import Workload
-from repro.workloads.analysis import compare_profiles, profile_workload
+from repro.workloads.analysis import profile_workload
 from repro.workloads.lublin import LublinParams, lublin_workload
 from repro.workloads.traces import TRACES, synthetic_trace
 from repro.workloads.tsafrir import apply_tsafrir
@@ -13,6 +13,12 @@ from repro.workloads.tsafrir import apply_tsafrir
 @pytest.fixture(scope="module")
 def lublin_profile():
     return profile_workload(lublin_workload(20000, nmax=256, seed=1))
+
+
+def _relative_difference(a, b, field):
+    """``|a-b| / max(|a|, |b|)`` of one profile field."""
+    x, y = getattr(a, field), getattr(b, field)
+    return abs(x - y) / max(abs(x), abs(y), 1e-12)
 
 
 class TestProfileWorkload:
@@ -77,26 +83,14 @@ class TestTraceProfiles:
     def test_traces_distinguishable_by_profile(self):
         a = profile_workload(synthetic_trace("anl_intrepid", seed=0, n_jobs=2000))
         b = profile_workload(synthetic_trace("ctc_sp2", seed=0, n_jobs=2000))
-        diffs = compare_profiles(a, b)
-        assert diffs["size_p50"] > 0.5  # wildly different machines
+        assert _relative_difference(a, b, "size_p50") > 0.5  # wildly different machines
 
 
 class TestCompareProfiles:
-    def test_identical_is_zero(self, lublin_profile):
-        diffs = compare_profiles(lublin_profile, lublin_profile)
-        assert all(v == 0.0 for v in diffs.values())
-
     def test_same_model_same_seed_family_close(self):
         params = LublinParams(nmax=256)
         a = profile_workload(lublin_workload(15000, 256, seed=1, params=params))
         b = profile_workload(lublin_workload(15000, 256, seed=2, params=params))
-        diffs = compare_profiles(a, b)
         # two draws of one model agree on the headline shape numbers
-        assert diffs["serial_fraction"] < 0.1
-        assert diffs["pow2_fraction"] < 0.1
-
-    def test_skips_nan_fields(self):
-        wl = Workload.from_arrays([0.0, 1.0], [10.0, 10.0], [1, 1], nmax=4)
-        p = profile_workload(wl)  # pow2 is nan
-        diffs = compare_profiles(p, p)
-        assert "pow2_fraction" not in diffs
+        assert _relative_difference(a, b, "serial_fraction") < 0.1
+        assert _relative_difference(a, b, "pow2_fraction") < 0.1

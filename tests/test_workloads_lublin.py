@@ -5,7 +5,6 @@ import pytest
 
 from repro.workloads.lublin import (
     LublinParams,
-    daily_cycle_intensity,
     lublin_workload,
     sample_arrivals,
     sample_runtimes,
@@ -149,25 +148,6 @@ class TestArrivals:
 
     def test_empty(self, rng):
         assert len(sample_arrivals(rng, 0, LublinParams())) == 0
-
-
-class TestDailyCycleIntensity:
-    def test_peak_above_trough(self):
-        p = LublinParams()
-        peak = daily_cycle_intensity(13 * 3600.0, p)
-        trough = daily_cycle_intensity(4 * 3600.0, p)
-        assert peak / trough > 2.0
-
-    def test_wraps_at_midnight(self):
-        p = LublinParams()
-        assert daily_cycle_intensity(0.0, p) == pytest.approx(
-            daily_cycle_intensity(24 * 3600.0, p)
-        )
-
-    def test_mean_near_one(self):
-        p = LublinParams()
-        hours = np.linspace(0, 24 * 3600, 2000)
-        assert 0.7 < float(np.mean(daily_cycle_intensity(hours, p))) < 1.3
 
 
 class TestLublinWorkload:
