@@ -22,10 +22,7 @@ __all__ = ["TelemetryIsolation"]
 
 #: Methods that read values out of a MetricsRegistry / MetricsDelta.
 _READERS = frozenset(
-    {
-        "value", "counters", "gauges", "timers", "timer_count",
-        "to_dict", "delta", "snapshot",
-    }
+    {"value", "gauge", "timer_seconds", "timer_count", "to_dict", "delta"}
 )
 
 #: Variable spellings that denote a metrics registry at the call site.

@@ -1,13 +1,13 @@
 """REP008 — cross-process picklability at executor submission sites.
 
-Everything handed to the worker pool crosses a process boundary: the
-pool pickles the chunk function and its arguments onto a queue.
+Everything handed to the worker processes crosses a process boundary:
+the runner pickles the mapped function and its item onto a queue.
 Lambdas and functions defined inside another function cannot be
 pickled at all — and the failure surfaces only on the first
 parallel run, far from the edit that introduced it (``workers=1``
 short-circuits in-process, so the serial tests pass).  This rule flags
 lambdas and locally defined functions passed at the known submission
-sites (``ChunkCall(...)``, ``.submit(...)`` and ``.map(...)``).
+sites (``.submit(...)`` and ``.map(...)``).
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from repro.analysis.base import ModuleContext, Rule
 
 __all__ = ["CrossProcessPicklability"]
 
-#: Constructor / free-function submission sites.
-_SUBMIT_NAMES = frozenset({"ChunkCall"})
 #: Method submission sites (executor pools, TrialRunner.map).
 _SUBMIT_METHODS = frozenset({"submit", "map"})
 
@@ -62,8 +60,6 @@ class CrossProcessPicklability(Rule):
 
     def _is_submission(self, node: ast.Call) -> str | None:
         func = node.func
-        if isinstance(func, ast.Name) and func.id in _SUBMIT_NAMES:
-            return func.id
         if isinstance(func, ast.Attribute) and func.attr in _SUBMIT_METHODS:
             return f".{func.attr}"
         return None

@@ -39,7 +39,7 @@ from repro.policies.registry import get_policy
 from repro.runtime.cache import ArtifactCache, coerce_cache
 from repro.runtime.config import resolve_workers
 from repro.sim.engine import simulate
-from repro.sim.job import Workload
+from repro.sim.job import Workload, unknown_machine_size_error
 from repro.sim.platform import platform_identity, topology_label
 from repro.specs import (
     EvaluateSpec,
@@ -266,12 +266,7 @@ def _swf_nmax_or_raise(spec_nmax: int | None, wl: Workload, path: str) -> int:
     """
     nmax = spec_nmax or wl.nmax
     if nmax < 1:
-        raise ValueError(
-            f"machine size unknown: the SWF header of {path} has no"
-            " MaxProcs (or MaxNodes) line to default to — pass --nmax"
-            " (SimulateSpec.nmax / EvaluateSpec.nmax) to set the machine"
-            " size explicitly"
-        )
+        raise unknown_machine_size_error(path)
     return nmax
 
 

@@ -50,7 +50,7 @@ from repro.runtime import ArtifactCache, TrialRunner, coerce_cache
 from repro.runtime.progress import ProgressCallback
 from repro.sim.engine import normalize_backfill, simulate
 from repro.specs.fingerprint import eval_cell_fingerprint
-from repro.sim.job import Workload
+from repro.sim.job import Workload, unknown_machine_size_error
 from repro.sim.metrics import DEFAULT_TAU
 from repro.util.rng import RngFactory
 from repro.util.stats import BootstrapCI, Summary, bootstrap_mean_ci, summarize
@@ -399,11 +399,7 @@ _WINDOW_SUFFIX = re.compile(r"\[w\d+\]$")
 def _resolve_nmax(config: MatrixConfig, workload_nmax: int) -> int:
     nmax = config.nmax or workload_nmax
     if nmax < 1:
-        raise ValueError(
-            "machine size unknown: the trace's SWF header has no MaxProcs"
-            " (or MaxNodes) line to default to — pass --nmax (MatrixConfig"
-            ".nmax / EvaluateSpec.nmax) to set the machine size explicitly"
-        )
+        raise unknown_machine_size_error()
     if config.topology is not None:
         # Fail fast (before any cell dispatches) if nmax does not divide
         # over the leaves; the constructed platform is discarded.

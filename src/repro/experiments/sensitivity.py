@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from repro.experiments.dynamic import run_dynamic_experiment
 from repro.experiments.scale import Scale
-from repro.experiments.table4 import Table4Row, build_row_workload
+from repro.experiments.table4 import Table4Row, build_row_workload, run_row
 from repro.runtime import TrialRunner
 
 __all__ = ["SeedSweepResult", "seed_sweep", "tau_sweep", "ranking_stability"]
@@ -47,18 +47,7 @@ def _seed_point(
 ) -> tuple[int, dict[str, float]]:
     """Picklable one-seed task dispatched by :func:`seed_sweep`."""
     row, scale, seed, policies = spec
-    workload, nmax = build_row_workload(row, scale, seed=seed)
-    result = run_dynamic_experiment(
-        workload,
-        policies,
-        nmax,
-        name=f"{row.row_id}@seed{seed}",
-        use_estimates=row.use_estimates,
-        backfill=row.backfill,
-        n_sequences=scale.n_sequences,
-        days=scale.days,
-    )
-    return seed, result.medians()
+    return seed, run_row(row, scale, seed=seed, policies=policies).medians()
 
 
 def seed_sweep(

@@ -7,10 +7,9 @@ All of it is embarrassingly parallel, and all of it funnels through this
 package:
 
 * :class:`TrialRunner` — its one fan-out, :meth:`TrialRunner.map`,
-  turns a work-list into one picklable pure call per item, runs them
-  on its persistent work-stealing
-  :class:`~repro.runtime.pool.WorkerPool`, and reassembles results by
-  item index.  ``workers`` is a count or
+  runs one picklable pure call per item on the runner's persistent
+  work-stealing worker processes and reassembles results by item
+  index.  ``workers`` is a count or
   ``"auto"``; an unset count resolves through
   :mod:`repro.runtime.config`, where every ``REPRO_*`` run knob is
   read.  ``workers=1`` is a plain in-process loop.  Serial and
@@ -28,15 +27,12 @@ package:
 from repro.runtime.cache import ArtifactCache, coerce_cache, config_fingerprint
 from repro.runtime.config import resolve_scale, resolve_sim_kernel, resolve_workers
 from repro.runtime.executor import TrialRunner
-from repro.runtime.pool import ChunkCall, WorkerPool
 from repro.runtime.progress import ProgressAggregator
 
 __all__ = [
     "ArtifactCache",
-    "ChunkCall",
     "ProgressAggregator",
     "TrialRunner",
-    "WorkerPool",
     "coerce_cache",
     "config_fingerprint",
     "resolve_scale",

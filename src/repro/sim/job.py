@@ -39,6 +39,7 @@ __all__ = [
     "as_sizes",
     "job_block",
     "oversize_job_error",
+    "unknown_machine_size_error",
 ]
 
 #: Columns of a *job block*: the ``(k, 5)`` float64 array of ``k`` jobs
@@ -56,6 +57,19 @@ def oversize_job_error(job_id, size, nmax: int) -> ValueError:
     """The error for job *job_id*, of *size* cores, on an *nmax*-core machine."""
     return ValueError(
         f"job {int(job_id)} needs {int(size)} cores but the machine has only {nmax}"
+    )
+
+
+def unknown_machine_size_error(path=None) -> ValueError:
+    """The error for a replay whose SWF header gives no machine size.
+
+    *path* names the trace file when the caller knows it.
+    """
+    header = "the trace's SWF header" if path is None else f"the SWF header of {path}"
+    return ValueError(
+        f"machine size unknown: {header} has no MaxProcs (or MaxNodes) line"
+        " to default to — pass --nmax (SimulateSpec.nmax, EvaluateSpec.nmax"
+        " or MatrixConfig.nmax) to set the machine size explicitly"
     )
 
 

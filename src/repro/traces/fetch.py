@@ -32,8 +32,6 @@ from __future__ import annotations
 import gzip
 import hashlib
 import os
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -193,6 +191,11 @@ def fetch_trace(
                 n_bytes=verified.stat().st_size,
                 was_cached=True,
             )
+
+    # Imported here, not at module scope: urllib.request pulls in
+    # http.client and ssl, which every `import repro` would then pay for.
+    import urllib.error
+    import urllib.request
 
     tmp = dest.with_name(dest.name + f".tmp{os.getpid()}")
     digest = hashlib.sha256()

@@ -21,3 +21,21 @@ def test_import_repro_loads_no_scipy():
         env={**os.environ, "PYTHONPATH": str(SRC)},
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_import_repro_loads_no_network_stack():
+    """Only a trace download needs urllib.request (and with it http.client
+    and ssl); importing the library must not pay for them."""
+    code = (
+        "import sys, repro; "
+        "print(sorted(m for m in ('urllib.request', 'http.client', 'ssl')"
+        " if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert out.stdout.strip() == "[]"

@@ -37,7 +37,7 @@ from repro.core.pipeline import (
 from repro.core.taskgen import generate_tuples
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.runtime import ArtifactCache, TrialRunner
-from repro.runtime.pool import shippable_error
+from repro.runtime.executor import shippable_error
 
 #: Generous bound on "at once": a pool spawn plus three tiny calls.
 FAIL_FAST_SECONDS = 5.0
@@ -100,8 +100,8 @@ _ORPHAN_PARENT = """
 import time
 from repro.runtime import TrialRunner
 runner = TrialRunner(2)
-runner.pool._ensure_started()
-print(*(p.pid for p in runner.pool._workers), flush=True)
+runner._ensure_started()
+print(*(p.pid for p in runner._workers), flush=True)
 runner.map(time.sleep, [0.2] * 200)
 """
 
@@ -140,16 +140,16 @@ def test_workers_of_a_killed_parent_exit():
 #: worker sleeps 1 s first, so it first runs with the parent gone.
 _LATE_WORKER_PARENT = """
 import time
-import repro.runtime.pool as pool
-real = pool._worker_main
+import repro.runtime.executor as executor
+real = executor._worker_main
 def late(*args):
     time.sleep(1.0)
     real(*args)
-pool._worker_main = late
+executor._worker_main = late
 from repro.runtime import TrialRunner
 runner = TrialRunner(2)
-runner.pool._ensure_started()
-print(*(p.pid for p in runner.pool._workers), flush=True)
+runner._ensure_started()
+print(*(p.pid for p in runner._workers), flush=True)
 runner.map(time.sleep, [0.2] * 200)
 """
 
@@ -186,8 +186,8 @@ _BUSY_PARENT = """
 import time
 from repro.runtime import TrialRunner
 runner = TrialRunner(2)
-runner.pool._ensure_started()
-print(*(p.pid for p in runner.pool._workers), flush=True)
+runner._ensure_started()
+print(*(p.pid for p in runner._workers), flush=True)
 runner.map(time.sleep, [60.0, 60.0])
 """
 

@@ -4,13 +4,15 @@ The runtime's headline contract — results are **bit-identical** for any
 worker count — is asserted here the same way
 ``tests/test_sim_kernel_parity.py`` pins the simulation kernel: seeded
 random inputs, exhaustive small sweeps, and ``tobytes()`` comparisons
-rather than approximate ones.  Two work kinds are swept through the one
-fan-out, :meth:`~repro.runtime.TrialRunner.map`:
+rather than approximate ones.  Three work kinds are swept through the
+one fan-out, :meth:`~repro.runtime.TrialRunner.map`:
 
 * **training trials** (``build_distribution``) — the paper's §3
   pipeline, seeded per tuple index;
 * **evaluation matrices** (``run_matrix``) — pure cells reassembled by
-  index, including the streamed path.
+  index, including the streamed path;
+* **experiment rows** (``run_rows``, ``seed_sweep``) — Table 4 rows and
+  seed-sweep points under a dynamic policy.
 
 Alongside results, the *telemetry merge* contract rides the same sweep:
 worker registries merge additively into the parent, so every counter a
@@ -25,6 +27,9 @@ import pytest
 from repro.core.pipeline import PipelineConfig, build_distribution
 from repro.eval.matrix import MatrixConfig, run_matrix
 from repro.eval.windows import stream_windows
+from repro.experiments.scale import SCALES
+from repro.experiments.sensitivity import seed_sweep
+from repro.experiments.table4 import resolve_rows, run_rows
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.workloads.traces import synthetic_trace
 
@@ -123,6 +128,38 @@ class TestMatrixParity:
         )
         result = run_matrix(windows, config, workers=2)
         assert _matrix_bytes(result) == reference
+
+
+class TestExperimentParity:
+    """One backfill row, one dynamic-policy column (WFP3)."""
+
+    ROWS = ("model_256_actual", "model_256_backfill")
+    POLICIES = ("FCFS", "WFP3")
+
+    def test_rows_bit_identical(self):
+        def run(workers):
+            results = run_rows(
+                self.ROWS, SCALES["smoke"], policies=self.POLICIES, workers=workers
+            )
+            return [
+                (p, r.samples[p].tobytes()) for r in results for p in r.policy_names
+            ]
+
+        assert run(2) == run(1)
+
+    def test_seed_sweep_bit_identical(self):
+        (row,) = resolve_rows([self.ROWS[1]])
+
+        def run(workers):
+            sweep = seed_sweep(
+                row, SCALES["smoke"], [0, 1], policies=self.POLICIES, workers=workers
+            )
+            return {
+                seed: {p: np.float64(m).tobytes() for p, m in medians.items()}
+                for seed, medians in sweep.medians.items()
+            }
+
+        assert run(2) == run(1)
 
 
 class TestTelemetryMerge:

@@ -155,7 +155,7 @@ class TestTrialRunnerMap:
     def test_unfilled_slot_raises(self, monkeypatch):
         runner = TrialRunner(2)
         monkeypatch.setattr(
-            type(runner.pool), "run", lambda self, calls, agg: iter([(0, "x")])
+            type(runner), "_fan_out", lambda self, fn, items: iter([(0, "x")])
         )
         with pytest.raises(RuntimeError, match=r"no result for items \[1, 2\]"):
             runner.map(abs, [1, 2, 3])
