@@ -19,15 +19,20 @@ denominator is identical in expectation for all tasks, scores sum exactly
 to 1, and the variance at a given trial budget drops — Figure 2's
 convergence study is reproduced on this estimator.
 
-The permutation matrix goes to :func:`repro.sim.listsched.simulate_trials`
-in chunks, which returns each trial's ``AVEbsld`` (Eq. 1/2) directly: the
-warm-up set S is scheduled once per chunk and only the probe set's part
-runs per trial, and not even that when the chunk's first trial shows
-that the probe order cannot change a start.  The result is bit-identical
-to simulating every trial's priority vector and reducing the starts in
-numpy, which ``tests/oracle_trials.py`` still does.  With the C kernel
-the matrix itself is drawn in C from the generator's own bit stream,
-the same draws ``Generator.permuted`` makes.
+The permutations are drawn one chunk of whole blocks at a time, and each
+chunk goes to :func:`repro.sim.listsched.simulate_trials` before the next
+is drawn, so a tuple holds one chunk of permutations (not its whole
+trial budget) and keeps only the per-trial ``AVEbsld`` needed for Eq. 3's
+denominator.  The generator makes the same draws in the same row order
+as one whole-matrix draw would, so the chunking changes no bit.
+``simulate_trials`` returns each trial's ``AVEbsld`` (Eq. 1/2) directly:
+the warm-up set S is scheduled once per chunk and only the probe set's
+part runs per trial, and not even that when the chunk's first trial
+shows that the probe order cannot change a start.  The result is
+bit-identical to simulating every trial's priority vector and reducing
+the starts in numpy, which ``tests/oracle_trials.py`` still does.  With
+the C kernel the permutations themselves are drawn in C from the
+generator's own bit stream, the same draws ``Generator.permuted`` makes.
 """
 
 from __future__ import annotations
@@ -46,18 +51,19 @@ from repro.sim.metrics import DEFAULT_TAU
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_positive_int
 
-#: Trials per :func:`~repro.sim.listsched.simulate_trials` call.  Bounds
-#: the per-chunk priority/start matrices of the numpy fallback (CHUNK x
-#: |S|+|Q| float64); results are chunk-size independent because trials
-#: are mutually independent.
-_TRIAL_CHUNK = 16384
+#: Upper bound on the trials drawn and simulated at once; a chunk is the
+#: largest multiple of |Q| within it (at least one block).  Bounds the
+#: permutation chunk (CHUNK x |Q| int64) and the numpy fallback's
+#: priority/start matrices (CHUNK x |S|+|Q| float64); results are
+#: chunk-size independent because trials are mutually independent.
+_TRIAL_CHUNK = 1024
 
 __all__ = ["TrialScoreResult", "balanced_trial_count", "run_trials"]
 
 
 @dataclass(frozen=True)
 class TrialScoreResult:
-    """Scores of one tuple's probe set plus per-trial raw material.
+    """Scores of one tuple's probe set.
 
     Attributes
     ----------
@@ -66,23 +72,17 @@ class TrialScoreResult:
         training observations).
     scores:
         Eq. 3 score per probe task (sums to 1 for balanced trials).
-    first_task:
-        Index into Q of the permutation head, per trial.
-    trial_avebsld:
-        ``AVEbsld`` of each trial.
+    n_trials:
+        Number of trials behind the scores, after balanced-block
+        rounding: every permutation counts, including the trials a
+        chunk answered from its first trial (``listsched.trials_shared``).
     """
 
     runtime: np.ndarray
     size: np.ndarray
     submit: np.ndarray
     scores: np.ndarray
-    first_task: np.ndarray
-    trial_avebsld: np.ndarray
-
-    @property
-    def n_trials(self) -> int:
-        """Number of simulated permutations."""
-        return len(self.trial_avebsld)
+    n_trials: int
 
     def observations(self) -> np.ndarray:
         """The (r, n, s, score) rows this tuple contributes to training."""
@@ -212,21 +212,25 @@ def run_trials(
         total = n_blocks * m_q
     else:
         total = n_trials
-    P = _draw_permutations(rng, m_q, total, balanced=balanced)
 
-    trial_avebsld = np.empty(total, dtype=float)
-    for lo in range(0, total, _TRIAL_CHUNK):
-        trial_avebsld[lo : lo + _TRIAL_CHUNK] = simulate_trials(
-            submit, runtime, size, P[lo : lo + _TRIAL_CHUNK], nmax, n_warm=m_s, tau=tau
-        )
-
-    first_task = P[:, 0].copy()
+    # Whole blocks per chunk: every chunk's balanced heads start at 0.
+    chunk = max(_TRIAL_CHUNK // m_q, 1) * m_q
+    avebsld = np.empty(total, dtype=float)
     sum_by_first = np.zeros(m_q, dtype=float)
-    # np.add.at applies increments in index order — the same accumulation
-    # order as the historical sequential loop, so the float sums match.
-    np.add.at(sum_by_first, first_task, trial_avebsld)
+    for lo in range(0, total, chunk):
+        P = _draw_permutations(rng, m_q, min(chunk, total - lo), balanced=balanced)
+        chunk_avebsld = avebsld[lo : lo + len(P)]
+        chunk_avebsld[:] = simulate_trials(
+            submit, runtime, size, P, nmax, n_warm=m_s, tau=tau
+        )
+        # np.add.at applies increments in index order — the same
+        # accumulation order as the historical sequential loop, so the
+        # float sums match.
+        np.add.at(sum_by_first, P[:, 0], chunk_avebsld)
 
-    denom = trial_avebsld.sum()
+    # One pairwise sum over every trial: per-chunk sums would round
+    # differently.
+    denom = avebsld.sum()
     scores = sum_by_first / denom
 
     return TrialScoreResult(
@@ -234,6 +238,5 @@ def run_trials(
         size=Q.size.astype(float).copy(),
         submit=q_submit.copy(),
         scores=scores,
-        first_task=first_task,
-        trial_avebsld=trial_avebsld,
+        n_trials=total,
     )

@@ -25,6 +25,7 @@ import re
 import zipfile
 from collections.abc import Mapping
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -46,10 +47,11 @@ __all__ = [
 _TMP_PID = re.compile(r"\.tmp(\d+)(?:\.npz)?$")
 
 
-#: Bump when the npz artifact layout changes; loaders reject other versions.
-ARTIFACT_FORMAT_VERSION = 1
+#: Bump when the npz artifact layout changes; loaders reject other versions
+#: (v1 also held two per-trial arrays per tuple).
+ARTIFACT_FORMAT_VERSION = 2
 
-_RESULT_FIELDS = ("runtime", "size", "submit", "scores", "first_task", "trial_avebsld")
+_RESULT_FIELDS = ("runtime", "size", "submit", "scores", "n_trials")
 _DIST_FIELDS = ("runtime", "size", "submit", "score")
 
 
@@ -73,7 +75,7 @@ def save_trial_artifact(
         arrays[f"dist_{field}"] = getattr(distribution, field)
     for i, result in enumerate(results):
         for field in _RESULT_FIELDS:
-            arrays[f"trial{i}_{field}"] = getattr(result, field)
+            arrays[f"trial{i}_{field}"] = np.asarray(getattr(result, field))
     tmp = path.with_name(path.name + f".tmp{os.getpid()}.npz")
     try:
         with open(tmp, "wb") as fh:
@@ -84,23 +86,25 @@ def save_trial_artifact(
     return path
 
 
+def _read_result(data: Mapping[str, np.ndarray], i: int) -> TrialScoreResult:
+    fields = {field: data[f"trial{i}_{field}"] for field in _RESULT_FIELDS}
+    fields["n_trials"] = int(fields["n_trials"])
+    return TrialScoreResult(**fields)
+
+
 def load_trial_artifact(
-    path: str | Path,
+    source: str | Path | BinaryIO,
 ) -> tuple[list[TrialScoreResult], ScoreDistribution]:
-    """Read back a :func:`save_trial_artifact` file."""
-    with np.load(Path(path)) as data:
+    """Read back a :func:`save_trial_artifact` file (a path or an open one)."""
+    with np.load(source) as data:
         version = int(data["format_version"][0])
         if version != ARTIFACT_FORMAT_VERSION:
+            name = source if isinstance(source, (str, Path)) else source.name
             raise ValueError(
-                f"{path}: artifact format v{version}, "
+                f"{name}: artifact format v{version}, "
                 f"expected v{ARTIFACT_FORMAT_VERSION}"
             )
-        results = [
-            TrialScoreResult(
-                **{field: data[f"trial{i}_{field}"] for field in _RESULT_FIELDS}
-            )
-            for i in range(int(data["n_results"][0]))
-        ]
+        results = [_read_result(data, i) for i in range(int(data["n_results"][0]))]
         distribution = ScoreDistribution(
             **{field: data[f"dist_{field}"] for field in _DIST_FIELDS}
         )
@@ -209,17 +213,16 @@ class ArtifactCache:
     ) -> tuple[list[TrialScoreResult], ScoreDistribution] | None:
         """Return the cached entry for *key*, or ``None`` on a miss.
 
-        A corrupt or format-incompatible entry counts as a miss (it is
-        left in place for inspection; a subsequent :meth:`store`
-        atomically replaces it).
+        A missing, corrupt or format-incompatible entry counts as a miss
+        (an unreadable one is left in place for inspection; a subsequent
+        :meth:`store` atomically replaces it).  The file is opened once,
+        and its size is the bytes loaded.
         """
         path = self.path_for(key)
-        if not path.exists():
-            self.metrics.inc("cache.misses")
-            return None
         try:
-            n_bytes = path.stat().st_size
-            entry = load_trial_artifact(path)
+            with open(path, "rb") as fh:
+                n_bytes = os.fstat(fh.fileno()).st_size
+                entry = load_trial_artifact(fh)
         except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
             self.metrics.inc("cache.misses")
             return None

@@ -11,21 +11,22 @@ module: the same matrix, the same final generator state, and the same
 scores bit for bit.
 
 ``oracle_run_trials`` is ``run_trials`` as it stood with the loop,
-verbatim apart from the draw moving into ``oracle_permutations``.  Do
-not "clean up" or optimise this file — its only value is that it does
-not change.
+verbatim apart from the draw moving into ``oracle_permutations`` and
+the plain ``OracleTrials`` container it returns its arrays in (the
+library's result no longer keeps the per-trial ones).  Do not "clean
+up" or optimise this file — its only value is that it does not change.
 """
 
 from __future__ import annotations
 
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
 from repro.core.taskgen import TaskSetTuple
 from repro.core.trials import (
     _TRIAL_CHUNK,
-    TrialScoreResult,
     _balanced_heads,
     format_rounding_warning,
 )
@@ -34,7 +35,18 @@ from repro.sim.metrics import DEFAULT_TAU
 from repro.util.rng import SeedLike, as_generator
 from repro.util.validation import check_positive, check_positive_int
 
-__all__ = ["oracle_permutations", "oracle_run_trials"]
+__all__ = ["OracleTrials", "oracle_permutations", "oracle_run_trials"]
+
+
+class OracleTrials(NamedTuple):
+    """Scores of one tuple's probe set plus per-trial raw material."""
+
+    runtime: np.ndarray
+    size: np.ndarray
+    submit: np.ndarray
+    scores: np.ndarray
+    first_task: np.ndarray  # index into Q of the permutation head, per trial
+    trial_avebsld: np.ndarray  # AVEbsld of each trial
 
 
 def oracle_permutations(
@@ -68,7 +80,7 @@ def oracle_run_trials(
     seed: SeedLike = None,
     balanced: bool = True,
     tau: float = DEFAULT_TAU,
-) -> TrialScoreResult:
+) -> OracleTrials:
     """``run_trials`` with the per-row permutation loop."""
     check_positive_int("nmax", nmax)
     check_positive_int("n_trials", n_trials)
@@ -117,7 +129,7 @@ def oracle_run_trials(
     denom = trial_avebsld.sum()
     scores = sum_by_first / denom
 
-    return TrialScoreResult(
+    return OracleTrials(
         runtime=q_runtime.copy(),
         size=Q.size.astype(float).copy(),
         submit=q_submit.copy(),

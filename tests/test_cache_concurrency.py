@@ -29,15 +29,14 @@ KEY = "deadbeef" * 4
 def _trial_payload(seed: int):
     """A small, valid (results, distribution) pair; identical per seed."""
     rng = np.random.default_rng(seed)
-    # Per the TrialScoreResult contract every field is |Q|-long except
-    # the per-trial ones; 8 probe tasks, 4 trials.
+    # Per the TrialScoreResult contract every array is |Q|-long; 8 probe
+    # tasks, 4 trials.
     result = TrialScoreResult(
         runtime=rng.uniform(1.0, 10.0, 8),
         size=rng.integers(1, 4, 8).astype(np.int64),
         submit=np.sort(rng.uniform(0.0, 5.0, 8)),
         scores=rng.uniform(0.0, 1.0, 8),
-        first_task=rng.integers(0, 8, 4).astype(np.int64),
-        trial_avebsld=rng.uniform(1.0, 3.0, 4),
+        n_trials=4,
     )
     results = [result]
     return results, ScoreDistribution.from_trial_results(results)

@@ -1,5 +1,6 @@
 """Tests for permutation trials and Eq. 3 scores (repro.core.trials)."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,11 +8,18 @@ import pytest
 
 from oracle_trials import oracle_permutations, oracle_run_trials
 from repro.core.taskgen import TaskSetTuple, generate_tuples
-from repro.core.trials import _draw_permutations, run_trials
+from repro.core.trials import (
+    _TRIAL_CHUNK,
+    _draw_permutations,
+    balanced_trial_count,
+    run_trials,
+)
 from repro.obs import MetricsRegistry, use_registry
 from repro.sim import _cbackend
 from repro.sim.job import Workload
 from repro.sim.listsched import simulate_fixed_priority_batch, simulate_trials
+from repro.sim.metrics import DEFAULT_TAU
+from repro.util.rng import as_generator
 
 
 def average_ranks(x):
@@ -19,6 +27,25 @@ def average_ranks(x):
     _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
     ends = np.cumsum(counts)
     return ((ends - counts + ends - 1) / 2.0)[inverse]
+
+
+def per_trial(tup, nmax, n_trials, *, seed=None, balanced=True, tau=DEFAULT_TAU):
+    """Each trial's head and AVEbsld as ``run_trials`` draws and simulates
+    them: the whole matrix ``_draw_permutations`` draws from a generator
+    seeded like ``run_trials``'s, in one ``simulate_trials`` call."""
+    S, Q = tup.S, tup.Q
+    total = balanced_trial_count(n_trials, len(Q)) if balanced else n_trials
+    P = _draw_permutations(as_generator(seed), len(Q), total, balanced=balanced)
+    avebsld = simulate_trials(
+        np.concatenate([S.submit, Q.submit]),
+        np.concatenate([S.runtime, Q.runtime]),
+        np.concatenate([S.size, Q.size]).astype(np.int64),
+        P,
+        nmax,
+        n_warm=len(S),
+        tau=tau,
+    )
+    return P[:, 0], avebsld
 
 
 @pytest.fixture(scope="module")
@@ -46,9 +73,10 @@ class TestScores:
         assert np.all(result.scores < 5 * mean)
         assert result.scores.std() < mean
 
-    def test_balanced_head_counts(self, result):
+    def test_balanced_head_counts(self):
         """Every task heads the same number of permutations."""
-        heads, counts = np.unique(result.first_task, return_counts=True)
+        P = _draw_permutations(np.random.default_rng(0), 32, 128, balanced=True)
+        heads, counts = np.unique(P[:, 0], return_counts=True)
         assert len(heads) == 32
         assert len(set(counts.tolist())) == 1
 
@@ -79,8 +107,9 @@ class TestScores:
         assert obs.shape == (32, 4)
         np.testing.assert_array_equal(obs[:, 3], result.scores)
 
-    def test_avebsld_positive(self, result):
-        assert np.all(result.trial_avebsld >= 1.0)
+    def test_avebsld_positive(self, tup):
+        _, avebsld = per_trial(tup, 256, 128, seed=0)
+        assert np.all(avebsld >= 1.0)
 
     def test_reproducible(self, tup):
         a = run_trials(tup, 256, 64, seed=9)
@@ -147,8 +176,10 @@ class TestPermutationOracle:
             assert [str(w.message) for w in new_warned] == [
                 str(w.message) for w in old_warned
             ]
-            for name in ("first_task", "trial_avebsld", "scores"):
-                assert getattr(new, name).tobytes() == getattr(old, name).tobytes()
+            assert new.scores.tobytes() == old.scores.tobytes()
+            heads, avebsld = per_trial(tup, 256, n_trials, seed=seed, balanced=balanced)
+            assert heads.tobytes() == old.first_task.tobytes()
+            assert avebsld.tobytes() == old.trial_avebsld.tobytes()
 
 
 class TestScoreSemantics:
@@ -244,8 +275,10 @@ def _assert_same_trials(tup, nmax, n_trials, **kw):
         warnings.simplefilter("ignore", UserWarning)
         new = run_trials(tup, nmax, n_trials, **kw)
         old = oracle_run_trials(tup, nmax, n_trials, **kw)
-    for name in ("first_task", "trial_avebsld", "scores"):
-        assert getattr(new, name).tobytes() == getattr(old, name).tobytes(), name
+    assert new.scores.tobytes() == old.scores.tobytes()
+    heads, avebsld = per_trial(tup, nmax, n_trials, **kw)
+    assert heads.tobytes() == old.first_task.tobytes()
+    assert avebsld.tobytes() == old.trial_avebsld.tobytes()
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
@@ -370,8 +403,8 @@ class TestOrderIndependentBatches:
         tup = ORDER_TUPLES[case]
         for seed in range(3):
             _assert_same_trials(tup, 8, 96, seed=seed, balanced=balanced)
-        res, shared = _trials_shared(tup, 96, seed=0, balanced=balanced)
-        distinct = len(np.unique(res.trial_avebsld))
+        _, shared = _trials_shared(tup, 96, seed=0, balanced=balanced)
+        distinct = len(np.unique(per_trial(tup, 8, 96, seed=0, balanced=balanced)[1]))
         if case == "one_wait_after_stop":
             assert distinct == 2  # the shortcut would give one value
         else:
@@ -401,6 +434,57 @@ class TestOrderIndependentBatches:
             out = simulate_trials(submit, runtime, size, perms[:5], 8, n_warm=2)
         assert len(set(out.tolist())) == 1
         assert registry.value("listsched.trials_shared") == (4 if kernel == "c" else 0)
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestChunkBoundaries:
+    """Trials drawn and simulated one chunk at a time, over several
+    chunks: the caller's generator ends where the oracle's one-matrix
+    draw leaves it, and the scores are the oracle's bit for bit."""
+
+    @pytest.mark.parametrize("balanced", [True, False])
+    @pytest.mark.parametrize("m_q", [1, 7, 32, 33])  # 33: 1023-row chunks
+    def test_state_and_scores(self, monkeypatch, kernel, m_q, balanced):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        tup = generate_tuples(1, q_size=m_q, seed=m_q)[0]
+        chunk = max(_TRIAL_CHUNK // m_q, 1) * m_q
+        # three whole chunks and a short fourth (not whole blocks unbalanced)
+        n_trials = 3 * chunk + m_q + (0 if balanced else 1)
+        new_rng, old_rng = np.random.default_rng(m_q), np.random.default_rng(m_q)
+        new = run_trials(tup, 256, n_trials, seed=new_rng, balanced=balanced)
+        old = oracle_run_trials(tup, 256, n_trials, seed=old_rng, balanced=balanced)
+        assert new_rng.bit_generator.state == old_rng.bit_generator.state
+        assert new.scores.tobytes() == old.scores.tobytes()
+        assert new.n_trials == n_trials
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+class TestTrialMemory:
+    """A tuple holds one chunk of permutations whatever its trial budget:
+    the traced peak grows by the one float per trial kept for Eq. 3's
+    denominator, with no term in |Q| per trial."""
+
+    @staticmethod
+    def _peak(tup, n_trials) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            run_trials(tup, 256, n_trials, seed=0)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_grows_by_one_float_per_trial(self, monkeypatch, kernel):
+        monkeypatch.setenv("REPRO_SIM_KERNEL", kernel)
+        # Small chunks keep the traced Python kernel fast; the bound
+        # does not depend on the chunk size.
+        monkeypatch.setattr("repro.core.trials._TRIAL_CHUNK", 64)
+        tup = generate_tuples(1, q_size=32, seed=3)[0]
+        few, many = 4 * 64, 32 * 64
+        run_trials(tup, 256, few, seed=0)  # kernel loaded, imports done
+        growth = self._peak(tup, many) - self._peak(tup, few)
+        # the whole (trials, |Q|) matrix would add 8 * 32 B per trial
+        assert growth <= 8 * (many - few) + 64 * 2**10
 
 
 BIT_GENERATORS = [np.random.PCG64, np.random.Philox, np.random.SFC64, np.random.MT19937]

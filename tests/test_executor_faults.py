@@ -215,8 +215,10 @@ def test_busy_workers_of_a_killed_parent_exit():
     assert not alive, "busy pool workers outlived their killed parent"
 
 
-#: Small but real; its whole-distribution entry, written before
-#: per-tuple entries existed, is committed under tests/data/train_cache.
+#: Small but real; its whole-distribution entry, stored under the key
+#: written before per-tuple entries existed, is committed under
+#: tests/data/train_cache (rewritten in artifact format v2, which drops
+#: v1's per-trial arrays and keeps every other array's bytes).
 RESUME_CONFIG = PipelineConfig(
     n_tuples=5, trials_per_tuple=12, nmax=16, s_size=4, q_size=4, seed=4
 )

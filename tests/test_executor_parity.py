@@ -35,7 +35,7 @@ from repro.workloads.traces import synthetic_trace
 
 WORKER_COUNTS = (1, 2, 4)
 
-TRIAL_FIELDS = ("runtime", "size", "submit", "scores", "first_task", "trial_avebsld")
+TRIAL_FIELDS = ("runtime", "size", "submit", "scores", "n_trials")
 
 #: Counters that must merge additively to the serial totals.
 MERGED_COUNTERS = (

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import repro.runtime.executor as executor_mod
+from repro.core.distribution import ScoreDistribution
 from repro.core.pipeline import (
     PipelineConfig,
     build_distribution,
@@ -30,12 +31,34 @@ from repro.runtime import (
     config_fingerprint,
     resolve_workers,
 )
-from repro.runtime.cache import load_trial_artifact, save_trial_artifact
+from repro.runtime.cache import (
+    ARTIFACT_FORMAT_VERSION,
+    load_trial_artifact,
+    save_trial_artifact,
+)
 
 #: Small enough for process fan-out in a test, big enough to shard.
 SMALL = PipelineConfig(n_tuples=3, trials_per_tuple=32, seed=5)
 
-RESULT_FIELDS = ("runtime", "size", "submit", "scores", "first_task", "trial_avebsld")
+RESULT_FIELDS = ("runtime", "size", "submit", "scores", "n_trials")
+
+
+def _save_v1_artifact(path, results, distribution):
+    """An artifact in the v1 layout, which also kept two per-trial arrays
+    per tuple.  Its scores are doubled, so a read of it would show."""
+    arrays = {
+        "format_version": np.array([1], dtype=np.int64),
+        "n_results": np.array([len(results)], dtype=np.int64),
+    }
+    for field in ("runtime", "size", "submit", "score"):
+        arrays[f"dist_{field}"] = getattr(distribution, field)
+    for i, r in enumerate(results):
+        for field in ("runtime", "size", "submit"):
+            arrays[f"trial{i}_{field}"] = getattr(r, field)
+        arrays[f"trial{i}_scores"] = 2 * r.scores
+        arrays[f"trial{i}_first_task"] = np.arange(r.n_trials) % len(r.scores)
+        arrays[f"trial{i}_trial_avebsld"] = np.ones(r.n_trials)
+    np.savez_compressed(path, **arrays)
 
 
 def _nothing(x):
@@ -212,6 +235,29 @@ class TestArtifactPersistence:
         np.savez_compressed(path, **arrays)
         with pytest.raises(ValueError, match="format"):
             load_trial_artifact(path)
+
+    def test_v1_entries_are_misses_then_replaced(self, tmp_path):
+        np.seterr(all="ignore")
+        _, expected, expected_dist = build_distribution(SMALL)
+        cache = ArtifactCache(tmp_path)
+        key = distribution_cache_key(SMALL)
+        _save_v1_artifact(cache.path_for(key), expected, expected_dist)
+        _save_v1_artifact(
+            cache.path_for(f"{key}-t0"),
+            expected[:1],
+            ScoreDistribution.from_trial_results(expected[:1]),
+        )
+        _, results, dist = build_distribution(SMALL, cache=cache)
+        assert (cache.hits, cache.misses) == (0, 2)
+        assert_results_identical(expected, results)
+        np.testing.assert_array_equal(dist.score, expected_dist.score)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [f"trials-{key}.npz"]
+        with np.load(cache.path_for(key)) as data:
+            assert int(data["format_version"][0]) == ARTIFACT_FORMAT_VERSION == 2
+        assert cache.load(key) is not None
+        assert cache.metrics.value("cache.bytes_loaded") == (
+            cache.path_for(key).stat().st_size
+        )
 
 
 class TestCache:
