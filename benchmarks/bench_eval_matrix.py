@@ -12,14 +12,15 @@ land in ``results/`` through ``record``.
 
 import time
 
-from repro.eval import MatrixConfig, run_matrix
+from repro.eval import run_matrix
+from repro.specs import EvaluateSpec
 from repro.workloads.traces import synthetic_trace
 
 from conftest import BENCH_SEED, run_once
 
 N_JOBS = 4000
 WINDOW_JOBS = 500
-CONFIG = MatrixConfig(
+SPEC = EvaluateSpec(
     policies=("fcfs", "spt", "f1"),
     backfill=("none", "easy"),
     window_jobs=WINDOW_JOBS,
@@ -29,10 +30,10 @@ CONFIG = MatrixConfig(
 
 def _cold_and_warm(trace, cache_dir):
     t0 = time.perf_counter()
-    cold = run_matrix(trace, CONFIG, workers=1, cache=cache_dir)
+    cold = run_matrix(trace, SPEC, workers=1, cache=cache_dir)
     cold_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    warm = run_matrix(trace, CONFIG, workers=1, cache=cache_dir)
+    warm = run_matrix(trace, SPEC, workers=1, cache=cache_dir)
     warm_s = time.perf_counter() - t0
     assert warm.n_simulated == 0
     assert [c.to_entry() for c in warm.cells] == [c.to_entry() for c in cold.cells]

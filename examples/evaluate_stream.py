@@ -40,7 +40,7 @@ def main() -> None:
         stream = SwfStream(path)
         print(f"trace: {stream.name} ({stream.machine_size} cores), streaming")
 
-        config = repro.MatrixConfig(
+        spec = repro.EvaluateSpec(
             policies=("fcfs", "spt", "f1"),
             backfill=("none", "easy"),
             window_jobs=500,
@@ -52,14 +52,14 @@ def main() -> None:
         # cells in bounded batches.  Peak memory is O(window), not O(trace).
         windows = stream_windows(
             stream.blocks(),
-            jobs=config.window_jobs,
-            warmup=config.warmup,
+            jobs=spec.window_jobs,
+            warmup=spec.warmup,
             name=stream.name,
             nmax=stream.machine_size,
         )
         cache_dir = Path(tmp) / "cache"
         result = run_matrix(
-            windows, config, workers="auto", cache=cache_dir, trace_name=stream.name
+            windows, spec, workers="auto", cache=cache_dir, trace_name=stream.name
         )
         print(render_matrix_report(result))
 
@@ -82,12 +82,12 @@ def main() -> None:
         again = run_matrix(
             stream_windows(
                 SwfStream(path).blocks(),
-                jobs=config.window_jobs,
-                warmup=config.warmup,
+                jobs=spec.window_jobs,
+                warmup=spec.warmup,
                 name=stream.name,
                 nmax=stream.machine_size,
             ),
-            config,
+            spec,
             cache=cache_dir,
             trace_name=stream.name,
         )

@@ -27,10 +27,10 @@ def main() -> None:
     trace = repro.synthetic_trace(TRACE, seed=11, n_jobs=N_JOBS)
     print(f"trace: {trace.name} ({len(trace)} jobs, {trace.nmax} cores)")
 
-    # One config describes the whole matrix: windows of 500 jobs, the
+    # One spec describes the whole matrix: windows of 500 jobs, the
     # first 25 of each simulated but not scored (machine warm-up), three
     # policies under plain head-blocking and EASY backfilling.
-    config = repro.MatrixConfig(
+    spec = repro.EvaluateSpec(
         policies=("fcfs", "spt", "f1"),
         backfill=("none", "easy"),
         window_jobs=500,
@@ -39,13 +39,13 @@ def main() -> None:
 
     with tempfile.TemporaryDirectory() as cache_dir:
         t0 = time.perf_counter()
-        result = repro.run_matrix(trace, config, workers="auto", cache=cache_dir)
+        result = repro.run_matrix(trace, spec, workers="auto", cache=cache_dir)
         cold = time.perf_counter() - t0
         print(render_matrix_report(result))
 
-        # Same config, same cache: every cell is loaded, none simulated.
+        # Same spec, same cache: every cell is loaded, none simulated.
         t0 = time.perf_counter()
-        again = repro.run_matrix(trace, config, workers="auto", cache=cache_dir)
+        again = repro.run_matrix(trace, spec, workers="auto", cache=cache_dir)
         warm = time.perf_counter() - t0
         assert again.n_simulated == 0
         assert [c.to_entry() for c in again.cells] == [

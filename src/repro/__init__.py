@@ -46,7 +46,7 @@ from repro.core import (
     ScoreDistribution,
     obtain_policies,
 )
-from repro.eval import MatrixConfig, MatrixResult, run_matrix, slice_windows
+from repro.eval import MatrixResult, run_matrix, slice_windows
 from repro.experiments import run_dynamic_experiment, run_row, run_rows
 from repro.policies import (
     NonlinearPolicy,
@@ -88,7 +88,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ArtifactCache",
     "EvaluateSpec",
-    "MatrixConfig",
     "MatrixResult",
     "NonlinearPolicy",
     "PipelineConfig",

@@ -32,12 +32,13 @@ from pathlib import Path
 from typing import Any
 
 from repro.core.pipeline import PipelineResult, obtain_policies
-from repro.eval.matrix import MatrixConfig, MatrixResult, run_matrix
+from repro.eval.matrix import MatrixResult, run_matrix
 from repro.eval.windows import Window, stream_windows, workload_fingerprint
 from repro.experiments.table4 import run_rows
 from repro.policies.registry import get_policy
 from repro.runtime.cache import ArtifactCache, coerce_cache
 from repro.runtime.config import resolve_workers
+from repro.runtime.executor import ProgressCallback
 from repro.sim.engine import simulate
 from repro.sim.job import Workload, unknown_machine_size_error
 from repro.sim.platform import platform_identity, topology_label
@@ -62,8 +63,6 @@ __all__ = [
     "SweepResult",
     "run",
 ]
-
-ProgressFn = Callable[[str, int, int], None]
 
 
 # ----------------------------------------------------------------------
@@ -249,7 +248,7 @@ def _run_train(
     *,
     workers: int | str,
     cache: ArtifactCache | None,
-    progress: ProgressFn | None,
+    progress: ProgressCallback | None,
 ) -> PipelineResult:
     return obtain_policies(
         spec.to_pipeline_config(), progress, workers=workers, cache=cache
@@ -291,7 +290,7 @@ def _run_simulate(
     *,
     workers: int | str,
     cache: ArtifactCache | None,
-    progress: ProgressFn | None,
+    progress: ProgressCallback | None,
 ) -> SimulateReport:
     # A single simulation is one serial engine run however many workers
     # were requested; the flag is accepted for CLI symmetry.
@@ -350,9 +349,7 @@ def _run_simulate(
     return report
 
 
-def _evaluate_source(
-    spec: EvaluateSpec, config: MatrixConfig
-) -> Workload | Iterable[Window]:
+def _evaluate_source(spec: EvaluateSpec) -> Workload | Iterable[Window]:
     """The window source a spec declares.
 
     A trace file is always streamed: its job rows are parsed and cut into
@@ -368,10 +365,10 @@ def _evaluate_source(
     stream = SwfStream(resolve_trace_ref(spec.trace), keep_failed=not spec.drop_failed)
     return stream_windows(
         stream.blocks(),
-        jobs=config.window_jobs,
-        seconds=config.window_seconds,
-        warmup=config.warmup,
-        max_windows=config.max_windows,
+        jobs=spec.window_jobs,
+        seconds=spec.window_seconds,
+        warmup=spec.warmup,
+        max_windows=spec.max_windows,
         name=stream.name,
         # the *effective* machine size, so per-job validation in the
         # stream matches what the matrix will simulate against
@@ -384,12 +381,11 @@ def _run_evaluate(
     *,
     workers: int | str,
     cache: ArtifactCache | None,
-    progress: ProgressFn | None,
+    progress: ProgressCallback | None,
 ) -> MatrixResult:
-    config = spec.to_matrix_config()
     return run_matrix(
-        _evaluate_source(spec, config),
-        config,
+        _evaluate_source(spec),
+        spec,
         workers=workers,
         cache=cache,
         progress=progress,
@@ -401,7 +397,7 @@ def _run_table4(
     *,
     workers: int | str,
     cache: ArtifactCache | None,
-    progress: ProgressFn | None,
+    progress: ProgressCallback | None,
 ) -> list:
     # Table 4 rows have no per-row artifact cache (yet): each row is a
     # fresh dynamic experiment, so ``cache`` is accepted and unused.
@@ -431,7 +427,7 @@ def _run_sweep(
     *,
     workers: int | str,
     cache: ArtifactCache | None,
-    progress: ProgressFn | None,
+    progress: ProgressCallback | None,
 ) -> SweepResult:
     cells = []
     points = spec.iter_grid()
@@ -479,7 +475,7 @@ def run(
     *,
     workers: int | str | None = None,
     cache: str | Path | ArtifactCache | None = None,
-    progress: ProgressFn | None = None,
+    progress: ProgressCallback | None = None,
 ) -> Any:
     """Execute *spec* and return its result (see the module table).
 

@@ -13,7 +13,8 @@ benchmarks scheduling policies across them at worker-pool speed:
   runner over :class:`repro.runtime.TrialRunner`: one loop for a
   workload or a window stream, **bit-identical for any worker count
   and source**, with per-cell content-addressed cache keys
-  so re-running an unchanged config simulates nothing.
+  so re-running an unchanged :class:`~repro.specs.EvaluateSpec`
+  simulates nothing.
 * :mod:`repro.eval.report` — per-series summaries, paired per-window
   policy deltas with seeded percentile-bootstrap confidence intervals,
   CSV/JSON export and a terminal report.
@@ -22,13 +23,7 @@ The CLI front-end is ``repro-sched evaluate`` (a ``--trace`` file is
 always streamed; ``--bootstrap``/``--ci`` set the intervals).
 """
 
-from repro.eval.matrix import (
-    BACKFILL_TOKENS,
-    CellResult,
-    MatrixConfig,
-    MatrixResult,
-    run_matrix,
-)
+from repro.eval.matrix import CellResult, MatrixResult, run_matrix
 from repro.eval.report import (
     deltas_to_csv,
     matrix_to_csv,
@@ -46,9 +41,7 @@ from repro.eval.windows import (
 )
 
 __all__ = [
-    "BACKFILL_TOKENS",
     "CellResult",
-    "MatrixConfig",
     "MatrixResult",
     "Window",
     "deltas_to_csv",

@@ -14,7 +14,7 @@ carry over from the runtime:
 * **content-addressed caching** — each cell's key fingerprints the
   window's arrays plus every result-relevant knob
   (:func:`repro.runtime.config_fingerprint`), so a re-run with an
-  unchanged config loads every cell from the
+  unchanged spec loads every cell from the
   :class:`~repro.runtime.ArtifactCache` without simulating;
 * **fail-fast validation** — the workload is validated against the
   machine size on entry (:meth:`Workload.validate_for_machine`), naming
@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -47,96 +47,24 @@ from repro.obs.metrics import current_registry
 from repro.obs.tracing import span
 from repro.policies.registry import get_policy
 from repro.runtime import ArtifactCache, TrialRunner, coerce_cache
-from repro.runtime.progress import ProgressCallback
+from repro.runtime.executor import ProgressCallback
 from repro.sim.engine import normalize_backfill, simulate
-from repro.specs.fingerprint import eval_cell_fingerprint
 from repro.sim.job import Workload, unknown_machine_size_error
-from repro.sim.metrics import DEFAULT_TAU
+from repro.sim.platform import PartitionedPlatform, platform_identity
+from repro.specs import EvaluateSpec
+from repro.specs.fingerprint import eval_cell_fingerprint
 from repro.util.rng import RngFactory
 from repro.util.stats import BootstrapCI, Summary, bootstrap_mean_ci, summarize
-from repro.util.validation import check_positive, check_positive_int
 
 __all__ = [
-    "BACKFILL_TOKENS",
     "CellResult",
-    "MatrixConfig",
     "MatrixResult",
     "run_matrix",
 ]
 
-#: Canonical backfill-axis tokens (CLI and config spelling).
-BACKFILL_TOKENS = ("none", "easy", "conservative", "hybrid")
-
 #: Bump when CellResult's cached fields change; stale entries turn into
 #: cache misses instead of mis-decoding.
 _CELL_FORMAT = 1
-
-
-def _normalize_backfill_token(token: str | bool | None) -> str:
-    # The engine owns the vocabulary; the matrix axis just needs a string
-    # token ("none" rather than None) for cache keys and CSV columns.
-    return normalize_backfill(token) or "none"
-
-
-@dataclass(frozen=True)
-class MatrixConfig:
-    """Declarative description of one evaluation matrix.
-
-    Exactly one of *window_jobs* / *window_seconds* selects the slicing
-    axis.  ``nmax=0`` defers to the workload's own machine size (SWF
-    header ``MaxProcs``).  Policy names are canonicalised through the
-    registry and backfill tokens through :data:`BACKFILL_TOKENS`, so two
-    configs that mean the same thing fingerprint the same.
-    """
-
-    policies: tuple[str, ...]
-    backfill: tuple[str, ...] = ("none",)
-    nmax: int = 0
-    use_estimates: bool = False
-    tau: float = DEFAULT_TAU
-    window_jobs: int | None = None
-    window_seconds: float | None = None
-    warmup: int = 0
-    max_windows: int | None = None
-    seed: int = 0
-    #: Platform topology tuple (``None`` = the paper's flat machine);
-    #: partitions every cell's machine into equal per-leaf schedulers.
-    topology: tuple[int, ...] | None = None
-    #: Job→leaf distribution strategy for partitioned topologies (the
-    #: ``random`` strategy draws from the config *seed*).
-    distribution: str = "round_robin"
-
-    def __post_init__(self) -> None:
-        if not self.policies:
-            raise ValueError("at least one policy is required")
-        canonical = tuple(get_policy(name).name for name in self.policies)
-        if len(set(canonical)) != len(canonical):
-            raise ValueError(f"duplicate policies in {self.policies}")
-        object.__setattr__(self, "policies", canonical)
-        modes = tuple(_normalize_backfill_token(b) for b in self.backfill)
-        if not modes:
-            raise ValueError("at least one backfill mode is required")
-        if len(set(modes)) != len(modes):
-            raise ValueError(f"duplicate backfill modes in {self.backfill}")
-        object.__setattr__(self, "backfill", modes)
-        if (self.window_jobs is None) == (self.window_seconds is None):
-            raise ValueError("pass exactly one of window_jobs / window_seconds")
-        if self.window_jobs is not None:
-            check_positive_int("window_jobs", self.window_jobs)
-        if self.window_seconds is not None:
-            check_positive("window_seconds", float(self.window_seconds))
-        check_positive_int("warmup", self.warmup, allow_zero=True)
-        if self.max_windows is not None:
-            check_positive_int("max_windows", self.max_windows)
-        check_positive_int("nmax", self.nmax, allow_zero=True)
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        from repro.sim.platform import normalize_distribution, normalize_topology
-
-        object.__setattr__(self, "topology", normalize_topology(self.topology))
-        object.__setattr__(
-            self, "distribution", normalize_distribution(self.distribution)
-        )
 
 
 @dataclass(frozen=True)
@@ -194,71 +122,52 @@ class CellResult:
             return None
 
 
-@dataclass(frozen=True)
-class _CellTask:
-    """Picklable work unit handed to the worker pool."""
-
-    window: int
-    policy: str
-    backfill: str
-    #: the window's jobs, validated once when the window was cut; its
-    #: job ids and name never enter the simulation
-    workload: Workload
-    nmax: int
-    use_estimates: bool
-    tau: float
-    warmup: int
-    seed: int
-    topology: tuple[int, ...] | None = None
-    distribution: str = "round_robin"
-    #: seed of the ``random`` distribution (the config seed — identical
-    #: for every cell, so a window's assignment is cache-stable).
-    platform_seed: int = 0
-
-
-def _simulate_cell(task: _CellTask) -> CellResult:
+def _simulate_cell(
+    spec: EvaluateSpec, nmax: int, task: tuple[Window, str, str, int]
+) -> CellResult:
     """Simulate one matrix cell (module-level: pool-picklable).
 
-    The ``eval.cell`` timer is per *cell* (one whole window simulation),
-    recorded into whatever registry is ambient — the worker call's when
-    fanned out, the run's when serial, the null registry otherwise.
+    *task* is ``(window, policy, backfill, seed)``; every other setting
+    comes from *spec*.  The ``eval.cell`` timer is per *cell* (one whole
+    window simulation), recorded into whatever registry is ambient — the
+    worker call's when fanned out, the run's when serial, the null
+    registry otherwise.
     """
+    window, policy, backfill, seed = task
     with current_registry().timer("eval.cell"):
-        return _simulate_cell_inner(task)
-
-
-def _simulate_cell_inner(task: _CellTask) -> CellResult:
-    result = simulate(
-        task.workload,
-        get_policy(task.policy),
-        task.nmax,
-        use_estimates=task.use_estimates,
-        backfill=task.backfill,
-        tau=task.tau,
-        topology=task.topology,
-        distribution=task.distribution,
-        platform_seed=task.platform_seed,
-    )
-    scored = result.bsld()[task.warmup :]
-    return CellResult(
-        window=task.window,
-        policy=task.policy,
-        backfill=task.backfill,
-        n_jobs=len(task.workload),
-        n_scored=len(scored),
-        ave_bsld=float(scored.mean()),
-        utilization=result.utilization,
-        makespan=result.makespan,
-        backfilled=result.backfill_count,
-        seed=task.seed,
-    )
+        result = simulate(
+            window.workload,
+            get_policy(policy),
+            nmax,
+            use_estimates=spec.estimates,
+            backfill=backfill,
+            tau=spec.tau,
+            topology=spec.topology,
+            distribution=spec.distribution,
+            # the spec seed: identical for every cell, so a window's
+            # ``random`` leaf assignment is cache-stable
+            platform_seed=spec.seed,
+        )
+        scored = result.bsld()[window.warmup :]
+        return CellResult(
+            window=window.index,
+            policy=policy,
+            backfill=backfill,
+            n_jobs=len(window.workload),
+            n_scored=len(scored),
+            ave_bsld=float(scored.mean()),
+            utilization=result.utilization,
+            makespan=result.makespan,
+            backfilled=result.backfill_count,
+            seed=seed,
+        )
 
 
 @dataclass(frozen=True)
 class MatrixResult:
     """All cells of one evaluation matrix, window-major."""
 
-    config: MatrixConfig
+    spec: EvaluateSpec
     trace_name: str
     nmax: int
     n_windows: int
@@ -288,8 +197,8 @@ class MatrixResult:
         """AVEbsld summary per (policy, backfill) series over windows."""
         return {
             (p, b): summarize(self.samples(p, b))
-            for p in self.config.policies
-            for b in self.config.backfill
+            for p in self.spec.policies
+            for b in self.spec.backfill
         }
 
     def paired_deltas(self, baseline: str | None = None) -> dict[tuple[str, str], np.ndarray]:
@@ -298,18 +207,18 @@ class MatrixResult:
         Pairing is within a window and a backfill mode — both series saw
         the identical job stream, so the difference isolates the policy
         (the paper's boxplots make the same pairing across sequences).
-        *baseline* defaults to the config's first policy.
+        *baseline* defaults to the spec's first policy.
         """
-        base = get_policy(baseline).name if baseline else self.config.policies[0]
-        if base not in self.config.policies:
+        base = get_policy(baseline).name if baseline else self.spec.policies[0]
+        if base not in self.spec.policies:
             raise ValueError(
-                f"baseline {base!r} is not part of this matrix {self.config.policies}"
+                f"baseline {base!r} is not part of this matrix {self.spec.policies}"
             )
         return {
             (p, b): self.samples(p, b) - self.samples(base, b)
-            for p in self.config.policies
+            for p in self.spec.policies
             if p != base
-            for b in self.config.backfill
+            for b in self.spec.backfill
         }
 
     @cached_property
@@ -332,7 +241,7 @@ class MatrixResult:
         :meth:`paired_deltas` series: the mean per-window
         ``AVEbsld(policy) - AVEbsld(baseline)`` with a *level* interval
         from *n_boot* vectorised resamples.  Each series draws from its
-        own named stream of the config seed
+        own named stream of the spec seed
         (``bootstrap:<policy>/<backfill>:<baseline>`` via
         :class:`~repro.util.rng.RngFactory`), so intervals are
         reproducible for a fixed seed and independent of how many other
@@ -341,10 +250,10 @@ class MatrixResult:
         (NaN-bounded) intervals instead of failing; ``n_boot=0``
         disables resampling the same way.
         """
-        base = get_policy(baseline).name if baseline else self.config.policies[0]
+        base = get_policy(baseline).name if baseline else self.spec.policies[0]
         memo_key = (base, n_boot, level)
         if memo_key not in self._delta_ci_memo:
-            factory = RngFactory(self.config.seed)
+            factory = RngFactory(self.spec.seed)
             self._delta_ci_memo[memo_key] = {
                 (p, b): bootstrap_mean_ci(
                     deltas,
@@ -359,59 +268,36 @@ class MatrixResult:
     def best(self, backfill: str | None = None) -> str:
         """Policy with the lowest median AVEbsld (optionally one mode)."""
         modes = (
-            (_normalize_backfill_token(backfill),)
+            (normalize_backfill(backfill) or "none",)
             if backfill is not None
-            else self.config.backfill
+            else self.spec.backfill
         )
         medians = {
             p: float(
                 np.median(np.concatenate([self.samples(p, b) for b in modes]))
             )
-            for p in self.config.policies
+            for p in self.spec.policies
         }
         return min(medians, key=medians.get)
-
-
-def _cell_key(
-    window_fingerprint: str, config: MatrixConfig, nmax: int, policy: str, backfill: str
-) -> str:
-    # The payload lives in specs.fingerprint (the single home of cache-key
-    # derivations); keys are byte-compatible with pre-spec-layer caches —
-    # the platform identity is None for flat (and product-1) topologies,
-    # so it only enters the key when it can change the result.
-    from repro.sim.platform import platform_identity
-
-    return eval_cell_fingerprint(
-        window_fingerprint=window_fingerprint,
-        policy=policy,
-        backfill=backfill,
-        nmax=nmax,
-        use_estimates=config.use_estimates,
-        tau=config.tau,
-        cell_format=_CELL_FORMAT,
-        platform=platform_identity(config.topology, config.distribution, config.seed),
-    )
 
 
 _WINDOW_SUFFIX = re.compile(r"\[w\d+\]$")
 
 
-def _resolve_nmax(config: MatrixConfig, workload_nmax: int) -> int:
-    nmax = config.nmax or workload_nmax
+def _resolve_nmax(spec: EvaluateSpec, workload_nmax: int) -> int:
+    nmax = spec.nmax or workload_nmax
     if nmax < 1:
         raise unknown_machine_size_error()
-    if config.topology is not None:
+    if spec.topology is not None:
         # Fail fast (before any cell dispatches) if nmax does not divide
         # over the leaves; the constructed platform is discarded.
-        from repro.sim.platform import PartitionedPlatform
-
-        PartitionedPlatform(nmax, config.topology)
+        PartitionedPlatform(nmax, spec.topology)
     return nmax
 
 
 def run_matrix(
     source: Workload | Iterable[Window],
-    config: MatrixConfig,
+    spec: EvaluateSpec,
     *,
     workers: int | str | None = None,
     cache: str | ArtifactCache | None = None,
@@ -419,6 +305,12 @@ def run_matrix(
     trace_name: str | None = None,
 ) -> MatrixResult:
     """Evaluate *source* over the full policy × backfill × window matrix.
+
+    *spec* declares the matrix: its policies, backfill modes, window
+    axis, warm-up, machine size, information regime, tau, seed and
+    platform.  Its source fields (``trace``, ``synthetic``, ``jobs``,
+    ``drop_failed``) are not read here — choosing and opening the source
+    is :func:`repro.api.run`'s business.
 
     *source* is either a materialised :class:`~repro.sim.job.Workload`
     (validated whole against the machine size, then cut by
@@ -432,7 +324,7 @@ def run_matrix(
     Both sources are cut by the one slicer and run through one loop, so
     the two are bit-identical to each other and across any ``workers``
     count (an execution knob, never part of a cell's cache key): cell
-    ``k`` (window-major enumeration) draws child ``k`` of the config
+    ``k`` (window-major enumeration) draws child ``k`` of the spec
     seed via incremental
     ``SeedSequence.spawn`` — spawning one child at a time yields exactly
     the children a single batched spawn would — cache keys fingerprint
@@ -449,25 +341,28 @@ def run_matrix(
     registry = current_registry()
     nmax: int | None = None
     if isinstance(source, Workload):
-        nmax = _resolve_nmax(config, source.nmax)
+        nmax = _resolve_nmax(spec, source.nmax)
         source.validate_for_machine(nmax)
         if trace_name is None:
             trace_name = source.name
         source = stream_windows(
             source,
-            jobs=config.window_jobs,
-            seconds=config.window_seconds,
-            warmup=config.warmup,
-            max_windows=config.max_windows,
+            jobs=spec.window_jobs,
+            seconds=spec.window_seconds,
+            warmup=spec.warmup,
+            max_windows=spec.max_windows,
             nmax=nmax,
         )
     store = coerce_cache(cache)
+    # None for flat (and product-1) topologies, so the platform only
+    # enters a cell key when it can change the result.
+    platform = platform_identity(spec.topology, spec.distribution, spec.seed)
     runner = TrialRunner(workers)
-    # Children of the config seed, spawned on demand in cell order.
-    seed_root = np.random.SeedSequence(config.seed)
+    # Children of the spec seed, spawned on demand in cell order.
+    seed_root = np.random.SeedSequence(spec.seed)
     cells: list[CellResult | None] = []
-    # (slot, task, cache key) triples awaiting dispatch.
-    pending: list[tuple[int, _CellTask, str | None]] = []
+    # (slot, (window, policy, backfill, seed), cache key) awaiting dispatch.
+    pending: list[tuple[int, tuple[Window, str, str, int], str | None]] = []
     # Pending cells hold their windows' arrays until the flush, so the
     # batch bounds memory at a few hundred windows while still giving
     # every worker dozens of cells per dispatch.  One runner spans the
@@ -489,7 +384,7 @@ def run_matrix(
         registry.inc("eval.cells.simulated", len(pending))
         with span("eval.dispatch", cells=len(pending)):
             fresh = runner.map(
-                _simulate_cell,
+                partial(_simulate_cell, spec, nmax),
                 [task for _, task, _ in pending],
                 progress=None if progress is None else tick,
                 phase="cells",
@@ -504,7 +399,7 @@ def run_matrix(
     try:
         for window in source:
             if nmax is None:
-                nmax = _resolve_nmax(config, window.workload.nmax)
+                nmax = _resolve_nmax(spec, window.workload.nmax)
             if trace_name is None:
                 trace_name = _WINDOW_SUFFIX.sub("", window.workload.name)
             window.workload.validate_for_machine(nmax)
@@ -512,13 +407,24 @@ def run_matrix(
             n_windows += 1
             # One hash of the window serves every cell key it is part of.
             window_fp = window.fingerprint() if store is not None else None
-            for policy in config.policies:
-                for backfill in config.backfill:
+            for policy in spec.policies:
+                for backfill in spec.backfill:
                     (child,) = seed_root.spawn(1)
                     seed = int(child.generate_state(1, np.uint64)[0])
                     key = None
                     if store is not None:
-                        key = _cell_key(window_fp, config, nmax, policy, backfill)
+                        # The payload lives in specs.fingerprint, the
+                        # single home of cache-key derivations.
+                        key = eval_cell_fingerprint(
+                            window_fingerprint=window_fp,
+                            policy=policy,
+                            backfill=backfill,
+                            nmax=nmax,
+                            use_estimates=spec.estimates,
+                            tau=spec.tau,
+                            cell_format=_CELL_FORMAT,
+                            platform=platform,
+                        )
                         entry = store.load_json(key)
                         hit = CellResult.from_entry(entry) if entry is not None else None
                         if hit is not None:
@@ -530,11 +436,7 @@ def run_matrix(
                             continue
                     cells.append(None)
                     pending.append(
-                        (
-                            len(cells) - 1,
-                            _cell_task_for(window, policy, backfill, config, nmax, seed),
-                            key,
-                        )
+                        (len(cells) - 1, (window, policy, backfill, seed), key)
                     )
             if len(pending) >= dispatch_batch:
                 flush()
@@ -547,35 +449,11 @@ def run_matrix(
             " lower warmup"
         )
     return MatrixResult(
-        config=config,
+        spec=spec,
         trace_name=trace_name,
         nmax=nmax,
         n_windows=n_windows,
         cells=tuple(cells),  # type: ignore[arg-type]
         n_simulated=n_simulated,
         n_cached=len(cells) - n_simulated,
-    )
-
-
-def _cell_task_for(
-    window: Window,
-    policy: str,
-    backfill: str,
-    config: MatrixConfig,
-    nmax: int,
-    seed: int,
-) -> _CellTask:
-    return _CellTask(
-        window=window.index,
-        policy=policy,
-        backfill=backfill,
-        workload=window.workload,
-        nmax=nmax,
-        use_estimates=config.use_estimates,
-        tau=config.tau,
-        warmup=window.warmup,
-        seed=seed,
-        topology=config.topology,
-        distribution=config.distribution,
-        platform_seed=config.seed,
     )

@@ -16,14 +16,14 @@ Per-cell metrics become four artifacts:
   its bootstrap confidence interval and a ``*`` significance marker.
 
 Every statistic here is a deterministic function of the matrix result:
-the bootstrap intervals are seeded from the matrix config's seed
+the bootstrap intervals are seeded from the evaluation spec's seed
 (:meth:`~repro.eval.matrix.MatrixResult.delta_cis`), so reports are
 bit-identical across re-runs, worker counts and the streamed/
 materialised window paths.  A series with a single window degenerates
 gracefully: the point estimate is reported with its CI marked n/a.
 
-The CSV/JSON writers are wired into :func:`repro.experiments.export.write_all`
-alongside the figure exporters.
+:func:`write_matrix_report` is the one writer of the CSV/JSON files;
+the CLI's ``evaluate --output-dir`` and the examples call it.
 """
 
 from __future__ import annotations
@@ -35,9 +35,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.eval.matrix import MatrixConfig, MatrixResult
+from repro.eval.matrix import MatrixResult
 from repro.policies.registry import get_policy
 from repro.sim.platform import platform_identity, topology_label
+from repro.specs import EvaluateSpec
 from repro.util.stats import BootstrapCI
 
 __all__ = [
@@ -63,18 +64,18 @@ def _significance_token(ci: BootstrapCI) -> str:
     return "yes" if ci.significant else "no"
 
 
-def _platform_suffix(cfg: MatrixConfig) -> str:
+def _platform_suffix(spec: EvaluateSpec) -> str:
     """Header suffix naming the platform, empty on the flat machine.
 
     Gated on :func:`repro.sim.platform.platform_identity` so flat (and
     product-1) matrices render byte-identical reports to the
     pre-platform library — the CI topology-smoke job byte-compares them.
     """
-    if platform_identity(cfg.topology, cfg.distribution, cfg.seed) is None:
+    if platform_identity(spec.topology, spec.distribution, spec.seed) is None:
         return ""
     return (
-        f" topology={topology_label(cfg.topology)}"
-        f" distribution={cfg.distribution}"
+        f" topology={topology_label(spec.topology)}"
+        f" distribution={spec.distribution}"
     )
 
 
@@ -84,7 +85,7 @@ def _delta_series(
     """The baseline's name, and per non-baseline ``(policy, backfill)``
     series its paired-delta bootstrap CI, median delta and wins (windows
     where the policy beat the baseline)."""
-    base = get_policy(baseline).name if baseline else result.config.policies[0]
+    base = get_policy(baseline).name if baseline else result.spec.policies[0]
     deltas = result.paired_deltas(base)
     cis = result.delta_cis(base, n_boot=n_boot, level=level)
     return base, {
@@ -96,12 +97,12 @@ def _delta_series(
 def matrix_to_csv(result: MatrixResult) -> str:
     """Long-format per-cell rows: one line per (window, policy, backfill)."""
     buf = io.StringIO()
-    cfg = result.config
+    spec = result.spec
     buf.write(
         f"# trace={result.trace_name} nmax={result.nmax}"
-        f" windows={result.n_windows} warmup={cfg.warmup}"
-        f" estimates={cfg.use_estimates} tau={cfg.tau:g}"
-        f"{_platform_suffix(cfg)}\n"
+        f" windows={result.n_windows} warmup={spec.warmup}"
+        f" estimates={spec.estimates} tau={spec.tau:g}"
+        f"{_platform_suffix(spec)}\n"
     )
     buf.write(
         "window,policy,backfill,n_jobs,n_scored,ave_bsld,"
@@ -132,12 +133,12 @@ def deltas_to_csv(
     (``yes``/``no``/``n/a``).  Negative deltas mean the policy beat the
     baseline.
     """
-    cfg = result.config
+    spec = result.spec
     base, series = _delta_series(result, baseline, n_boot, level)
     buf = io.StringIO()
     buf.write(
         f"# trace={result.trace_name} baseline={base}"
-        f" bootstrap={n_boot} level={level:g} seed={cfg.seed}\n"
+        f" bootstrap={n_boot} level={level:g} seed={spec.seed}\n"
     )
     buf.write(
         "policy,backfill,baseline,n_windows,median_delta,mean_delta,"
@@ -165,7 +166,7 @@ def matrix_to_json(
     With *paper* (a Table 4 row prefix such as ``"ctc_sp2"``) the
     document additionally carries a ``paper`` block — see
     :func:`paper_comparison_doc`."""
-    cfg = result.config
+    spec = result.spec
     summaries = {
         f"{p}/{b}": {
             "n": s.n,
@@ -196,7 +197,7 @@ def matrix_to_json(
         "n_windows": result.n_windows,
         "n_simulated": result.n_simulated,
         "n_cached": result.n_cached,
-        "config": _config_doc(cfg),
+        "config": _config_doc(spec),
         "bootstrap": {"baseline": base, "n_boot": n_boot, "level": level},
         "deltas": delta_doc,
         "summaries": summaries,
@@ -210,23 +211,24 @@ def matrix_to_json(
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _config_doc(cfg: MatrixConfig) -> dict:
-    """The JSON ``config`` block; platform keys only when partitioned,
-    so flat documents keep their historical bytes."""
+def _config_doc(spec: EvaluateSpec) -> dict:
+    """The JSON ``config`` block: the spec's matrix fields under their
+    historical keys; platform keys only when partitioned, so flat
+    documents keep their historical bytes."""
     doc = {
-        "policies": list(cfg.policies),
-        "backfill": list(cfg.backfill),
-        "use_estimates": cfg.use_estimates,
-        "tau": cfg.tau,
-        "window_jobs": cfg.window_jobs,
-        "window_seconds": cfg.window_seconds,
-        "warmup": cfg.warmup,
-        "max_windows": cfg.max_windows,
-        "seed": cfg.seed,
+        "policies": list(spec.policies),
+        "backfill": list(spec.backfill),
+        "use_estimates": spec.estimates,
+        "tau": spec.tau,
+        "window_jobs": spec.window_jobs,
+        "window_seconds": spec.window_seconds,
+        "warmup": spec.warmup,
+        "max_windows": spec.max_windows,
+        "seed": spec.seed,
     }
-    if platform_identity(cfg.topology, cfg.distribution, cfg.seed) is not None:
-        doc["topology"] = list(cfg.topology)
-        doc["distribution"] = cfg.distribution
+    if platform_identity(spec.topology, spec.distribution, spec.seed) is not None:
+        doc["topology"] = list(spec.topology)
+        doc["distribution"] = spec.distribution
     return doc
 
 
@@ -242,18 +244,18 @@ def paper_comparison_doc(result: MatrixResult, prefix: str) -> dict:
     """
     from repro.experiments.paper_data import paper_row, paper_row_id
 
-    cfg = result.config
+    spec = result.spec
     summaries = result.summaries()
     doc: dict = {}
-    for mode in cfg.backfill:
+    for mode in spec.backfill:
         row_id = paper_row_id(
-            prefix, backfill=mode, use_estimates=cfg.use_estimates
+            prefix, backfill=mode, use_estimates=spec.estimates
         )
         if row_id is None:
             continue
         published = paper_row(row_id)
         policies = {}
-        for policy in cfg.policies:
+        for policy in spec.policies:
             if policy not in published:
                 continue
             measured = summaries[(policy, mode)].median
@@ -313,39 +315,39 @@ def render_matrix_report(
     *baseline* (default: the matrix's first policy) anchors the delta
     block; negative deltas mean the policy beat the baseline in that
     window.  Each delta line carries its percentile-bootstrap interval
-    (*n_boot* resamples at coverage *level*, seeded from the config) and
+    (*n_boot* resamples at coverage *level*, seeded from the spec) and
     a ``*`` marker when the interval excludes zero; a single-window
     series prints its point estimate with ``CI n/a`` instead of
     crashing on the degenerate spread.
     """
-    cfg = result.config
+    spec = result.spec
     base, series = _delta_series(result, baseline, n_boot, level)
     summaries = result.summaries()
 
     lines = [
         f"Evaluation matrix for {result.trace_name}"
         f" (nmax={result.nmax}, {result.n_windows} windows,"
-        f" {'estimates' if cfg.use_estimates else 'actual runtimes'}"
-        f"{',' + _platform_suffix(cfg) if _platform_suffix(cfg) else ''})",
+        f" {'estimates' if spec.estimates else 'actual runtimes'}"
+        f"{',' + _platform_suffix(spec) if _platform_suffix(spec) else ''})",
         f"cells: {len(result.cells)}"
         f" (simulated {result.n_simulated}, cached {result.n_cached})",
     ]
-    col = max(9, *(len(p) + 2 for p in cfg.policies))
-    for mode in cfg.backfill:
+    col = max(9, *(len(p) + 2 for p in spec.policies))
+    for mode in spec.backfill:
         lines.append(f"\nbackfill={mode}  AVEbsld over windows:")
-        head = "".ljust(10) + "".join(p.rjust(col) for p in cfg.policies)
+        head = "".ljust(10) + "".join(p.rjust(col) for p in spec.policies)
         lines.append(head)
         for stat in ("median", "mean", "std"):
             row = stat.ljust(10) + "".join(
                 f"{getattr(summaries[(p, mode)], stat):.2f}".rjust(col)
-                for p in cfg.policies
+                for p in spec.policies
             )
             lines.append(row)
         util = "util".ljust(10) + "".join(
             f"{np.mean([c.utilization for c in result.cells if c.policy == p and c.backfill == mode]):.3f}".rjust(
                 col
             )
-            for p in cfg.policies
+            for p in spec.policies
         )
         lines.append(util)
         if series:
@@ -353,7 +355,7 @@ def render_matrix_report(
                 f"paired Δ vs {base} (negative = better),"
                 f" {level:.0%} bootstrap CI (* = excludes 0):"
             )
-            for p in cfg.policies:
+            for p in spec.policies:
                 if p == base:
                     continue
                 ci, median, wins = series[(p, mode)]
@@ -400,7 +402,7 @@ def write_matrix_report(
             ),
         ),
     ]
-    if len(result.config.policies) > 1:
+    if len(result.spec.policies) > 1:
         artifacts.append(
             (
                 "eval_matrix_deltas.csv",

@@ -11,8 +11,6 @@ from __future__ import annotations
 import io
 from pathlib import Path
 
-from repro.eval.matrix import MatrixResult
-from repro.eval.report import deltas_to_csv, matrix_to_csv, matrix_to_json
 from repro.experiments.dynamic import DynamicExperimentResult
 from repro.experiments.figures import Fig1Result, Fig2Result, Fig3Maps
 
@@ -21,9 +19,6 @@ __all__ = [
     "fig2_to_csv",
     "fig3_to_csv",
     "experiment_to_csv",
-    "deltas_to_csv",
-    "matrix_to_csv",
-    "matrix_to_json",
     "write_all",
 ]
 
@@ -82,7 +77,6 @@ def write_all(
     fig2: Fig2Result | None = None,
     fig3_panels: list[Fig3Maps] | None = None,
     experiments: list[DynamicExperimentResult] | None = None,
-    matrix: MatrixResult | None = None,
 ) -> list[Path]:
     """Write every provided artifact into *directory*; returns the paths."""
     directory = Path(directory)
@@ -102,9 +96,4 @@ def write_all(
         emit(f"fig3_{maps.axis_pair}.csv", fig3_to_csv(maps))
     for result in experiments or []:
         emit(f"experiment_{result.name}.csv", experiment_to_csv(result))
-    if matrix is not None:
-        emit("eval_matrix.csv", matrix_to_csv(matrix))
-        emit("eval_matrix.json", matrix_to_json(matrix))
-        if len(matrix.config.policies) > 1:
-            emit("eval_matrix_deltas.csv", deltas_to_csv(matrix))
     return written

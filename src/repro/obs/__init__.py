@@ -5,9 +5,8 @@ The observability layer of the library, in three pieces:
 * :mod:`repro.obs.metrics` — a process-local
   :class:`~repro.obs.metrics.MetricsRegistry` of counters, gauges and
   monotonic timers.  Worker processes collect into their own registry
-  and ship it back on the result channel (next to
-  :class:`~repro.runtime.ProgressAggregator` ticks); the parent merges,
-  so merged parallel metrics equal serial metrics.
+  and ship it back on the result channel next to each result; the
+  parent merges, so merged parallel metrics equal serial metrics.
 * :mod:`repro.obs.tracing` — nested wall-time spans
   (``with span("eval.cell", policy=...)``) collected into an in-memory
   tree, exportable as JSONL; top-level spans become the manifest's

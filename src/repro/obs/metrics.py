@@ -8,8 +8,8 @@ serialises losslessly to plain JSON (:meth:`MetricsRegistry.to_dict`)
 and merges additively (:meth:`MetricsRegistry.merge`), which is how
 worker processes report: each worker call collects into a fresh
 registry, ships its ``to_dict()`` back on the result channel next to
-the call's result, and the parent merges it — the same path
-:class:`~repro.runtime.ProgressAggregator` rides.
+the call's result, and the parent merges it as the result lands (see
+:meth:`repro.runtime.TrialRunner.map`).
 
 The **disabled path is a no-op**: the ambient registry defaults to
 :data:`NULL_REGISTRY`, whose methods do nothing and whose timer is a

@@ -19,19 +19,18 @@ package:
   simulation outputs (lossless npz), so repeated runs of an unchanged
   config skip simulation entirely, and a killed training run resumes
   from the tuples it already stored.
-* :class:`ProgressAggregator` — folds out-of-order completions
-  back into the library's monotone ``progress(phase, done, total)``
-  callback contract.
+
+:meth:`TrialRunner.map` reports progress as ``progress(phase, done,
+total)`` with *done* rising by one per landed result, whatever order
+the workers finish in.
 """
 
 from repro.runtime.cache import ArtifactCache, coerce_cache, config_fingerprint
 from repro.runtime.config import resolve_scale, resolve_sim_kernel, resolve_workers
 from repro.runtime.executor import TrialRunner
-from repro.runtime.progress import ProgressAggregator
 
 __all__ = [
     "ArtifactCache",
-    "ProgressAggregator",
     "TrialRunner",
     "coerce_cache",
     "config_fingerprint",

@@ -64,9 +64,12 @@ from repro.core.taskgen import TaskSetTuple
 from repro.core.trials import ROUNDING_WARNING_PREFIX, TrialScoreResult, run_trials
 from repro.obs.metrics import MetricsRegistry, current_registry, use_registry
 from repro.runtime.config import resolve_workers
-from repro.runtime.progress import ProgressAggregator, ProgressCallback
 
-__all__ = ["TrialRunner", "shippable_error", "tuple_trials"]
+__all__ = ["ProgressCallback", "TrialRunner", "shippable_error", "tuple_trials"]
+
+#: The library's progress callback: ``progress(phase, done, total)``
+#: with *done* rising to *total*.
+ProgressCallback = Callable[[str, int, int], None]
 
 #: Marks a result slot no task has filled yet (``None`` is a legitimate
 #: result of a mapped function).
@@ -273,19 +276,21 @@ class TrialRunner:
         Result order always matches item order.  ``on_result(index,
         result)`` sees each result in the parent as it lands — in item
         order serially, in completion order on the workers — before
-        *progress* counts it.
+        *progress* counts it: ``progress(phase, done, len(items))`` once
+        per landed result, from the parent's one thread, so *done* rises
+        by one to ``len(items)`` whatever the completion order.
         """
-        aggregator = ProgressAggregator(progress, phase, len(items))
         if self.n_workers == 1:
             landed = enumerate(map(fn, items))
         else:
             landed = self._fan_out(fn, items)
         results = [_UNFILLED] * len(items)
-        for index, result in landed:
+        for done, (index, result) in enumerate(landed, 1):
             if on_result is not None:
                 on_result(index, result)
             results[index] = result
-            aggregator.advance()
+            if progress is not None:
+                progress(phase, done, len(items))
         missing = [k for k, r in enumerate(results) if r is _UNFILLED]
         if missing:
             raise RuntimeError(f"worker calls returned no result for items {missing}")

@@ -68,8 +68,8 @@ def unknown_machine_size_error(path=None) -> ValueError:
     header = "the trace's SWF header" if path is None else f"the SWF header of {path}"
     return ValueError(
         f"machine size unknown: {header} has no MaxProcs (or MaxNodes) line"
-        " to default to — pass --nmax (SimulateSpec.nmax, EvaluateSpec.nmax"
-        " or MatrixConfig.nmax) to set the machine size explicitly"
+        " to default to — pass --nmax (SimulateSpec.nmax or EvaluateSpec.nmax)"
+        " to set the machine size explicitly"
     )
 
 

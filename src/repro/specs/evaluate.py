@@ -1,11 +1,13 @@
 """Declarative spec of a trace-evaluation matrix (``evaluate``).
 
-One :class:`EvaluateSpec` is the serializable counterpart of
-:class:`repro.eval.matrix.MatrixConfig` plus the source selection
-(SWF file vs synthetic stand-in) and the report parameters (baseline,
-bootstrap resamples, CI level).  Validation and canonicalisation
-delegate to :class:`~repro.eval.matrix.MatrixConfig`, so a spec that
-constructs is exactly a matrix that runs.
+One :class:`EvaluateSpec` is the only declaration of an evaluation: the
+matrix itself (policies × backfill modes × windows, machine size,
+information regime, tau, seed, platform), the source selection (SWF
+file vs synthetic stand-in) and the report parameters (baseline,
+bootstrap resamples, CI level).  It validates and canonicalises every
+field once, at construction, and
+:func:`repro.eval.matrix.run_matrix` reads the matrix fields straight
+from it, so a spec that constructs is exactly a matrix that runs.
 
 Execution knobs — workers and cache location — are not spec fields at
 all: they are arguments of :func:`repro.api.run`, so they can never
@@ -15,21 +17,21 @@ enter the spec fingerprint.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, ClassVar
+from typing import Any, ClassVar
 
 from repro.specs.base import Spec, SpecError, register_spec
 from repro.specs.simulate import (
     DISTRIBUTION_HELP,
     TOPOLOGY_HELP,
+    canonical_backfill,
+    canonical_distribution,
     canonical_policy,
+    canonical_topology,
     check_trace_name,
     check_trace_ref,
     trace_ref_identity,
 )
-from repro.specs.train import check_optional_positive_int
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.eval.matrix import MatrixConfig
+from repro.specs.train import check_optional_positive_int, check_seed
 
 __all__ = ["EvaluateSpec"]
 
@@ -113,11 +115,11 @@ class EvaluateSpec(Spec):
             object.__setattr__(self, "window_jobs", 5000)
         check_optional_positive_int("nmax", self.nmax)
         check_optional_positive_int("jobs", self.jobs)
-        config = self.to_matrix_config()
-        object.__setattr__(self, "policies", config.policies)
-        object.__setattr__(self, "backfill", config.backfill)
-        object.__setattr__(self, "topology", config.topology)
-        object.__setattr__(self, "distribution", config.distribution)
+        check_seed(self.seed)
+        try:
+            self._canonicalise_matrix()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecError(f"invalid evaluate spec: {exc.args[0]}") from None
         if self.trace is None:
             check_trace_name(self.synthetic)
         else:
@@ -135,27 +137,38 @@ class EvaluateSpec(Spec):
         if not 0.0 < self.ci < 1.0:
             raise SpecError(f"ci must be a coverage level in (0, 1), got {self.ci!r}")
 
-    def to_matrix_config(self) -> "MatrixConfig":
-        """The validated matrix configuration this spec declares."""
-        from repro.eval.matrix import MatrixConfig
+    def _canonicalise_matrix(self) -> None:
+        """Check the matrix fields; store canonical axes and platform."""
+        from repro.policies.registry import get_policy
+        from repro.util.validation import check_positive, check_positive_int
 
-        try:
-            return MatrixConfig(
-                policies=tuple(self.policies),
-                backfill=tuple(self.backfill),
-                nmax=self.nmax or 0,
-                use_estimates=self.estimates,
-                tau=self.tau,
-                window_jobs=self.window_jobs,
-                window_seconds=self.window_seconds,
-                warmup=self.warmup,
-                max_windows=self.max_windows,
-                seed=self.seed,
-                topology=self.topology,
-                distribution=self.distribution,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"invalid evaluate spec: {exc.args[0]}") from None
+        if not self.policies:
+            raise ValueError("at least one policy is required")
+        policies = tuple(get_policy(name).name for name in self.policies)
+        if len(set(policies)) != len(policies):
+            raise ValueError(f"duplicate policies in {tuple(self.policies)}")
+        modes = tuple(canonical_backfill(b) for b in self.backfill)
+        if not modes:
+            raise ValueError("at least one backfill mode is required")
+        if len(set(modes)) != len(modes):
+            raise ValueError(f"duplicate backfill modes in {tuple(self.backfill)}")
+        if self.window_jobs is not None and self.window_seconds is not None:
+            raise ValueError("pass exactly one of window_jobs / window_seconds")
+        if self.window_jobs is not None:
+            check_positive_int("window_jobs", self.window_jobs)
+        if self.window_seconds is not None:
+            check_positive("window_seconds", float(self.window_seconds))
+        check_positive_int("warmup", self.warmup, allow_zero=True)
+        if self.max_windows is not None:
+            check_positive_int("max_windows", self.max_windows)
+        if self.tau <= 0:
+            raise ValueError(f"tau must be > 0, got {self.tau}")
+        object.__setattr__(self, "policies", policies)
+        object.__setattr__(self, "backfill", modes)
+        object.__setattr__(self, "topology", canonical_topology(self.topology))
+        object.__setattr__(
+            self, "distribution", canonical_distribution(self.distribution)
+        )
 
     def _fingerprint_payload(self) -> dict[str, Any]:
         payload: dict[str, Any] = {

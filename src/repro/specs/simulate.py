@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
 from repro.specs.base import Spec, SpecError, register_spec
-from repro.specs.train import check_optional_positive_int
+from repro.specs.train import check_optional_positive_int, check_seed
 
 __all__ = ["SimulateSpec"]
 
@@ -170,6 +170,7 @@ class SimulateSpec(Spec):
         check_trace_ref(self.swf)
         check_optional_positive_int("nmax", self.nmax)
         check_optional_positive_int("jobs", self.jobs)
+        check_seed(self.seed)
         if self.swf is None and self.trace is None and self.nmax is None:
             # The generated model needs an explicit machine size; default
             # to the paper's 256 so a bare spec is runnable.

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, ClassVar
 
 from repro.specs.base import Spec, SpecError, register_spec
 from repro.specs.simulate import canonical_policy
-from repro.specs.train import check_scale_name
+from repro.specs.train import check_scale_name, check_seed
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.scale import Scale
@@ -47,6 +47,7 @@ class Table4Spec(Spec):
 
     def __post_init__(self) -> None:
         check_scale_name(self.scale)
+        check_seed(self.seed)
         if self.rows is not None:
             from repro.experiments.table4 import resolve_rows
 

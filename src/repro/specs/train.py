@@ -44,6 +44,12 @@ def check_optional_positive_int(name: str, value: object) -> None:
         raise SpecError(f"{name} must be a positive integer, got {value!r}")
 
 
+def check_seed(value: object) -> None:
+    """Raise :class:`SpecError` unless *value* is an int >= 0 (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise SpecError(f"seed must be a non-negative integer, got {value!r}")
+
+
 @register_spec
 @dataclass(frozen=True)
 class TrainSpec(Spec):
@@ -98,6 +104,7 @@ class TrainSpec(Spec):
 
             object.__setattr__(self, "tau", float(DEFAULT_TAU))
         check_scale_name(self.scale)
+        check_seed(self.seed)
         for name in (
             "n_tuples",
             "trials_per_tuple",

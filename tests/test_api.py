@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro import api
-from repro.eval.matrix import MatrixConfig, MatrixResult, run_matrix
+from repro.eval.matrix import MatrixResult, run_matrix
 from repro.runtime import ArtifactCache
 from repro.specs import (
     EvaluateSpec,
@@ -66,12 +66,7 @@ class TestRunDispatch:
             window_jobs=40,
         )
         via_api = api.run(spec)
-        direct = run_matrix(
-            repro.read_swf(tiny_swf),
-            MatrixConfig(
-                policies=("fcfs", "f1"), backfill=("none",), window_jobs=40
-            ),
-        )
+        direct = run_matrix(repro.read_swf(tiny_swf), spec)
         assert isinstance(via_api, MatrixResult)
         assert via_api.cells == direct.cells
 
@@ -83,7 +78,7 @@ class TestRunDispatch:
 
         path = "tests/data/ctc_tiny.swf"
         spec = EvaluateSpec(trace=path, window_jobs=40, warmup=4, seed=2)
-        batch = run_matrix(repro.read_swf(path), spec.to_matrix_config())
+        batch = run_matrix(repro.read_swf(path), spec)
         for workers in (1, 2, 4):
             cache = tmp_path / f"w{workers}"
             streamed = api.run(spec, workers=workers, cache=cache)

@@ -343,14 +343,15 @@ class TestEvaluateStreaming:
     @staticmethod
     def _materialised():
         """The same matrix from the file read whole by ``read_swf``."""
-        from repro.eval.matrix import MatrixConfig, run_matrix
+        from repro.eval.matrix import run_matrix
+        from repro.specs import EvaluateSpec
         from repro.workloads.swf import read_swf
 
-        config = MatrixConfig(
+        spec = EvaluateSpec(
             policies=("fcfs", "f1"), backfill=("none", "easy"),
             window_jobs=50, warmup=5,
         )
-        return run_matrix(read_swf(FIXTURE_SWF), config)
+        return run_matrix(read_swf(FIXTURE_SWF), spec)
 
     def test_stream_output_identical_to_materialised(self, capsys):
         from repro.eval.report import render_matrix_report

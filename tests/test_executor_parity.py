@@ -25,12 +25,13 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import PipelineConfig, build_distribution
-from repro.eval.matrix import MatrixConfig, run_matrix
+from repro.eval.matrix import run_matrix
 from repro.eval.windows import stream_windows
 from repro.experiments.scale import SCALES
 from repro.experiments.sensitivity import seed_sweep
 from repro.experiments.table4 import resolve_rows, run_rows
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.specs import EvaluateSpec
 from repro.workloads.traces import synthetic_trace
 
 WORKER_COUNTS = (1, 2, 4)
@@ -102,8 +103,8 @@ class TestMatrixParity:
         return synthetic_trace("ctc_sp2", n_jobs=160, seed=11)
 
     @pytest.fixture(scope="class")
-    def config(self):
-        return MatrixConfig(
+    def spec(self):
+        return EvaluateSpec(
             policies=("fcfs", "f1"),
             backfill=("none", "easy"),
             window_jobs=40,
@@ -112,21 +113,21 @@ class TestMatrixParity:
         )
 
     @pytest.fixture(scope="class")
-    def reference(self, trace, config):
-        return _matrix_bytes(run_matrix(trace, config))
+    def reference(self, trace, spec):
+        return _matrix_bytes(run_matrix(trace, spec))
 
     @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_matrix_bit_identical(self, workers, trace, config, reference):
-        result = run_matrix(trace, config, workers=workers)
+    def test_matrix_bit_identical(self, workers, trace, spec, reference):
+        result = run_matrix(trace, spec, workers=workers)
         assert _matrix_bytes(result) == reference
 
-    def test_streamed_matrix_bit_identical(self, trace, config, reference):
+    def test_streamed_matrix_bit_identical(self, trace, spec, reference):
         """The streamed path reuses one runner across flushes — exactly
         where the persistent pool must still be invisible in the bytes."""
         windows = stream_windows(
-            trace, jobs=config.window_jobs, warmup=config.warmup
+            trace, jobs=spec.window_jobs, warmup=spec.warmup
         )
-        result = run_matrix(windows, config, workers=2)
+        result = run_matrix(windows, spec, workers=2)
         assert _matrix_bytes(result) == reference
 
 

@@ -26,7 +26,6 @@ from repro.core.pipeline import (
 from repro.obs import MetricsRegistry, use_registry
 from repro.runtime import (
     ArtifactCache,
-    ProgressAggregator,
     TrialRunner,
     config_fingerprint,
     resolve_workers,
@@ -91,18 +90,6 @@ class TestResolveWorkers:
     def test_invalid(self, bad):
         with pytest.raises(ValueError):
             resolve_workers(bad)
-
-
-class TestProgressAggregator:
-    def test_monotone_and_capped(self):
-        seen = []
-        agg = ProgressAggregator(lambda p, d, t: seen.append((p, d, t)), "x", 4)
-        agg.advance(3)
-        agg.advance(3)  # over-report is clamped to total
-        assert seen == [("x", 3, 4), ("x", 4, 4)]
-
-    def test_none_callback(self):
-        ProgressAggregator(None, "x", 1).advance()  # must not raise
 
 
 class TestSerialParallelEquivalence:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -161,6 +162,27 @@ class TestValidation:
     def test_evaluate_warmup_must_be_a_non_negative_integer(self, warmup):
         with pytest.raises(SpecError, match="warmup must be"):
             EvaluateSpec(warmup=warmup)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "3"], ids=repr)
+    @pytest.mark.parametrize(
+        "kind", [EvaluateSpec, SimulateSpec, TrainSpec, Table4Spec],
+        ids=lambda cls: cls.kind,
+    )
+    def test_seed_must_be_a_non_negative_integer(self, kind, seed):
+        with pytest.raises(
+            SpecError,
+            match=rf"^seed must be a non-negative integer, got {re.escape(repr(seed))}$",
+        ):
+            kind(seed=seed)
+
+    def test_sweep_rejects_a_negative_seed_before_any_child_runs(self):
+        base = EvaluateSpec(trace="tests/data/ctc_tiny.swf", window_jobs=50)
+        with pytest.raises(
+            SpecError,
+            match=r"invalid grid point \(seed=-1\): seed must be a non-negative"
+            " integer, got -1",
+        ):
+            SweepSpec(base=base, grid={"seed": [0, -1]})
 
     def test_table4_validation(self):
         with pytest.raises(SpecError, match="unknown Table 4 row"):

@@ -310,7 +310,7 @@ class TestSpecIntegration:
 
         path = fetch_trace("fixture").path
         spec = self.spec()
-        batch = run_matrix(read_swf(path), spec.to_matrix_config())
+        batch = run_matrix(read_swf(path), spec)
         stream = api.run(spec)
         assert matrix_to_json(batch) == matrix_to_json(stream)
 
