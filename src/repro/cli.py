@@ -84,6 +84,7 @@ from repro.specs import (
     load_spec,
     spec_kinds,
 )
+from repro.specs.base import field_hints
 from repro.traces import (
     TraceFetchError,
     TraceUnavailableError,
@@ -160,7 +161,7 @@ def add_spec_flags(parser: argparse.ArgumentParser, spec_cls: type[Spec]) -> Non
     leaves its field out of the namespace, so the spec's own default and
     validation are the only copy.
     """
-    hints = typing.get_type_hints(spec_cls)
+    hints = field_hints(spec_cls)
     for f in dataclasses.fields(spec_cls):
         help_text = f.metadata.get("help", "")
         if f.default is not None:
@@ -398,8 +399,6 @@ def _emit_sweep(spec: SweepSpec, result, args: argparse.Namespace) -> None:
     print(result.summary_table())
     output_dir = getattr(args, "output_dir", None)
     if output_dir:
-        from pathlib import Path
-
         directory = Path(output_dir)
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / "sweep_summary.csv"
@@ -569,7 +568,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     if args.figure in ("1", "all"):
         fig1 = fig1_trial_score_distributions(
             n_trials=min(scale.trials_per_tuple, 1024), seed=args.seed
-        )  # noqa: F841 - also exported below
+        )
         print(f"Figure 1 (mean line = {fig1.mean_line:.3f}):")
         for i, panel in enumerate(fig1.panels):
             print(f"  panel {i}: " + " ".join(f"{s:.4f}" for s in panel))

@@ -76,7 +76,7 @@ def _spec_block(spec: Any) -> dict:
         ref = doc.get(field)
         if isinstance(ref, str):
             try:
-                from repro.specs.simulate import trace_ref_identity
+                from repro.specs.base import trace_ref_identity
 
                 identity = trace_ref_identity(ref)
             except Exception:  # unfetched/unknown refs: record verbatim

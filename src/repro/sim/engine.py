@@ -51,7 +51,7 @@ from repro.sim.metrics import (
     waiting_times,
 )
 from repro.util.stats import Summary, summarize
-from repro.util.validation import check_positive_int
+from repro.util.validation import check_positive, check_positive_int
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.policies.base import Policy
@@ -102,8 +102,7 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nmax", check_positive_int("nmax", self.nmax))
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        check_positive("tau", self.tau)
         object.__setattr__(self, "backfill", normalize_backfill(self.backfill))
         from repro.sim.platform import normalize_distribution, normalize_topology
 

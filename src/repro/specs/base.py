@@ -18,16 +18,26 @@ string and inherits four capabilities from :class:`Spec`:
 * dataclass equality — a spec built from CLI flags compares equal to
   one loaded from a file when the declared experiments match.
 
+A field's dataclass declaration is its only declaration.  The CLI derives
+the field's flag from it, and :meth:`Spec.__post_init__` checks every
+``bool`` / ``int`` / ``float`` field (and ``X | None`` of those) against
+its annotation — an ``int`` field's lower bound is its ``"min"`` metadata
+— before running the kind's :meth:`~Spec._validate` hook of value rules.
+That method is the one place a field value raises :class:`SpecError`.
+
 Spec modules import only the standard library and this package at module
-scope; anything heavier (policy registry, scale presets, matrix config)
-is imported lazily inside validation and conversion methods, which keeps
-``repro.specs`` importable from every layer without cycles.
+scope; anything heavier (policy registry, scale presets, trace
+registries) is imported lazily inside validation and conversion methods,
+which keeps ``repro.specs`` importable from every layer without cycles.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
+import math
+import typing
 from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +57,28 @@ __all__ = [
 
 class SpecError(ValueError):
     """A spec document or spec field failed validation."""
+
+
+#: Flag metadata of the fields several kinds declare alike.
+TAU_HELP = {"help": "bounded-slowdown threshold in seconds (default: 10)"}
+TOPOLOGY_HELP = {
+    "help": "partition the machine into equal leaves, e.g. 2x4 = 8 leaves"
+    " each running its own scheduler; nmax must divide evenly"
+    " (default: the paper's flat machine)"
+}
+DISTRIBUTION_HELP = {
+    "help": "job-to-leaf strategy of a --topology run: round_robin,"
+    " by_size or random (seeded by --seed)"
+}
+
+#: What a checked field takes, by its ``(type, "min" metadata)``; every
+#: ``int`` field declares its lower bound.
+_WANTED = {
+    (bool, None): "a boolean",
+    (float, None): "a finite number",
+    (int, 0): "a non-negative integer",
+    (int, 1): "a positive integer",
+}
 
 
 _REGISTRY: dict[str, type["Spec"]] = {}
@@ -83,6 +115,26 @@ class Spec:
 
     #: Registry key and the value of the ``spec`` field in documents.
     kind: ClassVar[str] = ""
+
+    def __post_init__(self) -> None:
+        for name, wanted, optional, minimum, words in _scalar_fields(type(self)):
+            value = getattr(self, name)
+            if not _fits(value, wanted, optional, minimum):
+                raise SpecError(f"{name} must be {words}, got {value!r}")
+        try:
+            self._validate()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SpecError(f"invalid {self.kind} spec: {exc.args[0]}") from None
+
+    def _validate(self) -> None:
+        """Hook: the kind's value rules, run after the type check.
+
+        Ranges of floats, registry names and cross-field rules live
+        here; canonical spellings are stored with
+        ``object.__setattr__``.  Any ``KeyError`` / ``TypeError`` /
+        ``ValueError`` raised becomes a :class:`SpecError` naming the
+        kind.
+        """
 
     # ------------------------------------------------------------------
     # serialization
@@ -139,12 +191,7 @@ class Spec:
                 f"unknown key(s) in {cls.kind!r} spec: {', '.join(map(repr, unknown))};"
                 f" valid keys: {', '.join(sorted(known))}"
             )
-        try:
-            return cls(**cls._decode_fields(fields))
-        except SpecError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise SpecError(f"invalid {cls.kind!r} spec: {exc}") from exc
+        return cls(**cls._decode_fields(fields))
 
     @classmethod
     def _decode_fields(cls, fields: dict[str, Any]) -> dict[str, Any]:
@@ -183,6 +230,98 @@ class Spec:
             f.name: _encode_value(getattr(self, f.name))
             for f in dataclasses.fields(self)
         }
+
+
+@functools.cache
+def field_hints(cls: type[Spec]) -> dict[str, Any]:
+    """The resolved annotations of *cls*, computed once per class."""
+    return typing.get_type_hints(cls)
+
+
+@functools.cache
+def _scalar_fields(cls: type[Spec]) -> tuple[tuple, ...]:
+    """``(name, type, None allowed, "min", wording)`` of each bool/int/float
+    field of *cls*."""
+    out = []
+    for f in dataclasses.fields(cls):
+        hint = field_hints(cls)[f.name]
+        args = typing.get_args(hint)
+        optional = type(None) in args
+        if optional and len(args) == 2:
+            (hint,) = (arg for arg in args if arg is not type(None))
+        if hint in (bool, int, float):
+            minimum = f.metadata.get("min")
+            out.append((f.name, hint, optional, minimum, _WANTED[hint, minimum]))
+    return tuple(out)
+
+
+def _fits(value: Any, wanted: type, optional: bool, minimum: int | None) -> bool:
+    """Whether *value* is of the declared scalar type (bool is no number)."""
+    if value is None:
+        return optional
+    if wanted is bool or isinstance(value, bool):
+        return wanted is bool and isinstance(value, bool)
+    if wanted is int:
+        return isinstance(value, int) and value >= minimum
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def resolve_tau(tau: float | None) -> float:
+    """The bounded-slowdown threshold of a spec: ``None`` is the paper's
+    10 s (:data:`repro.sim.metrics.DEFAULT_TAU`), else it must be > 0."""
+    from repro.sim.metrics import DEFAULT_TAU
+
+    if tau is None:
+        return float(DEFAULT_TAU)
+    if not tau > 0:
+        raise ValueError(f"tau must be > 0, got {tau!r}")
+    return tau
+
+
+def check_scale_name(scale: str | None) -> None:
+    """Validate a scale-preset name against the registry (lazy import)."""
+    from repro.experiments.scale import SCALES
+
+    if scale is not None and scale not in SCALES:
+        raise ValueError(
+            f"unknown scale {scale!r}; available: {', '.join(sorted(SCALES))}"
+        )
+
+
+def check_trace_name(trace: str) -> None:
+    """Validate a synthetic-trace name against the registry (lazy import)."""
+    from repro.workloads.traces import trace_names
+
+    if trace not in trace_names():
+        raise ValueError(
+            f"unknown synthetic trace {trace!r}; available: "
+            + ", ".join(trace_names())
+        )
+
+
+def check_trace_ref(ref: str | None) -> None:
+    """Validate a ``pwa:<name>`` trace reference against the acquisition
+    registry (lazy import); plain paths and ``None`` pass through."""
+    from repro.traces import get_source, is_trace_ref, trace_ref_name
+
+    if ref is not None and is_trace_ref(ref):
+        get_source(trace_ref_name(ref))
+
+
+def trace_ref_identity(ref: str) -> object:
+    """Fingerprint spelling of a trace argument.
+
+    A ``pwa:<name>`` reference enters identities as the registry's
+    pinned *content hash* — never the URL or the resolved cache path —
+    so fingerprints are independent of where the bytes are cached or
+    mirrored from; plain file paths enter as themselves (their content
+    is additionally hashed at the cache-key layer).
+    """
+    from repro.traces import get_source, is_trace_ref, trace_ref_name
+
+    if is_trace_ref(ref):
+        return get_source(trace_ref_name(ref)).content_id()
+    return ref
 
 
 def _encode_value(value: Any) -> Any:

@@ -19,19 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
-from repro.specs.base import Spec, SpecError, register_spec
-from repro.specs.simulate import (
+from repro.specs.base import (
     DISTRIBUTION_HELP,
+    TAU_HELP,
     TOPOLOGY_HELP,
-    canonical_backfill,
-    canonical_distribution,
-    canonical_policy,
-    canonical_topology,
+    Spec,
     check_trace_name,
     check_trace_ref,
+    register_spec,
+    resolve_tau,
     trace_ref_identity,
 )
-from repro.specs.train import check_optional_positive_int, check_seed
 
 __all__ = ["EvaluateSpec"]
 
@@ -52,7 +50,9 @@ class EvaluateSpec(Spec):
         default="ctc_sp2",
         metadata={"help": "synthetic stand-in replayed when no --trace is given"},
     )
-    jobs: int = field(default=5000, metadata={"help": "synthetic stand-in job count"})
+    jobs: int = field(
+        default=5000, metadata={"help": "synthetic stand-in job count", "min": 1}
+    )
     drop_failed: bool = field(
         default=False,
         metadata={"help": "exclude failed/cancelled SWF rows (status 0/5)"},
@@ -65,7 +65,7 @@ class EvaluateSpec(Spec):
     window_jobs: int | None = field(
         default=None,
         metadata={"help": "evaluate contiguous windows of N jobs (default:"
-                  " 5000 unless --window-seconds is given)"},
+                  " 5000 unless --window-seconds is given)", "min": 1},
     )
     window_seconds: float | None = field(
         default=None,
@@ -73,23 +73,22 @@ class EvaluateSpec(Spec):
     )
     warmup: int = field(
         default=0,
-        metadata={"help": "simulate but exclude the first N jobs of every window"},
+        metadata={"help": "simulate but exclude the first N jobs of every"
+                  " window", "min": 0},
     )
     max_windows: int | None = field(
-        default=None, metadata={"help": "evaluate at most K windows"}
+        default=None, metadata={"help": "evaluate at most K windows", "min": 1}
     )
     nmax: int | None = field(
         default=None,
-        metadata={"help": "machine size (default: the trace's MaxProcs header)"},
+        metadata={"help": "machine size (default: the trace's MaxProcs"
+                  " header)", "min": 1},
     )
     estimates: bool = field(
         default=False, metadata={"help": "schedule on user runtime estimates"}
     )
-    tau: float | None = field(
-        default=None,
-        metadata={"help": "bounded-slowdown threshold in seconds (default: 10)"},
-    )
-    seed: int = 0
+    tau: float | None = field(default=None, metadata=TAU_HELP)
+    seed: int = field(default=0, metadata={"min": 0})
     baseline: str | None = field(
         default=None,
         metadata={"help": "anchor of the paired per-window deltas"
@@ -98,7 +97,7 @@ class EvaluateSpec(Spec):
     bootstrap: int = field(
         default=1000,
         metadata={"help": "bootstrap resamples behind the paired-delta CIs"
-                  " (0 disables them)"},
+                  " (0 disables them)", "min": 0},
     )
     ci: float = field(
         default=0.95, metadata={"help": "nominal coverage of the bootstrap CIs"}
@@ -106,69 +105,49 @@ class EvaluateSpec(Spec):
     topology: tuple[int, ...] | None = field(default=None, metadata=TOPOLOGY_HELP)
     distribution: str = field(default="round_robin", metadata=DISTRIBUTION_HELP)
 
-    def __post_init__(self) -> None:
-        if self.tau is None:
-            from repro.sim.metrics import DEFAULT_TAU
-
-            object.__setattr__(self, "tau", float(DEFAULT_TAU))
-        if self.window_jobs is None and self.window_seconds is None:
-            object.__setattr__(self, "window_jobs", 5000)
-        check_optional_positive_int("nmax", self.nmax)
-        check_optional_positive_int("jobs", self.jobs)
-        check_seed(self.seed)
-        try:
-            self._canonicalise_matrix()
-        except (KeyError, TypeError, ValueError) as exc:
-            raise SpecError(f"invalid evaluate spec: {exc.args[0]}") from None
-        if self.trace is None:
-            check_trace_name(self.synthetic)
-        else:
-            check_trace_ref(self.trace)
-        if self.baseline is not None:
-            canonical = canonical_policy(self.baseline)
-            if canonical not in self.policies:
-                raise SpecError(
-                    f"baseline {canonical!r} is not among the matrix"
-                    f" policies {self.policies}"
-                )
-            object.__setattr__(self, "baseline", canonical)
-        if isinstance(self.bootstrap, bool) or not isinstance(self.bootstrap, int) or self.bootstrap < 0:
-            raise SpecError(f"bootstrap must be an integer >= 0, got {self.bootstrap!r}")
-        if not 0.0 < self.ci < 1.0:
-            raise SpecError(f"ci must be a coverage level in (0, 1), got {self.ci!r}")
-
-    def _canonicalise_matrix(self) -> None:
-        """Check the matrix fields; store canonical axes and platform."""
+    def _validate(self) -> None:
         from repro.policies.registry import get_policy
-        from repro.util.validation import check_positive, check_positive_int
+        from repro.sim.engine import normalize_backfill
+        from repro.sim.platform import normalize_distribution, normalize_topology
 
+        object.__setattr__(self, "tau", resolve_tau(self.tau))
         if not self.policies:
             raise ValueError("at least one policy is required")
         policies = tuple(get_policy(name).name for name in self.policies)
         if len(set(policies)) != len(policies):
             raise ValueError(f"duplicate policies in {tuple(self.policies)}")
-        modes = tuple(canonical_backfill(b) for b in self.backfill)
+        modes = tuple(normalize_backfill(b) or "none" for b in self.backfill)
         if not modes:
             raise ValueError("at least one backfill mode is required")
         if len(set(modes)) != len(modes):
             raise ValueError(f"duplicate backfill modes in {tuple(self.backfill)}")
-        if self.window_jobs is not None and self.window_seconds is not None:
+        if self.window_jobs is None and self.window_seconds is None:
+            object.__setattr__(self, "window_jobs", 5000)
+        elif self.window_jobs is not None and self.window_seconds is not None:
             raise ValueError("pass exactly one of window_jobs / window_seconds")
-        if self.window_jobs is not None:
-            check_positive_int("window_jobs", self.window_jobs)
-        if self.window_seconds is not None:
-            check_positive("window_seconds", float(self.window_seconds))
-        check_positive_int("warmup", self.warmup, allow_zero=True)
-        if self.max_windows is not None:
-            check_positive_int("max_windows", self.max_windows)
-        if self.tau <= 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        seconds = self.window_seconds
+        if seconds is not None and not seconds > 0:
+            raise ValueError(f"window_seconds must be > 0, got {seconds!r}")
         object.__setattr__(self, "policies", policies)
         object.__setattr__(self, "backfill", modes)
-        object.__setattr__(self, "topology", canonical_topology(self.topology))
+        object.__setattr__(self, "topology", normalize_topology(self.topology))
         object.__setattr__(
-            self, "distribution", canonical_distribution(self.distribution)
+            self, "distribution", normalize_distribution(self.distribution)
         )
+        if self.trace is None:
+            check_trace_name(self.synthetic)
+        else:
+            check_trace_ref(self.trace)
+        if self.baseline is not None:
+            baseline = get_policy(self.baseline).name
+            if baseline not in policies:
+                raise ValueError(
+                    f"baseline {baseline!r} is not among the matrix"
+                    f" policies {policies}"
+                )
+            object.__setattr__(self, "baseline", baseline)
+        if not 0.0 < self.ci < 1.0:
+            raise ValueError(f"ci must be a coverage level in (0, 1), got {self.ci!r}")
 
     def _fingerprint_payload(self) -> dict[str, Any]:
         payload: dict[str, Any] = {

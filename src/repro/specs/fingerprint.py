@@ -15,8 +15,9 @@ Three invariants every derivation keeps:
   never enter a payload, because the runtime guarantees
   bit-identical results for any setting;
 * **canonical spellings** — callers pass registry-canonical policy
-  names and :func:`repro.sim.engine.normalize_backfill` tokens, so two
-  configs that mean the same thing hash the same;
+  names and the specs' backfill tokens (``"none"`` / ``"easy"`` /
+  ``"conservative"`` / ``"hybrid"``), so two configs that mean the same
+  thing hash the same;
 * **versioned payloads** — each payload embeds a format/semantics
   version so stale entries in long-lived shared caches become misses,
   never mis-decodes.

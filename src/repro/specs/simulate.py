@@ -5,8 +5,8 @@ synthetic trace stand-in, or the Lublin+Tsafrir model — and one
 (policy, backfill-mode, information-regime) setting.  Backfill uses the
 engine's canonical mode vocabulary
 (:func:`repro.sim.engine.normalize_backfill`): ``"none"`` / ``"easy"``
-/ ``"conservative"``, with the legacy booleans accepted and
-canonicalised, so every verb of the library now spells modes the same
+/ ``"conservative"`` / ``"hybrid"``, with the legacy booleans accepted
+and canonicalised, so every verb of the library spells modes the same
 way.
 """
 
@@ -15,104 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, ClassVar
 
-from repro.specs.base import Spec, SpecError, register_spec
-from repro.specs.train import check_optional_positive_int, check_seed
+from repro.specs.base import (
+    DISTRIBUTION_HELP,
+    TAU_HELP,
+    TOPOLOGY_HELP,
+    Spec,
+    check_trace_name,
+    check_trace_ref,
+    register_spec,
+    resolve_tau,
+    trace_ref_identity,
+)
 
 __all__ = ["SimulateSpec"]
-
-#: Flag metadata of the platform fields shared with :class:`EvaluateSpec`.
-TOPOLOGY_HELP = {
-    "help": "partition the machine into equal leaves, e.g. 2x4 = 8 leaves"
-    " each running its own scheduler; nmax must divide evenly"
-    " (default: the paper's flat machine)"
-}
-DISTRIBUTION_HELP = {
-    "help": "job-to-leaf strategy of a --topology run: round_robin,"
-    " by_size or random (seeded by --seed)"
-}
-
-
-def canonical_policy(name: str) -> str:
-    """Registry-canonical spelling of a policy name (lazy import)."""
-    from repro.policies.registry import get_policy
-
-    try:
-        return get_policy(name).name
-    except KeyError as exc:
-        raise SpecError(str(exc)) from None
-
-
-def canonical_backfill(value: str | bool | None) -> str:
-    """Canonical backfill token
-    (``"none"``/``"easy"``/``"conservative"``/``"hybrid"``)."""
-    from repro.sim.engine import normalize_backfill
-
-    try:
-        return normalize_backfill(value) or "none"
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-
-
-def canonical_topology(value) -> tuple[int, ...] | None:
-    """Canonical topology tuple (``None`` for the flat machine)."""
-    from repro.sim.platform import normalize_topology
-
-    try:
-        return normalize_topology(value)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-
-
-def canonical_distribution(value: str | None) -> str:
-    """Canonical job-distribution strategy name."""
-    from repro.sim.platform import normalize_distribution
-
-    try:
-        return normalize_distribution(value)
-    except ValueError as exc:
-        raise SpecError(str(exc)) from None
-
-
-def check_trace_name(trace: str | None) -> None:
-    """Validate a synthetic-trace name against the registry (lazy import)."""
-    if trace is None:
-        return
-    from repro.workloads.traces import trace_names
-
-    if trace not in trace_names():
-        raise SpecError(
-            f"unknown synthetic trace {trace!r}; available: "
-            + ", ".join(trace_names())
-        )
-
-
-def check_trace_ref(ref: str | None) -> None:
-    """Validate a ``pwa:<name>`` trace reference against the acquisition
-    registry (lazy import); plain paths and ``None`` pass through."""
-    from repro.traces import UnknownTraceError, get_source, is_trace_ref, trace_ref_name
-
-    if ref is None or not is_trace_ref(ref):
-        return
-    try:
-        get_source(trace_ref_name(ref))
-    except (UnknownTraceError, ValueError) as exc:
-        raise SpecError(str(exc)) from None
-
-
-def trace_ref_identity(ref: str) -> object:
-    """Fingerprint spelling of a trace argument.
-
-    A ``pwa:<name>`` reference enters identities as the registry's
-    pinned *content hash* — never the URL or the resolved cache path —
-    so fingerprints are independent of where the bytes are cached or
-    mirrored from; plain file paths enter as themselves (their content
-    is additionally hashed at the cache-key layer).
-    """
-    from repro.traces import get_source, is_trace_ref, trace_ref_name
-
-    if is_trace_ref(ref):
-        return get_source(trace_ref_name(ref)).content_id()
-    return ref
 
 
 @register_spec
@@ -126,13 +41,14 @@ class SimulateSpec(Spec):
     nmax: int | None = field(
         default=None,
         metadata={"help": "machine size (default: the SWF/trace's own, or"
-                  " 256 for the generated model)"},
+                  " 256 for the generated model)", "min": 1},
     )
     jobs: int | None = field(
         default=None,
-        metadata={"help": "job count of a generated source (model: 2000)"},
+        metadata={"help": "job count of a generated source (model: 2000)",
+                  "min": 1},
     )
-    seed: int = 0
+    seed: int = field(default=0, metadata={"min": 0})
     swf: str | None = field(
         default=None,
         metadata={"help": "SWF file to replay: a path or a pwa:<name>"
@@ -148,36 +64,32 @@ class SimulateSpec(Spec):
         default="none",
         metadata={"help": "backfill mode: none, easy, conservative or hybrid"},
     )
-    tau: float | None = field(
-        default=None,
-        metadata={"help": "bounded-slowdown threshold in seconds (default: 10)"},
-    )
+    tau: float | None = field(default=None, metadata=TAU_HELP)
     topology: tuple[int, ...] | None = field(default=None, metadata=TOPOLOGY_HELP)
     distribution: str = field(default="round_robin", metadata=DISTRIBUTION_HELP)
 
-    def __post_init__(self) -> None:
-        if self.tau is None:
-            from repro.sim.metrics import DEFAULT_TAU
+    def _validate(self) -> None:
+        from repro.policies.registry import get_policy
+        from repro.sim.engine import normalize_backfill
+        from repro.sim.platform import normalize_distribution, normalize_topology
 
-            object.__setattr__(self, "tau", float(DEFAULT_TAU))
-        if not self.tau > 0:
-            raise SpecError(f"tau must be > 0, got {self.tau!r}")
-        object.__setattr__(self, "policy", canonical_policy(self.policy))
-        object.__setattr__(self, "backfill", canonical_backfill(self.backfill))
+        object.__setattr__(self, "tau", resolve_tau(self.tau))
+        object.__setattr__(self, "policy", get_policy(self.policy).name)
+        object.__setattr__(
+            self, "backfill", normalize_backfill(self.backfill) or "none"
+        )
         if self.swf is not None and self.trace is not None:
-            raise SpecError("pass at most one of swf / trace")
-        check_trace_name(self.trace)
+            raise ValueError("pass at most one of swf / trace")
+        if self.trace is not None:
+            check_trace_name(self.trace)
         check_trace_ref(self.swf)
-        check_optional_positive_int("nmax", self.nmax)
-        check_optional_positive_int("jobs", self.jobs)
-        check_seed(self.seed)
         if self.swf is None and self.trace is None and self.nmax is None:
             # The generated model needs an explicit machine size; default
             # to the paper's 256 so a bare spec is runnable.
             object.__setattr__(self, "nmax", 256)
-        object.__setattr__(self, "topology", canonical_topology(self.topology))
+        object.__setattr__(self, "topology", normalize_topology(self.topology))
         object.__setattr__(
-            self, "distribution", canonical_distribution(self.distribution)
+            self, "distribution", normalize_distribution(self.distribution)
         )
 
     def _fingerprint_payload(self) -> dict[str, Any]:

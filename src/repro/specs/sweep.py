@@ -36,12 +36,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any, ClassVar
 
-from repro.specs.base import (
-    Spec,
-    SpecError,
-    coerce_field_value,
-    register_spec,
-)
+from repro.specs.base import Spec, coerce_field_value, register_spec
 
 __all__ = ["SweepSpec"]
 
@@ -59,16 +54,16 @@ class SweepSpec(Spec):
     #: mapping (e.g. a TOML ``[grid]`` table) is accepted and normalised.
     grid: tuple[tuple[str, tuple[Any, ...]], ...] = ()
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not isinstance(self.base, Spec):
-            raise SpecError(
+            raise ValueError(
                 "sweep requires a 'base' spec (a nested spec document)"
             )
         if isinstance(self.base, SweepSpec):
-            raise SpecError("sweeps cannot nest: base must not be a sweep")
+            raise ValueError("sweeps cannot nest: base must not be a sweep")
         object.__setattr__(self, "grid", self._normalize_grid(self.grid))
         if not self.grid:
-            raise SpecError("sweep requires a non-empty 'grid' of axes")
+            raise ValueError("sweep requires a non-empty 'grid' of axes")
         self.expand()  # eager validation of every grid combination
 
     def _normalize_grid(
@@ -82,29 +77,29 @@ class SweepSpec(Spec):
             try:
                 pairs = [(name, values) for name, values in grid]
             except (TypeError, ValueError):
-                raise SpecError(
+                raise ValueError(
                     "grid must map base-spec field names to value lists"
                 ) from None
         axes = []
         seen = set()
         for name, values in pairs:
             if name not in base_fields:
-                raise SpecError(
+                raise ValueError(
                     f"grid axis {name!r} is not a field of the"
                     f" {base_cls.kind!r} base spec; valid fields:"
                     f" {', '.join(sorted(base_fields))}"
                 )
             if name in seen:
-                raise SpecError(f"duplicate grid axis {name!r}")
+                raise ValueError(f"duplicate grid axis {name!r}")
             seen.add(name)
             if isinstance(values, (str, bytes)) or not isinstance(
                 values, Sequence
             ):
-                raise SpecError(
+                raise ValueError(
                     f"grid axis {name!r} must list its values, got {values!r}"
                 )
             if len(values) == 0:
-                raise SpecError(f"grid axis {name!r} has no values")
+                raise ValueError(f"grid axis {name!r} has no values")
             axes.append(
                 (
                     name,
@@ -130,9 +125,9 @@ class SweepSpec(Spec):
             overrides = dict(zip(names, combo))
             try:
                 child = dataclasses.replace(self.base, **overrides)
-            except SpecError as exc:
+            except ValueError as exc:
                 point = ", ".join(f"{k}={v!r}" for k, v in overrides.items())
-                raise SpecError(f"invalid grid point ({point}): {exc}") from None
+                raise ValueError(f"invalid grid point ({point}): {exc}") from None
             out.append((overrides, child))
         return out
 
@@ -145,18 +140,12 @@ class SweepSpec(Spec):
     # ------------------------------------------------------------------
     @classmethod
     def _decode_fields(cls, fields: dict[str, Any]) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        if "base" in fields:
-            base = fields["base"]
-            out["base"] = Spec.from_dict(base) if isinstance(base, Mapping) else base
-        if "grid" in fields:
-            grid = fields["grid"]
-            # Keep mappings/pair-lists verbatim; __post_init__ normalises
-            # once the base spec (and its field set) is known.
-            out["grid"] = grid if isinstance(grid, Mapping) else tuple(
-                (name, tuple(values)) for name, values in grid
-            ) if isinstance(grid, Sequence) and not isinstance(grid, (str, bytes)) else grid
-        return out
+        # The grid stays verbatim: _validate normalises it once the base
+        # spec (and its field set) is known.
+        base = fields.get("base")
+        if isinstance(base, Mapping):
+            fields = {**fields, "base": Spec.from_dict(base)}
+        return fields
 
     def to_dict(self) -> dict[str, Any]:
         data = super().to_dict()

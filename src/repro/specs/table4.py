@@ -13,9 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar
 
-from repro.specs.base import Spec, SpecError, register_spec
-from repro.specs.simulate import canonical_policy
-from repro.specs.train import check_scale_name, check_seed
+from repro.specs.base import Spec, check_scale_name, register_spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.scale import Scale
@@ -39,32 +37,30 @@ class Table4Spec(Spec):
         default=None,
         metadata={"help": "scale preset (default: $REPRO_SCALE, else small)"},
     )
-    seed: int = 0
+    seed: int = field(default=0, metadata={"min": 0})
     policies: tuple[str, ...] | None = field(
         default=None,
         metadata={"help": "policy columns (default: the paper's)"},
     )
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         check_scale_name(self.scale)
-        check_seed(self.seed)
         if self.rows is not None:
             from repro.experiments.table4 import resolve_rows
 
             if not self.rows:
-                raise SpecError("rows must be a non-empty list or omitted")
-            try:
-                resolve_rows(self.rows)
-            except KeyError as exc:
-                raise SpecError(str(exc.args[0])) from None
+                raise ValueError("rows must be a non-empty list or omitted")
+            resolve_rows(self.rows)
             if len(set(self.rows)) != len(self.rows):
-                raise SpecError(f"duplicate rows in {self.rows}")
+                raise ValueError(f"duplicate rows in {self.rows}")
         if self.policies is not None:
+            from repro.policies.registry import get_policy
+
             if not self.policies:
-                raise SpecError("policies must be a non-empty list or omitted")
-            canonical = tuple(canonical_policy(p) for p in self.policies)
+                raise ValueError("policies must be a non-empty list or omitted")
+            canonical = tuple(get_policy(p).name for p in self.policies)
             if len(set(canonical)) != len(canonical):
-                raise SpecError(f"duplicate policies in {self.policies}")
+                raise ValueError(f"duplicate policies in {self.policies}")
             object.__setattr__(self, "policies", canonical)
 
     def resolved_rows(self) -> list[str]:

@@ -15,39 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar
 
-from repro.specs.base import Spec, SpecError, register_spec
+from repro.specs.base import (
+    TAU_HELP,
+    Spec,
+    check_scale_name,
+    register_spec,
+    resolve_tau,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import PipelineConfig
     from repro.experiments.scale import Scale
 
 __all__ = ["TrainSpec"]
-
-
-def check_scale_name(scale: str | None) -> None:
-    """Validate a scale-preset name against the registry (lazy import)."""
-    if scale is None:
-        return
-    from repro.experiments.scale import SCALES
-
-    if scale not in SCALES:
-        raise SpecError(
-            f"unknown scale {scale!r}; available: {', '.join(sorted(SCALES))}"
-        )
-
-
-def check_optional_positive_int(name: str, value: object) -> None:
-    """Raise :class:`SpecError` unless *value* is ``None`` or an int >= 1."""
-    if value is None:
-        return
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise SpecError(f"{name} must be a positive integer, got {value!r}")
-
-
-def check_seed(value: object) -> None:
-    """Raise :class:`SpecError` unless *value* is an int >= 0 (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise SpecError(f"seed must be a non-negative integer, got {value!r}")
 
 
 @register_spec
@@ -65,27 +45,27 @@ class TrainSpec(Spec):
     n_tuples: int | None = field(
         default=None,
         metadata={"flag": "--tuples", "help": "(S, Q) tuples to simulate"
-                  " (default: the scale preset's)"},
+                  " (default: the scale preset's)", "min": 1},
     )
     trials_per_tuple: int | None = field(
         default=None,
         metadata={"flag": "--trials", "help": "permutation trials per tuple"
-                  " (default: the scale preset's)"},
+                  " (default: the scale preset's)", "min": 1},
     )
-    nmax: int = field(default=256, metadata={"help": "machine size in cores"})
+    nmax: int = field(
+        default=256, metadata={"help": "machine size in cores", "min": 1}
+    )
     s_size: int = field(
-        default=16, metadata={"help": "|S|: warm-up jobs per tuple"}
+        default=16, metadata={"help": "|S|: warm-up jobs per tuple", "min": 1}
     )
     q_size: int = field(
-        default=32, metadata={"help": "|Q|: probe jobs scored per tuple"}
+        default=32, metadata={"help": "|Q|: probe jobs scored per tuple", "min": 1}
     )
-    seed: int = 0
-    tau: float | None = field(
-        default=None,
-        metadata={"help": "bounded-slowdown threshold in seconds (default: 10)"},
-    )
+    seed: int = field(default=0, metadata={"min": 0})
+    tau: float | None = field(default=None, metadata=TAU_HELP)
     top_k: int = field(
-        default=4, metadata={"flag": "--top", "help": "policies to report"}
+        default=4,
+        metadata={"flag": "--top", "help": "policies to report", "min": 1},
     )
     balanced_trials: bool = field(
         default=True,
@@ -95,28 +75,12 @@ class TrainSpec(Spec):
     regression_max_points: int | None = field(
         default=None,
         metadata={"help": "subsample bound of each regression fit"
-                  " (default: the scale preset's)"},
+                  " (default: the scale preset's)", "min": 1},
     )
 
-    def __post_init__(self) -> None:
-        if self.tau is None:
-            from repro.sim.metrics import DEFAULT_TAU
-
-            object.__setattr__(self, "tau", float(DEFAULT_TAU))
+    def _validate(self) -> None:
+        object.__setattr__(self, "tau", resolve_tau(self.tau))
         check_scale_name(self.scale)
-        check_seed(self.seed)
-        for name in (
-            "n_tuples",
-            "trials_per_tuple",
-            "regression_max_points",
-        ):
-            check_optional_positive_int(name, getattr(self, name))
-        for name in ("nmax", "s_size", "q_size", "top_k"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise SpecError(f"{name} must be a positive integer, got {value!r}")
-        if not self.tau > 0:
-            raise SpecError(f"tau must be > 0, got {self.tau!r}")
 
     def resolve_scale(self) -> "Scale":
         """The preset backing unset fields (``$REPRO_SCALE`` if unnamed)."""

@@ -441,7 +441,7 @@ class TestEvaluateStreaming:
             self._run("--ci", "1.5")
 
     def test_bad_bootstrap_rejected(self):
-        with pytest.raises(SystemExit, match="bootstrap must be an integer >= 0"):
+        with pytest.raises(SystemExit, match="bootstrap must be a non-negative integer, got -5"):
             self._run("--bootstrap", "-5")
 
 

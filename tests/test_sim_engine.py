@@ -20,6 +20,14 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(nmax=4, tau=0.0)
 
+    @pytest.mark.parametrize("tau", [float("nan"), float("inf")])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(ValueError, match="tau must be finite"):
+            SimulationConfig(nmax=4, tau=tau)
+        wl = Workload.from_arrays([0.0], [1.0], [1])
+        with pytest.raises(ValueError, match="tau must be finite"):
+            simulate(wl, FCFS(), 4, tau=tau)
+
     def test_numpy_integer_nmax_accepted(self):
         assert SimulationConfig(nmax=np.int64(4)).nmax == 4
 

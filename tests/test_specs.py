@@ -2,7 +2,9 @@
 
 import dataclasses
 import json
+import math
 import re
+import typing
 
 import pytest
 
@@ -17,6 +19,7 @@ from repro.specs import (
     Table4Spec,
     TrainSpec,
     load_spec,
+    spec_class_for,
     spec_kinds,
 )
 
@@ -158,6 +161,12 @@ class TestValidation:
         with pytest.raises(SpecError, match="ci"):
             EvaluateSpec(ci=1.5)
 
+    def test_evaluate_synthetic_source_must_name_a_stand_in(self):
+        with pytest.raises(SpecError, match="unknown synthetic trace None"):
+            EvaluateSpec(synthetic=None)
+        # With a trace given, the synthetic fallback is not the source.
+        EvaluateSpec(trace="tests/data/ctc_tiny.swf", synthetic=None)
+
     @pytest.mark.parametrize("warmup", [2.5, True, -1])
     def test_evaluate_warmup_must_be_a_non_negative_integer(self, warmup):
         with pytest.raises(SpecError, match="warmup must be"):
@@ -189,6 +198,114 @@ class TestValidation:
             Table4Spec(rows=("bogus",))
         with pytest.raises(SpecError, match="duplicate"):
             Table4Spec(rows=("ctc_sp2_actual", "ctc_sp2_actual"))
+
+
+#: Values each bool/int/float field's declaration rejects, per kind.
+#: Every such field of every registered kind is listed (checked below).
+WRONG_TYPED = {
+    "train": {
+        "n_tuples": [0, 2.5, True, "8"],
+        "trials_per_tuple": [0, 1.5],
+        "nmax": [None, 0, 256.0],
+        "s_size": [0, True],
+        "q_size": [-1, "32"],
+        "seed": [-1, 2.5],
+        "tau": [math.nan, math.inf, "10", True],
+        "top_k": [0, None],
+        "balanced_trials": ["no", 1, None],
+        "regression_max_points": [0, 2.5],
+    },
+    "simulate": {
+        "nmax": [0, 64.0],
+        "jobs": [0, True],
+        "seed": [-1, "0"],
+        "estimates": ["false", 0, None],
+        "tau": [math.nan, math.inf, "10", -math.inf],
+    },
+    "evaluate": {
+        "jobs": [None, 0, 2.5],
+        "drop_failed": ["no", None],
+        "window_jobs": [0, True],
+        "window_seconds": [True, math.nan, math.inf, "60"],
+        "warmup": [-1, 2.5],
+        "max_windows": [0, 1.0],
+        "nmax": [0, 1.5],
+        "estimates": ["false", 1],
+        "tau": [math.nan, math.inf, "10"],
+        "seed": [-1, None],
+        "bootstrap": [-1, True],
+        "ci": [None, math.nan, True, "0.9"],
+    },
+    "table4": {"seed": [-1, 2.5, True, "3"]},
+    "sweep": {},
+}
+
+WRONG_TYPED_CASES = [
+    (kind, name, value)
+    for kind, fields in WRONG_TYPED.items()
+    for name, values in fields.items()
+    for value in values
+]
+
+
+def _case_id(case):
+    kind, name, value = case
+    return f"{kind}-{name}={value!r}"
+
+
+class TestDeclaredFieldTypes:
+    """The dataclass annotation (and its ``min``) checks every scalar field."""
+
+    def test_table_covers_every_scalar_field_of_every_kind(self):
+        scalars = (bool, int, float, bool | None, int | None, float | None)
+        assert sorted(WRONG_TYPED) == spec_kinds()
+        for kind in spec_kinds():
+            cls = spec_class_for(kind)
+            hints = typing.get_type_hints(cls)
+            declared = {
+                f.name for f in dataclasses.fields(cls) if hints[f.name] in scalars
+            }
+            assert set(WRONG_TYPED[kind]) == declared, kind
+
+    @pytest.mark.parametrize("case", WRONG_TYPED_CASES, ids=_case_id)
+    def test_constructor_names_the_field(self, case):
+        kind, name, value = case
+        with pytest.raises(SpecError, match=rf"^{name} must be .*, got "):
+            spec_class_for(kind)(**{name: value})
+
+    @pytest.mark.parametrize("case", WRONG_TYPED_CASES, ids=_case_id)
+    def test_from_dict_names_the_field(self, case):
+        kind, name, value = case
+        with pytest.raises(SpecError, match=rf"^{name} must be .*, got "):
+            Spec.from_dict({"spec": kind, name: value})
+
+    @pytest.mark.parametrize("case", WRONG_TYPED_CASES, ids=_case_id)
+    def test_sweep_grid_point_names_the_point_and_field(self, case):
+        kind, name, value = case
+        point = re.escape(f"({name}={value!r})")
+        with pytest.raises(
+            SpecError, match=rf"invalid grid point {point}: {name} must be "
+        ):
+            SweepSpec(base=spec_class_for(kind)(), grid={name: [value]})
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: TrainSpec(n_tuples=0), "n_tuples must be a positive integer, got 0"),
+            (lambda: TrainSpec(seed=2.5), "seed must be a non-negative integer, got 2.5"),
+            (lambda: SimulateSpec(estimates="false"), "estimates must be a boolean, got 'false'"),
+            (lambda: EvaluateSpec(tau=math.inf), "tau must be a finite number, got inf"),
+        ],
+    )
+    def test_one_wording_per_bound(self, build, message):
+        with pytest.raises(SpecError) as err:
+            build()
+        assert str(err.value) == message
+
+    def test_optional_fields_still_take_none(self):
+        spec = EvaluateSpec(window_jobs=None, window_seconds=60, max_windows=None)
+        assert spec.window_seconds == 60
+        assert TrainSpec(n_tuples=None, tau=None).tau == 10.0
 
 
 class TestCanonicalisation:
