@@ -28,6 +28,7 @@ _FINGERPRINT_FUNCS = frozenset(
         "config_fingerprint",
         "distribution_fingerprint",
         "eval_cell_fingerprint",
+        "eval_window_fingerprint",
         "simulate_cell_fingerprint",
         "spec_fingerprint",
     }

@@ -13,9 +13,15 @@ carry over from the runtime:
   future stochastic policy, never drawn from a shared stream);
 * **content-addressed caching** — each cell's key fingerprints the
   window's arrays plus every result-relevant knob
-  (:func:`repro.runtime.config_fingerprint`), so a re-run with an
-  unchanged spec loads every cell from the
-  :class:`~repro.runtime.ArtifactCache` without simulating;
+  (:func:`~repro.specs.fingerprint.eval_cell_fingerprint`), and the
+  cells of one window are members of one
+  :class:`~repro.runtime.ArtifactCache` document keyed by the same
+  fingerprint without the policy and backfill axes
+  (:func:`~repro.specs.fingerprint.eval_window_fingerprint`).  A window
+  costs one read, and one merge-write per dispatch batch that
+  simulated any of its cells; hits and misses still count per cell.
+  A re-run with an unchanged spec loads every cell without simulating,
+  and a spec that adds a policy simulates only the new cells;
 * **fail-fast validation** — the workload is validated against the
   machine size on entry (:meth:`Workload.validate_for_machine`), naming
   the offending job instead of dying mid-simulation.
@@ -52,7 +58,7 @@ from repro.sim.engine import normalize_backfill, simulate
 from repro.sim.job import Workload, unknown_machine_size_error
 from repro.sim.platform import PartitionedPlatform, platform_identity
 from repro.specs import EvaluateSpec
-from repro.specs.fingerprint import eval_cell_fingerprint
+from repro.specs.fingerprint import eval_cell_fingerprint, eval_window_fingerprint
 from repro.util.rng import RngFactory
 from repro.util.stats import BootstrapCI, Summary, bootstrap_mean_ci, summarize
 
@@ -361,8 +367,11 @@ def run_matrix(
     # Children of the spec seed, spawned on demand in cell order.
     seed_root = np.random.SeedSequence(spec.seed)
     cells: list[CellResult | None] = []
-    # (slot, (window, policy, backfill, seed), cache key) awaiting dispatch.
-    pending: list[tuple[int, tuple[Window, str, str, int], str | None]] = []
+    # (slot, (window, policy, backfill, seed), window document key, cell
+    # key) awaiting dispatch; both keys are None without a cache.
+    pending: list[
+        tuple[int, tuple[Window, str, str, int], str | None, str | None]
+    ] = []
     # Pending cells hold their windows' arrays until the flush, so the
     # batch bounds memory at a few hundred windows while still giving
     # every worker dozens of cells per dispatch.  One runner spans the
@@ -385,14 +394,19 @@ def run_matrix(
         with span("eval.dispatch", cells=len(pending)):
             fresh = runner.map(
                 partial(_simulate_cell, spec, nmax),
-                [task for _, task, _ in pending],
+                [task for _, task, _, _ in pending],
                 progress=None if progress is None else tick,
                 phase="cells",
             )
-        for (slot, _, key), cell in zip(pending, fresh):
+        # One merge-write per touched window document: identical windows
+        # in one flush share a document, and cells cached earlier stay.
+        documents: dict[str, dict[str, dict]] = {}
+        for (slot, _, doc_key, key), cell in zip(pending, fresh):
             cells[slot] = cell
-            if store is not None and key is not None:
-                store.store_json(key, cell.to_entry())
+            if doc_key is not None:
+                documents.setdefault(doc_key, {})[key] = cell.to_entry()
+        for doc_key, members in documents.items():
+            store.store_json(doc_key, members, merge=True)
         n_simulated += len(pending)
         pending.clear()
 
@@ -405,38 +419,45 @@ def run_matrix(
             window.workload.validate_for_machine(nmax)
             registry.inc("eval.windows")
             n_windows += 1
-            # One hash of the window serves every cell key it is part of.
-            window_fp = window.fingerprint() if store is not None else None
+            doc_key = None
+            keys: dict[tuple[str, str], str] = {}
+            stored: dict = {}
+            if store is not None:
+                # The payloads live in specs.fingerprint, the single home
+                # of cache-key derivations; one hash of the window serves
+                # its document key and every cell key.
+                common = dict(
+                    window_fingerprint=window.fingerprint(),
+                    nmax=nmax,
+                    use_estimates=spec.estimates,
+                    tau=spec.tau,
+                    cell_format=_CELL_FORMAT,
+                    platform=platform,
+                )
+                doc_key = eval_window_fingerprint(**common)
+                keys = {
+                    (p, b): eval_cell_fingerprint(policy=p, backfill=b, **common)
+                    for p in spec.policies
+                    for b in spec.backfill
+                }
+                stored = store.load_json(doc_key, members=keys.values())
             for policy in spec.policies:
                 for backfill in spec.backfill:
                     (child,) = seed_root.spawn(1)
                     seed = int(child.generate_state(1, np.uint64)[0])
-                    key = None
-                    if store is not None:
-                        # The payload lives in specs.fingerprint, the
-                        # single home of cache-key derivations.
-                        key = eval_cell_fingerprint(
-                            window_fingerprint=window_fp,
-                            policy=policy,
-                            backfill=backfill,
-                            nmax=nmax,
-                            use_estimates=spec.estimates,
-                            tau=spec.tau,
-                            cell_format=_CELL_FORMAT,
-                            platform=platform,
-                        )
-                        entry = store.load_json(key)
-                        hit = CellResult.from_entry(entry) if entry is not None else None
-                        if hit is not None:
-                            # The window index in this run wins over the
-                            # cached one: max_windows truncation can
-                            # renumber windows between runs.
-                            registry.inc("eval.cells.cached")
-                            cells.append(replace(hit, window=window.index, seed=seed))
-                            continue
+                    key = keys.get((policy, backfill))
+                    entry = stored.get(key)
+                    hit = CellResult.from_entry(entry) if entry is not None else None
+                    if hit is not None:
+                        # The window index in this run wins over the
+                        # cached one: max_windows truncation can
+                        # renumber windows between runs.
+                        registry.inc("eval.cells.cached")
+                        cells.append(replace(hit, window=window.index, seed=seed))
+                        continue
                     cells.append(None)
                     pending.append(
-                        (len(cells) - 1, (window, policy, backfill, seed), key)
+                        (len(cells) - 1, (window, policy, backfill, seed), doc_key, key)
                     )
             if len(pending) >= dispatch_batch:
                 flush()

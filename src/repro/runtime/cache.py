@@ -8,12 +8,24 @@ field (the worker count is deliberately excluded — it cannot change
 results), and the value is the lossless npz artifact
 written by :func:`save_trial_artifact`.
 
+Small results are JSON *documents* (:meth:`ArtifactCache.load_json` /
+:meth:`ArtifactCache.store_json`).  A document is either one entry or a
+mapping of *members*: the evaluation matrix keeps every cell of one
+trace window as a member of that window's document, keyed by the
+cell's own fingerprint, so a window costs one file instead of one file
+per (policy, backfill) cell.  Loads count hits and misses per member,
+so the accounting reads the same as with one file per member.
+
 A cache directory is safe to share between serial and parallel runs,
-across processes, and across sessions; entries are immutable once
-written (atomic rename) and keyed by content, never by timestamp.  A
-writer killed between its temp-file write and the rename leaves the
-pid-suffixed temp file behind; the next :class:`ArtifactCache` opened on
-the directory removes it once that pid is no longer running.
+across processes, and across sessions; files are keyed by content,
+never by timestamp, and every write is an atomic rename, so a reader
+never sees a torn file.  Two runs merging members into the same
+document at once both rename a complete file, and the last rename
+wins: a member lost that way is a later miss that costs one
+re-simulation, never a wrong result.  A writer killed between its
+temp-file write and the rename leaves the pid-suffixed temp file
+behind; the next :class:`ArtifactCache` opened on the directory removes
+it once that pid is no longer running.
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ import json
 import os
 import re
 import zipfile
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from pathlib import Path
 from typing import BinaryIO
 
@@ -186,7 +198,7 @@ class ArtifactCache:
 
     @property
     def hits(self) -> int:
-        """Entries served from disk so far (both npz and JSON)."""
+        """Entries (npz, JSON documents or members) served from disk so far."""
         return int(self.metrics.value("cache.hits"))
 
     @property
@@ -194,8 +206,8 @@ class ArtifactCache:
         """Lookups that found nothing usable so far."""
         return int(self.metrics.value("cache.misses"))
 
-    def _record_loaded(self, n_bytes: int) -> None:
-        self.metrics.inc("cache.hits")
+    def _record_loaded(self, n_bytes: int, n_hits: int = 1) -> None:
+        self.metrics.inc("cache.hits", n_hits)
         self.metrics.inc("cache.bytes_loaded", n_bytes)
 
     @staticmethod
@@ -245,35 +257,68 @@ class ArtifactCache:
         self.path_for(key).unlink(missing_ok=True)
 
     # ------------------------------------------------------------------
-    # generic JSON entries (evaluation cells and other small artifacts)
+    # JSON documents (evaluation windows, single simulations)
     # ------------------------------------------------------------------
     def json_path_for(self, key: str) -> Path:
-        """Where the JSON entry for *key* lives (whether or not it exists)."""
+        """Where the JSON document for *key* lives (whether or not it exists)."""
         return self.root / f"eval-{self._check_key(key)}.json"
 
-    def load_json(self, key: str) -> object | None:
-        """Return the JSON entry for *key*, or ``None`` on a miss.
-
-        The same hit/miss accounting and corruption tolerance as
-        :meth:`load` apply: a missing or unreadable entry is a miss, and
-        an unreadable one is replaced atomically by the next
-        :meth:`store_json`.  The file is read once, and its length is the
-        bytes loaded.
-        """
+    def _read_json(self, key: str) -> tuple[object, int] | None:
+        """The parsed document for *key* and its length, or ``None``."""
         try:
             data = self.json_path_for(key).read_bytes()
-            obj = json.loads(data.decode("utf-8"))
+            return json.loads(data.decode("utf-8")), len(data)
         except (OSError, ValueError):
-            self.metrics.inc("cache.misses")
             return None
-        self._record_loaded(len(data))
-        return obj
 
-    def store_json(self, key: str, obj: object) -> Path:
-        """Persist a JSON-serialisable entry for *key* (atomic rename).
+    def load_json(
+        self, key: str, members: Iterable[str] | None = None
+    ) -> object | None:
+        """Return the JSON document for *key*, or some of its members.
 
-        The entry is encoded once; its length is the bytes stored.
+        Without *members* the whole document is one entry: ``None`` on a
+        miss, and one hit or miss is counted.  With *members* the
+        document is a mapping and the result is the dict of the named
+        members it holds; each named member counts as one hit or one
+        miss, so a missing or unreadable document is one miss per
+        member.  Either way an unreadable document is replaced
+        atomically by the next :meth:`store_json`, the file is read
+        once, and its length is the bytes loaded.
         """
+        read = self._read_json(key)
+        if members is None:
+            if read is None:
+                self.metrics.inc("cache.misses")
+                return None
+            obj, n_bytes = read
+            self._record_loaded(n_bytes)
+            return obj
+        wanted = list(members)
+        doc = read[0] if read is not None else None
+        found = (
+            {m: doc[m] for m in wanted if m in doc} if isinstance(doc, dict) else {}
+        )
+        if found:
+            self._record_loaded(read[1], len(found))
+        if len(found) < len(wanted):
+            self.metrics.inc("cache.misses", len(wanted) - len(found))
+        return found
+
+    def store_json(self, key: str, obj: object, *, merge: bool = False) -> Path:
+        """Persist a JSON-serialisable document for *key* (atomic rename).
+
+        With *merge*, *obj* is a mapping of members added to those the
+        document on disk already holds (a member in *obj* replaces the
+        stored one; an unreadable document is dropped).  The read and
+        the rename are not one step: of two concurrent merges into one
+        document the last rename wins, and the members only the other
+        wrote are lost — later misses, never wrong results.  The
+        document is encoded once; its length is the bytes stored.
+        """
+        if merge:
+            read = self._read_json(key)
+            if read is not None and isinstance(read[0], dict):
+                obj = {**read[0], **obj}
         path = self.json_path_for(key)
         data = json.dumps(obj, sort_keys=True, allow_nan=True).encode("utf-8")
         tmp = path.with_name(path.name + f".tmp{os.getpid()}")

@@ -34,6 +34,7 @@ from repro.specs.fingerprint import (
     SPEC_SCHEMA_VERSION,
     distribution_fingerprint,
     eval_cell_fingerprint,
+    eval_window_fingerprint,
     simulate_cell_fingerprint,
     spec_fingerprint,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "TrainSpec",
     "distribution_fingerprint",
     "eval_cell_fingerprint",
+    "eval_window_fingerprint",
     "load_spec",
     "register_spec",
     "simulate_cell_fingerprint",

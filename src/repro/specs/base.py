@@ -20,10 +20,12 @@ string and inherits four capabilities from :class:`Spec`:
 
 A field's dataclass declaration is its only declaration.  The CLI derives
 the field's flag from it, and :meth:`Spec.__post_init__` checks every
-``bool`` / ``int`` / ``float`` field (and ``X | None`` of those) against
-its annotation — an ``int`` field's lower bound is its ``"min"`` metadata
-— before running the kind's :meth:`~Spec._validate` hook of value rules.
-That method is the one place a field value raises :class:`SpecError`.
+``bool`` / ``int`` / ``float`` / ``str`` / ``tuple[str, ...]`` field (and
+``X | None`` of those) against its annotation — an ``int`` field's lower
+bound is its ``"min"`` metadata, and a ``tuple[str, ...]`` field takes a
+tuple or list of strings, never a bare string — before running the
+kind's :meth:`~Spec._validate` hook of value rules.  That method is the
+one place a field value raises :class:`SpecError`.
 
 Spec modules import only the standard library and this package at module
 scope; anything heavier (policy registry, scale presets, trace
@@ -78,6 +80,8 @@ _WANTED = {
     (float, None): "a finite number",
     (int, 0): "a non-negative integer",
     (int, 1): "a positive integer",
+    (str, None): "a string",
+    (tuple[str, ...], None): "a list of strings",
 }
 
 
@@ -117,7 +121,7 @@ class Spec:
     kind: ClassVar[str] = ""
 
     def __post_init__(self) -> None:
-        for name, wanted, optional, minimum, words in _scalar_fields(type(self)):
+        for name, wanted, optional, minimum, words in _checked_fields(type(self)):
             value = getattr(self, name)
             if not _fits(value, wanted, optional, minimum):
                 raise SpecError(f"{name} must be {words}, got {value!r}")
@@ -239,9 +243,9 @@ def field_hints(cls: type[Spec]) -> dict[str, Any]:
 
 
 @functools.cache
-def _scalar_fields(cls: type[Spec]) -> tuple[tuple, ...]:
-    """``(name, type, None allowed, "min", wording)`` of each bool/int/float
-    field of *cls*."""
+def _checked_fields(cls: type[Spec]) -> tuple[tuple, ...]:
+    """``(name, type, None allowed, "min", wording)`` of each field of *cls*
+    whose type :data:`_WANTED` declares."""
     out = []
     for f in dataclasses.fields(cls):
         hint = field_hints(cls)[f.name]
@@ -249,16 +253,23 @@ def _scalar_fields(cls: type[Spec]) -> tuple[tuple, ...]:
         optional = type(None) in args
         if optional and len(args) == 2:
             (hint,) = (arg for arg in args if arg is not type(None))
-        if hint in (bool, int, float):
+        if hint in (bool, int, float, str, tuple[str, ...]):
             minimum = f.metadata.get("min")
             out.append((f.name, hint, optional, minimum, _WANTED[hint, minimum]))
     return tuple(out)
 
 
 def _fits(value: Any, wanted: type, optional: bool, minimum: int | None) -> bool:
-    """Whether *value* is of the declared scalar type (bool is no number)."""
+    """Whether *value* is of the declared type (bool is no number, and a
+    string is no list of strings)."""
     if value is None:
         return optional
+    if wanted is str:
+        return isinstance(value, str)
+    if wanted == tuple[str, ...]:
+        return isinstance(value, (tuple, list)) and all(
+            isinstance(v, str) for v in value
+        )
     if wanted is bool or isinstance(value, bool):
         return wanted is bool and isinstance(value, bool)
     if wanted is int:

@@ -46,7 +46,7 @@ class EvaluateSpec(Spec):
         metadata={"help": "SWF trace to replay: a file path (.swf or .swf.gz)"
                   " or a pwa:<name> registry reference (default: --synthetic)"},
     )
-    synthetic: str = field(
+    synthetic: str | None = field(
         default="ctc_sp2",
         metadata={"help": "synthetic stand-in replayed when no --trace is given"},
     )
@@ -103,7 +103,7 @@ class EvaluateSpec(Spec):
         default=0.95, metadata={"help": "nominal coverage of the bootstrap CIs"}
     )
     topology: tuple[int, ...] | None = field(default=None, metadata=TOPOLOGY_HELP)
-    distribution: str = field(default="round_robin", metadata=DISTRIBUTION_HELP)
+    distribution: str | None = field(default="round_robin", metadata=DISTRIBUTION_HELP)
 
     def _validate(self) -> None:
         from repro.policies.registry import get_policy

@@ -3,7 +3,8 @@
 Before the spec layer existed, each subsystem hand-rolled its own cache
 key: :mod:`repro.core.pipeline` hashed the distribution-relevant
 pipeline fields, :mod:`repro.eval.matrix` hashed per-cell window content
-plus simulation knobs.  This module is now the single home of those
+plus simulation knobs (the window documents holding the cells are keyed
+the same way).  This module is now the single home of those
 payloads — the subsystems delegate here, and the spec classes
 (:mod:`repro.specs`) derive their :meth:`~repro.specs.Spec.fingerprint`
 from the same primitives — so one definition of "result-relevant"
@@ -39,6 +40,7 @@ __all__ = [
     "SPEC_SCHEMA_VERSION",
     "distribution_fingerprint",
     "eval_cell_fingerprint",
+    "eval_window_fingerprint",
     "simulate_cell_fingerprint",
     "spec_fingerprint",
 ]
@@ -93,6 +95,59 @@ def distribution_fingerprint(
     )
 
 
+def _eval_payload(
+    kind: str,
+    *,
+    window_fingerprint: str,
+    nmax: int,
+    use_estimates: bool,
+    tau: float,
+    cell_format: int,
+    platform: Mapping[str, object] | None,
+) -> dict[str, object]:
+    """The payload an evaluation window shares with each of its cells."""
+    payload: dict[str, object] = {
+        "kind": kind,
+        "format": cell_format,
+        "window": window_fingerprint,
+        "nmax": nmax,
+        "use_estimates": use_estimates,
+        "tau": tau,
+    }
+    if platform is not None:
+        payload["platform"] = dict(platform)
+    return payload
+
+
+def eval_window_fingerprint(
+    *,
+    window_fingerprint: str,
+    nmax: int,
+    use_estimates: bool,
+    tau: float,
+    cell_format: int,
+    platform: Mapping[str, object] | None = None,
+) -> str:
+    """Key of one evaluation window's cache document.
+
+    The document holds the window's cells as members keyed by
+    :func:`eval_cell_fingerprint`, so its payload is a cell's without
+    the policy and backfill axes; *platform* enters under the same
+    only-when-partitioned rule.
+    """
+    return config_fingerprint(
+        _eval_payload(
+            "eval-window",
+            window_fingerprint=window_fingerprint,
+            nmax=nmax,
+            use_estimates=use_estimates,
+            tau=tau,
+            cell_format=cell_format,
+            platform=platform,
+        )
+    )
+
+
 def eval_cell_fingerprint(
     *,
     window_fingerprint: str,
@@ -113,20 +168,20 @@ def eval_cell_fingerprint(
     :mod:`repro.eval.matrix`: *platform* — the partitioned-platform
     identity from :func:`repro.sim.platform.platform_identity` — enters
     the payload only when non-``None``, and flat platforms pass ``None``,
-    so every pre-platform key is reproduced exactly.
+    so every pre-platform key is reproduced exactly.  The key names the
+    cell's member in its window's document (:func:`eval_window_fingerprint`).
     """
-    payload: dict[str, object] = {
-        "kind": "eval-cell",
-        "format": cell_format,
-        "window": window_fingerprint,
-        "policy": policy,
-        "backfill": backfill,
-        "nmax": nmax,
-        "use_estimates": use_estimates,
-        "tau": tau,
-    }
-    if platform is not None:
-        payload["platform"] = dict(platform)
+    payload = _eval_payload(
+        "eval-cell",
+        window_fingerprint=window_fingerprint,
+        nmax=nmax,
+        use_estimates=use_estimates,
+        tau=tau,
+        cell_format=cell_format,
+        platform=platform,
+    )
+    payload["policy"] = policy
+    payload["backfill"] = backfill
     return config_fingerprint(payload)
 
 

@@ -66,7 +66,7 @@ class SimulateSpec(Spec):
     )
     tau: float | None = field(default=None, metadata=TAU_HELP)
     topology: tuple[int, ...] | None = field(default=None, metadata=TOPOLOGY_HELP)
-    distribution: str = field(default="round_robin", metadata=DISTRIBUTION_HELP)
+    distribution: str | None = field(default="round_robin", metadata=DISTRIBUTION_HELP)
 
     def _validate(self) -> None:
         from repro.policies.registry import get_policy

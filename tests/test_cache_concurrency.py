@@ -9,6 +9,9 @@ prove that claim under real multi-process contention instead of taking
 the docstring's word for it: a barrier lines all writers up, they hammer
 the same key, and readers racing alongside must only ever observe
 either a miss or one complete, valid entry — never a partial file.
+Writers that merge disjoint members into one document (the evaluation
+matrix's window documents) may lose members to each other, but never
+tear the file or corrupt a member.
 """
 
 import json
@@ -69,6 +72,48 @@ def _reader_worker(directory, barrier, out_queue):
     out_queue.put(bad)
 
 
+#: Writers and members per writer of the window-document test.
+N_MERGERS = 3
+N_MEMBERS = 4
+
+
+def _member(writer: int, j: int) -> tuple[str, dict]:
+    return f"w{writer}-m{j}", {"writer": writer, "member": j}
+
+
+def _merge_worker(directory, barrier, writer):
+    """Merge this writer's members (disjoint from the others') 30 times."""
+    cache = ArtifactCache(directory)
+    members = dict(_member(writer, j) for j in range(N_MEMBERS))
+    barrier.wait(timeout=30)
+    for _ in range(30):
+        cache.store_json(KEY, members, merge=True)
+
+
+def _member_reader_worker(directory, barrier, out_queue):
+    """Race member loads and raw parses against the merging writers."""
+    cache = ArtifactCache(directory)
+    names = dict(
+        _member(w, j) for w in range(N_MERGERS) for j in range(N_MEMBERS)
+    )
+    path = cache.json_path_for(KEY)
+    barrier.wait(timeout=30)
+    bad = 0
+    for _ in range(50):
+        found = cache.load_json(KEY, members=names)
+        bad += sum(found[name] != names[name] for name in found)
+        try:
+            json.loads(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            pass  # no writer has renamed its document into place yet
+        except ValueError:
+            bad += 1
+    # every load counted each member once, as a hit or as a miss
+    if cache.hits + cache.misses != 50 * len(names):
+        bad += 1
+    out_queue.put(bad)
+
+
 def _spawn(target, args):
     proc = multiprocessing.get_context().Process(target=target, args=args)
     proc.start()
@@ -119,6 +164,36 @@ class TestConcurrentWriters:
         assert entry in ({"tag": "a"}, {"tag": "b"})
         names = sorted(p.name for p in tmp_path.iterdir())
         assert names == [f"eval-{KEY}.json"], f"torn/leftover files: {names}"
+
+    def test_merging_writers_and_member_readers(self, tmp_path):
+        """Writers merging disjoint members into one document leave a
+        parseable file whose members are each exactly one writer's
+        entry; a racing reader sees only hits and misses.  A member may
+        be lost to a concurrent merge (the last rename wins), but the
+        last writer's own members are all there."""
+        ctx = multiprocessing.get_context()
+        barrier = ctx.Barrier(N_MERGERS + 1)
+        out = ctx.Queue()
+        procs = [
+            _spawn(_merge_worker, (str(tmp_path), barrier, w))
+            for w in range(N_MERGERS)
+        ]
+        procs.append(_spawn(_member_reader_worker, (str(tmp_path), barrier, out)))
+        for proc in procs:
+            proc.join(timeout=60)
+            assert proc.exitcode == 0
+        assert out.get(timeout=10) == 0, "reader observed a torn document"
+        names = sorted(p.name for p in tmp_path.iterdir())
+        assert names == [f"eval-{KEY}.json"], f"torn/leftover files: {names}"
+        doc = json.loads((tmp_path / f"eval-{KEY}.json").read_text(encoding="utf-8"))
+        expected = dict(
+            _member(w, j) for w in range(N_MERGERS) for j in range(N_MEMBERS)
+        )
+        assert doc and all(doc[name] == expected[name] for name in doc)
+        assert any(
+            all(_member(w, j)[0] in doc for j in range(N_MEMBERS))
+            for w in range(N_MERGERS)
+        )
 
     def test_pool_and_serial_runs_share_a_cache_safely(self, tmp_path):
         """End to end: a pooled and a serial pipeline run against one

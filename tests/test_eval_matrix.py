@@ -1,5 +1,6 @@
 """Tests for repro.eval.matrix and repro.eval.report."""
 
+import dataclasses
 import hashlib
 import json
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from repro import api
-from repro.eval.matrix import MatrixResult, run_matrix
+from repro.eval.matrix import _CELL_FORMAT, MatrixResult, run_matrix
 from repro.eval.windows import stream_windows
 from repro.eval.report import (
     matrix_to_csv,
@@ -18,7 +19,7 @@ from repro.eval.report import (
     write_matrix_report,
 )
 from repro.runtime import ArtifactCache
-from repro.specs import EvaluateSpec, SpecError
+from repro.specs import EvaluateSpec, SpecError, eval_window_fingerprint
 from repro.workloads.traces import synthetic_trace
 
 
@@ -52,9 +53,12 @@ class TestConfig:
 
     def test_backfill_tokens_normalised(self):
         spec = EvaluateSpec(
-            policies=("fcfs",), backfill=(False, True), window_jobs=10
+            policies=("fcfs",), backfill=("off", "easy"), window_jobs=10
         )
         assert spec.backfill == ("none", "easy")
+        # the engine's boolean spellings are no spec field values
+        with pytest.raises(SpecError, match="backfill must be a list of strings"):
+            EvaluateSpec(policies=("fcfs",), backfill=(False, True))
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(SpecError, match="unknown policy"):
@@ -227,11 +231,57 @@ class TestCache:
     def test_corrupt_entry_is_resimulated(self, trace, spec, tmp_path):
         store = ArtifactCache(tmp_path)
         run_matrix(trace, spec, cache=store)
-        victim = next(tmp_path.glob("eval-*.json"))
+        windows = list(stream_windows(trace, jobs=50, warmup=5))
+        victim = store.json_path_for(
+            eval_window_fingerprint(
+                window_fingerprint=windows[1].fingerprint(),
+                nmax=trace.nmax,
+                use_estimates=spec.estimates,
+                tau=spec.tau,
+                cell_format=_CELL_FORMAT,
+            )
+        )
+        assert victim.is_file()
         victim.write_text("{ not json", encoding="utf-8")
         res = run_matrix(trace, spec, cache=store)
-        assert res.n_simulated == 1
-        assert res.n_cached == 15
+        assert (res.n_simulated, res.n_cached) == (4, 12)
+        assert [c.window for c in res.cells if not c.cached] == [1, 1, 1, 1]
+        assert all(c.cached for c in res.cells if c.window != 1)
+        # the re-simulated cells replace the unreadable document
+        assert len(json.loads(victim.read_text(encoding="utf-8"))) == 4
+
+    def test_identical_windows_simulate_and_count_per_cell(
+        self, trace, spec, tmp_path
+    ):
+        """Two windows of identical content share one document, yet a
+        cold run simulates both and counts every cell."""
+        first = next(iter(stream_windows(trace, jobs=50, warmup=5)))
+        twins = [dataclasses.replace(first, index=k) for k in (0, 1)]
+        store = ArtifactCache(tmp_path)
+        cold = run_matrix(twins, spec, cache=store)
+        assert (cold.n_simulated, cold.n_cached) == (8, 0)
+        assert (store.hits, store.misses) == (0, 8)
+        (doc,) = tmp_path.glob("eval-*.json")
+        assert len(json.loads(doc.read_text(encoding="utf-8"))) == 4
+        warm = run_matrix(twins, spec, cache=store)
+        assert (warm.n_simulated, warm.n_cached) == (0, 8)
+        assert (store.hits, store.misses) == (8, 8)
+        for a, b in zip(cold.cells, warm.cells):
+            assert a.to_entry() == b.to_entry()
+        assert cold.samples("F1", "easy")[0] == cold.samples("F1", "easy")[1]
+
+    def test_added_policy_simulates_only_new_cells(self, trace, spec, tmp_path):
+        store = ArtifactCache(tmp_path)
+        run_matrix(trace, spec, cache=store)
+        wider = dataclasses.replace(spec, policies=("fcfs", "f1", "spt"))
+        res = run_matrix(trace, wider, cache=store)
+        assert (res.n_simulated, res.n_cached) == (8, 16)
+        assert {c.policy for c in res.cells if not c.cached} == {"SPT"}
+        docs = sorted(tmp_path.glob("eval-*.json"))
+        assert len(docs) == 4
+        assert [len(json.loads(d.read_text(encoding="utf-8"))) for d in docs] == [6] * 4
+        again = run_matrix(trace, spec, cache=ArtifactCache(tmp_path))
+        assert (again.n_simulated, again.n_cached) == (0, 16)
 
 
 class TestReport:
@@ -434,9 +484,11 @@ class TestCacheKeyAndReportPins:
     """Evaluation cache keys and report bytes, pinned across versions.
 
     ROADMAP promises byte-identical reports and unchanged cache keys;
-    these literals were computed by the library before the evaluation
-    spec became the matrix's only declaration, and must not move.
-    Neither depends on where the trace file lives.
+    the cell keys and report digests were computed by the library before
+    the evaluation spec became the matrix's only declaration, and must
+    not move.  The cell keys are read from the members of the window
+    documents, whose own keys are pinned too.  None of them depends on
+    where the trace file lives.
     """
 
     TRACE = str(Path(__file__).parent / "data" / "ctc_tiny.swf")
@@ -444,6 +496,12 @@ class TestCacheKeyAndReportPins:
     PINS = {
         "flat": (
             dict(policies=("fcfs", "f1"), backfill=("none", "easy")),
+            [
+                "653050a8032b6291ee766d579b78dc71",
+                "937215f6cee284ea73808cf2bda1fab7",
+                "d6d8f89cac2baa2fcf86029f9cac6169",
+                "e678f537c53e5418f80bf0108fc44534",
+            ],
             [
                 "06514d9fb6c57a481f9dfd45fd6fa79b",
                 "080d885a1a7e60db7db6f98f1d73ec98",
@@ -477,6 +535,12 @@ class TestCacheKeyAndReportPins:
                 seed=3,
             ),
             [
+                "199e540b7aa88c1b3a5cff51c6585a51",
+                "7d644301ddff4b6c7c1d25426b520b60",
+                "c7d3c1b8c5634a8e5bc76117658b026c",
+                "d8bb5caa296f2de38a3680c973960710",
+            ],
+            [
                 "1569e95effaf847893e17bf3d200f47c",
                 "624509ee46129b6b9e0b8fef2cce0d0d",
                 "702e906dbfc5489bd3ca3874decf8a3a",
@@ -504,11 +568,15 @@ class TestCacheKeyAndReportPins:
 
     @pytest.mark.parametrize("case", sorted(PINS))
     def test_keys_and_report_bytes(self, case, tmp_path):
-        fields, keys, digests = self.PINS[case]
+        fields, documents, keys, digests = self.PINS[case]
         spec = EvaluateSpec(trace=self.TRACE, **self.WINDOW, **fields)
         result = api.run(spec, workers=1, cache=tmp_path / "cache")
-        stored = sorted(p.name for p in (tmp_path / "cache").glob("eval-*.json"))
-        assert stored == [f"eval-{key}.json" for key in keys]
+        stored = sorted((tmp_path / "cache").glob("eval-*.json"))
+        # one document per window, holding that window's cells as members
+        assert [p.name for p in stored] == [f"eval-{key}.json" for key in documents]
+        members = [json.loads(p.read_text(encoding="utf-8")) for p in stored]
+        assert [len(m) for m in members] == [len(spec.policies) * len(spec.backfill)] * 4
+        assert sorted(key for m in members for key in m) == keys
         paths = write_matrix_report(
             tmp_path / "report",
             result,

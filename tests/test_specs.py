@@ -200,10 +200,12 @@ class TestValidation:
             Table4Spec(rows=("ctc_sp2_actual", "ctc_sp2_actual"))
 
 
-#: Values each bool/int/float field's declaration rejects, per kind.
-#: Every such field of every registered kind is listed (checked below).
+#: Values each bool/int/float/str/tuple[str, ...] field's declaration
+#: rejects, per kind.  Every such field of every registered kind is listed
+#: (checked below).
 WRONG_TYPED = {
     "train": {
+        "scale": [5, True, ("smoke",)],
         "n_tuples": [0, 2.5, True, "8"],
         "trials_per_tuple": [0, 1.5],
         "nmax": [None, 0, 256.0],
@@ -216,6 +218,11 @@ WRONG_TYPED = {
         "regression_max_points": [0, 2.5],
     },
     "simulate": {
+        "policy": [5, None, True, ("f1",)],
+        "swf": [3, ["x.swf"]],
+        "trace": [3, False],
+        "backfill": [True, False, None, 1, ("easy",)],
+        "distribution": [2, ("random",)],
         "nmax": [0, 64.0],
         "jobs": [0, True],
         "seed": [-1, "0"],
@@ -223,6 +230,12 @@ WRONG_TYPED = {
         "tau": [math.nan, math.inf, "10", -math.inf],
     },
     "evaluate": {
+        "trace": [3, ["x.swf"]],
+        "synthetic": [5, ("ctc_sp2",)],
+        "policies": ["fcfs", "f1", ("fcfs", 5), None],
+        "backfill": ["easy", "none", (True,), (False, True), None],
+        "baseline": [5, ("fcfs",)],
+        "distribution": [2, ("random",)],
         "jobs": [None, 0, 2.5],
         "drop_failed": ["no", None],
         "window_jobs": [0, True],
@@ -236,7 +249,12 @@ WRONG_TYPED = {
         "bootstrap": [-1, True],
         "ci": [None, math.nan, True, "0.9"],
     },
-    "table4": {"seed": [-1, 2.5, True, "3"]},
+    "table4": {
+        "rows": ["ctc_sp2_actual", ("ctc_sp2_actual", 1)],
+        "scale": [5, ["smoke"]],
+        "seed": [-1, 2.5, True, "3"],
+        "policies": ["fcfs", ("fcfs", None)],
+    },
     "sweep": {},
 }
 
@@ -254,10 +272,12 @@ def _case_id(case):
 
 
 class TestDeclaredFieldTypes:
-    """The dataclass annotation (and its ``min``) checks every scalar field."""
+    """The dataclass annotation (and its ``min``) checks every bool, int,
+    float, str and tuple[str, ...] field."""
 
     def test_table_covers_every_scalar_field_of_every_kind(self):
-        scalars = (bool, int, float, bool | None, int | None, float | None)
+        checked = (bool, int, float, str, tuple[str, ...])
+        scalars = checked + tuple(t | None for t in checked)
         assert sorted(WRONG_TYPED) == spec_kinds()
         for kind in spec_kinds():
             cls = spec_class_for(kind)
@@ -295,6 +315,10 @@ class TestDeclaredFieldTypes:
             (lambda: TrainSpec(seed=2.5), "seed must be a non-negative integer, got 2.5"),
             (lambda: SimulateSpec(estimates="false"), "estimates must be a boolean, got 'false'"),
             (lambda: EvaluateSpec(tau=math.inf), "tau must be a finite number, got inf"),
+            (lambda: SimulateSpec(policy=5), "policy must be a string, got 5"),
+            (lambda: EvaluateSpec(backfill="easy"), "backfill must be a list of strings, got 'easy'"),
+            (lambda: EvaluateSpec(policies="fcfs"), "policies must be a list of strings, got 'fcfs'"),
+            (lambda: EvaluateSpec(backfill=(False, True)), "backfill must be a list of strings, got (False, True)"),
         ],
     )
     def test_one_wording_per_bound(self, build, message):
@@ -310,16 +334,16 @@ class TestDeclaredFieldTypes:
 
 class TestCanonicalisation:
     def test_policy_and_backfill_spellings(self):
-        spec = SimulateSpec(policy="f1", backfill=True)
+        spec = SimulateSpec(policy="f1", backfill="off")
         assert spec.policy == "F1"
-        assert spec.backfill == "easy"
-        assert spec == SimulateSpec(policy="F1", backfill="easy")
+        assert spec.backfill == "none"
+        assert spec == SimulateSpec(policy="F1", backfill="none")
 
     def test_evaluate_window_default(self):
         assert EvaluateSpec().window_jobs == 5000
 
     def test_evaluate_canonicalises_axes(self):
-        spec = EvaluateSpec(policies=("FCFS", "f1"), backfill=(False, True))
+        spec = EvaluateSpec(policies=("FCFS", "f1"), backfill=("off", "easy"))
         assert spec.policies == ("FCFS", "F1")
         assert spec.backfill == ("none", "easy")
 
